@@ -40,6 +40,7 @@ import (
 	"spice/internal/grid"
 	"spice/internal/obs"
 	"spice/internal/trace"
+	"spice/internal/wal"
 )
 
 // State is a campaign's lifecycle state in the queue.
@@ -170,25 +171,19 @@ type entry struct {
 type Server struct {
 	cfg Config
 
-	mu      sync.Mutex
-	journal *queueJournal
+	mu sync.Mutex
+	// journal owns the degraded storage state (set when an append fails
+	// past its retries, cleared when the prober's no-op record or any
+	// later append succeeds); the server owns the policy. While degraded,
+	// submissions and cancels are refused with ErrStorageDegraded (HTTP
+	// 503 + Retry-After) — the 202 contract cannot be honored — but
+	// campaigns already running keep draining and reads stay available.
+	journal *wal.Log[qrec, *qrec]
 	entries map[string]*entry
 	order   []*entry // submission order
 	seq     int
 	started bool
 	closed  bool
-
-	// Degraded storage state: set when a journal append fails past its
-	// retries, cleared when the prober's no-op record (or any later
-	// append) succeeds. While degraded, submissions and cancels are
-	// refused with ErrStorageDegraded (HTTP 503 + Retry-After) — the
-	// 202 contract cannot be honored — but campaigns already running
-	// keep draining and reads stay available.
-	degraded            bool
-	degradedSince       time.Time
-	lastStorageErr      string
-	storageDegradations int
-	storageRecoveries   int
 
 	// Metrics (nil-safe wrappers below when cfg.Metrics is nil).
 	mSubmits  *obs.CounterVec // spice_cp_submissions_total{tenant}
@@ -279,20 +274,22 @@ func New(cfg Config) (*Server, error) {
 			"Campaigns reaching a terminal state.", "tenant", "state")
 		reg.RegisterCollector(s.collect)
 	}
-	journal, replay, torn, err := openQueueJournal(cfg.FS, cfg.StateDir)
+	jcfg := queueConfig(cfg.FS, cfg.StateDir)
+	jcfg.CompactBytes = cfg.CompactBytes
+	jcfg.Retries = cfg.StorageRetries
+	jcfg.Notify = s.storageNotify
+	journal, replay, tail, err := wal.Open[qrec](jcfg, newQueueScan)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("controlplane: %w", err)
 	}
-	journal.compactBytes = cfg.CompactBytes
-	journal.retries = cfg.StorageRetries
 	s.journal = journal
-	if torn > 0 {
-		s.event("cp_journal_torn_tail", "", map[string]any{"bytes": torn})
+	if tail.TornBytes > 0 {
+		s.event("cp_journal_torn_tail", "", map[string]any{"bytes": tail.TornBytes})
 	}
-	for _, qr := range replay {
+	for _, qr := range replay.order {
 		var spec campaign.Spec
 		if err := json.Unmarshal(qr.rec.Spec, &spec); err != nil {
-			journal.close()
+			journal.Close()
 			return nil, fmt.Errorf("controlplane: replaying campaign %s: %w", qr.rec.ID, err)
 		}
 		s.seq++
@@ -354,38 +351,32 @@ func (s *Server) Ready() error {
 	if !s.started {
 		return errors.New("controlplane: journal replay in progress")
 	}
-	if s.degraded {
-		return fmt.Errorf("%w (%s)", ErrStorageDegraded, s.lastStorageErr)
+	return s.storageGateLocked()
+}
+
+// storageGateLocked is the degraded-storage policy for anything that
+// promises durability: nil while the journal is healthy,
+// ErrStorageDegraded (with the last storage error) while it is not.
+// Requires s.mu.
+func (s *Server) storageGateLocked() error {
+	if h := s.journal.Health(); h.Degraded {
+		return fmt.Errorf("%w (%s)", ErrStorageDegraded, h.LastError)
 	}
 	return nil
 }
 
-// storageFaultLocked records a journal failure, enters the degraded
-// state, and starts the recovery prober. Requires s.mu.
-func (s *Server) storageFaultLocked(op string, err error) {
-	s.lastStorageErr = err.Error()
-	if s.degraded {
+// storageNotify logs the journal's transitions into and out of the
+// degraded state and starts the recovery prober on the way in. It runs
+// inside a journal call, so s.mu is held.
+func (s *Server) storageNotify(degraded bool, fields map[string]any) {
+	if !degraded {
+		s.event("cp_storage_recovered", "", fields)
 		return
 	}
-	s.degraded = true
-	s.degradedSince = time.Now().UTC()
-	s.storageDegradations++
-	s.event("cp_storage_degraded", "", map[string]any{"op": op, "error": err.Error()})
+	s.event("cp_storage_degraded", "", fields)
 	if !s.closed {
 		go s.probeStorage()
 	}
-}
-
-// storageRecoveredLocked leaves the degraded state. Requires s.mu.
-func (s *Server) storageRecoveredLocked() {
-	if !s.degraded {
-		return
-	}
-	s.degraded = false
-	s.storageRecoveries++
-	s.event("cp_storage_recovered", "", map[string]any{
-		"degraded_for": time.Since(s.degradedSince).String(),
-	})
 }
 
 func (s *Server) probeInterval() time.Duration {
@@ -402,16 +393,14 @@ func (s *Server) probeStorage() {
 	for {
 		time.Sleep(s.probeInterval())
 		s.mu.Lock()
-		if s.closed || !s.degraded {
+		if s.closed || !s.journal.Health().Degraded {
 			s.mu.Unlock()
 			return
 		}
-		if err := s.journal.append(&qrec{T: qNoop, At: time.Now().UTC()}); err != nil {
-			s.lastStorageErr = err.Error()
+		if err := s.journal.Append(&qrec{T: qNoop, At: time.Now().UTC()}, true); err != nil {
 			s.mu.Unlock()
 			continue
 		}
-		s.storageRecoveredLocked()
 		s.dispatchLocked()
 		s.mu.Unlock()
 		return
@@ -430,7 +419,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.journal.close()
+	return s.journal.Close()
 }
 
 // allowLocked spends one token from tenant's rate bucket, creating it
@@ -503,13 +492,13 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 			return "", fmt.Errorf("%w: %d campaigns in flight (max %d)", ErrOverloaded, depth, max)
 		}
 	}
-	if s.degraded {
+	if err := s.storageGateLocked(); err != nil {
 		// The 202 contract is "your campaign survives anything short of
 		// disk loss"; with the journal refusing writes that promise
 		// cannot be made. Refuse cheaply here — the prober re-opens the
 		// gate as soon as the disk takes a fsynced record again.
 		s.reject(tag.Tenant, "storage")
-		return "", fmt.Errorf("%w (%s)", ErrStorageDegraded, s.lastStorageErr)
+		return "", err
 	}
 	if _, ok := s.entries[id]; ok {
 		s.reject(tag.Tenant, "duplicate")
@@ -534,12 +523,11 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 		Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
 		Spec: specJSON, At: now,
 	}
-	if err := s.journal.append(rec); err != nil {
-		// append already repaired the log back to its last clean record
+	if err := s.journal.Append(rec, true); err != nil {
+		// Append already repaired the log back to its last clean record
 		// boundary, so the failed submission leaves nothing on disk. The
 		// in-memory queue is untouched for the same reason: journal
 		// first, apply second, always.
-		s.storageFaultLocked("submit", err)
 		return "", fmt.Errorf("%w: journaling submission: %s", ErrStorageDegraded, err)
 	}
 	s.seq++
@@ -635,12 +623,11 @@ func (s *Server) startLocked(e *entry) {
 	e.State = StateRunning
 	e.Started = time.Now().UTC()
 	e.JobsTotal = len(e.Spec.Tasks())
-	if err := s.journal.append(&qrec{T: qStart, ID: e.ID, Tenant: e.Tenant, At: e.Started}); err != nil {
+	if err := s.journal.Append(&qrec{T: qStart, ID: e.ID, Tenant: e.Tenant, At: e.Started}, true); err != nil {
 		// The start record is an optimization (replay re-queues running
 		// campaigns anyway); losing it only costs a redundant re-dispatch.
-		// It still flags the disk as sick so submissions stop overpromising.
+		// The journal still turns degraded so submissions stop overpromising.
 		s.event("cp_journal_error", e.ID, map[string]any{"err": err.Error()})
-		s.storageFaultLocked("start", err)
 	}
 	s.event("cp_started", e.ID, map[string]any{"tenant": e.Tenant})
 	go s.run(e)
@@ -676,11 +663,8 @@ func (s *Server) run(e *entry) {
 		// A lost terminal record is re-derived on the next restart (the
 		// re-run replays instantly from the dist journal), so the state
 		// change stands either way — but the failure flags degradation.
-		if jerr := s.journal.append(rec); jerr != nil {
+		if jerr := s.journal.Append(rec, true); jerr != nil {
 			s.event("cp_journal_error", e.ID, map[string]any{"err": jerr.Error()})
-			s.storageFaultLocked("finish", jerr)
-		} else {
-			s.storageRecoveredLocked()
 		}
 	}
 	if s.mFinished != nil {
@@ -711,13 +695,12 @@ func (s *Server) Cancel(id string) (State, error) {
 		s.mu.Unlock()
 		return "", fmt.Errorf("%w: tenant %q over %g req/s", ErrRateLimited, e.Tenant, s.cfg.TenantRPS)
 	}
-	if s.degraded {
+	if err := s.storageGateLocked(); err != nil {
 		s.mu.Unlock()
-		return "", fmt.Errorf("%w (%s)", ErrStorageDegraded, s.lastStorageErr)
+		return "", err
 	}
 	wasRunning := e.State == StateRunning
-	if err := s.journal.append(&qrec{T: qCancel, ID: id, Tenant: e.Tenant, At: time.Now().UTC()}); err != nil {
-		s.storageFaultLocked("cancel", err)
+	if err := s.journal.Append(&qrec{T: qCancel, ID: id, Tenant: e.Tenant, At: time.Now().UTC()}, true); err != nil {
 		s.mu.Unlock()
 		return "", fmt.Errorf("%w: journaling cancel: %s", ErrStorageDegraded, err)
 	}
@@ -949,16 +932,17 @@ type StorageHealth struct {
 // numbers the spice_storage_*{journal="queue"} metrics export.
 func (s *Server) StorageHealth() StorageHealth {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	h := s.journal.Health()
+	s.mu.Unlock()
 	return StorageHealth{
-		Degraded:       s.degraded,
-		LastError:      s.lastStorageErr,
-		Degradations:   s.storageDegradations,
-		Recoveries:     s.storageRecoveries,
-		Compactions:    s.journal.compactions,
-		StorageErrors:  s.journal.storageErrors,
-		StorageRetries: s.journal.storageRetries,
-		JournalBytes:   s.journal.goodLen,
+		Degraded:       h.Degraded,
+		LastError:      h.LastError,
+		Degradations:   h.Degradations,
+		Recoveries:     h.Recoveries,
+		Compactions:    h.Compactions,
+		StorageErrors:  h.Errors,
+		StorageRetries: h.Retries,
+		JournalBytes:   h.Bytes,
 	}
 }
 
@@ -972,29 +956,10 @@ func (s *Server) collect(e *obs.Emitter) {
 		}
 		depth[ent.Tenant][ent.State]++
 	}
-	sh := StorageHealth{
-		Degraded:       s.degraded,
-		Degradations:   s.storageDegradations,
-		Recoveries:     s.storageRecoveries,
-		Compactions:    s.journal.compactions,
-		StorageErrors:  s.journal.storageErrors,
-		StorageRetries: s.journal.storageRetries,
-		JournalBytes:   s.journal.goodLen,
-	}
+	sh := s.journal.Health()
 	s.mu.Unlock()
 	// Same families as the dist journal exports, told apart by label.
-	jl := obs.Label{Name: "journal", Value: "queue"}
-	degraded := 0.0
-	if sh.Degraded {
-		degraded = 1
-	}
-	e.Counter("spice_storage_errors_total", "Failed journal/spool operations.", float64(sh.StorageErrors), jl)
-	e.Counter("spice_storage_retries_total", "Journal appends retried after a transient fault.", float64(sh.StorageRetries), jl)
-	e.Counter("spice_storage_compactions_total", "Journal compactions completed.", float64(sh.Compactions), jl)
-	e.Counter("spice_storage_degradations_total", "Transitions into the degraded storage state.", float64(sh.Degradations), jl)
-	e.Counter("spice_storage_recoveries_total", "Transitions back to healthy storage.", float64(sh.Recoveries), jl)
-	e.Gauge("spice_storage_degraded", "1 while the journal is refusing durability promises.", degraded, jl)
-	e.Gauge("spice_storage_journal_bytes", "Current clean length of the journal log.", float64(sh.JournalBytes), jl)
+	sh.Emit(e, "queue")
 	e.Counter("spice_cp_http_shed_total", "HTTP requests shed at the concurrency limiter.", float64(s.httpSheds.Load()))
 	tenants := make([]string, 0, len(depth))
 	for t := range depth {

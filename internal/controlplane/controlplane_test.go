@@ -7,15 +7,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"spice/internal/campaign"
 	"spice/internal/dist"
+	"spice/internal/faultfs"
 	"spice/internal/md"
 	"spice/internal/trace"
+	"spice/internal/wal"
 )
 
 // --- simulation fixtures (mirror internal/dist's test system) ---
@@ -149,14 +149,29 @@ func waitState(t *testing.T, s *Server, id string, want State) Campaign {
 
 // --- queue journal ---
 
-func TestQueueJournalLifecycleReplay(t *testing.T) {
-	dir := t.TempDir()
-	j, replay, torn, err := openQueueJournal(nil, dir)
+// openQueue opens the queue journal under dir the way New does.
+func openQueue(t *testing.T, fsys faultfs.FS, dir string) (*wal.Log[qrec, *qrec], *queueScan, wal.Replay) {
+	t.Helper()
+	j, qs, tail, err := wal.Open[qrec](queueConfig(fsys, dir), newQueueScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay) != 0 || torn != 0 {
-		t.Fatalf("fresh journal: replay=%d torn=%d", len(replay), torn)
+	return j, qs, tail
+}
+
+// scanQueueState folds queue.snapshot + queue.log under dir without
+// opening them for writing.
+func scanQueueState(fsys faultfs.FS, dir string) (*queueScan, error) {
+	qs := newQueueScan()
+	_, err := wal.Scan[qrec](queueConfig(fsys, dir), qs)
+	return qs, err
+}
+
+func TestQueueJournalLifecycleReplay(t *testing.T) {
+	dir := t.TempDir()
+	j, qs, tail := openQueue(t, nil, dir)
+	if len(qs.order) != 0 || tail.TornBytes != 0 {
+		t.Fatalf("fresh journal: replay=%d torn=%d", len(qs.order), tail.TornBytes)
 	}
 	spec, _ := json.Marshal(specA())
 	now := time.Now().UTC()
@@ -173,20 +188,19 @@ func TestQueueJournalLifecycleReplay(t *testing.T) {
 		{T: qStart, ID: "d", At: now},
 	}
 	for _, r := range recs {
-		if err := j.append(r); err != nil {
+		if err := j.Append(r, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, replay, torn, err = openQueueJournal(nil, dir)
-	if err != nil {
-		t.Fatal(err)
+	j, qs, tail = openQueue(t, nil, dir)
+	defer j.Close()
+	if tail.TornBytes != 0 {
+		t.Fatalf("clean journal reported %d torn bytes", tail.TornBytes)
 	}
-	if torn != 0 {
-		t.Fatalf("clean journal reported %d torn bytes", torn)
-	}
+	replay := qs.order
 	want := map[string]State{"a": StateDone, "b": StateFailed, "c": StateCanceled, "d": StateRunning}
 	if len(replay) != len(want) {
 		t.Fatalf("replayed %d campaigns, want %d", len(replay), len(want))
@@ -204,83 +218,6 @@ func TestQueueJournalLifecycleReplay(t *testing.T) {
 			t.Fatalf("fail error not replayed: %q", qr.err)
 		}
 	}
-}
-
-// TestQueueTornTailEveryOffset is the crash-safety sweep: a journal cut
-// short at EVERY byte offset inside its final record must replay the
-// preceding campaigns intact, truncate the torn tail, and accept new
-// appends — no offset may wedge recovery or corrupt earlier records.
-func TestQueueTornTailEveryOffset(t *testing.T) {
-	// Build a reference journal: two complete submissions, then a third
-	// whose record we will shear at every offset.
-	ref := t.TempDir()
-	j, _, _, err := openQueueJournal(nil, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := json.Marshal(specA())
-	now := time.Unix(1700000000, 0).UTC()
-	for _, id := range []string{"a", "b"} {
-		if err := j.append(&qrec{T: qSubmit, ID: id, Tenant: "t-" + id, Spec: spec, At: now}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(ref, "queue.log")
-	cleanLen := fileSize(t, path)
-	if err := j.append(&qrec{T: qSubmit, ID: "c", Tenant: "t-c", Spec: spec, At: now}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cleanLen <= 0 || int64(len(full)) <= cleanLen {
-		t.Fatalf("bad fixture: clean=%d full=%d", cleanLen, len(full))
-	}
-
-	for cut := cleanLen + 1; cut < int64(len(full)); cut++ {
-		dir := t.TempDir()
-		torn := filepath.Join(dir, "queue.log")
-		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		j2, replay, tornBytes, err := openQueueJournal(nil, dir)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		if len(replay) != 2 || replay[0].rec.ID != "a" || replay[1].rec.ID != "b" {
-			t.Fatalf("cut at %d: replayed %d campaigns, want the 2 complete ones", cut, len(replay))
-		}
-		if tornBytes != cut-cleanLen {
-			t.Fatalf("cut at %d: reported %d torn bytes, want %d", cut, tornBytes, cut-cleanLen)
-		}
-		if got := fileSize(t, torn); got != cleanLen {
-			t.Fatalf("cut at %d: truncated to %d, want clean length %d", cut, got, cleanLen)
-		}
-		// The recovered journal must accept appends that survive reopen.
-		if err := j2.append(&qrec{T: qSubmit, ID: "after", Spec: spec, At: now}); err != nil {
-			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
-		}
-		if err := j2.close(); err != nil {
-			t.Fatal(err)
-		}
-		_, replay, tb, err := openQueueJournal(nil, dir)
-		if err != nil || tb != 0 || len(replay) != 3 || replay[2].rec.ID != "after" {
-			t.Fatalf("cut at %d: reopen after repair: err=%v torn=%d n=%d", cut, err, tb, len(replay))
-		}
-	}
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
 }
 
 // --- server semantics ---

@@ -1,42 +1,29 @@
 package controlplane
 
-// The campaign queue's durable side: an append-only record stream of
-// queue transitions (submit / start / done / fail / cancel) in the same
-// CRC-framed trace record format as the dist job journal, living at
-// <state>/queue.log. The two journals split the durability work by
-// blast radius: queue.log remembers *which* campaigns were accepted and
-// where each stood in its lifecycle; the dist journal remembers the
-// per-job progress inside a running campaign. Killing the control plane
-// at any instant loses neither — a torn tail is detected by the record
-// CRCs, truncated away on reopen, and everything before it replays.
+// The campaign queue's durable side: the queue transitions (submit /
+// start / done / fail / cancel) journaled in <state>/queue.log and
+// compacted into <state>/queue.snapshot — one internal/wal log, which
+// owns framing, sequence numbers, repair, compaction and torn-tail
+// replay. This file is its fold: the record type, how one record moves
+// a campaign through its lifecycle, and how the folded queue is
+// re-emitted as a snapshot. The two journals split the durability work
+// by blast radius: the queue remembers *which* campaigns were accepted
+// and where each stood in its lifecycle; the dist journal remembers the
+// per-job progress inside a running campaign.
 //
 // Durability policy: every record is fsynced before the state change it
 // describes is acknowledged. Submissions are the contract with the
 // tenant ("202 means your campaign survives anything short of disk
 // loss"), and the transition rate is human-scale, so the sync cost is
-// irrelevant. The ack-ordering discipline is strict: append() returns
-// only after frame+flush+fsync all succeeded, and on any failure it
-// truncates the log back to the last clean record boundary before
-// reporting the error — so a rejected submission leaves no trace on
-// disk, a torn record never shadows later appends, and nothing is ever
-// applied in memory that the journal did not accept first.
-//
-// Compaction mirrors the dist journal's protocol: when queue.log grows
-// past its threshold the folded state is rewritten to queue.snapshot
-// (tmp + fsync + rename + parent-dir fsync) and the log truncated.
-// Records carry monotone sequence numbers and the snapshot records the
-// highest one it folded, so replay after a crash anywhere between the
-// steps applies each transition exactly once.
+// irrelevant. Nothing is ever applied in memory that the journal did
+// not accept first, and a refused append leaves no trace on disk.
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"spice/internal/faultfs"
-	"spice/internal/trace"
+	"spice/internal/wal"
 )
 
 // queue record types.
@@ -52,8 +39,8 @@ const (
 
 // qrec is one queue journal record.
 type qrec struct {
-	T        string          `json:"t"`
-	Seq      uint64          `json:"seq,omitempty"` // monotone append sequence (snap: highest folded)
+	T string `json:"t"`
+	wal.Stamp
 	ID       string          `json:"id,omitempty"`
 	Tenant   string          `json:"tenant,omitempty"`
 	Priority int             `json:"priority,omitempty"`
@@ -63,26 +50,6 @@ type qrec struct {
 	At       time.Time       `json:"at,omitzero"`
 }
 
-// queueJournal is the open write side of queue.log.
-type queueJournal struct {
-	dir string
-	fs  faultfs.FS
-	f   faultfs.File
-	rw  *trace.RecordWriter
-
-	goodLen       int64  // last known clean length of queue.log (incl. magic)
-	nextSeq       uint64 // last sequence number successfully appended
-	pendingRepair bool   // a failed append left bytes past goodLen
-
-	compactBytes   int64 // compaction threshold; 0 disables
-	retries        int   // append retries before the error surfaces
-	compactRetryAt int64 // after a failed compaction, wait for this size
-
-	compactions    int
-	storageErrors  int
-	storageRetries int
-}
-
 // queueReplay is one campaign's recovered lifecycle (last record wins).
 type queueReplay struct {
 	rec   qrec // the submit record (identity + spec)
@@ -90,301 +57,56 @@ type queueReplay struct {
 	err   string
 }
 
-func queueLogPath(dir string) string  { return filepath.Join(dir, "queue.log") }
-func queueSnapPath(dir string) string { return filepath.Join(dir, "queue.snapshot") }
+// queueConfig places the queue's log under dir.
+func queueConfig(fsys faultfs.FS, dir string) wal.Config {
+	return wal.Config{FS: fsys, Dir: dir, LogName: "queue.log", SnapName: "queue.snapshot"}
+}
 
-// queueScan is the folded on-disk state: snapshot + log replayed with
-// sequence-number dedup, exactly like the dist journal.
+// queueScan is the queue's fold: the campaigns recovered from snapshot
+// + log, in submission order.
 type queueScan struct {
-	order    []*queueReplay
-	byID     map[string]*queueReplay
-	maxSeq   uint64
-	snapSeq  uint64
-	cleanLen int64
-	torn     int64
+	order []*queueReplay
+	byID  map[string]*queueReplay
 }
 
-func (qs *queueScan) apply(r *qrec) {
-	if r.Seq > qs.maxSeq {
-		qs.maxSeq = r.Seq
+func newQueueScan() *queueScan {
+	return &queueScan{byID: make(map[string]*queueReplay)}
+}
+
+// queueStates maps each lifecycle record type to the state it moves a
+// campaign into (last record wins); Snapshot inverts it.
+var queueStates = map[string]State{
+	qStart: StateRunning, qDone: StateDone, qFail: StateFailed, qCancel: StateCanceled,
+}
+
+// Apply folds one record into qs. snap and noop records carry no queue
+// state, and unknown types from a newer writer are tolerated.
+func (qs *queueScan) Apply(r *qrec) {
+	if r.T == qSubmit && qs.byID[r.ID] == nil {
+		qr := &queueReplay{rec: *r, state: StateQueued}
+		qs.byID[r.ID] = qr
+		qs.order = append(qs.order, qr)
 	}
-	switch r.T {
-	case qSubmit:
-		if qs.byID[r.ID] == nil {
-			qr := &queueReplay{rec: *r, state: StateQueued}
-			qs.byID[r.ID] = qr
-			qs.order = append(qs.order, qr)
-		}
-	case qStart:
+	if st, ok := queueStates[r.T]; ok {
 		if qr := qs.byID[r.ID]; qr != nil {
-			qr.state = StateRunning
+			qr.state, qr.err = st, r.Err
 		}
-	case qDone:
-		if qr := qs.byID[r.ID]; qr != nil {
-			qr.state = StateDone
-		}
-	case qFail:
-		if qr := qs.byID[r.ID]; qr != nil {
-			qr.state = StateFailed
-			qr.err = r.Err
-		}
-	case qCancel:
-		if qr := qs.byID[r.ID]; qr != nil {
-			qr.state = StateCanceled
-		}
-	case qSnap, qNoop:
-		// snap carries only its Seq (folded above); noop is a probe.
-	default:
-		// Unknown record types from a newer writer are tolerated.
 	}
 }
 
-// scanQueueState folds queue.snapshot + queue.log under dir.
-func scanQueueState(fsys faultfs.FS, dir string) (*queueScan, error) {
-	fsys = faultfs.Or(fsys)
-	qs := &queueScan{byID: make(map[string]*queueReplay)}
-
-	snap, err := trace.ScanFileFS(fsys, queueSnapPath(dir))
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: %s: %w", queueSnapPath(dir), err)
-	}
-	if snap.TailErr != nil {
-		// Snapshots are fsynced before the rename; a torn one is bit rot.
-		return nil, fmt.Errorf("controlplane: %s: damaged snapshot: %w", queueSnapPath(dir), snap.TailErr)
-	}
-	for _, raw := range snap.Records {
-		var r qrec
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("controlplane: undecodable snapshot record (CRC valid): %w", err)
-		}
-		if r.T == qSnap && r.Seq > qs.snapSeq {
-			qs.snapSeq = r.Seq
-		}
-		qs.apply(&r)
-	}
-
-	scan, err := trace.ScanFileFS(fsys, queueLogPath(dir))
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: %s: %w", queueLogPath(dir), err)
-	}
-	qs.cleanLen = scan.CleanLen
-	qs.torn = scan.TornBytes
-	for _, raw := range scan.Records {
-		var r qrec
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("controlplane: undecodable queue record (CRC valid): %w", err)
-		}
-		if r.Seq != 0 && r.Seq <= qs.snapSeq {
-			continue // already folded into the snapshot
-		}
-		qs.apply(&r)
-	}
-	if qs.snapSeq > qs.maxSeq {
-		qs.maxSeq = qs.snapSeq
-	}
-	return qs, nil
-}
-
-// openQueueJournal opens (creating if needed) the queue journal under
-// dir, replays snapshot + log, truncates a torn tail, and positions the
-// writer for appending. The replayed campaigns come back in submission
-// order.
-func openQueueJournal(fsys faultfs.FS, dir string) (*queueJournal, []*queueReplay, int64, error) {
-	fsys = faultfs.Or(fsys)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, fmt.Errorf("controlplane: state dir: %w", err)
-	}
-	qs, err := scanQueueState(fsys, dir)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	path := queueLogPath(dir)
-	if qs.torn > 0 {
-		if err := fsys.Truncate(path, qs.cleanLen); err != nil {
-			return nil, nil, 0, fmt.Errorf("controlplane: truncating torn queue tail: %w", err)
-		}
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("controlplane: opening queue journal: %w", err)
-	}
-	j := &queueJournal{
-		dir:     dir,
-		fs:      fsys,
-		f:       f,
-		rw:      trace.NewRecordWriter(f, qs.cleanLen > 0),
-		goodLen: qs.cleanLen,
-		nextSeq: qs.maxSeq,
-	}
-	return j, qs.order, qs.torn, nil
-}
-
-// append frames, writes, flushes and fsyncs one record — every queue
-// transition is synced (see the durability policy above). A failure is
-// repaired (truncate back to the last clean boundary) and retried up to
-// j.retries times before surfacing; either way the log never holds a
-// partial record in front of the append point, so the caller can safely
-// decline the state change and try again later.
-func (j *queueJournal) append(r *qrec) error {
-	r.Seq = j.nextSeq + 1
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; ; attempt++ {
-		err = j.tryAppend(payload)
-		if err == nil {
-			j.nextSeq++
-			j.maybeCompact()
-			return nil
-		}
-		j.storageErrors++
-		j.pendingRepair = true
-		if attempt >= j.retries {
-			return err
-		}
-		j.storageRetries++
-		d := time.Duration(1<<uint(attempt)) * 2 * time.Millisecond
-		if d > 50*time.Millisecond {
-			d = 50 * time.Millisecond
-		}
-		time.Sleep(d)
-	}
-}
-
-func (j *queueJournal) tryAppend(payload []byte) error {
-	if j.pendingRepair {
-		if err := j.f.Truncate(j.goodLen); err != nil {
-			return err
-		}
-		j.rw.Reset(j.f, j.goodLen > 0)
-		j.pendingRepair = false
-	}
-	n := trace.FramedLen(len(payload))
-	if j.goodLen == 0 {
-		n += trace.MagicLen
-	}
-	if err := j.rw.Append(payload); err != nil {
-		return err
-	}
-	if err := j.rw.Flush(); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.goodLen += n
-	return nil
-}
-
-// maybeCompact compacts once the log outgrows its threshold, backing
-// off after a failure until the log doubles again.
-func (j *queueJournal) maybeCompact() {
-	if j.compactBytes <= 0 || j.goodLen < j.compactBytes || j.pendingRepair {
-		return
-	}
-	if j.compactRetryAt > 0 && j.goodLen < j.compactRetryAt {
-		return
-	}
-	if err := j.compact(); err != nil {
-		j.storageErrors++
-		j.compactRetryAt = j.goodLen * 2
-		return
-	}
-	j.compactRetryAt = 0
-}
-
-// compact folds snapshot + log into a fresh queue.snapshot (tmp, fsync,
-// rename, parent-dir fsync) and truncates the log. Crash-safe at every
-// step boundary: before the rename the old pair is untouched; after it,
-// superseded log records are skipped by sequence number on replay.
-func (j *queueJournal) compact() error {
-	if err := j.rw.Flush(); err != nil {
-		j.pendingRepair = true
-		return err
-	}
-	qs, err := scanQueueState(j.fs, j.dir)
-	if err != nil {
-		return err
-	}
-	if err := writeQueueSnapshot(j.fs, j.dir, qs); err != nil {
-		return err
-	}
-	if err := j.f.Truncate(0); err != nil {
-		return err
-	}
-	j.rw.Reset(j.f, false)
-	j.goodLen = 0
-	j.compactions++
-	return nil
-}
-
-// writeQueueSnapshot serializes the folded queue state: a qSnap meta
-// record, then per campaign (in submission order) its submit record and
-// — if it has left the queued state — one closing state record.
-func writeQueueSnapshot(fsys faultfs.FS, dir string, qs *queueScan) (err error) {
-	tmp := queueSnapPath(dir) + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			_ = fsys.Remove(tmp)
-		}
-	}()
-	rw := trace.NewRecordWriter(f, false)
-	emit := func(r *qrec) {
-		if err != nil {
-			return
-		}
-		var payload []byte
-		if payload, err = json.Marshal(r); err == nil {
-			err = rw.Append(payload)
-		}
-	}
-	emit(&qrec{T: qSnap, Seq: qs.maxSeq})
+// Snapshot emits the folded queue state: a qSnap meta record, then per
+// campaign (in submission order) its submit record and — if it has left
+// the queued state — one closing state record.
+func (qs *queueScan) Snapshot(emit func(*qrec)) {
+	emit(&qrec{T: qSnap})
 	for _, qr := range qs.order {
 		sub := qr.rec
 		sub.Seq = 0
 		emit(&sub)
-		switch qr.state {
-		case StateRunning:
-			emit(&qrec{T: qStart, ID: sub.ID, Tenant: sub.Tenant})
-		case StateDone:
-			emit(&qrec{T: qDone, ID: sub.ID, Tenant: sub.Tenant})
-		case StateFailed:
-			emit(&qrec{T: qFail, ID: sub.ID, Tenant: sub.Tenant, Err: qr.err})
-		case StateCanceled:
-			emit(&qrec{T: qCancel, ID: sub.ID, Tenant: sub.Tenant})
+		for t, st := range queueStates {
+			if st == qr.state {
+				emit(&qrec{T: t, ID: sub.ID, Tenant: sub.Tenant, Err: qr.err})
+			}
 		}
 	}
-	if err != nil {
-		return err
-	}
-	if err = rw.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = fsys.Rename(tmp, queueSnapPath(dir)); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-func (j *queueJournal) close() error {
-	if j == nil {
-		return nil
-	}
-	if err := j.rw.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
 }

@@ -1,11 +1,13 @@
 package controlplane
 
 // Disk-fault chaos tests for the queue journal: the ack-ordering
-// regression (a failed append must leave neither memory nor disk
+// regressions (a failed append must leave neither memory nor disk
 // changed, and must never be acknowledged), the ENOSPC degradation /
 // 503 / recovery drill over the real HTTP surface, the bounded-log
-// guarantee under a monotonic workload, and the compaction kill-point
-// sweep mirroring the dist journal's.
+// guarantee under a monotonic workload, the shared compaction
+// kill-point sweep run over the production fold, the on-disk format
+// freeze, and decoder fuzzing. The protocol itself — append repair, torn
+// tails, snapshot + log replay — is swept in internal/wal.
 
 import (
 	"bytes"
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,6 +23,8 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/dist"
 	"spice/internal/faultfs"
+	"spice/internal/wal"
+	"spice/internal/wal/waltest"
 )
 
 // TestQueueSubmitAckOrdering is the satellite regression for the
@@ -85,6 +88,33 @@ func TestQueueSubmitAckOrdering(t *testing.T) {
 	h := s.StorageHealth()
 	if h.Degradations != 1 || h.Recoveries != 1 || h.StorageErrors < 1 {
 		t.Fatalf("health counters after one fault cycle: %+v", h)
+	}
+}
+
+// TestRefusedSubmitLeavesNoTrace is the case the test above misses: the
+// record is written and framed, and only its fsync fails. The tenant is
+// told 503, so the log must be clean again BEFORE Submit returns — not
+// whenever the next append gets around to repairing it — or a restart in
+// between replays a campaign that was refused. The prober is parked so
+// nothing else touches the log before the scan.
+func TestRefusedSubmitLeavesNoTrace(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	dir := t.TempDir()
+	s, _ := newHarness(t, Config{StateDir: dir, FS: inj, StorageProbe: time.Hour}, 0)
+	id1, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.FailAt(2, faultfs.EIO) // the append's write succeeds, its fsync fails
+	if _, err := s.Submit(specB(), dist.CampaignTag{Tenant: "bob"}); !errors.Is(err, ErrStorageDegraded) {
+		t.Fatalf("fsync-failed submit returned %v, want ErrStorageDegraded", err)
+	}
+	qs, err := scanQueueState(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs.order) != 1 || qs.order[0].rec.ID != id1 {
+		t.Fatalf("disk holds %d campaigns after a refused submit, want only %s", len(qs.order), id1)
 	}
 }
 
@@ -180,12 +210,13 @@ func TestStorageDegradedHTTP503AndRecovery(t *testing.T) {
 // while every campaign's terminal state survives replay.
 func TestQueueCompactionBoundsLog(t *testing.T) {
 	dir := t.TempDir()
-	j, _, _, err := openQueueJournal(nil, dir)
+	const threshold = 4096
+	cfg := queueConfig(nil, dir)
+	cfg.CompactBytes = threshold
+	j, _, _, err := wal.Open[qrec](cfg, newQueueScan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const threshold = 4096
-	j.compactBytes = threshold
 	spec, _ := json.Marshal(specA())
 	now := time.Unix(1700000000, 0).UTC()
 	const n = 200
@@ -197,47 +228,43 @@ func TestQueueCompactionBoundsLog(t *testing.T) {
 			{T: qStart, ID: id, At: now},
 			{T: qDone, ID: id, At: now},
 		} {
-			if err := j.append(r); err != nil {
+			if err := j.Append(r, true); err != nil {
 				t.Fatal(err)
 			}
-			if j.goodLen > maxLen {
-				maxLen = j.goodLen
+			if b := j.Health().Bytes; b > maxLen {
+				maxLen = b
 			}
 		}
 	}
-	if j.compactions < 2 {
-		t.Fatalf("compactions = %d, want several over %d campaigns", j.compactions, n)
+	if c := j.Health().Compactions; c < 2 {
+		t.Fatalf("compactions = %d, want several over %d campaigns", c, n)
 	}
 	// One record may overshoot the threshold before the next check; the
 	// whole history (n × 3 records) must not.
 	if maxLen > threshold+1024 {
 		t.Fatalf("queue.log peaked at %d bytes, not bounded near %d", maxLen, threshold)
 	}
-	if err := j.close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, replay, torn, err := openQueueJournal(nil, dir)
-	if err != nil || torn != 0 {
-		t.Fatalf("reopen: err=%v torn=%d", err, torn)
+	j, qs, tail := openQueue(t, nil, dir)
+	defer j.Close()
+	if tail.TornBytes != 0 {
+		t.Fatalf("reopen: torn=%d", tail.TornBytes)
 	}
-	if len(replay) != n {
-		t.Fatalf("replayed %d campaigns, want %d", len(replay), n)
+	if len(qs.order) != n {
+		t.Fatalf("replayed %d campaigns, want %d", len(qs.order), n)
 	}
-	for i, qr := range replay {
+	for i, qr := range qs.order {
 		if qr.rec.ID != fmt.Sprintf("c-%03d", i) || qr.state != StateDone {
 			t.Fatalf("campaign %d replayed as %s/%s", i, qr.rec.ID, qr.state)
 		}
 	}
 }
 
-// queueFingerprint folds the on-disk queue state into a deterministic
-// string, ignoring sequence numbers (compaction renumbers them).
-func queueFingerprint(t *testing.T, dir string) string {
-	t.Helper()
-	qs, err := scanQueueState(nil, dir)
-	if err != nil {
-		t.Fatalf("scan of %s: %v", dir, err)
-	}
+// queueFingerprint serializes the folded queue state deterministically,
+// ignoring sequence numbers (compaction renumbers them).
+func queueFingerprint(qs *queueScan) string {
 	type row struct {
 		ID       string          `json:"id"`
 		Tenant   string          `json:"tenant"`
@@ -258,106 +285,83 @@ func queueFingerprint(t *testing.T, dir string) string {
 	}
 	b, err := json.Marshal(rows)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return string(b)
 }
 
-// TestQueueCompactionKillPointSweep mirrors the dist journal's sweep:
-// a fault at every mutating operation inside compact() must leave the
-// folded queue state identical and the journal appendable.
-func TestQueueCompactionKillPointSweep(t *testing.T) {
-	ref := t.TempDir()
-	j, _, _, err := openQueueJournal(nil, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := json.Marshal(specA())
+// seedQueue fills a queue journal with one campaign in every lifecycle
+// state and a mid-stream compaction, so the sweep replaces an existing
+// snapshot rather than creating the first one. The golden files under
+// testdata/ were written by this exact sequence at the commit before
+// internal/wal existed; do not change it.
+func seedQueue(t *testing.T, j *wal.Log[qrec, *qrec]) {
+	t.Helper()
+	spec := json.RawMessage(`{"kappas":[100],"velocities":[800],"replicas":2,"distance":3,"seed":21}`)
 	now := time.Unix(1700000000, 0).UTC()
 	for i, recs := range [][]*qrec{
-		{{T: qSubmit, ID: "a", Tenant: "alice", Priority: 2, Spec: spec, At: now}, {T: qStart, ID: "a"}, {T: qDone, ID: "a"}},
+		{{T: qSubmit, ID: "a", Tenant: "alice", Priority: 2, Name: "first", Spec: spec, At: now},
+			{T: qStart, ID: "a", Tenant: "alice", At: now.Add(time.Second)},
+			{T: qDone, ID: "a", Tenant: "alice", At: now.Add(2 * time.Second)}},
 		{{T: qSubmit, ID: "b", Tenant: "bob", Spec: spec, At: now}, {T: qStart, ID: "b"}, {T: qFail, ID: "b", Err: "boom"}},
 		{{T: qSubmit, ID: "c", Tenant: "bob", Spec: spec, At: now}, {T: qCancel, ID: "c"}},
 		{{T: qSubmit, ID: "d", Tenant: "eve", Spec: spec, At: now}, {T: qStart, ID: "d"}},
 	} {
 		for _, r := range recs {
-			if err := j.append(r); err != nil {
+			if err := j.Append(r, true); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if i == 1 {
-			// A mid-stream compaction so the sweep replaces an existing
-			// snapshot rather than creating the first one.
-			if err := j.compact(); err != nil {
+			if err := j.Compact(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := j.close(); err != nil {
-		t.Fatal(err)
-	}
-	want := queueFingerprint(t, ref)
-
-	// Dry run to count the mutating ops of one compaction.
-	probe := t.TempDir()
-	copyQueueDir(t, ref, probe)
-	inj := faultfs.NewInjector(nil)
-	jp, _, _, err := openQueueJournal(inj, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := inj.Ops()
-	if err := jp.compact(); err != nil {
-		t.Fatal(err)
-	}
-	steps := inj.Ops() - before
-	_ = jp.close()
-	if got := queueFingerprint(t, probe); got != want {
-		t.Fatal("fault-free compaction changed the folded state")
-	}
-	if steps < 5 {
-		t.Fatalf("compaction took only %d mutating ops", steps)
-	}
-
-	for k := int64(1); k <= steps; k++ {
-		dir := t.TempDir()
-		copyQueueDir(t, ref, dir)
-		inj := faultfs.NewInjector(nil)
-		jk, _, _, err := openQueueJournal(inj, dir)
-		if err != nil {
-			t.Fatalf("kill point %d: open: %v", k, err)
-		}
-		inj.FailAt(k, faultfs.EIO)
-		cerr := jk.compact()
-		_ = jk.close()
-		if got := queueFingerprint(t, dir); got != want {
-			t.Fatalf("kill point %d (compact err %v): replayed state diverged", k, cerr)
-		}
-		jk2, _, _, err := openQueueJournal(nil, dir)
-		if err != nil {
-			t.Fatalf("kill point %d: reopen: %v", k, err)
-		}
-		if err := jk2.append(&qrec{T: qNoop, At: now}); err != nil {
-			t.Fatalf("kill point %d: append after recovery: %v", k, err)
-		}
-		if err := jk2.close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
-func copyQueueDir(t *testing.T, src, dst string) {
-	t.Helper()
-	for _, name := range []string{"queue.log", "queue.snapshot"} {
-		data, err := os.ReadFile(filepath.Join(src, name))
-		if errors.Is(err, os.ErrNotExist) {
-			continue
+// TestQueueCompactionKillPointSweep passes the queue's real fold to the
+// shared harness: a fault at every mutating operation inside Compact
+// must leave the folded queue state identical and the journal
+// appendable.
+func TestQueueCompactionKillPointSweep(t *testing.T) {
+	waltest.CompactionSweep(t, queueConfig(nil, ""), newQueueScan,
+		func(j *wal.Log[qrec, *qrec]) { seedQueue(t, j) },
+		func() *qrec { return &qrec{T: qNoop} }, queueFingerprint)
+}
+
+// TestQueueFormatFrozen pins the on-disk contract against bytes recorded
+// from the commit before internal/wal: the files that commit wrote
+// replay to the fold it computed, and the same append + compact sequence
+// still writes the same bytes.
+func TestQueueFormatFrozen(t *testing.T) {
+	waltest.FormatFrozen(t, queueConfig(nil, ""), filepath.Join("testdata", "golden"), newQueueScan,
+		func(j *wal.Log[qrec, *qrec]) { seedQueue(t, j) },
+		func() *qrec { return &qrec{T: qNoop} }, queueFingerprint)
+}
+
+// FuzzApply feeds arbitrary bytes through the qrec decoder into the
+// fold: no input may panic it, and whatever state results must survive
+// its own snapshot — re-applying the emitted records reproduces it.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte(`{"t":"submit","id":"a","tenant":"alice","priority":2,"spec":{"kappas":[1]},"at":"2023-11-14T22:13:20Z"}`))
+	f.Add([]byte(`{"t":"fail","id":"q","err":"boom"}`))
+	f.Add([]byte(`{"t":"cancel","id":"q"}`))
+	f.Add([]byte(`{"t":"start","id":"nobody"}`))
+	f.Add([]byte(`{"t":"submit","spec":null,"at":"0000-00-00"}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		qs := newQueueScan()
+		qs.Apply(&qrec{T: qSubmit, ID: "q", Tenant: "t"})
+		var r qrec
+		if json.Unmarshal(data, &r) != nil {
+			return
 		}
-		if err != nil {
-			t.Fatal(err)
+		qs.Apply(&r)
+		again := newQueueScan()
+		qs.Snapshot(again.Apply)
+		if got, want := queueFingerprint(again), queueFingerprint(qs); got != want {
+			t.Fatalf("snapshot does not replay to the state it was taken from:\n got %s\nwant %s", got, want)
 		}
-		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }

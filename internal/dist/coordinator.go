@@ -163,17 +163,15 @@ type Coordinator struct {
 	doneJobs map[string]bool // every job this process has accepted (or replayed) a result for
 	sites    map[string]*siteHealth
 
-	// Degraded storage state: set when a journal append (or spool write)
-	// fails past its retries, cleared when a later durable write — an
-	// append or the janitor's probe record — succeeds. While degraded,
-	// scheduling continues in memory (leases drain, results that fsync
-	// are still accepted) but non-critical records are not journaled and
-	// results that cannot fsync are answered with msgRetry instead of an
-	// ack, so nothing is ever acknowledged without its durability.
-	degraded       bool
-	degradedSince  time.Time
-	lastStorageErr string
-	lastProbe      time.Time
+	// The journal's log owns the degraded storage state (set when an
+	// append or spool write fails past its retries, cleared by the next
+	// durable write that succeeds); the coordinator owns the policy.
+	// While degraded, scheduling continues in memory (leases drain,
+	// results that fsync are still accepted) but non-critical records
+	// are not journaled and results that cannot fsync are answered with
+	// msgRetry instead of an ack, so nothing is ever acknowledged without
+	// its durability. lastProbe paces the janitor's recovery probe.
+	lastProbe time.Time
 
 	camps       []*campaignRun  // active campaigns, install order
 	jobsByID    map[string]*job // every active campaign's jobs, by scoped ID
@@ -565,13 +563,21 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		co.jobsByID = make(map[string]*job)
 	}
 	if co.StateDir != "" && co.journal == nil {
-		jn, rep, err := openJournal(co.FS, co.StateDir)
+		cfg := journalConfig(co.FS, co.StateDir)
+		cfg.CompactBytes = co.compactBytes()
+		cfg.Retries = co.storageRetries()
+		cfg.Notify = func(degraded bool, fields map[string]any) {
+			name := "storage_recovered"
+			if degraded {
+				name = "storage_degraded"
+			}
+			co.Events.Emit(obs.Event{Name: name, Fields: fields})
+		}
+		jn, rep, tail, err := openJournal(cfg)
 		if err != nil {
 			co.mu.Unlock()
 			return nil, err
 		}
-		jn.compactBytes = co.compactBytes()
-		jn.retries = co.storageRetries()
 		co.journal = jn
 		co.replay = rep
 		// Seed the completed-jobs set from the whole journal so a result
@@ -583,19 +589,19 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			}
 		}
 		co.stats.ReplayedRecords += rep.records
-		co.stats.TruncatedTailBytes += rep.tornBytes
-		if rep.tornErr != nil {
+		co.stats.TruncatedTailBytes += tail.TornBytes
+		if tail.TornErr != nil {
 			co.stats.TornTail = TailTorn
-			if errors.Is(rep.tornErr, trace.ErrFormat) {
+			if errors.Is(tail.TornErr, trace.ErrFormat) {
 				co.stats.TornTail = TailCorrupt
 			}
-			co.stats.TornTailMsg = rep.tornErr.Error()
+			co.stats.TornTailMsg = tail.TornErr.Error()
 		}
 		if rep.records > 0 {
 			co.stats.Restarts++
 			co.Events.Emit(obs.Event{Name: "journal_replayed", Fields: map[string]any{
 				"records":    rep.records,
-				"torn_bytes": rep.tornBytes,
+				"torn_bytes": tail.TornBytes,
 				"tail":       co.stats.TornTail.String(),
 			}})
 		}
@@ -809,8 +815,7 @@ func (co *Coordinator) doClose() error {
 	co.mu.Lock()
 	if !co.started {
 		co.closed = true
-		jn := co.journal
-		co.journal = nil
+		jn := co.detachJournalLocked()
 		co.mu.Unlock()
 		return jn.close()
 	}
@@ -828,8 +833,7 @@ func (co *Coordinator) doClose() error {
 	co.cancelServe()
 	err := <-co.serveDone
 	co.mu.Lock()
-	jn := co.journal
-	co.journal = nil
+	jn := co.detachJournalLocked()
 	co.mu.Unlock()
 	if jerr := jn.close(); jerr != nil && err == nil {
 		err = jerr
@@ -838,6 +842,17 @@ func (co *Coordinator) doClose() error {
 		return nil
 	}
 	return err
+}
+
+// detachJournalLocked takes the journal out of service for closing,
+// keeping its final storage health in the stats. Caller holds mu.
+func (co *Coordinator) detachJournalLocked() *journal {
+	jn := co.journal
+	if jn != nil {
+		co.stats.setStorage(jn.log.Health())
+		co.journal = nil
+	}
+	return jn
 }
 
 // janitor periodically revokes leases that missed their heartbeat TTL
@@ -899,22 +914,19 @@ func (co *Coordinator) janitor(ctx context.Context) {
 }
 
 // storageProbeLocked checks whether a degraded disk has come back by
-// appending (and fsyncing) a no-op record. Success flips the
-// coordinator back to healthy; failure leaves it degraded until the
+// appending (and fsyncing) a no-op record every LeaseTTL/2. Success
+// flips the log back to healthy; failure leaves it degraded until the
 // next probe window. Caller holds mu.
 func (co *Coordinator) storageProbeLocked(now time.Time) {
-	if !co.degraded || co.journal == nil {
+	if co.journal == nil || !co.journal.log.Health().Degraded {
 		return
 	}
 	if now.Sub(co.lastProbe) < co.leaseTTL()/2 {
 		return
 	}
 	co.lastProbe = now
-	if err := co.journal.probe(); err != nil {
-		co.lastStorageErr = err.Error()
-		return
-	}
-	co.storageRecoveredLocked()
+	// The outcome is recorded in the log's health either way.
+	_ = co.journal.log.Append(&jrec{T: jNoop}, true)
 }
 
 // siteStrikeLocked records one failure signal against a site, updating
@@ -976,7 +988,8 @@ func (co *Coordinator) journalLocked(camp *campaignRun, r *jrec, sync bool) bool
 	if co.journal == nil {
 		return true
 	}
-	if co.degraded && !sync {
+	lg := co.journal.log
+	if lg.Health().Degraded && !sync {
 		return false
 	}
 	if camp != nil && !camp.journaled && r.T != jCampaign {
@@ -986,49 +999,18 @@ func (co *Coordinator) journalLocked(camp *campaignRun, r *jrec, sync bool) bool
 			return false
 		}
 		rec := &jrec{T: jCampaign, Camp: camp.key, Spec: camp.specJSON, Tag: &camp.tag}
-		if err := co.journal.append(rec, false); err != nil {
-			co.storageFaultLocked("journal append", err)
+		if lg.Append(rec, false) != nil {
 			return false
 		}
 		camp.journaled = true
 	}
-	if err := co.journal.append(r, sync); err != nil {
-		co.storageFaultLocked("journal append", err)
+	if lg.Append(r, sync) != nil {
 		return false
 	}
 	if r.T == jCampaign && camp != nil {
 		camp.journaled = true
 	}
-	co.storageRecoveredLocked()
 	return true
-}
-
-// storageFaultLocked records a storage failure and enters (or extends)
-// the degraded storage state. Caller holds mu.
-func (co *Coordinator) storageFaultLocked(op string, err error) {
-	co.lastStorageErr = err.Error()
-	if co.degraded {
-		return
-	}
-	co.degraded = true
-	co.degradedSince = time.Now()
-	co.stats.StorageDegradations++
-	co.Events.Emit(obs.Event{Name: "storage_degraded", Fields: map[string]any{
-		"op": op, "error": err.Error(),
-	}})
-}
-
-// storageRecoveredLocked leaves the degraded storage state after a
-// successful durable write. Caller holds mu.
-func (co *Coordinator) storageRecoveredLocked() {
-	if !co.degraded {
-		return
-	}
-	co.degraded = false
-	co.stats.StorageRecoveries++
-	co.Events.Emit(obs.Event{Name: "storage_recovered", Fields: map[string]any{
-		"degraded_for": time.Since(co.degradedSince).String(),
-	}})
 }
 
 // CompactJournal triggers a journal compaction immediately, regardless
@@ -1040,12 +1022,7 @@ func (co *Coordinator) CompactJournal() error {
 	if co.journal == nil {
 		return nil
 	}
-	if err := co.journal.compact(); err != nil {
-		co.journal.storageErrors++
-		co.storageFaultLocked("journal compact", err)
-		return err
-	}
-	return nil
+	return co.journal.log.Compact()
 }
 
 // requeueLocked returns a job with no remaining leases to the pending
@@ -1578,14 +1555,13 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 			// dominates — any future resume hands it out.
 			j.ckpt = raw
 			j.ckptSteps = steps
-			if co.journal != nil && !co.degraded {
+			if co.journal != nil && !co.journal.log.Health().Degraded {
 				// A checkpoint that cannot reach the spool costs recovery
 				// progress, never correctness: the in-memory copy above keeps
 				// serving resumes, so a sick disk degrades the coordinator
 				// instead of failing the campaign.
 				if err := co.journal.spoolCheckpoint(j.id, raw); err != nil {
-					co.journal.storageErrors++
-					co.storageFaultLocked("checkpoint spool", err)
+					co.journal.log.Fault("checkpoint spool", err)
 				} else {
 					co.journalLocked(camp, &jrec{T: jCkpt, Camp: camp.key, Job: j.id, Attempt: l.attempt}, false)
 				}
@@ -1760,13 +1736,8 @@ func (co *Coordinator) statsLocked() Stats {
 	s := co.stats
 	s.BytesIn, s.BytesOut = co.bytes.snapshot()
 	if co.journal != nil {
-		s.Compactions = co.journal.compactions
-		s.StorageErrors = co.journal.storageErrors
-		s.StorageRetries = co.journal.storageRetries
-		s.JournalBytes = co.journal.goodLen
+		s.setStorage(co.journal.log.Health())
 	}
-	s.StorageDegraded = co.degraded
-	s.LastStorageErr = co.lastStorageErr
 	s.RequestsShed = int(co.shed.Load())
 	s.SlowConsumerEvictions = int(co.evictions.Load())
 	s.HeartbeatsCoalesced = int(co.coalesced.Load())

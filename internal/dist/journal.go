@@ -9,47 +9,32 @@ package dist
 //
 // Layout:
 //
-//	<state>/journal.log     append-only record stream (trace framing):
-//	                        campaign / lease / ckpt / done / fail
-//	                        transitions, JSON payloads, CRC per record
-//	<state>/snapshot        compacted journal prefix: the folded state
-//	                        of every record up to its meta sequence
-//	                        number, in the same record framing
+//	<state>/journal.log      append-only record stream: campaign / lease /
+//	<state>/snapshot         ckpt / done / fail transitions, and their
+//	                         compacted prefix — together one internal/wal
+//	                         log, which owns framing, sequence numbers,
+//	                         repair, compaction and torn-tail replay
 //	<state>/spool/<job>.ckpt latest streamed checkpoint per in-flight
-//	                        job, written via tmp+rename so the file is
-//	                        always a complete, CRC-framed snapshot
+//	                         job, always a complete CRC-framed image
+//
+// This file is the log's fold — the record type, how one record changes
+// the recovered job tables, how those tables are re-emitted as a
+// snapshot — plus the spool, which shares the log's atomic file write.
 //
 // Durability policy: `done` records (which carry the full work log —
 // the campaign's irreplaceable output) are fsynced before the worker's
 // result is acknowledged; everything else is flushed but not synced,
-// because every other transition is reconstructible from retries. A
-// torn tail — the crash signature of an append-only file — is detected
-// by the record CRCs, truncated away on reopen, and surfaced as a typed
-// error plus byte count in Stats.
-//
-// Compaction keeps replay time bounded: when the log passes its size
-// threshold the on-disk state (snapshot + log) is folded into a fresh
-// snapshot — written to snapshot.tmp, fsynced, renamed over snapshot,
-// parent directory fsynced — and the log truncated. Every record
-// carries a monotone sequence number and the snapshot records the
-// highest one it folded, so a crash *between* the rename and the
-// truncate replays each transition exactly once: log records at or
-// below the snapshot's sequence are skipped. A failed append is
-// repaired by truncating back to the last clean record boundary before
-// anything else is written, so one torn record can never shadow the
-// records appended after it.
+// because every other transition is reconstructible from retries.
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-	"time"
+	"strings"
 
-	"spice/internal/backoff"
 	"spice/internal/faultfs"
 	"spice/internal/trace"
+	"spice/internal/wal"
 )
 
 // journal record types, in the order a job moves through them.
@@ -66,8 +51,8 @@ const (
 // jrec is one journal record. The JSON payload rides inside the CRC'd
 // trace record framing, so a torn or corrupted tail never parses.
 type jrec struct {
-	T       string          `json:"t"`
-	Seq     uint64          `json:"seq,omitempty"`     // monotone append sequence (snap: highest folded)
+	T string `json:"t"`
+	wal.Stamp
 	Camp    string          `json:"camp,omitempty"`    // campaign key (SpecKey) the record belongs to
 	Spec    json.RawMessage `json:"spec,omitempty"`    // campaign: spec JSON
 	Tag     *CampaignTag    `json:"tag,omitempty"`     // campaign: submission tag
@@ -82,43 +67,27 @@ type jrec struct {
 	N       int             `json:"n,omitempty"`       // fail (snapshot): condensed repeat count
 }
 
-// journal is the open write side plus the replayed read side.
+// journal is the open log plus the checkpoint spool beside it.
 type journal struct {
-	dir string
+	log *wal.Log[jrec, *jrec]
 	fs  faultfs.FS
-	f   faultfs.File
-	rw  *trace.RecordWriter
-
-	goodLen       int64  // last known clean length of journal.log (incl. magic)
-	nextSeq       uint64 // last sequence number successfully appended
-	pendingRepair bool   // a failed append left bytes past goodLen
-
-	// compactBytes triggers compaction when the log grows past it
-	// (0 disables). retries is how many times a failed append is retried
-	// (with short backoff) before the error is surfaced.
-	compactBytes   int64
-	retries        int
-	compactRetryAt int64 // after a failed compaction, wait for this size
-
-	// storage health counters, surfaced through Stats.
-	compactions    int
-	storageErrors  int
-	storageRetries int
+	dir string
 }
 
-// journalReplay is everything recovered from an existing journal.
+// journalReplay is the journal's fold: everything recovered from
+// snapshot + log.
 type journalReplay struct {
-	records   int
-	tornBytes int64
-	tornErr   error
-	cleanLen  int64  // clean length of journal.log
-	maxSeq    uint64 // highest sequence number seen (snapshot + log)
-	snapSeq   uint64 // highest sequence folded into the snapshot
+	records int // state-carrying records applied
 	// campaigns keys replayed state by the campaign key (SpecKey of the
 	// tag + spec JSON), so a restarted coordinator resumes whichever
 	// campaigns it re-runs in whatever order — including campaigns from
 	// several tenants interleaved in one journal.
 	campaigns map[string]*replayCampaign
+	cur       *replayCampaign // most recent jCampaign, for legacy records without a Camp key
+}
+
+func newJournalReplay() *journalReplay {
+	return &journalReplay{campaigns: make(map[string]*replayCampaign)}
 }
 
 // replayCampaign is the recovered job table of one campaign.
@@ -141,20 +110,37 @@ func newReplayCampaign() *replayCampaign {
 	}
 }
 
-func journalPath(dir string) string  { return filepath.Join(dir, "journal.log") }
-func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot") }
+// journalConfig places the journal's log under dir.
+func journalConfig(fsys faultfs.FS, dir string) wal.Config {
+	return wal.Config{FS: fsys, Dir: dir, LogName: "journal.log", SnapName: "snapshot"}
+}
 
-// applyRecord folds one record into rep. cur tracks the most recent
-// jCampaign for legacy records written before Camp keys were stamped.
-func (rep *journalReplay) applyRecord(r *jrec, cur **replayCampaign) {
-	if r.Seq > rep.maxSeq {
-		rep.maxSeq = r.Seq
+// openJournal opens (creating if needed) the journal under cfg.Dir and
+// returns it with the replayed state.
+func openJournal(cfg wal.Config) (*journal, *journalReplay, wal.Replay, error) {
+	j := &journal{fs: faultfs.Or(cfg.FS), dir: cfg.Dir}
+	if err := j.fs.MkdirAll(j.spoolDir(), 0o755); err != nil {
+		return nil, nil, wal.Replay{}, fmt.Errorf("dist: state dir: %w", err)
 	}
-	at := func() *replayCampaign {
-		if r.Camp != "" {
-			return rep.campaigns[r.Camp]
-		}
-		return *cur
+	wal.SweepTmp(j.fs, j.spoolDir(), func(final string) bool { return strings.HasSuffix(final, ".ckpt") })
+	lg, rep, info, err := wal.Open[jrec](cfg, newJournalReplay)
+	if err != nil {
+		return nil, nil, info, fmt.Errorf("dist: %w", err)
+	}
+	j.log = lg
+	return j, rep, info, nil
+}
+
+// Apply folds one record into rep. A record without a Camp key is a
+// legacy one, written before keys were stamped: it belongs to the most
+// recent jCampaign.
+func (rep *journalReplay) Apply(r *jrec) {
+	c := rep.cur
+	if r.Camp != "" {
+		c = rep.campaigns[r.Camp]
+	}
+	if c == nil && r.T != jCampaign {
+		return // a record for a campaign this journal never installed
 	}
 	switch r.T {
 	case jCampaign:
@@ -169,20 +155,16 @@ func (rep *journalReplay) applyRecord(r *jrec, cur **replayCampaign) {
 		if rep.campaigns[key] == nil {
 			rep.campaigns[key] = newReplayCampaign()
 		}
-		c := rep.campaigns[key]
+		c = rep.campaigns[key]
 		if len(r.Spec) > 0 {
 			c.specJSON = r.Spec
 		}
 		if r.Tag != nil {
 			c.tag = r.Tag
 		}
-		*cur = c
+		rep.cur = c
 		rep.records++
 	case jLease:
-		c := at()
-		if c == nil {
-			return
-		}
 		// A speculative (hedged) lease replays like any other: the
 		// highest attempt wins the idempotency key and the full lease
 		// history is preserved, so an in-flight hedge pair collapses to
@@ -200,277 +182,28 @@ func (rep *journalReplay) applyRecord(r *jrec, cur **replayCampaign) {
 		// the record only documents the transition.
 		rep.records++
 	case jDone:
-		c := at()
-		if c == nil || r.Log == nil {
+		if r.Log == nil {
 			return
 		}
 		c.done[r.Job] = r.Log
 		rep.records++
 	case jFail:
-		c := at()
-		if c == nil {
-			return
-		}
-		n := r.N
-		if n < 1 {
-			n = 1
-		}
-		c.fails[r.Job] += n
+		c.fails[r.Job] += max(r.N, 1) // N is a snapshot's condensed repeat count
 		rep.records++
 	case jSnap, jNoop:
-		// snap carries only its Seq (already folded above); noop is a
-		// storage probe.
+		// snap carries only its sequence, which is the log's business;
+		// noop is a storage probe.
 	default:
 		// Unknown record types from a newer writer are tolerated.
 	}
 }
 
-// replayJournalState reads snapshot + journal.log under dir and folds
-// them into a journalReplay. Log records whose sequence the snapshot
-// already folded are skipped, so the pair replays every transition
-// exactly once no matter where between compaction steps a crash hit.
-func replayJournalState(fsys faultfs.FS, dir string) (*journalReplay, error) {
-	fsys = faultfs.Or(fsys)
-	rep := &journalReplay{campaigns: make(map[string]*replayCampaign)}
-	var cur *replayCampaign
-
-	snapScan, err := trace.ScanFileFS(fsys, snapshotPath(dir))
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s: %w", snapshotPath(dir), err)
-	}
-	if snapScan.TailErr != nil {
-		// The snapshot is fsynced before it is renamed into place, so a
-		// torn one means bit rot or outside interference — refuse to
-		// guess at partial state.
-		return nil, fmt.Errorf("dist: %s: damaged snapshot: %w", snapshotPath(dir), snapScan.TailErr)
-	}
-	for _, raw := range snapScan.Records {
-		var r jrec
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("dist: undecodable snapshot record (CRC valid): %w", err)
-		}
-		if r.T == jSnap && r.Seq > rep.snapSeq {
-			rep.snapSeq = r.Seq
-		}
-		rep.applyRecord(&r, &cur)
-	}
-
-	logScan, err := trace.ScanFileFS(fsys, journalPath(dir))
-	if err != nil {
-		// Foreign magic (or an unreadable file): refuse to touch it.
-		return nil, fmt.Errorf("dist: %s: %w", journalPath(dir), err)
-	}
-	rep.tornErr = logScan.TailErr
-	rep.tornBytes = logScan.TornBytes
-	rep.cleanLen = logScan.CleanLen
-	cur = nil
-	for _, raw := range logScan.Records {
-		var r jrec
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("dist: undecodable journal record (CRC valid): %w", err)
-		}
-		if r.Seq != 0 && r.Seq <= rep.snapSeq {
-			// Already folded into the snapshot: the crash hit between the
-			// snapshot rename and the log truncation.
-			if r.Seq > rep.maxSeq {
-				rep.maxSeq = r.Seq
-			}
-			continue
-		}
-		rep.applyRecord(&r, &cur)
-	}
-	if rep.snapSeq > rep.maxSeq {
-		rep.maxSeq = rep.snapSeq
-	}
-	return rep, nil
-}
-
-// openJournal opens (creating if needed) the journal under dir,
-// replays snapshot + log, truncates a torn log tail, and positions the
-// writer for appending.
-func openJournal(fsys faultfs.FS, dir string) (*journal, *journalReplay, error) {
-	fsys = faultfs.Or(fsys)
-	if err := fsys.MkdirAll(filepath.Join(dir, "spool"), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("dist: state dir: %w", err)
-	}
-	rep, err := replayJournalState(fsys, dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	path := journalPath(dir)
-	if rep.tornErr != nil {
-		// Drop the torn tail so the append point is a record boundary.
-		if err := fsys.Truncate(path, rep.cleanLen); err != nil {
-			return nil, nil, fmt.Errorf("dist: truncating torn journal tail: %w", err)
-		}
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: opening journal: %w", err)
-	}
-	j := &journal{
-		dir:     dir,
-		fs:      fsys,
-		f:       f,
-		rw:      trace.NewRecordWriter(f, rep.cleanLen > 0),
-		goodLen: rep.cleanLen,
-		nextSeq: rep.maxSeq,
-	}
-	return j, rep, nil
-}
-
-// append frames, writes and flushes one record; sync additionally
-// forces it to stable storage (the done-record policy). A failed write
-// is repaired (truncate back to the last clean boundary) and retried
-// up to j.retries times with short backoff before the error is
-// surfaced — and even then the log is left at a clean boundary, so
-// later appends stay replayable. Callers serialize through the
-// coordinator's mutex.
-// journalRepairBackoff paces append retries after a repair: 2ms
-// doubling to a 50ms cap — the same shared policy the worker reconnect
-// loop and the control-plane client use, minus the jitter (appends are
-// serialized under the coordinator mutex, so there is no herd to
-// spread).
-var journalRepairBackoff = backoff.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
-
-func (j *journal) append(r *jrec, sync bool) error {
-	r.Seq = j.nextSeq + 1
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; ; attempt++ {
-		err = j.tryAppend(payload, sync)
-		if err == nil {
-			j.nextSeq++
-			j.maybeCompact()
-			return nil
-		}
-		j.storageErrors++
-		j.pendingRepair = true
-		if attempt >= j.retries {
-			return err
-		}
-		j.storageRetries++
-		// Capped backoff. Short on purpose: this runs under the
-		// coordinator's mutex, and a transient fault (one full stripe,
-		// one interrupted syscall) clears quickly or not at all.
-		time.Sleep(journalRepairBackoff.Exp(attempt + 1))
-	}
-}
-
-// tryAppend is one append attempt, repairing any earlier torn append
-// first so a partial record never shadows what follows it.
-func (j *journal) tryAppend(payload []byte, sync bool) error {
-	if j.pendingRepair {
-		if err := j.f.Truncate(j.goodLen); err != nil {
-			return err
-		}
-		j.rw.Reset(j.f, j.goodLen > 0)
-		j.pendingRepair = false
-	}
-	n := trace.FramedLen(len(payload))
-	if j.goodLen == 0 {
-		n += trace.MagicLen
-	}
-	if err := j.rw.Append(payload); err != nil {
-		return err
-	}
-	if err := j.rw.Flush(); err != nil {
-		return err
-	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-	}
-	j.goodLen += n
-	return nil
-}
-
-// probe appends (and fsyncs) a no-op record — the storage health check
-// the coordinator runs while degraded. Success means the disk takes
-// writes again.
-func (j *journal) probe() error {
-	return j.append(&jrec{T: jNoop}, true)
-}
-
-// maybeCompact compacts when the log has outgrown its threshold. A
-// failed compaction backs off until the log doubles again, so a sick
-// disk is not hammered with snapshot rewrites on every append.
-func (j *journal) maybeCompact() {
-	if j.compactBytes <= 0 || j.goodLen < j.compactBytes || j.pendingRepair {
-		return
-	}
-	if j.compactRetryAt > 0 && j.goodLen < j.compactRetryAt {
-		return
-	}
-	if err := j.compact(); err != nil {
-		j.storageErrors++
-		j.compactRetryAt = j.goodLen * 2
-		return
-	}
-	j.compactRetryAt = 0
-}
-
-// compact folds snapshot + log into a fresh snapshot and truncates the
-// log: write snapshot.tmp, fsync it, rename over snapshot, fsync the
-// parent directory, truncate the log. Any step may fail (or the
-// process may die) and replay stays exact: before the rename the old
-// snapshot+log pair is untouched; after it, log records the new
-// snapshot already folded are skipped by sequence number.
-func (j *journal) compact() error {
-	if err := j.rw.Flush(); err != nil {
-		j.pendingRepair = true
-		return err
-	}
-	rep, err := replayJournalState(j.fs, j.dir)
-	if err != nil {
-		return err
-	}
-	if err := writeSnapshot(j.fs, j.dir, rep); err != nil {
-		return err
-	}
-	// The snapshot is durable and supersedes the log by sequence
-	// number; truncating the log is now safe (and, if it fails, merely
-	// deferred — replay skips the superseded records either way).
-	if err := j.f.Truncate(0); err != nil {
-		return err
-	}
-	j.rw.Reset(j.f, false)
-	j.goodLen = 0
-	j.compactions++
-	return nil
-}
-
-// writeSnapshot serializes rep as a compacted record stream via the
-// tmp+fsync+rename+dir-fsync protocol. The stream opens with a jSnap
-// meta record carrying the highest folded sequence; the rest is a
-// minimal record sequence that replays to exactly rep: one campaign
-// record each, the condensed lease history, done logs, and fail counts.
-func writeSnapshot(fsys faultfs.FS, dir string, rep *journalReplay) (err error) {
-	tmp := snapshotPath(dir) + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			_ = fsys.Remove(tmp)
-		}
-	}()
-	rw := trace.NewRecordWriter(f, false)
-	emit := func(r *jrec) {
-		if err != nil {
-			return
-		}
-		var payload []byte
-		if payload, err = json.Marshal(r); err == nil {
-			err = rw.Append(payload)
-		}
-	}
-	emit(&jrec{T: jSnap, Seq: rep.maxSeq})
+// Snapshot emits rep as a compacted record stream: the jSnap meta
+// record, then a minimal record sequence that replays to exactly rep —
+// one campaign record each, the condensed lease history, done logs, and
+// fail counts.
+func (rep *journalReplay) Snapshot(emit func(*jrec)) {
+	emit(&jrec{T: jSnap})
 	keys := make([]string, 0, len(rep.campaigns))
 	for k := range rep.campaigns {
 		keys = append(keys, k)
@@ -517,35 +250,13 @@ func writeSnapshot(fsys faultfs.FS, dir string, rep *journalReplay) (err error) 
 			}
 		}
 	}
-	if err != nil {
-		return err
-	}
-	if err = rw.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = fsys.Rename(tmp, snapshotPath(dir)); err != nil {
-		return err
-	}
-	// Rename alone is not durable across power loss: the parent
-	// directory's entry table must hit the disk too.
-	return fsys.SyncDir(dir)
 }
 
 func (j *journal) close() error {
 	if j == nil {
 		return nil
 	}
-	if err := j.rw.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	return j.log.Close()
 }
 
 func (j *journal) spoolDir() string {
@@ -556,10 +267,8 @@ func (j *journal) spoolPath(jobID string) string {
 	return filepath.Join(j.spoolDir(), jobID+".ckpt")
 }
 
-// spoolCheckpoint atomically replaces the job's spooled checkpoint:
-// the new snapshot is written CRC-framed to a temp file, fsynced, and
-// renamed over the old one with a parent-directory fsync, so the spool
-// always holds a complete checkpoint — at worst one generation stale,
+// spoolCheckpoint atomically replaces the job's spooled checkpoint, so
+// the spool always holds a complete one — at worst one generation stale,
 // never torn, and durable across power loss.
 //
 // ckpt is always a COMPLETE image: the coordinator folds wire deltas
@@ -568,44 +277,16 @@ func (j *journal) spoolPath(jobID string) string {
 // spool file alone is a valid resume image regardless of which wire
 // version produced it.
 func (j *journal) spoolCheckpoint(jobID string, ckpt []byte) error {
-	final := j.spoolPath(jobID)
-	tmp := final + ".tmp"
-	f, err := j.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	rw := trace.NewRecordWriter(f, false)
-	if err := rw.Append(ckpt); err == nil {
-		err = rw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		_ = j.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = j.fs.Remove(tmp)
-		return err
-	}
-	if err := j.fs.Rename(tmp, final); err != nil {
-		_ = j.fs.Remove(tmp)
-		return err
-	}
-	return j.fs.SyncDir(j.spoolDir())
+	return wal.WriteFile(j.fs, j.spoolDir(), jobID+".ckpt", func(rw *trace.RecordWriter) error {
+		return rw.Append(ckpt)
+	})
 }
 
 // loadSpool returns the job's spooled checkpoint, or nil if there is
 // none (or the file is unreadable/torn — the job then restarts from
 // its last journaled state instead, losing progress but not safety).
 func (j *journal) loadSpool(jobID string) []byte {
-	data, err := j.fs.ReadFile(j.spoolPath(jobID))
-	if err != nil {
-		return nil
-	}
-	scan, err := trace.ScanRecords(bytes.NewReader(data))
+	scan, err := trace.ScanFileFS(j.fs, j.spoolPath(jobID))
 	if err != nil || scan.TailErr != nil || len(scan.Records) == 0 {
 		return nil
 	}
@@ -614,20 +295,4 @@ func (j *journal) loadSpool(jobID string) []byte {
 
 func (j *journal) removeSpool(jobID string) {
 	_ = j.fs.Remove(j.spoolPath(jobID))
-}
-
-// spooledJobs lists job IDs with a spooled checkpoint on disk.
-func (j *journal) spooledJobs() []string {
-	ents, err := j.fs.ReadDir(j.spoolDir())
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		name := e.Name()
-		if filepath.Ext(name) == ".ckpt" {
-			out = append(out, name[:len(name)-len(".ckpt")])
-		}
-	}
-	return out
 }

@@ -171,64 +171,9 @@ func completedJournal(t *testing.T, spec campaign.Spec) (string, []byte) {
 	return stateDir, data
 }
 
-// TestJournalTornTailAtEveryOffset mirrors the trace checkpoint
-// truncation test at the journal level: a journal cut at any byte
-// inside its final record must recover — the tail dropped, every prior
-// record intact, and the file truncated back to a record boundary.
-func TestJournalTornTailAtEveryOffset(t *testing.T) {
-	spec := campaign.Spec{
-		Kappas:     []float64{100},
-		Velocities: []float64{800},
-		Replicas:   1,
-		Distance:   3,
-		Seed:       21,
-	}
-	_, data := completedJournal(t, spec)
-
-	scan, err := trace.ScanRecords(bytes.NewReader(data))
-	if err != nil || scan.TailErr != nil {
-		t.Fatalf("reference journal unreadable: %v / %v", err, scan.TailErr)
-	}
-	if len(scan.Records) < 2 {
-		t.Fatalf("reference journal has only %d records", len(scan.Records))
-	}
-	last := scan.Records[len(scan.Records)-1]
-	lastStart := len(data) - 8 - len(last)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.log")
-	for cut := lastStart + 1; cut < len(data); cut++ {
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jn, rep, err := openJournal(nil, dir)
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		if !errors.Is(rep.tornErr, trace.ErrTruncated) {
-			t.Fatalf("cut %d: torn tail error = %v, want ErrTruncated", cut, rep.tornErr)
-		}
-		if rep.tornBytes != int64(cut-lastStart) {
-			t.Fatalf("cut %d: tornBytes = %d, want %d", cut, rep.tornBytes, cut-lastStart)
-		}
-		if rep.records != len(scan.Records)-1 {
-			t.Fatalf("cut %d: replayed %d records, want %d", cut, rep.records, len(scan.Records)-1)
-		}
-		if err := jn.close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() != int64(lastStart) {
-			t.Fatalf("cut %d: file not truncated to boundary: %d != %d", cut, fi.Size(), lastStart)
-		}
-	}
-}
-
-// TestJournalTornTailSurfacedInStats drives the same recovery through
-// the coordinator: the campaign whose final done record was torn off
+// TestJournalTornTailSurfacedInStats drives torn-tail recovery (swept at
+// every byte offset in internal/wal) through the coordinator: the
+// campaign whose final done record was torn off
 // re-runs that job, the output stays bit-identical, and Stats carries
 // the typed tail error.
 func TestJournalTornTailSurfacedInStats(t *testing.T) {

@@ -42,14 +42,7 @@ func RegisterMetrics(reg *obs.Registry, src StatsSource) {
 		e.Gauge("spice_dist_journal_tail_condition", "Journal tail at last recovery: 0 clean, 1 torn, 2 corrupt.", float64(s.TornTail))
 		// The spice_storage_* family is shared with the control plane's
 		// queue journal; the journal label keeps the two apart.
-		jl := obs.Label{Name: "journal", Value: "dist"}
-		e.Counter("spice_storage_errors_total", "Failed journal/spool operations.", float64(s.StorageErrors), jl)
-		e.Counter("spice_storage_retries_total", "Journal appends retried after a transient fault.", float64(s.StorageRetries), jl)
-		e.Counter("spice_storage_compactions_total", "Journal compactions completed.", float64(s.Compactions), jl)
-		e.Counter("spice_storage_degradations_total", "Transitions into the degraded storage state.", float64(s.StorageDegradations), jl)
-		e.Counter("spice_storage_recoveries_total", "Transitions back to healthy storage.", float64(s.StorageRecoveries), jl)
-		e.Gauge("spice_storage_degraded", "1 while the journal is refusing durability promises.", boolGauge(s.StorageDegraded), jl)
-		e.Gauge("spice_storage_journal_bytes", "Current clean length of the journal log.", float64(s.JournalBytes), jl)
+		s.storage().Emit(e, "dist")
 		e.Counter("spice_dist_stragglers_detected_total", "Leases flagged as stragglers (rate or stall).", float64(s.StragglersDetected))
 		e.Counter("spice_dist_speculations_launched_total", "Hedge leases granted on a second site.", float64(s.SpeculationsLaunched))
 		e.Counter("spice_dist_speculations_won_total", "Jobs whose accepted result came from a hedge lease.", float64(s.SpeculationsWon))
@@ -138,13 +131,6 @@ func (w *Worker) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("spice_worker_budget_stretches_total", "Re-dials stretched to max backoff by an empty retry budget.", float64(st.BudgetStretches), wl)
 		e.Gauge("spice_worker_slots", "Configured concurrent job slots.", float64(maxInt(w.Slots, 1)), wl)
 	})
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func maxInt(a, b int) int {

@@ -263,10 +263,11 @@ func TestJournalInterleavedCampaignsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rep, err := openJournal(nil, dir)
+	jn, rep, _, err := openJournal(journalConfig(nil, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer jn.close()
 	keyA, _ := SpecKey(specA, tagA)
 	keyB, _ := SpecKey(specB, tagB)
 	ca, cb := rep.campaigns[keyA], rep.campaigns[keyB]

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"spice/internal/trace"
+	"spice/internal/wal"
 )
 
 // TailCondition classifies the journal tail found at the last recovery.
@@ -69,9 +70,8 @@ type Stats struct {
 	TornTail    TailCondition
 	TornTailMsg string
 
-	// Durable-storage health. The counters come from the journal (every
-	// append, retry and compaction runs under the coordinator mutex);
-	// the degradation transitions are coordinator-level state changes.
+	// Durable-storage health, copied from the journal's wal.Health (every
+	// append, retry and compaction runs under the coordinator mutex).
 	Compactions         int    // journal compactions completed (log folded into snapshot)
 	StorageErrors       int    // failed journal/spool operations (each attempt counts)
 	StorageRetries      int    // append attempts retried after a transient fault
@@ -123,6 +123,32 @@ func (s Stats) TornTailErr() error {
 		return fmt.Errorf("%s: %w", s.TornTailMsg, trace.ErrFormat)
 	default:
 		return nil
+	}
+}
+
+// setStorage copies the journal's health into the Storage* fields, and
+// storage reads it back for the shared spice_storage_* emitter.
+func (s *Stats) setStorage(h wal.Health) {
+	s.Compactions = h.Compactions
+	s.StorageErrors = h.Errors
+	s.StorageRetries = h.Retries
+	s.StorageDegradations = h.Degradations
+	s.StorageRecoveries = h.Recoveries
+	s.StorageDegraded = h.Degraded
+	s.JournalBytes = h.Bytes
+	s.LastStorageErr = h.LastError
+}
+
+func (s Stats) storage() wal.Health {
+	return wal.Health{
+		Degraded:     s.StorageDegraded,
+		LastError:    s.LastStorageErr,
+		Degradations: s.StorageDegradations,
+		Recoveries:   s.StorageRecoveries,
+		Compactions:  s.Compactions,
+		Errors:       s.StorageErrors,
+		Retries:      s.StorageRetries,
+		Bytes:        s.JournalBytes,
 	}
 }
 

@@ -1,20 +1,19 @@
 package dist
 
-// Disk-fault chaos tests for the journal's durable-storage hardening:
-// the compaction kill-point sweep (a fault injected at every mutating
-// operation inside compact() must leave replay state-identical), the
-// snapshot+log replay edge cases, the bounded-log guarantee under a
-// live campaign, and the degraded-storage end-to-end drill (persistent
-// ENOSPC mid-campaign, msgRetry to the workers, recovery when the
-// faults clear, bit-identical results throughout).
+// Disk-fault chaos tests for the journal: the shared compaction
+// kill-point sweep run over the production fold, the on-disk format
+// freeze against files written by the pre-wal journal, the stale
+// spool temp file sweep, decoder fuzzing, the bounded-log guarantee
+// under a live campaign, and the degraded-storage end-to-end drill
+// (persistent ENOSPC mid-campaign, msgRetry to the workers, recovery
+// when the faults clear, bit-identical results throughout). The
+// protocol itself — append repair, torn tails, snapshot + log replay —
+// is swept in internal/wal.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -22,6 +21,8 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/faultfs"
 	"spice/internal/trace"
+	"spice/internal/wal"
+	"spice/internal/wal/waltest"
 )
 
 // chaosWorkLog fabricates a small deterministic work log.
@@ -35,16 +36,14 @@ func chaosWorkLog(seed uint64) *trace.WorkLog {
 	return wl
 }
 
-// seedChaosJournal builds a journal dir with realistic shape: a first
-// batch of records, one compaction (so the sweep exercises the
+// seedChaosJournal fills a journal with realistic shape: a first batch
+// of records, one compaction (so the sweep exercises the
 // rename-over-existing-snapshot path), then a second batch left in the
-// log. Both campaigns carry leases, done logs and fails.
-func seedChaosJournal(t *testing.T, dir string) {
+// log. Both campaigns carry leases, done logs and fails. The golden
+// files under testdata/ were written by this exact sequence at the
+// commit before internal/wal existed; do not change it.
+func seedChaosJournal(t *testing.T, lg *wal.Log[jrec, *jrec]) {
 	t.Helper()
-	jn, _, err := openJournal(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	specA := json.RawMessage(`{"kappas":[100],"velocities":[800],"replicas":2}`)
 	specB := json.RawMessage(`{"kappas":[300],"velocities":[1600],"replicas":1}`)
 	batch1 := []*jrec{
@@ -64,32 +63,24 @@ func seedChaosJournal(t *testing.T, dir string) {
 		{T: jDone, Camp: "campB", Job: "j1", Log: chaosWorkLog(9)},
 	}
 	for i, r := range batch1 {
-		if err := jn.append(r, i%3 == 0); err != nil {
+		if err := lg.Append(r, i%3 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := jn.compact(); err != nil {
+	if err := lg.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range batch2 {
-		if err := jn.append(r, false); err != nil {
+		if err := lg.Append(r, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := jn.close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// foldFingerprint replays snapshot + log and serializes the folded
-// campaign state deterministically (JSON maps marshal with sorted
-// keys), so two dirs with identical logical state compare equal.
-func foldFingerprint(t *testing.T, dir string) string {
-	t.Helper()
-	rep, err := replayJournalState(faultfs.OS, dir)
-	if err != nil {
-		t.Fatalf("replay of %s: %v", dir, err)
-	}
+// foldFingerprint serializes the folded campaign state deterministically
+// (JSON maps marshal with sorted keys), so two state dirs with identical
+// logical state compare equal.
+func foldFingerprint(rep *journalReplay) string {
 	out := make(map[string]any, len(rep.campaigns))
 	for key, c := range rep.campaigns {
 		out[key] = map[string]any{
@@ -103,183 +94,93 @@ func foldFingerprint(t *testing.T, dir string) string {
 	}
 	b, err := json.Marshal(out)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return string(b)
 }
 
-// copyJournalDir clones the flat files of a journal state dir.
-func copyJournalDir(t *testing.T, src, dst string) {
-	t.Helper()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestCompactionKillPointSweep injects a fault at EVERY mutating
-// filesystem operation inside compact() in turn and proves that no
-// kill point can corrupt the journal: the replayed state after the
-// failed compaction is bit-identical to the pre-compaction state, and
-// the journal reopens and accepts appends.
+// TestCompactionKillPointSweep passes the journal's real fold and a
+// realistic history to the shared harness: a fault at every mutating
+// filesystem operation inside Compact must leave the folded campaign
+// state — the merged PMF's inputs — byte-identical, and the journal
+// reopenable and appendable.
 func TestCompactionKillPointSweep(t *testing.T) {
-	ref := t.TempDir()
-	seedChaosJournal(t, ref)
-	want := foldFingerprint(t, ref)
+	waltest.CompactionSweep(t, journalConfig(nil, ""), newJournalReplay,
+		func(lg *wal.Log[jrec, *jrec]) { seedChaosJournal(t, lg) },
+		func() *jrec { return &jrec{T: jNoop} }, foldFingerprint)
+}
 
-	// Dry run: count the mutating ops a fault-free compaction performs,
-	// and confirm it is itself state-preserving.
-	probe := t.TempDir()
-	copyJournalDir(t, ref, probe)
+// TestJournalFormatFrozen pins the on-disk contract against bytes
+// recorded from the commit before internal/wal: the files that commit
+// wrote replay to the fold it computed, and the same append + compact
+// sequence still writes the same bytes.
+func TestJournalFormatFrozen(t *testing.T) {
+	waltest.FormatFrozen(t, journalConfig(nil, ""), filepath.Join("testdata", "golden"), newJournalReplay,
+		func(lg *wal.Log[jrec, *jrec]) { seedChaosJournal(t, lg) },
+		func() *jrec { return &jrec{T: jNoop} }, foldFingerprint)
+}
+
+// TestStaleSpoolTmpSwept crashes a spool write at its rename — the temp
+// file is stranded, because removeSpool only ever unlinks <job>.ckpt —
+// and requires the next open to remove it while the last complete
+// checkpoint stays readable.
+func TestStaleSpoolTmpSwept(t *testing.T) {
+	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
-	jn, _, err := openJournal(inj, probe)
+	jn, _, _, err := openJournal(journalConfig(inj, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := inj.Ops()
-	if err := jn.compact(); err != nil {
+	if err := jn.spoolCheckpoint("job", []byte("gen1")); err != nil {
 		t.Fatal(err)
 	}
-	steps := inj.Ops() - before
-	if err := jn.close(); err != nil {
+	inj.FailOpAt(faultfs.OpRename, 1, faultfs.EIO)
+	inj.FailOpAt(faultfs.OpRemove, 1, faultfs.EIO) // the crash: no cleanup either
+	if err := jn.spoolCheckpoint("job", []byte("gen2")); err == nil {
+		t.Fatal("spool write survived a failed rename")
+	}
+	jn.close()
+	if tmp := waltest.TmpFiles(t, jn.spoolDir()); len(tmp) != 1 {
+		t.Fatalf("kill point left %v in the spool, want the stranded temp file", tmp)
+	}
+	jn, _, _, err = openJournal(journalConfig(nil, dir))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := foldFingerprint(t, probe); got != want {
-		t.Fatal("fault-free compaction changed the folded state")
+	defer jn.close()
+	if tmp := waltest.TmpFiles(t, jn.spoolDir()); len(tmp) != 0 {
+		t.Fatalf("%v survived the reopen", tmp)
 	}
-	if steps < 5 {
-		t.Fatalf("compaction took only %d mutating ops; sweep would prove nothing", steps)
-	}
-
-	for k := int64(1); k <= steps; k++ {
-		dir := t.TempDir()
-		copyJournalDir(t, ref, dir)
-		inj := faultfs.NewInjector(nil)
-		jn, _, err := openJournal(inj, dir)
-		if err != nil {
-			t.Fatalf("kill point %d: open: %v", k, err)
-		}
-		inj.FailAt(k, faultfs.EIO)
-		cerr := jn.compact()
-		_ = jn.close()
-		if inj.Faults() != 1 {
-			t.Fatalf("kill point %d: delivered %d faults, want 1", k, inj.Faults())
-		}
-		if got := foldFingerprint(t, dir); got != want {
-			t.Fatalf("kill point %d (compact err %v): replayed state diverged", k, cerr)
-		}
-		// The survivor must reopen cleanly and take new appends.
-		jn2, _, err := openJournal(nil, dir)
-		if err != nil {
-			t.Fatalf("kill point %d: reopen: %v", k, err)
-		}
-		if err := jn2.append(&jrec{T: jNoop}, true); err != nil {
-			t.Fatalf("kill point %d: append after recovery: %v", k, err)
-		}
-		if err := jn2.close(); err != nil {
-			t.Fatal(err)
-		}
+	if got := jn.loadSpool("job"); string(got) != "gen1" {
+		t.Fatalf("spooled checkpoint after the crash = %q, want the last complete one", got)
 	}
 }
 
-// TestJournalReplaySnapshotEmptyLog pins the post-compaction steady
-// state: all state in the snapshot, a zero-length (truncated) log, and
-// replay recovering everything.
-func TestJournalReplaySnapshotEmptyLog(t *testing.T) {
-	dir := t.TempDir()
-	seedChaosJournal(t, dir)
-	want := foldFingerprint(t, dir)
-
-	jn, _, err := openJournal(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jn.compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jn.close(); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(journalPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 0 {
-		t.Fatalf("log not truncated after compaction: %d bytes", fi.Size())
-	}
-	if got := foldFingerprint(t, dir); got != want {
-		t.Fatal("snapshot + empty log replayed differently from snapshot + log")
-	}
-	jn2, rep, err := openJournal(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jn2.close()
-	if rep.tornErr != nil || len(rep.campaigns) != 2 {
-		t.Fatalf("reopen over empty log: torn=%v campaigns=%d", rep.tornErr, len(rep.campaigns))
-	}
-}
-
-// TestJournalReplaySnapshotTornLog tears the log's final record behind
-// an intact snapshot: replay must fold snapshot + the clean log prefix
-// and report the torn tail, exactly as if the snapshot were absent.
-func TestJournalReplaySnapshotTornLog(t *testing.T) {
-	dir := t.TempDir()
-	seedChaosJournal(t, dir)
-
-	data, err := os.ReadFile(journalPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := trace.ScanRecords(bytes.NewReader(data))
-	if err != nil || scan.TailErr != nil {
-		t.Fatalf("reference log unreadable: %v / %v", err, scan.TailErr)
-	}
-	if len(scan.Records) < 2 {
-		t.Fatalf("log has only %d records", len(scan.Records))
-	}
-	lastStart := int64(len(data)) - trace.FramedLen(len(scan.Records[len(scan.Records)-1]))
-
-	// Reference: the same dir with the last record cleanly absent.
-	refDir := t.TempDir()
-	copyJournalDir(t, dir, refDir)
-	if err := os.Truncate(journalPath(refDir), lastStart); err != nil {
-		t.Fatal(err)
-	}
-	want := foldFingerprint(t, refDir)
-
-	// Tear mid-record (3 bytes into the final frame) and recover.
-	if err := os.Truncate(journalPath(dir), lastStart+3); err != nil {
-		t.Fatal(err)
-	}
-	jn, rep, err := openJournal(nil, dir)
-	if err != nil {
-		t.Fatalf("recovery over snapshot+torn log: %v", err)
-	}
-	if !errors.Is(rep.tornErr, trace.ErrTruncated) {
-		t.Fatalf("tornErr = %v, want ErrTruncated", rep.tornErr)
-	}
-	if rep.tornBytes != 3 {
-		t.Fatalf("tornBytes = %d, want 3", rep.tornBytes)
-	}
-	if err := jn.close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := foldFingerprint(t, dir); got != want {
-		t.Fatal("snapshot + torn log did not replay to snapshot + clean prefix")
-	}
+// FuzzApply feeds arbitrary bytes through the jrec decoder into the
+// fold: no input may panic it, and whatever state results must survive
+// its own snapshot — re-applying the emitted records reproduces it.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte(`{"t":"campaign","camp":"c","spec":{"kappas":[1]},"tag":{"tenant":"a"}}`))
+	f.Add([]byte(`{"t":"lease","camp":"c","job":"j","worker":"w","attempt":2,"hedge":true}`))
+	f.Add([]byte(`{"t":"done","camp":"c","job":"j","log":{"Kappa":1,"Samples":[{"Work":1}]}}`))
+	f.Add([]byte(`{"t":"fail","job":"j","n":-3}`))
+	f.Add([]byte(`{"t":"campaign","spec":null}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep := newJournalReplay()
+		rep.Apply(&jrec{T: jCampaign, Camp: "c", Spec: json.RawMessage(`{}`)})
+		var r jrec
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		rep.Apply(&r)
+		rep.Apply(&r) // leases and fails accumulate; twice exercises the merge paths
+		again := newJournalReplay()
+		rep.Snapshot(again.Apply)
+		if got, want := foldFingerprint(again), foldFingerprint(rep); got != want {
+			t.Fatalf("snapshot does not replay to the state it was taken from:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // TestCoordinatorCompactionBoundedLiveCampaign runs a real campaign

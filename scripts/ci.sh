@@ -88,30 +88,43 @@ echo "== control plane multi-tenant chaos (-race) =="
 # LocalRunner baselines.
 go test -race -run 'TestChaosKillControlPlaneMidQueue' -count=1 -v ./internal/controlplane
 
-echo "== disk-fault chaos: compaction kill-points + storage degradation (-race) =="
-# Durable-storage gate, both journals. The kill-point sweeps inject a
-# fault at EVERY mutating filesystem operation inside compact() and
-# require the replayed state (snapshot + log suffix) to be identical —
-# for the dist journal that includes the merged PMF inputs bit-for-bit.
-# The degradation drills wedge the disk with persistent ENOSPC
-# mid-service: the coordinator must answer finished workers with retry
-# (never ack-and-drop a result), the control plane must 503 with
-# Retry-After (never ack-and-drop a campaign), in-flight work must keep
-# draining, and both must recover to ready when the faults clear. The
-# bounded-log tests pin that a workload which previously grew the
-# journal monotonically now stays near -compact-bytes.
+echo "== disk-fault chaos: one write-ahead log, two folds (-race) =="
+# Durable-storage gate. internal/wal is the single implementation both
+# journals run on, so its suite is the protocol's: a fault injected at
+# EVERY mutating filesystem operation of a compaction and of a mixed
+# synced/unsynced append sequence that crosses the compaction threshold
+# (as a transient error and as a crash), a torn tail at every byte
+# offset, the refused-append-leaves-no-trace and stale-temp-file
+# regressions. dist and controlplane then run the same compaction sweep
+# over their production folds, pin their on-disk formats byte-for-byte
+# against files written before the extraction, and run the end-to-end
+# drills: the disk wedged with persistent ENOSPC mid-service must make
+# the coordinator answer finished workers with retry (never
+# ack-and-drop a result) and the control plane 503 with Retry-After
+# (never ack-and-drop a campaign), in-flight work must keep draining,
+# both must recover when the faults clear, and a workload that once grew
+# the journal monotonically must stay near -compact-bytes.
+go test -race -count=1 ./internal/wal
 go test -race -count=1 \
-  -run 'TestCompactionKillPointSweep|TestJournalReplaySnapshot|TestCoordinatorCompactionBoundedLiveCampaign|TestStorageDegradedRecovery' \
-  -v ./internal/dist
-go test -race -count=1 \
-  -run 'TestQueueCompactionKillPointSweep|TestQueueCompactionBoundsLog|TestQueueSubmitAckOrdering|TestStorageDegradedHTTP503AndRecovery' \
-  -v ./internal/controlplane
+  -run 'TestCompactionKillPointSweep|TestJournalFormatFrozen|TestStaleSpoolTmpSwept|TestCoordinatorCompactionBoundedLiveCampaign|TestStorageDegradedRecovery|TestQueueCompactionKillPointSweep|TestQueueFormatFrozen|TestQueueCompactionBoundsLog|TestQueueSubmitAckOrdering|TestRefusedSubmitLeavesNoTrace|TestStorageDegradedHTTP503AndRecovery' \
+  -v ./internal/dist ./internal/controlplane
 
-echo "== control plane quota + torn-tail unit gates (-race) =="
+echo "== journal decoder fuzz smoke (10s each) =="
+# Native fuzzing of everything a disk can hand the journals: arbitrary
+# bytes as snapshot + log through wal replay (never panics, never
+# applies a sequence twice, reopen after truncation is idempotent), and
+# arbitrary records through each production fold (never panics, the
+# snapshot of the result replays to the result). Minimization is capped:
+# its 60 s default would spend the whole smoke shrinking the first
+# interesting input instead of generating new ones.
+for target in FuzzReplay:wal FuzzApply:dist FuzzApply:controlplane; do
+  go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s -fuzzminimizetime 20x "./internal/${target##*:}"
+done
+
+echo "== control plane quota + restart unit gates (-race) =="
 # Two tenants over the in-process HTTP API with quota rejection and
-# bit-identity, plus queue-journal recovery at every byte offset of a
-# torn final record.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueTornTailEveryOffset|TestRestartReplaysAcceptedCampaigns' -count=1 ./internal/controlplane
+# bit-identity, plus replay of every accepted campaign after a restart.
+go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns' -count=1 ./internal/controlplane
 
 echo "== batch ensemble determinism (GOMAXPROCS=4, -race) =="
 # The ensemble batch engine must produce bit-identical trajectories and
@@ -162,5 +175,8 @@ go test -race -run '^$' -bench 'Ablation_WireLoad' -benchtime 1x -timeout 20m . 
 
 echo "== bench smoke (benchtime=1x) =="
 go test -run '^$' -bench 'Ablation' -benchtime 1x -benchmem .
+
+echo "== non-test Go lines per package =="
+scripts/loc.sh
 
 echo "CI OK"
