@@ -211,15 +211,19 @@ func runWireLoad(b *testing.B, nWorkers int, v1 bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	co := &dist.Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"synthetic":true}`),
-		LeaseTTL: 30 * time.Second,
+	// Production Defaults() with a long lease, no rate hedging (the
+	// synthetic clients stream uneven progress; a hedge would duplicate
+	// load in one cell and not the other) and, in the baseline cell, the
+	// coordinator pinned to the v0 transport.
+	dcfg := dist.Defaults()
+	dcfg.LeaseTTL = 30 * time.Second
+	dcfg.HedgeFraction = 0
+	if !v1 {
+		dcfg.WireVersion, dcfg.Compression, dcfg.DeltaCheckpoints = wire.V0, false, false
 	}
-	if v1 {
-		co.WireVersion = wire.V1
-		co.Compression = true
-		co.DeltaCheckpoints = true
+	co, err := dist.NewCoordinator(ln, json.RawMessage(`{"synthetic":true}`), dcfg)
+	if err != nil {
+		b.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

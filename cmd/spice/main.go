@@ -18,13 +18,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"spice/internal/campaign"
 	"spice/internal/core"
@@ -41,6 +39,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spice: ")
 
+	// The dist runtime knobs: each -coordinator flag is bound straight
+	// onto a field of a Config seeded from dist.Defaults(). Flag
+	// semantics ("0 disables") are the Config semantics and Defaults() is
+	// the only place a default is written.
+	dcfg := dist.Defaults()
+	distFlags(flag.CommandLine, &dcfg)
 	var (
 		beads      = flag.Int("beads", 8, "ssDNA length in nucleotides")
 		kappas     = flag.String("kappas", "10,100,1000", "spring constants, pN/Å (comma separated)")
@@ -56,27 +60,8 @@ func main() {
 		imdAddr    = flag.String("imd", "", "serve an interactive session on this address instead")
 		frames     = flag.Int("frames", 100, "IMD frames to serve")
 		coordAddr  = flag.String("coordinator", "", "distribute pulls: listen on this address for spiced workers (-workers then spawns in-process ones)")
-		stateDir   = flag.String("state", "", "with -coordinator: journal job state under this directory so a killed coordinator can be restarted with the same -state and resume the campaign")
 
-		// Durable-storage knobs (all scoped to -coordinator -state).
-		compactBytes   = flag.Int64("compact-bytes", 8<<20, "compact the job journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding disk footprint and replay time (0 disables)")
-		storageRetries = flag.Int("storage-retries", 2, "retries (short capped backoff) for a failed journal append before the coordinator enters the degraded storage state instead of crashing")
-
-		// Federation-resilience knobs (all scoped to -coordinator).
-		breakerThreshold = flag.Int("breaker-threshold", 3, "consecutive failure strikes (fails, lease expiries, disconnects) before a site's circuit breaker opens and it stops receiving work (0 disables)")
-		breakerCooldown  = flag.Duration("breaker-cooldown", 0, "quarantine before an open site is re-probed with a single job (0 = 2x the lease TTL)")
-		hedgeFraction    = flag.Float64("hedge-fraction", 0.3, "hedge a job speculatively onto a second site when its checkpoint rate falls below this fraction of the fleet median; first finished attempt wins (0 disables)")
-		hedgeStall       = flag.Duration("hedge-stall", 0, "also hedge a job whose step counter has not advanced for this long while still heartbeating (0 disables)")
-		ioTimeout        = flag.Duration("io-timeout", 30*time.Second, "read/write deadline armed before every I/O on every worker connection, so a half-open peer times out instead of wedging a reader (0 disables)")
-
-		// Overload-protection knobs (all scoped to -coordinator).
-		maxInflight = flag.Int("max-inflight", 256, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint and heartbeats coalesce past half the cap (0 disables)")
-		sendQueue   = flag.Int("send-queue", 32, "per-connection outgoing-response queue bound; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
-
-		// Wire-protocol knobs (scoped to -coordinator). Each connection
-		// settles on min(coordinator, worker), so old spiced daemons keep
-		// working against a v1 coordinator and vice versa.
-		wireVer    = flag.Int("wire", dist.Defaults().WireVersion, "maximum wire protocol version to grant workers: 0 = legacy JSON lines (netcat-debuggable), 1 = binary CRC-framed records with varint fields")
+		// The negated wire toggles; -wire itself is bound in distFlags.
 		noDelta    = flag.Bool("no-delta", false, "disable incremental (delta) checkpoints on v1 connections; every progress message then carries a full checkpoint image")
 		noCompress = flag.Bool("no-compress", false, "disable block compression of bulk v1 payloads (checkpoints, resume images, work logs)")
 
@@ -137,21 +122,12 @@ func main() {
 		events *obs.EventLog
 	)
 	if *obsAddr != "" || *obsEvents != "" {
-		reg = obs.NewRegistry()
-		var evw io.Writer
-		switch *obsEvents {
-		case "":
-		case "-":
-			evw = os.Stderr
-		default:
-			f, err := os.OpenFile(*obsEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatalf("-obs-events: %v", err)
-			}
-			defer f.Close()
-			evw = f
+		var closeEvents func()
+		if events, closeEvents, err = obs.OpenEventLog(*obsEvents); err != nil {
+			log.Fatal(err)
 		}
-		events = obs.NewEventLog(evw, 512)
+		defer closeEvents()
+		reg = obs.NewRegistry()
 	}
 	if *obsAddr != "" {
 		srv, err := obs.Serve(*obsAddr, reg, events, nil, nil)
@@ -162,25 +138,9 @@ func main() {
 		fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/, /debug/events)\n", srv.Addr())
 	}
 
-	// The dist runtime knobs, built from flags in one place. The flag
-	// semantics ("0 disables") are the Config semantics, so no sentinel
-	// mapping is needed here.
-	dcfg := dist.Defaults()
-	dcfg.StateDir = *stateDir
-	dcfg.CompactBytes = *compactBytes
-	dcfg.StorageRetries = *storageRetries
-	dcfg.BreakerThreshold = *breakerThreshold
-	dcfg.BreakerCooldown = *breakerCooldown
-	dcfg.HedgeFraction = *hedgeFraction
-	dcfg.HedgeStall = *hedgeStall
-	dcfg.IOTimeout = *ioTimeout
-	dcfg.MaxInflight = *maxInflight
-	dcfg.SendQueue = *sendQueue
-	dcfg.WireVersion = *wireVer
 	dcfg.Compression = !*noCompress
 	dcfg.DeltaCheckpoints = !*noDelta
-	dcfg.Metrics = reg
-	dcfg.Events = events
+	dcfg.Metrics, dcfg.Events = reg, events
 
 	var co *dist.Coordinator
 	if *coordAddr != "" {
@@ -263,6 +223,31 @@ func main() {
 			fmt.Printf("%10.2f %12.4f %12.4f\n", prod.Grid[i], prod.PMF[i], prod.SigmaStat[i])
 		}
 	}
+}
+
+// distFlags binds the dist knobs (all scoped to -coordinator) onto c.
+func distFlags(fs *flag.FlagSet, c *dist.Config) {
+	fs.StringVar(&c.StateDir, "state", c.StateDir, "with -coordinator: journal job state under this directory so a killed coordinator can be restarted with the same -state and resume the campaign")
+
+	// Durable storage (scoped to -state).
+	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "compact the job journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding disk footprint and replay time (0 disables)")
+	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "retries (short capped backoff) for a failed journal append before the coordinator enters the degraded storage state instead of crashing")
+
+	// Federation resilience.
+	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", c.BreakerThreshold, "consecutive failure strikes (fails, lease expiries, disconnects) before a site's circuit breaker opens and it stops receiving work (0 disables)")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", c.BreakerCooldown, "quarantine before an open site is re-probed with a single job (0 = 2x the lease TTL)")
+	fs.Float64Var(&c.HedgeFraction, "hedge-fraction", c.HedgeFraction, "hedge a job speculatively onto a second site when its checkpoint rate falls below this fraction of the fleet median; first finished attempt wins (0 disables)")
+	fs.DurationVar(&c.HedgeStall, "hedge-stall", c.HedgeStall, "also hedge a job whose step counter has not advanced for this long while still heartbeating (0 disables)")
+	fs.DurationVar(&c.IOTimeout, "io-timeout", c.IOTimeout, "read/write deadline armed before every I/O on every worker connection, so a half-open peer times out instead of wedging a reader (0 disables)")
+
+	// Overload protection.
+	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint and heartbeats coalesce past half the cap (0 disables)")
+	fs.IntVar(&c.SendQueue, "send-queue", c.SendQueue, "per-connection outgoing-response queue bound; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
+
+	// Wire protocol. Each connection settles on min(coordinator, worker),
+	// so old spiced daemons keep working against a v1 coordinator and
+	// vice versa.
+	fs.IntVar(&c.WireVersion, "wire", c.WireVersion, "maximum wire protocol version to grant workers: 0 = legacy JSON lines (netcat-debuggable), 1 = binary CRC-framed records with varint fields")
 }
 
 // startCoordinator opens the dist listener and spawns the in-process

@@ -20,12 +20,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"spice/internal/core"
 	"spice/internal/dist"
@@ -46,29 +44,29 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spiced: ")
 
+	// One dist.Config per mode, each seeded from dist.Defaults() with the
+	// mode's flags bound straight onto its fields: flag semantics are the
+	// Config semantics ("0 disables"), and Defaults() is the only place a
+	// default is written.
+	wcfg, scfg := dist.Defaults(), dist.Defaults()
+	workerFlags(flag.CommandLine, &wcfg)
+	serveFlags(flag.CommandLine, &scfg)
 	var (
 		coordinator = flag.String("coordinator", "", "coordinator address to pull jobs from (required)")
 		name        = flag.String("name", "", "worker name in coordinator stats (default hostname)")
 		site        = flag.String("site", "", "federation site identity: the grain at which the coordinator tracks health, trips circuit breakers, and places speculative hedges; every spiced on one machine/cluster should share it (default: worker name)")
-		ioTimeout   = flag.Duration("io-timeout", 30*time.Second, "read/write deadline armed before every I/O on the coordinator connection, so a half-open peer times out instead of wedging (0 disables)")
-		slots       = flag.Int("slots", 1, "jobs to run concurrently")
-		beat        = flag.Duration("beat", 200*time.Millisecond, "lease heartbeat period")
-		ckptEvery   = flag.Int("ckpt-every", 8, "recorded samples between streamed checkpoints")
-		throttle    = flag.Duration("throttle", 0, "artificial sleep per checkpoint (testing/demo)")
-		window      = flag.Duration("reconnect-window", 10*time.Second, "give up after failing to reach the coordinator for this long")
-		backoffMax  = flag.Duration("reconnect-backoff", time.Second, "cap on the exponential re-dial backoff while the coordinator is unreachable")
 		obsAddr     = flag.String("obs-addr", "", "serve /metrics (Prometheus text), /healthz and /debug/pprof/ on this address (e.g. 127.0.0.1:9091)")
 		obsEvents   = flag.String("obs-events", "", "append the structured JSON-lines worker event log to this file (- for stderr)")
 	)
 	flag.Parse()
 
 	if *serveMode {
-		reg, events, cleanup, err := obsSetup(*obsEvents)
+		events, closeEvents, err := obs.OpenEventLog(*obsEvents)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer cleanup()
-		if err := runServe(reg, events); err != nil {
+		defer closeEvents()
+		if err := runServe(scfg, obs.NewRegistry(), events); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -86,29 +84,16 @@ func main() {
 	}
 
 	// Observability plumbing, same shape as spice -obs-addr.
-	var (
-		reg    *obs.Registry
-		events *obs.EventLog
-	)
 	if *obsAddr != "" || *obsEvents != "" {
-		reg = obs.NewRegistry()
-		var evw io.Writer
-		switch *obsEvents {
-		case "":
-		case "-":
-			evw = os.Stderr
-		default:
-			f, err := os.OpenFile(*obsEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatalf("-obs-events: %v", err)
-			}
-			defer f.Close()
-			evw = f
+		events, closeEvents, err := obs.OpenEventLog(*obsEvents)
+		if err != nil {
+			log.Fatal(err)
 		}
-		events = obs.NewEventLog(evw, 512)
+		defer closeEvents()
+		wcfg.Metrics, wcfg.Events = obs.NewRegistry(), events
 	}
 	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, reg, events, nil, nil)
+		srv, err := obs.Serve(*obsAddr, wcfg.Metrics, wcfg.Events, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -116,22 +101,8 @@ func main() {
 		fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/, /debug/events)\n", srv.Addr())
 	}
 
-	// All runtime knobs flow through one validated dist.Config ("0
-	// disables" flag semantics, no per-field sentinel mapping).
-	dcfg := dist.Defaults()
-	dcfg.Slots = *slots
-	dcfg.BeatInterval = *beat
-	dcfg.CheckpointEvery = *ckptEvery
-	dcfg.Throttle = *throttle
-	dcfg.ReconnectWindow = *window
-	dcfg.ReconnectBackoffMax = *backoffMax
-	dcfg.IOTimeout = *ioTimeout
-	dcfg.WireVersion = *wireVer
-	dcfg.Compression = !*noCompress
-	dcfg.DeltaCheckpoints = !*noDelta
-	dcfg.Metrics = reg
-	dcfg.Events = events
-	w, err := dist.NewWorker(*name, *site, *coordinator, core.BuildFromJSON, dcfg)
+	applyWireFlags(&wcfg)
+	w, err := dist.NewWorker(*name, *site, *coordinator, core.BuildFromJSON, wcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,13 +110,28 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	siteName := *site
-	if siteName == "" {
-		siteName = *name
-	}
-	fmt.Printf("spiced %s (site %s): %d slot(s), pulling from %s\n", *name, siteName, *slots, *coordinator)
+	fmt.Printf("spiced %s (site %s): %d slot(s), pulling from %s\n", *name, w.Site, wcfg.Slots, *coordinator)
 	if err := w.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("coordinator drained, exiting")
+}
+
+// workerFlags binds the worker-mode knobs onto c.
+func workerFlags(fs *flag.FlagSet, c *dist.Config) {
+	fs.DurationVar(&c.IOTimeout, "io-timeout", c.IOTimeout, "read/write deadline armed before every I/O on the coordinator connection, so a half-open peer times out instead of wedging (0 disables)")
+	fs.IntVar(&c.Slots, "slots", c.Slots, "jobs to run concurrently")
+	fs.DurationVar(&c.BeatInterval, "beat", c.BeatInterval, "lease heartbeat period")
+	fs.IntVar(&c.CheckpointEvery, "ckpt-every", c.CheckpointEvery, "recorded samples between streamed checkpoints")
+	fs.DurationVar(&c.Throttle, "throttle", c.Throttle, "artificial sleep per checkpoint (testing/demo)")
+	fs.DurationVar(&c.ReconnectWindow, "reconnect-window", c.ReconnectWindow, "give up after failing to reach the coordinator for this long")
+	fs.DurationVar(&c.ReconnectBackoffMax, "reconnect-backoff", c.ReconnectBackoffMax, "cap on the exponential re-dial backoff while the coordinator is unreachable")
+}
+
+// applyWireFlags copies the parsed wire flags, shared by both modes,
+// into c (two of the three are negated, so they cannot bind directly).
+func applyWireFlags(c *dist.Config) {
+	c.WireVersion = *wireVer
+	c.Compression = !*noCompress
+	c.DeltaCheckpoints = !*noDelta
 }

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -41,7 +40,6 @@ var (
 	serveMode    = flag.Bool("serve", false, "run as the campaign control plane instead of a worker: embedded coordinator + persistent multi-tenant queue + HTTP API")
 	serveListen  = flag.String("listen", "127.0.0.1:9555", "with -serve: coordinator address spiced workers connect to")
 	serveHTTP    = flag.String("http", "127.0.0.1:9556", "with -serve: HTTP address for the campaign API, /metrics, /healthz and /readyz")
-	serveState   = flag.String("state", "", "with -serve: state directory for the campaign queue journal and the coordinator's job journal (required; survives SIGKILL)")
 	serveWorkers = flag.Int("workers", 0, "with -serve: in-process workers to start alongside the coordinator")
 	serveSystem  = flag.String("system", "", "with -serve: JSON core.SystemConfig for the simulated system (default: the standard sweep system)")
 	maxActive    = flag.Int("max-active", 0, "with -serve: campaigns multiplexed on the coordinator at once (0 = unlimited)")
@@ -49,18 +47,22 @@ var (
 	backfill     = flag.Bool("backfill", false, "with -serve: let lower-ranked campaigns take leases past a quota-blocked one (default conservative: a blocked campaign also blocks everything ranked behind it)")
 	quotasFlag   = flag.String("quotas", "", "with -serve: per-tenant quotas, 'tenant=maxQueued[:maxRunning],...' (0 = unlimited)")
 	defaultQuota = flag.String("default-quota", "", "with -serve: quota for tenants absent from -quotas, 'maxQueued[:maxRunning]'")
-
-	compactBytes   = flag.Int64("compact-bytes", 8<<20, "with -serve: compact a journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding the on-disk footprint and replay time; applies to both the campaign queue and the job journal (0 disables)")
-	storageRetries = flag.Int("storage-retries", 2, "with -serve: retries (short capped backoff) for a failed journal append before the service enters the degraded storage state — submissions get 503 + Retry-After, running campaigns keep draining, and a background probe restores service when the disk recovers")
-
-	// Overload-protection knobs. -max-inflight is the one "how much at
-	// once" dial for the daemon: it caps worker requests in processing at
-	// the embedded coordinator AND concurrent API requests at the HTTP
-	// layer (excess of either is shed with a retry hint, never queued).
-	serveMaxInflight = flag.Int("max-inflight", 256, "with -serve: cap on requests processed at once — worker polls at the coordinator (shed with a jittered wait hint) and concurrent HTTP API requests (shed with 503 + Retry-After) (0 disables both)")
-	serveSendQueue   = flag.Int("send-queue", 32, "with -serve: per-connection outgoing-response queue bound at the coordinator; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
-	tenantRPS        = flag.Float64("tenant-rps", 0, "with -serve: per-tenant token-bucket rate limit on mutating API calls (submit, cancel) in requests/second; over-rate calls get 429 + Retry-After (0 disables)")
+	tenantRPS    = flag.Float64("tenant-rps", 0, "with -serve: per-tenant token-bucket rate limit on mutating API calls (submit, cancel) in requests/second; over-rate calls get 429 + Retry-After (0 disables)")
 )
+
+// serveFlags binds the -serve flags that are dist knobs onto c. The
+// journal knobs apply to both journals and -max-inflight is the one "how
+// much at once" dial for the daemon: it caps worker requests in
+// processing at the embedded coordinator AND concurrent API requests at
+// the HTTP layer (excess of either is shed with a retry hint, never
+// queued) — runServe hands the same fields to the control plane.
+func serveFlags(fs *flag.FlagSet, c *dist.Config) {
+	fs.StringVar(&c.StateDir, "state", c.StateDir, "with -serve: state directory for the campaign queue journal and the coordinator's job journal (required; survives SIGKILL)")
+	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "with -serve: compact a journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding the on-disk footprint and replay time; applies to both the campaign queue and the job journal (0 disables)")
+	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "with -serve: retries (short capped backoff) for a failed journal append before the service enters the degraded storage state — submissions get 503 + Retry-After, running campaigns keep draining, and a background probe restores service when the disk recovers")
+	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "with -serve: cap on requests processed at once — worker polls at the coordinator (shed with a jittered wait hint) and concurrent HTTP API requests (shed with 503 + Retry-After) (0 disables both)")
+	fs.IntVar(&c.SendQueue, "send-queue", c.SendQueue, "with -serve: per-connection outgoing-response queue bound at the coordinator; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
+}
 
 // parseQuota parses "maxQueued[:maxRunning]".
 func parseQuota(s string) (controlplane.Quota, error) {
@@ -103,12 +105,9 @@ func parseQuotas(s string) (map[string]controlplane.Quota, error) {
 // runServe is the -serve main loop. It owns process lifecycle: SIGTERM
 // and SIGINT shut down cleanly; SIGKILL is the crash the journals are
 // for.
-func runServe(reg *obs.Registry, events *obs.EventLog) error {
-	if *serveState == "" {
+func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
+	if dcfg.StateDir == "" {
 		return fmt.Errorf("-serve requires -state (the queue must survive restarts)")
-	}
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 
 	// The simulated system shipped to workers. Intra-engine parallelism
@@ -132,17 +131,8 @@ func runServe(reg *obs.Registry, events *obs.EventLog) error {
 	if err != nil {
 		return err
 	}
-	dcfg := dist.Defaults()
-	dcfg.StateDir = *serveState
-	dcfg.CompactBytes = *compactBytes
-	dcfg.StorageRetries = *storageRetries
-	dcfg.MaxInflight = *serveMaxInflight
-	dcfg.SendQueue = *serveSendQueue
-	dcfg.WireVersion = *wireVer
-	dcfg.Compression = !*noCompress
-	dcfg.DeltaCheckpoints = !*noDelta
-	dcfg.Metrics = reg
-	dcfg.Events = events
+	applyWireFlags(&dcfg)
+	dcfg.Metrics, dcfg.Events = reg, events
 	co, err := dist.NewCoordinator(ln, sysJSON, dcfg)
 	if err != nil {
 		ln.Close()
@@ -162,16 +152,16 @@ func runServe(reg *obs.Registry, events *obs.EventLog) error {
 	}
 	cp, err := controlplane.New(controlplane.Config{
 		Coordinator:    co,
-		StateDir:       *serveState,
+		StateDir:       dcfg.StateDir,
 		MaxActive:      *maxActive,
 		DefaultQuota:   defQ,
 		Quotas:         quotas,
 		Aging:          *agingRate,
 		Backfill:       *backfill,
-		CompactBytes:   *compactBytes,
-		StorageRetries: *storageRetries,
+		CompactBytes:   dcfg.CompactBytes,
+		StorageRetries: dcfg.StorageRetries,
 		TenantRPS:      *tenantRPS,
-		MaxConcurrent:  *serveMaxInflight,
+		MaxConcurrent:  dcfg.MaxInflight,
 		Metrics:        reg,
 		Events:         events,
 	})
@@ -185,9 +175,7 @@ func runServe(reg *obs.Registry, events *obs.EventLog) error {
 	// In-process workers inherit the wire knobs so the loopback fleet
 	// exercises the same transport an external spiced would negotiate.
 	wcfg := dist.Defaults()
-	wcfg.WireVersion = dcfg.WireVersion
-	wcfg.Compression = dcfg.Compression
-	wcfg.DeltaCheckpoints = dcfg.DeltaCheckpoints
+	applyWireFlags(&wcfg)
 	for i := 0; i < *serveWorkers; i++ {
 		w, err := dist.NewWorker(fmt.Sprintf("cp-local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, wcfg)
 		if err != nil {
@@ -213,25 +201,4 @@ func runServe(reg *obs.Registry, events *obs.EventLog) error {
 	<-ctx.Done()
 	fmt.Println("shutting down")
 	return nil
-}
-
-// obsSetup builds the shared registry/event log from the -obs-events
-// flag value (also used by worker mode).
-func obsSetup(obsEvents string) (*obs.Registry, *obs.EventLog, func(), error) {
-	reg := obs.NewRegistry()
-	var evw io.Writer
-	cleanup := func() {}
-	switch obsEvents {
-	case "":
-	case "-":
-		evw = os.Stderr
-	default:
-		f, err := os.OpenFile(obsEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("-obs-events: %v", err)
-		}
-		cleanup = func() { f.Close() }
-		evw = f
-	}
-	return reg, obs.NewEventLog(evw, 512), cleanup, nil
 }

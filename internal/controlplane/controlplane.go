@@ -322,9 +322,8 @@ func New(cfg Config) (*Server, error) {
 		s.order = append(s.order, e)
 	}
 	// The live lease path consults the control plane's quotas on every
-	// offer. The coordinator reads this field under its own lock; we set
-	// it before any worker can connect.
-	cfg.Coordinator.Scheduler = s.leaseScheduler()
+	// offer.
+	cfg.Coordinator.SetScheduler(s.leaseScheduler())
 	return s, nil
 }
 

@@ -91,12 +91,7 @@ func newHarness(t *testing.T, cfg Config, workers int) (*Server, *dist.Coordinat
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &dist.Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-		StateDir: t.TempDir(),
-	}
+	co := newTestCoordinator(t, ln, t.TempDir())
 	t.Cleanup(func() { _ = co.Close() })
 	startTestWorkers(t, co, workers)
 	cfg.Coordinator = co
@@ -111,17 +106,42 @@ func newHarness(t *testing.T, cfg Config, workers int) (*Server, *dist.Coordinat
 	return s, co
 }
 
+// testDistConfig is this package's one dist.Config for tests:
+// production Defaults() at test scale, minus rate hedging (a hedge fired
+// by CI jitter would skew the per-campaign job counts the suites assert)
+// and worker reconnects (a test worker whose coordinator closed must
+// exit, not re-dial).
+func testDistConfig() dist.Config {
+	cfg := dist.Defaults()
+	cfg.LeaseTTL = 2 * time.Second
+	cfg.BeatInterval = 20 * time.Millisecond
+	cfg.CheckpointEvery = 2
+	cfg.HedgeFraction = 0
+	cfg.Reconnect = false
+	return cfg
+}
+
+// newTestCoordinator builds the 3-bead test coordinator on ln with its
+// job journal under stateDir.
+func newTestCoordinator(t *testing.T, ln net.Listener, stateDir string) *dist.Coordinator {
+	t.Helper()
+	cfg := testDistConfig()
+	cfg.StateDir = stateDir
+	co, err := dist.NewCoordinator(ln, json.RawMessage(`{"beads":3}`), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co
+}
+
 func startTestWorkers(t *testing.T, co *dist.Coordinator, n int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	for i := 0; i < n; i++ {
-		w := &dist.Worker{
-			Name:            "w",
-			Addr:            co.Listener.Addr().String(),
-			Build:           testBuild,
-			BeatInterval:    20 * time.Millisecond,
-			CheckpointEvery: 2,
+		w, err := dist.NewWorker("w", "", co.Listener.Addr().String(), testBuild, testDistConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
 		go w.Run(ctx)
 	}
@@ -425,21 +445,8 @@ func TestResultRecoveredAfterRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := &dist.Coordinator{
-			Listener: ln,
-			System:   json.RawMessage(`{"beads":3}`),
-			LeaseTTL: 2 * time.Second,
-			StateDir: coStateDir,
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(cancel)
-		for i := 0; i < workers; i++ {
-			w := &dist.Worker{
-				Name: "w", Addr: ln.Addr().String(), Build: testBuild,
-				BeatInterval: 20 * time.Millisecond, CheckpointEvery: 2,
-			}
-			go w.Run(ctx)
-		}
+		co := newTestCoordinator(t, ln, coStateDir)
+		startTestWorkers(t, co, workers)
 		s, err := New(Config{Coordinator: co, StateDir: stateDir})
 		if err != nil {
 			t.Fatal(err)

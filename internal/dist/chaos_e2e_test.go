@@ -200,17 +200,17 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startChaosWorker := func(name string, dial func(string) (net.Conn, error)) {
-		w := &dist.Worker{
-			Name:            name,
-			Addr:            addr,
-			Build:           core.BuildFromJSON,
-			BeatInterval:    20 * time.Millisecond,
-			CheckpointEvery: 1,
-			Throttle:        20 * time.Millisecond,
-			Reconnect:       true,
-			ReconnectWindow: 60 * time.Second,
-			Dial:            dial,
-		}
+		w := dist.NewTestWorker(t, name, "", addr, core.BuildFromJSON, func(c *dist.Config) {
+			// dupConn recognises a result by its JSON line, so these
+			// workers offer v0 whatever the coordinators would grant.
+			c.WireVersion = 0
+			c.BeatInterval = 20 * time.Millisecond
+			c.CheckpointEvery = 1
+			c.Throttle = 20 * time.Millisecond
+			c.Reconnect = true
+			c.ReconnectWindow = 60 * time.Second
+			c.Dial = dial
+		})
 		go w.Run(ctx)
 	}
 	startChaosWorker("gated", gate.Dial(nil))
@@ -261,13 +261,11 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &dist.Coordinator{
-		Listener:  ln,
-		System:    sysJSON,
-		LeaseTTL:  2 * time.Second,
-		RetryBase: 10 * time.Millisecond,
-		StateDir:  stateDir,
-	}
+	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.RetryBase = 10 * time.Millisecond
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co.Close() })
 	restartCfg := cfg
 	restartCfg.Runner = co

@@ -1,20 +1,13 @@
 package dist
 
-// Config is the one knob surface for the dist runtime. The Coordinator
-// and Worker structs grew a field per PR — lease TTL, retry backoff,
-// breaker, hedging, io-timeout, state dir, reconnect policy, and now
-// observability hooks — each with its own zero-value convention
-// ("0 means default" here, "0 disables, negative sentinel" there,
-// mapped by hand in every flag parser). Config collapses them into one
-// validated struct with flag semantics throughout: what you set is what
-// runs, 0 disables the optional machinery, and Defaults() is the single
-// statement of production defaults. cmd/spice and cmd/spiced build a
-// Config from flags in one place and hand it to NewCoordinator /
-// NewWorker, which translate to the legacy field conventions.
-//
-// Direct struct construction (&Coordinator{...}, &Worker{...}) keeps
-// its historical zero-value behavior — nothing is silently deprecated;
-// DESIGN.md §10 documents the field mapping.
+// Config is the one knob surface for the dist runtime, and the one
+// convention: what you set is what runs, 0 disables the optional
+// machinery, and Defaults() is the single statement of production
+// defaults. cmd/spice and cmd/spiced bind each flag straight onto a
+// field of a Config seeded from Defaults() and hand it to
+// NewCoordinator / NewWorker — the only constructors — which validate
+// it and keep it: the Coordinator and Worker read these fields
+// directly, so a knob exists in exactly one place.
 
 import (
 	"encoding/json"
@@ -39,18 +32,27 @@ type Config struct {
 	// LeaseTTL is how long a job survives without a heartbeat before it
 	// is revoked and requeued.
 	LeaseTTL time.Duration
-	// RetryBase and RetryMax bound the exponential, deterministically
-	// jittered backoff before a revoked or failed job is re-leased.
+	// RetryBase and RetryMax bound the exponential backoff before a
+	// revoked or failed job is re-leased. The delay carries deterministic
+	// per-(job, attempt) jitter so a mass lease-expiry event — every job
+	// revoked at once when a coordinator restarts — does not retry in
+	// lockstep.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// MaxAttempts caps lease grants per job before the campaign fails.
 	MaxAttempts int
-	// StateDir, if non-empty, makes campaigns crash-safe (write-ahead
-	// journal + checkpoint spool under this directory).
+	// StateDir, if non-empty, makes campaigns crash-safe: job-state
+	// transitions are journaled (and completed results fsynced) under
+	// this directory, checkpoints are spooled to disk, and a coordinator
+	// started over the same directory replays the journal — completed
+	// jobs keep their results, in-flight jobs resume from their spooled
+	// checkpoints, and the merged output stays bit-identical to an
+	// uninterrupted run. Empty means in-memory only.
 	StateDir string
 	// CompactBytes compacts the write-ahead journal (fold into a
-	// snapshot, truncate the log) when journal.log grows past this size.
-	// 0 disables compaction.
+	// snapshot, truncate the log) when journal.log grows past this size,
+	// keeping replay time and disk footprint bounded on long-lived
+	// coordinators. 0 disables compaction.
 	CompactBytes int64
 	// StorageRetries is how many times a failed journal append is
 	// retried with short capped backoff before the coordinator enters
@@ -67,32 +69,45 @@ type Config struct {
 
 	// --- Resilience (coordinator) ---
 
-	// BreakerThreshold is the consecutive-failure strike count that
-	// opens a site's circuit breaker. 0 disables the breakers.
+	// BreakerThreshold is the consecutive-failure strike count (explicit
+	// fails, lease expiries, disconnects with an active lease, lost
+	// speculations with streamed progress) that opens a site's circuit
+	// breaker. 0 disables the breakers.
 	BreakerThreshold int
 	// BreakerCooldown is the quarantine before an open site is re-probed
-	// with a single job. 0 means 2×LeaseTTL.
+	// with a single half-open probe job. 0 means 2×LeaseTTL, resolved at
+	// construction.
 	BreakerCooldown time.Duration
 	// HedgeFraction hedges a job speculatively onto a second site when
-	// its checkpoint rate falls below this fraction of the fleet median.
-	// 0 disables rate hedging.
+	// its checkpoint-derived steps/sec falls below this fraction of the
+	// fleet-median site rate — first finished attempt wins, the loser is
+	// dropped through the (job, attempt) idempotency. 0 disables rate
+	// hedging.
 	HedgeFraction float64
 	// HedgeStall also hedges a job whose step counter has not advanced
-	// for this long while still heartbeating. 0 disables stall hedging.
+	// for this long while still heartbeating — alive but stuck, e.g.
+	// behind a congested link. 0 disables stall hedging.
 	HedgeStall time.Duration
 	// HedgeAfter is the minimum lease age before either hedge trigger
-	// may fire. 0 means LeaseTTL/2.
+	// may fire, so short jobs never get duplicated. 0 means LeaseTTL/2,
+	// resolved at construction.
 	HedgeAfter time.Duration
 
 	// --- Overload protection (coordinator) ---
 
-	// MaxInflight caps worker requests in processing at once; excess
-	// work polls are shed with an immediate jittered wait hint, and
-	// heartbeat coalescing arms past half the cap. 0 disables shedding.
+	// MaxInflight caps worker requests in processing at once across all
+	// connections. Excess work polls are shed with an immediate jittered
+	// wait hint that never touches the scheduler lock; results, fails and
+	// heartbeats are never shed (they shrink the backlog). Heartbeat
+	// coalescing arms past half the cap. 0 disables shedding and
+	// coalescing.
 	MaxInflight int
-	// SendQueue bounds each connection's outgoing-response queue; a peer
-	// that fills it (a slow consumer) is evicted with its leases kept
-	// alive for re-attach. 0 disables the queue (synchronous writes).
+	// SendQueue bounds each connection's outgoing-response queue, drained
+	// by a per-connection writer goroutine. A peer that fills it — a slow
+	// consumer pipelining requests without reading replies — is evicted:
+	// the connection is closed but its leases survive, so the worker's
+	// reconnect re-attaches mid-flight pulls instead of redoing them.
+	// 0 disables the queue (synchronous writes, no eviction).
 	SendQueue int
 
 	// --- Transport (both sides) ---
@@ -109,11 +124,16 @@ type Config struct {
 	Compression bool
 	// DeltaCheckpoints makes workers send each progress checkpoint as a
 	// delta against the last acknowledged one on v1+ connections; the
-	// coordinator folds deltas back into complete images before
-	// spooling, so resume and journal replay never see a partial state.
+	// coordinator folds deltas back into complete images before any
+	// spool or farthest-wins decision, so resume, journal replay and
+	// hedged re-execution never see a partial state.
 	DeltaCheckpoints bool
 	// IOTimeout arms a fresh read/write deadline before every I/O on
-	// every dist connection. 0 disables the deadlines.
+	// every dist connection (netutil.WithDeadlines): a peer that stops
+	// making byte progress for this long is treated as dead instead of
+	// wedging its reader, and on the worker side a half-open coordinator
+	// surfaces as a timeout the Reconnect machinery can heal. 0 disables
+	// the deadlines.
 	IOTimeout time.Duration
 	// WrapConn, if set, wraps every connection the coordinator accepts
 	// (test QoS shims).
@@ -132,15 +152,22 @@ type Config struct {
 	// CheckpointEvery is the number of recorded samples between
 	// checkpoints streamed to the coordinator (min 1).
 	CheckpointEvery int
-	// Throttle sleeps this long at every checkpoint (test/demo hook).
+	// Throttle sleeps this long at every checkpoint — a test and demo
+	// hook that makes jobs slow enough to observe mid-flight.
 	Throttle time.Duration
 	// Reconnect makes the worker transport self-healing (daemon
-	// semantics): re-dial with backoff, retransmit unacked results.
+	// semantics): every request, including an unacknowledged result held
+	// in the session's outbox, is retried across re-dials with backoff;
+	// the coordinator's (job, attempt) idempotency makes the retransmits
+	// safe. Off, the first transport error ends the session with that
+	// error.
 	Reconnect bool
-	// ReconnectWindow bounds consecutive reconnect failures before a
-	// worker session gives up.
+	// ReconnectWindow bounds consecutive reconnect failures without a
+	// successful hello before a worker session gives up, so workers don't
+	// spin forever after their coordinator is gone for good.
 	ReconnectWindow time.Duration
-	// ReconnectBackoffMax caps the exponential re-dial backoff.
+	// ReconnectBackoffMax caps the exponential re-dial backoff (the
+	// first retry waits half a BeatInterval).
 	ReconnectBackoffMax time.Duration
 	// RetryBudget, if set, is a shared token-bucket retry budget for the
 	// reconnect loop: when a fleet-wide outage heals, each re-dial spends
@@ -158,15 +185,17 @@ type Config struct {
 	// obs.Serve.
 	Metrics *obs.Registry
 	// Events, if set, receives the structured scheduling event stream
-	// (lease grants/expiries, breaker transitions, speculation
-	// settlements) with monotonic sequence numbers and the same
-	// (job, attempt) keys as the journal.
+	// (lease grants/expiries/adoptions, breaker transitions, speculation
+	// settlements, journal replay; on a worker, job starts/results and
+	// reconnects) with monotonic sequence numbers and the same (job,
+	// attempt) keys as the journal, so an event trace can be cross-checked
+	// against the final Stats. Nil disables (EventLog is nil-safe).
 	Events *obs.EventLog
 }
 
-// Defaults returns the production default Config — the same values the
-// legacy zero-valued Coordinator/Worker structs resolve to, with the
-// resilience layer (breaker + rate hedging) switched on.
+// Defaults returns the production default Config, resilience layer
+// (breaker + rate hedging) switched on — the only place a production
+// default is written.
 func Defaults() Config {
 	return Config{
 		LeaseTTL:            5 * time.Second,
@@ -246,29 +275,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// disabledOr maps Config flag semantics ("0 disables") onto the legacy
-// field convention ("zero value means default, negative disables").
-func disabledOrDuration(d time.Duration) time.Duration {
-	if d <= 0 {
-		return -1
-	}
-	return d
-}
-
-func disabledOrInt(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
-}
-
-func disabledOrInt64(n int64) int64 {
-	if n <= 0 {
-		return -1
-	}
-	return n
-}
-
 // NewCoordinator validates cfg and builds a Coordinator listening on
 // ln, distributing the opaque system payload to workers. The obs hooks
 // are wired: cfg.Metrics gets the Snapshot collector registered,
@@ -280,31 +286,20 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.BreakerCooldown == 0 {
+		cfg.BreakerCooldown = 2 * cfg.LeaseTTL
+	}
+	if cfg.HedgeAfter == 0 {
+		cfg.HedgeAfter = cfg.LeaseTTL / 2
+	}
 	co := &Coordinator{
-		Listener:         ln,
-		System:           system,
-		LeaseTTL:         cfg.LeaseTTL,
-		RetryBase:        cfg.RetryBase,
-		RetryMax:         cfg.RetryMax,
-		MaxAttempts:      cfg.MaxAttempts,
-		WrapConn:         cfg.WrapConn,
-		StateDir:         cfg.StateDir,
-		CompactBytes:     disabledOrInt64(cfg.CompactBytes),
-		StorageRetries:   disabledOrInt(cfg.StorageRetries),
-		FS:               cfg.FS,
-		Scheduler:        cfg.Scheduler,
-		BreakerThreshold: disabledOrInt(cfg.BreakerThreshold),
-		BreakerCooldown:  cfg.BreakerCooldown,
-		HedgeFraction:    cfg.HedgeFraction,
-		HedgeStall:       cfg.HedgeStall,
-		HedgeAfter:       cfg.HedgeAfter,
-		MaxInflight:      disabledOrInt(cfg.MaxInflight),
-		SendQueue:        disabledOrInt(cfg.SendQueue),
-		WireVersion:      cfg.WireVersion,
-		Compression:      cfg.Compression,
-		DeltaCheckpoints: cfg.DeltaCheckpoints,
-		IOTimeout:        disabledOrDuration(cfg.IOTimeout),
-		Events:           cfg.Events,
+		Listener: ln,
+		System:   system,
+		cfg:      cfg,
+		doneJobs: make(map[string]bool),
+		sites:    make(map[string]*siteHealth),
+		jobsByID: make(map[string]*job),
+		jobStats: make(map[string]*JobStats),
 	}
 	if cfg.Metrics != nil {
 		RegisterMetrics(cfg.Metrics, co)
@@ -313,8 +308,10 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 }
 
 // NewWorker validates cfg and builds a Worker that pulls jobs from the
-// coordinator at addr, building each job's simulation with build. The
-// worker's execution counters register on cfg.Metrics when set.
+// coordinator at addr, building each job's simulation with build. An
+// empty site defaults to name — an unconfigured worker is its own
+// one-machine site. The worker's execution counters register on
+// cfg.Metrics when set.
 func NewWorker(name, site, addr string, build BuildFunc, cfg Config) (*Worker, error) {
 	if addr == "" {
 		return nil, errors.New("dist: NewWorker needs a coordinator address")
@@ -325,26 +322,10 @@ func NewWorker(name, site, addr string, build BuildFunc, cfg Config) (*Worker, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := &Worker{
-		Name:                name,
-		Site:                site,
-		Addr:                addr,
-		Slots:               cfg.Slots,
-		Build:               build,
-		BeatInterval:        cfg.BeatInterval,
-		CheckpointEvery:     cfg.CheckpointEvery,
-		Throttle:            cfg.Throttle,
-		Reconnect:           cfg.Reconnect,
-		ReconnectWindow:     cfg.ReconnectWindow,
-		ReconnectBackoffMax: cfg.ReconnectBackoffMax,
-		RetryBudget:         cfg.RetryBudget,
-		Dial:                cfg.Dial,
-		WireVersion:         cfg.WireVersion,
-		Compression:         cfg.Compression,
-		DeltaCheckpoints:    cfg.DeltaCheckpoints,
-		IOTimeout:           disabledOrDuration(cfg.IOTimeout),
-		Events:              cfg.Events,
+	if site == "" {
+		site = name
 	}
+	w := &Worker{Name: name, Site: site, Addr: addr, Build: build, cfg: cfg}
 	if cfg.Metrics != nil {
 		w.RegisterMetrics(cfg.Metrics)
 	}

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,40 +64,230 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
-// TestConfigZeroDisables checks the "0 disables" flag semantics survive
-// the translation onto the legacy field conventions (where zero means
-// "use the default" and a negative value disables).
+// TestConfigZeroDisables checks the one convention where it shows: each
+// optional subsystem set to 0 is observably off — not that some private
+// field holds some value.
 func TestConfigZeroDisables(t *testing.T) {
-	cfg := Defaults()
-	cfg.BreakerThreshold = 0
-	cfg.IOTimeout = 0
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("disabling breaker and io-timeout must validate: %v", err)
+	// started builds a coordinator and starts its server without a
+	// campaign, so hand-rolled clients can talk to it.
+	started := func(t *testing.T, override func(*Config)) *Coordinator {
+		co := newCoordinator(t, override)
+		co.mu.Lock()
+		co.startLocked()
+		co.mu.Unlock()
+		return co
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	co, err := NewCoordinator(ln, json.RawMessage(`{}`), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	if co.BreakerThreshold >= 0 {
-		t.Fatalf("BreakerThreshold 0 must map to the negative disable sentinel, got %d", co.BreakerThreshold)
-	}
-	if co.IOTimeout >= 0 {
-		t.Fatalf("IOTimeout 0 must map to the negative disable sentinel, got %v", co.IOTimeout)
-	}
+	t.Run("BreakerThreshold", func(t *testing.T) {
+		co := newCoordinator(t, func(c *Config) { c.BreakerThreshold = 0 })
+		now := time.Now()
+		for i := 0; i < 100; i++ {
+			co.siteStrikeLocked("flaky", "j", now, nil)
+		}
+		if co.stats.BreakerTrips != 0 || !co.siteLocked("flaky").admissible(now, co.cfg.BreakerCooldown) {
+			t.Fatalf("100 strikes tripped a disabled breaker: trips=%d", co.stats.BreakerTrips)
+		}
+	})
 
-	w, err := NewWorker("w0", "site", "127.0.0.1:1", stubBuild, cfg)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("IOTimeout", func(t *testing.T) {
+		// The coordinator hands WrapConn what it is about to serve: the
+		// accepted socket itself, or the deadline wrapper around it.
+		for _, tc := range []struct {
+			timeout time.Duration
+			raw     bool
+		}{{0, true}, {time.Minute, false}} {
+			served := make(chan net.Conn, 1)
+			co := started(t, func(c *Config) {
+				c.IOTimeout = tc.timeout
+				c.WrapConn = func(conn net.Conn) net.Conn { served <- conn; return conn }
+			})
+			dialTestClient(t, co.Listener.Addr().String(), "probe")
+			if _, raw := (<-served).(*net.TCPConn); raw != tc.raw {
+				t.Fatalf("coordinator IOTimeout %v: serving the raw socket = %v, want %v", tc.timeout, raw, tc.raw)
+			}
+
+			ours, theirs := net.Pipe()
+			defer theirs.Close()
+			w := NewTestWorker(t, "w0", "", "pipe", stubBuild, func(c *Config) {
+				c.IOTimeout = tc.timeout
+				c.Dial = func(string) (net.Conn, error) { return ours, nil }
+			})
+			conn, err := w.dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			if raw := conn == ours; raw != tc.raw {
+				t.Fatalf("worker IOTimeout %v: dial returned the raw conn = %v, want %v", tc.timeout, raw, tc.raw)
+			}
+		}
+	})
+
+	t.Run("SendQueue", func(t *testing.T) {
+		// A peer that stops reading while it pipelines three polls: with
+		// a queue the reader keeps decoding them; without one it is parked
+		// inside the first reply's write — and never evicts anybody.
+		for _, queue := range []int{0, 4} {
+			var blocked atomic.Bool
+			release := make(chan struct{})
+			co := started(t, func(c *Config) {
+				c.SendQueue = queue
+				c.WrapConn = func(conn net.Conn) net.Conn {
+					return &blockWrites{Conn: conn, blocked: &blocked, release: release}
+				}
+			})
+			c := dialTestClient(t, co.Listener.Addr().String(), "probe")
+			blocked.Store(true)
+			for i := 0; i < 3; i++ {
+				if err := c.enc.Encode(&request{Type: msgNext}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := int64(1)
+			if queue > 0 {
+				want = 3
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for co.polls.Load() < want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond) // a synchronous reader must not get past the first poll
+			if got := co.polls.Load(); got != want {
+				t.Fatalf("SendQueue %d: reader decoded %d polls behind a blocked write, want %d", queue, got, want)
+			}
+			close(release)
+			for i := 0; i < 3; i++ {
+				var resp response
+				if err := c.dec.Decode(&resp); err != nil || resp.Type != msgWait {
+					t.Fatalf("SendQueue %d: reply %d = %+v (%v), want wait", queue, i, resp, err)
+				}
+			}
+			if ev := co.Stats().SlowConsumerEvictions; ev != 0 {
+				t.Fatalf("SendQueue %d: %d evictions, want 0", queue, ev)
+			}
+		}
+	})
+
+	t.Run("MaxInflight", func(t *testing.T) {
+		// Same drill as TestInflightShedOverLimit with the cap off: polls
+		// pile up behind the held scheduler lock and none is shed.
+		co := started(t, func(c *Config) { c.MaxInflight = 0 })
+		var clients []*testClient
+		for _, name := range []string{"pa", "pb", "pc"} {
+			clients = append(clients, dialTestClient(t, co.Listener.Addr().String(), name))
+		}
+		co.mu.Lock()
+		for _, c := range clients {
+			if err := c.enc.Encode(&request{Type: msgNext}); err != nil {
+				co.mu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for co.inflight.Load() < 3 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		parked, shed := co.inflight.Load(), co.shed.Load()
+		co.mu.Unlock()
+		if parked != 3 || shed != 0 {
+			t.Fatalf("with shedding off: %d polls parked, %d shed; want 3 and 0", parked, shed)
+		}
+		for _, c := range clients {
+			var resp response
+			if err := c.dec.Decode(&resp); err != nil || resp.Type != msgWait {
+				t.Fatalf("parked poll answered %+v (%v), want wait", resp, err)
+			}
+		}
+	})
+
+	t.Run("CompactBytes", func(t *testing.T) {
+		// TestCoordinatorCompactionBoundedLiveCampaign compacts this
+		// journal at a 2 KiB threshold; at 0 it only ever grows.
+		co := newCoordinator(t, func(c *Config) {
+			c.StateDir = t.TempDir()
+			c.CompactBytes = 0
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		startWorkers(t, ctx, co, 1, func(i int, c *Config) { c.CheckpointEvery = 1 })
+		if _, err := co.Run(testSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if st := co.Stats(); st.Compactions != 0 || st.JournalBytes <= 2048 {
+			t.Fatalf("compaction off: %d compactions, journal %d bytes; want 0 and > 2048", st.Compactions, st.JournalBytes)
+		}
+	})
+}
+
+// TestDerivedWindowsPinned pins every window the runtime derives from a
+// Config — the two defaults resolved at construction, the janitor
+// period, the coalesce window and the wait hints (jitter included: it is
+// keyed by worker name and poll count) — to the values the pre-Config
+// sentinel accessors computed from the same inputs.
+func TestDerivedWindowsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                                    string
+		override                                func(*Config)
+		cooldown, hedgeAfter, janitor, coalesce time.Duration
+		shedMs, idleMs                          int
+	}{
+		{"defaults", func(c *Config) { *c = Defaults() },
+			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 625 * time.Millisecond, 843, 843},
+		{"stall hedging, explicit cooldown", func(c *Config) {
+			*c = Defaults()
+			c.LeaseTTL, c.BeatInterval = 800*time.Millisecond, 50*time.Millisecond
+			c.HedgeFraction, c.HedgeStall = 0, 120*time.Millisecond
+			c.BreakerCooldown = 3 * time.Second
+		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 100 * time.Millisecond, 135, 135},
+		{"no hedging, explicit hedge-after", func(c *Config) {
+			*c = Defaults()
+			c.LeaseTTL = 12 * time.Second
+			c.HedgeFraction, c.HedgeStall, c.HedgeAfter = 0, 0, 7*time.Second
+			c.BreakerThreshold = 0
+		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 1500 * time.Millisecond, 2025, 4050},
+	} {
+		co := newCoordinator(t, tc.override)
+		if co.cfg.BreakerCooldown != tc.cooldown || co.cfg.HedgeAfter != tc.hedgeAfter {
+			t.Errorf("%s: cooldown %v, hedge-after %v; want %v, %v", tc.name,
+				co.cfg.BreakerCooldown, co.cfg.HedgeAfter, tc.cooldown, tc.hedgeAfter)
+		}
+		if got := co.janitorPeriod(); got != tc.janitor {
+			t.Errorf("%s: janitor period %v, want %v", tc.name, got, tc.janitor)
+		}
+		if got := co.coalesceWindow(); got != tc.coalesce {
+			t.Errorf("%s: coalesce window %v, want %v", tc.name, got, tc.coalesce)
+		}
+		if got := co.shedNext(&connState{name: "w"}).DelayMs; got != tc.shedMs {
+			t.Errorf("%s: shed hint %d ms, want %d", tc.name, got, tc.shedMs)
+		}
+		if got := co.assign(&connState{name: "w", site: "w"}).DelayMs; got != tc.idleMs {
+			t.Errorf("%s: idle hint %d ms, want %d", tc.name, got, tc.idleMs)
+		}
 	}
-	if w.IOTimeout >= 0 {
-		t.Fatalf("worker IOTimeout 0 must map to the negative disable sentinel, got %v", w.IOTimeout)
+}
+
+// TestRaiseMaxConcurrent: the send-queue high-water mark is raised by
+// every connection's reader at once, so concurrent raises with distinct
+// values must always end at the largest — a load-then-store loses it.
+func TestRaiseMaxConcurrent(t *testing.T) {
+	const raisers = 64
+	for round := 0; round < 1000; round++ {
+		var mark atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for v := int64(1); v <= raisers; v++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				raiseMax(&mark, v)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := mark.Load(); got != raisers {
+			t.Fatalf("round %d: high-water mark %d after raises 1..%d", round, got, raisers)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"spice/internal/backoff"
 	"spice/internal/campaign"
-	"spice/internal/faultfs"
 	"spice/internal/netutil"
 	"spice/internal/obs"
 	"spice/internal/trace"
@@ -27,10 +26,12 @@ import (
 // campaign.LocalRunner output because tasks, seeds and the per-pull
 // dynamics are identical; only the placement differs.
 //
-// The server is long-lived: it starts lazily on the first Run and keeps
-// serving between campaigns (workers idle on wait replies), so a
-// pipeline like core.RunSweep can issue several campaigns over one
-// worker fleet. Close tells workers to drain and shuts the server down.
+// NewCoordinator is the only constructor: the zero value has no Config
+// and no tables. The server is long-lived: it starts lazily on the
+// first Run and keeps serving between campaigns (workers idle on wait
+// replies), so a pipeline like core.RunSweep can issue several
+// campaigns over one worker fleet. Close tells workers to drain and
+// shuts the server down.
 //
 // Beyond hard worker death (leases + heartbeats), the coordinator
 // defends against the paper's §V degraded-but-alive pathologies:
@@ -41,121 +42,17 @@ import (
 // and simply dropped — and every connection carries per-I/O deadlines
 // so a half-open TCP peer can never wedge a reader forever.
 type Coordinator struct {
-	// Listener is where workers connect. Required.
+	// Listener is where workers connect.
 	Listener net.Listener
 	// System is an opaque payload forwarded to workers verbatim in the
 	// hello reply — typically a JSON-encoded core.SystemConfig. dist
 	// itself never interprets it, which keeps the package free of any
 	// dependency on the model layers above md/smd/campaign.
 	System json.RawMessage
-	// LeaseTTL is how long a job survives without a heartbeat before it
-	// is revoked and requeued (default 5s).
-	LeaseTTL time.Duration
-	// RetryBase and RetryMax bound the exponential backoff applied
-	// before a revoked or failed job becomes runnable again
-	// (defaults 50ms, 2s). The delay carries deterministic per-(job,
-	// attempt) jitter so a mass lease-expiry event — every job revoked
-	// at once when a coordinator restarts — does not retry in lockstep.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// MaxAttempts caps lease grants per job before the campaign is
-	// declared failed (default 8).
-	MaxAttempts int
-	// WrapConn, if set, wraps every accepted connection — the hook the
-	// tests use to route traffic through netsim QoS shims.
-	WrapConn func(net.Conn) net.Conn
-	// StateDir, if set, makes campaigns crash-safe: job-state transitions
-	// are journaled (and completed results fsynced) under this directory,
-	// checkpoints are spooled to disk, and a coordinator started over the
-	// same directory replays the journal — completed jobs keep their
-	// results, in-flight jobs resume from their spooled checkpoints, and
-	// the merged output stays bit-identical to an uninterrupted run.
-	// Empty means in-memory only (the pre-journal behavior).
-	StateDir string
-	// CompactBytes triggers journal compaction (fold snapshot + log into
-	// a fresh snapshot, truncate the log) once journal.log grows past
-	// this size, keeping replay time and disk footprint bounded on
-	// long-lived coordinators. 0 defaults to 8 MiB; negative disables.
-	CompactBytes int64
-	// StorageRetries is how many times a failed journal append is
-	// retried (with short capped backoff) before the coordinator enters
-	// the degraded storage state. 0 defaults to 2; negative means no
-	// retries — degrade on the first failure.
-	StorageRetries int
-	// FS, if set, routes every journal and spool operation through an
-	// injectable filesystem — the disk-fault chaos hook
-	// (faultfs.Injector). Nil uses the real OS filesystem.
-	FS faultfs.FS
-
-	// BreakerThreshold is the consecutive-failure strike count (explicit
-	// fails, lease expiries, disconnects with an active lease, lost
-	// speculations with streamed progress) that opens a site's circuit
-	// breaker. 0 defaults to 3; negative disables the breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker quarantines its site
-	// before admitting a single half-open probe job (default 2×LeaseTTL).
-	BreakerCooldown time.Duration
-	// HedgeFraction enables rate-based straggler detection: a job whose
-	// checkpoint-derived steps/sec falls below this fraction of the
-	// fleet-median site rate gets a speculative second lease on a
-	// different site — first finished attempt wins, the loser is dropped
-	// through the (job, attempt) idempotency. 0 (the zero value)
-	// disables rate hedging; 0.3 is a sensible production setting.
-	HedgeFraction float64
-	// HedgeStall enables stall-based straggler detection: a lease whose
-	// step counter has not advanced for this long (while still
-	// heartbeating — alive but stuck, e.g. behind a congested link) is
-	// hedged the same way. 0 disables stall hedging.
-	HedgeStall time.Duration
-	// HedgeAfter is the minimum lease age before either hedge trigger
-	// may fire, so short jobs never get duplicated (default LeaseTTL/2).
-	HedgeAfter time.Duration
-	// IOTimeout arms a fresh read/write deadline before every I/O call
-	// on every worker connection (netutil.WithDeadlines): a peer that
-	// stops making byte progress for this long is treated as dead
-	// instead of wedging its reader. 0 defaults to 30s; negative
-	// disables the deadlines.
-	IOTimeout time.Duration
-	// MaxInflight caps how many worker requests may be in processing at
-	// once across all connections. Excess msgNext polls are shed with an
-	// immediate jittered msgWait that never touches the scheduler lock;
-	// results, fails and heartbeats are never shed (they shrink the
-	// backlog). Heartbeat coalescing arms once load passes half the cap.
-	// 0 defaults to 256; negative disables shedding and coalescing.
-	MaxInflight int
-	// SendQueue bounds each connection's outgoing-response queue, drained
-	// by a per-connection writer goroutine. A peer that lets the queue
-	// fill — a slow consumer pipelining requests without reading replies
-	// — is evicted: the connection is closed but its leases survive, so
-	// the worker's reconnect re-attaches mid-flight pulls instead of
-	// redoing them. 0 defaults to 32; negative disables the queue
-	// (synchronous writes, no eviction).
-	SendQueue int
-	// WireVersion is the newest wire protocol version this coordinator
-	// grants on hello: each connection negotiates min(coordinator,
-	// worker's offer), so mixed fleets interoperate and a hello offering
-	// an unknown (future) version downgrades to 0 with a logged event.
-	// Direct struct construction keeps the legacy default of 0 (JSON
-	// lines only); Config.Defaults() enables the newest version.
-	WireVersion int
-	// Compression grants lz block compression on bulk payloads over v1+
-	// connections.
-	Compression bool
-	// DeltaCheckpoints grants delta-encoded progress checkpoints over
-	// v1+ connections. Deltas are folded back into complete images
-	// before any spool or farthest-wins decision, so journal replay and
-	// hedged re-execution always see full resume images.
-	DeltaCheckpoints bool
-	// Events, if set, receives the structured scheduling event stream:
-	// every lease grant/expiry/adoption, breaker transition, speculation
-	// settlement and journal replay, carrying the same (job, attempt)
-	// keys as the journal so an event trace can be cross-checked against
-	// the final Stats. Nil disables (the EventLog type is nil-safe).
-	Events *obs.EventLog
-	// Scheduler orders the active campaigns each time a worker asks for
-	// work (multi-tenant priority/fair-share/quota policies). Nil offers
-	// campaigns in install order.
-	Scheduler Scheduler
+	// cfg is the validated Config this coordinator was built with — the
+	// only copy of every knob; BreakerCooldown and HedgeAfter carry their
+	// resolved values.
+	cfg Config
 
 	mu       sync.Mutex
 	journal  *journal
@@ -306,127 +203,8 @@ type connState struct {
 	waits int
 }
 
-func (co *Coordinator) leaseTTL() time.Duration {
-	if co.LeaseTTL > 0 {
-		return co.LeaseTTL
-	}
-	return 5 * time.Second
-}
-
-func (co *Coordinator) retryBase() time.Duration {
-	if co.RetryBase > 0 {
-		return co.RetryBase
-	}
-	return 50 * time.Millisecond
-}
-
-func (co *Coordinator) retryMax() time.Duration {
-	if co.RetryMax > 0 {
-		return co.RetryMax
-	}
-	return 2 * time.Second
-}
-
-func (co *Coordinator) maxAttempts() int {
-	if co.MaxAttempts > 0 {
-		return co.MaxAttempts
-	}
-	return 8
-}
-
-// wireVersion clamps the granted-version ceiling into the known range.
-func (co *Coordinator) wireVersion() int {
-	if co.WireVersion <= 0 {
-		return wire.V0
-	}
-	if co.WireVersion > wire.MaxVersion {
-		return wire.MaxVersion
-	}
-	return co.WireVersion
-}
-
-func (co *Coordinator) breakerThreshold() int {
-	switch {
-	case co.BreakerThreshold > 0:
-		return co.BreakerThreshold
-	case co.BreakerThreshold < 0:
-		return 0 // disabled: strikes never trip
-	default:
-		return 3
-	}
-}
-
-func (co *Coordinator) breakerCooldown() time.Duration {
-	if co.BreakerCooldown > 0 {
-		return co.BreakerCooldown
-	}
-	return 2 * co.leaseTTL()
-}
-
 func (co *Coordinator) hedgingEnabled() bool {
-	return co.HedgeFraction > 0 || co.HedgeStall > 0
-}
-
-func (co *Coordinator) hedgeAfter() time.Duration {
-	if co.HedgeAfter > 0 {
-		return co.HedgeAfter
-	}
-	return co.leaseTTL() / 2
-}
-
-func (co *Coordinator) ioTimeout() time.Duration {
-	switch {
-	case co.IOTimeout > 0:
-		return co.IOTimeout
-	case co.IOTimeout < 0:
-		return 0
-	default:
-		return 30 * time.Second
-	}
-}
-
-func (co *Coordinator) compactBytes() int64 {
-	switch {
-	case co.CompactBytes > 0:
-		return co.CompactBytes
-	case co.CompactBytes < 0:
-		return 0 // disabled
-	default:
-		return 8 << 20
-	}
-}
-
-func (co *Coordinator) storageRetries() int {
-	switch {
-	case co.StorageRetries > 0:
-		return co.StorageRetries
-	case co.StorageRetries < 0:
-		return 0 // degrade on the first failure
-	default:
-		return 2
-	}
-}
-
-func (co *Coordinator) maxInflight() int {
-	switch {
-	case co.MaxInflight > 0:
-		return co.MaxInflight
-	case co.MaxInflight < 0:
-		return 0 // disabled: never shed, never coalesce
-	default:
-		return 256
-	}
-}
-
-func (co *Coordinator) sendQueueLen() int {
-	switch {
-	case co.SendQueue > 0:
-		return co.SendQueue
-	case co.SendQueue < 0:
-		return 0 // disabled: synchronous writes, no eviction
-	default:
-		return 32
-	}
+	return co.cfg.HedgeFraction > 0 || co.cfg.HedgeStall > 0
 }
 
 // coalesceWindow is how stale a connection-local heartbeat answer may
@@ -434,7 +212,7 @@ func (co *Coordinator) sendQueueLen() int {
 // age a lease into expiry, and under the TTL/4 janitor period so a
 // coalesced lease still refreshes between janitor scans.
 func (co *Coordinator) coalesceWindow() time.Duration {
-	return co.leaseTTL() / 8
+	return co.cfg.LeaseTTL / 8
 }
 
 // backoff returns the delay before the next lease of jobID after
@@ -445,7 +223,7 @@ func (co *Coordinator) coalesceWindow() time.Duration {
 // same schedule replays identically across runs — no shared RNG state,
 // no scheduling nondeterminism.
 func (co *Coordinator) backoff(jobID string, attempts int) time.Duration {
-	return backoff.Policy{Base: co.retryBase(), Max: co.retryMax()}.Keyed(jobID, attempts)
+	return backoff.Policy{Base: co.cfg.RetryBase, Max: co.cfg.RetryMax}.Keyed(jobID, attempts)
 }
 
 // idlePollBudget is the aggregate msgNext polls/sec an idle fleet is
@@ -467,7 +245,7 @@ func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) r
 			delay = min
 		}
 	}
-	if ttl := co.leaseTTL(); delay > ttl {
+	if ttl := co.cfg.LeaseTTL; delay > ttl {
 		delay = ttl
 	}
 	cs.waits++
@@ -485,7 +263,7 @@ func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) r
 // caused the overload spreads out instead of retrying in lockstep.
 func (co *Coordinator) shedNext(cs *connState) response {
 	co.shed.Add(1)
-	return co.waitHint(cs, co.leaseTTL()/4, true)
+	return co.waitHint(cs, co.cfg.LeaseTTL/4, true)
 }
 
 // startLocked spins up the accept loop and the lease janitor. Caller
@@ -494,7 +272,6 @@ func (co *Coordinator) startLocked() {
 	ctx, cancel := context.WithCancel(context.Background())
 	co.cancelServe = cancel
 	co.serveDone = make(chan error, 1)
-	co.jobStats = make(map[string]*JobStats)
 	co.started = true
 	go co.janitor(ctx)
 	go func() {
@@ -529,9 +306,6 @@ func (co *Coordinator) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.Work
 // solo run of the same spec: scheduling decides placement and order,
 // never results.
 func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campaign.Combo][]*trace.WorkLog, error) {
-	if co.Listener == nil {
-		return nil, errors.New("dist: coordinator needs a listener")
-	}
 	tasks := spec.Tasks()
 	if len(tasks) == 0 {
 		return map[campaign.Combo][]*trace.WorkLog{}, nil
@@ -556,24 +330,18 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			return nil, fmt.Errorf("dist: campaign %s is already running", key)
 		}
 	}
-	if co.doneJobs == nil {
-		co.doneJobs = make(map[string]bool)
-	}
-	if co.jobsByID == nil {
-		co.jobsByID = make(map[string]*job)
-	}
-	if co.StateDir != "" && co.journal == nil {
-		cfg := journalConfig(co.FS, co.StateDir)
-		cfg.CompactBytes = co.compactBytes()
-		cfg.Retries = co.storageRetries()
-		cfg.Notify = func(degraded bool, fields map[string]any) {
+	if co.cfg.StateDir != "" && co.journal == nil {
+		jcfg := journalConfig(co.cfg.FS, co.cfg.StateDir)
+		jcfg.CompactBytes = co.cfg.CompactBytes
+		jcfg.Retries = co.cfg.StorageRetries
+		jcfg.Notify = func(degraded bool, fields map[string]any) {
 			name := "storage_recovered"
 			if degraded {
 				name = "storage_degraded"
 			}
-			co.Events.Emit(obs.Event{Name: name, Fields: fields})
+			co.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
 		}
-		jn, rep, tail, err := openJournal(cfg)
+		jn, rep, tail, err := openJournal(jcfg)
 		if err != nil {
 			co.mu.Unlock()
 			return nil, err
@@ -599,7 +367,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		}
 		if rep.records > 0 {
 			co.stats.Restarts++
-			co.Events.Emit(obs.Event{Name: "journal_replayed", Fields: map[string]any{
+			co.cfg.Events.Emit(obs.Event{Name: "journal_replayed", Fields: map[string]any{
 				"records":    rep.records,
 				"torn_bytes": tail.TornBytes,
 				"tail":       co.stats.TornTail.String(),
@@ -670,7 +438,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	}
 	co.camps = append(co.camps, camp)
 	co.stats.Jobs += len(tasks)
-	co.Events.Emit(obs.Event{Name: "campaign_start", Campaign: key, Fields: map[string]any{
+	co.cfg.Events.Emit(obs.Event{Name: "campaign_start", Campaign: key, Fields: map[string]any{
 		"jobs": len(tasks), "recovered_done": len(tasks) - camp.remaining,
 		"tenant": tag.Tenant, "priority": tag.Priority,
 	}})
@@ -696,7 +464,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	if err != nil {
 		done.Fields = map[string]any{"error": err.Error()}
 	}
-	co.Events.Emit(done)
+	co.cfg.Events.Emit(done)
 	co.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -740,7 +508,7 @@ func (co *Coordinator) CancelCampaign(key string) bool {
 		if c.key == key && c.failErr == nil {
 			c.canceled = true
 			c.finish(ErrCampaignCanceled)
-			co.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
+			co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
 			return true
 		}
 	}
@@ -781,16 +549,25 @@ func (co *Coordinator) campaignViewsLocked() []CampaignView {
 	return views
 }
 
+// SetScheduler installs the campaign-ordering policy (Config.Scheduler)
+// after construction: the control plane's quota policy needs the
+// coordinator it schedules for, so it cannot ride in on the Config.
+func (co *Coordinator) SetScheduler(s Scheduler) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.cfg.Scheduler = s
+}
+
 // offerOrderLocked resolves the Scheduler's decision into the list of
 // campaigns to scan for work, in offer order. Campaigns the policy
 // omits (quota-blocked tenants, held-back backfill candidates) are not
 // scanned this round. Caller holds mu.
 func (co *Coordinator) offerOrderLocked(now time.Time) []*campaignRun {
-	if co.Scheduler == nil {
+	if co.cfg.Scheduler == nil {
 		return co.camps
 	}
 	views := co.campaignViewsLocked()
-	order := co.Scheduler.Offer(now, views)
+	order := co.cfg.Scheduler.Offer(now, views)
 	out := make([]*campaignRun, 0, len(order))
 	seen := make(map[int]bool, len(order))
 	for _, i := range order {
@@ -855,24 +632,28 @@ func (co *Coordinator) detachJournalLocked() *journal {
 	return jn
 }
 
-// janitor periodically revokes leases that missed their heartbeat TTL
-// and scans for straggling leases to hedge. The period tracks the
-// finer of the lease TTL and the hedge windows so both state machines
-// advance promptly.
-func (co *Coordinator) janitor(ctx context.Context) {
-	period := co.leaseTTL() / 4
+// janitorPeriod tracks the finer of the lease TTL and the hedge windows
+// so both state machines advance promptly.
+func (co *Coordinator) janitorPeriod() time.Duration {
+	period := co.cfg.LeaseTTL / 4
 	if co.hedgingEnabled() {
-		if p := co.hedgeAfter() / 2; p < period {
+		if p := co.cfg.HedgeAfter / 2; p < period {
 			period = p
 		}
-		if s := co.HedgeStall; s > 0 && s/4 < period {
+		if s := co.cfg.HedgeStall; s > 0 && s/4 < period {
 			period = s / 4
 		}
 	}
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
-	tick := time.NewTicker(period)
+	return period
+}
+
+// janitor periodically revokes leases that missed their heartbeat TTL
+// and scans for straggling leases to hedge.
+func (co *Coordinator) janitor(ctx context.Context) {
+	tick := time.NewTicker(co.janitorPeriod())
 	defer tick.Stop()
 	for {
 		select {
@@ -890,10 +671,10 @@ func (co *Coordinator) janitor(ctx context.Context) {
 					}
 					keep := j.leases[:0]
 					for _, l := range j.leases {
-						if now.Sub(l.lastBeat) > co.leaseTTL() {
+						if now.Sub(l.lastBeat) > co.cfg.LeaseTTL {
 							co.stats.LeaseExpiries++
 							co.jobStats[j.id].LeaseExpiries++
-							co.Events.Emit(obs.Event{Name: "lease_expired", Job: j.id,
+							co.cfg.Events.Emit(obs.Event{Name: "lease_expired", Job: j.id,
 								Attempt: l.attempt, Site: l.site, Worker: l.worker})
 							co.siteStrikeLocked(l.site, j.id, now, func(sh *siteHealth) { sh.leaseExpiries++ })
 							continue
@@ -921,7 +702,7 @@ func (co *Coordinator) storageProbeLocked(now time.Time) {
 	if co.journal == nil || !co.journal.log.Health().Degraded {
 		return
 	}
-	if now.Sub(co.lastProbe) < co.leaseTTL()/2 {
+	if now.Sub(co.lastProbe) < co.cfg.LeaseTTL/2 {
 		return
 	}
 	co.lastProbe = now
@@ -937,9 +718,9 @@ func (co *Coordinator) siteStrikeLocked(site, jobID string, now time.Time, count
 		count(sh)
 	}
 	sh.clearProbe(jobID)
-	if sh.strike(now, co.breakerThreshold()) {
+	if sh.strike(now, co.cfg.BreakerThreshold) {
 		co.stats.BreakerTrips++
-		co.Events.Emit(obs.Event{Name: "breaker_open", Job: jobID, Site: site,
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_open", Job: jobID, Site: site,
 			Fields: map[string]any{"strikes": sh.strikes}})
 	}
 }
@@ -960,15 +741,15 @@ func (co *Coordinator) stragglerScanLocked(camp *campaignRun, now time.Time) {
 			continue
 		}
 		l := j.leases[0]
-		if now.Sub(l.granted) < co.hedgeAfter() {
+		if now.Sub(l.granted) < co.cfg.HedgeAfter {
 			continue
 		}
-		slow := co.HedgeFraction > 0 && haveMedian && l.haveRate && l.rate < co.HedgeFraction*median
-		stalled := co.HedgeStall > 0 && now.Sub(l.stepsAt) > co.HedgeStall
+		slow := co.cfg.HedgeFraction > 0 && haveMedian && l.haveRate && l.rate < co.cfg.HedgeFraction*median
+		stalled := co.cfg.HedgeStall > 0 && now.Sub(l.stepsAt) > co.cfg.HedgeStall
 		if slow || stalled {
 			j.straggler = true
 			co.stats.StragglersDetected++
-			co.Events.Emit(obs.Event{Name: "straggler_flagged", Job: j.id,
+			co.cfg.Events.Emit(obs.Event{Name: "straggler_flagged", Job: j.id,
 				Attempt: l.attempt, Site: l.site, Worker: l.worker,
 				Fields: map[string]any{"slow": slow, "stalled": stalled, "rate": l.rate}})
 		}
@@ -1033,9 +814,9 @@ func (co *Coordinator) requeueLocked(camp *campaignRun, j *job) {
 	j.leases = nil
 	j.straggler = false
 	j.notBefore = time.Now().Add(co.backoff(j.id, j.attempts))
-	co.Events.Emit(obs.Event{Name: "job_requeued", Job: j.id, Attempt: j.attempts,
+	co.cfg.Events.Emit(obs.Event{Name: "job_requeued", Job: j.id, Attempt: j.attempts,
 		Fields: map[string]any{"not_before": j.notBefore.UTC().Format(time.RFC3339Nano)}})
-	if j.attempts >= co.maxAttempts() {
+	if j.attempts >= co.cfg.MaxAttempts {
 		camp.finish(fmt.Errorf("dist: job %s exhausted %d attempts", j.id, j.attempts))
 	}
 }
@@ -1045,11 +826,11 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 	// Deadlines wrap the raw transport, inside any WrapConn shims, so
 	// injected test delays model the network without eating the
 	// watchdog budget of the real socket.
-	if to := co.ioTimeout(); to > 0 {
+	if to := co.cfg.IOTimeout; to > 0 {
 		conn = netutil.WithDeadlines(conn, to, to)
 	}
-	if co.WrapConn != nil {
-		conn = co.WrapConn(conn)
+	if co.cfg.WrapConn != nil {
+		conn = co.cfg.WrapConn(conn)
 	}
 	cc := &countConn{Conn: conn, c: &co.bytes}
 	br := bufio.NewReader(cc)
@@ -1082,24 +863,24 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		// Unconfigured workers are their own one-machine site.
 		cs.site = hello.Name
 	}
-	ver, downgraded := wire.Negotiate(co.wireVersion(), hello.Wire)
+	ver, downgraded := wire.Negotiate(co.cfg.WireVersion, hello.Wire)
 	if downgraded {
 		// Never silent: a future-versioned worker still gets served (on
 		// v0, the one version everything speaks) but the mismatch is on
 		// the record for the operator.
 		co.wireDowngrades.Add(1)
-		co.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.site, Worker: cs.name,
+		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.site, Worker: cs.name,
 			Fields: map[string]any{"offered": hello.Wire, "granted": ver}})
 	}
 	cs.wire = ver
-	cs.delta = ver >= wire.V1 && co.DeltaCheckpoints && !hello.NoDelta
-	cs.comp = ver >= wire.V1 && co.Compression && !hello.NoComp
+	cs.delta = ver >= wire.V1 && co.cfg.DeltaCheckpoints && !hello.NoDelta
+	cs.comp = ver >= wire.V1 && co.cfg.Compression && !hello.NoComp
 	if ver >= wire.V1 {
 		co.wireV1.Add(1)
 	} else {
 		co.wireV0.Add(1)
 	}
-	co.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.site, Worker: cs.name,
+	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.site, Worker: cs.name,
 		Fields: map[string]any{"wire": ver, "delta": cs.delta, "compression": cs.comp}})
 	grant := &response{Type: msgOK, System: wire.JSONPayload(co.System),
 		Wire: ver, Delta: cs.delta, Comp: cs.comp}
@@ -1123,8 +904,8 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		sendQ      chan response
 		writerDone chan struct{}
 	)
-	if q := co.sendQueueLen(); q > 0 {
-		sendQ = make(chan response, q)
+	if co.cfg.SendQueue > 0 {
+		sendQ = make(chan response, co.cfg.SendQueue)
 		writerDone = make(chan struct{})
 		go func() {
 			defer close(writerDone)
@@ -1146,14 +927,12 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		}
 		select {
 		case sendQ <- resp:
-			if d := int64(len(sendQ)); d > co.queuePeak.Load() {
-				co.queuePeak.Store(d)
-			}
+			raiseMax(&co.queuePeak, int64(len(sendQ)))
 			return true
 		default:
 			cs.evicted.Store(true)
 			co.evictions.Add(1)
-			co.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.site, Worker: cs.name,
+			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.site, Worker: cs.name,
 				Fields: map[string]any{"queued": len(sendQ)}})
 			_ = conn.Close()
 			return false
@@ -1178,7 +957,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		}
 		var resp response
 		n := co.inflight.Add(1)
-		limit := int64(co.maxInflight())
+		limit := int64(co.cfg.MaxInflight)
 		switch req.Type {
 		case msgNext:
 			co.polls.Add(1)
@@ -1244,7 +1023,7 @@ func (co *Coordinator) dropConn(cs *connState) {
 			for _, l := range j.leases {
 				if l.owner == cs {
 					co.stats.Disconnects++
-					co.Events.Emit(obs.Event{Name: "worker_disconnected", Job: j.id,
+					co.cfg.Events.Emit(obs.Event{Name: "worker_disconnected", Job: j.id,
 						Attempt: l.attempt, Site: l.site, Worker: l.worker})
 					co.siteStrikeLocked(l.site, j.id, now, func(sh *siteHealth) { sh.disconnects++ })
 					continue
@@ -1287,7 +1066,7 @@ func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now
 		// grant is the half-open probe.
 		sh.state = breakerHalfOpen
 		co.stats.BreakerProbes++
-		co.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.site, Worker: cs.name})
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.site, Worker: cs.name})
 	}
 	if sh.state == breakerHalfOpen && sh.probeJob == "" {
 		sh.probeJob = j.id
@@ -1323,7 +1102,7 @@ func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now
 		co.stats.Resumes++
 		js.Resumes++
 	}
-	co.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: j.attempts,
+	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: j.attempts,
 		Site: cs.site, Worker: cs.name,
 		Fields: map[string]any{"hedge": speculative, "resumed": resumed}})
 	co.journalLocked(camp, &jrec{
@@ -1345,13 +1124,13 @@ func (co *Coordinator) assign(cs *connState) response {
 		return response{Type: msgDrained}
 	}
 	now := time.Now()
-	if !co.siteLocked(cs.site).admissible(now, co.breakerCooldown()) {
+	if !co.siteLocked(cs.site).admissible(now, co.cfg.BreakerCooldown) {
 		// Quarantined site (or a probe already in flight): no work until
 		// the breaker relents. The paper's §V.C.4 outage as a scheduling
 		// decision rather than an operator post-mortem. The adaptive hint
 		// spreads a whole quarantined site's workers apart instead of
 		// having them re-poll in the lockstep the fixed TTL/2 hint caused.
-		return co.waitHint(cs, co.leaseTTL()/2, true)
+		return co.waitHint(cs, co.cfg.LeaseTTL/2, true)
 	}
 	offered := co.offerOrderLocked(now)
 	var soonest time.Duration
@@ -1396,8 +1175,8 @@ func (co *Coordinator) assign(cs *connState) response {
 	// all) scales its poll interval with its own size.
 	delay := soonest
 	scale := false
-	if delay <= 0 || delay > co.leaseTTL() {
-		delay = co.leaseTTL() / 2
+	if delay <= 0 || delay > co.cfg.LeaseTTL {
+		delay = co.cfg.LeaseTTL / 2
 		scale = soonest == 0
 	}
 	if co.hedgingEnabled() {
@@ -1406,7 +1185,7 @@ func (co *Coordinator) assign(cs *connState) response {
 		// half a lease TTL later when the crawling job may have limped
 		// home — so fleet scaling never applies to a hedging fleet.
 		scale = false
-		if lim := co.hedgeAfter() / 2; lim > 0 && delay > lim {
+		if lim := co.cfg.HedgeAfter / 2; lim > 0 && delay > lim {
 			delay = lim
 		}
 	}
@@ -1471,7 +1250,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 		j.leases = append(j.leases, l)
 		co.siteLocked(cs.site).assignments++
 		co.stats.Adoptions++
-		co.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: j.attempts,
+		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: j.attempts,
 			Site: cs.site, Worker: cs.name})
 		js := co.jobStats[j.id]
 		js.Adoptions++
@@ -1494,7 +1273,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 				l = prev
 				co.stats.Adoptions++
 				co.jobStats[j.id].Adoptions++
-				co.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
+				co.cfg.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
 					Attempt: prev.attempt, Site: cs.site, Worker: cs.name})
 				break
 			}
@@ -1523,7 +1302,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 				co.stats.CheckpointsRejected++
 			}
 			l.base = nil
-			co.Events.Emit(obs.Event{Name: "checkpoint_need_full", Job: j.id, Attempt: l.attempt,
+			co.cfg.Events.Emit(obs.Event{Name: "checkpoint_need_full", Job: j.id, Attempt: l.attempt,
 				Site: l.site, Worker: l.worker, Fields: map[string]any{"error": err.Error()}})
 			return response{Type: msgOK, NeedFull: true}
 		}
@@ -1546,7 +1325,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 			l.steps = steps
 			l.stepsAt = now
 		}
-		co.Events.Emit(obs.Event{Name: "checkpoint", Job: j.id, Attempt: l.attempt,
+		co.cfg.Events.Emit(obs.Event{Name: "checkpoint", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker,
 			Fields: map[string]any{"steps": steps, "bytes": req.Ckpt.WireLen(), "raw_bytes": len(raw)}})
 		if steps >= j.ckptSteps {
@@ -1631,7 +1410,7 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 		// throw away a computed result over a possibly transient disk
 		// fault. msgRetry does neither: the worker keeps the line in its
 		// outbox and retransmits once the storage probe clears the state.
-		return response{Type: msgRetry, DelayMs: int(co.leaseTTL() / 2 / time.Millisecond)}
+		return response{Type: msgRetry, DelayMs: int(co.cfg.LeaseTTL / 2 / time.Millisecond)}
 	}
 	now := time.Now()
 	sh := co.siteLocked(cs.site)
@@ -1641,7 +1420,7 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 	}
 	if sh.success() {
 		co.stats.BreakerCloses++
-		co.Events.Emit(obs.Event{Name: "breaker_closed", Job: j.id, Site: cs.site})
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_closed", Job: j.id, Site: cs.site})
 	}
 	// Settle the speculation race: every other concurrent lease lost.
 	for _, l := range j.leases {
@@ -1649,7 +1428,7 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 			continue
 		}
 		co.stats.SpeculationsWasted++
-		co.Events.Emit(obs.Event{Name: "speculation_lost", Job: j.id, Attempt: l.attempt,
+		co.cfg.Events.Emit(obs.Event{Name: "speculation_lost", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker})
 		loser := co.siteLocked(l.site)
 		loser.specLost++
@@ -1671,7 +1450,7 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 	j.straggler = false
 	j.log = req.Log
 	camp.remaining--
-	co.Events.Emit(obs.Event{Name: "result_accepted", Job: j.id, Attempt: attempt,
+	co.cfg.Events.Emit(obs.Event{Name: "result_accepted", Job: j.id, Attempt: attempt,
 		Site: cs.site, Worker: cs.name,
 		Fields: map[string]any{"remaining": camp.remaining}})
 	if co.journal != nil {
@@ -1704,7 +1483,7 @@ func (co *Coordinator) fail(cs *connState, req *request) response {
 	l := j.leaseOf(cs)
 	if j.state == stateLeased && l != nil && (req.Attempt == 0 || req.Attempt == l.attempt) {
 		co.stats.Failures++
-		co.Events.Emit(obs.Event{Name: "job_failed", Job: j.id, Attempt: l.attempt,
+		co.cfg.Events.Emit(obs.Event{Name: "job_failed", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker, Fields: map[string]any{"error": req.Err}})
 		co.journalLocked(camp, &jrec{T: jFail, Camp: camp.key, Job: j.id, Attempt: l.attempt, Err: req.Err}, false)
 		co.siteStrikeLocked(l.site, j.id, time.Now(), func(sh *siteHealth) { sh.failures++ })
@@ -1779,6 +1558,19 @@ func (co *Coordinator) StatsSnapshot() Snapshot {
 		Stats: co.statsLocked(),
 		Jobs:  co.jobStatsLocked(),
 		Sites: co.siteStatsLocked(),
+	}
+}
+
+// raiseMax lifts a high-water mark to v unless it is already there. A
+// compare-and-swap loop, because every connection's reader raises the
+// same mark concurrently and a plain load-then-store lets a smaller
+// depth overwrite a larger one.
+func raiseMax(mark *atomic.Int64, v int64) {
+	for {
+		cur := mark.Load()
+		if v <= cur || mark.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 

@@ -110,36 +110,87 @@ func localBaseline(t *testing.T, spec campaign.Spec) map[campaign.Combo][]*trace
 	return logs
 }
 
-func newCoordinator(t *testing.T) *Coordinator {
+// testConfig is the one place this package's tests get a Config:
+// production Defaults() minus the two behaviours the suites predate —
+// rate hedging (tests assert exact assignment and speculation counters,
+// which a hedge fired by CI jitter would break) and worker reconnects (a
+// test worker whose coordinator is gone must exit, not re-dial for the
+// reconnect window) — then the test's own overrides. Tests that want
+// either switch it back on.
+func testConfig(override func(*Config)) Config {
+	cfg := Defaults()
+	cfg.HedgeFraction = 0
+	cfg.Reconnect = false
+	if override != nil {
+		override(&cfg)
+	}
+	return cfg
+}
+
+// NewTestCoordinator is NewCoordinator over testConfig. Exported so the
+// external (package dist_test) suites share it.
+func NewTestCoordinator(t testing.TB, ln net.Listener, system json.RawMessage, override func(*Config)) *Coordinator {
+	t.Helper()
+	co, err := NewCoordinator(ln, system, testConfig(override))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co
+}
+
+// NewTestWorker is NewWorker over testConfig.
+func NewTestWorker(t testing.TB, name, site, addr string, build BuildFunc, override func(*Config)) *Worker {
+	t.Helper()
+	w, err := NewWorker(name, site, addr, build, testConfig(override))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// newCoordinator is the in-process fixture: a loopback listener, the
+// 3-bead system and a 2s lease TTL, closed with the test.
+func newCoordinator(t *testing.T, override func(*Config)) *Coordinator {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		if override != nil {
+			override(c)
+		}
+	})
 	// Cleanups run after the test's defers, i.e. after worker contexts
 	// are cancelled, so Close sees the connections drain quickly.
 	t.Cleanup(func() { _ = co.Close() })
 	return co
 }
 
-func startWorkers(ctx context.Context, co *Coordinator, n int, mutate func(i int, w *Worker)) {
+// startWorker runs one test-scale worker (20ms beats, a checkpoint
+// every 2 samples) against co until ctx is cancelled.
+func startWorker(t *testing.T, ctx context.Context, co *Coordinator, name string, override func(*Config)) *Worker {
+	t.Helper()
+	w := NewTestWorker(t, name, "", co.Listener.Addr().String(), testBuild, func(c *Config) {
+		c.BeatInterval = 20 * time.Millisecond
+		c.CheckpointEvery = 2
+		if override != nil {
+			override(c)
+		}
+	})
+	go w.Run(ctx)
+	return w
+}
+
+func startWorkers(t *testing.T, ctx context.Context, co *Coordinator, n int, override func(i int, c *Config)) {
+	t.Helper()
 	for i := 0; i < n; i++ {
-		w := &Worker{
-			Name:            "w",
-			Addr:            co.Listener.Addr().String(),
-			Build:           testBuild,
-			BeatInterval:    20 * time.Millisecond,
-			CheckpointEvery: 2,
-		}
-		if mutate != nil {
-			mutate(i, w)
-		}
-		go w.Run(ctx)
+		startWorker(t, ctx, co, "w", func(c *Config) {
+			if override != nil {
+				override(i, c)
+			}
+		})
 	}
 }
 
@@ -150,10 +201,10 @@ func TestCoordinatorMatchesLocalRunner(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 3, nil)
+	startWorkers(t, ctx, co, 3, nil)
 
 	got, err := co.Run(spec)
 	if err != nil {
@@ -197,12 +248,11 @@ func TestWorkerSubstrateShareMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	co.System = payload
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var captured *Worker
-	startWorkers(ctx, co, 1, func(i int, w *Worker) { captured = w })
+	captured := startWorker(t, ctx, co, "w", nil)
 
 	got, err := co.Run(spec)
 	if err != nil {
@@ -221,9 +271,10 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.LeaseTTL = 100 * time.Millisecond
-	co.RetryBase = 10 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		c.LeaseTTL, c.BeatInterval = 100*time.Millisecond, 20*time.Millisecond
+		c.RetryBase = 10 * time.Millisecond
+	})
 
 	done := make(chan struct{})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
@@ -278,7 +329,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, nil)
+	startWorkers(t, ctx, co, 2, nil)
 
 	select {
 	case logs := <-resCh:
@@ -305,9 +356,7 @@ func TestCheckpointResumeOnWorkerLoss(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.LeaseTTL = 2 * time.Second
-	co.RetryBase = 5 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) { c.RetryBase = 5 * time.Millisecond })
 
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -324,10 +373,9 @@ func TestCheckpointResumeOnWorkerLoss(t *testing.T) {
 	// is guaranteed to be mid-job when we cut it down.
 	slowCtx, killSlow := context.WithCancel(context.Background())
 	defer killSlow()
-	startWorkers(slowCtx, co, 1, func(i int, w *Worker) {
-		w.Name = "doomed"
-		w.CheckpointEvery = 1
-		w.Throttle = 30 * time.Millisecond
+	startWorker(t, slowCtx, co, "doomed", func(c *Config) {
+		c.CheckpointEvery = 1
+		c.Throttle = 30 * time.Millisecond
 	})
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -344,7 +392,7 @@ func TestCheckpointResumeOnWorkerLoss(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, nil)
+	startWorkers(t, ctx, co, 2, nil)
 
 	select {
 	case logs := <-resCh:
@@ -369,16 +417,17 @@ func TestQoSShimTransport(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
 	var shimSeed atomic.Uint64
-	co.WrapConn = func(c net.Conn) net.Conn {
-		return netsim.NewShim(c, netsim.SharedWAN, 0.01, shimSeed.Add(1))
-	}
+	co := newCoordinator(t, func(cfg *Config) {
+		cfg.WrapConn = func(c net.Conn) net.Conn {
+			return netsim.NewShim(c, netsim.SharedWAN, 0.01, shimSeed.Add(1))
+		}
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, func(i int, w *Worker) {
-		w.Dial = func(addr string) (net.Conn, error) {
+	startWorkers(t, ctx, co, 2, func(i int, cfg *Config) {
+		cfg.Dial = func(addr string) (net.Conn, error) {
 			c, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -396,7 +445,7 @@ func TestQoSShimTransport(t *testing.T) {
 
 // TestCoordinatorEmptySpec drains immediately.
 func TestCoordinatorEmptySpec(t *testing.T) {
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	logs, err := co.Run(campaign.Spec{})
 	if err != nil {
 		t.Fatal(err)
@@ -418,10 +467,10 @@ func TestCoordinatorRunsConsecutiveCampaigns(t *testing.T) {
 	wantA := localBaseline(t, specA)
 	wantB := localBaseline(t, specB)
 
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, nil)
+	startWorkers(t, ctx, co, 2, nil)
 
 	gotA, err := co.Run(specA)
 	if err != nil {

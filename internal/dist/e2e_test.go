@@ -157,13 +157,11 @@ func TestEndToEndWorkerProcesses(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(nil, 2048)
-	co := &dist.Coordinator{
-		Listener:  ln,
-		System:    sysJSON,
-		LeaseTTL:  500 * time.Millisecond,
-		RetryBase: 10 * time.Millisecond,
-		Events:    events,
-	}
+	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
+		c.LeaseTTL = 500 * time.Millisecond
+		c.RetryBase = 10 * time.Millisecond
+		c.Events = events
+	})
 	t.Cleanup(func() { _ = co.Close() })
 	dist.RegisterMetrics(reg, co)
 	srv, err := obs.Serve("127.0.0.1:0", reg, events, nil, nil)

@@ -51,13 +51,11 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	gate := netsim.NewGate()
-	co1 := &Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-		StateDir: stateDir,
-		WrapConn: gate.Wrap,
-	}
+	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+		c.WrapConn = gate.Wrap
+	})
 	go func() {
 		// This Run dies with the simulated crash; only the journal it
 		// leaves behind matters.
@@ -67,16 +65,13 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		w := &Worker{
-			Name:            fmt.Sprintf("survivor-%d", i),
-			Addr:            addr,
-			Build:           testBuild,
-			BeatInterval:    20 * time.Millisecond,
-			CheckpointEvery: 1,
-			Throttle:        20 * time.Millisecond,
-			Reconnect:       true,
-			ReconnectWindow: 30 * time.Second,
-		}
+		w := NewTestWorker(t, fmt.Sprintf("survivor-%d", i), "", addr, testBuild, func(c *Config) {
+			c.BeatInterval = 20 * time.Millisecond
+			c.CheckpointEvery = 1
+			c.Throttle = 20 * time.Millisecond
+			c.Reconnect = true
+			c.ReconnectWindow = 30 * time.Second
+		})
 		go w.Run(ctx)
 	}
 
@@ -102,13 +97,11 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2 := &Coordinator{
-		Listener:  ln2,
-		System:    json.RawMessage(`{"beads":3}`),
-		LeaseTTL:  2 * time.Second,
-		RetryBase: 10 * time.Millisecond,
-		StateDir:  stateDir,
-	}
+	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.RetryBase = 10 * time.Millisecond
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co2.Close() })
 
 	got, err := co2.Run(spec)
@@ -148,15 +141,13 @@ func completedJournal(t *testing.T, spec campaign.Spec) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-		StateDir: stateDir,
-	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 1, nil)
+	startWorkers(t, ctx, co, 1, nil)
 	if _, err := co.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -204,16 +195,14 @@ func TestJournalTornTailSurfacedInStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Listener: ln,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-		StateDir: stateDir,
-	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co.Close() })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 1, nil)
+	startWorkers(t, ctx, co, 1, nil)
 
 	got, err := co.Run(spec)
 	if err != nil {
@@ -301,9 +290,10 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 	}
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.LeaseTTL = 150 * time.Millisecond
-	co.RetryBase = 10 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		c.LeaseTTL, c.BeatInterval = 150*time.Millisecond, 20*time.Millisecond
+		c.RetryBase = 10 * time.Millisecond
+	})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -356,9 +346,9 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 1, func(i int, w *Worker) {
-		w.CheckpointEvery = 1
-		w.Throttle = 20 * time.Millisecond
+	startWorkers(t, ctx, co, 1, func(i int, c *Config) {
+		c.CheckpointEvery = 1
+		c.Throttle = 20 * time.Millisecond
 	})
 	for co.JobStats()[j2].Assignments < 2 {
 		if time.Now().After(deadline) {

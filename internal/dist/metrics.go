@@ -129,15 +129,8 @@ func (w *Worker) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("spice_worker_steps_total", "MD steps advanced across all jobs.", float64(st.Steps), wl)
 		e.Counter("spice_worker_reconnects_total", "Successful re-dials after a transport failure.", float64(st.Reconnects), wl)
 		e.Counter("spice_worker_budget_stretches_total", "Re-dials stretched to max backoff by an empty retry budget.", float64(st.BudgetStretches), wl)
-		e.Gauge("spice_worker_slots", "Configured concurrent job slots.", float64(maxInt(w.Slots, 1)), wl)
+		e.Gauge("spice_worker_slots", "Configured concurrent job slots.", float64(w.cfg.Slots), wl)
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mdStepSampleEvery is the step-latency sampling stride: 1 in 64 steps

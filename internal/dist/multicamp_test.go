@@ -30,10 +30,10 @@ func TestConcurrentCampaignsBitIdentical(t *testing.T) {
 	specA, specB := testSpec(), testSpec2()
 	wantA, wantB := localBaseline(t, specA), localBaseline(t, specB)
 
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 3, nil)
+	startWorkers(t, ctx, co, 3, nil)
 
 	var (
 		wg         sync.WaitGroup
@@ -61,8 +61,8 @@ func TestConcurrentCampaignsBitIdentical(t *testing.T) {
 // other campaign until the first has fully drained — the quota/backfill
 // primitive — and requires no job of the held campaign to start early.
 func TestSchedulerGatesCampaign(t *testing.T) {
-	co := newCoordinator(t)
-	co.Scheduler = SchedulerFunc(func(now time.Time, camps []CampaignView) []int {
+	co := newCoordinator(t, nil)
+	co.SetScheduler(SchedulerFunc(func(now time.Time, camps []CampaignView) []int {
 		// Offer only the oldest unfinished campaign (strict FIFO drain).
 		best := -1
 		for i, v := range camps {
@@ -77,10 +77,10 @@ func TestSchedulerGatesCampaign(t *testing.T) {
 			return nil
 		}
 		return []int{best}
-	})
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, nil)
+	startWorkers(t, ctx, co, 2, nil)
 
 	var (
 		wg     sync.WaitGroup
@@ -150,7 +150,7 @@ func TestSchedulerGatesCampaign(t *testing.T) {
 // TestCancelCampaign submits a campaign with no workers attached and
 // cancels it; the blocked RunTagged call must return ErrCampaignCanceled.
 func TestCancelCampaign(t *testing.T) {
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	spec := testSpec()
 	key, err := SpecKey(spec, CampaignTag{Tenant: "t", Name: "doomed"})
 	if err != nil {
@@ -191,7 +191,7 @@ func TestCancelCampaign(t *testing.T) {
 // TestRunTaggedDuplicateKeyRejected: the same (spec, tag) submission
 // cannot be active twice — the key scopes job IDs and journal replay.
 func TestRunTaggedDuplicateKeyRejected(t *testing.T) {
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	spec := testSpec()
 	tag := CampaignTag{Tenant: "t"}
 	go co.RunTagged(spec, tag) //nolint:errcheck // canceled via Close in cleanup
@@ -241,11 +241,10 @@ func TestSpecKeyStableAndTagScoped(t *testing.T) {
 // requires both campaigns' records to be attributed to their own key.
 func TestJournalInterleavedCampaignsReplay(t *testing.T) {
 	dir := t.TempDir()
-	co := newCoordinator(t)
-	co.StateDir = dir
+	co := newCoordinator(t, func(c *Config) { c.StateDir = dir })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, nil)
+	startWorkers(t, ctx, co, 2, nil)
 
 	specA, specB := testSpec(), testSpec2()
 	tagA := CampaignTag{Tenant: "alice", Priority: 2}

@@ -58,11 +58,12 @@ func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
 
 	var blocked atomic.Bool
 	release := make(chan struct{})
-	co := newCoordinator(t)
-	co.SendQueue = 1
-	co.WrapConn = func(c net.Conn) net.Conn {
-		return &blockWrites{Conn: c, blocked: &blocked, release: release}
-	}
+	co := newCoordinator(t, func(cfg *Config) {
+		cfg.SendQueue = 1
+		cfg.WrapConn = func(c net.Conn) net.Conn {
+			return &blockWrites{Conn: c, blocked: &blocked, release: release}
+		}
+	})
 
 	done := make(chan struct{})
 	var logs map[campaign.Combo][]*trace.WorkLog
@@ -147,8 +148,7 @@ func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
 // assign, then proves a third poll is answered (shed, jittered hint)
 // while the lock is still held.
 func TestInflightShedOverLimit(t *testing.T) {
-	co := newCoordinator(t)
-	co.MaxInflight = 2
+	co := newCoordinator(t, func(c *Config) { c.MaxInflight = 2 })
 	co.mu.Lock()
 	co.startLocked()
 	co.mu.Unlock()
@@ -212,8 +212,8 @@ func TestHeartbeatCoalescingUnderLoad(t *testing.T) {
 	spec := singleJobSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.MaxInflight = 2 // one in-flight request counts as "half loaded"
+	// One in-flight request counts as "half loaded".
+	co := newCoordinator(t, func(c *Config) { c.MaxInflight = 2 })
 
 	done := make(chan struct{})
 	var logs map[campaign.Combo][]*trace.WorkLog
@@ -267,8 +267,9 @@ func TestHeartbeatCoalescingUnderLoad(t *testing.T) {
 // fleet is told to back off further (up to the TTL cap), and
 // successive hints to one connection are jittered apart.
 func TestAdaptiveWaitHintScalesWithFleet(t *testing.T) {
-	co := newCoordinator(t)
-	co.LeaseTTL = 200 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		c.LeaseTTL, c.BeatInterval = 200*time.Millisecond, 20*time.Millisecond
+	})
 	co.mu.Lock()
 	co.startLocked()
 	co.mu.Unlock()
@@ -327,12 +328,12 @@ func TestAdaptiveWaitHintScalesWithFleet(t *testing.T) {
 func TestCoordinatorCloseMidCheckpointStream(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	co := newCoordinator(t)
+	co := newCoordinator(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, func(i int, w *Worker) {
-		w.CheckpointEvery = 1
-		w.Throttle = 20 * time.Millisecond
+	startWorkers(t, ctx, co, 2, func(i int, c *Config) {
+		c.CheckpointEvery = 1
+		c.Throttle = 20 * time.Millisecond
 	})
 
 	done := make(chan error, 1)

@@ -112,14 +112,16 @@ func TestBreakerStateMachine(t *testing.T) {
 // jittered delay stays inside [d/2, d) of the exponential base, is a
 // pure function of (job, attempt), and decorrelates different jobs.
 func TestBackoffDeterministicJitter(t *testing.T) {
-	co := &Coordinator{RetryBase: 100 * time.Millisecond, RetryMax: 2 * time.Second}
+	co := newCoordinator(t, func(c *Config) {
+		c.RetryBase, c.RetryMax = 100*time.Millisecond, 2*time.Second
+	})
 
 	base := func(attempts int) time.Duration {
-		d := co.retryBase()
+		d := co.cfg.RetryBase
 		for i := 1; i < attempts; i++ {
 			d *= 2
-			if d >= co.retryMax() {
-				return co.retryMax()
+			if d >= co.cfg.RetryMax {
+				return co.cfg.RetryMax
 			}
 		}
 		return d
@@ -148,7 +150,7 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 // TestFleetMedianRate checks the straggler baseline: no median below
 // two observed sites, upper median above.
 func TestFleetMedianRate(t *testing.T) {
-	co := &Coordinator{}
+	co := newCoordinator(t, nil)
 	if _, ok := co.fleetMedianRate(); ok {
 		t.Fatal("median reported with zero sites")
 	}
@@ -177,7 +179,7 @@ func TestStragglerScanTriggers(t *testing.T) {
 	}
 
 	// Rate trigger: lease at 1 step/s against a fleet median of 100.
-	co := &Coordinator{HedgeFraction: 0.3, HedgeAfter: 10 * time.Millisecond}
+	co := newCoordinator(t, func(c *Config) { c.HedgeFraction, c.HedgeAfter = 0.3, 10*time.Millisecond })
 	co.siteLocked("fast1").observeRate(100)
 	co.siteLocked("fast2").observeRate(100)
 	camp, j := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: 1, haveRate: true})
@@ -188,7 +190,7 @@ func TestStragglerScanTriggers(t *testing.T) {
 
 	// Below HedgeAfter the same lease is left alone — short jobs are
 	// never hedged.
-	co2 := &Coordinator{HedgeFraction: 0.3, HedgeAfter: 10 * time.Second}
+	co2 := newCoordinator(t, func(c *Config) { c.HedgeFraction, c.HedgeAfter = 0.3, 10*time.Second })
 	co2.siteLocked("fast1").observeRate(100)
 	co2.siteLocked("fast2").observeRate(100)
 	camp2, j2 := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: 1, haveRate: true})
@@ -198,19 +200,19 @@ func TestStragglerScanTriggers(t *testing.T) {
 	}
 
 	// Stall trigger: steps frozen longer than HedgeStall, no rates at all.
-	co3 := &Coordinator{HedgeStall: 100 * time.Millisecond, HedgeAfter: 10 * time.Millisecond}
+	co3 := newCoordinator(t, func(c *Config) { c.HedgeStall, c.HedgeAfter = 100*time.Millisecond, 10*time.Millisecond })
 	camp3, j3 := mkCamp(&lease{site: "s", granted: now.Add(-time.Second), stepsAt: now.Add(-200 * time.Millisecond)})
 	co3.stragglerScanLocked(camp3, now)
 	if !j3.straggler {
 		t.Fatal("stall trigger did not flag")
 	}
 
-	// Zero-value coordinator: hedging disabled, nothing flagged.
-	co4 := &Coordinator{}
+	// Both triggers at 0: hedging disabled, nothing flagged.
+	co4 := newCoordinator(t, nil)
 	camp4, j4 := mkCamp(&lease{site: "s", granted: now.Add(-time.Hour), stepsAt: now.Add(-time.Hour)})
 	co4.stragglerScanLocked(camp4, now)
 	if j4.straggler || co4.stats.StragglersDetected != 0 {
-		t.Fatal("zero-value coordinator hedged a job")
+		t.Fatal("coordinator with hedging disabled hedged a job")
 	}
 }
 
@@ -260,9 +262,9 @@ func TestSpeculativeHedgeRace(t *testing.T) {
 	}
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.HedgeStall = 40 * time.Millisecond
-	co.HedgeAfter = 20 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		c.HedgeStall, c.HedgeAfter = 40*time.Millisecond, 20*time.Millisecond
+	})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -370,11 +372,10 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	}
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.BreakerThreshold = 2
-	co.BreakerCooldown = 60 * time.Millisecond
-	co.RetryBase = time.Millisecond
-	co.RetryMax = 2 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		c.BreakerThreshold, c.BreakerCooldown = 2, 60*time.Millisecond
+		c.RetryBase, c.RetryMax = time.Millisecond, 2*time.Millisecond
+	})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -460,14 +461,11 @@ func TestJournalReplaySpeculativeLeasePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co1 := &Coordinator{
-		Listener:   ln,
-		System:     json.RawMessage(`{"beads":3}`),
-		LeaseTTL:   2 * time.Second,
-		HedgeStall: 40 * time.Millisecond,
-		HedgeAfter: 20 * time.Millisecond,
-		StateDir:   stateDir,
-	}
+	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.HedgeStall, c.HedgeAfter = 40*time.Millisecond, 20*time.Millisecond
+		c.StateDir = stateDir
+	})
 	go func() {
 		// Dies with the simulated crash; only the journal matters.
 		_, _ = co1.Run(spec)
@@ -532,17 +530,15 @@ func TestJournalReplaySpeculativeLeasePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2 := &Coordinator{
-		Listener:  ln2,
-		System:    json.RawMessage(`{"beads":3}`),
-		LeaseTTL:  2 * time.Second,
-		RetryBase: 5 * time.Millisecond,
-		StateDir:  stateDir,
-	}
+	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.RetryBase = 5 * time.Millisecond
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co2.Close() })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co2, 1, nil)
+	startWorkers(t, ctx, co2, 1, nil)
 
 	got, err := co2.Run(spec)
 	if err != nil {

@@ -209,9 +209,6 @@ func (co *Coordinator) siteLocked(name string) *siteHealth {
 	if name == "" {
 		name = "?"
 	}
-	if co.sites == nil {
-		co.sites = make(map[string]*siteHealth)
-	}
 	sh := co.sites[name]
 	if sh == nil {
 		sh = &siteHealth{name: name}

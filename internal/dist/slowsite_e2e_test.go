@@ -38,16 +38,12 @@ func startSiteWorkers(t *testing.T, addr string, defs []siteWorker) (stop func()
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	for _, d := range defs {
-		w := &dist.Worker{
-			Name:            d.name,
-			Site:            d.site,
-			Addr:            addr,
-			Build:           core.BuildFromJSON,
-			BeatInterval:    20 * time.Millisecond,
-			CheckpointEvery: 1,
-			Throttle:        d.throttle,
-			Dial:            d.dial,
-		}
+		w := dist.NewTestWorker(t, d.name, d.site, addr, core.BuildFromJSON, func(c *dist.Config) {
+			c.BeatInterval = 20 * time.Millisecond
+			c.CheckpointEvery = 1
+			c.Throttle = d.throttle
+			c.Dial = d.dial
+		})
 		go w.Run(ctx)
 	}
 	return cancel
@@ -82,20 +78,18 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 	// with the final Stats — the drift check the obs layer is built for.
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(nil, 4096)
-	co := &dist.Coordinator{
-		Listener: ln,
-		System:   sysJSON,
+	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
 		// A generous TTL so lease expiry cannot be the recovery path:
 		// the slow site beats faithfully, and if the job comes back it
 		// must be because speculation raced it home.
-		LeaseTTL:         10 * time.Second,
-		RetryBase:        10 * time.Millisecond,
-		HedgeFraction:    0.3,
-		HedgeAfter:       150 * time.Millisecond,
-		BreakerThreshold: 1,
-		IOTimeout:        10 * time.Second,
-		Events:           events,
-	}
+		c.LeaseTTL = 10 * time.Second
+		c.RetryBase = 10 * time.Millisecond
+		c.HedgeFraction = 0.3
+		c.HedgeAfter = 150 * time.Millisecond
+		c.BreakerThreshold = 1
+		c.IOTimeout = 10 * time.Second
+		c.Events = events
+	})
 	t.Cleanup(func() { _ = co.Close() })
 	dist.RegisterMetrics(reg, co)
 	srv, err := obs.Serve("127.0.0.1:0", reg, events, nil, nil)

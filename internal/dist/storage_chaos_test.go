@@ -199,16 +199,14 @@ func TestCoordinatorCompactionBoundedLiveCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	const threshold = 2048
-	co := &Coordinator{
-		Listener:     ln,
-		System:       json.RawMessage(`{"beads":3}`),
-		LeaseTTL:     2 * time.Second,
-		StateDir:     stateDir,
-		CompactBytes: threshold,
-	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+		c.CompactBytes = threshold
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, func(i int, w *Worker) { w.CheckpointEvery = 1 })
+	startWorkers(t, ctx, co, 2, func(i int, c *Config) { c.CheckpointEvery = 1 })
 
 	got, err := co.Run(spec)
 	if err != nil {
@@ -237,12 +235,10 @@ func TestCoordinatorCompactionBoundedLiveCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2 := &Coordinator{
-		Listener: ln2,
-		System:   json.RawMessage(`{"beads":3}`),
-		LeaseTTL: 2 * time.Second,
-		StateDir: stateDir,
-	}
+	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co2.Close() })
 	got2, err := co2.Run(spec)
 	if err != nil {
@@ -269,15 +265,13 @@ func TestStorageDegradedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Listener:       ln,
-		System:         json.RawMessage(`{"beads":3}`),
-		LeaseTTL:       time.Second,
-		RetryBase:      10 * time.Millisecond,
-		StateDir:       t.TempDir(),
-		FS:             inj,
-		StorageRetries: -1, // degrade on the first failure; no in-line retries
-	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		c.LeaseTTL = time.Second
+		c.RetryBase = 10 * time.Millisecond
+		c.StateDir = t.TempDir()
+		c.FS = inj
+		c.StorageRetries = 0 // degrade on the first failure; no in-line retries
+	})
 	t.Cleanup(func() { _ = co.Close() })
 
 	type runResult struct {
@@ -292,9 +286,9 @@ func TestStorageDegradedRecovery(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 1, func(i int, w *Worker) {
-		w.CheckpointEvery = 1
-		w.Throttle = 10 * time.Millisecond
+	startWorkers(t, ctx, co, 1, func(i int, c *Config) {
+		c.CheckpointEvery = 1
+		c.Throttle = 10 * time.Millisecond
 	})
 
 	// Let the campaign make real progress, then kill the disk.

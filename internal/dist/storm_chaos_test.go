@@ -66,13 +66,11 @@ func TestChaosWorkerStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &dist.Coordinator{
-		Listener:    ln,
-		System:      sysJSON,
-		LeaseTTL:    2 * time.Second,
-		MaxInflight: 64,
-		SendQueue:   32,
-	}
+	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
+		c.LeaseTTL = 2 * time.Second
+		c.MaxInflight = 64
+		c.SendQueue = 32
+	})
 	addr := ln.Addr().String()
 
 	// Every worker dials through one gate; successful dial times are
@@ -94,17 +92,14 @@ func TestChaosWorkerStorm(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < stormWorkers; i++ {
-		w := &dist.Worker{
-			Name:            workerName(i),
-			Addr:            addr,
-			Build:           core.BuildFromJSON,
-			BeatInterval:    50 * time.Millisecond,
-			CheckpointEvery: 1,
-			Throttle:        5 * time.Millisecond,
-			Reconnect:       true,
-			ReconnectWindow: 60 * time.Second,
-			Dial:            recordingDial,
-		}
+		w := dist.NewTestWorker(t, workerName(i), "", addr, core.BuildFromJSON, func(c *dist.Config) {
+			c.BeatInterval = 50 * time.Millisecond
+			c.CheckpointEvery = 1
+			c.Throttle = 5 * time.Millisecond
+			c.Reconnect = true
+			c.ReconnectWindow = 60 * time.Second
+			c.Dial = recordingDial
+		})
 		go w.Run(ctx)
 	}
 

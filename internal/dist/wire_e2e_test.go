@@ -24,15 +24,29 @@ import (
 	"spice/internal/wire"
 )
 
-// v1Worker turns a startWorkers-spawned worker into a full v1 client:
-// binary framing, compression, delta checkpoints, and a checkpoint per
-// sample (throttled so several heartbeats fit inside one job).
-func v1Worker(w *Worker) {
-	w.WireVersion = wire.V1
-	w.Compression = true
-	w.DeltaCheckpoints = true
-	w.CheckpointEvery = 1
-	w.Throttle = 10 * time.Millisecond
+// v0Side pins one side of a connection to the legacy JSON-lines
+// transport, the way an un-upgraded binary offers or grants it.
+func v0Side(c *Config) {
+	c.WireVersion = wire.V0
+	c.Compression = false
+	c.DeltaCheckpoints = false
+}
+
+// v1Side is the full v1 transport: binary framing, compression, delta
+// checkpoints. Defaults() already says so; the version tests state it.
+func v1Side(c *Config) {
+	c.WireVersion = wire.V1
+	c.Compression = true
+	c.DeltaCheckpoints = true
+}
+
+// v1Worker makes a startWorkers-spawned worker a full v1 client with a
+// checkpoint per sample (throttled so several heartbeats fit inside one
+// job).
+func v1Worker(c *Config) {
+	v1Side(c)
+	c.CheckpointEvery = 1
+	c.Throttle = 10 * time.Millisecond
 }
 
 // TestWireMatrixBitIdentical runs the cross-version matrix. Whatever
@@ -47,13 +61,14 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 		name    string
 		coV1    bool // coordinator grants v1 + delta + compression
 		workers int
-		mutate  func(i int, w *Worker)
+		mutate  func(i int, c *Config)
 		check   func(t *testing.T, st Stats, ws []*Worker)
 	}{
 		{
 			// New coordinator, old fleet: every hello offers 0, every
 			// connection stays on JSON lines.
 			name: "v1-coordinator-v0-workers", coV1: true, workers: 3,
+			mutate: func(i int, c *Config) { v0Side(c) },
 			check: func(t *testing.T, st Stats, ws []*Worker) {
 				if st.WireV0Conns < 3 || st.WireV1Conns != 0 {
 					t.Fatalf("wire conns v0=%d v1=%d, want all v0", st.WireV0Conns, st.WireV1Conns)
@@ -64,7 +79,7 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 			// Old coordinator, new fleet: workers offer v1, the grant
 			// caps them at v0. No downgrade event — v0 is a known version.
 			name: "v0-coordinator-v1-workers", coV1: false, workers: 3,
-			mutate: func(i int, w *Worker) { v1Worker(w) },
+			mutate: func(i int, c *Config) { v1Worker(c) },
 			check: func(t *testing.T, st Stats, ws []*Worker) {
 				if st.WireV0Conns < 3 || st.WireV1Conns != 0 || st.WireDowngrades != 0 {
 					t.Fatalf("wire conns v0=%d v1=%d downgrades=%d, want all v0 without downgrades",
@@ -76,7 +91,7 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 			// Full v1: deltas must actually fold, and the raw/wire byte
 			// ratio must show the transport doing work.
 			name: "v1-delta-compression", coV1: true, workers: 3,
-			mutate: func(i int, w *Worker) { v1Worker(w) },
+			mutate: func(i int, c *Config) { v1Worker(c) },
 			check: func(t *testing.T, st Stats, ws []*Worker) {
 				if st.WireV1Conns < 3 {
 					t.Fatalf("WireV1Conns = %d, want >= 3", st.WireV1Conns)
@@ -98,9 +113,11 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 		{
 			// Mixed fleet: v0 and v1 workers on one coordinator at once.
 			name: "mixed-fleet", coV1: true, workers: 4,
-			mutate: func(i int, w *Worker) {
+			mutate: func(i int, c *Config) {
 				if i%2 == 0 {
-					v1Worker(w)
+					v1Worker(c)
+				} else {
+					v0Side(c)
 				}
 			},
 			check: func(t *testing.T, st Stats, ws []*Worker) {
@@ -116,21 +133,17 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			co := newCoordinator(t)
+			side := v0Side
 			if cell.coV1 {
-				co.WireVersion = wire.V1
-				co.Compression = true
-				co.DeltaCheckpoints = true
+				side = v1Side
 			}
+			co := newCoordinator(t, side)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var ws []*Worker
-			startWorkers(ctx, co, cell.workers, func(i int, w *Worker) {
-				if cell.mutate != nil {
-					cell.mutate(i, w)
-				}
-				ws = append(ws, w)
-			})
+			for i := 0; i < cell.workers; i++ {
+				ws = append(ws, startWorker(t, ctx, co, "w", func(c *Config) { cell.mutate(i, c) }))
+			}
 			got, err := co.Run(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -150,10 +163,7 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 // unknown future version must be downgraded to v0 and still served.
 func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	spec := testSpec()
-	co := newCoordinator(t)
-	co.WireVersion = wire.V1
-	co.Compression = true
-	co.DeltaCheckpoints = true
+	co := newCoordinator(t, v1Side)
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -310,11 +320,10 @@ func TestDeltaFoldResumeOnWorkerLoss(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t)
-	co.WireVersion = wire.V1
-	co.Compression = true
-	co.DeltaCheckpoints = true
-	co.RetryBase = 5 * time.Millisecond
+	co := newCoordinator(t, func(c *Config) {
+		v1Side(c)
+		c.RetryBase = 5 * time.Millisecond
+	})
 
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -329,10 +338,9 @@ func TestDeltaFoldResumeOnWorkerLoss(t *testing.T) {
 
 	doomedCtx, killDoomed := context.WithCancel(context.Background())
 	defer killDoomed()
-	startWorkers(doomedCtx, co, 1, func(i int, w *Worker) {
-		w.Name = "doomed-v1"
-		v1Worker(w)
-		w.Throttle = 30 * time.Millisecond
+	startWorker(t, doomedCtx, co, "doomed-v1", func(c *Config) {
+		v1Worker(c)
+		c.Throttle = 30 * time.Millisecond
 	})
 
 	// Only kill once at least one delta has folded, so the checkpoint a
@@ -351,7 +359,7 @@ func TestDeltaFoldResumeOnWorkerLoss(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorkers(ctx, co, 2, func(i int, w *Worker) { v1Worker(w) })
+	startWorkers(t, ctx, co, 2, func(i int, c *Config) { v1Worker(c) })
 
 	select {
 	case logs := <-resCh:
@@ -388,16 +396,12 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	gate := netsim.NewGate()
-	co1 := &Coordinator{
-		Listener:         ln,
-		System:           json.RawMessage(`{"beads":3}`),
-		LeaseTTL:         2 * time.Second,
-		StateDir:         stateDir,
-		WrapConn:         gate.Wrap,
-		WireVersion:      wire.V1,
-		Compression:      true,
-		DeltaCheckpoints: true,
-	}
+	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		v1Side(c)
+		c.LeaseTTL = 2 * time.Second
+		c.StateDir = stateDir
+		c.WrapConn = gate.Wrap
+	})
 	go func() {
 		// Dies with the simulated crash; only its journal and spool
 		// survive into the second act.
@@ -407,19 +411,14 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		w := &Worker{
-			Name:             fmt.Sprintf("survivor-v1-%d", i),
-			Addr:             addr,
-			Build:            testBuild,
-			BeatInterval:     20 * time.Millisecond,
-			CheckpointEvery:  1,
-			Throttle:         20 * time.Millisecond,
-			Reconnect:        true,
-			ReconnectWindow:  30 * time.Second,
-			WireVersion:      wire.V1,
-			Compression:      true,
-			DeltaCheckpoints: true,
-		}
+		w := NewTestWorker(t, fmt.Sprintf("survivor-v1-%d", i), "", addr, testBuild, func(c *Config) {
+			v1Side(c)
+			c.BeatInterval = 20 * time.Millisecond
+			c.CheckpointEvery = 1
+			c.Throttle = 20 * time.Millisecond
+			c.Reconnect = true
+			c.ReconnectWindow = 30 * time.Second
+		})
 		go w.Run(ctx)
 	}
 
@@ -442,16 +441,12 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co2 := &Coordinator{
-		Listener:         ln2,
-		System:           json.RawMessage(`{"beads":3}`),
-		LeaseTTL:         2 * time.Second,
-		RetryBase:        10 * time.Millisecond,
-		StateDir:         stateDir,
-		WireVersion:      wire.V1,
-		Compression:      true,
-		DeltaCheckpoints: true,
-	}
+	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
+		v1Side(c)
+		c.LeaseTTL = 2 * time.Second
+		c.RetryBase = 10 * time.Millisecond
+		c.StateDir = stateDir
+	})
 	t.Cleanup(func() { _ = co2.Close() })
 
 	got, err := co2.Run(spec)

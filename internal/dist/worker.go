@@ -40,76 +40,23 @@ func (e fatalError) Unwrap() error { return e.err }
 // Worker executes jobs for a coordinator. Each of its Slots runs an
 // independent connection: request a job, pull it with periodic
 // checkpoint-carrying heartbeats, report the result, repeat until the
-// coordinator drains.
+// coordinator drains. NewWorker is the only constructor.
 type Worker struct {
 	// Name identifies the worker in coordinator stats.
 	Name string
 	// Site is the federation site this worker belongs to (spiced -site).
 	// The coordinator tracks health, runs circuit breakers, and places
 	// speculative hedges at site granularity, so every worker on one
-	// machine/cluster should share a Site. Empty defaults to Name — an
-	// unconfigured worker is its own one-machine site.
+	// machine/cluster should share a Site. Never empty: NewWorker
+	// defaults it to Name.
 	Site string
 	// Addr is the coordinator's TCP address.
 	Addr string
-	// Slots is the number of jobs run concurrently (default 1).
-	Slots int
-	// Build constructs each job's simulation. Required.
+	// Build constructs each job's simulation.
 	Build BuildFunc
-	// BeatInterval is the heartbeat period (default 200ms). Keep it
-	// well under the coordinator's LeaseTTL.
-	BeatInterval time.Duration
-	// CheckpointEvery is the number of recorded samples between
-	// checkpoints streamed to the coordinator (default 8).
-	CheckpointEvery int
-	// Throttle, if set, sleeps this long at every checkpoint — a test
-	// and demo hook that makes jobs slow enough to observe mid-flight.
-	Throttle time.Duration
-	// Reconnect makes the transport self-healing — daemon semantics.
-	// Every request (including an unacknowledged result held in the
-	// session's outbox) is retried across re-dials with exponential
-	// backoff; the coordinator's (job, attempt) idempotency makes the
-	// retransmits safe. A session gives up once it has been failing for
-	// longer than ReconnectWindow without a successful hello, so workers
-	// don't spin forever after their coordinator is gone for good. Off,
-	// the first transport error ends the session with that error.
-	Reconnect bool
-	// ReconnectWindow bounds consecutive reconnect failures
-	// (default 10s).
-	ReconnectWindow time.Duration
-	// ReconnectBackoffMax caps the exponential re-dial backoff
-	// (default 1s; the first retry waits half a BeatInterval).
-	ReconnectBackoffMax time.Duration
-	// RetryBudget, if set, bounds the aggregate reconnect rate of every
-	// session sharing it (fleet safety): each re-dial spends one token,
-	// and a session that finds the bucket empty stretches to
-	// ReconnectBackoffMax instead of joining the reconnect wave. Nil
-	// means unlimited.
-	RetryBudget *backoff.Budget
-	// Dial overrides the transport (tests wrap QoS shims here).
-	// Default: net.Dial("tcp", addr).
-	Dial func(addr string) (net.Conn, error)
-	// WireVersion is the newest wire protocol version offered on hello:
-	// 0 pins the legacy JSON-lines transport, 1 offers binary framing.
-	// The coordinator grants min(its own, offered), so any worker talks
-	// to any coordinator. Direct struct construction defaults to 0
-	// (legacy behavior); Config.Defaults() enables the newest version.
-	WireVersion int
-	// Compression asks for lz block compression on bulk payloads over
-	// v1+ connections.
-	Compression bool
-	// DeltaCheckpoints sends each progress checkpoint as a delta against
-	// the last acknowledged one over v1+ connections; the coordinator
-	// folds them back into complete images before spooling.
-	DeltaCheckpoints bool
-	// IOTimeout arms a fresh read/write deadline before every I/O call on
-	// the coordinator connection (netutil.WithDeadlines), so a half-open
-	// peer surfaces as a timeout the Reconnect machinery can heal instead
-	// of a read blocked forever. 0 defaults to 30s; negative disables.
-	IOTimeout time.Duration
-	// Events, if set, receives the worker-side structured event stream
-	// (job starts/results, reconnects). Nil disables.
-	Events *obs.EventLog
+	// cfg is the validated Config this worker was built with — the only
+	// copy of every knob.
+	cfg Config
 
 	// Execution counters, always maintained (atomic, negligible cost);
 	// snapshot with WorkerStats, scrape via RegisterMetrics.
@@ -165,70 +112,13 @@ func (w *Worker) WorkerStats() WorkerStats {
 	}
 }
 
-// wireVersion clamps the offered version into the known range.
-func (w *Worker) wireVersion() int {
-	if w.WireVersion <= 0 {
-		return wire.V0
-	}
-	if w.WireVersion > wire.MaxVersion {
-		return wire.MaxVersion
-	}
-	return w.WireVersion
-}
-
-func (w *Worker) beatInterval() time.Duration {
-	if w.BeatInterval > 0 {
-		return w.BeatInterval
-	}
-	return 200 * time.Millisecond
-}
-
-func (w *Worker) checkpointEvery() int {
-	if w.CheckpointEvery > 0 {
-		return w.CheckpointEvery
-	}
-	return 8
-}
-
-func (w *Worker) reconnectWindow() time.Duration {
-	if w.ReconnectWindow > 0 {
-		return w.ReconnectWindow
-	}
-	return 10 * time.Second
-}
-
-func (w *Worker) reconnectBackoffMax() time.Duration {
-	if w.ReconnectBackoffMax > 0 {
-		return w.ReconnectBackoffMax
-	}
-	return time.Second
-}
-
-func (w *Worker) site() string {
-	if w.Site != "" {
-		return w.Site
-	}
-	return w.Name
-}
-
-func (w *Worker) ioTimeout() time.Duration {
-	switch {
-	case w.IOTimeout > 0:
-		return w.IOTimeout
-	case w.IOTimeout < 0:
-		return 0
-	default:
-		return 30 * time.Second
-	}
-}
-
 func (w *Worker) dial() (net.Conn, error) {
 	var (
 		c   net.Conn
 		err error
 	)
-	if w.Dial != nil {
-		c, err = w.Dial(w.Addr)
+	if w.cfg.Dial != nil {
+		c, err = w.cfg.Dial(w.Addr)
 	} else {
 		c, err = net.Dial("tcp", w.Addr)
 	}
@@ -238,7 +128,7 @@ func (w *Worker) dial() (net.Conn, error) {
 	// Deadlines wrap outermost — any Dial shim (netsim gates in tests)
 	// sits inside, so injected latency counts against the watchdog
 	// exactly like real network stalls would.
-	if to := w.ioTimeout(); to > 0 {
+	if to := w.cfg.IOTimeout; to > 0 {
 		c = netutil.WithDeadlines(c, to, to)
 	}
 	return c, nil
@@ -247,16 +137,9 @@ func (w *Worker) dial() (net.Conn, error) {
 // Run works the coordinator's queue until it drains or ctx is
 // cancelled. It returns nil on a clean drain.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Build == nil {
-		return errors.New("dist: worker needs a Build function")
-	}
-	slots := w.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	errs := make([]error, slots)
+	errs := make([]error, w.cfg.Slots)
 	var wg sync.WaitGroup
-	for i := 0; i < slots; i++ {
+	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -301,7 +184,7 @@ type rtConn struct {
 var sessionSeq atomic.Uint64
 
 func newRTConn(w *Worker, name string) *rtConn {
-	base := w.beatInterval() / 2
+	base := w.cfg.BeatInterval / 2
 	if base <= 0 {
 		base = 10 * time.Millisecond
 	}
@@ -309,7 +192,7 @@ func newRTConn(w *Worker, name string) *rtConn {
 	return &rtConn{
 		w:    w,
 		name: name,
-		bo:   backoff.Policy{Base: base, Max: w.reconnectBackoffMax()}.Decorrelated(seed),
+		bo:   backoff.Policy{Base: base, Max: w.cfg.ReconnectBackoffMax}.Decorrelated(seed),
 	}
 }
 
@@ -327,8 +210,8 @@ func (c *rtConn) connect(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("dist: dial %s: %w", c.w.Addr, err)
 	}
-	offer := &request{Type: msgHello, Name: c.name, Site: c.w.site(),
-		Wire: c.w.wireVersion(), NoDelta: !c.w.DeltaCheckpoints, NoComp: !c.w.Compression}
+	offer := &request{Type: msgHello, Name: c.name, Site: c.w.Site,
+		Wire: c.w.cfg.WireVersion, NoDelta: !c.w.cfg.DeltaCheckpoints, NoComp: !c.w.cfg.Compression}
 	line, err := json.Marshal(offer)
 	if err != nil {
 		conn.Close()
@@ -380,7 +263,7 @@ func (c *rtConn) connect(ctx context.Context) error {
 	c.bo.Reset()
 	if c.connected {
 		c.w.m.reconnects.Add(1)
-		c.w.Events.Emit(obs.Event{Name: "worker_reconnected", Worker: c.name, Site: c.w.site()})
+		c.w.cfg.Events.Emit(obs.Event{Name: "worker_reconnected", Worker: c.name, Site: c.w.Site})
 	}
 	c.connected = true
 	return nil
@@ -402,16 +285,16 @@ func (c *rtConn) drop() {
 // of in lockstep; a session that finds the shared RetryBudget empty
 // stretches to the maximum backoff instead of joining the wave.
 func (c *rtConn) retry(ctx context.Context) bool {
-	if !c.w.Reconnect || ctx.Err() != nil {
+	if !c.w.cfg.Reconnect || ctx.Err() != nil {
 		return false
 	}
 	if c.failingSince.IsZero() {
 		c.failingSince = time.Now()
-	} else if time.Since(c.failingSince) > c.w.reconnectWindow() {
+	} else if time.Since(c.failingSince) > c.w.cfg.ReconnectWindow {
 		return false
 	}
 	d := c.bo.Next()
-	if !c.w.RetryBudget.Spend() {
+	if !c.w.cfg.RetryBudget.Spend() {
 		d = c.bo.Max()
 		c.w.m.budgetStretches.Add(1)
 	}
@@ -581,7 +464,7 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 	task := campaign.Task{Combo: jb.Combo, Seed: jb.Seed, Index: jb.Index}
 	system := c.system
 
-	opts := smd.RunOpts{CheckpointEvery: w.checkpointEvery()}
+	opts := smd.RunOpts{CheckpointEvery: w.cfg.CheckpointEvery}
 	prevSteps := 0
 	// ckptBase is the last checkpoint image the coordinator acknowledged
 	// — the delta base. A resume image seeds it: the coordinator seeds
@@ -602,8 +485,8 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		ckptBase = resume
 	}
 	w.m.jobsStarted.Add(1)
-	jobEvents := w.Events.Scope(obs.Event{Job: jb.ID, Attempt: jb.Attempt,
-		Site: w.site(), Worker: w.Name})
+	jobEvents := w.cfg.Events.Scope(obs.Event{Job: jb.ID, Attempt: jb.Attempt,
+		Site: w.Site, Worker: w.Name})
 	jobEvents.Emit(obs.Event{Name: "job_started",
 		Fields: map[string]any{"resumed": opts.Resume != nil}})
 
@@ -613,8 +496,8 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		if abandoned.Load() || ctx.Err() != nil {
 			return errAbandoned
 		}
-		if w.Throttle > 0 {
-			time.Sleep(w.Throttle)
+		if w.cfg.Throttle > 0 {
+			time.Sleep(w.cfg.Throttle)
 		}
 		b, err := json.Marshal(pc)
 		if err != nil {
@@ -657,7 +540,7 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		resCh <- pullResult{log: log, err: err}
 	}()
 
-	beat := time.NewTicker(w.beatInterval())
+	beat := time.NewTicker(w.cfg.BeatInterval)
 	defer beat.Stop()
 	for {
 		select {

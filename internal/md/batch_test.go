@@ -1,6 +1,7 @@
 package md
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,7 +211,7 @@ func TestBatchObservers(t *testing.T) {
 
 	stepHits := make([]int64, b.Len())
 	rebuildHits := make([]int64, b.Len())
-	var pairsSeen int64
+	var pairsSeen atomic.Int64 // shared by every replica's step worker
 	b.SetStepObserver(10, func(r int, d time.Duration) {
 		if d < 0 {
 			t.Errorf("negative duration for replica %d", r)
@@ -219,7 +220,7 @@ func TestBatchObservers(t *testing.T) {
 	})
 	b.SetNeighborObserver(func(r, pairs int) {
 		rebuildHits[r]++
-		pairsSeen += int64(pairs)
+		pairsSeen.Add(int64(pairs))
 	})
 
 	b.StepN(40)
@@ -231,7 +232,7 @@ func TestBatchObservers(t *testing.T) {
 			t.Fatalf("replica %d: no rebuild observations", r)
 		}
 	}
-	if pairsSeen == 0 {
+	if pairsSeen.Load() == 0 {
 		t.Fatal("neighbor observer never saw pairs")
 	}
 

@@ -10,7 +10,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -53,6 +55,27 @@ func NewEventLog(w io.Writer, ringSize int) *EventLog {
 		ringSize = 256
 	}
 	return &EventLog{w: w, ring: make([]Event, ringSize), counts: make(map[string]int64)}
+}
+
+// OpenEventLog opens the destination a binary's -obs-events flag names:
+// "" keeps events in the ring only (still served on /debug/events), "-"
+// is stderr, anything else is a file opened for append. The returned
+// func closes the file, if one was opened.
+func OpenEventLog(dest string) (*EventLog, func(), error) {
+	var w io.Writer
+	closeLog := func() {}
+	switch dest {
+	case "":
+	case "-":
+		w = os.Stderr
+	default:
+		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, nil, fmt.Errorf("-obs-events: %w", err)
+		}
+		w, closeLog = f, func() { f.Close() }
+	}
+	return NewEventLog(w, 512), closeLog, nil
 }
 
 // Scope returns a view of the log that fills each emitted event's

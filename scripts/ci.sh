@@ -18,6 +18,21 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== benchmark module build + vet (no run) =="
+# benchmark/ is its own module, so the root ./... patterns never compile
+# it: without this an API change in dist or controlplane breaks the
+# pipeline's benchmark and no gate notices.
+go -C benchmark build ./...
+go -C benchmark vet ./...
+
+echo "== one dist.Config convention =="
+# The sentinel translation layer ("0 means default, negative disables")
+# is gone from the runtime; it must not come back.
+if grep -n -e 'disabledOr' -e 'negative disables' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: the second Config convention is back in internal/dist"
+  exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
