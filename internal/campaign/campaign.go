@@ -260,7 +260,21 @@ func (lr *LocalRunner) Run(spec Spec) (map[Combo][]*trace.WorkLog, error) {
 		}
 		return Collate(tasks, logs), nil
 	}
-	workers := lr.Workers
+	logs, err := ExecuteTasks(tasks, lr.Workers, func(_ int, t Task) (*trace.WorkLog, error) {
+		return ExecutePull(spec, t, lr.Build, smd.RunOpts{})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return Collate(tasks, logs), nil
+}
+
+// ExecuteTasks is the in-process worker pool: it runs pull once per
+// task on `workers` goroutines (NumCPU when workers <= 0), passing the
+// index of the goroutine that took the task, and returns the logs
+// parallel to tasks — or, naming its combo and replica, the error of the
+// first task in task order whose pull failed.
+func ExecuteTasks(tasks []Task, workers int, pull func(worker int, t Task) (*trace.WorkLog, error)) ([]*trace.WorkLog, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -270,12 +284,12 @@ func (lr *LocalRunner) Run(spec Spec) (map[Combo][]*trace.WorkLog, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := range taskCh {
-				logs[i], errs[i] = ExecutePull(spec, tasks[i], lr.Build, smd.RunOpts{})
+				logs[i], errs[i] = pull(w, tasks[i])
 			}
-		}()
+		}(w)
 	}
 	for i := range tasks {
 		taskCh <- i
@@ -284,8 +298,8 @@ func (lr *LocalRunner) Run(spec Spec) (map[Combo][]*trace.WorkLog, error) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("campaign: pull %s replica %d: %w", tasks[i].Combo, tasks[i].Index, err)
+			return nil, fmt.Errorf("pull %s replica %d: %w", tasks[i].Combo, tasks[i].Index, err)
 		}
 	}
-	return Collate(tasks, logs), nil
+	return logs, nil
 }

@@ -296,9 +296,8 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 		Listener: ln,
 		System:   system,
 		cfg:      cfg,
-		doneJobs: make(map[string]bool),
-		sites:    make(map[string]*siteHealth),
-		jobsByID: make(map[string]*job),
+		leases:   newLeaseTable(&cfg),
+		sites:    make(siteTable),
 		jobStats: make(map[string]*JobStats),
 	}
 	if cfg.Metrics != nil {

@@ -82,9 +82,9 @@ func TestConfigZeroDisables(t *testing.T) {
 		co := newCoordinator(t, func(c *Config) { c.BreakerThreshold = 0 })
 		now := time.Now()
 		for i := 0; i < 100; i++ {
-			co.siteStrikeLocked("flaky", "j", now, nil)
+			co.strikeLocked(co.sites.get("flaky"), "j", now)
 		}
-		if co.stats.BreakerTrips != 0 || !co.siteLocked("flaky").admissible(now, co.cfg.BreakerCooldown) {
+		if co.stats.BreakerTrips != 0 || !co.sites.get("flaky").admissible(now, co.cfg.BreakerCooldown) {
 			t.Fatalf("100 strikes tripped a disabled breaker: trips=%d", co.stats.BreakerTrips)
 		}
 	})
@@ -260,7 +260,7 @@ func TestDerivedWindowsPinned(t *testing.T) {
 		if got := co.shedNext(&connState{name: "w"}).DelayMs; got != tc.shedMs {
 			t.Errorf("%s: shed hint %d ms, want %d", tc.name, got, tc.shedMs)
 		}
-		if got := co.assign(&connState{name: "w", site: "w"}).DelayMs; got != tc.idleMs {
+		if got := co.assign(&connState{name: "w", site: "w"}, time.Now()).DelayMs; got != tc.idleMs {
 			t.Errorf("%s: idle hint %d ms, want %d", tc.name, got, tc.idleMs)
 		}
 	}

@@ -1,0 +1,307 @@
+package dist
+
+// The coordinator's transport: one goroutine per worker connection that
+// negotiates the wire, decodes requests, stamps each with the clock and
+// dispatches it, and queues the replies — plus the overload protection
+// that lives at this layer (bounded send queues, poll shedding,
+// heartbeat coalescing, wait hints).
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"spice/internal/backoff"
+	"spice/internal/netutil"
+	"spice/internal/obs"
+	"spice/internal/wire"
+)
+
+// connState tracks one worker connection.
+type connState struct {
+	name string
+	site string
+	// Negotiated transport state, written once at hello (before any
+	// other request is processed) and read by the grant/heartbeat paths.
+	wire  int
+	delta bool
+	comp  bool
+	// evicted marks a slow-consumer eviction: the connection dies but
+	// its leases survive for the worker's reconnect to re-attach.
+	evicted atomic.Bool
+	// waits counts msgWait replies sent to this connection — the jitter
+	// key that de-synchronizes an idle fleet. Only the connection's own
+	// reader goroutine touches it.
+	waits int
+	// marks is the heartbeat-coalescing state, local to the reader
+	// goroutine: the last plain beat per in-flight job that the normal
+	// path answered with a clean msgOK. Under load, a twin of such a beat
+	// inside the coalesce window is answered from here without taking the
+	// scheduler lock.
+	marks map[string]beatMark
+}
+
+type beatMark struct {
+	attempt int
+	at      time.Time
+}
+
+// coalesceWindow is how stale a connection-local heartbeat answer may
+// be under load. Kept well under the lease TTL so coalescing can never
+// age a lease into expiry, and under the TTL/4 janitor period so a
+// coalesced lease still refreshes between janitor scans.
+func (co *Coordinator) coalesceWindow() time.Duration {
+	return co.cfg.LeaseTTL / 8
+}
+
+// idlePollBudget is the aggregate msgNext polls/sec an idle fleet is
+// allowed to cost the coordinator: the wait hint scales with the number
+// of connected workers so 500 idle workers back off to multi-second
+// polls instead of each polling every LeaseTTL/2 in lockstep.
+const idlePollBudget = 200
+
+// waitHint builds a msgWait reply around a base delay: the delay is
+// floored by the fleet-size poll budget when the fleet is purely idle
+// (scale true), capped at the lease TTL, and carries deterministic
+// per-(worker, poll) jitter in [0.5, 1) so a fleet that went idle at
+// the same instant de-synchronizes within one wait cycle. Lock-free —
+// both the scheduler path and the shed path use it.
+func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) response {
+	delay := base
+	if scale {
+		if min := time.Duration(co.conns.Load()) * time.Second / idlePollBudget; min > delay {
+			delay = min
+		}
+	}
+	if ttl := co.cfg.LeaseTTL; delay > ttl {
+		delay = ttl
+	}
+	cs.waits++
+	delay = time.Duration(float64(delay) * backoff.Frac(fmt.Sprintf("%s#%d", cs.name, cs.waits)))
+	ms := int(delay / time.Millisecond)
+	if ms < 1 {
+		ms = 1
+	}
+	return response{Type: msgWait, DelayMs: ms}
+}
+
+// shedNext answers a msgNext without ever touching the scheduler lock:
+// the coordinator is over its in-flight request cap and this poll is
+// load it can refuse. The hint scales with fleet size so the herd that
+// caused the overload spreads out instead of retrying in lockstep.
+func (co *Coordinator) shedNext(cs *connState) response {
+	co.shed.Add(1)
+	return co.waitHint(cs, co.cfg.LeaseTTL/4, true)
+}
+
+// serveConn handles one worker connection. hello must come first.
+func (co *Coordinator) serveConn(conn net.Conn) {
+	// Deadlines wrap the raw transport, inside any WrapConn shims, so
+	// injected test delays model the network without eating the
+	// watchdog budget of the real socket.
+	if to := co.cfg.IOTimeout; to > 0 {
+		conn = netutil.WithDeadlines(conn, to, to)
+	}
+	if co.cfg.WrapConn != nil {
+		conn = co.cfg.WrapConn(conn)
+	}
+	cc := &countConn{Conn: conn, in: &co.bytesIn, out: &co.bytesOut}
+	br := bufio.NewReader(cc)
+	cs := &connState{marks: make(map[string]beatMark)}
+	co.conns.Add(1)
+	defer co.dropConn(cs)
+
+	// The hello exchange always travels as one JSON line per direction —
+	// version discovery cannot require already knowing the version, and
+	// old workers only speak JSON lines. A raw line read (not a
+	// json.Decoder, which buffers bytes past the value) leaves br
+	// positioned exactly at the first post-negotiation message, which
+	// belongs to whichever codec the grant names.
+	sendHelloErr := func(msg string) {
+		b, _ := json.Marshal(&response{Type: msgOK, Err: msg})
+		_, _ = cc.Write(append(b, '\n'))
+	}
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return
+	}
+	var hello request
+	if err := json.Unmarshal(line, &hello); err != nil || hello.Type != msgHello {
+		sendHelloErr("dist: expected hello")
+		return
+	}
+	cs.name = hello.Name
+	cs.site = hello.Site
+	if cs.site == "" {
+		// Unconfigured workers are their own one-machine site.
+		cs.site = hello.Name
+	}
+	ver, downgraded := wire.Negotiate(co.cfg.WireVersion, hello.Wire)
+	if downgraded {
+		// Never silent: a future-versioned worker still gets served (on
+		// v0, the one version everything speaks) but the mismatch is on
+		// the record for the operator.
+		co.wireDowngrades.Add(1)
+		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.site, Worker: cs.name,
+			Fields: map[string]any{"offered": hello.Wire, "granted": ver}})
+	}
+	cs.wire = ver
+	cs.delta = ver >= wire.V1 && co.cfg.DeltaCheckpoints && !hello.NoDelta
+	cs.comp = ver >= wire.V1 && co.cfg.Compression && !hello.NoComp
+	if ver >= wire.V1 {
+		co.wireV1.Add(1)
+	} else {
+		co.wireV0.Add(1)
+	}
+	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.site, Worker: cs.name,
+		Fields: map[string]any{"wire": ver, "delta": cs.delta, "compression": cs.comp}})
+	grant := &response{Type: msgOK, System: wire.JSONPayload(co.System),
+		Wire: ver, Delta: cs.delta, Comp: cs.comp}
+	reply, err := json.Marshal(grant)
+	if err != nil {
+		return
+	}
+	if _, err := cc.Write(append(reply, '\n')); err != nil {
+		return
+	}
+	codec := wire.NewCodec(ver, br, cc, cs.comp)
+
+	// Responses flow through a bounded per-connection send queue drained
+	// by a writer goroutine, so a peer that stops reading can never wedge
+	// this reader or hold response memory unboundedly: when the queue
+	// fills, the slow consumer is evicted. Eviction kills the connection
+	// but keeps its leases (dropConn skips the revocation) so the
+	// worker's reconnect re-attaches mid-flight pulls instead of
+	// redoing them from the last checkpoint.
+	var (
+		sendQ      chan response
+		writerDone chan struct{}
+	)
+	if co.cfg.SendQueue > 0 {
+		sendQ = make(chan response, co.cfg.SendQueue)
+		writerDone = make(chan struct{})
+		go func() {
+			defer close(writerDone)
+			for resp := range sendQ {
+				if codec.Encode(&resp) != nil {
+					// Dead transport: keep draining so the reader, which may
+					// be about to close the channel, never blocks on it.
+					for range sendQ {
+					}
+					return
+				}
+			}
+		}()
+		defer func() { close(sendQ); <-writerDone }()
+	}
+	send := func(resp response) bool {
+		if sendQ == nil {
+			return codec.Encode(&resp) == nil
+		}
+		select {
+		case sendQ <- resp:
+			raiseMax(&co.queuePeak, int64(len(sendQ)))
+			return true
+		default:
+			cs.evicted.Store(true)
+			co.evictions.Add(1)
+			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.site, Worker: cs.name,
+				Fields: map[string]any{"queued": len(sendQ)}})
+			_ = conn.Close()
+			return false
+		}
+	}
+
+	for {
+		var req request
+		if err := codec.Decode(&req); err != nil {
+			return
+		}
+		resp := co.dispatch(cs, &req, time.Now())
+		if !send(resp) {
+			return
+		}
+		if resp.Type == msgDrained {
+			return
+		}
+	}
+}
+
+// dispatch answers one decoded request; now is when it arrived, the one
+// clock reading everything downstream shares.
+func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) response {
+	n := co.inflight.Add(1)
+	defer co.inflight.Add(-1)
+	limit := int64(co.cfg.MaxInflight)
+	switch req.Type {
+	case msgNext:
+		co.polls.Add(1)
+		if limit > 0 && n > limit {
+			// Over the in-flight cap: shed the poll. Results, fails and
+			// heartbeats are never shed — they shrink the backlog.
+			return co.shedNext(cs)
+		}
+		return co.assign(cs, now)
+	case msgBeat:
+		window := co.coalesceWindow()
+		if m, ok := cs.marks[req.JobID]; ok && window > 0 && limit > 0 && 2*n >= limit &&
+			m.attempt == req.Attempt && now.Sub(m.at) < window {
+			co.coalesced.Add(1)
+			return response{Type: msgOK}
+		}
+		resp := co.heartbeat(cs, req, now)
+		if resp.Type == msgOK && resp.Err == "" {
+			cs.marks[req.JobID] = beatMark{attempt: req.Attempt, at: now}
+		} else {
+			delete(cs.marks, req.JobID)
+		}
+		return resp
+	case msgProgress:
+		return co.heartbeat(cs, req, now)
+	case msgResult, msgFail:
+		// The job's last word on this connection: it never beats again, so
+		// its mark goes — marks are bounded by the jobs in flight, not by
+		// every job a long-lived connection ever ran.
+		delete(cs.marks, req.JobID)
+		if req.Type == msgResult {
+			return co.finish(cs, req, now)
+		}
+		return co.fail(cs, req, now)
+	}
+	return response{Type: msgOK, Err: fmt.Sprintf("dist: unknown message %q", req.Type)}
+}
+
+// raiseMax lifts a high-water mark to v unless it is already there. A
+// compare-and-swap loop, because every connection's reader raises the
+// same mark concurrently and a plain load-then-store lets a smaller
+// depth overwrite a larger one.
+func raiseMax(mark *atomic.Int64, v int64) {
+	for {
+		cur := mark.Load()
+		if v <= cur || mark.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// countConn tallies the bytes crossing a connection into counters
+// shared by every connection of the coordinator.
+type countConn struct {
+	net.Conn
+	in, out *atomic.Int64
+}
+
+func (cc *countConn) Read(p []byte) (int, error) {
+	n, err := cc.Conn.Read(p)
+	cc.in.Add(int64(n))
+	return n, err
+}
+
+func (cc *countConn) Write(p []byte) (int, error) {
+	n, err := cc.Conn.Write(p)
+	cc.out.Add(int64(n))
+	return n, err
+}

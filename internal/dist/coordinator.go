@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spice/internal/backoff"
 	"spice/internal/campaign"
 	"spice/internal/netutil"
 	"spice/internal/obs"
@@ -54,11 +52,11 @@ type Coordinator struct {
 	// resolved values.
 	cfg Config
 
-	mu       sync.Mutex
-	journal  *journal
-	replay   *journalReplay
-	doneJobs map[string]bool // every job this process has accepted (or replayed) a result for
-	sites    map[string]*siteHealth
+	mu      sync.Mutex
+	journal *journal
+	replay  *journalReplay
+	leases  *leaseTable // campaigns → jobs → leases (leases.go)
+	sites   siteTable   // per-site breakers and rates (site.go)
 
 	// The journal's log owns the degraded storage state (set when an
 	// append or spool write fails past its retries, cleared by the next
@@ -70,18 +68,18 @@ type Coordinator struct {
 	// its durability. lastProbe paces the janitor's recovery probe.
 	lastProbe time.Time
 
-	camps       []*campaignRun  // active campaigns, install order
-	jobsByID    map[string]*job // every active campaign's jobs, by scoped ID
 	campSeq     int
 	closed      bool
 	started     bool
 	stats       Stats
 	jobStats    map[string]*JobStats
-	bytes       counter
 	cancelServe context.CancelFunc
 	serveDone   chan error
 	closeOnce   sync.Once
 	closeErr    error
+
+	// Bytes received from and sent to workers, over every connection.
+	bytesIn, bytesOut atomic.Int64
 
 	// Overload-protection state, kept in atomics so the shed path and
 	// the wait-hint scaling never contend on mu — that contention is the
@@ -109,12 +107,10 @@ type campaignRun struct {
 	submitted time.Time // install time this process
 	spec      campaign.Spec
 	specJSON  json.RawMessage
-	tasks     []campaign.Task
 	jobs      []*job
 	remaining int
 	journaled bool // the jCampaign record reached the journal
 	failErr   error
-	canceled  bool
 	done      chan struct{}
 	doneOnce  sync.Once
 }
@@ -126,144 +122,8 @@ func (cr *campaignRun) finish(err error) {
 	cr.doneOnce.Do(func() { close(cr.done) })
 }
 
-type jobState int
-
-const (
-	statePending jobState = iota
-	stateLeased
-	stateDone
-)
-
-// lease is one live grant of a job to a worker connection. A job
-// normally has one; a straggling job may briefly carry two — the
-// original and a speculative hedge on a different site.
-type lease struct {
-	owner       *connState
-	worker      string
-	site        string
-	attempt     int
-	speculative bool
-	granted     time.Time
-	lastBeat    time.Time
-
-	// checkpoint-derived progress, for straggler detection
-	steps    int       // latest step count streamed by this lease
-	stepsAt  time.Time // when steps last advanced (granted until then)
-	rate     float64   // EWMA steps/sec
-	haveRate bool
-
-	// base is the last complete checkpoint image resolved from this
-	// lease — the document its next delta is encoded against. Per-lease,
-	// never per-job: a hedged job has two leases streaming independent
-	// checkpoint lineages, and folding one worker's delta against the
-	// other's base would corrupt silently if the CRC check ever missed.
-	base []byte
-}
-
-// job is one schedulable pull and its scheduling history.
-type job struct {
-	id        string
-	camp      *campaignRun
-	task      campaign.Task
-	state     jobState
-	leases    []*lease
-	notBefore time.Time
-	attempts  int // lease grants so far
-	straggler bool
-	ckpt      json.RawMessage // latest (farthest) checkpoint streamed back
-	ckptSteps int             // step count inside ckpt, for farthest-wins
-	log       *trace.WorkLog
-}
-
-// leaseOf returns the job's lease held by cs, if any.
-func (j *job) leaseOf(cs *connState) *lease {
-	for _, l := range j.leases {
-		if l.owner == cs {
-			return l
-		}
-	}
-	return nil
-}
-
-// connState tracks one worker connection.
-type connState struct {
-	name string
-	site string
-	// Negotiated transport state, written once at hello (before any
-	// other request is processed) and read by the grant/heartbeat paths.
-	wire  int
-	delta bool
-	comp  bool
-	// evicted marks a slow-consumer eviction: the connection dies but
-	// its leases survive for the worker's reconnect to re-attach.
-	evicted atomic.Bool
-	// waits counts msgWait replies sent to this connection — the jitter
-	// key that de-synchronizes an idle fleet. Only the connection's own
-	// reader goroutine touches it.
-	waits int
-}
-
 func (co *Coordinator) hedgingEnabled() bool {
 	return co.cfg.HedgeFraction > 0 || co.cfg.HedgeStall > 0
-}
-
-// coalesceWindow is how stale a connection-local heartbeat answer may
-// be under load. Kept well under the lease TTL so coalescing can never
-// age a lease into expiry, and under the TTL/4 janitor period so a
-// coalesced lease still refreshes between janitor scans.
-func (co *Coordinator) coalesceWindow() time.Duration {
-	return co.cfg.LeaseTTL / 8
-}
-
-// backoff returns the delay before the next lease of jobID after
-// `attempts` grants. The exponential base delay carries deterministic
-// jitter in [d/2, d) keyed by (job, attempt): a mass revocation event
-// (coordinator restart, site quarantine) spreads its retries across
-// half an interval instead of hammering the queue in lockstep, and the
-// same schedule replays identically across runs — no shared RNG state,
-// no scheduling nondeterminism.
-func (co *Coordinator) backoff(jobID string, attempts int) time.Duration {
-	return backoff.Policy{Base: co.cfg.RetryBase, Max: co.cfg.RetryMax}.Keyed(jobID, attempts)
-}
-
-// idlePollBudget is the aggregate msgNext polls/sec an idle fleet is
-// allowed to cost the coordinator: the wait hint scales with the number
-// of connected workers so 500 idle workers back off to multi-second
-// polls instead of each polling every LeaseTTL/2 in lockstep.
-const idlePollBudget = 200
-
-// waitHint builds a msgWait reply around a base delay: the delay is
-// floored by the fleet-size poll budget when the fleet is purely idle
-// (scale true), capped at the lease TTL, and carries deterministic
-// per-(worker, poll) jitter in [0.5, 1) so a fleet that went idle at
-// the same instant de-synchronizes within one wait cycle. Lock-free —
-// both the scheduler path and the shed path use it.
-func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) response {
-	delay := base
-	if scale {
-		if min := time.Duration(co.conns.Load()) * time.Second / idlePollBudget; min > delay {
-			delay = min
-		}
-	}
-	if ttl := co.cfg.LeaseTTL; delay > ttl {
-		delay = ttl
-	}
-	cs.waits++
-	delay = time.Duration(float64(delay) * backoff.Frac(fmt.Sprintf("%s#%d", cs.name, cs.waits)))
-	ms := int(delay / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	return response{Type: msgWait, DelayMs: ms}
-}
-
-// shedNext answers a msgNext without ever touching the scheduler lock:
-// the coordinator is over its in-flight request cap and this poll is
-// load it can refuse. The hint scales with fleet size so the herd that
-// caused the overload spreads out instead of retrying in lockstep.
-func (co *Coordinator) shedNext(cs *connState) response {
-	co.shed.Add(1)
-	return co.waitHint(cs, co.cfg.LeaseTTL/4, true)
 }
 
 // startLocked spins up the accept loop and the lease janitor. Caller
@@ -280,7 +140,7 @@ func (co *Coordinator) startLocked() {
 		// finish. A clean Close shows up as ErrServerClosed.
 		co.mu.Lock()
 		co.closed = true
-		for _, camp := range co.camps {
+		for _, camp := range co.leases.camps {
 			camp.finish(fmt.Errorf("dist: serve: %w", err))
 		}
 		co.mu.Unlock()
@@ -324,7 +184,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		co.mu.Unlock()
 		return nil, errors.New("dist: coordinator is closed")
 	}
-	for _, c := range co.camps {
+	for _, c := range co.leases.camps {
 		if c.key == key {
 			co.mu.Unlock()
 			return nil, fmt.Errorf("dist: campaign %s is already running", key)
@@ -353,7 +213,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		// as a duplicate even if its campaign has not been re-Run yet.
 		for _, c := range rep.campaigns {
 			for id := range c.done {
-				co.doneJobs[id] = true
+				co.leases.doneJobs[id] = true
 			}
 		}
 		co.stats.ReplayedRecords += rep.records
@@ -384,7 +244,6 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		submitted: time.Now(),
 		spec:      spec,
 		specJSON:  specJSON,
-		tasks:     tasks,
 		jobs:      make([]*job, len(tasks)),
 		remaining: len(tasks),
 		done:      make(chan struct{}),
@@ -406,7 +265,6 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		// journal, and the spool filenames.
 		j := &job{id: fmt.Sprintf("%s.smdje-%s-r%d", key, t.Combo, t.Index), camp: camp, task: t}
 		camp.jobs[i] = j
-		co.jobsByID[j.id] = j
 		if co.jobStats[j.id] == nil {
 			co.jobStats[j.id] = &JobStats{ID: j.id}
 		}
@@ -436,7 +294,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			j.ckptSteps = ckptSteps(ck)
 		}
 	}
-	co.camps = append(co.camps, camp)
+	co.leases.add(camp)
 	co.stats.Jobs += len(tasks)
 	co.cfg.Events.Emit(obs.Event{Name: "campaign_start", Campaign: key, Fields: map[string]any{
 		"jobs": len(tasks), "recovered_done": len(tasks) - camp.remaining,
@@ -456,10 +314,8 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	<-camp.done
 
 	co.mu.Lock()
-	co.removeCampLocked(camp)
+	co.leases.remove(camp)
 	err = camp.failErr
-	in, out := co.bytes.snapshot()
-	co.stats.BytesIn, co.stats.BytesOut = in, out
 	done := obs.Event{Name: "campaign_done", Campaign: key}
 	if err != nil {
 		done.Fields = map[string]any{"error": err.Error()}
@@ -476,23 +332,6 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	return campaign.Collate(tasks, logs), nil
 }
 
-// removeCampLocked retires a finished campaign: out of the active set
-// and its jobs out of the dispatch table. Caller holds mu.
-func (co *Coordinator) removeCampLocked(camp *campaignRun) {
-	keep := co.camps[:0]
-	for _, c := range co.camps {
-		if c != camp {
-			keep = append(keep, c)
-		}
-	}
-	co.camps = keep
-	for _, j := range camp.jobs {
-		if co.jobsByID[j.id] == j {
-			delete(co.jobsByID, j.id)
-		}
-	}
-}
-
 // ErrCampaignCanceled is the failure error of a campaign killed by
 // CancelCampaign; the blocked Run/RunTagged call returns it.
 var ErrCampaignCanceled = errors.New("dist: campaign canceled")
@@ -504,9 +343,8 @@ var ErrCampaignCanceled = errors.New("dist: campaign canceled")
 func (co *Coordinator) CancelCampaign(key string) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, c := range co.camps {
+	for _, c := range co.leases.camps {
 		if c.key == key && c.failErr == nil {
-			c.canceled = true
 			c.finish(ErrCampaignCanceled)
 			co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
 			return true
@@ -520,33 +358,7 @@ func (co *Coordinator) CancelCampaign(key string) bool {
 func (co *Coordinator) Campaigns() []CampaignView {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.campaignViewsLocked()
-}
-
-func (co *Coordinator) campaignViewsLocked() []CampaignView {
-	views := make([]CampaignView, len(co.camps))
-	for i, c := range co.camps {
-		v := CampaignView{
-			Key:       c.key,
-			Tenant:    c.tag.Tenant,
-			Priority:  c.tag.Priority,
-			Seq:       c.seq,
-			Submitted: c.submitted,
-			Total:     len(c.jobs),
-		}
-		for _, j := range c.jobs {
-			switch j.state {
-			case statePending:
-				v.Pending++
-			case stateLeased:
-				v.Leased++
-			case stateDone:
-				v.Done++
-			}
-		}
-		views[i] = v
-	}
-	return views
+	return co.leases.views()
 }
 
 // SetScheduler installs the campaign-ordering policy (Config.Scheduler)
@@ -564,18 +376,18 @@ func (co *Coordinator) SetScheduler(s Scheduler) {
 // scanned this round. Caller holds mu.
 func (co *Coordinator) offerOrderLocked(now time.Time) []*campaignRun {
 	if co.cfg.Scheduler == nil {
-		return co.camps
+		return co.leases.camps
 	}
-	views := co.campaignViewsLocked()
+	views := co.leases.views()
 	order := co.cfg.Scheduler.Offer(now, views)
 	out := make([]*campaignRun, 0, len(order))
 	seen := make(map[int]bool, len(order))
 	for _, i := range order {
-		if i < 0 || i >= len(co.camps) || seen[i] {
+		if i < 0 || i >= len(co.leases.camps) || seen[i] {
 			continue
 		}
 		seen[i] = true
-		out = append(out, co.camps[i])
+		out = append(out, co.leases.camps[i])
 	}
 	return out
 }
@@ -660,38 +472,34 @@ func (co *Coordinator) janitor(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case now := <-tick.C:
-			co.mu.Lock()
-			for _, camp := range co.camps {
-				if camp.failErr != nil {
-					continue
-				}
-				for _, j := range camp.jobs {
-					if j.state != stateLeased {
-						continue
-					}
-					keep := j.leases[:0]
-					for _, l := range j.leases {
-						if now.Sub(l.lastBeat) > co.cfg.LeaseTTL {
-							co.stats.LeaseExpiries++
-							co.jobStats[j.id].LeaseExpiries++
-							co.cfg.Events.Emit(obs.Event{Name: "lease_expired", Job: j.id,
-								Attempt: l.attempt, Site: l.site, Worker: l.worker})
-							co.siteStrikeLocked(l.site, j.id, now, func(sh *siteHealth) { sh.leaseExpiries++ })
-							continue
-						}
-						keep = append(keep, l)
-					}
-					j.leases = keep
-					if len(j.leases) == 0 {
-						co.requeueLocked(camp, j)
-					}
-				}
-				co.stragglerScanLocked(camp, now)
-			}
-			co.storageProbeLocked(now)
-			co.mu.Unlock()
+			co.tick(now)
 		}
 	}
+}
+
+// tick is one janitor pass at time now.
+func (co *Coordinator) tick(now time.Time) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, camp := range co.leases.camps {
+		if camp.failErr != nil {
+			continue
+		}
+		for _, rv := range co.leases.expire(camp, now, co.cfg.LeaseTTL) {
+			for _, l := range rv.leases {
+				co.stats.LeaseExpiries++
+				co.jobStats[rv.job.id].LeaseExpiries++
+				co.cfg.Events.Emit(obs.Event{Name: "lease_expired", Job: rv.job.id,
+					Attempt: l.attempt, Site: l.site, Worker: l.worker})
+				sh := co.sites.get(l.site)
+				sh.LeaseExpiries++
+				co.strikeLocked(sh, rv.job.id, now)
+			}
+			co.requeuedLocked(rv)
+		}
+		co.stragglerScanLocked(camp, now)
+	}
+	co.storageProbeLocked(now)
 }
 
 // storageProbeLocked checks whether a degraded disk has come back by
@@ -710,50 +518,37 @@ func (co *Coordinator) storageProbeLocked(now time.Time) {
 	_ = co.journal.log.Append(&jrec{T: jNoop}, true)
 }
 
-// siteStrikeLocked records one failure signal against a site, updating
-// a per-category counter and the breaker. Caller holds mu.
-func (co *Coordinator) siteStrikeLocked(site, jobID string, now time.Time, count func(*siteHealth)) {
-	sh := co.siteLocked(site)
-	if count != nil {
-		count(sh)
-	}
+// strikeLocked records one failure signal against a site's breaker;
+// the caller has bumped the per-category counter. Caller holds mu.
+func (co *Coordinator) strikeLocked(sh *siteHealth, jobID string, now time.Time) {
 	sh.clearProbe(jobID)
 	if sh.strike(now, co.cfg.BreakerThreshold) {
 		co.stats.BreakerTrips++
-		co.cfg.Events.Emit(obs.Event{Name: "breaker_open", Job: jobID, Site: site,
-			Fields: map[string]any{"strikes": sh.strikes}})
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_open", Job: jobID, Site: sh.Site,
+			Fields: map[string]any{"strikes": sh.Strikes}})
 	}
 }
 
-// stragglerScanLocked flags single-leased jobs whose checkpoint-derived
-// progress crawls — either in absolute terms (steps stalled for
-// HedgeStall while the lease still heartbeats) or relative to the fleet
-// (rate below HedgeFraction of the median site rate). Flagged jobs
-// become hedge candidates: assign grants them a speculative second
-// lease on a different site. Caller holds mu.
+// stragglerScanLocked flags the jobs of camp whose sole lease crawls
+// (straggling, site.go). Flagged jobs become hedge candidates: assign
+// grants them a speculative second lease on a different site. Caller
+// holds mu.
 func (co *Coordinator) stragglerScanLocked(camp *campaignRun, now time.Time) {
 	if !co.hedgingEnabled() {
 		return
 	}
-	median, haveMedian := co.fleetMedianRate()
-	for _, j := range camp.jobs {
-		if j.state != stateLeased || j.straggler || len(j.leases) != 1 {
-			continue
+	median, haveMedian := co.sites.medianRate()
+	co.leases.flagStragglers(camp, func(j *job, l *lease) bool {
+		slow, stalled := straggling(&co.cfg, l, now, median, haveMedian)
+		if !slow && !stalled {
+			return false
 		}
-		l := j.leases[0]
-		if now.Sub(l.granted) < co.cfg.HedgeAfter {
-			continue
-		}
-		slow := co.cfg.HedgeFraction > 0 && haveMedian && l.haveRate && l.rate < co.cfg.HedgeFraction*median
-		stalled := co.cfg.HedgeStall > 0 && now.Sub(l.stepsAt) > co.cfg.HedgeStall
-		if slow || stalled {
-			j.straggler = true
-			co.stats.StragglersDetected++
-			co.cfg.Events.Emit(obs.Event{Name: "straggler_flagged", Job: j.id,
-				Attempt: l.attempt, Site: l.site, Worker: l.worker,
-				Fields: map[string]any{"slow": slow, "stalled": stalled, "rate": l.rate}})
-		}
-	}
+		co.stats.StragglersDetected++
+		co.cfg.Events.Emit(obs.Event{Name: "straggler_flagged", Job: j.id,
+			Attempt: l.attempt, Site: l.site, Worker: l.worker,
+			Fields: map[string]any{"slow": slow, "stalled": stalled, "rate": l.rate.v}})
+		return true
+	})
 }
 
 // journalLocked appends one record (fsyncing if sync) and reports
@@ -806,197 +601,13 @@ func (co *Coordinator) CompactJournal() error {
 	return co.journal.log.Compact()
 }
 
-// requeueLocked returns a job with no remaining leases to the pending
-// queue with jittered backoff, or fails the campaign if the job is out
-// of attempts. Caller holds mu.
-func (co *Coordinator) requeueLocked(camp *campaignRun, j *job) {
-	j.state = statePending
-	j.leases = nil
-	j.straggler = false
-	j.notBefore = time.Now().Add(co.backoff(j.id, j.attempts))
-	co.cfg.Events.Emit(obs.Event{Name: "job_requeued", Job: j.id, Attempt: j.attempts,
-		Fields: map[string]any{"not_before": j.notBefore.UTC().Format(time.RFC3339Nano)}})
-	if j.attempts >= co.cfg.MaxAttempts {
-		camp.finish(fmt.Errorf("dist: job %s exhausted %d attempts", j.id, j.attempts))
-	}
-}
-
-// serveConn handles one worker connection. hello must come first.
-func (co *Coordinator) serveConn(conn net.Conn) {
-	// Deadlines wrap the raw transport, inside any WrapConn shims, so
-	// injected test delays model the network without eating the
-	// watchdog budget of the real socket.
-	if to := co.cfg.IOTimeout; to > 0 {
-		conn = netutil.WithDeadlines(conn, to, to)
-	}
-	if co.cfg.WrapConn != nil {
-		conn = co.cfg.WrapConn(conn)
-	}
-	cc := &countConn{Conn: conn, c: &co.bytes}
-	br := bufio.NewReader(cc)
-	cs := &connState{}
-	co.conns.Add(1)
-	defer co.dropConn(cs)
-
-	// The hello exchange always travels as one JSON line per direction —
-	// version discovery cannot require already knowing the version, and
-	// old workers only speak JSON lines. A raw line read (not a
-	// json.Decoder, which buffers bytes past the value) leaves br
-	// positioned exactly at the first post-negotiation message, which
-	// belongs to whichever codec the grant names.
-	sendHelloErr := func(msg string) {
-		b, _ := json.Marshal(&response{Type: msgOK, Err: msg})
-		_, _ = cc.Write(append(b, '\n'))
-	}
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return
-	}
-	var hello request
-	if err := json.Unmarshal(line, &hello); err != nil || hello.Type != msgHello {
-		sendHelloErr("dist: expected hello")
-		return
-	}
-	cs.name = hello.Name
-	cs.site = hello.Site
-	if cs.site == "" {
-		// Unconfigured workers are their own one-machine site.
-		cs.site = hello.Name
-	}
-	ver, downgraded := wire.Negotiate(co.cfg.WireVersion, hello.Wire)
-	if downgraded {
-		// Never silent: a future-versioned worker still gets served (on
-		// v0, the one version everything speaks) but the mismatch is on
-		// the record for the operator.
-		co.wireDowngrades.Add(1)
-		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.site, Worker: cs.name,
-			Fields: map[string]any{"offered": hello.Wire, "granted": ver}})
-	}
-	cs.wire = ver
-	cs.delta = ver >= wire.V1 && co.cfg.DeltaCheckpoints && !hello.NoDelta
-	cs.comp = ver >= wire.V1 && co.cfg.Compression && !hello.NoComp
-	if ver >= wire.V1 {
-		co.wireV1.Add(1)
-	} else {
-		co.wireV0.Add(1)
-	}
-	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.site, Worker: cs.name,
-		Fields: map[string]any{"wire": ver, "delta": cs.delta, "compression": cs.comp}})
-	grant := &response{Type: msgOK, System: wire.JSONPayload(co.System),
-		Wire: ver, Delta: cs.delta, Comp: cs.comp}
-	reply, err := json.Marshal(grant)
-	if err != nil {
-		return
-	}
-	if _, err := cc.Write(append(reply, '\n')); err != nil {
-		return
-	}
-	codec := wire.NewCodec(ver, br, cc, cs.comp)
-
-	// Responses flow through a bounded per-connection send queue drained
-	// by a writer goroutine, so a peer that stops reading can never wedge
-	// this reader or hold response memory unboundedly: when the queue
-	// fills, the slow consumer is evicted. Eviction kills the connection
-	// but keeps its leases (dropConn skips the revocation) so the
-	// worker's reconnect re-attaches mid-flight pulls instead of
-	// redoing them from the last checkpoint.
-	var (
-		sendQ      chan response
-		writerDone chan struct{}
-	)
-	if co.cfg.SendQueue > 0 {
-		sendQ = make(chan response, co.cfg.SendQueue)
-		writerDone = make(chan struct{})
-		go func() {
-			defer close(writerDone)
-			for resp := range sendQ {
-				if codec.Encode(&resp) != nil {
-					// Dead transport: keep draining so the reader, which may
-					// be about to close the channel, never blocks on it.
-					for range sendQ {
-					}
-					return
-				}
-			}
-		}()
-		defer func() { close(sendQ); <-writerDone }()
-	}
-	send := func(resp response) bool {
-		if sendQ == nil {
-			return codec.Encode(&resp) == nil
-		}
-		select {
-		case sendQ <- resp:
-			raiseMax(&co.queuePeak, int64(len(sendQ)))
-			return true
-		default:
-			cs.evicted.Store(true)
-			co.evictions.Add(1)
-			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.site, Worker: cs.name,
-				Fields: map[string]any{"queued": len(sendQ)}})
-			_ = conn.Close()
-			return false
-		}
-	}
-
-	// Heartbeat-coalescing state, local to this reader goroutine: the
-	// last plain beat per job that the normal path answered with a clean
-	// msgOK. Under load, a twin of such a beat inside the coalesce
-	// window is answered from here without taking the scheduler lock.
-	type beatMark struct {
-		attempt int
-		at      time.Time
-	}
-	marks := make(map[string]beatMark)
-	window := co.coalesceWindow()
-
-	for {
-		var req request
-		if err := codec.Decode(&req); err != nil {
-			return
-		}
-		var resp response
-		n := co.inflight.Add(1)
-		limit := int64(co.cfg.MaxInflight)
-		switch req.Type {
-		case msgNext:
-			co.polls.Add(1)
-			if limit > 0 && n > limit {
-				// Over the in-flight cap: shed the poll. Results, fails and
-				// heartbeats are never shed — they shrink the backlog.
-				resp = co.shedNext(cs)
-			} else {
-				resp = co.assign(cs)
-			}
-		case msgBeat:
-			if m, ok := marks[req.JobID]; ok && window > 0 && limit > 0 && 2*n >= limit &&
-				m.attempt == req.Attempt && time.Since(m.at) < window {
-				co.coalesced.Add(1)
-				resp = response{Type: msgOK}
-			} else {
-				resp = co.heartbeat(cs, &req)
-				if resp.Type == msgOK && resp.Err == "" {
-					marks[req.JobID] = beatMark{attempt: req.Attempt, at: time.Now()}
-				} else {
-					delete(marks, req.JobID)
-				}
-			}
-		case msgProgress:
-			resp = co.heartbeat(cs, &req)
-		case msgResult:
-			resp = co.finish(cs, &req)
-		case msgFail:
-			resp = co.fail(cs, &req)
-		default:
-			resp = response{Type: msgOK, Err: fmt.Sprintf("dist: unknown message %q", req.Type)}
-		}
-		co.inflight.Add(-1)
-		if !send(resp) {
-			return
-		}
-		if resp.Type == msgDrained {
-			return
-		}
+// requeuedLocked announces a job that lost its last lease and is
+// pending again (an exhausted one has already failed its campaign).
+// Caller holds mu.
+func (co *Coordinator) requeuedLocked(rv revocation) {
+	if rv.requeued {
+		co.cfg.Events.Emit(obs.Event{Name: "job_requeued", Job: rv.job.id, Attempt: rv.job.attempts,
+			Fields: map[string]any{"not_before": rv.job.notBefore.UTC().Format(time.RFC3339Nano)}})
 	}
 }
 
@@ -1014,64 +625,29 @@ func (co *Coordinator) dropConn(cs *connState) {
 		return
 	}
 	now := time.Now()
-	for _, camp := range co.camps {
-		for _, j := range camp.jobs {
-			if j.state != stateLeased {
-				continue
-			}
-			keep := j.leases[:0]
-			for _, l := range j.leases {
-				if l.owner == cs {
-					co.stats.Disconnects++
-					co.cfg.Events.Emit(obs.Event{Name: "worker_disconnected", Job: j.id,
-						Attempt: l.attempt, Site: l.site, Worker: l.worker})
-					co.siteStrikeLocked(l.site, j.id, now, func(sh *siteHealth) { sh.disconnects++ })
-					continue
-				}
-				keep = append(keep, l)
-			}
-			j.leases = keep
-			if len(j.leases) == 0 {
-				co.requeueLocked(camp, j)
-			}
+	for _, rv := range co.leases.drop(cs, now) {
+		for _, l := range rv.leases {
+			co.stats.Disconnects++
+			co.cfg.Events.Emit(obs.Event{Name: "worker_disconnected", Job: rv.job.id,
+				Attempt: l.attempt, Site: l.site, Worker: l.worker})
+			sh := co.sites.get(l.site)
+			sh.Disconnects++
+			co.strikeLocked(sh, rv.job.id, now)
 		}
+		co.requeuedLocked(rv)
 	}
 }
 
-// grantLocked creates a lease of j for cs and builds the assign reply.
-// speculative marks a hedge — a second concurrent lease racing a
-// straggler on another site. Caller holds mu.
-func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now time.Time, speculative bool) response {
-	j.state = stateLeased
-	j.attempts++
-	l := &lease{
-		owner:       cs,
-		worker:      cs.name,
-		site:        cs.site,
-		attempt:     j.attempts,
-		speculative: speculative,
-		granted:     now,
-		lastBeat:    now,
-		stepsAt:     now,
-		steps:       j.ckptSteps,
-		// The resume image seeds the delta base on both sides: the worker
-		// keeps the bytes it was handed, so its first progress after a
-		// resume can already travel as a delta.
-		base: j.ckpt,
-	}
-	j.leases = append(j.leases, l)
-	sh := co.siteLocked(cs.site)
-	if sh.state == breakerOpen {
-		// Cooldown elapsed (admissibleSiteLocked gated on it): this
-		// grant is the half-open probe.
-		sh.state = breakerHalfOpen
+// grantLocked leases j to cs and builds the assign reply. speculative
+// marks a hedge — a second concurrent lease racing a straggler on
+// another site. Caller holds mu.
+func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, speculative bool) response {
+	camp := j.camp
+	l := co.leases.grant(j, cs, now, j.attempts+1, speculative)
+	if co.sites.get(cs.site).granted(j.id) {
 		co.stats.BreakerProbes++
 		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.site, Worker: cs.name})
 	}
-	if sh.state == breakerHalfOpen && sh.probeJob == "" {
-		sh.probeJob = j.id
-	}
-	sh.assignments++
 	co.stats.Assignments++
 	js := co.jobStats[j.id]
 	js.Assignments++
@@ -1079,7 +655,7 @@ func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now
 	if speculative {
 		co.stats.SpeculationsLaunched++
 		js.Speculations++
-	} else if j.attempts > 1 {
+	} else if l.attempt > 1 {
 		co.stats.Retries++
 		js.Retries++
 	}
@@ -1088,7 +664,7 @@ func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now
 		Combo:   j.task.Combo,
 		Seed:    j.task.Seed,
 		Index:   j.task.Index,
-		Attempt: j.attempts,
+		Attempt: l.attempt,
 	}}
 	resumed := len(j.ckpt) > 0
 	if resumed {
@@ -1102,29 +678,27 @@ func (co *Coordinator) grantLocked(camp *campaignRun, j *job, cs *connState, now
 		co.stats.Resumes++
 		js.Resumes++
 	}
-	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: j.attempts,
+	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: l.attempt,
 		Site: cs.site, Worker: cs.name,
 		Fields: map[string]any{"hedge": speculative, "resumed": resumed}})
 	co.journalLocked(camp, &jrec{
 		T: jLease, Camp: camp.key, Job: j.id, Worker: cs.name, Site: cs.site,
-		Attempt: j.attempts, Resumed: resumed, Hedge: speculative,
+		Attempt: l.attempt, Resumed: resumed, Hedge: speculative,
 	}, false)
 	return resp
 }
 
 // assign leases the first runnable job to the requesting worker. The
 // Scheduler picks the campaign order (priority, fair share, quotas);
-// within each offered campaign pending jobs go first in task order,
-// then — if the worker's site differs from the holder's — a
+// within it the lease table picks the job: pending ones first, then a
 // speculative hedge on a flagged straggler.
-func (co *Coordinator) assign(cs *connState) response {
+func (co *Coordinator) assign(cs *connState, now time.Time) response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.closed {
 		return response{Type: msgDrained}
 	}
-	now := time.Now()
-	if !co.siteLocked(cs.site).admissible(now, co.cfg.BreakerCooldown) {
+	if !co.sites.get(cs.site).admissible(now, co.cfg.BreakerCooldown) {
 		// Quarantined site (or a probe already in flight): no work until
 		// the breaker relents. The paper's §V.C.4 outage as a scheduling
 		// decision rather than an operator post-mortem. The adaptive hint
@@ -1132,42 +706,9 @@ func (co *Coordinator) assign(cs *connState) response {
 		// having them re-poll in the lockstep the fixed TTL/2 hint caused.
 		return co.waitHint(cs, co.cfg.LeaseTTL/2, true)
 	}
-	offered := co.offerOrderLocked(now)
-	var soonest time.Duration
-	for _, camp := range offered {
-		if camp.remaining == 0 || camp.failErr != nil {
-			continue
-		}
-		for _, j := range camp.jobs {
-			if j.state != statePending {
-				continue
-			}
-			if wait := j.notBefore.Sub(now); wait > 0 {
-				if soonest == 0 || wait < soonest {
-					soonest = wait
-				}
-				continue
-			}
-			return co.grantLocked(camp, j, cs, now, false)
-		}
-	}
-	if co.hedgingEnabled() {
-		for _, camp := range offered {
-			if camp.remaining == 0 || camp.failErr != nil {
-				continue
-			}
-			for _, j := range camp.jobs {
-				if j.state != stateLeased || !j.straggler || len(j.leases) != 1 {
-					continue
-				}
-				if j.leases[0].site == cs.site {
-					// Hedging onto the straggling site itself would inherit
-					// whatever is wrong with it.
-					continue
-				}
-				return co.grantLocked(camp, j, cs, now, true)
-			}
-		}
+	j, speculative, soonest := co.leases.pick(co.offerOrderLocked(now), cs.site, now, co.hedgingEnabled())
+	if j != nil {
+		return co.grantLocked(j, cs, now, speculative)
 	}
 	// Nothing runnable: leased jobs in flight, or pending ones backing
 	// off. A pending job's backoff expiry keeps the hint short so the
@@ -1203,54 +744,30 @@ func ckptSteps(ckpt json.RawMessage) int {
 }
 
 // heartbeat refreshes a lease and stores any checkpoint that came with
-// it. A worker beating for a *pending* job is adopted: after a
-// coordinator restart (or a lease revocation that was never reacted
-// on), the worker is still mid-pull and its checkpoint lineage is
-// bit-exact, so re-leasing the job to it beats redoing the work. A
+// it. The lease table decides which lease the beat speaks for (the
+// connection's own, an adoption, a re-attach — leaseTable.beat); a
 // worker beating for a job leased elsewhere is told to abandon — which
 // is also how the losing side of a speculation race learns it lost:
 // the job is done, the beat gets abandon, the pull is dropped.
-func (co *Coordinator) heartbeat(cs *connState, req *request) response {
+func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	j := co.jobsByID[req.JobID]
+	j := co.leases.jobsByID[req.JobID]
 	if j == nil || j.state == stateDone || j.camp.failErr != nil {
 		// Unknown, finished, or the campaign is dead (failed or canceled):
 		// the worker should drop the pull.
 		return response{Type: msgAbandon}
 	}
 	camp := j.camp
-	now := time.Now()
-	l := j.leaseOf(cs)
+	l, how := co.leases.beat(j, cs, req.Attempt, now)
 	switch {
-	case l != nil:
-		// A live lease holder (original or hedge); nothing to adjust.
-	case j.state == statePending:
-		j.state = stateLeased
-		if req.Attempt > 0 {
-			// The adopted worker's lease attempt becomes the current one,
-			// so its eventual result line passes the (job, attempt) check.
-			j.attempts = req.Attempt
-		}
-		l = &lease{
-			owner:    cs,
-			worker:   cs.name,
-			site:     cs.site,
-			attempt:  j.attempts,
-			granted:  now,
-			lastBeat: now,
-			stepsAt:  now,
-			steps:    j.ckptSteps,
-			// The adopted worker's delta base is whatever its last acked
-			// checkpoint was — unknowable here. Seed the farthest image we
-			// hold: if the worker's base differs, its next delta fails the
-			// CRC check and NeedFull heals the pair in one round trip.
-			base: j.ckpt,
-		}
-		j.leases = append(j.leases, l)
-		co.siteLocked(cs.site).assignments++
+	case l == nil:
+		// The beating worker genuinely lost the job.
+		return response{Type: msgAbandon}
+	case how == adopted:
+		co.sites.get(cs.site).Assignments++
 		co.stats.Adoptions++
-		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: j.attempts,
+		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: l.attempt,
 			Site: cs.site, Worker: cs.name})
 		js := co.jobStats[j.id]
 		js.Adoptions++
@@ -1258,32 +775,14 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 		js.Workers = append(js.Workers, cs.name)
 		co.journalLocked(camp, &jrec{
 			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.name, Site: cs.site,
-			Attempt: j.attempts, Resumed: len(j.ckpt) > 0,
+			Attempt: l.attempt, Resumed: len(j.ckpt) > 0,
 		}, false)
-	default:
-		// Leased to someone else — unless "someone else" is this worker's
-		// own evicted previous connection. A slow-consumer eviction kills
-		// the conn but keeps the lease precisely so this beat can
-		// re-attach it: same worker, same attempt, new pipe, no requeue.
-		for _, prev := range j.leases {
-			if prev.worker == cs.name && prev.owner != cs && prev.owner.evicted.Load() &&
-				(req.Attempt == 0 || req.Attempt == prev.attempt) {
-				prev.owner = cs
-				prev.site = cs.site
-				l = prev
-				co.stats.Adoptions++
-				co.jobStats[j.id].Adoptions++
-				co.cfg.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
-					Attempt: prev.attempt, Site: cs.site, Worker: cs.name})
-				break
-			}
-		}
-		if l == nil {
-			// The beating worker genuinely lost the job.
-			return response{Type: msgAbandon}
-		}
+	case how == reattached:
+		co.stats.Adoptions++
+		co.jobStats[j.id].Adoptions++
+		co.cfg.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
+			Attempt: l.attempt, Site: cs.site, Worker: cs.name})
 	}
-	l.lastBeat = now
 	if req.Type == msgProgress && req.Ckpt != nil {
 		// Fold before anything else: every consumer downstream of this
 		// point — farthest-wins, the spool, journal replay, a hedge's
@@ -1310,96 +809,72 @@ func (co *Coordinator) heartbeat(cs *connState, req *request) response {
 		if req.Ckpt.IsDelta() {
 			co.stats.DeltasFolded++
 		}
-		l.base = raw
 		steps := ckptSteps(raw)
-		if steps > l.steps {
-			if dt := now.Sub(l.stepsAt); dt > 0 {
-				r := float64(steps-l.steps) / dt.Seconds()
-				if l.haveRate {
-					l.rate = (1-ewmaAlpha)*l.rate + ewmaAlpha*r
-				} else {
-					l.rate, l.haveRate = r, true
-				}
-				co.siteLocked(l.site).observeRate(r)
-			}
-			l.steps = steps
-			l.stepsAt = now
+		rate, farthest := j.progress(l, now, raw, steps)
+		if rate > 0 {
+			co.sites.get(l.site).rate.observe(rate)
 		}
 		co.cfg.Events.Emit(obs.Event{Name: "checkpoint", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker,
 			Fields: map[string]any{"steps": steps, "bytes": req.Ckpt.WireLen(), "raw_bytes": len(raw)}})
-		if steps >= j.ckptSteps {
-			// Farthest-wins: with two concurrent leases on the same
-			// bit-exact trajectory, the checkpoint farther along strictly
-			// dominates — any future resume hands it out.
-			j.ckpt = raw
-			j.ckptSteps = steps
-			if co.journal != nil && !co.journal.log.Health().Degraded {
-				// A checkpoint that cannot reach the spool costs recovery
-				// progress, never correctness: the in-memory copy above keeps
-				// serving resumes, so a sick disk degrades the coordinator
-				// instead of failing the campaign.
-				if err := co.journal.spoolCheckpoint(j.id, raw); err != nil {
-					co.journal.log.Fault("checkpoint spool", err)
-				} else {
-					co.journalLocked(camp, &jrec{T: jCkpt, Camp: camp.key, Job: j.id, Attempt: l.attempt}, false)
-				}
+		if farthest && co.journal != nil && !co.journal.log.Health().Degraded {
+			// A checkpoint that cannot reach the spool costs recovery
+			// progress, never correctness: the in-memory copy the table
+			// keeps goes on serving resumes, so a sick disk degrades the
+			// coordinator instead of failing the campaign.
+			if err := co.journal.spoolCheckpoint(j.id, raw); err != nil {
+				co.journal.log.Fault("checkpoint spool", err)
+			} else {
+				co.journalLocked(camp, &jrec{T: jCkpt, Camp: camp.key, Job: j.id, Attempt: l.attempt}, false)
 			}
 		}
 	}
 	return response{Type: msgOK}
 }
 
-// finish records a completed job. Results are idempotent by (job,
-// attempt): checkpointed resumption is bit-exact, so a retransmitted
-// or late result from a retired lease is byte-identical to the one the
-// current lease will produce — it is acknowledged (so the worker stops
-// retrying) and dropped, never merged twice. The same rule settles
-// speculation races: the first attempt to deliver wins, and the other
-// lease's eventual result is just another duplicate.
-func (co *Coordinator) finish(cs *connState, req *request) response {
+// settlingLocked resolves the job a result or fail line names. Without
+// one to settle — unknown, completed in an earlier campaign this process
+// (or the journal) knows about, or its campaign died (failed or
+// canceled) while the pull was in flight — ok is false and resp is the
+// whole answer: an ack, so the sender clears its outbox and drops the
+// pull; nothing is merged. Caller holds mu.
+func (co *Coordinator) settlingLocked(id string) (j *job, resp response, ok bool) {
+	switch j = co.leases.jobsByID[id]; {
+	case j == nil && co.leases.doneJobs[id]:
+		co.stats.DuplicateResultsDropped++
+	case j == nil:
+		return nil, response{Type: msgOK, Err: "dist: unknown job " + id}, false
+	case j.camp.failErr == nil:
+		return j, response{}, true
+	}
+	return nil, response{Type: msgOK}, false
+}
+
+// finish records a completed job, if the lease table accepts the
+// result (job.claim: first delivery wins, anything later is a duplicate
+// to ack and drop).
+func (co *Coordinator) finish(cs *connState, req *request, now time.Time) response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	j := co.jobsByID[req.JobID]
-	if j == nil {
-		if co.doneJobs[req.JobID] {
-			// Completed in an earlier campaign this process (or the journal)
-			// knows about; ack so the sender clears its outbox.
-			co.stats.DuplicateResultsDropped++
-			return response{Type: msgOK}
-		}
-		return response{Type: msgOK, Err: "dist: unknown job " + req.JobID}
+	j, resp, ok := co.settlingLocked(req.JobID)
+	if !ok {
+		return resp
 	}
 	camp := j.camp
-	if camp.failErr != nil {
-		// The campaign died (failed or canceled) while this pull was in
-		// flight: ack so the worker drops it, merge nothing.
-		return response{Type: msgOK}
-	}
-	if j.state == stateDone {
-		// Retransmit of a result already recorded (or raced by another
-		// lease's identical result): ack so the sender clears its outbox.
-		co.stats.DuplicateResultsDropped++
-		return response{Type: msgOK}
-	}
-	var winner *lease
-	if l := j.leaseOf(cs); l != nil && (req.Attempt == 0 || req.Attempt == l.attempt) {
-		winner = l
-	}
-	if j.state == stateLeased && winner == nil {
-		// The sender's lease was revoked and the job reassigned (or it
-		// lost a speculation race); the surviving lease will deliver the
-		// same bytes.
+	winner, accept := j.claim(cs, req.Attempt)
+	if !accept {
+		// A retransmit of a result already recorded, or the sender's lease
+		// was revoked and the job reassigned (or it lost a speculation
+		// race) and the surviving lease will deliver the same bytes: ack
+		// so the sender clears its outbox.
 		co.stats.DuplicateResultsDropped++
 		return response{Type: msgOK}
 	}
 	if req.Log == nil {
 		return response{Type: msgOK, Err: "dist: result without log"}
 	}
-	// A pending job is accepted too: its lease expired during coordinator
-	// downtime but the worker finished anyway — the result is just as
-	// bit-identical. Journal (fsynced — the log is the campaign's
-	// irreplaceable output) before the in-memory commit and the ack.
+	// Journal (fsynced — the log is the campaign's irreplaceable output)
+	// before the in-memory commit and the ack.
 	attempt := j.attempts
 	if winner != nil {
 		attempt = winner.attempt
@@ -1412,52 +887,40 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 		// outbox and retransmits once the storage probe clears the state.
 		return response{Type: msgRetry, DelayMs: int(co.cfg.LeaseTTL / 2 / time.Millisecond)}
 	}
-	now := time.Now()
-	sh := co.siteLocked(cs.site)
-	sh.completions++
+	losers := co.leases.settle(j, winner, req.Log)
+	sh := co.sites.get(cs.site)
+	sh.Completions++
 	if winner != nil {
-		sh.observeLatency(now.Sub(winner.granted))
+		sh.latency.observe(now.Sub(winner.granted))
 	}
 	if sh.success() {
 		co.stats.BreakerCloses++
 		co.cfg.Events.Emit(obs.Event{Name: "breaker_closed", Job: j.id, Site: cs.site})
 	}
-	// Settle the speculation race: every other concurrent lease lost.
-	for _, l := range j.leases {
-		if l == winner {
-			continue
-		}
+	// The speculation race is settled: every other concurrent lease lost.
+	for _, l := range losers {
 		co.stats.SpeculationsWasted++
 		co.cfg.Events.Emit(obs.Event{Name: "speculation_lost", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker})
-		loser := co.siteLocked(l.site)
-		loser.specLost++
+		loser := co.sites.get(l.site)
+		loser.SpecLost++
 		loser.clearProbe(j.id)
 		if !l.speculative && l.steps > 0 {
 			// The original lease demonstrably crawled and lost to its
 			// hedge: that is a health verdict on its site, the same kind
 			// of strike a failure would be.
-			co.siteStrikeLocked(l.site, j.id, now, nil)
+			co.strikeLocked(loser, j.id, now)
 		}
 	}
 	if winner != nil && winner.speculative {
 		co.stats.SpeculationsWon++
-		sh.specWon++
+		sh.SpecWon++
 	}
-	co.doneJobs[j.id] = true
-	j.state = stateDone
-	j.leases = nil
-	j.straggler = false
-	j.log = req.Log
-	camp.remaining--
 	co.cfg.Events.Emit(obs.Event{Name: "result_accepted", Job: j.id, Attempt: attempt,
 		Site: cs.site, Worker: cs.name,
 		Fields: map[string]any{"remaining": camp.remaining}})
 	if co.journal != nil {
 		co.journal.removeSpool(j.id)
-	}
-	if camp.remaining == 0 {
-		camp.finish(nil)
 	}
 	return response{Type: msgOK}
 }
@@ -1465,39 +928,24 @@ func (co *Coordinator) finish(cs *connState, req *request) response {
 // fail requeues a job its worker could not complete. Like finish, it is
 // idempotent by (job, attempt): a fail line from a retired lease — the
 // job finished elsewhere or was reassigned — is acked and dropped.
-func (co *Coordinator) fail(cs *connState, req *request) response {
+func (co *Coordinator) fail(cs *connState, req *request, now time.Time) response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	j := co.jobsByID[req.JobID]
-	if j == nil {
-		if co.doneJobs[req.JobID] {
-			co.stats.DuplicateResultsDropped++
-			return response{Type: msgOK}
-		}
-		return response{Type: msgOK, Err: "dist: unknown job " + req.JobID}
+	j, resp, ok := co.settlingLocked(req.JobID)
+	if !ok {
+		return resp
 	}
 	camp := j.camp
-	if camp.failErr != nil {
-		return response{Type: msgOK}
-	}
-	l := j.leaseOf(cs)
-	if j.state == stateLeased && l != nil && (req.Attempt == 0 || req.Attempt == l.attempt) {
+	if l := j.leaseOf(cs, req.Attempt); l != nil {
 		co.stats.Failures++
 		co.cfg.Events.Emit(obs.Event{Name: "job_failed", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker, Fields: map[string]any{"error": req.Err}})
 		co.journalLocked(camp, &jrec{T: jFail, Camp: camp.key, Job: j.id, Attempt: l.attempt, Err: req.Err}, false)
-		co.siteStrikeLocked(l.site, j.id, time.Now(), func(sh *siteHealth) { sh.failures++ })
-		keep := j.leases[:0]
-		for _, other := range j.leases {
-			if other != l {
-				keep = append(keep, other)
-			}
-		}
-		j.leases = keep
-		if len(j.leases) == 0 {
-			co.requeueLocked(camp, j)
-		}
-	} else if j.state == stateDone || j.state == stateLeased {
+		sh := co.sites.get(l.site)
+		sh.Failures++
+		co.strikeLocked(sh, j.id, now)
+		co.requeuedLocked(co.leases.revoke(j, now, func(o *lease) bool { return o == l }))
+	} else if j.state != statePending {
 		co.stats.DuplicateResultsDropped++
 	}
 	return response{Type: msgOK}
@@ -1513,7 +961,7 @@ func (co *Coordinator) Stats() Stats {
 
 func (co *Coordinator) statsLocked() Stats {
 	s := co.stats
-	s.BytesIn, s.BytesOut = co.bytes.snapshot()
+	s.BytesIn, s.BytesOut = co.bytesIn.Load(), co.bytesOut.Load()
 	if co.journal != nil {
 		s.setStorage(co.journal.log.Health())
 	}
@@ -1534,17 +982,14 @@ func (co *Coordinator) statsLocked() Stats {
 func (co *Coordinator) JobStats() map[string]JobStats {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.jobStatsLocked()
+	return copyJobStats(co.jobStats)
 }
 
-func (co *Coordinator) jobStatsLocked() map[string]JobStats {
-	out := make(map[string]JobStats, len(co.jobStats))
-	for id, js := range co.jobStats {
-		cp := *js
-		cp.Workers = append([]string(nil), js.Workers...)
-		out[id] = cp
-	}
-	return out
+// SiteStats returns the per-site health table keyed by site name.
+func (co *Coordinator) SiteStats() map[string]SiteStats {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.sites.snapshot()
 }
 
 // StatsSnapshot implements StatsSource: the campaign counters, per-job
@@ -1556,38 +1001,7 @@ func (co *Coordinator) StatsSnapshot() Snapshot {
 	defer co.mu.Unlock()
 	return Snapshot{
 		Stats: co.statsLocked(),
-		Jobs:  co.jobStatsLocked(),
-		Sites: co.siteStatsLocked(),
+		Jobs:  copyJobStats(co.jobStats),
+		Sites: co.sites.snapshot(),
 	}
-}
-
-// raiseMax lifts a high-water mark to v unless it is already there. A
-// compare-and-swap loop, because every connection's reader raises the
-// same mark concurrently and a plain load-then-store lets a smaller
-// depth overwrite a larger one.
-func raiseMax(mark *atomic.Int64, v int64) {
-	for {
-		cur := mark.Load()
-		if v <= cur || mark.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// countConn counts bytes crossing a connection.
-type countConn struct {
-	net.Conn
-	c *counter
-}
-
-func (cc *countConn) Read(p []byte) (int, error) {
-	n, err := cc.Conn.Read(p)
-	cc.c.addIn(n)
-	return n, err
-}
-
-func (cc *countConn) Write(p []byte) (int, error) {
-	n, err := cc.Conn.Write(p)
-	cc.c.addOut(n)
-	return n, err
 }

@@ -11,7 +11,6 @@ package dist
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"spice/internal/campaign"
@@ -52,10 +51,6 @@ func (lr *LocalRunner) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.Work
 	if lr.Build == nil {
 		return nil, fmt.Errorf("dist: LocalRunner needs a Build function")
 	}
-	workers := lr.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	tasks := spec.Tasks()
 	lr.mu.Lock()
 	if lr.jobStats == nil {
@@ -64,33 +59,16 @@ func (lr *LocalRunner) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.Work
 	lr.stats.Jobs += len(tasks)
 	lr.mu.Unlock()
 
-	logs := make([]*trace.WorkLog, len(tasks))
-	errs := make([]error, len(tasks))
-	taskCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := fmt.Sprintf("%s/%d", localSite, w)
-			for i := range taskCh {
-				t := tasks[i]
-				id := fmt.Sprintf("smdje-%s-r%d", t.Combo, t.Index)
-				lr.startJob(id, worker)
-				logs[i], errs[i] = campaign.ExecutePull(spec, t, lr.Build, smd.RunOpts{})
-				lr.finishJob(id, worker, errs[i])
-			}
-		}(w)
-	}
-	for i := range tasks {
-		taskCh <- i
-	}
-	close(taskCh)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("dist: pull %s replica %d: %w", tasks[i].Combo, tasks[i].Index, err)
-		}
+	logs, err := campaign.ExecuteTasks(tasks, lr.Workers, func(w int, t campaign.Task) (*trace.WorkLog, error) {
+		worker := fmt.Sprintf("%s/%d", localSite, w)
+		id := fmt.Sprintf("smdje-%s-r%d", t.Combo, t.Index)
+		lr.startJob(id, worker)
+		log, err := campaign.ExecutePull(spec, t, lr.Build, smd.RunOpts{})
+		lr.finishJob(id, worker, err)
+		return log, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	return campaign.Collate(tasks, logs), nil
 }
@@ -130,15 +108,9 @@ func (lr *LocalRunner) finishJob(id, worker string, err error) {
 func (lr *LocalRunner) StatsSnapshot() Snapshot {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	jobs := make(map[string]JobStats, len(lr.jobStats))
-	for id, js := range lr.jobStats {
-		cp := *js
-		cp.Workers = append([]string(nil), js.Workers...)
-		jobs[id] = cp
-	}
 	return Snapshot{
 		Stats: lr.stats,
-		Jobs:  jobs,
+		Jobs:  copyJobStats(lr.jobStats),
 		Sites: map[string]SiteStats{localSite: {
 			Site:        localSite,
 			Assignments: lr.stats.Assignments,

@@ -371,3 +371,73 @@ func TestCoordinatorCloseMidCheckpointStream(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestCoalescingMarksBoundedByInflightJobs: a long-lived connection
+// keeps one heartbeat-coalescing mark per job it is running, not per job
+// it ever ran — a job's result or fail line, after which it never beats
+// again, takes its mark away. 60 jobs go through one connection's
+// dispatch, two in flight at a time.
+func TestCoalescingMarksBoundedByInflightJobs(t *testing.T) {
+	spec := singleJobSpec()
+	spec.Replicas = 60
+	co := newCoordinator(t, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := co.Run(spec)
+		done <- err
+	}()
+	for installed := false; !installed; time.Sleep(time.Millisecond) {
+		co.mu.Lock()
+		installed = len(co.leases.camps) == 1
+		co.mu.Unlock()
+	}
+
+	cs := &connState{name: "w", site: "w", marks: make(map[string]beatMark)}
+	now := time.Now()
+	var inflight []*wireJob
+	finished, assigned := 0, 0
+	failing := map[string]bool{} // every tenth job fails its first attempt
+	for finished < 60 {
+		resp := co.dispatch(cs, &request{Type: msgNext}, now)
+		if resp.Type == msgAssign {
+			inflight = append(inflight, resp.Job)
+			if assigned++; assigned%10 == 3 {
+				failing[resp.Job.ID] = true
+			}
+			if r := co.dispatch(cs, &request{Type: msgBeat, JobID: resp.Job.ID, Attempt: resp.Job.Attempt}, now); r.Type != msgOK {
+				t.Fatalf("beat for %s answered %q", resp.Job.ID, r.Type)
+			}
+			if len(inflight) < 2 && finished+len(inflight) < 60 {
+				continue
+			}
+		} else if len(inflight) == 0 {
+			// Only a job backing off after its fail line is left.
+			now = now.Add(time.Second)
+			continue
+		}
+		if len(cs.marks) != len(inflight) {
+			t.Fatalf("%d marks with %d jobs in flight", len(cs.marks), len(inflight))
+		}
+		j := inflight[0]
+		inflight = inflight[1:]
+		req := &request{Type: msgResult, JobID: j.ID, Attempt: j.Attempt, Log: &trace.WorkLog{}}
+		if failing[j.ID] {
+			req = &request{Type: msgFail, JobID: j.ID, Attempt: j.Attempt, Err: "flaky"}
+			delete(failing, j.ID)
+		} else {
+			finished++
+		}
+		if r := co.dispatch(cs, req, now); r.Type != msgOK || r.Err != "" {
+			t.Fatalf("%s for %s answered %q (err %q)", req.Type, j.ID, r.Type, r.Err)
+		}
+		if len(cs.marks) > len(inflight) {
+			t.Fatalf("%d marks with %d jobs in flight after %s %s", len(cs.marks), len(inflight), req.Type, j.ID)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.marks) != 0 {
+		t.Fatalf("%d marks left after every job finished", len(cs.marks))
+	}
+}

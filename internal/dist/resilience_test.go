@@ -22,92 +22,6 @@ import (
 	"spice/internal/trace"
 )
 
-// TestBreakerStateMachine drives siteHealth through the full
-// closed → open → half-open → closed circuit, plus the probe-failure
-// re-open edge.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Now()
-	cooldown := 50 * time.Millisecond
-	sh := &siteHealth{name: "s"}
-
-	// Closed: strikes below threshold neither trip nor quarantine.
-	if sh.strike(now, 3) {
-		t.Fatal("first strike tripped a threshold-3 breaker")
-	}
-	if sh.strike(now, 3) {
-		t.Fatal("second strike tripped a threshold-3 breaker")
-	}
-	if !sh.admissible(now, cooldown) {
-		t.Fatal("closed breaker not admissible")
-	}
-
-	// A success resets the consecutive count; the next strike starts over.
-	if sh.success() {
-		t.Fatal("success on a closed breaker reported a close transition")
-	}
-	if sh.strikes != 0 {
-		t.Fatalf("strikes = %d after success, want 0", sh.strikes)
-	}
-
-	// Threshold consecutive strikes open it.
-	sh.strike(now, 3)
-	sh.strike(now, 3)
-	if !sh.strike(now, 3) {
-		t.Fatal("third consecutive strike did not trip")
-	}
-	if sh.state != breakerOpen || sh.trips != 1 {
-		t.Fatalf("state = %v trips = %d after trip", sh.state, sh.trips)
-	}
-
-	// Open: quarantined until the cooldown elapses.
-	if sh.admissible(now, cooldown) {
-		t.Fatal("open breaker admissible before cooldown")
-	}
-	later := now.Add(cooldown)
-	if !sh.admissible(later, cooldown) {
-		t.Fatal("open breaker not admissible after cooldown")
-	}
-
-	// Grant-time transition (grantLocked's logic): open → half-open with
-	// a probe job; a second grant is refused while the probe is out.
-	sh.state = breakerHalfOpen
-	sh.probeJob = "j1"
-	if sh.admissible(later, cooldown) {
-		t.Fatal("half-open breaker admissible with a probe in flight")
-	}
-
-	// Probe failure re-opens immediately, at any strike count.
-	if !sh.strike(later, 3) {
-		t.Fatal("strike during half-open did not re-open")
-	}
-	if sh.state != breakerOpen || sh.trips != 2 || sh.probeJob != "" {
-		t.Fatalf("after probe failure: state = %v trips = %d probe = %q", sh.state, sh.trips, sh.probeJob)
-	}
-
-	// Probe success closes and resets.
-	sh.state = breakerHalfOpen
-	sh.probeJob = "j2"
-	sh.strikes = 5
-	if !sh.success() {
-		t.Fatal("success on half-open did not report a close")
-	}
-	if sh.state != breakerClosed || sh.strikes != 0 || sh.probeJob != "" {
-		t.Fatalf("after probe success: state = %v strikes = %d probe = %q", sh.state, sh.strikes, sh.probeJob)
-	}
-
-	// clearProbe only forgets its own job.
-	sh.state = breakerHalfOpen
-	sh.probeJob = "j3"
-	sh.clearProbe("other")
-	if sh.probeJob != "j3" {
-		t.Fatal("clearProbe(other) cleared the wrong probe")
-	}
-	sh.clearProbe("j3")
-	if sh.probeJob != "" {
-		t.Fatal("clearProbe(j3) did not clear")
-	}
-}
-
 // TestBackoffDeterministicJitter pins the requeue delay contract: the
 // jittered delay stays inside [d/2, d) of the exponential base, is a
 // pure function of (job, attempt), and decorrelates different jobs.
@@ -128,11 +42,11 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 	for attempts := 1; attempts <= 10; attempts++ {
 		d := base(attempts)
-		got := co.backoff("smdje-k100v800-r0", attempts)
+		got := co.leases.retry.Keyed("smdje-k100v800-r0", attempts)
 		if got < d/2 || got >= d {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempts, got, d/2, d)
 		}
-		if again := co.backoff("smdje-k100v800-r0", attempts); again != got {
+		if again := co.leases.retry.Keyed("smdje-k100v800-r0", attempts); again != got {
 			t.Fatalf("attempt %d: backoff not deterministic: %v then %v", attempts, got, again)
 		}
 	}
@@ -140,31 +54,10 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	// Different jobs at the same attempt must not retry in lockstep.
 	seen := map[time.Duration]bool{}
 	for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		seen[co.backoff(id, 1)] = true
+		seen[co.leases.retry.Keyed(id, 1)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("8 jobs share one jittered delay: %v", seen)
-	}
-}
-
-// TestFleetMedianRate checks the straggler baseline: no median below
-// two observed sites, upper median above.
-func TestFleetMedianRate(t *testing.T) {
-	co := newCoordinator(t, nil)
-	if _, ok := co.fleetMedianRate(); ok {
-		t.Fatal("median reported with zero sites")
-	}
-	co.siteLocked("a").observeRate(100)
-	if _, ok := co.fleetMedianRate(); ok {
-		t.Fatal("median reported with one site")
-	}
-	co.siteLocked("b").observeRate(10)
-	if m, ok := co.fleetMedianRate(); !ok || m != 100 {
-		t.Fatalf("median of {10, 100} = %v, %v; want upper median 100", m, ok)
-	}
-	co.siteLocked("c").observeRate(50)
-	if m, ok := co.fleetMedianRate(); !ok || m != 50 {
-		t.Fatalf("median of {10, 50, 100} = %v, %v; want 50", m, ok)
 	}
 }
 
@@ -180,9 +73,9 @@ func TestStragglerScanTriggers(t *testing.T) {
 
 	// Rate trigger: lease at 1 step/s against a fleet median of 100.
 	co := newCoordinator(t, func(c *Config) { c.HedgeFraction, c.HedgeAfter = 0.3, 10*time.Millisecond })
-	co.siteLocked("fast1").observeRate(100)
-	co.siteLocked("fast2").observeRate(100)
-	camp, j := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: 1, haveRate: true})
+	co.sites.get("fast1").rate.observe(100)
+	co.sites.get("fast2").rate.observe(100)
+	camp, j := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: ewma[float64]{v: 1, ok: true}})
 	co.stragglerScanLocked(camp, now)
 	if !j.straggler || co.stats.StragglersDetected != 1 {
 		t.Fatalf("rate trigger did not flag: straggler=%v detected=%d", j.straggler, co.stats.StragglersDetected)
@@ -191,9 +84,9 @@ func TestStragglerScanTriggers(t *testing.T) {
 	// Below HedgeAfter the same lease is left alone — short jobs are
 	// never hedged.
 	co2 := newCoordinator(t, func(c *Config) { c.HedgeFraction, c.HedgeAfter = 0.3, 10*time.Second })
-	co2.siteLocked("fast1").observeRate(100)
-	co2.siteLocked("fast2").observeRate(100)
-	camp2, j2 := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: 1, haveRate: true})
+	co2.sites.get("fast1").rate.observe(100)
+	co2.sites.get("fast2").rate.observe(100)
+	camp2, j2 := mkCamp(&lease{site: "slow", granted: now.Add(-time.Second), stepsAt: now, rate: ewma[float64]{v: 1, ok: true}})
 	co2.stragglerScanLocked(camp2, now)
 	if j2.straggler {
 		t.Fatal("lease younger than HedgeAfter was flagged")

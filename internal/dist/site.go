@@ -40,55 +40,49 @@ func (b breakerState) String() string {
 // observations dominate.
 const ewmaAlpha = 0.25
 
-// siteHealth is the coordinator's record for one site. All access is
-// under the coordinator's mutex.
-type siteHealth struct {
-	name string
+// ewma is an exponentially weighted moving average, seeded by its first
+// observation; v is 0 and ok false until then.
+type ewma[T float64 | time.Duration] struct {
+	v  T
+	ok bool
+}
 
-	// breaker
-	strikes  int // consecutive failures since the last success
+func (e *ewma[T]) observe(x T) {
+	if !e.ok {
+		e.v, e.ok = x, true
+		return
+	}
+	e.v = T((1-ewmaAlpha)*float64(e.v) + ewmaAlpha*float64(x))
+}
+
+// siteHealth is the coordinator's record for one site: the exported
+// counters, live (Site, Strikes — consecutive failures since the last
+// success — and BreakerTrips among them), plus the breaker and the
+// averages that snapshot renders into the remaining SiteStats fields.
+type siteHealth struct {
+	SiteStats
+
 	state    breakerState
 	openedAt time.Time
-	trips    int    // closed/half-open → open transitions
 	probeJob string // job ID of the in-flight half-open probe, if any
 
-	// counters
-	assignments   int
-	completions   int
-	failures      int // explicit fail messages
-	leaseExpiries int
-	disconnects   int
-	specWon       int // speculations this site won
-	specLost      int // leases this site lost to a hedge elsewhere
-
-	// EWMAs
-	latEWMA  time.Duration // lease grant → accepted result
-	haveLat  bool
-	rateEWMA float64 // checkpoint-derived steps/sec
-	haveRate bool
+	latency ewma[time.Duration] // lease grant → accepted result
+	rate    ewma[float64]       // checkpoint-derived steps/sec
 }
 
-func (sh *siteHealth) observeLatency(d time.Duration) {
-	if !sh.haveLat {
-		sh.latEWMA, sh.haveLat = d, true
-		return
-	}
-	sh.latEWMA = time.Duration((1-ewmaAlpha)*float64(sh.latEWMA) + ewmaAlpha*float64(d))
-}
-
-func (sh *siteHealth) observeRate(r float64) {
-	if !sh.haveRate {
-		sh.rateEWMA, sh.haveRate = r, true
-		return
-	}
-	sh.rateEWMA = (1-ewmaAlpha)*sh.rateEWMA + ewmaAlpha*r
+// snapshot is the site's exported view.
+func (sh *siteHealth) snapshot() SiteStats {
+	st := sh.SiteStats
+	st.Breaker = sh.state.String()
+	st.RateEWMA, st.LatencyEWMA = sh.rate.v, sh.latency.v
+	return st
 }
 
 // admissible reports whether the breaker lets this site take a new
 // lease right now. An open breaker past its cooldown admits exactly one
 // probe job (the open → half-open transition happens at grant time, in
-// grantLocked); a half-open breaker admits nothing while its probe is
-// in flight.
+// granted); a half-open breaker admits nothing while its probe is in
+// flight.
 func (sh *siteHealth) admissible(now time.Time, cooldown time.Duration) bool {
 	switch sh.state {
 	case breakerClosed:
@@ -105,30 +99,45 @@ func (sh *siteHealth) admissible(now time.Time, cooldown time.Duration) bool {
 // losing a speculation race). Threshold consecutive strikes open the
 // breaker; any strike while half-open re-opens it — the probe failed.
 func (sh *siteHealth) strike(now time.Time, threshold int) (tripped bool) {
-	sh.strikes++
+	sh.Strikes++
 	switch sh.state {
 	case breakerClosed:
-		if threshold > 0 && sh.strikes >= threshold {
+		if threshold > 0 && sh.Strikes >= threshold {
 			sh.state = breakerOpen
 			sh.openedAt = now
-			sh.trips++
+			sh.BreakerTrips++
 			return true
 		}
 	case breakerHalfOpen:
 		sh.state = breakerOpen
 		sh.openedAt = now
-		sh.trips++
+		sh.BreakerTrips++
 		sh.probeJob = ""
 		return true
 	}
 	return false
 }
 
+// granted books a new lease of job id on the site. On an open breaker
+// the lease is the half-open probe (admissible gated on the cooldown)
+// and probe is true; a second lease is refused while it is out.
+func (sh *siteHealth) granted(id string) (probe bool) {
+	if sh.state == breakerOpen {
+		sh.state = breakerHalfOpen
+		probe = true
+	}
+	if sh.state == breakerHalfOpen && sh.probeJob == "" {
+		sh.probeJob = id
+	}
+	sh.Assignments++
+	return probe
+}
+
 // success records an accepted result from the site: strikes reset and
 // the breaker closes (a half-open probe that completes is the proof of
 // recovery the paper's quarantined site never got to give).
 func (sh *siteHealth) success() (closed bool) {
-	sh.strikes = 0
+	sh.Strikes = 0
 	sh.probeJob = ""
 	if sh.state != breakerClosed {
 		sh.state = breakerClosed
@@ -169,64 +178,41 @@ type SiteStats struct {
 	LatencyEWMA time.Duration
 }
 
-// SiteStats returns the per-site health table keyed by site name.
-func (co *Coordinator) SiteStats() map[string]SiteStats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.siteStatsLocked()
-}
+// siteTable holds the health record of every site seen so far, by name.
+type siteTable map[string]*siteHealth
 
-func (co *Coordinator) siteStatsLocked() map[string]SiteStats {
-	out := make(map[string]SiteStats, len(co.sites))
-	for name, sh := range co.sites {
-		st := SiteStats{
-			Site:          name,
-			Assignments:   sh.assignments,
-			Completions:   sh.completions,
-			Failures:      sh.failures,
-			LeaseExpiries: sh.leaseExpiries,
-			Disconnects:   sh.disconnects,
-			SpecWon:       sh.specWon,
-			SpecLost:      sh.specLost,
-			Breaker:       sh.state.String(),
-			BreakerTrips:  sh.trips,
-			Strikes:       sh.strikes,
-		}
-		if sh.haveRate {
-			st.RateEWMA = sh.rateEWMA
-		}
-		if sh.haveLat {
-			st.LatencyEWMA = sh.latEWMA
-		}
-		out[name] = st
-	}
-	return out
-}
-
-// siteLocked returns (creating if needed) the health record for a site.
-// Caller holds mu.
-func (co *Coordinator) siteLocked(name string) *siteHealth {
+// get returns (creating if needed) the health record for a site.
+func (st siteTable) get(name string) *siteHealth {
 	if name == "" {
 		name = "?"
 	}
-	sh := co.sites[name]
+	sh := st[name]
 	if sh == nil {
-		sh = &siteHealth{name: name}
-		co.sites[name] = sh
+		sh = &siteHealth{SiteStats: SiteStats{Site: name}}
+		st[name] = sh
 	}
 	return sh
 }
 
-// fleetMedianRate returns the upper median of all sites' progress-rate
+// snapshot returns the exported per-site table.
+func (st siteTable) snapshot() map[string]SiteStats {
+	out := make(map[string]SiteStats, len(st))
+	for name, sh := range st {
+		out[name] = sh.snapshot()
+	}
+	return out
+}
+
+// medianRate returns the upper median of all sites' progress-rate
 // EWMAs, and whether at least two sites have one — the comparison basis
 // for rate-based straggler detection. Using site EWMAs rather than only
 // live leases keeps the baseline meaningful after fast sites drain the
-// queue and idle. Caller holds mu.
-func (co *Coordinator) fleetMedianRate() (float64, bool) {
-	rates := make([]float64, 0, len(co.sites))
-	for _, sh := range co.sites {
-		if sh.haveRate {
-			rates = append(rates, sh.rateEWMA)
+// queue and idle.
+func (st siteTable) medianRate() (float64, bool) {
+	rates := make([]float64, 0, len(st))
+	for _, sh := range st {
+		if sh.rate.ok {
+			rates = append(rates, sh.rate.v)
 		}
 	}
 	if len(rates) < 2 {
@@ -234,4 +220,18 @@ func (co *Coordinator) fleetMedianRate() (float64, bool) {
 	}
 	sort.Float64s(rates)
 	return rates[len(rates)/2], true
+}
+
+// straggling judges a job's sole lease, once it is older than
+// HedgeAfter (short jobs are never hedged): its checkpoint-derived
+// progress crawls either relative to the fleet (slow: rate below
+// HedgeFraction of the median site rate) or in absolute terms (stalled:
+// steps frozen for HedgeStall while the lease still heartbeats).
+func straggling(cfg *Config, l *lease, now time.Time, median float64, haveMedian bool) (slow, stalled bool) {
+	if now.Sub(l.granted) < cfg.HedgeAfter {
+		return false, false
+	}
+	slow = cfg.HedgeFraction > 0 && haveMedian && l.rate.ok && l.rate.v < cfg.HedgeFraction*median
+	stalled = cfg.HedgeStall > 0 && now.Sub(l.stepsAt) > cfg.HedgeStall
+	return slow, stalled
 }

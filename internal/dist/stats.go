@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"spice/internal/trace"
 	"spice/internal/wal"
@@ -166,6 +165,17 @@ type JobStats struct {
 	Workers       []string // every worker the job was leased to, in order
 }
 
+// copyJobStats deep-copies a live per-job table for a snapshot.
+func copyJobStats(live map[string]*JobStats) map[string]JobStats {
+	out := make(map[string]JobStats, len(live))
+	for id, js := range live {
+		cp := *js
+		cp.Workers = append([]string(nil), js.Workers...)
+		out[id] = cp
+	}
+	return out
+}
+
 // Snapshot is the unified stats surface: one coherent point-in-time
 // capture of the campaign counters, the per-job lease histories, and
 // the per-site health table. Every consumer — the statsfmt table
@@ -182,20 +192,4 @@ type Snapshot struct {
 // and LocalRunner (the single-process equivalent).
 type StatsSource interface {
 	StatsSnapshot() Snapshot
-}
-
-// countingConn tallies bytes crossing a net.Conn into shared counters.
-type counter struct {
-	mu  sync.Mutex
-	in  int64
-	out int64
-}
-
-func (c *counter) addIn(n int)  { c.mu.Lock(); c.in += int64(n); c.mu.Unlock() }
-func (c *counter) addOut(n int) { c.mu.Lock(); c.out += int64(n); c.mu.Unlock() }
-
-func (c *counter) snapshot() (in, out int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.in, c.out
 }

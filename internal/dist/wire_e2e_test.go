@@ -149,6 +149,14 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, want, got)
+			// The spec is ~10 ms of work, so Run can return before the last
+			// worker's hello has been served; the server keeps accepting,
+			// and the connection counts the checks read settle once it has.
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st := co.Stats(); st.WireV0Conns+st.WireV1Conns >= cell.workers {
+					break
+				}
+			}
 			cell.check(t, co.Stats(), ws)
 		})
 	}
@@ -258,7 +266,7 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	// equal the client's post-delta document exactly.
 	co.mu.Lock()
 	var folded []byte
-	if j := co.jobsByID[jobID]; j != nil {
+	if j := co.leases.jobsByID[jobID]; j != nil {
 		folded = append([]byte(nil), j.ckpt...)
 	}
 	co.mu.Unlock()

@@ -33,6 +33,26 @@ if grep -n -e 'disabledOr' -e 'negative disables' $(ls internal/dist/*.go | grep
   exit 1
 fi
 
+echo "== lease table + site health: plain data, one grant =="
+# The lease table and site health take the time as an argument and touch
+# no clock, lock, socket, event log or journal — that is what lets a
+# simulation drive them — and a lease is created in exactly one place.
+if grep -n -E -e 'time\.(Now|Since)' -e '\b(sync|net|obs)\.' -e 'journal' -e 'co\.mu' \
+  internal/dist/leases.go internal/dist/site.go; then
+  echo "FAIL: leases.go / site.go reach outside plain data"
+  exit 1
+fi
+grants=$(cat $(ls internal/dist/*.go | grep -v '_test\.go$') | grep -c '&lease{')
+if [ "$grants" -ne 1 ]; then
+  echo "FAIL: $grants places build a lease in internal/dist, want 1 (leaseTable.grant)"
+  exit 1
+fi
+# Their unit tests are socket- and sleep-free, so 20 race-enabled rounds
+# cost under a second: the flake detector the TCP tests cannot be.
+go test -race -count=20 \
+  -run 'TestLeaseTable|TestSite|TestBreakerStateMachine|TestFleetMedianRate|TestStragglingPredicate' \
+  ./internal/dist
+
 echo "== go test -race =="
 go test -race ./...
 
