@@ -14,7 +14,6 @@ package spice
 // overhead eats the distribution win.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -79,23 +78,10 @@ func wireLoadClient(ctx context.Context, addr, name string, offer int, tot *wire
 	}
 	defer conn.Close()
 
-	hb, err := json.Marshal(&wire.Request{Type: wire.MsgHello, Name: name, Wire: offer})
+	codec, err := wire.Open(conn, conn, wire.Session{Name: name, Version: offer, Delta: true, Comp: true})
 	if err != nil {
 		return err
 	}
-	if _, err := conn.Write(append(hb, '\n')); err != nil {
-		return err
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return err
-	}
-	var grant wire.Response
-	if err := json.Unmarshal(line, &grant); err != nil {
-		return err
-	}
-	codec := wire.NewCodec(grant.Wire, br, conn, grant.Comp)
 
 	rt := func(req *wire.Request) (*wire.Response, error) {
 		if err := codec.Encode(req); err != nil {
@@ -127,15 +113,7 @@ func wireLoadClient(ctx context.Context, addr, name string, offer int, tot *wire
 			var base []byte
 			for k := 1; k <= wireLoadCkpts; k++ {
 				raw := syntheticCkpt(job.Seed, k)
-				var p *wire.Payload
-				switch {
-				case grant.Delta && base != nil:
-					p = wire.Delta(base, raw)
-				case grant.Comp:
-					p = wire.Compress(raw)
-				default:
-					p = wire.JSONPayload(raw)
-				}
+				p := codec.Pack(base, raw)
 				tot.rawBytes.Add(int64(len(raw)))
 				tot.wireBytes.Add(int64(p.WireLen()))
 				tot.ckpts.Add(1)

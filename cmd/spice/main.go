@@ -285,7 +285,7 @@ func startCoordinator(addr string, sys *core.SystemConfig, workers int, dcfg dis
 		w, err := dist.NewWorker(fmt.Sprintf("local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, wcfg)
 		if err != nil {
 			cancel()
-			ln.Close()
+			_ = co.Close()
 			return nil, nil, err
 		}
 		go w.Run(ctx)

@@ -119,7 +119,8 @@ type Config struct {
 	// version offered by a peer downgrades to 0 with a logged event.
 	WireVersion int
 	// Compression enables lz block compression on bulk payloads
-	// (checkpoints, resume images, system configs) on v1+ connections.
+	// (checkpoints, resume images, specs and work logs) on v1+
+	// connections; the system config rides the grant line, always plain.
 	// Ignored on v0 — JSON lines have nowhere to carry the flags.
 	Compression bool
 	// DeltaCheckpoints makes workers send each progress checkpoint as a
@@ -275,10 +276,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewCoordinator validates cfg and builds a Coordinator listening on
-// ln, distributing the opaque system payload to workers. The obs hooks
-// are wired: cfg.Metrics gets the Snapshot collector registered,
-// cfg.Events receives the scheduling event stream.
+// NewCoordinator validates cfg and builds a Coordinator serving workers
+// on ln (until Close), distributing the opaque system payload to them.
+// With a StateDir the journal is opened and replayed first, so a sick
+// disk surfaces here; on error ln is left open. The obs hooks are wired:
+// cfg.Metrics gets the Snapshot collector registered, cfg.Events
+// receives the scheduling event stream.
 func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coordinator, error) {
 	if ln == nil {
 		return nil, errors.New("dist: NewCoordinator needs a listener")
@@ -294,15 +297,22 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 	}
 	co := &Coordinator{
 		Listener: ln,
-		System:   system,
+		local: wire.Session{Version: cfg.WireVersion, Delta: cfg.DeltaCheckpoints,
+			Comp: cfg.Compression, System: system},
 		cfg:      cfg,
 		leases:   newLeaseTable(&cfg),
 		sites:    make(siteTable),
 		jobStats: make(map[string]*JobStats),
 	}
+	if cfg.StateDir != "" {
+		if err := co.replayJournal(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Metrics != nil {
 		RegisterMetrics(cfg.Metrics, co)
 	}
+	co.start()
 	return co, nil
 }
 

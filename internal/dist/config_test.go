@@ -68,16 +68,6 @@ func TestConfigValidateRejects(t *testing.T) {
 // optional subsystem set to 0 is observably off — not that some private
 // field holds some value.
 func TestConfigZeroDisables(t *testing.T) {
-	// started builds a coordinator and starts its server without a
-	// campaign, so hand-rolled clients can talk to it.
-	started := func(t *testing.T, override func(*Config)) *Coordinator {
-		co := newCoordinator(t, override)
-		co.mu.Lock()
-		co.startLocked()
-		co.mu.Unlock()
-		return co
-	}
-
 	t.Run("BreakerThreshold", func(t *testing.T) {
 		co := newCoordinator(t, func(c *Config) { c.BreakerThreshold = 0 })
 		now := time.Now()
@@ -97,7 +87,7 @@ func TestConfigZeroDisables(t *testing.T) {
 			raw     bool
 		}{{0, true}, {time.Minute, false}} {
 			served := make(chan net.Conn, 1)
-			co := started(t, func(c *Config) {
+			co := newCoordinator(t, func(c *Config) {
 				c.IOTimeout = tc.timeout
 				c.WrapConn = func(conn net.Conn) net.Conn { served <- conn; return conn }
 			})
@@ -130,7 +120,7 @@ func TestConfigZeroDisables(t *testing.T) {
 		for _, queue := range []int{0, 4} {
 			var blocked atomic.Bool
 			release := make(chan struct{})
-			co := started(t, func(c *Config) {
+			co := newCoordinator(t, func(c *Config) {
 				c.SendQueue = queue
 				c.WrapConn = func(conn net.Conn) net.Conn {
 					return &blockWrites{Conn: conn, blocked: &blocked, release: release}
@@ -139,7 +129,7 @@ func TestConfigZeroDisables(t *testing.T) {
 			c := dialTestClient(t, co.Listener.Addr().String(), "probe")
 			blocked.Store(true)
 			for i := 0; i < 3; i++ {
-				if err := c.enc.Encode(&request{Type: msgNext}); err != nil {
+				if err := c.Encode(&request{Type: msgNext}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -158,7 +148,7 @@ func TestConfigZeroDisables(t *testing.T) {
 			close(release)
 			for i := 0; i < 3; i++ {
 				var resp response
-				if err := c.dec.Decode(&resp); err != nil || resp.Type != msgWait {
+				if err := c.Decode(&resp); err != nil || resp.Type != msgWait {
 					t.Fatalf("SendQueue %d: reply %d = %+v (%v), want wait", queue, i, resp, err)
 				}
 			}
@@ -171,14 +161,14 @@ func TestConfigZeroDisables(t *testing.T) {
 	t.Run("MaxInflight", func(t *testing.T) {
 		// Same drill as TestInflightShedOverLimit with the cap off: polls
 		// pile up behind the held scheduler lock and none is shed.
-		co := started(t, func(c *Config) { c.MaxInflight = 0 })
+		co := newCoordinator(t, func(c *Config) { c.MaxInflight = 0 })
 		var clients []*testClient
 		for _, name := range []string{"pa", "pb", "pc"} {
 			clients = append(clients, dialTestClient(t, co.Listener.Addr().String(), name))
 		}
 		co.mu.Lock()
 		for _, c := range clients {
-			if err := c.enc.Encode(&request{Type: msgNext}); err != nil {
+			if err := c.Encode(&request{Type: msgNext}); err != nil {
 				co.mu.Unlock()
 				t.Fatal(err)
 			}
@@ -194,7 +184,7 @@ func TestConfigZeroDisables(t *testing.T) {
 		}
 		for _, c := range clients {
 			var resp response
-			if err := c.dec.Decode(&resp); err != nil || resp.Type != msgWait {
+			if err := c.Decode(&resp); err != nil || resp.Type != msgWait {
 				t.Fatalf("parked poll answered %+v (%v), want wait", resp, err)
 			}
 		}
@@ -257,10 +247,11 @@ func TestDerivedWindowsPinned(t *testing.T) {
 		if got := co.coalesceWindow(); got != tc.coalesce {
 			t.Errorf("%s: coalesce window %v, want %v", tc.name, got, tc.coalesce)
 		}
-		if got := co.shedNext(&connState{name: "w"}).DelayMs; got != tc.shedMs {
+		if got := co.shedNext(testConn("w", "")).DelayMs; got != tc.shedMs {
 			t.Errorf("%s: shed hint %d ms, want %d", tc.name, got, tc.shedMs)
 		}
-		if got := co.assign(&connState{name: "w", site: "w"}, time.Now()).DelayMs; got != tc.idleMs {
+		co.campSeq = 1 // past the first submission: the steady idle hint, not the boot ramp
+		if got := co.assign(testConn("w", "w"), time.Now()).DelayMs; got != tc.idleMs {
 			t.Errorf("%s: idle hint %d ms, want %d", tc.name, got, tc.idleMs)
 		}
 	}

@@ -1,14 +1,12 @@
 package dist
 
 // The coordinator's transport: one goroutine per worker connection that
-// negotiates the wire, decodes requests, stamps each with the clock and
+// accepts the hello, decodes requests, stamps each with the clock and
 // dispatches it, and queues the replies — plus the overload protection
 // that lives at this layer (bounded send queues, poll shedding,
 // heartbeat coalescing, wait hints).
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -22,13 +20,9 @@ import (
 
 // connState tracks one worker connection.
 type connState struct {
-	name string
-	site string
-	// Negotiated transport state, written once at hello (before any
-	// other request is processed) and read by the grant/heartbeat paths.
-	wire  int
-	delta bool
-	comp  bool
+	// sess is the negotiated transport and the worker's name and site,
+	// written once at hello (before any other request is processed).
+	sess wire.Session
 	// evicted marks a slow-consumer eviction: the connection dies but
 	// its leases survive for the worker's reconnect to re-attach.
 	evicted atomic.Bool
@@ -80,7 +74,7 @@ func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) r
 		delay = ttl
 	}
 	cs.waits++
-	delay = time.Duration(float64(delay) * backoff.Frac(fmt.Sprintf("%s#%d", cs.name, cs.waits)))
+	delay = time.Duration(float64(delay) * backoff.Frac(fmt.Sprintf("%s#%d", cs.sess.Name, cs.waits)))
 	ms := int(delay / time.Millisecond)
 	if ms < 1 {
 		ms = 1
@@ -109,65 +103,30 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		conn = co.cfg.WrapConn(conn)
 	}
 	cc := &countConn{Conn: conn, in: &co.bytesIn, out: &co.bytesOut}
-	br := bufio.NewReader(cc)
 	cs := &connState{marks: make(map[string]beatMark)}
 	co.conns.Add(1)
 	defer co.dropConn(cs)
 
-	// The hello exchange always travels as one JSON line per direction —
-	// version discovery cannot require already knowing the version, and
-	// old workers only speak JSON lines. A raw line read (not a
-	// json.Decoder, which buffers bytes past the value) leaves br
-	// positioned exactly at the first post-negotiation message, which
-	// belongs to whichever codec the grant names.
-	sendHelloErr := func(msg string) {
-		b, _ := json.Marshal(&response{Type: msgOK, Err: msg})
-		_, _ = cc.Write(append(b, '\n'))
-	}
-	line, err := br.ReadBytes('\n')
+	sess, err := wire.Accept(cc, cc, co.local)
 	if err != nil {
 		return
 	}
-	var hello request
-	if err := json.Unmarshal(line, &hello); err != nil || hello.Type != msgHello {
-		sendHelloErr("dist: expected hello")
-		return
-	}
-	cs.name = hello.Name
-	cs.site = hello.Site
-	if cs.site == "" {
-		// Unconfigured workers are their own one-machine site.
-		cs.site = hello.Name
-	}
-	ver, downgraded := wire.Negotiate(co.cfg.WireVersion, hello.Wire)
-	if downgraded {
+	cs.sess = *sess
+	if cs.sess.Downgraded {
 		// Never silent: a future-versioned worker still gets served (on
 		// v0, the one version everything speaks) but the mismatch is on
 		// the record for the operator.
 		co.wireDowngrades.Add(1)
-		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.site, Worker: cs.name,
-			Fields: map[string]any{"offered": hello.Wire, "granted": ver}})
+		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.sess.Site, Worker: cs.sess.Name,
+			Fields: map[string]any{"offered": cs.sess.Offered, "granted": cs.sess.Version}})
 	}
-	cs.wire = ver
-	cs.delta = ver >= wire.V1 && co.cfg.DeltaCheckpoints && !hello.NoDelta
-	cs.comp = ver >= wire.V1 && co.cfg.Compression && !hello.NoComp
-	if ver >= wire.V1 {
+	if cs.sess.Version >= wire.V1 {
 		co.wireV1.Add(1)
 	} else {
 		co.wireV0.Add(1)
 	}
-	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.site, Worker: cs.name,
-		Fields: map[string]any{"wire": ver, "delta": cs.delta, "compression": cs.comp}})
-	grant := &response{Type: msgOK, System: wire.JSONPayload(co.System),
-		Wire: ver, Delta: cs.delta, Comp: cs.comp}
-	reply, err := json.Marshal(grant)
-	if err != nil {
-		return
-	}
-	if _, err := cc.Write(append(reply, '\n')); err != nil {
-		return
-	}
-	codec := wire.NewCodec(ver, br, cc, cs.comp)
+	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.sess.Site, Worker: cs.sess.Name,
+		Fields: map[string]any{"wire": cs.sess.Version, "delta": cs.sess.Delta, "compression": cs.sess.Comp}})
 
 	// Responses flow through a bounded per-connection send queue drained
 	// by a writer goroutine, so a peer that stops reading can never wedge
@@ -186,7 +145,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		go func() {
 			defer close(writerDone)
 			for resp := range sendQ {
-				if codec.Encode(&resp) != nil {
+				if cs.sess.Encode(&resp) != nil {
 					// Dead transport: keep draining so the reader, which may
 					// be about to close the channel, never blocks on it.
 					for range sendQ {
@@ -199,7 +158,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 	}
 	send := func(resp response) bool {
 		if sendQ == nil {
-			return codec.Encode(&resp) == nil
+			return cs.sess.Encode(&resp) == nil
 		}
 		select {
 		case sendQ <- resp:
@@ -208,7 +167,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		default:
 			cs.evicted.Store(true)
 			co.evictions.Add(1)
-			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.site, Worker: cs.name,
+			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.sess.Site, Worker: cs.sess.Name,
 				Fields: map[string]any{"queued": len(sendQ)}})
 			_ = conn.Close()
 			return false
@@ -217,7 +176,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 
 	for {
 		var req request
-		if err := codec.Decode(&req); err != nil {
+		if err := cs.sess.Decode(&req); err != nil {
 			return
 		}
 		resp := co.dispatch(cs, &req, time.Now())

@@ -25,11 +25,11 @@ import (
 // dynamics are identical; only the placement differs.
 //
 // NewCoordinator is the only constructor: the zero value has no Config
-// and no tables. The server is long-lived: it starts lazily on the
-// first Run and keeps serving between campaigns (workers idle on wait
-// replies), so a pipeline like core.RunSweep can issue several
-// campaigns over one worker fleet. Close tells workers to drain and
-// shuts the server down.
+// and no tables. A constructed coordinator is a serving coordinator
+// (NewCoordinator opens the journal and starts the accept loop) and
+// keeps serving between campaigns (workers idle on wait replies), so a
+// pipeline like core.RunSweep can issue several campaigns over one
+// worker fleet. Close tells workers to drain and shuts the server down.
 //
 // Beyond hard worker death (leases + heartbeats), the coordinator
 // defends against the paper's §V degraded-but-alive pathologies:
@@ -42,11 +42,11 @@ import (
 type Coordinator struct {
 	// Listener is where workers connect.
 	Listener net.Listener
-	// System is an opaque payload forwarded to workers verbatim in the
-	// hello reply — typically a JSON-encoded core.SystemConfig. dist
-	// itself never interprets it, which keeps the package free of any
-	// dependency on the model layers above md/smd/campaign.
-	System json.RawMessage
+	// local is what every connection's hello is negotiated against, and
+	// the opaque system payload (typically a JSON core.SystemConfig) the
+	// grant forwards verbatim: dist never interprets it, which keeps the
+	// package free of the model layers above md/smd/campaign.
+	local wire.Session
 	// cfg is the validated Config this coordinator was built with — the
 	// only copy of every knob; BreakerCooldown and HedgeAfter carry their
 	// resolved values.
@@ -70,7 +70,6 @@ type Coordinator struct {
 
 	campSeq     int
 	closed      bool
-	started     bool
 	stats       Stats
 	jobStats    map[string]*JobStats
 	cancelServe context.CancelFunc
@@ -126,13 +125,60 @@ func (co *Coordinator) hedgingEnabled() bool {
 	return co.cfg.HedgeFraction > 0 || co.cfg.HedgeStall > 0
 }
 
-// startLocked spins up the accept loop and the lease janitor. Caller
-// holds mu.
-func (co *Coordinator) startLocked() {
+// replayJournal opens the journal under Config.StateDir and loads what it
+// replays; the campaigns themselves re-attach when RunTagged is called
+// with a matching (tag, spec).
+func (co *Coordinator) replayJournal() error {
+	jcfg := journalConfig(co.cfg.FS, co.cfg.StateDir)
+	jcfg.CompactBytes = co.cfg.CompactBytes
+	jcfg.Retries = co.cfg.StorageRetries
+	jcfg.Notify = func(degraded bool, fields map[string]any) {
+		name := "storage_recovered"
+		if degraded {
+			name = "storage_degraded"
+		}
+		co.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
+	}
+	jn, rep, tail, err := openJournal(jcfg)
+	if err != nil {
+		return err
+	}
+	co.journal = jn
+	co.replay = rep
+	// Seed the completed-jobs set from the whole journal so a result
+	// retransmitted for a job finished before the crash is recognized
+	// as a duplicate even if its campaign has not been re-Run yet.
+	for _, c := range rep.campaigns {
+		for id := range c.done {
+			co.leases.doneJobs[id] = true
+		}
+	}
+	co.stats.ReplayedRecords = rep.records
+	co.stats.TruncatedTailBytes = tail.TornBytes
+	if tail.TornErr != nil {
+		co.stats.TornTail = TailTorn
+		if errors.Is(tail.TornErr, trace.ErrFormat) {
+			co.stats.TornTail = TailCorrupt
+		}
+		co.stats.TornTailMsg = tail.TornErr.Error()
+	}
+	if rep.records > 0 {
+		co.stats.Restarts++
+		co.cfg.Events.Emit(obs.Event{Name: "journal_replayed", Fields: map[string]any{
+			"records":    rep.records,
+			"torn_bytes": tail.TornBytes,
+			"tail":       co.stats.TornTail.String(),
+		}})
+	}
+	return nil
+}
+
+// start spins up the accept loop and the lease janitor; Close stops
+// both and waits for the accept loop.
+func (co *Coordinator) start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	co.cancelServe = cancel
 	co.serveDone = make(chan error, 1)
-	co.started = true
 	go co.janitor(ctx)
 	go func() {
 		err := netutil.Serve(ctx, co.Listener, co.serveConn)
@@ -189,53 +235,6 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			co.mu.Unlock()
 			return nil, fmt.Errorf("dist: campaign %s is already running", key)
 		}
-	}
-	if co.cfg.StateDir != "" && co.journal == nil {
-		jcfg := journalConfig(co.cfg.FS, co.cfg.StateDir)
-		jcfg.CompactBytes = co.cfg.CompactBytes
-		jcfg.Retries = co.cfg.StorageRetries
-		jcfg.Notify = func(degraded bool, fields map[string]any) {
-			name := "storage_recovered"
-			if degraded {
-				name = "storage_degraded"
-			}
-			co.cfg.Events.Emit(obs.Event{Name: name, Fields: fields})
-		}
-		jn, rep, tail, err := openJournal(jcfg)
-		if err != nil {
-			co.mu.Unlock()
-			return nil, err
-		}
-		co.journal = jn
-		co.replay = rep
-		// Seed the completed-jobs set from the whole journal so a result
-		// retransmitted for a job finished before the crash is recognized
-		// as a duplicate even if its campaign has not been re-Run yet.
-		for _, c := range rep.campaigns {
-			for id := range c.done {
-				co.leases.doneJobs[id] = true
-			}
-		}
-		co.stats.ReplayedRecords += rep.records
-		co.stats.TruncatedTailBytes += tail.TornBytes
-		if tail.TornErr != nil {
-			co.stats.TornTail = TailTorn
-			if errors.Is(tail.TornErr, trace.ErrFormat) {
-				co.stats.TornTail = TailCorrupt
-			}
-			co.stats.TornTailMsg = tail.TornErr.Error()
-		}
-		if rep.records > 0 {
-			co.stats.Restarts++
-			co.cfg.Events.Emit(obs.Event{Name: "journal_replayed", Fields: map[string]any{
-				"records":    rep.records,
-				"torn_bytes": tail.TornBytes,
-				"tail":       co.stats.TornTail.String(),
-			}})
-		}
-	}
-	if !co.started {
-		co.startLocked()
 	}
 	camp := &campaignRun{
 		key:       key,
@@ -402,12 +401,6 @@ func (co *Coordinator) Close() error {
 
 func (co *Coordinator) doClose() error {
 	co.mu.Lock()
-	if !co.started {
-		co.closed = true
-		jn := co.detachJournalLocked()
-		co.mu.Unlock()
-		return jn.close()
-	}
 	co.closed = true
 	co.mu.Unlock()
 	// Grace period: let connected workers observe drained and hang up
@@ -421,8 +414,13 @@ func (co *Coordinator) doClose() error {
 	}
 	co.cancelServe()
 	err := <-co.serveDone
+	// Take the journal out of service, keeping its final storage health.
 	co.mu.Lock()
-	jn := co.detachJournalLocked()
+	jn := co.journal
+	if jn != nil {
+		co.stats.setStorage(jn.log.Health())
+		co.journal = nil
+	}
 	co.mu.Unlock()
 	if jerr := jn.close(); jerr != nil && err == nil {
 		err = jerr
@@ -431,17 +429,6 @@ func (co *Coordinator) doClose() error {
 		return nil
 	}
 	return err
-}
-
-// detachJournalLocked takes the journal out of service for closing,
-// keeping its final storage health in the stats. Caller holds mu.
-func (co *Coordinator) detachJournalLocked() *journal {
-	jn := co.journal
-	if jn != nil {
-		co.stats.setStorage(jn.log.Health())
-		co.journal = nil
-	}
-	return jn
 }
 
 // janitorPeriod tracks the finer of the lease TTL and the hedge windows
@@ -644,14 +631,14 @@ func (co *Coordinator) dropConn(cs *connState) {
 func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, speculative bool) response {
 	camp := j.camp
 	l := co.leases.grant(j, cs, now, j.attempts+1, speculative)
-	if co.sites.get(cs.site).granted(j.id) {
+	if co.sites.get(cs.sess.Site).granted(j.id) {
 		co.stats.BreakerProbes++
-		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.site, Worker: cs.name})
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.sess.Site, Worker: cs.sess.Name})
 	}
 	co.stats.Assignments++
 	js := co.jobStats[j.id]
 	js.Assignments++
-	js.Workers = append(js.Workers, cs.name)
+	js.Workers = append(js.Workers, cs.sess.Name)
 	if speculative {
 		co.stats.SpeculationsLaunched++
 		js.Speculations++
@@ -668,21 +655,17 @@ func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, specula
 	}}
 	resumed := len(j.ckpt) > 0
 	if resumed {
-		// Always a complete image (deltas are folded on receipt),
-		// compressed when this connection negotiated it.
-		if cs.comp {
-			resp.Resume = wire.Compress(j.ckpt)
-		} else {
-			resp.Resume = wire.JSONPayload(j.ckpt)
-		}
+		// Always a complete image — deltas are folded on receipt, and the
+		// new lease holder has no base yet.
+		resp.Resume = cs.sess.Pack(nil, j.ckpt)
 		co.stats.Resumes++
 		js.Resumes++
 	}
 	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: l.attempt,
-		Site: cs.site, Worker: cs.name,
+		Site: cs.sess.Site, Worker: cs.sess.Name,
 		Fields: map[string]any{"hedge": speculative, "resumed": resumed}})
 	co.journalLocked(camp, &jrec{
-		T: jLease, Camp: camp.key, Job: j.id, Worker: cs.name, Site: cs.site,
+		T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 		Attempt: l.attempt, Resumed: resumed, Hedge: speculative,
 	}, false)
 	return resp
@@ -698,7 +681,7 @@ func (co *Coordinator) assign(cs *connState, now time.Time) response {
 	if co.closed {
 		return response{Type: msgDrained}
 	}
-	if !co.sites.get(cs.site).admissible(now, co.cfg.BreakerCooldown) {
+	if !co.sites.get(cs.sess.Site).admissible(now, co.cfg.BreakerCooldown) {
 		// Quarantined site (or a probe already in flight): no work until
 		// the breaker relents. The paper's §V.C.4 outage as a scheduling
 		// decision rather than an operator post-mortem. The adaptive hint
@@ -706,7 +689,7 @@ func (co *Coordinator) assign(cs *connState, now time.Time) response {
 		// having them re-poll in the lockstep the fixed TTL/2 hint caused.
 		return co.waitHint(cs, co.cfg.LeaseTTL/2, true)
 	}
-	j, speculative, soonest := co.leases.pick(co.offerOrderLocked(now), cs.site, now, co.hedgingEnabled())
+	j, speculative, soonest := co.leases.pick(co.offerOrderLocked(now), cs.sess.Site, now, co.hedgingEnabled())
 	if j != nil {
 		return co.grantLocked(j, cs, now, speculative)
 	}
@@ -719,6 +702,14 @@ func (co *Coordinator) assign(cs *connState, now time.Time) response {
 	if delay <= 0 || delay > co.cfg.LeaseTTL {
 		delay = co.cfg.LeaseTTL / 2
 		scale = soonest == 0
+	}
+	if co.campSeq == 0 && cs.waits < 16 {
+		// Nothing submitted yet: a fleet that boots with its server would
+		// sleep TTL/2 through the first submission, so each connection's
+		// hints start short and double up to the idle hint.
+		if boot := 5 * time.Millisecond << cs.waits; boot < delay {
+			delay = boot
+		}
 	}
 	if co.hedgingEnabled() {
 		// Idle workers are the hedge pool: they must poll fast enough to
@@ -765,23 +756,23 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		// The beating worker genuinely lost the job.
 		return response{Type: msgAbandon}
 	case how == adopted:
-		co.sites.get(cs.site).Assignments++
+		co.sites.get(cs.sess.Site).Assignments++
 		co.stats.Adoptions++
 		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: l.attempt,
-			Site: cs.site, Worker: cs.name})
+			Site: cs.sess.Site, Worker: cs.sess.Name})
 		js := co.jobStats[j.id]
 		js.Adoptions++
 		js.Assignments++
-		js.Workers = append(js.Workers, cs.name)
+		js.Workers = append(js.Workers, cs.sess.Name)
 		co.journalLocked(camp, &jrec{
-			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.name, Site: cs.site,
+			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 			Attempt: l.attempt, Resumed: len(j.ckpt) > 0,
 		}, false)
 	case how == reattached:
 		co.stats.Adoptions++
 		co.jobStats[j.id].Adoptions++
 		co.cfg.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
-			Attempt: l.attempt, Site: cs.site, Worker: cs.name})
+			Attempt: l.attempt, Site: cs.sess.Site, Worker: cs.sess.Name})
 	}
 	if req.Type == msgProgress && req.Ckpt != nil {
 		// Fold before anything else: every consumer downstream of this
@@ -888,14 +879,14 @@ func (co *Coordinator) finish(cs *connState, req *request, now time.Time) respon
 		return response{Type: msgRetry, DelayMs: int(co.cfg.LeaseTTL / 2 / time.Millisecond)}
 	}
 	losers := co.leases.settle(j, winner, req.Log)
-	sh := co.sites.get(cs.site)
+	sh := co.sites.get(cs.sess.Site)
 	sh.Completions++
 	if winner != nil {
 		sh.latency.observe(now.Sub(winner.granted))
 	}
 	if sh.success() {
 		co.stats.BreakerCloses++
-		co.cfg.Events.Emit(obs.Event{Name: "breaker_closed", Job: j.id, Site: cs.site})
+		co.cfg.Events.Emit(obs.Event{Name: "breaker_closed", Job: j.id, Site: cs.sess.Site})
 	}
 	// The speculation race is settled: every other concurrent lease lost.
 	for _, l := range losers {
@@ -917,7 +908,7 @@ func (co *Coordinator) finish(cs *connState, req *request, now time.Time) respon
 		sh.SpecWon++
 	}
 	co.cfg.Events.Emit(obs.Event{Name: "result_accepted", Job: j.id, Attempt: attempt,
-		Site: cs.site, Worker: cs.name,
+		Site: cs.sess.Site, Worker: cs.sess.Name,
 		Fields: map[string]any{"remaining": camp.remaining}})
 	if co.journal != nil {
 		co.journal.removeSpool(j.id)

@@ -152,11 +152,17 @@ func NewTestWorker(t testing.TB, name, site, addr string, build BuildFunc, overr
 // 3-bead system and a 2s lease TTL, closed with the test.
 func newCoordinator(t *testing.T, override func(*Config)) *Coordinator {
 	t.Helper()
+	return newCoordinatorFor(t, json.RawMessage(`{"beads":3}`), override)
+}
+
+// newCoordinatorFor is newCoordinator serving another system payload.
+func newCoordinatorFor(t *testing.T, system json.RawMessage, override func(*Config)) *Coordinator {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+	co := NewTestCoordinator(t, ln, system, func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
 		if override != nil {
 			override(c)
@@ -233,6 +239,41 @@ func TestCoordinatorMatchesLocalRunner(t *testing.T) {
 	}
 }
 
+// TestIdleWorkerServedBeforeFirstCampaign pins that a constructed
+// coordinator is a serving coordinator: a worker that attaches before
+// anything was submitted gets its hello answered at once and idles on
+// wait hints, instead of sitting unanswered in the listen backlog until
+// its I/O timeout and reconnect window run out.
+func TestIdleWorkerServedBeforeFirstCampaign(t *testing.T) {
+	const ioTimeout, window = 300 * time.Millisecond, 300 * time.Millisecond
+	co := newCoordinator(t, nil)
+	w := NewTestWorker(t, "early", "", co.Listener.Addr().String(), testBuild, func(c *Config) {
+		c.BeatInterval = 20 * time.Millisecond
+		c.IOTimeout = ioTimeout
+		c.Reconnect = true
+		c.ReconnectWindow = window
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exited := make(chan error, 1)
+	go func() { exited <- w.Run(ctx) }()
+
+	for deadline := time.Now().Add(time.Second); co.Stats().ConnectedWorkers != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker connected within 1s of dialing a coordinator that has run no campaign")
+		}
+	}
+	select {
+	case err := <-exited:
+		t.Fatalf("idle worker gave up before any campaign: %v", err)
+	case <-time.After(2 * (ioTimeout + window)):
+	}
+	cancel()
+	if err := <-exited; err != nil {
+		t.Fatalf("idle worker did not exit cleanly: %v", err)
+	}
+}
+
 // TestWorkerSubstrateShareMatchesLocal runs a campaign on the walled
 // periodic (substrate-eligible) system: the worker's jobs must share one
 // static neighbor grid across builds, and the merged results must still
@@ -248,8 +289,7 @@ func TestWorkerSubstrateShareMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co := newCoordinator(t, nil)
-	co.System = payload
+	co := newCoordinatorFor(t, payload, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	captured := startWorker(t, ctx, co, "w", nil)
@@ -290,26 +330,8 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}()
 
 	// The silent client: hello, grab a job, never beat.
-	conn, err := net.Dial("tcp", co.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	if err := enc.Encode(&request{Type: msgHello, Name: "silent"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&request{Type: msgNext}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	silent := dialTestClient(t, co.Listener.Addr().String(), "silent")
+	resp := silent.rt(&request{Type: msgNext})
 	if resp.Type != msgAssign {
 		t.Fatalf("silent client got %q, want assign", resp.Type)
 	}

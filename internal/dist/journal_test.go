@@ -18,6 +18,7 @@ import (
 	"spice/internal/netsim"
 	"spice/internal/smd"
 	"spice/internal/trace"
+	"spice/internal/wire"
 )
 
 // spooledCheckpoints lists the job IDs with a checkpoint file on disk.
@@ -225,35 +226,41 @@ func TestJournalTornTailSurfacedInStats(t *testing.T) {
 	}
 }
 
-// testClient is a hand-rolled wire client for poking at the protocol.
+// testClient is a hand-rolled v0 client for poking at the protocol: the
+// real handshake, then one request and one reply at a time.
 type testClient struct {
 	t    *testing.T
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	*wire.Session
 }
 
 func dialTestClient(t *testing.T, addr, name string) *testClient {
+	t.Helper()
+	return dialSiteClient(t, addr, name, "")
+}
+
+// dialSiteClient is dialTestClient with an explicit site identity.
+func dialSiteClient(t *testing.T, addr, name, site string) *testClient {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	c := &testClient{t: t, conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
-	if resp := c.rt(&request{Type: msgHello, Name: name}); resp.Err != "" {
-		t.Fatalf("hello rejected: %s", resp.Err)
+	sess, err := wire.Open(conn, conn, wire.Session{Name: name, Site: site})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return c
+	return &testClient{t: t, conn: conn, Session: sess}
 }
 
 func (c *testClient) rt(req *request) *response {
 	c.t.Helper()
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.Encode(req); err != nil {
 		c.t.Fatal(err)
 	}
 	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.Decode(&resp); err != nil {
 		c.t.Fatal(err)
 	}
 	return &resp

@@ -225,15 +225,15 @@ func (t *leaseTable) pick(order []*campaignRun, site string, now time.Time, hedg
 // a lease is created, so the only place the two-lease invariant needs
 // enforcing: it returns nil when the job does not admit the lease.
 func (t *leaseTable) grant(j *job, cs *connState, now time.Time, attempt int, speculative bool) *lease {
-	if !j.admits(cs.site, speculative) {
+	if !j.admits(cs.sess.Site, speculative) {
 		return nil
 	}
 	j.state = stateLeased
 	j.attempts = attempt
 	l := &lease{
 		owner:       cs,
-		worker:      cs.name,
-		site:        cs.site,
+		worker:      cs.sess.Name,
+		site:        cs.sess.Site,
 		attempt:     attempt,
 		speculative: speculative,
 		granted:     now,
@@ -283,8 +283,8 @@ func (t *leaseTable) beat(j *job, cs *connState, attempt int, now time.Time) (l 
 		l, how = t.grant(j, cs, now, attempt, false), adopted
 	default:
 		for _, prev := range j.leases {
-			if prev.worker == cs.name && prev.owner.evicted.Load() && (attempt == 0 || attempt == prev.attempt) {
-				prev.owner, prev.site = cs, cs.site
+			if prev.worker == cs.sess.Name && prev.owner.evicted.Load() && (attempt == 0 || attempt == prev.attempt) {
+				prev.owner, prev.site = cs, cs.sess.Site
 				l, how = prev, reattached
 				break
 			}

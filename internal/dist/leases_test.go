@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spice/internal/trace"
+	"spice/internal/wire"
 )
 
 var t0 = time.Unix(1_000_000, 0)
@@ -28,7 +29,9 @@ func newTestTable(n int) (*leaseTable, *campaignRun) {
 	return tb, camp
 }
 
-func testConn(name, site string) *connState { return &connState{name: name, site: site} }
+func testConn(name, site string) *connState {
+	return &connState{sess: wire.Session{Name: name, Site: site}}
+}
 
 // lease grants j to cs the way an assign does and fails the test if the
 // table refuses.
@@ -36,7 +39,7 @@ func mustGrant(t *testing.T, tb *leaseTable, j *job, cs *connState, now time.Tim
 	t.Helper()
 	l := tb.grant(j, cs, now, j.attempts+1, speculative)
 	if l == nil {
-		t.Fatalf("grant of %s to %s (speculative %v) refused", j.id, cs.name, speculative)
+		t.Fatalf("grant of %s to %s (speculative %v) refused", j.id, cs.sess.Name, speculative)
 	}
 	return l
 }

@@ -95,7 +95,7 @@ func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
 	// third finds it full — eviction, not blocking.
 	blocked.Store(true)
 	for i := 0; i < 3; i++ {
-		if err := c1.enc.Encode(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); err != nil {
+		if err := c1.Encode(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); err != nil {
 			t.Fatalf("beat %d: %v", i, err)
 		}
 	}
@@ -149,9 +149,6 @@ func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
 // while the lock is still held.
 func TestInflightShedOverLimit(t *testing.T) {
 	co := newCoordinator(t, func(c *Config) { c.MaxInflight = 2 })
-	co.mu.Lock()
-	co.startLocked()
-	co.mu.Unlock()
 	addr := co.Listener.Addr().String()
 
 	a := dialTestClient(t, addr, "pa")
@@ -161,10 +158,10 @@ func TestInflightShedOverLimit(t *testing.T) {
 	// Stall the scheduler: the first two polls enter assign and block
 	// on the mutex, pinning the in-flight gauge at the cap.
 	co.mu.Lock()
-	if err := a.enc.Encode(&request{Type: msgNext}); err != nil {
+	if err := a.Encode(&request{Type: msgNext}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.enc.Encode(&request{Type: msgNext}); err != nil {
+	if err := b.Encode(&request{Type: msgNext}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -192,7 +189,7 @@ func TestInflightShedOverLimit(t *testing.T) {
 	// The parked polls drain normally once the scheduler frees up.
 	for _, cl := range []*testClient{a, b} {
 		var resp response
-		if err := cl.dec.Decode(&resp); err != nil {
+		if err := cl.Decode(&resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Type != msgWait || resp.DelayMs < 1 {
@@ -270,9 +267,6 @@ func TestAdaptiveWaitHintScalesWithFleet(t *testing.T) {
 	co := newCoordinator(t, func(c *Config) {
 		c.LeaseTTL, c.BeatInterval = 200*time.Millisecond, 20*time.Millisecond
 	})
-	co.mu.Lock()
-	co.startLocked()
-	co.mu.Unlock()
 	addr := co.Listener.Addr().String()
 
 	probe := dialTestClient(t, addr, "probe")
@@ -318,6 +312,35 @@ func TestAdaptiveWaitHintScalesWithFleet(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("5 successive wait hints identical: %v", seen)
+	}
+}
+
+// TestBootHintShortUntilFirstSubmission: until anything was submitted a
+// connection's idle hints start at a few milliseconds and double up to
+// the steady TTL/2 hint, so a fleet that boots with its server picks the
+// first campaign up promptly; the fleet poll budget still floors them,
+// and past the first submission a new connection gets the steady hint.
+func TestBootHintShortUntilFirstSubmission(t *testing.T) {
+	co := newCoordinator(t, nil) // 2s lease TTL: steady hint 1s, jittered to [500, 1000) ms
+	now := time.Now()
+	cs := testConn("w", "w")
+	if first := co.assign(cs, now).DelayMs; first > 5 {
+		t.Fatalf("first boot hint %d ms, want <= 5", first)
+	}
+	polls := 1
+	for ; co.assign(cs, now).DelayMs < 500; polls++ {
+		if polls > 16 {
+			t.Fatalf("hints still below the steady 500 ms after %d polls", polls)
+		}
+	}
+	co.conns.Store(300) // 300 conns / 200 polls/s = 1.5 s floor, jittered to no less than 750 ms
+	if got := co.assign(testConn("herd", "herd"), now).DelayMs; got < 750 {
+		t.Fatalf("boot hint %d ms in a 300-strong fleet, want the poll budget's >= 750", got)
+	}
+	co.conns.Store(0)
+	co.campSeq = 1
+	if got := co.assign(testConn("late", "late"), now).DelayMs; got < 500 {
+		t.Fatalf("hint %d ms after the first submission, want the steady >= 500", got)
 	}
 }
 
@@ -392,7 +415,8 @@ func TestCoalescingMarksBoundedByInflightJobs(t *testing.T) {
 		co.mu.Unlock()
 	}
 
-	cs := &connState{name: "w", site: "w", marks: make(map[string]beatMark)}
+	cs := testConn("w", "w")
+	cs.marks = make(map[string]beatMark)
 	now := time.Now()
 	var inflight []*wireJob
 	finished, assigned := 0, 0

@@ -14,13 +14,9 @@
 // bit-identical to a single-process campaign.LocalRunner run no matter
 // how many workers ran it, in what order, or how many died.
 //
-// The transport is versioned and negotiated per connection by
-// internal/wire. v0 is JSON-lines over TCP, one request and one
-// response object per line, exactly like the steering remote bridge —
-// debuggable with netcat, spoken by every worker ever built. v1 frames
-// messages as CRC-checked binary records with compressed payloads and
-// delta-encoded checkpoints; see the wire package for the format and
-// DESIGN.md §15 for the negotiation and fold invariants.
+// The transport — handshake, framing, payload forms — is internal/wire's,
+// versioned and negotiated per connection; DESIGN.md §15 has the
+// negotiation and fold invariants.
 package dist
 
 import (
@@ -30,7 +26,6 @@ import (
 // The message vocabulary lives in internal/wire (the codec layer owns
 // the wire contract); dist keeps its historical short names as aliases.
 const (
-	msgHello    = wire.MsgHello
 	msgNext     = wire.MsgNext
 	msgBeat     = wire.MsgBeat
 	msgProgress = wire.MsgProgress

@@ -109,21 +109,6 @@ func TestStragglerScanTriggers(t *testing.T) {
 	}
 }
 
-// dialSiteClient is dialTestClient with an explicit site identity.
-func dialSiteClient(t *testing.T, addr, name, site string) *testClient {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	c := &testClient{t: t, conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
-	if resp := c.rt(&request{Type: msgHello, Name: name, Site: site}); resp.Err != "" {
-		t.Fatalf("hello rejected: %s", resp.Err)
-	}
-	return c
-}
-
 // pullLog computes the bit-exact result for an assignment the way a
 // real worker would.
 func pullLog(t *testing.T, assign *response) *trace.WorkLog {

@@ -8,7 +8,6 @@ package dist
 // protocol byte by byte.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -61,8 +60,12 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 		name    string
 		coV1    bool // coordinator grants v1 + delta + compression
 		workers int
-		mutate  func(i int, c *Config)
-		check   func(t *testing.T, st Stats, ws []*Worker)
+		// late workers (the last ones) attach only once an earlier worker
+		// holds a lease, so a fast fleet cannot drain the campaign before a
+		// throttled one has been given anything.
+		late   int
+		mutate func(i int, c *Config)
+		check  func(t *testing.T, st Stats, ws []*Worker)
 	}{
 		{
 			// New coordinator, old fleet: every hello offers 0, every
@@ -111,11 +114,16 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 			},
 		},
 		{
-			// Mixed fleet: v0 and v1 workers on one coordinator at once.
-			name: "mixed-fleet", coV1: true, workers: 4,
+			// Mixed fleet: v0 and v1 workers on one coordinator at once. The
+			// unthrottled v0 pair could run all four ~3 ms jobs before a v1
+			// worker is leased one, so it attaches late; and the v1 pulls are
+			// throttled to 13 checkpoints x 30 ms against a 20 ms beat, so
+			// each streams far more than the two checkpoints one delta needs.
+			name: "mixed-fleet", coV1: true, workers: 4, late: 2,
 			mutate: func(i int, c *Config) {
-				if i%2 == 0 {
+				if i < 2 {
 					v1Worker(c)
+					c.Throttle = 30 * time.Millisecond
 				} else {
 					v0Side(c)
 				}
@@ -140,15 +148,31 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 			co := newCoordinator(t, side)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			type result struct {
+				logs map[campaign.Combo][]*trace.WorkLog
+				err  error
+			}
+			resCh := make(chan result, 1)
+			go func() {
+				logs, err := co.Run(spec)
+				resCh <- result{logs, err}
+			}()
 			var ws []*Worker
 			for i := 0; i < cell.workers; i++ {
+				if i == cell.workers-cell.late {
+					for deadline := time.Now().Add(10 * time.Second); co.Stats().Assignments == 0; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatal("no early worker was ever leased a job")
+						}
+					}
+				}
 				ws = append(ws, startWorker(t, ctx, co, "w", func(c *Config) { cell.mutate(i, c) }))
 			}
-			got, err := co.Run(spec)
-			if err != nil {
-				t.Fatal(err)
+			res := <-resCh
+			if res.err != nil {
+				t.Fatal(res.err)
 			}
-			requireBitIdentical(t, want, got)
+			requireBitIdentical(t, want, res.logs)
 			// The spec is ~10 ms of work, so Run can return before the last
 			// worker's hello has been served; the server keeps accepting,
 			// and the connection counts the checks read settle once it has.
@@ -186,28 +210,13 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// The hello exchange is one JSON line per direction in every
-	// version; the negotiated codec takes over at the byte after it.
-	hb, err := json.Marshal(&request{Type: msgHello, Name: "hand-v1", Wire: wire.V1})
+	codec, err := wire.Open(conn, conn, wire.Session{Name: "hand-v1", Version: wire.V1, Delta: true, Comp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(append(hb, '\n')); err != nil {
-		t.Fatal(err)
+	if codec.Version != wire.V1 || !codec.Delta || !codec.Comp {
+		t.Fatalf("hello grant = %+v, want v1 with delta and compression", codec)
 	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello response
-	if err := json.Unmarshal(line, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Type != msgOK || hello.Wire != wire.V1 || !hello.Delta || !hello.Comp {
-		t.Fatalf("hello grant = %+v, want v1 with delta and compression", hello)
-	}
-	codec := wire.NewCodec(hello.Wire, br, conn, hello.Comp)
 	rt := func(req *request) *response {
 		t.Helper()
 		if err := codec.Encode(req); err != nil {
@@ -281,20 +290,12 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	hb2, _ := json.Marshal(&request{Type: msgHello, Name: "futuristic", Wire: 99})
-	if _, err := conn2.Write(append(hb2, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	line2, err := bufio.NewReader(conn2).ReadBytes('\n')
+	future, err := wire.Open(conn2, conn2, wire.Session{Name: "futuristic", Version: 99, Delta: true, Comp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hello2 response
-	if err := json.Unmarshal(line2, &hello2); err != nil {
-		t.Fatal(err)
-	}
-	if hello2.Type != msgOK || hello2.Wire != wire.V0 || hello2.Delta || hello2.Comp {
-		t.Fatalf("future hello grant = %+v, want plain v0", hello2)
+	if future.Version != wire.V0 || future.Delta || future.Comp {
+		t.Fatalf("future hello grant = %+v, want plain v0", future)
 	}
 	if st := co.Stats(); st.WireDowngrades != 1 {
 		t.Fatalf("WireDowngrades = %d, want 1", st.WireDowngrades)

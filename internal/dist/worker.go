@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,13 +28,6 @@ type BuildFunc func(system json.RawMessage, c campaign.Combo, seed uint64) (*md.
 
 // errAbandoned aborts a pull whose lease the coordinator revoked.
 var errAbandoned = errors.New("dist: lease abandoned")
-
-// fatalError marks a coordinator reply that reconnecting cannot fix
-// (e.g. a rejected hello); the transport surfaces it without retrying.
-type fatalError struct{ err error }
-
-func (e fatalError) Error() string { return e.err.Error() }
-func (e fatalError) Unwrap() error { return e.err }
 
 // Worker executes jobs for a coordinator. Each of its Slots runs an
 // independent connection: request a job, pull it with periodic
@@ -167,16 +159,11 @@ type rtConn struct {
 	name string
 	bo   *backoff.Decorrelated // re-dial delays: decorrelated jitter, per-session seed
 
-	conn     net.Conn
-	codec    wire.Codec
-	wire     int           // negotiated version of the current conn
-	delta    bool          // coordinator granted delta checkpoints
-	comp     bool          // coordinator granted payload compression
-	connDone chan struct{} // stops the ctx watcher for the current conn
+	conn      net.Conn
+	stopWatch func() bool   // disarms the ctx watcher of the current conn
+	sess      *wire.Session // what the last hello negotiated and the system payload it delivered; kept across drops
 
-	system       json.RawMessage // coordinator's payload from the last hello
-	failingSince time.Time       // first failure of the current outage; zero when healthy
-	connected    bool            // a hello has succeeded before (re-dials count as reconnects)
+	failingSince time.Time // first failure of the current outage; zero when healthy
 }
 
 // sessionSeq salts each session's backoff seed so sessions sharing a
@@ -196,76 +183,27 @@ func newRTConn(w *Worker, name string) *rtConn {
 	}
 }
 
-// connect dials and performs the hello handshake, installing a watcher
-// that closes the conn when ctx is cancelled (unparking blocked I/O).
-//
-// The hello exchange always travels as one JSON line per direction —
-// version discovery cannot require already knowing the version, and an
-// old coordinator only speaks JSON lines. The reply is read with a raw
-// line read (a json.Decoder would buffer bytes past the value that
-// belong to the negotiated codec); both sides then switch codecs at the
-// exact byte position after the reply's newline.
+// connect dials and opens a wire session, installing a watcher that
+// closes the conn when ctx is cancelled (unparking blocked I/O).
 func (c *rtConn) connect(ctx context.Context) error {
 	conn, err := c.w.dial()
 	if err != nil {
 		return fmt.Errorf("dist: dial %s: %w", c.w.Addr, err)
 	}
-	offer := &request{Type: msgHello, Name: c.name, Site: c.w.Site,
-		Wire: c.w.cfg.WireVersion, NoDelta: !c.w.cfg.DeltaCheckpoints, NoComp: !c.w.cfg.Compression}
-	line, err := json.Marshal(offer)
+	sess, err := wire.Open(conn, conn, wire.Session{Name: c.name, Site: c.w.Site,
+		Version: c.w.cfg.WireVersion, Delta: c.w.cfg.DeltaCheckpoints, Comp: c.w.cfg.Compression})
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("dist: hello: %w", err)
 	}
-	if _, err := conn.Write(append(line, '\n')); err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: hello: %w", err)
-	}
-	br := bufio.NewReader(conn)
-	reply, err := br.ReadBytes('\n')
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: hello: %w", err)
-	}
-	var hello response
-	if err := json.Unmarshal(reply, &hello); err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: hello: %w", err)
-	}
-	if hello.Err != "" {
-		conn.Close()
-		return fatalError{errors.New(hello.Err)}
-	}
-	ver := hello.Wire
-	if ver > offer.Wire || ver > wire.MaxVersion || ver < 0 {
-		// A grant we never offered or cannot speak: fall back to the one
-		// version everything speaks rather than fail the fleet.
-		ver = wire.V0
-	}
-	system, err := hello.System.Resolve(nil)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: hello system payload: %w", err)
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-	c.conn, c.connDone = conn, done
-	c.codec = wire.NewCodec(ver, br, conn, hello.Comp)
-	c.wire, c.delta, c.comp = ver, hello.Delta && ver >= wire.V1, hello.Comp && ver >= wire.V1
-	c.system = system
-	c.failingSince = time.Time{}
-	c.bo.Reset()
-	if c.connected {
+	if c.sess != nil {
 		c.w.m.reconnects.Add(1)
 		c.w.cfg.Events.Emit(obs.Event{Name: "worker_reconnected", Worker: c.name, Site: c.w.Site})
 	}
-	c.connected = true
+	c.conn, c.sess = conn, sess
+	c.stopWatch = context.AfterFunc(ctx, func() { conn.Close() })
+	c.failingSince = time.Time{}
+	c.bo.Reset()
 	return nil
 }
 
@@ -274,7 +212,7 @@ func (c *rtConn) drop() {
 	if c.conn == nil {
 		return
 	}
-	close(c.connDone)
+	c.stopWatch()
 	c.conn.Close()
 	c.conn = nil
 }
@@ -315,29 +253,23 @@ func (c *rtConn) roundTrip(ctx context.Context, req *request) (*response, error)
 		}
 		if c.conn == nil {
 			if err := c.connect(ctx); err != nil {
-				var fe fatalError
-				if errors.As(err, &fe) {
-					return nil, fe.err
-				}
-				if !c.retry(ctx) {
+				// A refused hello is policy, not weather: re-dialing cannot fix it.
+				if errors.Is(err, wire.ErrRefused) || !c.retry(ctx) {
 					return nil, err
 				}
 				continue
 			}
 		}
-		// A reconnect may have renegotiated down to a connection that
-		// cannot carry the checkpoint payload this request was built with
-		// (a v0 JSON line cannot frame a delta or compressed block).
-		// Degrade the progress to a plain beat — the checkpoint is an
-		// optimization, the heartbeat is the contract — and let the caller
-		// see the conversion via req.Type so it does not advance its base.
-		if req.Type == msgProgress && req.Ckpt != nil && req.Ckpt.Flags != 0 {
-			if c.wire < wire.V1 || (req.Ckpt.IsDelta() && !c.delta) {
-				req.Type = msgBeat
-				req.Ckpt = nil
-			}
+		// A reconnect may have renegotiated down to a session that cannot
+		// carry the checkpoint this request was packed with. Degrade the
+		// progress to a plain beat — the checkpoint is an optimization, the
+		// heartbeat is the contract — and let the caller see the conversion
+		// via req.Type so it does not advance its base.
+		if req.Type == msgProgress && !c.sess.Carries(req.Ckpt) {
+			req.Type = msgBeat
+			req.Ckpt = nil
 		}
-		if err := c.codec.Encode(req); err != nil {
+		if err := c.sess.Encode(req); err != nil {
 			c.drop()
 			if !c.retry(ctx) {
 				return nil, err
@@ -345,7 +277,7 @@ func (c *rtConn) roundTrip(ctx context.Context, req *request) (*response, error)
 			continue
 		}
 		var resp response
-		if err := c.codec.Decode(&resp); err != nil {
+		if err := c.sess.Decode(&resp); err != nil {
 			// The request may or may not have been applied; the retry
 			// after reconnecting retransmits it and the coordinator
 			// dedups by (job, attempt).
@@ -434,21 +366,6 @@ func (w *Worker) runSession(ctx context.Context, name string) error {
 	return nil
 }
 
-// ckptPayload chooses a checkpoint's wire form for the connection as
-// negotiated right now: delta against the last acknowledged base when
-// granted and a base exists, else compressed, else plain JSON.
-func (w *Worker) ckptPayload(c *rtConn, base, raw []byte) *wire.Payload {
-	if c.wire >= wire.V1 {
-		if c.delta && len(base) > 0 {
-			return wire.Delta(base, raw)
-		}
-		if c.comp {
-			return wire.Compress(raw)
-		}
-	}
-	return wire.JSONPayload(raw)
-}
-
 // runJob executes one assignment, heartbeating while the pull runs in a
 // separate goroutine. The connection is only ever touched from this
 // goroutine, preserving the strict one-request-one-response framing.
@@ -462,7 +379,7 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		return nil, errors.New("dist: assign without job")
 	}
 	task := campaign.Task{Combo: jb.Combo, Seed: jb.Seed, Index: jb.Index}
-	system := c.system
+	system := json.RawMessage(c.sess.System)
 
 	opts := smd.RunOpts{CheckpointEvery: w.cfg.CheckpointEvery}
 	prevSteps := 0
@@ -567,7 +484,7 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 			case b := <-ckptCh:
 				raw = b
 				req = &request{Type: msgProgress, JobID: jb.ID, Attempt: jb.Attempt,
-					Ckpt: w.ckptPayload(c, ckptBase, b)}
+					Ckpt: c.sess.Pack(ckptBase, b)}
 			default:
 			}
 			// With Reconnect on, this round-trip rides out coordinator

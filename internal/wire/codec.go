@@ -1,11 +1,7 @@
 package wire
 
-// Codec implementations. A Codec owns one direction-pair of a
-// negotiated connection: after the JSON-line hello exchange, both sides
-// construct the codec the grant named over the same reader/writer and
-// every subsequent message flows through it. Codec selection therefore
-// lives in exactly one place (NewCodec) instead of scattered
-// json.NewEncoder calls.
+// Codec implementations: what Accept and Open hand every message after
+// the hello exchange to.
 //
 // v1 framing: every message is one CRC-checked internal/trace record.
 // Inside a record:
@@ -43,7 +39,6 @@ import (
 type Codec interface {
 	Encode(msg any) error
 	Decode(msg any) error
-	Version() int
 }
 
 // NewCodec returns the codec for a negotiated version. r must be the
@@ -82,8 +77,6 @@ func (c *jsonCodec) Decode(msg any) error {
 	defer c.dmu.Unlock()
 	return c.dec.Decode(msg)
 }
-
-func (c *jsonCodec) Version() int { return V0 }
 
 // Message type codes for v1 frames.
 var msgCodes = map[string]uint64{
@@ -150,8 +143,6 @@ type binaryCodec struct {
 	rr       *trace.RecordReader
 	compress bool
 }
-
-func (c *binaryCodec) Version() int { return V1 }
 
 func (c *binaryCodec) Encode(msg any) error {
 	c.emu.Lock()

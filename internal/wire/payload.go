@@ -12,12 +12,12 @@
 // compression on bulk payloads and delta encoding on checkpoints.
 //
 // Version discovery cannot require already knowing the version, so the
-// hello exchange always travels as one JSON line per direction: the
-// worker offers its maximum version on the hello, the coordinator
-// grants min(its own, offered) on the reply, and both sides switch
-// codecs at the exact byte position after the reply's newline. An
-// absent version field is v0 — which is precisely what an old peer
-// sends, and what an unknown (newer-than-known) offer downgrades to.
+// hello exchange (Accept, Open) always travels as one JSON line per
+// direction: the worker offers its maximum version, the coordinator
+// grants min(its own, offered), and both sides switch codecs at the byte
+// after the grant's newline. An absent version field is v0 — which is
+// precisely what an old peer sends, and what an unknown
+// (newer-than-known) offer downgrades to.
 package wire
 
 import (

@@ -53,6 +53,17 @@ go test -race -count=20 \
   -run 'TestLeaseTable|TestSite|TestBreakerStateMachine|TestFleetMedianRate|TestStragglingPredicate' \
   ./internal/dist
 
+echo "== internal/wire owns the wire: one handshake, one payload-form rule =="
+# dist books the counters and events of a connection; reading or writing
+# a hello or grant line, negotiating a version, building a codec and
+# choosing between delta, compressed and plain are wire.Accept,
+# wire.Open and Session.Pack, and nowhere else.
+if grep -n -E -e 'wire\.(Negotiate|NewCodec|Delta|Compress|JSONPayload)\(' -e 'msgHello' -e "ReadBytes\('\\n'\)" \
+  $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/dist re-implements part of the wire protocol"
+  exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -144,15 +155,20 @@ go test -race -count=1 \
   -run 'TestCompactionKillPointSweep|TestJournalFormatFrozen|TestStaleSpoolTmpSwept|TestCoordinatorCompactionBoundedLiveCampaign|TestStorageDegradedRecovery|TestQueueCompactionKillPointSweep|TestQueueFormatFrozen|TestQueueCompactionBoundsLog|TestQueueSubmitAckOrdering|TestRefusedSubmitLeavesNoTrace|TestStorageDegradedHTTP503AndRecovery' \
   -v ./internal/dist ./internal/controlplane
 
-echo "== journal decoder fuzz smoke (10s each) =="
+echo "== decoder fuzz smoke (10s each) =="
 # Native fuzzing of everything a disk can hand the journals: arbitrary
 # bytes as snapshot + log through wal replay (never panics, never
 # applies a sequence twice, reopen after truncation is idempotent), and
 # arbitrary records through each production fold (never panics, the
-# snapshot of the result replays to the result). Minimization is capped:
-# its 60 s default would spend the whole smoke shrinking the first
-# interesting input instead of generating new ones.
-for target in FuzzReplay:wal FuzzApply:dist FuzzApply:controlplane; do
+# snapshot of the result replays to the result). And of everything a
+# peer can send: an arbitrary hello line plus trailing bytes through
+# wire.Accept (never grants above MaxVersion, replies one JSON line),
+# arbitrary v1 frames (parse or fail, and re-encode to the same
+# message), arbitrary compressed/delta payloads with and without a base.
+# Minimization is capped: its 60 s default would spend the whole smoke
+# shrinking the first interesting input instead of generating new ones.
+for target in FuzzReplay:wal FuzzApply:dist FuzzApply:controlplane \
+  FuzzAccept:wire FuzzFrame:wire FuzzResolve:wire; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s -fuzzminimizetime 20x "./internal/${target##*:}"
 done
 
