@@ -43,7 +43,7 @@ var (
 	serveWorkers = flag.Int("workers", 0, "with -serve: in-process workers to start alongside the coordinator")
 	serveSystem  = flag.String("system", "", "with -serve: JSON core.SystemConfig for the simulated system (default: the standard sweep system)")
 	maxActive    = flag.Int("max-active", 0, "with -serve: campaigns multiplexed on the coordinator at once (0 = unlimited)")
-	agingRate    = flag.Float64("aging", 1, "with -serve: fair-share aging in priority points per queued hour (starvation-freedom knob; 0 disables aging)")
+	agingRate    = flag.Float64("aging", 1, "with -serve: fair-share aging in priority points per queued hour: every whole point lifts a waiting campaign one priority band, and within a band the tenant with less usage goes first (starvation-freedom knob; 0 disables aging)")
 	backfill     = flag.Bool("backfill", false, "with -serve: let lower-ranked campaigns take leases past a quota-blocked one (default conservative: a blocked campaign also blocks everything ranked behind it)")
 	quotasFlag   = flag.String("quotas", "", "with -serve: per-tenant quotas, 'tenant=maxQueued[:maxRunning],...' (0 = unlimited)")
 	defaultQuota = flag.String("default-quota", "", "with -serve: quota for tenants absent from -quotas, 'maxQueued[:maxRunning]'")

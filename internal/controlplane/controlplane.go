@@ -86,7 +86,9 @@ type Config struct {
 	Quotas map[string]Quota
 	// Aging is the fair-share aging rate in priority points per waiting
 	// hour (see grid.Policy) — the starvation-freedom knob for both the
-	// campaign dispatch order and the live lease path.
+	// campaign dispatch order and the live lease path. Each whole point
+	// lifts a campaign one priority band; within a band tenant usage, not
+	// seniority, decides.
 	Aging float64
 	// Backfill selects the quota-blocked behavior on the lease path.
 	// False (conservative) stops the offer round at the first campaign
@@ -558,8 +560,9 @@ func (s *Server) reject(tenant, reason string) {
 }
 
 // dispatchLocked promotes queued campaigns to running while MaxActive
-// slots are free, in fair-share policy order (effective priority with
-// aging, then least accumulated tenant usage, then FCFS). Requires s.mu.
+// slots are free, in fair-share policy order (priority band — the whole
+// points of the aged priority — then least accumulated tenant usage,
+// then FCFS). Requires s.mu.
 func (s *Server) dispatchLocked() {
 	if !s.started || s.closed {
 		return
@@ -801,7 +804,10 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 }
 
 // leaseScheduler builds the dist.Scheduler enforcing per-tenant
-// MaxRunning quotas with fair-share ordering on the live lease path.
+// MaxRunning quotas with fair-share ordering on the live lease path:
+// priority band first, then the tenant with the least usage plus leases
+// held right now, so of two equal-priority campaigns the one whose
+// tenant is idle gets the next free worker however recently it came.
 // It runs inside the coordinator's lock, so it must not take s.mu (see
 // usageMu); it reads only immutable config, atomic metric counters, and
 // the usage snapshot.

@@ -276,6 +276,37 @@ func TestSubmitQuotaDuplicateAndReadiness(t *testing.T) {
 	}
 }
 
+// TestLeaseSchedulerFairShareUnderDefaultAging: with the default aging
+// rate a campaign installed a second before another of equal priority
+// must not outrank it on that second alone — they share a priority band,
+// and within a band the tenant holding fewer leases (or charged less so
+// far) leads the offer. This is what lets a short probe take the next
+// free worker instead of waiting out a bulk tenant's whole pending list.
+func TestLeaseSchedulerFairShareUnderDefaultAging(t *testing.T) {
+	s, _ := newHarness(t, Config{Aging: 1}, 0)
+	now := time.Now()
+	views := []dist.CampaignView{
+		{Key: "bulk", Tenant: "bulk", Seq: 0, Submitted: now.Add(-time.Second), Pending: 10, Leased: 2, Total: 12},
+		{Key: "probe", Tenant: "probe", Seq: 1, Submitted: now, Pending: 4, Total: 4},
+	}
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 1 {
+		t.Fatalf("offer = %v: the older campaign leads although its tenant holds every lease", got)
+	}
+	// No live load on either side: the ledger decides the same way.
+	views[0].Leased, views[0].Pending = 0, 12
+	s.mu.Lock()
+	s.charge("bulk", 3)
+	s.mu.Unlock()
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 1 {
+		t.Fatalf("offer = %v: the tenant charged for earlier campaigns still leads", got)
+	}
+	// An hour's wait is a whole band: then aging does outrank usage.
+	views[0].Submitted = now.Add(-time.Hour)
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 0 {
+		t.Fatalf("offer = %v: an hour of waiting did not lift the older campaign a band", got)
+	}
+}
+
 func TestCancelQueuedCampaign(t *testing.T) {
 	s, _ := newHarness(t, Config{MaxActive: 1}, 0) // no workers: running never finishes
 	s.Start()

@@ -134,7 +134,9 @@ type Config struct {
 	// making byte progress for this long is treated as dead instead of
 	// wedging its reader, and on the worker side a half-open coordinator
 	// surfaces as a timeout the Reconnect machinery can heal. 0 disables
-	// the deadlines.
+	// the deadlines. The coordinator holds an idle worker's poll for at
+	// most half of its own value (and half a LeaseTTL), so one fleet, one
+	// value: a worker with a much shorter one times out on idle polls.
 	IOTimeout time.Duration
 	// WrapConn, if set, wraps every connection the coordinator accepts
 	// (test QoS shims).
@@ -309,9 +311,21 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 			return nil, err
 		}
 	}
-	if cfg.Metrics != nil {
-		RegisterMetrics(cfg.Metrics, co)
+	// The two latency histograms live on the registry (a private one when
+	// nobody scrapes), so observing them needs no nil check.
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	} else {
+		RegisterMetrics(reg, co)
 	}
+	// 1 ms … ~16 s in octaves: a wake is sub-millisecond, a park runs to
+	// its bound of seconds, a head under load to several of them.
+	seconds := obs.ExpBuckets(1e-3, 2, 15)
+	co.firstLeaseWait = reg.Histogram("spice_dist_first_lease_wait_seconds",
+		"Campaign install to its first lease grant.", seconds)
+	co.pollPark = reg.Histogram("spice_dist_poll_park_seconds",
+		"How long a work poll that found nothing runnable was held before its reply.", seconds)
 	co.start()
 	return co, nil
 }

@@ -211,30 +211,32 @@ func TestConfigZeroDisables(t *testing.T) {
 
 // TestDerivedWindowsPinned pins every window the runtime derives from a
 // Config — the two defaults resolved at construction, the janitor
-// period, the coalesce window and the wait hints (jitter included: it is
-// keyed by worker name and poll count) — to the values the pre-Config
-// sentinel accessors computed from the same inputs.
+// period, the coalesce window, the park bound and the shed hint (jitter
+// included: it is keyed by worker name and poll count) — to the values
+// the pre-Config sentinel accessors computed from the same inputs.
 func TestDerivedWindowsPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name                                    string
-		override                                func(*Config)
-		cooldown, hedgeAfter, janitor, coalesce time.Duration
-		shedMs, idleMs                          int
+		name                                          string
+		override                                      func(*Config)
+		cooldown, hedgeAfter, janitor, coalesce, park time.Duration
+		shedMs                                        int
 	}{
 		{"defaults", func(c *Config) { *c = Defaults() },
-			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 625 * time.Millisecond, 843, 843},
-		{"stall hedging, explicit cooldown", func(c *Config) {
+			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 625 * time.Millisecond, 2500 * time.Millisecond, 843},
+		{"stall hedging, explicit cooldown, short io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL, c.BeatInterval = 800*time.Millisecond, 50*time.Millisecond
 			c.HedgeFraction, c.HedgeStall = 0, 120*time.Millisecond
 			c.BreakerCooldown = 3 * time.Second
-		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 100 * time.Millisecond, 135, 135},
-		{"no hedging, explicit hedge-after", func(c *Config) {
+			c.IOTimeout = 500 * time.Millisecond
+		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 135},
+		{"no hedging, explicit hedge-after, no io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL = 12 * time.Second
 			c.HedgeFraction, c.HedgeStall, c.HedgeAfter = 0, 0, 7*time.Second
 			c.BreakerThreshold = 0
-		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 1500 * time.Millisecond, 2025, 4050},
+			c.IOTimeout = 0
+		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 1500 * time.Millisecond, 6 * time.Second, 2025},
 	} {
 		co := newCoordinator(t, tc.override)
 		if co.cfg.BreakerCooldown != tc.cooldown || co.cfg.HedgeAfter != tc.hedgeAfter {
@@ -247,12 +249,11 @@ func TestDerivedWindowsPinned(t *testing.T) {
 		if got := co.coalesceWindow(); got != tc.coalesce {
 			t.Errorf("%s: coalesce window %v, want %v", tc.name, got, tc.coalesce)
 		}
+		if got := co.parkBound(); got != tc.park {
+			t.Errorf("%s: park bound %v, want %v", tc.name, got, tc.park)
+		}
 		if got := co.shedNext(testConn("w", "")).DelayMs; got != tc.shedMs {
 			t.Errorf("%s: shed hint %d ms, want %d", tc.name, got, tc.shedMs)
-		}
-		co.campSeq = 1 // past the first submission: the steady idle hint, not the boot ramp
-		if got := co.assign(testConn("w", "w"), time.Now()).DelayMs; got != tc.idleMs {
-			t.Errorf("%s: idle hint %d ms, want %d", tc.name, got, tc.idleMs)
 		}
 	}
 }

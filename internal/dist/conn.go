@@ -2,9 +2,10 @@ package dist
 
 // The coordinator's transport: one goroutine per worker connection that
 // accepts the hello, decodes requests, stamps each with the clock and
-// dispatches it, and queues the replies — plus the overload protection
-// that lives at this layer (bounded send queues, poll shedding,
-// heartbeat coalescing, wait hints).
+// dispatches it, and queues the replies — plus the parked work poll (a
+// poll that found nothing runnable is held unanswered until work can
+// exist) and the overload protection that lives at this layer (bounded
+// send queues, poll shedding, heartbeat coalescing, wait hints).
 
 import (
 	"fmt"
@@ -26,10 +27,16 @@ type connState struct {
 	// evicted marks a slow-consumer eviction: the connection dies but
 	// its leases survive for the worker's reconnect to re-attach.
 	evicted atomic.Bool
-	// waits counts msgWait replies sent to this connection — the jitter
-	// key that de-synchronizes an idle fleet. Only the connection's own
-	// reader goroutine touches it.
+	// waits counts the hinted msgWait replies sent to this connection —
+	// the jitter key that keeps a shed or quarantined herd from re-polling
+	// in lockstep. Whoever is answering the connection's poll touches it:
+	// its reader goroutine, or a wake pass while the reader is parked.
 	waits int
+	// parkedAt is when the connection's work poll was last parked, guarded
+	// by Coordinator.mu; wake carries the one reply that ends a park to the
+	// reader goroutine holding the poll.
+	parkedAt time.Time
+	wake     chan response
 	// marks is the heartbeat-coalescing state, local to the reader
 	// goroutine: the last plain beat per in-flight job that the normal
 	// path answered with a clean msgOK. Under load, a twin of such a beat
@@ -43,6 +50,10 @@ type beatMark struct {
 	at      time.Time
 }
 
+func newConnState() *connState {
+	return &connState{marks: make(map[string]beatMark), wake: make(chan response, 1)}
+}
+
 // coalesceWindow is how stale a connection-local heartbeat answer may
 // be under load. Kept well under the lease TTL so coalescing can never
 // age a lease into expiry, and under the TTL/4 janitor period so a
@@ -51,28 +62,12 @@ func (co *Coordinator) coalesceWindow() time.Duration {
 	return co.cfg.LeaseTTL / 8
 }
 
-// idlePollBudget is the aggregate msgNext polls/sec an idle fleet is
-// allowed to cost the coordinator: the wait hint scales with the number
-// of connected workers so 500 idle workers back off to multi-second
-// polls instead of each polling every LeaseTTL/2 in lockstep.
-const idlePollBudget = 200
-
-// waitHint builds a msgWait reply around a base delay: the delay is
-// floored by the fleet-size poll budget when the fleet is purely idle
-// (scale true), capped at the lease TTL, and carries deterministic
-// per-(worker, poll) jitter in [0.5, 1) so a fleet that went idle at
-// the same instant de-synchronizes within one wait cycle. Lock-free —
-// both the scheduler path and the shed path use it.
-func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) response {
-	delay := base
-	if scale {
-		if min := time.Duration(co.conns.Load()) * time.Second / idlePollBudget; min > delay {
-			delay = min
-		}
-	}
-	if ttl := co.cfg.LeaseTTL; delay > ttl {
-		delay = ttl
-	}
+// waitHint builds a msgWait reply for a poll the scheduler will not look
+// at for a while — shed over the in-flight cap, or from a quarantined
+// site; an idle poll is parked instead and never sees a hint. The delay
+// carries deterministic per-(worker, poll) jitter in [0.5, 1) so a herd
+// refused at the same instant comes back spread out. Lock-free.
+func (co *Coordinator) waitHint(cs *connState, delay time.Duration) response {
 	cs.waits++
 	delay = time.Duration(float64(delay) * backoff.Frac(fmt.Sprintf("%s#%d", cs.sess.Name, cs.waits)))
 	ms := int(delay / time.Millisecond)
@@ -84,11 +79,48 @@ func (co *Coordinator) waitHint(cs *connState, base time.Duration, scale bool) r
 
 // shedNext answers a msgNext without ever touching the scheduler lock:
 // the coordinator is over its in-flight request cap and this poll is
-// load it can refuse. The hint scales with fleet size so the herd that
-// caused the overload spreads out instead of retrying in lockstep.
+// load it can refuse.
 func (co *Coordinator) shedNext(cs *connState) response {
 	co.shed.Add(1)
-	return co.waitHint(cs, co.cfg.LeaseTTL/4, true)
+	return co.waitHint(cs, co.cfg.LeaseTTL/4)
+}
+
+// parkBound is the longest a work poll is held unanswered: half a lease
+// TTL, so a worker that died while parked is noticed (its fallback
+// answer fails) well inside the window lease expiry works in, and half
+// the I/O timeout, so the worker's read watchdog — armed when it sent
+// the poll — never fires on a healthy park. It assumes the fleet shares
+// one IOTimeout; a worker configured with a shorter one than twice this
+// bound times out and re-dials on every idle poll.
+func (co *Coordinator) parkBound() time.Duration {
+	bound := co.cfg.LeaseTTL / 2
+	if to := co.cfg.IOTimeout / 2; to > 0 && to < bound {
+		bound = to
+	}
+	return bound
+}
+
+// awaitWake blocks the reader of a parked poll until a wake pass hands
+// it the poll's reply or the park bound runs out, in which case the
+// reply is an immediate re-poll: the liveness fallback. The reader does
+// not read while it waits, so a peer that dies parked is found out at
+// its wake or at the bound, not before.
+func (co *Coordinator) awaitWake(cs *connState) response {
+	bound := time.NewTimer(co.parkBound())
+	defer bound.Stop()
+	select {
+	case resp := <-cs.wake:
+		return resp
+	case <-bound.C:
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.unparkLocked(cs, time.Now()) {
+		return response{Type: msgWait, DelayMs: 1}
+	}
+	// A wake pass got to the poll between the timer and the lock; its
+	// reply is already in the channel.
+	return <-cs.wake
 }
 
 // serveConn handles one worker connection. hello must come first.
@@ -103,7 +135,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		conn = co.cfg.WrapConn(conn)
 	}
 	cc := &countConn{Conn: conn, in: &co.bytesIn, out: &co.bytesOut}
-	cs := &connState{marks: make(map[string]beatMark)}
+	cs := newConnState()
 	co.conns.Add(1)
 	defer co.dropConn(cs)
 
@@ -179,7 +211,10 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		if err := cs.sess.Decode(&req); err != nil {
 			return
 		}
-		resp := co.dispatch(cs, &req, time.Now())
+		resp, answered := co.dispatch(cs, &req, time.Now())
+		if !answered {
+			resp = co.awaitWake(cs)
+		}
 		if !send(resp) {
 			return
 		}
@@ -190,8 +225,12 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 }
 
 // dispatch answers one decoded request; now is when it arrived, the one
-// clock reading everything downstream shares.
-func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) response {
+// clock reading everything downstream shares. It never blocks: a work
+// poll with nothing to run comes back unanswered — parked on co.parked,
+// its reply due on cs.wake (awaitWake) — and so stops counting as in
+// flight the moment dispatch returns; a thousand idle workers are not a
+// thousand requests in processing.
+func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) (resp response, answered bool) {
 	n := co.inflight.Add(1)
 	defer co.inflight.Add(-1)
 	limit := int64(co.cfg.MaxInflight)
@@ -201,7 +240,7 @@ func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) resp
 		if limit > 0 && n > limit {
 			// Over the in-flight cap: shed the poll. Results, fails and
 			// heartbeats are never shed — they shrink the backlog.
-			return co.shedNext(cs)
+			return co.shedNext(cs), true
 		}
 		return co.assign(cs, now)
 	case msgBeat:
@@ -209,7 +248,7 @@ func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) resp
 		if m, ok := cs.marks[req.JobID]; ok && window > 0 && limit > 0 && 2*n >= limit &&
 			m.attempt == req.Attempt && now.Sub(m.at) < window {
 			co.coalesced.Add(1)
-			return response{Type: msgOK}
+			return response{Type: msgOK}, true
 		}
 		resp := co.heartbeat(cs, req, now)
 		if resp.Type == msgOK && resp.Err == "" {
@@ -217,20 +256,20 @@ func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) resp
 		} else {
 			delete(cs.marks, req.JobID)
 		}
-		return resp
+		return resp, true
 	case msgProgress:
-		return co.heartbeat(cs, req, now)
+		return co.heartbeat(cs, req, now), true
 	case msgResult, msgFail:
 		// The job's last word on this connection: it never beats again, so
 		// its mark goes — marks are bounded by the jobs in flight, not by
 		// every job a long-lived connection ever ran.
 		delete(cs.marks, req.JobID)
 		if req.Type == msgResult {
-			return co.finish(cs, req, now)
+			return co.finish(cs, req, now), true
 		}
-		return co.fail(cs, req, now)
+		return co.fail(cs, req, now), true
 	}
-	return response{Type: msgOK, Err: fmt.Sprintf("dist: unknown message %q", req.Type)}
+	return response{Type: msgOK, Err: fmt.Sprintf("dist: unknown message %q", req.Type)}, true
 }
 
 // raiseMax lifts a high-water mark to v unless it is already there. A

@@ -27,9 +27,10 @@ import (
 // NewCoordinator is the only constructor: the zero value has no Config
 // and no tables. A constructed coordinator is a serving coordinator
 // (NewCoordinator opens the journal and starts the accept loop) and
-// keeps serving between campaigns (workers idle on wait replies), so a
-// pipeline like core.RunSweep can issue several campaigns over one
-// worker fleet. Close tells workers to drain and shuts the server down.
+// keeps serving between campaigns (idle workers' polls are parked until
+// there is work), so a pipeline like core.RunSweep can issue several
+// campaigns over one worker fleet. Close tells workers to drain and
+// shuts the server down.
 //
 // Beyond hard worker death (leases + heartbeats), the coordinator
 // defends against the paper's §V degraded-but-alive pathologies:
@@ -68,6 +69,18 @@ type Coordinator struct {
 	// its durability. lastProbe paces the janitor's recovery probe.
 	lastProbe time.Time
 
+	// parked holds the work polls that found nothing runnable, oldest
+	// first: each stays unanswered on its connection until a wake pass
+	// (wakeLocked) finds it a reply or its park bound runs out. wakeTimer
+	// runs the wake pass a backing-off job needs when its backoff ends;
+	// wakeAt is when it is next due (zero: not armed).
+	parked    []*connState
+	wakeTimer *time.Timer
+	wakeAt    time.Time
+	// firstLeaseWait observes campaign install → first grant, pollPark how
+	// long each parked poll was held.
+	firstLeaseWait, pollPark *obs.Histogram
+
 	campSeq     int
 	closed      bool
 	stats       Stats
@@ -80,11 +93,11 @@ type Coordinator struct {
 	// Bytes received from and sent to workers, over every connection.
 	bytesIn, bytesOut atomic.Int64
 
-	// Overload-protection state, kept in atomics so the shed path and
-	// the wait-hint scaling never contend on mu — that contention is the
-	// very overload they exist to relieve.
+	// Overload-protection state, kept in atomics so the shed path never
+	// contends on mu — that contention is the very overload it exists to
+	// relieve.
 	conns     atomic.Int64 // live worker connections
-	inflight  atomic.Int64 // requests decoded and not yet answered
+	inflight  atomic.Int64 // requests in processing (a parked poll is not)
 	shed      atomic.Int64 // msgNext polls answered without the scheduler
 	evictions atomic.Int64 // slow-consumer connections killed
 	coalesced atomic.Int64 // heartbeats answered from connection-local state
@@ -109,6 +122,7 @@ type campaignRun struct {
 	jobs      []*job
 	remaining int
 	journaled bool // the jCampaign record reached the journal
+	granted   bool // a job of it has been leased by this process
 	failErr   error
 	done      chan struct{}
 	doneOnce  sync.Once
@@ -226,6 +240,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	key := campaignKeyTagged(tag, specJSON)
 
 	co.mu.Lock()
+	now := time.Now()
 	if co.closed {
 		co.mu.Unlock()
 		return nil, errors.New("dist: coordinator is closed")
@@ -240,7 +255,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		key:       key,
 		tag:       tag,
 		seq:       co.campSeq,
-		submitted: time.Now(),
+		submitted: now,
 		spec:      spec,
 		specJSON:  specJSON,
 		jobs:      make([]*job, len(tasks)),
@@ -308,6 +323,7 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		// Every job was recovered done — nothing left to schedule.
 		camp.finish(nil)
 	}
+	co.wakeLocked(now)
 	co.mu.Unlock()
 
 	<-camp.done
@@ -391,9 +407,9 @@ func (co *Coordinator) offerOrderLocked(now time.Time) []*campaignRun {
 	return out
 }
 
-// Close drains connected workers (their next request is answered with
-// drained), then shuts the server down and waits for it. Safe to call
-// more than once.
+// Close drains connected workers (every parked poll, and anyone's next
+// request, is answered with drained), then shuts the server down and
+// waits for it. Safe to call more than once.
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() { co.closeErr = co.doClose() })
 	return co.closeErr
@@ -402,6 +418,10 @@ func (co *Coordinator) Close() error {
 func (co *Coordinator) doClose() error {
 	co.mu.Lock()
 	co.closed = true
+	co.wakeLocked(time.Now())
+	if co.wakeTimer != nil {
+		co.wakeTimer.Stop()
+	}
 	co.mu.Unlock()
 	// Grace period: let connected workers observe drained and hang up
 	// on their own before the listener shutdown cuts them off.
@@ -422,11 +442,11 @@ func (co *Coordinator) doClose() error {
 		co.journal = nil
 	}
 	co.mu.Unlock()
-	if jerr := jn.close(); jerr != nil && err == nil {
-		err = jerr
-	}
+	jerr := jn.close()
 	if errors.Is(err, netutil.ErrServerClosed) {
-		return nil
+		// The clean shutdown this very call asked for: the journal's last
+		// flush is the only thing left that can have gone wrong.
+		return jerr
 	}
 	return err
 }
@@ -464,7 +484,9 @@ func (co *Coordinator) janitor(ctx context.Context) {
 	}
 }
 
-// tick is one janitor pass at time now.
+// tick is one janitor pass at time now. It ends with a wake pass: an
+// expired lease is a job to run again, and a flagged straggler is a
+// hedge for the idle workers — the parked polls are the hedge pool.
 func (co *Coordinator) tick(now time.Time) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -486,6 +508,7 @@ func (co *Coordinator) tick(now time.Time) {
 		}
 		co.stragglerScanLocked(camp, now)
 	}
+	co.wakeLocked(now)
 	co.storageProbeLocked(now)
 }
 
@@ -623,6 +646,7 @@ func (co *Coordinator) dropConn(cs *connState) {
 		}
 		co.requeuedLocked(rv)
 	}
+	co.wakeLocked(now)
 }
 
 // grantLocked leases j to cs and builds the assign reply. speculative
@@ -631,6 +655,10 @@ func (co *Coordinator) dropConn(cs *connState) {
 func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, speculative bool) response {
 	camp := j.camp
 	l := co.leases.grant(j, cs, now, j.attempts+1, speculative)
+	if !camp.granted {
+		camp.granted = true
+		co.firstLeaseWait.Observe(now.Sub(camp.submitted).Seconds())
+	}
 	if co.sites.get(cs.sess.Site).granted(j.id) {
 		co.stats.BreakerProbes++
 		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.sess.Site, Worker: cs.sess.Name})
@@ -671,57 +699,117 @@ func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, specula
 	return resp
 }
 
-// assign leases the first runnable job to the requesting worker. The
-// Scheduler picks the campaign order (priority, fair share, quotas);
-// within it the lease table picks the job: pending ones first, then a
-// speculative hedge on a flagged straggler.
-func (co *Coordinator) assign(cs *connState, now time.Time) response {
+// assign answers a work poll: a lease on the first runnable job, or —
+// with nothing runnable for an admissible site — no answer yet. The poll
+// is parked, and whatever makes work possible answers it (wakeLocked).
+func (co *Coordinator) assign(cs *connState, now time.Time) (resp response, answered bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	resp, answered, _ = co.assignLocked(cs, now)
+	if !answered {
+		cs.parkedAt = now
+		co.parked = append(co.parked, cs)
+	}
+	return resp, answered
+}
+
+// assignLocked is one scheduling decision for a poll from cs. The
+// Scheduler picks the campaign order (priority, fair share, quotas);
+// within it the lease table picks the job: pending ones first, then a
+// speculative hedge on a flagged straggler. With nothing to hand out
+// answered is false — after arming the wake timer for the soonest
+// backoff expiry, if a job is backing off — and elsewhere is pick's: a
+// poll from another site would have been answered. Caller holds mu.
+func (co *Coordinator) assignLocked(cs *connState, now time.Time) (resp response, answered, elsewhere bool) {
 	if co.closed {
-		return response{Type: msgDrained}
+		return response{Type: msgDrained}, true, false
 	}
 	if !co.sites.get(cs.sess.Site).admissible(now, co.cfg.BreakerCooldown) {
 		// Quarantined site (or a probe already in flight): no work until
 		// the breaker relents. The paper's §V.C.4 outage as a scheduling
-		// decision rather than an operator post-mortem. The adaptive hint
-		// spreads a whole quarantined site's workers apart instead of
-		// having them re-poll in the lockstep the fixed TTL/2 hint caused.
-		return co.waitHint(cs, co.cfg.LeaseTTL/2, true)
+		// decision rather than an operator post-mortem. A hint, not a park:
+		// nothing that wakes parked polls can change the verdict, only the
+		// cooldown can, and the jitter keeps the site's workers from
+		// re-polling in lockstep.
+		return co.waitHint(cs, co.cfg.LeaseTTL/2), true, false
 	}
-	j, speculative, soonest := co.leases.pick(co.offerOrderLocked(now), cs.sess.Site, now, co.hedgingEnabled())
+	j, speculative, soonest, elsewhere := co.leases.pick(co.offerOrderLocked(now), cs.sess.Site, now, co.hedgingEnabled())
 	if j != nil {
-		return co.grantLocked(j, cs, now, speculative)
+		return co.grantLocked(j, cs, now, speculative), true, false
 	}
-	// Nothing runnable: leased jobs in flight, or pending ones backing
-	// off. A pending job's backoff expiry keeps the hint short so the
-	// job is picked up promptly; a purely idle fleet (nothing pending at
-	// all) scales its poll interval with its own size.
-	delay := soonest
-	scale := false
-	if delay <= 0 || delay > co.cfg.LeaseTTL {
-		delay = co.cfg.LeaseTTL / 2
-		scale = soonest == 0
+	if soonest > 0 {
+		co.armWakeLocked(soonest)
 	}
-	if co.campSeq == 0 && cs.waits < 16 {
-		// Nothing submitted yet: a fleet that boots with its server would
-		// sleep TTL/2 through the first submission, so each connection's
-		// hints start short and double up to the idle hint.
-		if boot := 5 * time.Millisecond << cs.waits; boot < delay {
-			delay = boot
+	return response{}, false, elsewhere
+}
+
+// wakeLocked re-runs assign for the parked polls and hands each one that
+// now has an answer its reply. Everything that can create work ends with
+// it: a campaign installed, a job requeued (through the wake timer, when
+// its backoff ends), a straggler flagged, a result accepted (a quota
+// slot freed), Close (every poll answered drained). Newest first — the
+// poll parked last is the one most surely still alive, and a grant to a
+// dead connection costs the job an attempt — and only as far as there
+// are answers: the pass stops at the first poll that finds nothing,
+// unless what it found nothing of was site-bound. Caller holds mu.
+func (co *Coordinator) wakeLocked(now time.Time) {
+	var dry string // the site whose last poll found only site-bound nothing
+	for i := len(co.parked) - 1; i >= 0; i-- {
+		cs := co.parked[i]
+		if dry != "" && cs.sess.Site == dry {
+			continue
+		}
+		resp, answered, elsewhere := co.assignLocked(cs, now)
+		if !answered {
+			if !elsewhere {
+				return
+			}
+			dry = cs.sess.Site
+			continue
+		}
+		co.endParkLocked(i, now)
+		cs.wake <- resp // never blocks: one park, one reply
+	}
+}
+
+// unparkLocked withdraws cs's parked poll — its bound ran out — and
+// reports whether it was still parked. Caller holds mu.
+func (co *Coordinator) unparkLocked(cs *connState, now time.Time) bool {
+	for i, p := range co.parked {
+		if p == cs {
+			co.endParkLocked(i, now)
+			return true
 		}
 	}
-	if co.hedgingEnabled() {
-		// Idle workers are the hedge pool: they must poll fast enough to
-		// pick up a straggler flag soon after the janitor raises it, not
-		// half a lease TTL later when the crawling job may have limped
-		// home — so fleet scaling never applies to a hedging fleet.
-		scale = false
-		if lim := co.cfg.HedgeAfter / 2; lim > 0 && delay > lim {
-			delay = lim
-		}
+	return false
+}
+
+// endParkLocked takes parked[i] off the list and books how long it was
+// held. Caller holds mu.
+func (co *Coordinator) endParkLocked(i int, now time.Time) {
+	co.pollPark.Observe(now.Sub(co.parked[i].parkedAt).Seconds())
+	co.parked = append(co.parked[:i], co.parked[i+1:]...)
+}
+
+// armWakeLocked schedules a wake pass d from now, unless one is already
+// due sooner. One timer serves every backing-off job: the pass it runs
+// re-arms it for whichever backoff ends next. Caller holds mu.
+func (co *Coordinator) armWakeLocked(d time.Duration) {
+	at := time.Now().Add(d)
+	if !co.wakeAt.IsZero() && !at.Before(co.wakeAt) {
+		return
 	}
-	return co.waitHint(cs, delay, scale)
+	co.wakeAt = at
+	if co.wakeTimer != nil {
+		co.wakeTimer.Reset(d)
+		return
+	}
+	co.wakeTimer = time.AfterFunc(d, func() {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		co.wakeAt = time.Time{}
+		co.wakeLocked(time.Now())
+	})
 }
 
 // ckptSteps extracts the engine step counter from an opaque checkpoint
@@ -913,6 +1001,9 @@ func (co *Coordinator) finish(cs *connState, req *request, now time.Time) respon
 	if co.journal != nil {
 		co.journal.removeSpool(j.id)
 	}
+	// One lease fewer against its tenant's quota: a campaign the Scheduler
+	// was holding back may be offerable now.
+	co.wakeLocked(now)
 	return response{Type: msgOK}
 }
 
@@ -936,6 +1027,7 @@ func (co *Coordinator) fail(cs *connState, req *request, now time.Time) response
 		sh.Failures++
 		co.strikeLocked(sh, j.id, now)
 		co.requeuedLocked(co.leases.revoke(j, now, func(o *lease) bool { return o == l }))
+		co.wakeLocked(now)
 	} else if j.state != statePending {
 		co.stats.DuplicateResultsDropped++
 	}
@@ -966,6 +1058,7 @@ func (co *Coordinator) statsLocked() Stats {
 	s.WireV1Conns = int(co.wireV1.Load())
 	s.WireDowngrades = int(co.wireDowngrades.Load())
 	s.WorkPolls = co.polls.Load()
+	s.ParkedPolls = len(co.parked)
 	return s
 }
 

@@ -242,11 +242,12 @@ func TestCoordinatorMatchesLocalRunner(t *testing.T) {
 // TestIdleWorkerServedBeforeFirstCampaign pins that a constructed
 // coordinator is a serving coordinator: a worker that attaches before
 // anything was submitted gets its hello answered at once and idles on
-// wait hints, instead of sitting unanswered in the listen backlog until
-// its I/O timeout and reconnect window run out.
+// parked polls, instead of sitting unanswered in the listen backlog until
+// its I/O timeout and reconnect window run out. The fleet shares one I/O
+// timeout: the coordinator parks a poll for at most half of it.
 func TestIdleWorkerServedBeforeFirstCampaign(t *testing.T) {
 	const ioTimeout, window = 300 * time.Millisecond, 300 * time.Millisecond
-	co := newCoordinator(t, nil)
+	co := newCoordinator(t, func(c *Config) { c.IOTimeout = ioTimeout })
 	w := NewTestWorker(t, "early", "", co.Listener.Addr().String(), testBuild, func(c *Config) {
 		c.BeatInterval = 20 * time.Millisecond
 		c.IOTimeout = ioTimeout
@@ -267,6 +268,9 @@ func TestIdleWorkerServedBeforeFirstCampaign(t *testing.T) {
 	case err := <-exited:
 		t.Fatalf("idle worker gave up before any campaign: %v", err)
 	case <-time.After(2 * (ioTimeout + window)):
+	}
+	if n := w.WorkerStats().Reconnects; n != 0 {
+		t.Fatalf("idle worker re-dialed %d times: a park outlasted its read watchdog", n)
 	}
 	cancel()
 	if err := <-exited; err != nil {

@@ -182,8 +182,11 @@ func (t *leaseTable) views() []CampaignView {
 // campaigns in offer order, the first pending job in task order whose
 // backoff has run out, else — when hedging — the first flagged
 // straggler the site may hedge. With nothing to hand out, soonest is
-// the shortest remaining backoff among the pending jobs (0 if none).
-func (t *leaseTable) pick(order []*campaignRun, site string, now time.Time, hedging bool) (found *job, speculative bool, soonest time.Duration) {
+// the shortest remaining backoff among the pending jobs (0 if none),
+// and elsewhere reports a flagged straggler passed over only because
+// its lease sits on this very site: the one case in which a poll from
+// another site would get work where this one got none.
+func (t *leaseTable) pick(order []*campaignRun, site string, now time.Time, hedging bool) (found *job, speculative bool, soonest time.Duration, elsewhere bool) {
 	for _, camp := range order {
 		if camp.remaining == 0 || camp.failErr != nil {
 			continue
@@ -194,7 +197,7 @@ func (t *leaseTable) pick(order []*campaignRun, site string, now time.Time, hedg
 			}
 			wait := j.notBefore.Sub(now)
 			if wait <= 0 {
-				return j, false, 0
+				return j, false, 0, false
 			}
 			if soonest == 0 || wait < soonest {
 				soonest = wait
@@ -202,23 +205,27 @@ func (t *leaseTable) pick(order []*campaignRun, site string, now time.Time, hedg
 		}
 	}
 	if !hedging {
-		return nil, false, soonest
+		return nil, false, soonest, false
 	}
 	for _, camp := range order {
 		if camp.remaining == 0 || camp.failErr != nil {
 			continue
 		}
 		camp.leased(func(j *job) bool {
-			if j.straggler && j.admits(site, true) {
+			switch {
+			case !j.straggler || len(j.leases) != 1:
+			case j.leases[0].site == site:
+				elsewhere = true
+			default:
 				found = j
 			}
 			return found == nil
 		})
 		if found != nil {
-			return found, true, 0
+			return found, true, 0, false
 		}
 	}
-	return nil, false, soonest
+	return nil, false, soonest, elsewhere
 }
 
 // grant leases j to cs under the given attempt number — the only place

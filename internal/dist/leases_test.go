@@ -30,7 +30,9 @@ func newTestTable(n int) (*leaseTable, *campaignRun) {
 }
 
 func testConn(name, site string) *connState {
-	return &connState{sess: wire.Session{Name: name, Site: site}}
+	cs := newConnState()
+	cs.sess = wire.Session{Name: name, Site: site}
+	return cs
 }
 
 // lease grants j to cs the way an assign does and fails the test if the
@@ -242,13 +244,13 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 	tb.add(second)
 	order := []*campaignRun{second, first}
 
-	if j, spec, _ := tb.pick(order, "s", t0, true); j != second.jobs[0] || spec {
+	if j, spec, _, _ := tb.pick(order, "s", t0, true); j != second.jobs[0] || spec {
 		t.Fatalf("pick = %v, want the first job of the first offered campaign", j)
 	}
-	if j, _, _ := tb.pick(tb.camps, "s", t0, true); j != first.jobs[0] {
+	if j, _, _, _ := tb.pick(tb.camps, "s", t0, true); j != first.jobs[0] {
 		t.Fatalf("pick in install order = %v", j)
 	}
-	if j, _, _ := tb.pick(nil, "s", t0, true); j != nil {
+	if j, _, _, _ := tb.pick(nil, "s", t0, true); j != nil {
 		t.Fatal("picked a job from a campaign that was not offered")
 	}
 
@@ -256,16 +258,16 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 	second.jobs[0].notBefore = t0.Add(5 * time.Second)
 	first.jobs[0].notBefore = t0.Add(2 * time.Second)
 	first.jobs[1].notBefore = t0.Add(3 * time.Second)
-	if j, _, soonest := tb.pick(order, "s", t0, true); j != nil || soonest != 2*time.Second {
+	if j, _, soonest, _ := tb.pick(order, "s", t0, true); j != nil || soonest != 2*time.Second {
 		t.Fatalf("all backing off: job %v soonest %v, want none and 2s", j, soonest)
 	}
-	if j, _, _ := tb.pick(order, "s", t0.Add(2*time.Second), true); j != first.jobs[0] {
+	if j, _, _, _ := tb.pick(order, "s", t0.Add(2*time.Second), true); j != first.jobs[0] {
 		t.Fatal("a job is not runnable the instant its backoff ends")
 	}
 	// Failed and finished campaigns are skipped.
 	second.failErr = fmt.Errorf("dead")
 	first.jobs[0].notBefore, first.jobs[1].notBefore = time.Time{}, time.Time{}
-	if j, _, _ := tb.pick(order, "s", t0, true); j != first.jobs[0] {
+	if j, _, _, _ := tb.pick(order, "s", t0, true); j != first.jobs[0] {
 		t.Fatal("picked from a failed campaign")
 	}
 
@@ -274,18 +276,18 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 	j0, j1 := first.jobs[0], first.jobs[1]
 	mustGrant(t, tb, j0, a, t0, false)
 	primary := mustGrant(t, tb, j1, a, t0, false)
-	if j, _, soonest := tb.pick(order, "site-b", t0, true); j != nil || soonest != 0 {
-		t.Fatalf("nothing pending, nothing flagged: job %v soonest %v", j, soonest)
+	if j, _, soonest, elsewhere := tb.pick(order, "site-b", t0, true); j != nil || soonest != 0 || elsewhere {
+		t.Fatalf("nothing pending, nothing flagged: job %v soonest %v elsewhere %v", j, soonest, elsewhere)
 	}
 	tb.flagStragglers(first, func(j *job, l *lease) bool { return j == j1 && l == primary })
 	if !j1.straggler || j0.straggler {
 		t.Fatalf("flags: j0 %v j1 %v, want only j1", j0.straggler, j1.straggler)
 	}
-	if j, _, _ := tb.pick(order, "site-b", t0, false); j != nil {
+	if j, _, _, _ := tb.pick(order, "site-b", t0, false); j != nil {
 		t.Fatal("hedged with hedging off")
 	}
-	if j, _, _ := tb.pick(order, "site-a", t0, true); j != nil {
-		t.Fatal("hedged onto the straggling site itself")
+	if j, _, _, elsewhere := tb.pick(order, "site-a", t0, true); j != nil || !elsewhere {
+		t.Fatalf("poll from the straggling site itself: job %v elsewhere %v, want none and a hedge for another site", j, elsewhere)
 	}
 	if tb.grant(j1, testConn("a2", "site-a"), t0, j1.attempts+1, true) != nil {
 		t.Fatal("grant put two leases of one job on one site")
@@ -296,7 +298,7 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 	if tb.grant(j0, a, t0, j0.attempts+1, true) != nil || tb.grant(second.jobs[0], a, t0, 1, true) != nil {
 		t.Fatal("grant hedged a job without exactly one lease elsewhere")
 	}
-	j, spec, _ := tb.pick(order, "site-b", t0, true)
+	j, spec, _, _ := tb.pick(order, "site-b", t0, true)
 	if j != j1 || !spec {
 		t.Fatalf("pick for site-b = %v speculative %v, want the flagged job as a hedge", j, spec)
 	}
@@ -306,7 +308,7 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 	}
 	// Only one hedge: a third site gets nothing, and an already hedged
 	// job is not offered for flagging again.
-	if j, _, _ := tb.pick(order, "site-c", t0, true); j != nil {
+	if j, _, _, elsewhere := tb.pick(order, "site-c", t0, true); j != nil || elsewhere {
 		t.Fatal("a second hedge was offered")
 	}
 	if tb.grant(j1, testConn("c", "site-c"), t0, 3, true) != nil {

@@ -3,8 +3,8 @@ package dist
 // Unit tests for the coordinator's overload-protection layer: bounded
 // send queues with slow-consumer eviction (and the lease-reattach
 // recovery path), the global in-flight request cap with msgNext
-// shedding, heartbeat coalescing under load, and the adaptive wait
-// hints that scale an idle fleet's poll interval with its own size.
+// shedding, and heartbeat coalescing under load. The parked work poll —
+// how an idle fleet waits without polling at all — is park_test.go's.
 
 import (
 	"context"
@@ -259,91 +259,6 @@ func TestHeartbeatCoalescingUnderLoad(t *testing.T) {
 	requireBitIdentical(t, want, logs)
 }
 
-// TestAdaptiveWaitHintScalesWithFleet pins the idle-poll budget: a
-// lone idle worker waits about half a lease TTL, a 60-strong idle
-// fleet is told to back off further (up to the TTL cap), and
-// successive hints to one connection are jittered apart.
-func TestAdaptiveWaitHintScalesWithFleet(t *testing.T) {
-	co := newCoordinator(t, func(c *Config) {
-		c.LeaseTTL, c.BeatInterval = 200*time.Millisecond, 20*time.Millisecond
-	})
-	addr := co.Listener.Addr().String()
-
-	probe := dialTestClient(t, addr, "probe")
-	solo := probe.rt(&request{Type: msgNext})
-	if solo.Type != msgWait || solo.DelayMs < 1 {
-		t.Fatalf("solo idle poll answered %+v", solo)
-	}
-	// Base leaseTTL/2 = 100ms, jitter [0.5, 1): strictly under 100ms.
-	if solo.DelayMs >= 100 {
-		t.Fatalf("solo DelayMs = %d, want < 100 (no fleet to scale for)", solo.DelayMs)
-	}
-
-	for i := 0; i < 60; i++ {
-		dialTestClient(t, addr, "idle")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for co.conns.Load() < 61 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d conns registered", co.conns.Load())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// 61 conns × 1s / 200 polls/s = 305ms, capped at the 200ms TTL,
-	// jittered down to no less than half: at least 100ms — strictly
-	// above anything the solo fleet was told.
-	fleet := probe.rt(&request{Type: msgNext})
-	if fleet.Type != msgWait {
-		t.Fatalf("fleet idle poll answered %q", fleet.Type)
-	}
-	if fleet.DelayMs < 100 {
-		t.Fatalf("fleet DelayMs = %d, want >= 100 (scaled above the solo hint)", fleet.DelayMs)
-	}
-	if fleet.DelayMs <= solo.DelayMs {
-		t.Fatalf("fleet hint %dms not above solo hint %dms", fleet.DelayMs, solo.DelayMs)
-	}
-
-	// Jitter: successive hints to the same connection must not repeat
-	// into lockstep.
-	seen := map[int]bool{fleet.DelayMs: true}
-	for i := 0; i < 4; i++ {
-		seen[probe.rt(&request{Type: msgNext}).DelayMs] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("5 successive wait hints identical: %v", seen)
-	}
-}
-
-// TestBootHintShortUntilFirstSubmission: until anything was submitted a
-// connection's idle hints start at a few milliseconds and double up to
-// the steady TTL/2 hint, so a fleet that boots with its server picks the
-// first campaign up promptly; the fleet poll budget still floors them,
-// and past the first submission a new connection gets the steady hint.
-func TestBootHintShortUntilFirstSubmission(t *testing.T) {
-	co := newCoordinator(t, nil) // 2s lease TTL: steady hint 1s, jittered to [500, 1000) ms
-	now := time.Now()
-	cs := testConn("w", "w")
-	if first := co.assign(cs, now).DelayMs; first > 5 {
-		t.Fatalf("first boot hint %d ms, want <= 5", first)
-	}
-	polls := 1
-	for ; co.assign(cs, now).DelayMs < 500; polls++ {
-		if polls > 16 {
-			t.Fatalf("hints still below the steady 500 ms after %d polls", polls)
-		}
-	}
-	co.conns.Store(300) // 300 conns / 200 polls/s = 1.5 s floor, jittered to no less than 750 ms
-	if got := co.assign(testConn("herd", "herd"), now).DelayMs; got < 750 {
-		t.Fatalf("boot hint %d ms in a 300-strong fleet, want the poll budget's >= 750", got)
-	}
-	co.conns.Store(0)
-	co.campSeq = 1
-	if got := co.assign(testConn("late", "late"), now).DelayMs; got < 500 {
-		t.Fatalf("hint %d ms after the first submission, want the steady >= 500", got)
-	}
-}
-
 // TestCoordinatorCloseMidCheckpointStream is the shutdown regression:
 // Close while a worker is mid-checkpoint-stream must drain cleanly —
 // no panic, no wedged writer goroutines — and the process goroutine
@@ -416,19 +331,25 @@ func TestCoalescingMarksBoundedByInflightJobs(t *testing.T) {
 	}
 
 	cs := testConn("w", "w")
-	cs.marks = make(map[string]beatMark)
 	now := time.Now()
 	var inflight []*wireJob
 	finished, assigned := 0, 0
 	failing := map[string]bool{} // every tenth job fails its first attempt
 	for finished < 60 {
-		resp := co.dispatch(cs, &request{Type: msgNext}, now)
+		resp, answered := co.dispatch(cs, &request{Type: msgNext}, now)
+		if !answered {
+			// Parked: this loop is the connection's reader, and it polls again
+			// rather than wait, so it withdraws the poll as a bound would.
+			co.mu.Lock()
+			co.unparkLocked(cs, now)
+			co.mu.Unlock()
+		}
 		if resp.Type == msgAssign {
 			inflight = append(inflight, resp.Job)
 			if assigned++; assigned%10 == 3 {
 				failing[resp.Job.ID] = true
 			}
-			if r := co.dispatch(cs, &request{Type: msgBeat, JobID: resp.Job.ID, Attempt: resp.Job.Attempt}, now); r.Type != msgOK {
+			if r, _ := co.dispatch(cs, &request{Type: msgBeat, JobID: resp.Job.ID, Attempt: resp.Job.Attempt}, now); r.Type != msgOK {
 				t.Fatalf("beat for %s answered %q", resp.Job.ID, r.Type)
 			}
 			if len(inflight) < 2 && finished+len(inflight) < 60 {
@@ -451,7 +372,7 @@ func TestCoalescingMarksBoundedByInflightJobs(t *testing.T) {
 		} else {
 			finished++
 		}
-		if r := co.dispatch(cs, req, now); r.Type != msgOK || r.Err != "" {
+		if r, _ := co.dispatch(cs, req, now); r.Type != msgOK || r.Err != "" {
 			t.Fatalf("%s for %s answered %q (err %q)", req.Type, j.ID, r.Type, r.Err)
 		}
 		if len(cs.marks) > len(inflight) {

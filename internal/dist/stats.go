@@ -90,13 +90,17 @@ type Stats struct {
 	BreakerProbes        int // half-open probe jobs dispatched
 	BreakerCloses        int // breakers closed again by a successful result
 
+	// ParkedPolls is a gauge: work polls held unanswered right now because
+	// nothing was runnable when they arrived — the idle workers.
+	ParkedPolls int
+
 	// Overload-protection counters and gauges (the spice_overload_*
 	// metric family). The counters are cumulative; the last three are
 	// point-in-time gauges sampled when the snapshot was taken.
 	RequestsShed          int // msgNext polls answered with a shed msgWait over the in-flight cap
 	SlowConsumerEvictions int // connections killed for a full send queue (their leases survived)
 	HeartbeatsCoalesced   int // heartbeats answered from connection-local state under load
-	InflightRequests      int // gauge: requests decoded and not yet answered
+	InflightRequests      int // gauge: requests in processing (a parked poll is not)
 	ConnectedWorkers      int // gauge: live worker connections
 	SendQueuePeak         int // gauge: high-water mark of any connection's send queue
 

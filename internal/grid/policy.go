@@ -10,11 +10,15 @@ package grid
 //
 // The policy is three-keyed and deterministic:
 //
-//  1. effective priority, descending — the submitter's Priority plus
-//     Aging points per hour waited. Aging is the starvation-freedom
-//     mechanism: any waiting candidate's effective priority grows
-//     without bound, so a stream of fresh high-priority work can delay
-//     a low-priority candidate only for a bounded time.
+//  1. priority band, descending — the whole-number part of the effective
+//     priority: the submitter's Priority plus Aging points per hour
+//     waited. Aging is the starvation-freedom mechanism: any waiting
+//     candidate's effective priority grows without bound, so a stream of
+//     fresh high-priority work can delay a low-priority candidate only
+//     for a bounded time. It lifts a candidate across bands and does
+//     nothing else: two candidates of one band are equals however long
+//     either has waited, or the fraction of a point an earlier arrival
+//     has aged would always win and the next key would never be read.
 //  2. tenant fair-share usage, ascending — tenants that have consumed
 //     less service go first within a priority band. Usage is whatever
 //     the caller charges (CPU-hours in the simulator, completed jobs in
@@ -22,7 +26,10 @@ package grid
 //  3. submission sequence, ascending — FCFS settles exact ties, which
 //     also makes the whole order deterministic for a given input.
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Candidate is one schedulable item competing under a Policy: a batch
 // job in the simulator, a campaign in the live control plane.
@@ -38,7 +45,7 @@ type Candidate struct {
 	Seq int
 }
 
-// Policy orders candidates by priority, fair share, and age, and keeps
+// Policy orders candidates by priority band, fair share, and age, and keeps
 // the per-tenant usage ledger the fair-share key reads. The zero value
 // is a pure priority+FCFS policy (no aging, no usage charged yet).
 type Policy struct {
@@ -88,9 +95,8 @@ func (p *Policy) Rank(cands []Candidate, extra map[string]float64) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ca, cb := cands[order[a]], cands[order[b]]
-		ea, eb := p.Effective(ca), p.Effective(cb)
-		if ea != eb {
-			return ea > eb
+		if ba, bb := math.Floor(p.Effective(ca)), math.Floor(p.Effective(cb)); ba != bb {
+			return ba > bb
 		}
 		if ua, ub := use(ca.Tenant), use(cb.Tenant); ua != ub {
 			return ua < ub

@@ -54,6 +54,30 @@ func TestPolicyAgingOvertakesPriority(t *testing.T) {
 	}
 }
 
+// TestPolicyUsageBreaksTieUnderAging: with aging on, two equal-priority
+// candidates submitted a second apart sit in one priority band, so the
+// tenant that has used less goes first — the second's head start in
+// effective priority (1/3600 of a point) must not decide it. Aging still
+// decides across bands: an hour's wait lifts the older one a whole band.
+func TestPolicyUsageBreaksTieUnderAging(t *testing.T) {
+	p := NewPolicy(1)
+	p.Charge("bulk", 12)
+	bulk := Candidate{Tenant: "bulk", WaitHours: 1.0 / 3600, Seq: 0}
+	probe := Candidate{Tenant: "probe", WaitHours: 0, Seq: 1}
+	if got := p.Rank([]Candidate{bulk, probe}, nil); got[0] != 1 {
+		t.Fatalf("Rank = %v: a second of seniority outranked fair share", got)
+	}
+	// Live load counts like ledger usage.
+	idle := NewPolicy(1)
+	if got := idle.Rank([]Candidate{bulk, probe}, map[string]float64{"bulk": 2}); got[0] != 1 {
+		t.Fatalf("Rank with leased load = %v, want the idle tenant first", got)
+	}
+	bulk.WaitHours = 1
+	if got := p.Rank([]Candidate{bulk, probe}, nil); got[0] != 0 {
+		t.Fatalf("Rank = %v: an hour of aging did not lift the older candidate a band", got)
+	}
+}
+
 // TestStarvationFreedom submits an unbounded-looking stream of fresh
 // high-priority jobs alongside one old low-priority job and requires
 // the aged job to be scheduled within the bound aging implies: once its

@@ -33,6 +33,16 @@ if grep -n -e 'disabledOr' -e 'negative disables' $(ls internal/dist/*.go | grep
   exit 1
 fi
 
+echo "== one way for an idle worker to learn about work =="
+# Idle polls are parked and woken (conn.go, coordinator.go); the poll
+# hints that used to pace an idle fleet — the fleet-size poll budget and
+# the short hints before the first submission — must not come back
+# beside the park.
+if grep -n -E -e 'idlePollBudget' -e 'campSeq == 0' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: an idle-poll hint is back in internal/dist"
+  exit 1
+fi
+
 echo "== lease table + site health: plain data, one grant =="
 # The lease table and site health take the time as an argument and touch
 # no clock, lock, socket, event log or journal — that is what lets a
@@ -110,15 +120,16 @@ echo "== overload shedding drills (-race) =="
 # Backpressure unit gates. Coordinator: a write-blocked slow consumer is
 # evicted on a full send queue while its lease survives for the
 # reconnect to adopt; the in-flight cap sheds polls on a lock-free path
-# (proved by answering while the coordinator mutex is held); heartbeats
-# coalesce under load; idle wait hints scale with fleet size and stay
-# jittered. Control plane: a tenant hammering past its token bucket
-# gets 429 + Retry-After while another tenant's admitted campaign
-# drains, queue-depth admission and the HTTP concurrency limiter shed
-# with Retry-After, and the client retries only refusals that carry the
-# header, spending its fleet retry budget.
+# (proved by answering while the coordinator mutex is held) and parked
+# polls never count against it; heartbeats coalesce under load; a wake
+# answers no more parked polls than there are jobs. Control plane: a
+# tenant hammering past its token bucket gets 429 + Retry-After while
+# another tenant's admitted campaign drains, queue-depth admission and
+# the HTTP concurrency limiter shed with Retry-After, and the client
+# retries only refusals that carry the header, spending its fleet retry
+# budget.
 go test -race -count=1 \
-  -run 'TestSlowConsumerEvictionAndLeaseReattach|TestInflightShedOverLimit|TestHeartbeatCoalescingUnderLoad|TestAdaptiveWaitHintScalesWithFleet|TestCoordinatorCloseMidCheckpointStream' \
+  -run 'TestSlowConsumerEvictionAndLeaseReattach|TestInflightShedOverLimit|TestHeartbeatCoalescingUnderLoad|TestParkedPollsNotInflight|TestWakeAnswersOnlyRunnable|TestCoordinatorCloseMidCheckpointStream' \
   -v ./internal/dist
 go test -race -count=1 \
   -run 'TestTenantRateLimit429Drill|TestMaxQueueDepthAdmission|TestHTTPConcurrencyShed|TestClientRetry|TestCancelRateLimited' \
@@ -226,6 +237,34 @@ go test -race -run '^$' -bench 'Ablation_WireLoad' -benchtime 1x -timeout 20m . 
 
 echo "== bench smoke (benchtime=1x) =="
 go test -run '^$' -bench 'Ablation' -benchtime 1x -benchmem .
+
+echo "== end-to-end benchmark, one run =="
+# The benchmark the pipeline judges every change by, run once so a
+# change that breaks it (a renamed flag, a served PMF that differs from
+# LocalRunner, a counter that stopped being measured) fails here and not
+# after the merge. Only facts that do not depend on the host are
+# asserted: timings are the paired comparison's business
+# (benchmark/README.md), not CI's.
+bench_json=$(bash benchmark/run.sh --workload finegrain --trace 1 --seconds 5 -allow-oversubscribed | tail -n 1)
+echo "$bench_json" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+m = {k: v["value"] for k, v in r["metrics"].items()}
+checks = [
+    ("correct", r["correct"] is True),
+    ("failed == 0", r["failed"] == 0),
+    ("dist.journal_fsyncs_per_pull within 1 +- 0.05", abs(m["dist.journal_fsyncs_per_pull"] - 1) <= 0.05),
+    ("controlplane.queue_fsyncs_per_campaign == 3", m["controlplane.queue_fsyncs_per_campaign"] == 3),
+    ("md.allocs_per_step == 0", m["md.allocs_per_step"] == 0),
+    ("dist.requests_shed == 0", m["dist.requests_shed"] == 0),
+]
+bad = [name for name, ok in checks if not ok]
+for name in bad:
+    print("FAIL: benchmark:", name)
+if bad:
+    sys.exit(1)
+print("benchmark gate OK: %d campaigns, %d failed" % (r["attempted"], r["failed"]))
+'
 
 echo "== non-test Go lines per package =="
 scripts/loc.sh
