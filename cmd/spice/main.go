@@ -241,8 +241,7 @@ func distFlags(fs *flag.FlagSet, c *dist.Config) {
 	fs.DurationVar(&c.IOTimeout, "io-timeout", c.IOTimeout, "read/write deadline armed before every I/O on every worker connection, so a half-open peer times out instead of wedging a reader (0 disables)")
 
 	// Overload protection.
-	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint and heartbeats coalesce past half the cap (0 disables)")
-	fs.IntVar(&c.SendQueue, "send-queue", c.SendQueue, "per-connection outgoing-response queue bound; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint (0 disables)")
 
 	// Wire protocol. Each connection settles on min(coordinator, worker),
 	// so old spiced daemons keep working against a v1 coordinator and

@@ -31,7 +31,6 @@ func TestDistFlagDefaults(t *testing.T) {
 		"compact-bytes":     d.CompactBytes,
 		"storage-retries":   d.StorageRetries,
 		"max-inflight":      d.MaxInflight,
-		"send-queue":        d.SendQueue,
 	}
 	check := func(f *flag.Flag, w any) {
 		if f.DefValue != fmt.Sprint(w) {

@@ -61,7 +61,6 @@ func serveFlags(fs *flag.FlagSet, c *dist.Config) {
 	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "with -serve: compact a journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding the on-disk footprint and replay time; applies to both the campaign queue and the job journal (0 disables)")
 	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "with -serve: retries (short capped backoff) for a failed journal append before the service enters the degraded storage state — submissions get 503 + Retry-After, running campaigns keep draining, and a background probe restores service when the disk recovers")
 	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "with -serve: cap on requests processed at once — worker polls at the coordinator (shed with a jittered wait hint) and concurrent HTTP API requests (shed with 503 + Retry-After) (0 disables both)")
-	fs.IntVar(&c.SendQueue, "send-queue", c.SendQueue, "with -serve: per-connection outgoing-response queue bound at the coordinator; a worker that lets it fill (a slow consumer) is evicted with its leases kept alive for re-attach (0 = synchronous writes)")
 }
 
 // parseQuota parses "maxQueued[:maxRunning]".

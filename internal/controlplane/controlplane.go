@@ -716,7 +716,8 @@ func (s *Server) Cancel(id string) (State, error) {
 	s.event("cp_canceled", id, map[string]any{"tenant": e.Tenant, "was_running": wasRunning})
 	s.mu.Unlock()
 	if wasRunning {
-		// The coordinator fails the campaign's jobs; run() observes
+		// The coordinator fails the campaign's jobs — or, when run() has
+		// not installed it yet, refuses the install — and run() observes
 		// ErrCampaignCanceled and finishes the state transition.
 		s.cfg.Coordinator.CancelCampaign(id)
 		return StateRunning, nil

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -334,6 +335,30 @@ func TestCancelQueuedCampaign(t *testing.T) {
 	waitState(t, s, idA, StateCanceled)
 	if _, err := s.Cancel("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel unknown: %v, want ErrNotFound", err)
+	}
+}
+
+// TestCancelRightAfterSubmit: Submit dispatches a campaign to the
+// coordinator on a goroutine, so a Cancel issued right after it can reach
+// the coordinator before the campaign is installed. That cancel must not
+// be lost: with no workers, a lost one would leave its campaign running
+// forever.
+func TestCancelRightAfterSubmit(t *testing.T) {
+	s, _ := newHarness(t, Config{}, 0)
+	s.Start()
+	ids := make([]string, 50)
+	for i := range ids {
+		id, err := s.Submit(specA(), dist.CampaignTag{Tenant: "t", Name: strconv.Itoa(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateCanceled)
 	}
 }
 

@@ -98,17 +98,9 @@ type Config struct {
 	// MaxInflight caps worker requests in processing at once across all
 	// connections. Excess work polls are shed with an immediate jittered
 	// wait hint that never touches the scheduler lock; results, fails and
-	// heartbeats are never shed (they shrink the backlog). Heartbeat
-	// coalescing arms past half the cap. 0 disables shedding and
-	// coalescing.
+	// heartbeats are never shed (they shrink the backlog). 0 disables
+	// shedding.
 	MaxInflight int
-	// SendQueue bounds each connection's outgoing-response queue, drained
-	// by a per-connection writer goroutine. A peer that fills it — a slow
-	// consumer pipelining requests without reading replies — is evicted:
-	// the connection is closed but its leases survive, so the worker's
-	// reconnect re-attaches mid-flight pulls instead of redoing them.
-	// 0 disables the queue (synchronous writes, no eviction).
-	SendQueue int
 
 	// --- Transport (both sides) ---
 
@@ -210,7 +202,6 @@ func Defaults() Config {
 		BreakerThreshold:    3,
 		HedgeFraction:       0.3,
 		MaxInflight:         256,
-		SendQueue:           32,
 		WireVersion:         wire.MaxVersion,
 		Compression:         true,
 		DeltaCheckpoints:    true,
@@ -253,8 +244,6 @@ func (c Config) Validate() error {
 		return errors.New("dist: Config.HedgeAfter must be >= 0")
 	case c.MaxInflight < 0:
 		return errors.New("dist: Config.MaxInflight must be >= 0 (0 disables)")
-	case c.SendQueue < 0:
-		return errors.New("dist: Config.SendQueue must be >= 0 (0 disables)")
 	case c.WireVersion < 0 || c.WireVersion > wire.MaxVersion:
 		return fmt.Errorf("dist: Config.WireVersion %d outside [0, %d]", c.WireVersion, wire.MaxVersion)
 	case c.IOTimeout < 0:
@@ -305,6 +294,7 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 		leases:   newLeaseTable(&cfg),
 		sites:    make(siteTable),
 		jobStats: make(map[string]*JobStats),
+		canceled: make(map[string]bool),
 	}
 	if cfg.StateDir != "" {
 		if err := co.replayJournal(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,47 +113,44 @@ func TestConfigZeroDisables(t *testing.T) {
 	})
 
 	t.Run("SendQueue", func(t *testing.T) {
-		// A peer that stops reading while it pipelines three polls: with
-		// a queue the reader keeps decoding them; without one it is parked
-		// inside the first reply's write — and never evicts anybody.
-		for _, queue := range []int{0, 4} {
-			var blocked atomic.Bool
-			release := make(chan struct{})
-			co := newCoordinator(t, func(c *Config) {
-				c.SendQueue = queue
-				c.WrapConn = func(conn net.Conn) net.Conn {
-					return &blockWrites{Conn: conn, blocked: &blocked, release: release}
-				}
-			})
-			c := dialTestClient(t, co.Listener.Addr().String(), "probe")
-			blocked.Store(true)
-			for i := 0; i < 3; i++ {
-				if err := c.Encode(&request{Type: msgNext}); err != nil {
-					t.Fatal(err)
-				}
+		// The send queue is gone and what SendQueue = 0 selected is the
+		// only reply path: a peer that stops reading while it pipelines
+		// three polls finds the reader parked inside the first reply's
+		// write — it decodes nothing more, and drops nobody. The shim sits
+		// outside the deadlines; the IOTimeout only bounds each park.
+		var blocked atomic.Bool
+		release := make(chan struct{})
+		co := newCoordinator(t, func(c *Config) {
+			c.IOTimeout = 200 * time.Millisecond
+			c.WrapConn = func(conn net.Conn) net.Conn {
+				return &blockWrites{Conn: conn, blocked: &blocked, release: release}
 			}
-			want := int64(1)
-			if queue > 0 {
-				want = 3
+		})
+		c := dialTestClient(t, co.Listener.Addr().String(), "probe")
+		blocked.Store(true)
+		for i := 0; i < 3; i++ {
+			if err := c.Encode(&request{Type: msgNext}); err != nil {
+				t.Fatal(err)
 			}
-			deadline := time.Now().Add(10 * time.Second)
-			for co.polls.Load() < want && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for co.polls.Load() < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // a synchronous reader must not get past the first poll
+		if got := co.polls.Load(); got != 1 {
+			t.Fatalf("reader decoded %d polls behind a blocked write, want 1", got)
+		}
+		close(release)
+		for i := 0; i < 3; i++ {
+			var resp response
+			if err := c.Decode(&resp); err != nil || resp.Type != msgWait {
+				t.Fatalf("reply %d = %+v (%v), want wait", i, resp, err)
 			}
-			time.Sleep(50 * time.Millisecond) // a synchronous reader must not get past the first poll
-			if got := co.polls.Load(); got != want {
-				t.Fatalf("SendQueue %d: reader decoded %d polls behind a blocked write, want %d", queue, got, want)
-			}
-			close(release)
-			for i := 0; i < 3; i++ {
-				var resp response
-				if err := c.Decode(&resp); err != nil || resp.Type != msgWait {
-					t.Fatalf("SendQueue %d: reply %d = %+v (%v), want wait", queue, i, resp, err)
-				}
-			}
-			if ev := co.Stats().SlowConsumerEvictions; ev != 0 {
-				t.Fatalf("SendQueue %d: %d evictions, want 0", queue, ev)
-			}
+		}
+		if st := co.Stats(); st.ConnectedWorkers != 1 || st.RequestsShed != 0 {
+			t.Fatalf("after the blocked write recovered: %d connected, %d shed; want 1 and 0",
+				st.ConnectedWorkers, st.RequestsShed)
 		}
 	})
 
@@ -209,34 +205,51 @@ func TestConfigZeroDisables(t *testing.T) {
 	})
 }
 
+// blockWrites is a WrapConn shim that parks coordinator→worker writes
+// while blocked is set, releasing them when release is closed — the
+// deterministic stand-in for a worker whose receive path stopped
+// draining while its send path still delivers requests.
+type blockWrites struct {
+	net.Conn
+	blocked *atomic.Bool
+	release chan struct{}
+}
+
+func (b *blockWrites) Write(p []byte) (int, error) {
+	if b.blocked.Load() {
+		<-b.release
+	}
+	return b.Conn.Write(p)
+}
+
 // TestDerivedWindowsPinned pins every window the runtime derives from a
 // Config — the two defaults resolved at construction, the janitor
-// period, the coalesce window, the park bound and the shed hint (jitter
+// period, the park bound and the shed hint (jitter
 // included: it is keyed by worker name and poll count) — to the values
 // the pre-Config sentinel accessors computed from the same inputs.
 func TestDerivedWindowsPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name                                          string
-		override                                      func(*Config)
-		cooldown, hedgeAfter, janitor, coalesce, park time.Duration
-		shedMs                                        int
+		name                                string
+		override                            func(*Config)
+		cooldown, hedgeAfter, janitor, park time.Duration
+		shedMs                              int
 	}{
 		{"defaults", func(c *Config) { *c = Defaults() },
-			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 625 * time.Millisecond, 2500 * time.Millisecond, 843},
+			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 2500 * time.Millisecond, 843},
 		{"stall hedging, explicit cooldown, short io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL, c.BeatInterval = 800*time.Millisecond, 50*time.Millisecond
 			c.HedgeFraction, c.HedgeStall = 0, 120*time.Millisecond
 			c.BreakerCooldown = 3 * time.Second
 			c.IOTimeout = 500 * time.Millisecond
-		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond, 135},
+		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 250 * time.Millisecond, 135},
 		{"no hedging, explicit hedge-after, no io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL = 12 * time.Second
 			c.HedgeFraction, c.HedgeStall, c.HedgeAfter = 0, 0, 7*time.Second
 			c.BreakerThreshold = 0
 			c.IOTimeout = 0
-		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 1500 * time.Millisecond, 6 * time.Second, 2025},
+		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 6 * time.Second, 2025},
 	} {
 		co := newCoordinator(t, tc.override)
 		if co.cfg.BreakerCooldown != tc.cooldown || co.cfg.HedgeAfter != tc.hedgeAfter {
@@ -246,39 +259,11 @@ func TestDerivedWindowsPinned(t *testing.T) {
 		if got := co.janitorPeriod(); got != tc.janitor {
 			t.Errorf("%s: janitor period %v, want %v", tc.name, got, tc.janitor)
 		}
-		if got := co.coalesceWindow(); got != tc.coalesce {
-			t.Errorf("%s: coalesce window %v, want %v", tc.name, got, tc.coalesce)
-		}
 		if got := co.parkBound(); got != tc.park {
 			t.Errorf("%s: park bound %v, want %v", tc.name, got, tc.park)
 		}
 		if got := co.shedNext(testConn("w", "")).DelayMs; got != tc.shedMs {
 			t.Errorf("%s: shed hint %d ms, want %d", tc.name, got, tc.shedMs)
-		}
-	}
-}
-
-// TestRaiseMaxConcurrent: the send-queue high-water mark is raised by
-// every connection's reader at once, so concurrent raises with distinct
-// values must always end at the largest — a load-then-store loses it.
-func TestRaiseMaxConcurrent(t *testing.T) {
-	const raisers = 64
-	for round := 0; round < 1000; round++ {
-		var mark atomic.Int64
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for v := int64(1); v <= raisers; v++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				raiseMax(&mark, v)
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if got := mark.Load(); got != raisers {
-			t.Fatalf("round %d: high-water mark %d after raises 1..%d", round, got, raisers)
 		}
 	}
 }

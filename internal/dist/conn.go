@@ -1,11 +1,11 @@
 package dist
 
 // The coordinator's transport: one goroutine per worker connection that
-// accepts the hello, decodes requests, stamps each with the clock and
-// dispatches it, and queues the replies — plus the parked work poll (a
-// poll that found nothing runnable is held unanswered until work can
-// exist) and the overload protection that lives at this layer (bounded
-// send queues, poll shedding, heartbeat coalescing, wait hints).
+// accepts the hello, decodes requests, stamps each with the clock,
+// dispatches it and writes the reply — plus the parked work poll (a poll
+// that found nothing runnable is held unanswered until work can exist)
+// and the overload protection that lives at this layer (poll shedding,
+// wait hints).
 
 import (
 	"fmt"
@@ -24,9 +24,6 @@ type connState struct {
 	// sess is the negotiated transport and the worker's name and site,
 	// written once at hello (before any other request is processed).
 	sess wire.Session
-	// evicted marks a slow-consumer eviction: the connection dies but
-	// its leases survive for the worker's reconnect to re-attach.
-	evicted atomic.Bool
 	// waits counts the hinted msgWait replies sent to this connection —
 	// the jitter key that keeps a shed or quarantined herd from re-polling
 	// in lockstep. Whoever is answering the connection's poll touches it:
@@ -37,29 +34,10 @@ type connState struct {
 	// reader goroutine holding the poll.
 	parkedAt time.Time
 	wake     chan response
-	// marks is the heartbeat-coalescing state, local to the reader
-	// goroutine: the last plain beat per in-flight job that the normal
-	// path answered with a clean msgOK. Under load, a twin of such a beat
-	// inside the coalesce window is answered from here without taking the
-	// scheduler lock.
-	marks map[string]beatMark
-}
-
-type beatMark struct {
-	attempt int
-	at      time.Time
 }
 
 func newConnState() *connState {
-	return &connState{marks: make(map[string]beatMark), wake: make(chan response, 1)}
-}
-
-// coalesceWindow is how stale a connection-local heartbeat answer may
-// be under load. Kept well under the lease TTL so coalescing can never
-// age a lease into expiry, and under the TTL/4 janitor period so a
-// coalesced lease still refreshes between janitor scans.
-func (co *Coordinator) coalesceWindow() time.Duration {
-	return co.cfg.LeaseTTL / 8
+	return &connState{wake: make(chan response, 1)}
 }
 
 // waitHint builds a msgWait reply for a poll the scheduler will not look
@@ -160,52 +138,12 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.sess.Site, Worker: cs.sess.Name,
 		Fields: map[string]any{"wire": cs.sess.Version, "delta": cs.sess.Delta, "compression": cs.sess.Comp}})
 
-	// Responses flow through a bounded per-connection send queue drained
-	// by a writer goroutine, so a peer that stops reading can never wedge
-	// this reader or hold response memory unboundedly: when the queue
-	// fills, the slow consumer is evicted. Eviction kills the connection
-	// but keeps its leases (dropConn skips the revocation) so the
-	// worker's reconnect re-attaches mid-flight pulls instead of
-	// redoing them from the last checkpoint.
-	var (
-		sendQ      chan response
-		writerDone chan struct{}
-	)
-	if co.cfg.SendQueue > 0 {
-		sendQ = make(chan response, co.cfg.SendQueue)
-		writerDone = make(chan struct{})
-		go func() {
-			defer close(writerDone)
-			for resp := range sendQ {
-				if cs.sess.Encode(&resp) != nil {
-					// Dead transport: keep draining so the reader, which may
-					// be about to close the channel, never blocks on it.
-					for range sendQ {
-					}
-					return
-				}
-			}
-		}()
-		defer func() { close(sendQ); <-writerDone }()
-	}
-	send := func(resp response) bool {
-		if sendQ == nil {
-			return cs.sess.Encode(&resp) == nil
-		}
-		select {
-		case sendQ <- resp:
-			raiseMax(&co.queuePeak, int64(len(sendQ)))
-			return true
-		default:
-			cs.evicted.Store(true)
-			co.evictions.Add(1)
-			co.cfg.Events.Emit(obs.Event{Name: "slow_consumer_evicted", Site: cs.sess.Site, Worker: cs.sess.Name,
-				Fields: map[string]any{"queued": len(sendQ)}})
-			_ = conn.Close()
-			return false
-		}
-	}
-
+	// The reader writes each reply itself. The protocol is lock-step — a
+	// worker sends its next request only after reading the last reply —
+	// so at most one reply per connection is ever outstanding, and no
+	// lock is held across the write. A peer that stops reading ties up
+	// only this goroutine, until the IOTimeout write deadline fails the
+	// write; then it is a disconnect like any dead link (dropConn).
 	for {
 		var req request
 		if err := cs.sess.Decode(&req); err != nil {
@@ -215,10 +153,7 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 		if !answered {
 			resp = co.awaitWake(cs)
 		}
-		if !send(resp) {
-			return
-		}
-		if resp.Type == msgDrained {
+		if cs.sess.Encode(&resp) != nil || resp.Type == msgDrained {
 			return
 		}
 	}
@@ -233,56 +168,23 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 func (co *Coordinator) dispatch(cs *connState, req *request, now time.Time) (resp response, answered bool) {
 	n := co.inflight.Add(1)
 	defer co.inflight.Add(-1)
-	limit := int64(co.cfg.MaxInflight)
 	switch req.Type {
 	case msgNext:
 		co.polls.Add(1)
-		if limit > 0 && n > limit {
+		if limit := int64(co.cfg.MaxInflight); limit > 0 && n > limit {
 			// Over the in-flight cap: shed the poll. Results, fails and
 			// heartbeats are never shed — they shrink the backlog.
 			return co.shedNext(cs), true
 		}
 		return co.assign(cs, now)
-	case msgBeat:
-		window := co.coalesceWindow()
-		if m, ok := cs.marks[req.JobID]; ok && window > 0 && limit > 0 && 2*n >= limit &&
-			m.attempt == req.Attempt && now.Sub(m.at) < window {
-			co.coalesced.Add(1)
-			return response{Type: msgOK}, true
-		}
-		resp := co.heartbeat(cs, req, now)
-		if resp.Type == msgOK && resp.Err == "" {
-			cs.marks[req.JobID] = beatMark{attempt: req.Attempt, at: now}
-		} else {
-			delete(cs.marks, req.JobID)
-		}
-		return resp, true
-	case msgProgress:
+	case msgBeat, msgProgress:
 		return co.heartbeat(cs, req, now), true
-	case msgResult, msgFail:
-		// The job's last word on this connection: it never beats again, so
-		// its mark goes — marks are bounded by the jobs in flight, not by
-		// every job a long-lived connection ever ran.
-		delete(cs.marks, req.JobID)
-		if req.Type == msgResult {
-			return co.finish(cs, req, now), true
-		}
+	case msgResult:
+		return co.finish(cs, req, now), true
+	case msgFail:
 		return co.fail(cs, req, now), true
 	}
 	return response{Type: msgOK, Err: fmt.Sprintf("dist: unknown message %q", req.Type)}, true
-}
-
-// raiseMax lifts a high-water mark to v unless it is already there. A
-// compare-and-swap loop, because every connection's reader raises the
-// same mark concurrently and a plain load-then-store lets a smaller
-// depth overwrite a larger one.
-func raiseMax(mark *atomic.Int64, v int64) {
-	for {
-		cur := mark.Load()
-		if v <= cur || mark.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // countConn tallies the bytes crossing a connection into counters

@@ -81,6 +81,13 @@ type Coordinator struct {
 	// long each parked poll was held.
 	firstLeaseWait, pollPark *obs.Histogram
 
+	// canceled holds the keys CancelCampaign was asked to cancel before
+	// their Run installed them: the control plane dispatches a campaign
+	// on a goroutine, so a cancel can overtake it. The matching RunTagged
+	// consumes the mark and returns ErrCampaignCanceled without
+	// installing.
+	canceled map[string]bool
+
 	campSeq     int
 	closed      bool
 	stats       Stats
@@ -96,12 +103,9 @@ type Coordinator struct {
 	// Overload-protection state, kept in atomics so the shed path never
 	// contends on mu — that contention is the very overload it exists to
 	// relieve.
-	conns     atomic.Int64 // live worker connections
-	inflight  atomic.Int64 // requests in processing (a parked poll is not)
-	shed      atomic.Int64 // msgNext polls answered without the scheduler
-	evictions atomic.Int64 // slow-consumer connections killed
-	coalesced atomic.Int64 // heartbeats answered from connection-local state
-	queuePeak atomic.Int64 // high-water mark of any send queue
+	conns    atomic.Int64 // live worker connections
+	inflight atomic.Int64 // requests in processing (a parked poll is not)
+	shed     atomic.Int64 // msgNext polls answered without the scheduler
 
 	// Wire-protocol accounting, atomic because negotiation happens on
 	// the accept path before any lock and the bench polls them hot.
@@ -251,6 +255,12 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			return nil, fmt.Errorf("dist: campaign %s is already running", key)
 		}
 	}
+	if co.canceled[key] {
+		delete(co.canceled, key)
+		co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
+		co.mu.Unlock()
+		return nil, ErrCampaignCanceled
+	}
 	camp := &campaignRun{
 		key:       key,
 		tag:       tag,
@@ -351,20 +361,26 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 // CancelCampaign; the blocked Run/RunTagged call returns it.
 var ErrCampaignCanceled = errors.New("dist: campaign canceled")
 
-// CancelCampaign aborts the active campaign with the given key (see
-// SpecKey). The owning Run/RunTagged call returns ErrCampaignCanceled;
-// in-flight leases are abandoned on their next heartbeat. It reports
-// whether a campaign was actually canceled.
+// CancelCampaign aborts the campaign with the given key (see SpecKey).
+// The owning Run/RunTagged call returns ErrCampaignCanceled; in-flight
+// leases are abandoned on their next heartbeat. A key that is not
+// active is remembered, and the next Run of it returns
+// ErrCampaignCanceled without installing. It reports whether an active
+// campaign was canceled.
 func (co *Coordinator) CancelCampaign(key string) bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, c := range co.leases.camps {
-		if c.key == key && c.failErr == nil {
+		if c.key == key {
+			if c.failErr != nil {
+				return false
+			}
 			c.finish(ErrCampaignCanceled)
 			co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
 			return true
 		}
 	}
+	co.canceled[key] = true
 	return false
 }
 
@@ -622,18 +638,11 @@ func (co *Coordinator) requeuedLocked(rv revocation) {
 }
 
 // dropConn revokes every lease held by a dying connection so its jobs
-// requeue immediately instead of waiting out the TTL. A slow-consumer
-// eviction is the exception: the lease survives the conn, because the
-// worker behind it is presumed alive and mid-pull — its reconnect
-// re-attaches the lease (heartbeat), and the janitor TTL-expires it if
-// the worker really died.
+// requeue immediately instead of waiting out the TTL.
 func (co *Coordinator) dropConn(cs *connState) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.conns.Add(-1)
-	if cs.evicted.Load() {
-		return
-	}
 	now := time.Now()
 	for _, rv := range co.leases.drop(cs, now) {
 		for _, l := range rv.leases {
@@ -824,10 +833,10 @@ func ckptSteps(ckpt json.RawMessage) int {
 
 // heartbeat refreshes a lease and stores any checkpoint that came with
 // it. The lease table decides which lease the beat speaks for (the
-// connection's own, an adoption, a re-attach — leaseTable.beat); a
-// worker beating for a job leased elsewhere is told to abandon — which
-// is also how the losing side of a speculation race learns it lost:
-// the job is done, the beat gets abandon, the pull is dropped.
+// connection's own, or an adoption — leaseTable.beat); a worker beating
+// for a job leased elsewhere is told to abandon — which is also how the
+// losing side of a speculation race learns it lost: the job is done,
+// the beat gets abandon, the pull is dropped.
 func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -838,12 +847,12 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		return response{Type: msgAbandon}
 	}
 	camp := j.camp
-	l, how := co.leases.beat(j, cs, req.Attempt, now)
-	switch {
-	case l == nil:
+	l, adopted := co.leases.beat(j, cs, req.Attempt, now)
+	if l == nil {
 		// The beating worker genuinely lost the job.
 		return response{Type: msgAbandon}
-	case how == adopted:
+	}
+	if adopted {
 		co.sites.get(cs.sess.Site).Assignments++
 		co.stats.Adoptions++
 		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: l.attempt,
@@ -856,11 +865,6 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 			Attempt: l.attempt, Resumed: len(j.ckpt) > 0,
 		}, false)
-	case how == reattached:
-		co.stats.Adoptions++
-		co.jobStats[j.id].Adoptions++
-		co.cfg.Events.Emit(obs.Event{Name: "lease_reattached", Job: j.id,
-			Attempt: l.attempt, Site: cs.sess.Site, Worker: cs.sess.Name})
 	}
 	if req.Type == msgProgress && req.Ckpt != nil {
 		// Fold before anything else: every consumer downstream of this
@@ -1049,11 +1053,8 @@ func (co *Coordinator) statsLocked() Stats {
 		s.setStorage(co.journal.log.Health())
 	}
 	s.RequestsShed = int(co.shed.Load())
-	s.SlowConsumerEvictions = int(co.evictions.Load())
-	s.HeartbeatsCoalesced = int(co.coalesced.Load())
 	s.InflightRequests = int(co.inflight.Load())
 	s.ConnectedWorkers = int(co.conns.Load())
-	s.SendQueuePeak = int(co.queuePeak.Load())
 	s.WireV0Conns = int(co.wireV0.Load())
 	s.WireV1Conns = int(co.wireV1.Load())
 	s.WireDowngrades = int(co.wireDowngrades.Load())

@@ -260,48 +260,26 @@ func (t *leaseTable) grant(j *job, cs *connState, now time.Time, attempt int, sp
 	return l
 }
 
-// attachment says how beat matched a heartbeat to a lease.
-type attachment int
-
-const (
-	held       attachment = iota // the connection's own live lease
-	adopted                      // a pending job re-leased to the worker still running it
-	reattached                   // an evicted connection's lease moved to the worker's new one
-)
-
 // beat finds the lease a heartbeat from cs for job j refreshes and
 // stamps it; nil means the worker lost the job and must abandon it. A
 // worker beating for a pending job is adopted: after a coordinator
-// restart (or a revocation it never reacted to) it is still mid-pull and
-// its checkpoint lineage is bit-exact, so re-leasing the job to it beats
-// redoing the work — under the worker's own attempt number, so its
-// eventual result passes the (job, attempt) check. A job leased to
-// "someone else" who is this worker's own evicted previous connection is
-// re-attached: a slow-consumer eviction kills the connection but keeps
-// the lease precisely for this — same worker, same attempt, new pipe, no
-// requeue.
-func (t *leaseTable) beat(j *job, cs *connState, attempt int, now time.Time) (l *lease, how attachment) {
-	switch l = j.leaseOf(cs, 0); {
-	case l != nil:
-	case j.state == statePending:
+// restart, a revocation it never reacted to, or a dropped connection it
+// re-dialed, it is still mid-pull and its checkpoint lineage is
+// bit-exact, so re-leasing the job to it beats redoing the work — under
+// the worker's own attempt number, so its eventual result passes the
+// (job, attempt) check.
+func (t *leaseTable) beat(j *job, cs *connState, attempt int, now time.Time) (l *lease, adopted bool) {
+	if l = j.leaseOf(cs, 0); l == nil {
+		if j.state != statePending {
+			return nil, false
+		}
 		if attempt <= 0 {
 			attempt = j.attempts
 		}
-		l, how = t.grant(j, cs, now, attempt, false), adopted
-	default:
-		for _, prev := range j.leases {
-			if prev.worker == cs.sess.Name && prev.owner.evicted.Load() && (attempt == 0 || attempt == prev.attempt) {
-				prev.owner, prev.site = cs, cs.sess.Site
-				l, how = prev, reattached
-				break
-			}
-		}
-		if l == nil {
-			return nil, held
-		}
+		l, adopted = t.grant(j, cs, now, attempt, false), true
 	}
 	l.lastBeat = now
-	return l, how
+	return l, adopted
 }
 
 // progress records a complete checkpoint image streamed under lease l

@@ -55,8 +55,8 @@ func TestLeaseTableExpiryBoundary(t *testing.T) {
 	if rvs := tb.expire(camp, t0.Add(testTTL), testTTL); len(rvs) != 0 || j.state != stateLeased {
 		t.Fatalf("expired exactly at lastBeat+TTL: %+v", rvs)
 	}
-	if l, how := tb.beat(j, cs, 1, t0.Add(time.Second)); l == nil || how != held {
-		t.Fatalf("beat from the holder: lease %v, how %v", l, how)
+	if l, adopted := tb.beat(j, cs, 1, t0.Add(time.Second)); l == nil || adopted {
+		t.Fatalf("beat from the holder: lease %v, adopted %v", l, adopted)
 	}
 	if rvs := tb.expire(camp, t0.Add(testTTL+time.Second), testTTL); len(rvs) != 0 {
 		t.Fatal("expired at the old boundary after a beat moved it")
@@ -132,17 +132,20 @@ func TestLeaseTableRevokeRequeue(t *testing.T) {
 }
 
 // TestLeaseTableAdoptionAndReattach: a beat for a pending job adopts the
-// worker under the worker's own attempt number; a beat for a job leased
-// to the worker's evicted old connection moves that lease; any other
-// beat for a job leased elsewhere gets nothing.
+// worker under the worker's own attempt number; any beat for a job
+// leased elsewhere gets nothing — including one from the worker's own
+// new connection while its old one still holds the lease. A worker
+// re-attaches only by adoption, once its dropped connection's lease is
+// revoked.
 func TestLeaseTableAdoptionAndReattach(t *testing.T) {
 	tb, camp := newTestTable(2)
+	tb.maxAttempts = 8 // the drop below must requeue, not exhaust, attempt 5
 	j := camp.jobs[0]
 	j.attempts = 2 // replayed history: two grants before the restart
 	w := testConn("w", "s")
-	l, how := tb.beat(j, w, 5, t0)
-	if l == nil || how != adopted || l.attempt != 5 || j.attempts != 5 || j.state != stateLeased || l.owner != w || l.speculative {
-		t.Fatalf("adoption with attempt 5: lease %+v how %v job attempts %d", l, how, j.attempts)
+	l, adopted := tb.beat(j, w, 5, t0)
+	if l == nil || !adopted || l.attempt != 5 || j.attempts != 5 || j.state != stateLeased || l.owner != w || l.speculative {
+		t.Fatalf("adoption with attempt 5: lease %+v adopted %v job attempts %d", l, adopted, j.attempts)
 	}
 	if !l.granted.Equal(t0) || !l.lastBeat.Equal(t0) {
 		t.Fatalf("adopted lease stamped %v/%v, want %v", l.granted, l.lastBeat, t0)
@@ -150,8 +153,8 @@ func TestLeaseTableAdoptionAndReattach(t *testing.T) {
 	// An attempt-less beat (old worker) adopts under the table's count.
 	j2 := camp.jobs[1]
 	j2.attempts = 2
-	if l2, how := tb.beat(j2, w, 0, t0); l2 == nil || how != adopted || l2.attempt != 2 || j2.attempts != 2 {
-		t.Fatalf("adoption without an attempt: lease %+v how %v", l2, how)
+	if l2, adopted := tb.beat(j2, w, 0, t0); l2 == nil || !adopted || l2.attempt != 2 || j2.attempts != 2 {
+		t.Fatalf("adoption without an attempt: lease %+v adopted %v", l2, adopted)
 	}
 
 	// A stranger beating for the leased job has lost it.
@@ -161,24 +164,20 @@ func TestLeaseTableAdoptionAndReattach(t *testing.T) {
 	// The worker's new connection, old one still live: also lost.
 	w2 := testConn("w", "s-new")
 	if got, _ := tb.beat(j, w2, 5, t0); got != nil {
-		t.Fatal("re-attached a lease whose connection was not evicted")
+		t.Fatal("a second connection's beat took over a live connection's lease")
 	}
-	// Evicted: the lease moves to the new connection, same attempt; a
-	// different attempt number does not match it.
-	w.evicted.Store(true)
-	if got, _ := tb.beat(j, w2, 4, t0); got != nil {
-		t.Fatal("re-attached under a stale attempt number")
-	}
+	// The old connection drops: its leases are revoked, and the new
+	// connection's next beat adopts the job under the same attempt.
 	later := t0.Add(3 * time.Second)
-	got, how := tb.beat(j, w2, 5, later)
-	if got != l || how != reattached || l.owner != w2 || l.site != "s-new" || l.attempt != 5 || !l.lastBeat.Equal(later) || len(j.leases) != 1 {
-		t.Fatalf("re-attach: lease %+v how %v", got, how)
+	if rvs := tb.drop(w, later); len(rvs) != 2 || j.state != statePending || camp.failErr != nil {
+		t.Fatalf("dropping the old connection: %+v, job state %v, campaign error %v", rvs, j.state, camp.failErr)
 	}
-	if !l.granted.Equal(t0) {
-		t.Fatal("re-attach reset the grant time")
+	got, adopted := tb.beat(j, w2, 5, later)
+	if got == nil || !adopted || got.owner != w2 || got.site != "s-new" || got.attempt != 5 || !got.granted.Equal(later) || len(j.leases) != 1 {
+		t.Fatalf("re-attach by adoption: lease %+v adopted %v", got, adopted)
 	}
-	if got, how := tb.beat(j, w2, 5, later); got != l || how != held {
-		t.Fatalf("beat after re-attach: how %v", how)
+	if again, adopted := tb.beat(j, w2, 5, later); again != got || adopted {
+		t.Fatalf("beat after adoption: adopted %v", adopted)
 	}
 }
 

@@ -52,11 +52,8 @@ func RegisterMetrics(reg *obs.Registry, src StatsSource) {
 		e.Counter("spice_dist_breaker_closes_total", "Breakers closed again by a successful result.", float64(s.BreakerCloses))
 		e.Gauge("spice_dist_parked_polls", "Work polls held unanswered until there is work (idle workers).", float64(s.ParkedPolls))
 		e.Counter("spice_overload_requests_shed_total", "Work polls answered with a shed wait over the in-flight cap.", float64(s.RequestsShed))
-		e.Counter("spice_overload_slow_consumer_evictions_total", "Connections killed for a full send queue (leases survived).", float64(s.SlowConsumerEvictions))
-		e.Counter("spice_overload_heartbeats_coalesced_total", "Heartbeats answered from connection-local state under load.", float64(s.HeartbeatsCoalesced))
 		e.Gauge("spice_overload_inflight", "Requests in processing (a parked poll is not).", float64(s.InflightRequests))
 		e.Gauge("spice_overload_connected_workers", "Live worker connections.", float64(s.ConnectedWorkers))
-		e.Gauge("spice_overload_send_queue_peak", "High-water mark of any connection's send queue.", float64(s.SendQueuePeak))
 		e.Counter("spice_wire_v0_conns_total", "Connections negotiated to the legacy JSON-lines transport.", float64(s.WireV0Conns))
 		e.Counter("spice_wire_v1_conns_total", "Connections negotiated to binary framing.", float64(s.WireV1Conns))
 		e.Counter("spice_wire_downgrades_total", "Hellos offering an unknown version, served on v0.", float64(s.WireDowngrades))

@@ -188,6 +188,52 @@ func TestCancelCampaign(t *testing.T) {
 	}
 }
 
+// TestCancelBeforeInstall: a cancel that reaches the coordinator before
+// the campaign's Run installs it is not lost — the control plane
+// dispatches a campaign on a goroutine, so a tenant's cancel can overtake
+// it. That Run returns ErrCampaignCanceled without installing, so no
+// lease goes out even to a worker already waiting; and the mark is used
+// up, so the next Run of the same key installs.
+func TestCancelBeforeInstall(t *testing.T) {
+	co := newCoordinator(t, nil)
+	spec, tag := testSpec(), CampaignTag{Tenant: "t", Name: "early"}
+	key, err := SpecKey(spec, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := dialTestClient(t, co.Listener.Addr().String(), "idle")
+	if err := idle.Encode(&request{Type: msgNext}); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, co, 1)
+
+	if co.CancelCampaign(key) {
+		t.Fatal("CancelCampaign reported canceling a campaign that was not installed")
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := co.RunTagged(spec, tag)
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrCampaignCanceled) {
+			t.Fatalf("RunTagged returned %v, want ErrCampaignCanceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancel was lost: RunTagged installed the campaign and kept running")
+	}
+	if st := co.Stats(); st.Assignments != 0 || len(co.Campaigns()) != 0 {
+		t.Fatalf("a canceled campaign was installed: %d assignments, %d active", st.Assignments, len(co.Campaigns()))
+	}
+
+	runInBackground(t, co, spec, tag)
+	var resp response
+	if err := idle.Decode(&resp); err != nil || resp.Type != msgAssign {
+		t.Fatalf("after the mark was used, the waiting poll got %+v (%v), want a job", resp, err)
+	}
+}
+
 // TestRunTaggedDuplicateKeyRejected: the same (spec, tag) submission
 // cannot be active twice — the key scopes job IDs and journal replay.
 func TestRunTaggedDuplicateKeyRejected(t *testing.T) {

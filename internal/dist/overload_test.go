@@ -1,21 +1,21 @@
 package dist
 
-// Unit tests for the coordinator's overload-protection layer: bounded
-// send queues with slow-consumer eviction (and the lease-reattach
-// recovery path), the global in-flight request cap with msgNext
-// shedding, and heartbeat coalescing under load. The parked work poll —
-// how an idle fleet waits without polling at all — is park_test.go's.
+// Unit tests for the coordinator's overload-protection layer: the global
+// in-flight request cap with msgNext shedding, a peer that stops reading
+// its replies, and shutdown mid-stream. The parked work poll — how an
+// idle fleet waits without polling at all — is park_test.go's.
 
 import (
 	"context"
 	"net"
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
 	"spice/internal/campaign"
 	"spice/internal/trace"
+	"spice/internal/wire"
 )
 
 func singleJobSpec() campaign.Spec {
@@ -28,127 +28,17 @@ func singleJobSpec() campaign.Spec {
 	}
 }
 
-// blockWrites is a WrapConn shim that parks coordinator→worker writes
-// while blocked is set, releasing them when release is closed — the
-// deterministic stand-in for a worker whose receive path stopped
-// draining (full socket buffers, wedged process) while its send path
-// still delivers requests.
-type blockWrites struct {
-	net.Conn
-	blocked *atomic.Bool
-	release chan struct{}
-}
-
-func (b *blockWrites) Write(p []byte) (int, error) {
-	if b.blocked.Load() {
-		<-b.release
-	}
-	return b.Conn.Write(p)
-}
-
-// TestSlowConsumerEvictionAndLeaseReattach pins the eviction contract
-// end to end: a connection that stops draining responses is evicted
-// once its bounded send queue fills, its lease survives, the worker's
-// next connection re-attaches the lease with a heartbeat (an adoption,
-// not a retry), and the campaign completes bit-identically — the
-// eviction is invisible in the science.
-func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
-	spec := singleJobSpec()
-	want := localBaseline(t, spec)
-
-	var blocked atomic.Bool
-	release := make(chan struct{})
-	co := newCoordinator(t, func(cfg *Config) {
-		cfg.SendQueue = 1
-		cfg.WrapConn = func(c net.Conn) net.Conn {
-			return &blockWrites{Conn: c, blocked: &blocked, release: release}
-		}
-	})
-
-	done := make(chan struct{})
-	var logs map[campaign.Combo][]*trace.WorkLog
-	var runErr error
-	go func() {
-		defer close(done)
-		logs, runErr = co.Run(spec)
-	}()
-
-	addr := co.Listener.Addr().String()
-	c1 := dialTestClient(t, addr, "storm-w")
-	var assign *response
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp := c1.rt(&request{Type: msgNext})
-		if resp.Type == msgAssign {
-			assign = resp
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never assigned the job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	jobID, attempt := assign.Job.ID, assign.Job.Attempt
-
-	// Stop draining responses and pipeline three beats: the first's
-	// reply parks the writer, the second fills the queue of one, the
-	// third finds it full — eviction, not blocking.
-	blocked.Store(true)
-	for i := 0; i < 3; i++ {
-		if err := c1.Encode(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); err != nil {
-			t.Fatalf("beat %d: %v", i, err)
-		}
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for co.Stats().SlowConsumerEvictions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow consumer never evicted")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	blocked.Store(false)
-	close(release) // let the parked writer run into the closed conn and exit
-
-	st := co.Stats()
-	if st.SlowConsumerEvictions != 1 {
-		t.Fatalf("SlowConsumerEvictions = %d, want 1", st.SlowConsumerEvictions)
-	}
-	if st.Disconnects != 0 {
-		t.Fatalf("eviction revoked the lease: Disconnects = %d, want 0", st.Disconnects)
-	}
-
-	// The same worker reconnects and beats: the surviving lease must
-	// re-attach (no abandon, no requeue), and the pull finishes on the
-	// new pipe.
-	c2 := dialTestClient(t, addr, "storm-w")
-	if resp := c2.rt(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); resp.Type != msgOK || resp.Err != "" {
-		t.Fatalf("reattach beat answered %q (err %q), want clean ok", resp.Type, resp.Err)
-	}
-	if got := co.Stats().Adoptions; got < 1 {
-		t.Fatalf("Adoptions = %d after reattach, want >= 1", got)
-	}
-	log := pullLog(t, assign)
-	if resp := c2.rt(&request{Type: msgResult, JobID: jobID, Attempt: attempt, Log: log}); resp.Type != msgOK || resp.Err != "" {
-		t.Fatalf("result answered %q (err %q)", resp.Type, resp.Err)
-	}
-
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	requireBitIdentical(t, want, logs)
-	if retries := co.Stats().Retries; retries != 0 {
-		t.Fatalf("eviction caused %d retries, want 0 (lease survived)", retries)
-	}
-}
-
 // TestInflightShedOverLimit pins the in-flight cap AND the property
 // that makes it an overload valve: shedding never touches the
 // scheduler lock. The test holds co.mu so two polls park inside
 // assign, then proves a third poll is answered (shed, jittered hint)
-// while the lock is still held.
+// while the lock is still held. The short IOTimeout bounds the two polls'
+// park at 100 ms instead of LeaseTTL/2.
 func TestInflightShedOverLimit(t *testing.T) {
-	co := newCoordinator(t, func(c *Config) { c.MaxInflight = 2 })
+	co := newCoordinator(t, func(c *Config) {
+		c.MaxInflight = 2
+		c.IOTimeout = 200 * time.Millisecond
+	})
 	addr := co.Listener.Addr().String()
 
 	a := dialTestClient(t, addr, "pa")
@@ -199,64 +89,6 @@ func TestInflightShedOverLimit(t *testing.T) {
 	if st := co.Stats(); st.RequestsShed != 1 || st.InflightRequests != 0 {
 		t.Fatalf("final stats: shed %d inflight %d, want 1 and 0", st.RequestsShed, st.InflightRequests)
 	}
-}
-
-// TestHeartbeatCoalescingUnderLoad pins the coalescing fast path: with
-// the coordinator at half its in-flight cap, a repeat heartbeat inside
-// the coalesce window is answered from connection-local state, and the
-// campaign still completes bit-identically.
-func TestHeartbeatCoalescingUnderLoad(t *testing.T) {
-	spec := singleJobSpec()
-	want := localBaseline(t, spec)
-
-	// One in-flight request counts as "half loaded".
-	co := newCoordinator(t, func(c *Config) { c.MaxInflight = 2 })
-
-	done := make(chan struct{})
-	var logs map[campaign.Combo][]*trace.WorkLog
-	var runErr error
-	go func() {
-		defer close(done)
-		logs, runErr = co.Run(spec)
-	}()
-
-	c := dialTestClient(t, co.Listener.Addr().String(), "beater")
-	var assign *response
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp := c.rt(&request{Type: msgNext})
-		if resp.Type == msgAssign {
-			assign = resp
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never assigned the job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	jobID, attempt := assign.Job.ID, assign.Job.Attempt
-
-	// First beat goes through the scheduler and records the mark; the
-	// immediate twin must be coalesced.
-	if resp := c.rt(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); resp.Type != msgOK {
-		t.Fatalf("first beat answered %q", resp.Type)
-	}
-	if resp := c.rt(&request{Type: msgBeat, JobID: jobID, Attempt: attempt}); resp.Type != msgOK {
-		t.Fatalf("second beat answered %q", resp.Type)
-	}
-	if got := co.Stats().HeartbeatsCoalesced; got < 1 {
-		t.Fatalf("HeartbeatsCoalesced = %d, want >= 1", got)
-	}
-
-	log := pullLog(t, assign)
-	if resp := c.rt(&request{Type: msgResult, JobID: jobID, Attempt: attempt, Log: log}); resp.Type != msgOK || resp.Err != "" {
-		t.Fatalf("result answered %q (err %q)", resp.Type, resp.Err)
-	}
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	requireBitIdentical(t, want, logs)
 }
 
 // TestCoordinatorCloseMidCheckpointStream is the shutdown regression:
@@ -310,79 +142,218 @@ func TestCoordinatorCloseMidCheckpointStream(t *testing.T) {
 	}
 }
 
-// TestCoalescingMarksBoundedByInflightJobs: a long-lived connection
-// keeps one heartbeat-coalescing mark per job it is running, not per job
-// it ever ran — a job's result or fail line, after which it never beats
-// again, takes its mark away. 60 jobs go through one connection's
-// dispatch, two in flight at a time.
-func TestCoalescingMarksBoundedByInflightJobs(t *testing.T) {
+// TestSlowConsumerEvictionAndLeaseReattach pins the recovery contract
+// for a connection that stops draining replies: it is evicted at the
+// IOTimeout write deadline (a disconnect — the job goes back to pending),
+// the worker's next connection re-attaches the lease with a heartbeat
+// (an adoption under its own attempt, not a retry), and the campaign
+// completes bit-identically — the eviction is invisible in the science.
+func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
+	const ioTimeout = 200 * time.Millisecond
 	spec := singleJobSpec()
-	spec.Replicas = 60
-	co := newCoordinator(t, nil)
-	done := make(chan error, 1)
+	want := localBaseline(t, spec)
+
+	co := newCoordinator(t, func(c *Config) { c.IOTimeout = ioTimeout })
+	done := make(chan struct{})
+	var logs map[campaign.Combo][]*trace.WorkLog
+	var runErr error
 	go func() {
-		_, err := co.Run(spec)
-		done <- err
+		defer close(done)
+		logs, runErr = co.Run(spec)
 	}()
-	for installed := false; !installed; time.Sleep(time.Millisecond) {
-		co.mu.Lock()
-		installed = len(co.leases.camps) == 1
-		co.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); len(co.Campaigns()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never installed")
+		}
 	}
 
-	cs := testConn("w", "w")
-	now := time.Now()
-	var inflight []*wireJob
-	finished, assigned := 0, 0
-	failing := map[string]bool{} // every tenth job fails its first attempt
-	for finished < 60 {
-		resp, answered := co.dispatch(cs, &request{Type: msgNext}, now)
-		if !answered {
-			// Parked: this loop is the connection's reader, and it polls again
-			// rather than wait, so it withdraws the poll as a bound would.
-			co.mu.Lock()
-			co.unparkLocked(cs, now)
-			co.mu.Unlock()
-		}
-		if resp.Type == msgAssign {
-			inflight = append(inflight, resp.Job)
-			if assigned++; assigned%10 == 3 {
-				failing[resp.Job.ID] = true
-			}
-			if r, _ := co.dispatch(cs, &request{Type: msgBeat, JobID: resp.Job.ID, Attempt: resp.Job.Attempt}, now); r.Type != msgOK {
-				t.Fatalf("beat for %s answered %q", resp.Job.ID, r.Type)
-			}
-			if len(inflight) < 2 && finished+len(inflight) < 60 {
-				continue
-			}
-		} else if len(inflight) == 0 {
-			// Only a job backing off after its fail line is left.
-			now = now.Add(time.Second)
-			continue
-		}
-		if len(cs.marks) != len(inflight) {
-			t.Fatalf("%d marks with %d jobs in flight", len(cs.marks), len(inflight))
-		}
-		j := inflight[0]
-		inflight = inflight[1:]
-		req := &request{Type: msgResult, JobID: j.ID, Attempt: j.Attempt, Log: &trace.WorkLog{}}
-		if failing[j.ID] {
-			req = &request{Type: msgFail, JobID: j.ID, Attempt: j.Attempt, Err: "flaky"}
-			delete(failing, j.ID)
-		} else {
-			finished++
-		}
-		if r, _ := co.dispatch(cs, req, now); r.Type != msgOK || r.Err != "" {
-			t.Fatalf("%s for %s answered %q (err %q)", req.Type, j.ID, r.Type, r.Err)
-		}
-		if len(cs.marks) > len(inflight) {
-			t.Fatalf("%d marks with %d jobs in flight after %s %s", len(cs.marks), len(inflight), req.Type, j.ID)
-		}
-	}
-	if err := <-done; err != nil {
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	served := make(chan struct{})
+	go func() {
+		co.serveConn(srv)
+		srv.Close()
+		close(served)
+	}()
+	c1, err := wire.Open(cli, cli, wire.Session{Name: "storm-w"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs.marks) != 0 {
-		t.Fatalf("%d marks left after every job finished", len(cs.marks))
+	if err := c1.Encode(&request{Type: msgNext}); err != nil {
+		t.Fatal(err)
+	}
+	var assign response
+	if err := c1.Decode(&assign); err != nil || assign.Type != msgAssign {
+		t.Fatalf("poll answered %+v (%v), want the job", assign, err)
+	}
+	jobID, attempt := assign.Job.ID, assign.Job.Attempt
+
+	// Stop draining replies and pipeline beats: the first beat's reply
+	// parks the reader in its write until the deadline evicts the peer.
+	beat := &request{Type: msgBeat, JobID: jobID, Attempt: attempt}
+	var pipelining sync.WaitGroup
+	pipelining.Add(1)
+	go func() {
+		defer pipelining.Done()
+		for c1.Encode(beat) == nil {
+		}
+	}()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("slow consumer never evicted")
+	}
+	pipelining.Wait()
+	if st := co.Stats(); st.Disconnects != 1 {
+		t.Fatalf("eviction: Disconnects = %d, want 1", st.Disconnects)
+	}
+
+	// The same worker reconnects and beats: the pending job's lease must
+	// re-attach (ok, an adoption, no retry), and the pull finishes on the
+	// new connection. The log is computed first so the connection never
+	// idles past its read deadline.
+	log := pullLog(t, &assign)
+	c2 := dialTestClient(t, co.Listener.Addr().String(), "storm-w")
+	if resp := c2.rt(beat); resp.Type != msgOK || resp.Err != "" {
+		t.Fatalf("reattach beat answered %q (err %q), want clean ok", resp.Type, resp.Err)
+	}
+	if got := co.Stats().Adoptions; got != 1 {
+		t.Fatalf("Adoptions = %d after reattach, want 1", got)
+	}
+	if resp := c2.rt(&request{Type: msgResult, JobID: jobID, Attempt: attempt, Log: log}); resp.Type != msgOK || resp.Err != "" {
+		t.Fatalf("result answered %q (err %q)", resp.Type, resp.Err)
+	}
+
+	<-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	requireBitIdentical(t, want, logs)
+	if retries := co.Stats().Retries; retries != 0 {
+		t.Fatalf("eviction caused %d retries, want 0 (the lease re-attached)", retries)
+	}
+}
+
+// TestNonDrainingPeerDisconnects pins the reply path against a peer that
+// stops reading. The protocol is lock-step, so the reader writes each
+// reply itself under the IOTimeout write deadline: a worker that
+// pipelines beats without reading its replies ties up only its own
+// connection, and only until the deadline — then it is a disconnect like
+// any dead link, and its job runs again on a live worker, bit-identical
+// to LocalRunner. The stuck peer is one end of a net.Pipe (unbuffered,
+// deadline-honouring) served straight through serveConn.
+func TestNonDrainingPeerDisconnects(t *testing.T) {
+	const ioTimeout = 200 * time.Millisecond
+	spec := singleJobSpec()
+	spec.Replicas = 2
+	want := localBaseline(t, spec)
+	baseline := runtime.NumGoroutine()
+
+	co := newCoordinator(t, func(c *Config) { c.IOTimeout = ioTimeout })
+	done := make(chan struct{})
+	var logs map[campaign.Combo][]*trace.WorkLog
+	var runErr error
+	go func() {
+		defer close(done)
+		logs, runErr = co.Run(spec)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(co.Campaigns()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never installed")
+		}
+	}
+
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	served := make(chan struct{})
+	go func() {
+		co.serveConn(srv)
+		srv.Close()
+		close(served)
+	}()
+	stuck, err := wire.Open(cli, cli, wire.Session{Name: "stuck"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stuck.Encode(&request{Type: msgNext}); err != nil {
+		t.Fatal(err)
+	}
+	var assign response
+	if err := stuck.Decode(&assign); err != nil || assign.Type != msgAssign {
+		t.Fatalf("stuck peer's poll answered %+v (%v), want a job", assign, err)
+	}
+	// The pipe hands the first beat over only when the reader takes it;
+	// from then on the reader is writing a reply nobody reads, and the
+	// beats behind it queue in the peer.
+	beat := &request{Type: msgBeat, JobID: assign.Job.ID, Attempt: assign.Job.Attempt}
+	if err := stuck.Encode(beat); err != nil {
+		t.Fatal(err)
+	}
+	stuckAt := time.Now()
+	var pipelining sync.WaitGroup
+	pipelining.Add(1)
+	go func() {
+		defer pipelining.Done()
+		for stuck.Encode(beat) == nil {
+		}
+	}()
+
+	// Another connection is served meanwhile — the blocked write holds no
+	// lock. It takes the second job and returns its known result at once,
+	// well inside its own read deadline.
+	other := dialTestClient(t, co.Listener.Addr().String(), "other")
+	second := other.rt(&request{Type: msgNext})
+	select {
+	case <-served:
+		t.Fatal("the stuck connection ended before another connection's poll was answered")
+	default:
+	}
+	if second.Type != msgAssign {
+		t.Fatalf("second connection's poll answered %+v, want the other job", second)
+	}
+	result := &request{Type: msgResult, JobID: second.Job.ID, Attempt: second.Job.Attempt,
+		Log: want[second.Job.Combo][second.Job.Index]}
+	if resp := other.rt(result); resp.Type != msgOK || resp.Err != "" {
+		t.Fatalf("result answered %q (err %q)", resp.Type, resp.Err)
+	}
+	other.conn.Close()
+
+	select {
+	case <-served:
+	case <-time.After(time.Until(stuckAt.Add(5 * ioTimeout))):
+		t.Fatalf("a peer that stopped reading still held its connection after %v", time.Since(stuckAt))
+	}
+	pipelining.Wait()
+	if st := co.Stats(); st.Disconnects != 1 || st.LeaseExpiries != 0 {
+		t.Fatalf("after the stuck write: %d disconnects, %d lease expiries; want 1 and 0", st.Disconnects, st.LeaseExpiries)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, co, "live", nil)
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("requeued job never completed: %+v", co.Stats())
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	requireBitIdentical(t, want, logs)
+
+	cancel()
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		if runtime.NumGoroutine() <= baseline {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: baseline %d, now %d\n%s",
+				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -95,14 +95,11 @@ type Stats struct {
 	ParkedPolls int
 
 	// Overload-protection counters and gauges (the spice_overload_*
-	// metric family). The counters are cumulative; the last three are
-	// point-in-time gauges sampled when the snapshot was taken.
-	RequestsShed          int // msgNext polls answered with a shed msgWait over the in-flight cap
-	SlowConsumerEvictions int // connections killed for a full send queue (their leases survived)
-	HeartbeatsCoalesced   int // heartbeats answered from connection-local state under load
-	InflightRequests      int // gauge: requests in processing (a parked poll is not)
-	ConnectedWorkers      int // gauge: live worker connections
-	SendQueuePeak         int // gauge: high-water mark of any connection's send queue
+	// metric family). The counter is cumulative; the two gauges are
+	// sampled when the snapshot was taken.
+	RequestsShed     int // msgNext polls answered with a shed msgWait over the in-flight cap
+	InflightRequests int // gauge: requests in processing (a parked poll is not)
+	ConnectedWorkers int // gauge: live worker connections
 
 	// Wire-protocol counters (the spice_wire_* metric family).
 	WireV0Conns         int   // connections negotiated to the legacy JSON-lines transport

@@ -34,9 +34,8 @@ func Summary(w io.Writer, s dist.Stats, prefix string) {
 			prefix, s.StragglersDetected, s.SpeculationsLaunched, s.SpeculationsWon, s.SpeculationsWasted,
 			s.BreakerTrips, s.BreakerProbes, s.BreakerCloses)
 	}
-	if s.RequestsShed > 0 || s.SlowConsumerEvictions > 0 || s.HeartbeatsCoalesced > 0 {
-		fmt.Fprintf(w, "%soverload: %d poll(s) shed, %d slow consumer(s) evicted, %d heartbeat(s) coalesced, send-queue peak %d\n",
-			prefix, s.RequestsShed, s.SlowConsumerEvictions, s.HeartbeatsCoalesced, s.SendQueuePeak)
+	if s.RequestsShed > 0 {
+		fmt.Fprintf(w, "%soverload: %d poll(s) shed\n", prefix, s.RequestsShed)
 	}
 	// The wire line only appears once something beyond a pure-v0 fleet
 	// happened: a binary connection, a downgrade, or delta traffic.

@@ -6,9 +6,9 @@ package dist_test
 // then heals — the thundering-herd shape of a switch reboot or a
 // coordinator failover. The overload layer must hold: no accepted job
 // may be lost, the merged PMF must stay bit-identical to a local run,
-// per-connection send queues must stay inside their bound, the
-// reconnect herd must arrive jittered rather than in lockstep, and the
-// coordinator must shed the whole episode without leaking goroutines.
+// the reconnect herd must arrive jittered rather than in lockstep, and
+// the coordinator must shed the whole episode without leaking
+// goroutines.
 
 import (
 	"context"
@@ -69,7 +69,6 @@ func TestChaosWorkerStorm(t *testing.T) {
 	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.MaxInflight = 64
-		c.SendQueue = 32
 	})
 	addr := ln.Addr().String()
 
@@ -141,9 +140,6 @@ func TestChaosWorkerStorm(t *testing.T) {
 	if st.Disconnects == 0 {
 		t.Fatal("blackhole severed no connections — the storm never happened")
 	}
-	if st.SendQueuePeak > 32 {
-		t.Fatalf("send queue peak %d exceeded the configured bound 32", st.SendQueuePeak)
-	}
 	if st.InflightRequests < 0 {
 		t.Fatalf("in-flight gauge went negative: %d", st.InflightRequests)
 	}
@@ -186,7 +182,7 @@ func TestChaosWorkerStorm(t *testing.T) {
 	}
 
 	// Tear the fleet down; the coordinator must drain every connection
-	// and writer goroutine — bounded memory means nothing lingers.
+	// goroutine — bounded memory means nothing lingers.
 	cancel()
 	if err := co.Close(); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ import (
 // Codec frames protocol messages on an established connection. msg is
 // *Request or *Response; each side encodes one and decodes the other.
 // A codec is safe for one concurrent encoder plus one concurrent
-// decoder (the coordinator's reader loop and send-queue writer).
+// decoder.
 type Codec interface {
 	Encode(msg any) error
 	Decode(msg any) error

@@ -43,6 +43,27 @@ if grep -n -E -e 'idlePollBudget' -e 'campSeq == 0' $(ls internal/dist/*.go | gr
   exit 1
 fi
 
+echo "== one reader, one reply path per worker connection =="
+# The protocol is lock-step, so a connection has at most one reply
+# outstanding and serveConn writes it itself under the write deadline.
+# The send queue, its writer goroutine, slow-consumer eviction, lease
+# re-attach and heartbeat coalescing were measured idle and deleted; they
+# must not come back.
+if grep -n -E -e 'sendQ' -e 'evicted' -e 'reattached' -e 'coalesce' -e 'raiseMax' \
+  $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: per-connection reply machinery is back in internal/dist"
+  exit 1
+fi
+serve_body=$(awk '/^func \(co \*Coordinator\) serveConn\(/,/^}/' internal/dist/conn.go)
+if [ -z "$serve_body" ]; then
+  echo "FAIL: serveConn not found in internal/dist/conn.go"
+  exit 1
+fi
+if echo "$serve_body" | grep -n -E '^[[:space:]]*go[[:space:]]'; then
+  echo "FAIL: serveConn starts a goroutine; the reader writes its own replies"
+  exit 1
+fi
+
 echo "== lease table + site health: plain data, one grant =="
 # The lease table and site health take the time as an argument and touch
 # no clock, lock, socket, event log or journal — that is what lets a
@@ -111,26 +132,27 @@ echo "== worker-storm overload chaos (-race) =="
 # coordinator, a netsim blackhole severs every connection at once, and
 # the thundering-herd reconnect must land jittered (decorrelated
 # per-worker backoff), lose no accepted job, keep the merged PMF
-# bit-identical to a LocalRunner baseline, hold every send queue inside
-# its configured bound, and drain back to the goroutine baseline after
-# Close.
+# bit-identical to a LocalRunner baseline, and drain back to the
+# goroutine baseline after Close.
 go test -race -timeout 300s -run 'TestChaosWorkerStorm' -count=1 -v ./internal/dist
 
 echo "== overload shedding drills (-race) =="
-# Backpressure unit gates. Coordinator: a write-blocked slow consumer is
-# evicted on a full send queue while its lease survives for the
-# reconnect to adopt; the in-flight cap sheds polls on a lock-free path
-# (proved by answering while the coordinator mutex is held) and parked
-# polls never count against it; heartbeats coalesce under load; a wake
-# answers no more parked polls than there are jobs. Control plane: a
+# Backpressure unit gates. Coordinator: a peer that stops reading its
+# replies is cut off at the write deadline while other connections are
+# served, and its job runs again on a live worker (20 race-enabled
+# rounds); the in-flight cap sheds polls on a lock-free path (proved by
+# answering while the coordinator mutex is held) and parked polls never
+# count against it; a wake answers no more parked polls than there are
+# jobs. Control plane: a
 # tenant hammering past its token bucket gets 429 + Retry-After while
 # another tenant's admitted campaign drains, queue-depth admission and
 # the HTTP concurrency limiter shed with Retry-After, and the client
 # retries only refusals that carry the header, spending its fleet retry
 # budget.
 go test -race -count=1 \
-  -run 'TestSlowConsumerEvictionAndLeaseReattach|TestInflightShedOverLimit|TestHeartbeatCoalescingUnderLoad|TestParkedPollsNotInflight|TestWakeAnswersOnlyRunnable|TestCoordinatorCloseMidCheckpointStream' \
+  -run 'TestInflightShedOverLimit|TestParkedPollsNotInflight|TestWakeAnswersOnlyRunnable|TestCoordinatorCloseMidCheckpointStream' \
   -v ./internal/dist
+go test -race -count=20 -run 'TestNonDrainingPeerDisconnects|TestSlowConsumerEvictionAndLeaseReattach' ./internal/dist
 go test -race -count=1 \
   -run 'TestTenantRateLimit429Drill|TestMaxQueueDepthAdmission|TestHTTPConcurrencyShed|TestClientRetry|TestCancelRateLimited' \
   -v ./internal/controlplane
@@ -244,12 +266,15 @@ echo "== end-to-end benchmark, one run =="
 # LocalRunner, a counter that stopped being measured) fails here and not
 # after the merge. Only facts that do not depend on the host are
 # asserted: timings are the paired comparison's business
-# (benchmark/README.md), not CI's.
+# (benchmark/README.md), not CI's. The five *_share metrics partition
+# the fleet's time on each campaign, so they must sum to 1.
 bench_json=$(bash benchmark/run.sh --workload finegrain --trace 1 --seconds 5 -allow-oversubscribed | tail -n 1)
 echo "$bench_json" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 m = {k: v["value"] for k, v in r["metrics"].items()}
+shares = ["controlplane.head_share", "core.build_share", "smd.pull_share",
+          "dist.idle_share", "controlplane.tail_share"]
 checks = [
     ("correct", r["correct"] is True),
     ("failed == 0", r["failed"] == 0),
@@ -257,6 +282,7 @@ checks = [
     ("controlplane.queue_fsyncs_per_campaign == 3", m["controlplane.queue_fsyncs_per_campaign"] == 3),
     ("md.allocs_per_step == 0", m["md.allocs_per_step"] == 0),
     ("dist.requests_shed == 0", m["dist.requests_shed"] == 0),
+    ("share partition sums to 1 +- 0.01", abs(sum(m.get(k, float("nan")) for k in shares) - 1) <= 0.01),
 ]
 bad = [name for name, ok in checks if not ok]
 for name in bad:
