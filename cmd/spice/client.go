@@ -41,7 +41,7 @@ var (
 	tenantFlag = flag.String("tenant", "", "with -submit: tenant the campaign is accounted to")
 	prioFlag   = flag.Int("priority", 0, "with -submit: base scheduling priority (higher first)")
 	nameFlag   = flag.String("campaign-name", "", "with -submit: name distinguishing otherwise-identical submissions")
-	retryMax   = flag.Int("retry-max", 4, "with -server: retries for API calls refused with a Retry-After header (429 rate limit, 503 shed/degraded) before the error is surfaced; the wait is the larger of the server's hint and a decorrelated backoff (0 disables)")
+	retryMax   = flag.Int("retry-max", 4, "with -server: retries for API calls refused with a Retry-After header (503 shed/degraded) before the error is surfaced; the wait is the larger of the server's hint and a decorrelated backoff (0 disables)")
 )
 
 // runClient dispatches one client-mode action.

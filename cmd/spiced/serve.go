@@ -44,10 +44,8 @@ var (
 	serveSystem  = flag.String("system", "", "with -serve: JSON core.SystemConfig for the simulated system (default: the standard sweep system)")
 	maxActive    = flag.Int("max-active", 0, "with -serve: campaigns multiplexed on the coordinator at once (0 = unlimited)")
 	agingRate    = flag.Float64("aging", 1, "with -serve: fair-share aging in priority points per queued hour: every whole point lifts a waiting campaign one priority band, and within a band the tenant with less usage goes first (starvation-freedom knob; 0 disables aging)")
-	backfill     = flag.Bool("backfill", false, "with -serve: let lower-ranked campaigns take leases past a quota-blocked one (default conservative: a blocked campaign also blocks everything ranked behind it)")
 	quotasFlag   = flag.String("quotas", "", "with -serve: per-tenant quotas, 'tenant=maxQueued[:maxRunning],...' (0 = unlimited)")
 	defaultQuota = flag.String("default-quota", "", "with -serve: quota for tenants absent from -quotas, 'maxQueued[:maxRunning]'")
-	tenantRPS    = flag.Float64("tenant-rps", 0, "with -serve: per-tenant token-bucket rate limit on mutating API calls (submit, cancel) in requests/second; over-rate calls get 429 + Retry-After (0 disables)")
 )
 
 // serveFlags binds the -serve flags that are dist knobs onto c. The
@@ -156,10 +154,8 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 		DefaultQuota:   defQ,
 		Quotas:         quotas,
 		Aging:          *agingRate,
-		Backfill:       *backfill,
 		CompactBytes:   dcfg.CompactBytes,
 		StorageRetries: dcfg.StorageRetries,
-		TenantRPS:      *tenantRPS,
 		MaxConcurrent:  dcfg.MaxInflight,
 		Metrics:        reg,
 		Events:         events,

@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"spice/internal/backoff"
 	"spice/internal/campaign"
 	"spice/internal/controlplane"
 	"spice/internal/core"
@@ -137,11 +136,9 @@ func main() {
 
 	// --- Two tenants submit over real HTTP ---
 	// Retries are opt-in and narrow: only refusals carrying Retry-After
-	// (rate limit, shed load, degraded storage) are retried, and every
-	// retry spends from a process-wide budget so a stuck fleet of
-	// clients cannot hammer a recovering server.
-	retryBudget := backoff.NewBudget(10, 20)
-	cl := &controlplane.Client{Base: srv.Addr(), RetryMax: 4, RetryBudget: retryBudget}
+	// (shed load, degraded storage) are retried, with decorrelated
+	// backoff so a refused fleet of clients comes back spread out.
+	cl := &controlplane.Client{Base: srv.Addr(), RetryMax: 4}
 	ids := map[string]string{}
 	for _, tenant := range []string{"alice", "bob"} {
 		id, err := cl.Submit(ctx, specFor(tenant), dist.CampaignTag{Tenant: tenant, Priority: 1})
@@ -213,7 +210,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer func() { srv2.Close(); cp2.Close(); co2.Close() }()
-	cl2 := &controlplane.Client{Base: srv2.Addr(), RetryMax: 4, RetryBudget: retryBudget}
+	cl2 := &controlplane.Client{Base: srv2.Addr(), RetryMax: 4}
 	recovered, err := cl2.Result(ctx, ids["alice"])
 	if err != nil {
 		log.Fatal(err)

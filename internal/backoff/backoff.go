@@ -17,18 +17,12 @@
 //     uniform in [Base, 3·prev), capped at Max. Used by reconnect loops
 //     where the goal is to spread a thundering herd, not to be
 //     replayable.
-//
-// Budget is a fleet-safe token-bucket retry budget: spend one token per
-// retry, refill at a bounded rate. When the budget runs dry the caller
-// should stretch to its maximum delay (or give up) instead of adding
-// another synchronized wave to a retry storm.
 package backoff
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -120,78 +114,5 @@ func (d *Decorrelated) Next() time.Duration {
 	return n
 }
 
-// Max returns the policy cap — the delay a caller should stretch to
-// when its retry Budget is exhausted.
-func (d *Decorrelated) Max() time.Duration { return d.policy.Max }
-
 // Reset restarts the sequence (call after a successful attempt).
 func (d *Decorrelated) Reset() { d.prev = 0 }
-
-// Budget is a token-bucket retry budget shared by any number of
-// goroutines: each retry spends one token, and tokens refill at Rate
-// per second up to Burst. A nil *Budget is an unlimited budget (Spend
-// always succeeds), so callers can treat "no budget configured" and "a
-// budget with tokens" identically.
-type Budget struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time // test seam; nil means time.Now
-}
-
-// NewBudget returns a budget that starts full at burst tokens and
-// refills at rate tokens per second. rate <= 0 or burst <= 0 returns
-// nil (an unlimited budget).
-func NewBudget(rate float64, burst int) *Budget {
-	if rate <= 0 || burst <= 0 {
-		return nil
-	}
-	return &Budget{rate: rate, burst: float64(burst), tokens: float64(burst)}
-}
-
-func (b *Budget) refillLocked() {
-	nowf := b.now
-	if nowf == nil {
-		nowf = time.Now
-	}
-	now := nowf()
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-}
-
-// Spend takes one token if available and reports whether it did. A
-// false return means the fleet's aggregate retry rate is at its cap:
-// the caller should stretch to its maximum delay (or give up) rather
-// than retry on schedule.
-func (b *Budget) Spend() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Tokens reports the current token count (refilled to now). An
-// unlimited (nil) budget reports -1.
-func (b *Budget) Tokens() float64 {
-	if b == nil {
-		return -1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked()
-	return b.tokens
-}

@@ -99,44 +99,3 @@ func TestDecorrelatedBoundsAndSpread(t *testing.T) {
 		t.Fatalf("post-Reset Next() = %v outside [%v, %v)", n, p.Base, 3*p.Base)
 	}
 }
-
-func TestBudgetSpendAndRefill(t *testing.T) {
-	b := NewBudget(10, 3) // 10 tokens/sec, burst 3
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		if !b.Spend() {
-			t.Fatalf("spend %d failed with a full bucket", i)
-		}
-	}
-	if b.Spend() {
-		t.Fatal("spend succeeded on an empty bucket")
-	}
-	now = now.Add(100 * time.Millisecond) // refills exactly 1 token
-	if !b.Spend() {
-		t.Fatal("spend failed after refill")
-	}
-	if b.Spend() {
-		t.Fatal("second spend succeeded after a single-token refill")
-	}
-	now = now.Add(time.Hour) // refill caps at burst
-	if got := b.Tokens(); got != 3 {
-		t.Fatalf("Tokens() = %v after long idle, want burst 3", got)
-	}
-}
-
-func TestBudgetNilUnlimited(t *testing.T) {
-	var b *Budget
-	for i := 0; i < 100; i++ {
-		if !b.Spend() {
-			t.Fatal("nil budget must always allow retries")
-		}
-	}
-	if b.Tokens() != -1 {
-		t.Fatal("nil budget Tokens() sentinel changed")
-	}
-	if NewBudget(0, 5) != nil || NewBudget(1, 0) != nil {
-		t.Fatal("degenerate budgets must collapse to nil (unlimited)")
-	}
-}

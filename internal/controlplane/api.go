@@ -134,12 +134,6 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrRateLimited):
-		// Over-rate, not over-quota: the bucket refills continuously,
-		// so unlike the bare-429 quota rejection this one carries
-		// Retry-After — the client's cue that backing off will work.
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrOverloaded):
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")

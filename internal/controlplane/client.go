@@ -7,13 +7,12 @@ package controlplane
 //
 // Retries are opt-in (RetryMax) and deliberately narrow: only
 // responses that carry a Retry-After header are retried — the
-// server's explicit "this is transient, come back" signal (rate
-// limit, shed load, degraded storage). A bare 429 (standing quota) or
-// any other error returns immediately; waiting would not help. The
-// delay is the larger of the server's hint and a decorrelated-jitter
-// backoff from the shared internal/backoff policy, and every retry
-// spends from the optional RetryBudget so a stuck fleet of clients
-// cannot grind a recovering server.
+// server's explicit "this is transient, come back" signal (shed load,
+// degraded storage). A 429 (standing quota) or any other error returns
+// immediately; waiting would not help. The delay is the larger of the
+// server's hint and a decorrelated-jitter backoff from the shared
+// internal/backoff policy, restarted after every success so one spell
+// of refusals does not stretch the next.
 
 import (
 	"bytes"
@@ -45,14 +44,9 @@ type Client struct {
 	// HTTP is the client to use (nil = http.DefaultClient).
 	HTTP *http.Client
 	// RetryMax is how many times a request refused with a Retry-After
-	// header (429 rate limit, 503 shed/degraded) is retried before the
-	// error is surfaced. 0 disables retries.
+	// header (503 shed/degraded) is retried before the error is
+	// surfaced. 0 disables retries.
 	RetryMax int
-	// RetryBudget, when set, is spent once per retry; an empty budget
-	// surfaces the error instead of retrying. Share one budget across
-	// the process so concurrent calls respect a single fleet-wide
-	// retry rate. Nil = unlimited.
-	RetryBudget *backoff.Budget
 
 	mu sync.Mutex
 	bo *backoff.Decorrelated
@@ -79,6 +73,15 @@ func (c *Client) nextDelay() time.Duration {
 	return c.bo.Next()
 }
 
+// resetDelay restarts the retry sequence after a successful exchange.
+func (c *Client) resetDelay() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bo != nil {
+		c.bo.Reset()
+	}
+}
+
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -90,13 +93,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	for attempt := 0; ; attempt++ {
 		hint, err := c.doOnce(ctx, method, path, payload, out)
 		if err == nil {
+			c.resetDelay()
 			return nil
 		}
 		if hint < 0 || attempt >= c.RetryMax {
 			return err
-		}
-		if !c.RetryBudget.Spend() {
-			return fmt.Errorf("%w (retry budget exhausted)", err)
 		}
 		d := c.nextDelay()
 		if hint > d {
@@ -151,9 +152,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		hint := retryAfter(resp)
 		switch resp.StatusCode {
 		case http.StatusTooManyRequests:
-			if hint >= 0 {
-				return hint, wrap(ErrRateLimited)
-			}
 			return -1, wrap(ErrQuotaExceeded)
 		case http.StatusNotFound:
 			return -1, wrap(ErrNotFound)

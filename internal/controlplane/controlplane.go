@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spice/internal/backoff"
 	"spice/internal/campaign"
 	"spice/internal/dist"
 	"spice/internal/faultfs"
@@ -90,12 +89,6 @@ type Config struct {
 	// lifts a campaign one priority band; within a band tenant usage, not
 	// seniority, decides.
 	Aging float64
-	// Backfill selects the quota-blocked behavior on the lease path.
-	// False (conservative) stops the offer round at the first campaign
-	// blocked by its tenant's MaxRunning, preserving strict policy
-	// order — nothing jumps a blocked head-of-line campaign. True lets
-	// lower-ranked campaigns backfill the idle worker instead.
-	Backfill bool
 	// Metrics, if non-nil, receives spice_cp_* counters and gauges.
 	Metrics *obs.Registry
 	// Events, if non-nil, receives campaign lifecycle events.
@@ -120,27 +113,11 @@ type Config struct {
 
 	// --- Overload protection ---
 
-	// TenantRPS rate-limits each tenant's mutating calls (Submit,
-	// Cancel) to this many per second via a per-tenant token bucket.
-	// Over-rate calls are refused with ErrRateLimited (HTTP 429 +
-	// Retry-After) — unlike ErrQuotaExceeded, waiting and retrying
-	// succeeds. 0 disables rate limiting.
-	TenantRPS float64
-	// TenantBurst is the token-bucket burst for TenantRPS (how many
-	// calls a quiet tenant may fire back-to-back). 0 defaults to
-	// 2×TenantRPS, minimum 1.
-	TenantBurst int
 	// MaxConcurrent caps in-flight HTTP requests across the mounted
 	// API (0 = unlimited). Excess requests are shed immediately with
 	// 503 + Retry-After instead of queueing behind s.mu — under
 	// overload a fast refusal beats a slow success.
 	MaxConcurrent int
-	// MaxQueueDepth caps non-terminal campaigns across all tenants
-	// (0 = unlimited). Submissions beyond it are refused with
-	// ErrOverloaded (503 + Retry-After) before touching the journal —
-	// admission control so the queue cannot grow without bound while
-	// workers are behind.
-	MaxQueueDepth int
 }
 
 // Campaign is the public view of one queued-or-finished campaign.
@@ -167,6 +144,18 @@ type entry struct {
 	specJSON json.RawMessage
 	seq      int // dispatch FCFS tiebreak (journal replay order, then arrival)
 	result   map[campaign.Combo][]*trace.WorkLog
+	// recovery is the in-flight re-run that rebuilds result after a
+	// restart (see Result); concurrent callers wait on it instead of
+	// starting a second one.
+	recovery *recovery
+}
+
+// recovery is one re-run of a finished campaign through the coordinator;
+// logs and err are set before done is closed.
+type recovery struct {
+	done chan struct{}
+	logs map[campaign.Combo][]*trace.WorkLog
+	err  error
 }
 
 // Server is a running control plane.
@@ -195,12 +184,10 @@ type Server struct {
 
 	pol *grid.Policy // fair-share ledger for dispatch ordering (under mu)
 
-	// Overload protection. buckets holds the per-tenant rate-limit
-	// token buckets (under mu); httpSem is the request-concurrency
-	// semaphore (nil when MaxConcurrent is 0); httpSheds counts
-	// requests refused at the semaphore — an atomic because the shed
-	// path must not touch mu at all.
-	buckets   map[string]*backoff.Budget
+	// Overload protection. httpSem is the request-concurrency semaphore
+	// (nil when MaxConcurrent is 0); httpSheds counts requests refused at
+	// the semaphore — an atomic because the shed path must not touch mu
+	// at all.
 	httpSem   chan struct{}
 	httpSheds atomic.Int64
 
@@ -233,13 +220,9 @@ var (
 	// Retry-After header; the prober clears the state when the disk
 	// recovers.
 	ErrStorageDegraded = errors.New("controlplane: storage degraded, retry later")
-	// ErrRateLimited refuses a call over the tenant's TenantRPS token
-	// bucket. Maps to HTTP 429 + Retry-After; transient by
-	// construction — the bucket refills continuously.
-	ErrRateLimited = errors.New("controlplane: tenant rate limit exceeded, retry later")
 	// ErrOverloaded sheds load when the control plane is saturated
-	// (queue depth or request concurrency over its cap). Maps to 503 +
-	// Retry-After. Campaigns already admitted keep draining.
+	// (request concurrency over its cap). Maps to 503 + Retry-After.
+	// Campaigns already admitted keep draining.
 	ErrOverloaded = errors.New("controlplane: overloaded, retry later")
 )
 
@@ -260,7 +243,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		pol:     grid.NewPolicy(cfg.Aging),
-		buckets: make(map[string]*backoff.Budget),
 	}
 	if cfg.MaxConcurrent > 0 {
 		s.httpSem = make(chan struct{}, cfg.MaxConcurrent)
@@ -423,27 +405,6 @@ func (s *Server) Close() error {
 	return s.journal.Close()
 }
 
-// allowLocked spends one token from tenant's rate bucket, creating it
-// on first sight. Always true when TenantRPS is 0. Requires s.mu.
-func (s *Server) allowLocked(tenant string) bool {
-	if s.cfg.TenantRPS <= 0 {
-		return true
-	}
-	b, ok := s.buckets[tenant]
-	if !ok {
-		burst := s.cfg.TenantBurst
-		if burst <= 0 {
-			burst = int(2 * s.cfg.TenantRPS)
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		b = backoff.NewBudget(s.cfg.TenantRPS, burst)
-		s.buckets[tenant] = b
-	}
-	return b.Spend()
-}
-
 // quotaFor resolves tenant's quota.
 func (s *Server) quotaFor(tenant string) Quota {
 	if q, ok := s.cfg.Quotas[tenant]; ok {
@@ -476,22 +437,6 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 	defer s.mu.Unlock()
 	if s.closed {
 		return "", ErrClosed
-	}
-	if !s.allowLocked(tag.Tenant) {
-		s.reject(tag.Tenant, "rate")
-		return "", fmt.Errorf("%w: tenant %q over %g req/s", ErrRateLimited, tag.Tenant, s.cfg.TenantRPS)
-	}
-	if max := s.cfg.MaxQueueDepth; max > 0 {
-		depth := 0
-		for _, e := range s.order {
-			if !e.State.terminal() {
-				depth++
-			}
-		}
-		if depth >= max {
-			s.reject(tag.Tenant, "overload")
-			return "", fmt.Errorf("%w: %d campaigns in flight (max %d)", ErrOverloaded, depth, max)
-		}
 	}
 	if err := s.storageGateLocked(); err != nil {
 		// The 202 contract is "your campaign survives anything short of
@@ -692,11 +637,6 @@ func (s *Server) Cancel(id string) (State, error) {
 		s.mu.Unlock()
 		return st, nil
 	}
-	if !s.allowLocked(e.Tenant) {
-		s.reject(e.Tenant, "rate")
-		s.mu.Unlock()
-		return "", fmt.Errorf("%w: tenant %q over %g req/s", ErrRateLimited, e.Tenant, s.cfg.TenantRPS)
-	}
 	if err := s.storageGateLocked(); err != nil {
 		s.mu.Unlock()
 		return "", err
@@ -775,6 +715,9 @@ func (s *Server) viewLocked(e *entry) Campaign {
 // journal but results not in memory), it is re-run through the
 // coordinator — the dist journal replays every finished job, so this
 // completes without re-executing work and yields bit-identical logs.
+// The replay can be consumed only once, so one re-run serves every
+// concurrent caller: the first starts it, the rest wait for its logs or
+// its error. After a failed re-run the next call tries again.
 func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) {
 	s.mu.Lock()
 	e, ok := s.entries[id]
@@ -791,17 +734,26 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 		s.mu.Unlock()
 		return r, nil
 	}
-	spec, tag := e.Spec, dist.CampaignTag{Tenant: e.Tenant, Priority: e.Priority, Name: e.Name}
-	s.mu.Unlock()
-
-	logs, err := s.cfg.Coordinator.RunTagged(spec, tag)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: recovering results for %s: %w", id, err)
+	r := e.recovery
+	if r == nil {
+		r = &recovery{done: make(chan struct{})}
+		e.recovery = r
+		spec, tag := e.Spec, dist.CampaignTag{Tenant: e.Tenant, Priority: e.Priority, Name: e.Name}
+		s.mu.Unlock()
+		r.logs, r.err = s.cfg.Coordinator.RunTagged(spec, tag)
+		s.mu.Lock()
+		if r.err == nil {
+			e.result = r.logs
+		}
+		e.recovery = nil
+		close(r.done)
 	}
-	s.mu.Lock()
-	e.result = logs
 	s.mu.Unlock()
-	return logs, nil
+	<-r.done
+	if r.err != nil {
+		return nil, fmt.Errorf("controlplane: recovering results for %s: %w", id, r.err)
+	}
+	return r.logs, nil
 }
 
 // leaseScheduler builds the dist.Scheduler enforcing per-tenant
@@ -835,13 +787,10 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 				if s.mDefers != nil {
 					s.mDefers.With(v.Tenant).Inc()
 				}
-				if !s.cfg.Backfill {
-					// Conservative: a quota-blocked campaign blocks
-					// everything ranked behind it, so strict policy order
-					// is never violated by opportunistic jumps.
-					break
-				}
-				continue
+				// Conservative: a quota-blocked campaign blocks everything
+				// ranked behind it, so strict policy order is never
+				// violated by opportunistic jumps.
+				break
 			}
 			out = append(out, i)
 		}

@@ -308,6 +308,29 @@ func TestLeaseSchedulerFairShareUnderDefaultAging(t *testing.T) {
 	}
 }
 
+// TestLeaseSchedulerStopsAtQuotaBlocked pins the conservative walk: a
+// campaign whose tenant is at MaxRunning ends the offer, so campaigns
+// ranked behind it get no lease this round even when their own tenants
+// have room, while campaigns ranked ahead of it are still offered.
+func TestLeaseSchedulerStopsAtQuotaBlocked(t *testing.T) {
+	s, _ := newHarness(t, Config{Quotas: map[string]Quota{"alice": {MaxRunning: 1}}}, 0)
+	now := time.Now()
+	views := []dist.CampaignView{
+		{Key: "carol", Tenant: "carol", Priority: 1, Seq: 0, Submitted: now, Pending: 4, Total: 4},
+		{Key: "alice", Tenant: "alice", Priority: 2, Seq: 1, Submitted: now, Pending: 3, Leased: 1, Total: 4},
+		{Key: "bob", Tenant: "bob", Priority: 3, Seq: 2, Submitted: now, Pending: 4, Total: 4},
+	}
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("offer = %v, want [2]: bob ahead of the blocked alice, carol behind her cut off", got)
+	}
+	// Below her limit alice is offered in rank order again, and carol
+	// behind her.
+	views[1].Leased, views[1].Pending = 0, 4
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
+		t.Fatalf("offer = %v, want [2 1 0]", got)
+	}
+}
+
 func TestCancelQueuedCampaign(t *testing.T) {
 	s, _ := newHarness(t, Config{MaxActive: 1}, 0) // no workers: running never finishes
 	s.Start()
@@ -490,7 +513,11 @@ func TestRestartReplaysAcceptedCampaigns(t *testing.T) {
 // TestResultRecoveredAfterRestart finishes a campaign, restarts the
 // control plane (results not in memory), and fetches the result again —
 // it must be recovered through the coordinator's journal replay without
-// re-executing work, and stay bit-identical.
+// re-executing work, and stay bit-identical. Many callers asking at once
+// must share the one recovery: the replay can be consumed only once, so
+// a second re-run would collide with the first ("already running") or,
+// started after it, install the campaign afresh and — with no workers —
+// never finish.
 func TestResultRecoveredAfterRestart(t *testing.T) {
 	stateDir := t.TempDir()
 	coStateDir := t.TempDir()
@@ -531,11 +558,30 @@ func TestResultRecoveredAfterRestart(t *testing.T) {
 	if err != nil || c.State != StateDone {
 		t.Fatalf("done campaign after restart: state=%s err=%v", c.State, err)
 	}
-	got, err := s2.Result(id)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		logs map[campaign.Combo][]*trace.WorkLog
+		err  error
 	}
-	requireBitIdentical(t, want, got)
+	const callers = 16
+	results := make(chan result, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			logs, err := s2.Result(id)
+			results <- result{logs, err}
+		}()
+	}
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < callers; i++ {
+		select {
+		case r := <-results:
+			if r.err != nil {
+				t.Fatalf("concurrent Result: %v", r.err)
+			}
+			requireBitIdentical(t, want, r.logs)
+		case <-timeout:
+			t.Fatalf("%d of %d concurrent Result calls never returned", callers-i, callers)
+		}
+	}
 }
 
 // TestFlattenRoundTrip checks the wire form of results is ordered and

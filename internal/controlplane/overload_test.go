@@ -1,125 +1,17 @@
 package controlplane
 
-// Overload-protection drills: the tenant rate-limit 429 drill over the
-// real HTTP surface (mirroring the storage-degradation 503 drill), the
-// queue-depth admission shed, the HTTP concurrency limiter, and the
-// client's Retry-After-driven retry loop with its fleet retry budget.
+// Overload-protection drills: the HTTP concurrency limiter, and the
+// client's Retry-After-driven retry loop with its decorrelated backoff.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
-	"spice/internal/backoff"
-	"spice/internal/campaign"
 	"spice/internal/dist"
 )
-
-// TestTenantRateLimit429Drill is the acceptance drill: one tenant
-// hammers submissions past its TenantRPS bucket and gets 429 +
-// Retry-After, while another tenant's already-admitted campaign keeps
-// draining to completion. A client with retries then pushes the
-// refused submission through once the bucket refills.
-func TestTenantRateLimit429Drill(t *testing.T) {
-	s, _ := newHarness(t, Config{
-		TenantRPS:   5,
-		TenantBurst: 2,
-	}, 1)
-	s.Start()
-	mux := http.NewServeMux()
-	s.Mount(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	post := func(spec campaign.Spec, tenant, name string) *http.Response {
-		t.Helper()
-		body, err := json.Marshal(SubmitRequest{Tenant: tenant, Name: name, Spec: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(srv.URL+"/api/v1/campaigns", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	resp := post(specA(), "alice", "drain-me")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("alice's submit returned %d, want 202", resp.StatusCode)
-	}
-	var acc SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bob burns his burst and keeps going: the bucket must refuse with
-	// 429 + Retry-After, never a 5xx, and never touch the queue.
-	limited := 0
-	for i := 0; i < 10; i++ {
-		r := post(specB(), "bob", fmt.Sprintf("burst-%d", i))
-		switch r.StatusCode {
-		case http.StatusAccepted:
-		case http.StatusTooManyRequests:
-			limited++
-			if r.Header.Get("Retry-After") == "" {
-				t.Fatal("429 response missing Retry-After header")
-			}
-			var body map[string]string
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				t.Fatal(err)
-			}
-			if body["error"] == "" {
-				t.Fatal("429 response missing error body")
-			}
-		default:
-			t.Fatalf("burst submit %d returned %d, want 202 or 429", i, r.StatusCode)
-		}
-	}
-	if limited == 0 {
-		t.Fatal("10 instant submissions against a burst of 2 never hit the rate limit")
-	}
-
-	// Overload on bob's control-plane calls must not stall alice's
-	// admitted campaign: it drains to done on its worker leases.
-	waitState(t, s, acc.ID, StateDone)
-
-	// A retrying client shoulders through: the bucket refills at 5/s,
-	// so a few Retry-After-paced attempts land the submission.
-	cl := &Client{Base: srv.URL, RetryMax: 8}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	id, err := cl.Submit(ctx, specB(), dist.CampaignTag{Tenant: "bob", Name: "retried"})
-	if err != nil {
-		t.Fatalf("retrying submit never landed: %v", err)
-	}
-	waitState(t, s, id, StateDone)
-}
-
-// TestMaxQueueDepthAdmission pins the admission-control shed: past
-// MaxQueueDepth non-terminal campaigns, submissions are refused with
-// ErrOverloaded before anything is journaled.
-func TestMaxQueueDepthAdmission(t *testing.T) {
-	s, _ := newHarness(t, Config{MaxQueueDepth: 1}, 0) // no workers: first campaign stays queued
-	s.Start()
-	if _, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.Submit(specB(), dist.CampaignTag{Tenant: "bob"})
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("submit over MaxQueueDepth returned %v, want ErrOverloaded", err)
-	}
-	if got := len(s.List("")); got != 1 {
-		t.Fatalf("shed submission reached the queue: %d campaigns", got)
-	}
-}
 
 // TestHTTPConcurrencyShed drives the request-concurrency limiter: with
 // the semaphore held full, any API call is shed with 503 + Retry-After
@@ -160,16 +52,16 @@ func TestHTTPConcurrencyShed(t *testing.T) {
 }
 
 // TestClientRetryHonorsRetryAfter exercises the client retry loop
-// against a scripted server: refusals carrying Retry-After are
-// retried (spending the budget), refusals without it — the standing
-// quota — are surfaced immediately.
+// against a scripted server: refusals carrying Retry-After — here the
+// 503 shed — are retried, refusals without it — the standing quota's
+// 429 — are surfaced immediately.
 func TestClientRetryHonorsRetryAfter(t *testing.T) {
 	var hits int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits++
 		if hits <= 2 {
 			w.Header().Set("Retry-After", "0")
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": ErrRateLimited.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrOverloaded.Error()})
 			return
 		}
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: "ok", State: StateQueued})
@@ -185,7 +77,7 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("got id %q after %d hits, want ok after 3", id, hits)
 	}
 
-	// A bare 429 (quota, no Retry-After) must not be retried even with
+	// A 429 (quota, no Retry-After) must not be retried even with
 	// retries enabled.
 	hits = 0
 	quota := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -198,13 +90,13 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("quota refusal returned %v, want ErrQuotaExceeded", err)
 	}
 	if hits != 1 {
-		t.Fatalf("bare 429 was retried: %d hits", hits)
+		t.Fatalf("quota 429 was retried: %d hits", hits)
 	}
 }
 
-// TestClientRetryBudgetExhaustion pins the fleet-safety valve: with an
-// empty retry budget the client surfaces the refusal instead of
-// retrying, no matter what RetryMax allows.
+// TestClientRetryBudgetExhaustion: RetryMax is the client's whole retry
+// budget. A server that keeps refusing with Retry-After gets the first
+// attempt plus RetryMax retries, and then the refusal is surfaced.
 func TestClientRetryBudgetExhaustion(t *testing.T) {
 	var hits int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -214,28 +106,36 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	budget := backoff.NewBudget(0.001, 1) // one retry, then dry for ~17min
-	cl := &Client{Base: srv.URL, RetryMax: 10, RetryBudget: budget}
+	cl := &Client{Base: srv.URL, RetryMax: 1}
 	_, err := cl.Submit(context.Background(), specA(), dist.CampaignTag{Tenant: "t"})
 	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("exhausted-budget submit returned %v, want ErrOverloaded", err)
+		t.Fatalf("submit past RetryMax returned %v, want ErrOverloaded", err)
 	}
-	if hits != 2 { // first attempt + the single budgeted retry
-		t.Fatalf("server saw %d hits, want 2 (budget allows one retry)", hits)
+	if hits != 2 { // first attempt + the one retry RetryMax allows
+		t.Fatalf("server saw %d hits, want 2", hits)
 	}
 }
 
-// TestCancelRateLimited covers the other mutating path: cancels spend
-// from the same per-tenant bucket.
-func TestCancelRateLimited(t *testing.T) {
-	s, _ := newHarness(t, Config{TenantRPS: 0.001, TenantBurst: 1}, 0)
-	s.Start()
-	id, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The submit drained the burst of 1; the cancel must be refused.
-	if _, err := s.Cancel(id); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("cancel over the rate limit returned %v, want ErrRateLimited", err)
+// TestClientBackoffResetsAfterSuccess: a success restarts the client's
+// decorrelated backoff, so a spell of refusals does not stretch the
+// first delay of the next one — after it the next delay is drawn from
+// [Base, 3·Base) again, not from up to 3× the stretched one.
+func TestClientBackoffResetsAfterSuccess(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, []Campaign{})
+	}))
+	t.Cleanup(srv.Close)
+	for seed := uint64(1); seed <= 5; seed++ {
+		cl := &Client{Base: srv.URL, RetryMax: 4}
+		cl.bo = clientRetryPolicy.Decorrelated(seed)
+		for i := 0; i < 8; i++ { // the delays a spell of refusals draws
+			cl.nextDelay()
+		}
+		if _, err := cl.List(context.Background(), ""); err != nil {
+			t.Fatal(err)
+		}
+		if d := cl.nextDelay(); d >= 3*clientRetryPolicy.Base {
+			t.Fatalf("seed %d: first delay after a success is %v, want below %v", seed, d, 3*clientRetryPolicy.Base)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"net"
 	"time"
 
-	"spice/internal/backoff"
 	"spice/internal/faultfs"
 	"spice/internal/obs"
 	"spice/internal/wire"
@@ -62,10 +61,6 @@ type Config struct {
 	// filesystem (faultfs.Injector — the disk-fault chaos hook). Nil
 	// uses the real OS filesystem.
 	FS faultfs.FS
-	// Scheduler, if set, orders the active campaigns each time a worker
-	// asks for work — the multi-tenant priority/fair-share/quota hook.
-	// Nil offers campaigns in install order.
-	Scheduler Scheduler
 
 	// --- Resilience (coordinator) ---
 
@@ -164,13 +159,6 @@ type Config struct {
 	// ReconnectBackoffMax caps the exponential re-dial backoff (the
 	// first retry waits half a BeatInterval).
 	ReconnectBackoffMax time.Duration
-	// RetryBudget, if set, is a shared token-bucket retry budget for the
-	// reconnect loop: when a fleet-wide outage heals, each re-dial spends
-	// one token, and sessions that find the bucket empty stretch to the
-	// maximum backoff instead of joining the reconnect wave. Share one
-	// budget across every worker in a process to bound its aggregate
-	// retry rate. Nil means unlimited (every retry on schedule).
-	RetryBudget *backoff.Budget
 
 	// --- Observability (both sides) ---
 

@@ -52,6 +52,10 @@ type Coordinator struct {
 	// only copy of every knob; BreakerCooldown and HedgeAfter carry their
 	// resolved values.
 	cfg Config
+	// sched orders the active campaigns each time a worker asks for work
+	// — the multi-tenant priority/fair-share/quota hook, installed by
+	// SetScheduler. Nil offers campaigns in install order.
+	sched Scheduler
 
 	mu      sync.Mutex
 	journal *journal
@@ -392,25 +396,26 @@ func (co *Coordinator) Campaigns() []CampaignView {
 	return co.leases.views()
 }
 
-// SetScheduler installs the campaign-ordering policy (Config.Scheduler)
-// after construction: the control plane's quota policy needs the
-// coordinator it schedules for, so it cannot ride in on the Config.
+// SetScheduler installs the campaign-ordering policy, the only way to
+// set one: the control plane's quota policy needs the coordinator it
+// schedules for, so it is installed after construction rather than
+// carried in on the Config. Nil restores install order.
 func (co *Coordinator) SetScheduler(s Scheduler) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.cfg.Scheduler = s
+	co.sched = s
 }
 
 // offerOrderLocked resolves the Scheduler's decision into the list of
 // campaigns to scan for work, in offer order. Campaigns the policy
-// omits (quota-blocked tenants, held-back backfill candidates) are not
-// scanned this round. Caller holds mu.
+// omits (quota-blocked tenants and everything ranked behind them) are
+// not scanned this round. Caller holds mu.
 func (co *Coordinator) offerOrderLocked(now time.Time) []*campaignRun {
-	if co.cfg.Scheduler == nil {
+	if co.sched == nil {
 		return co.leases.camps
 	}
 	views := co.leases.views()
-	order := co.cfg.Scheduler.Offer(now, views)
+	order := co.sched.Offer(now, views)
 	out := make([]*campaignRun, 0, len(order))
 	seen := make(map[int]bool, len(order))
 	for _, i := range order {

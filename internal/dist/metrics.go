@@ -103,7 +103,6 @@ type WorkerStats struct {
 	CheckpointDeltas   int64 // checkpoints that traveled as deltas
 	Steps              int64 // MD steps advanced across all jobs (checkpoint deltas)
 	Reconnects         int64 // successful re-dials after a transport failure
-	BudgetStretches    int64 // re-dials stretched to max backoff by an empty retry budget
 }
 
 // RegisterMetrics registers a scrape-time collector on reg rendering
@@ -126,7 +125,6 @@ func (w *Worker) RegisterMetrics(reg *obs.Registry) {
 		e.Counter("spice_worker_checkpoint_deltas_total", "Checkpoints that traveled as deltas against an acknowledged base.", float64(st.CheckpointDeltas), wl)
 		e.Counter("spice_worker_steps_total", "MD steps advanced across all jobs.", float64(st.Steps), wl)
 		e.Counter("spice_worker_reconnects_total", "Successful re-dials after a transport failure.", float64(st.Reconnects), wl)
-		e.Counter("spice_worker_budget_stretches_total", "Re-dials stretched to max backoff by an empty retry budget.", float64(st.BudgetStretches), wl)
 		e.Gauge("spice_worker_slots", "Configured concurrent job slots.", float64(w.cfg.Slots), wl)
 	})
 }

@@ -318,17 +318,16 @@ func TestWakeOnStragglerFlag(t *testing.T) {
 // running-jobs limit parks the poll that could have run its next job;
 // the result that brings the tenant under the limit answers it.
 func TestWakeOnQuotaSlotFreed(t *testing.T) {
-	co := newCoordinator(t, func(c *Config) {
-		c.Scheduler = SchedulerFunc(func(_ time.Time, camps []CampaignView) []int {
-			var out []int
-			for i, v := range camps {
-				if v.Leased < 1 { // MaxRunning 1
-					out = append(out, i)
-				}
+	co := newCoordinator(t, nil)
+	co.SetScheduler(SchedulerFunc(func(_ time.Time, camps []CampaignView) []int {
+		var out []int
+		for i, v := range camps {
+			if v.Leased < 1 { // MaxRunning 1
+				out = append(out, i)
 			}
-			return out
-		})
-	})
+		}
+		return out
+	}))
 	spec := singleJobSpec()
 	spec.Replicas = 2
 	done := runInBackground(t, co, spec, CampaignTag{})

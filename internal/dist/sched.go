@@ -5,7 +5,7 @@ package dist
 // the control plane's queue) and, every time an idle worker asks for
 // work, decides which campaign's jobs to offer first. That decision is
 // delegated to a Scheduler so the policy — priority, tenant fair share,
-// quotas, backfill — lives outside the lease machinery and can be
+// quotas — lives outside the lease machinery and can be
 // shared with the discrete-event simulator (internal/grid) and the
 // control plane (internal/controlplane).
 //
@@ -62,9 +62,10 @@ type CampaignView struct {
 // Scheduler orders the active campaigns each time a worker asks for
 // work. Offer returns indices into camps in offer order; campaigns
 // whose index is omitted are offered nothing this round — which is how
-// a policy enforces quotas (omit a tenant over its running-job limit)
-// and backfill discipline. A nil Scheduler offers campaigns in install
-// order (the legacy behavior, and plain FCFS across tenants).
+// a policy enforces quotas (omit a tenant over its running-job limit,
+// and whatever it ranks behind). Coordinator.SetScheduler installs one;
+// without it campaigns are offered in install order (plain FCFS across
+// tenants).
 type Scheduler interface {
 	Offer(now time.Time, camps []CampaignView) []int
 }

@@ -84,7 +84,6 @@ type workerMetrics struct {
 	checkpointDeltas   atomic.Int64
 	steps              atomic.Int64
 	reconnects         atomic.Int64
-	budgetStretches    atomic.Int64
 }
 
 // WorkerStats snapshots the worker's execution counters.
@@ -100,7 +99,6 @@ func (w *Worker) WorkerStats() WorkerStats {
 		CheckpointDeltas:   w.m.checkpointDeltas.Load(),
 		Steps:              w.m.steps.Load(),
 		Reconnects:         w.m.reconnects.Load(),
-		BudgetStretches:    w.m.budgetStretches.Load(),
 	}
 }
 
@@ -220,8 +218,7 @@ func (c *rtConn) drop() {
 // retry reports whether the transport should keep trying, sleeping the
 // shared decorrelated-jitter backoff if so. Each session jitters on its
 // own seed, so a fleet severed by one event re-dials spread out instead
-// of in lockstep; a session that finds the shared RetryBudget empty
-// stretches to the maximum backoff instead of joining the wave.
+// of in lockstep.
 func (c *rtConn) retry(ctx context.Context) bool {
 	if !c.w.cfg.Reconnect || ctx.Err() != nil {
 		return false
@@ -231,15 +228,10 @@ func (c *rtConn) retry(ctx context.Context) bool {
 	} else if time.Since(c.failingSince) > c.w.cfg.ReconnectWindow {
 		return false
 	}
-	d := c.bo.Next()
-	if !c.w.cfg.RetryBudget.Spend() {
-		d = c.bo.Max()
-		c.w.m.budgetStretches.Add(1)
-	}
 	select {
 	case <-ctx.Done():
 		return false
-	case <-time.After(d):
+	case <-time.After(c.bo.Next()):
 	}
 	return true
 }

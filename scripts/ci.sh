@@ -64,6 +64,23 @@ if echo "$serve_body" | grep -n -E '^[[:space:]]*go[[:space:]]'; then
   exit 1
 fi
 
+echo "== admission valves: only the ones traffic reaches =="
+# The per-tenant rate limiter, the queue-depth cap, the -backfill switch
+# and the token-bucket retry budget were set by no benchmark workload,
+# binary default, example or chaos gate, and were deleted; they must not
+# come back. (internal/grid's simulated backfill queues are another
+# mechanism and stay.)
+if grep -n -E 'TenantRPS|TenantBurst|MaxQueueDepth|ErrRateLimited|RetryBudget|NewBudget|budgetStretches' \
+  $(find internal/controlplane internal/dist internal/backoff cmd -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: a deleted admission valve is back"
+  exit 1
+fi
+if grep -n -E 'Backfill|backfill' \
+  $(find internal/controlplane cmd/spiced -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: the lease-path backfill switch is back"
+  exit 1
+fi
+
 echo "== lease table + site health: plain data, one grant =="
 # The lease table and site health take the time as an argument and touch
 # no clock, lock, socket, event log or journal — that is what lets a
@@ -143,18 +160,17 @@ echo "== overload shedding drills (-race) =="
 # rounds); the in-flight cap sheds polls on a lock-free path (proved by
 # answering while the coordinator mutex is held) and parked polls never
 # count against it; a wake answers no more parked polls than there are
-# jobs. Control plane: a
-# tenant hammering past its token bucket gets 429 + Retry-After while
-# another tenant's admitted campaign drains, queue-depth admission and
-# the HTTP concurrency limiter shed with Retry-After, and the client
-# retries only refusals that carry the header, spending its fleet retry
-# budget.
+# jobs. Control plane: the
+# HTTP concurrency limiter sheds with 503 + Retry-After, the client
+# retries only refusals that carry the header and at most RetryMax
+# times, and a success restarts its backoff. (Admitted work draining while new work is refused is the
+# disk-fault gate's TestStorageDegradedHTTP503AndRecovery.)
 go test -race -count=1 \
   -run 'TestInflightShedOverLimit|TestParkedPollsNotInflight|TestWakeAnswersOnlyRunnable|TestCoordinatorCloseMidCheckpointStream' \
   -v ./internal/dist
 go test -race -count=20 -run 'TestNonDrainingPeerDisconnects|TestSlowConsumerEvictionAndLeaseReattach' ./internal/dist
 go test -race -count=1 \
-  -run 'TestTenantRateLimit429Drill|TestMaxQueueDepthAdmission|TestHTTPConcurrencyShed|TestClientRetry|TestCancelRateLimited' \
+  -run 'TestHTTPConcurrencyShed|TestClientRetry|TestClientBackoffResetsAfterSuccess' \
   -v ./internal/controlplane
 
 echo "== control plane multi-tenant chaos (-race) =="
@@ -207,8 +223,10 @@ done
 
 echo "== control plane quota + restart unit gates (-race) =="
 # Two tenants over the in-process HTTP API with quota rejection and
-# bit-identity, plus replay of every accepted campaign after a restart.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns' -count=1 ./internal/controlplane
+# bit-identity, replay of every accepted campaign after a restart, one
+# shared result recovery for concurrent callers, and the conservative
+# lease walk that stops at a quota-blocked campaign.
+go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked' -count=1 ./internal/controlplane
 
 echo "== batch ensemble determinism (GOMAXPROCS=4, -race) =="
 # The ensemble batch engine must produce bit-identical trajectories and
