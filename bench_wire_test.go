@@ -2,10 +2,8 @@ package spice
 
 // BenchmarkAblation_WireLoad — the wire-protocol load experiment
 // (DESIGN.md §15): one coordinator, a 1000-worker loopback fleet, and a
-// checkpoint-heavy synthetic campaign, run once per transport
-// generation. The v0 cell speaks the legacy JSON-lines protocol with
-// full checkpoint images; the v1 cell negotiates binary framing,
-// compression and delta checkpoints. The workers are hand-rolled
+// checkpoint-heavy synthetic campaign over the one transport: binary
+// framing, compression and delta checkpoints. The workers are hand-rolled
 // protocol clients (no MD), so the benchmark isolates exactly what the
 // transport costs: bytes moved per job, process CPU per work poll
 // (coordinator and loopback fleet share one process — the honest total
@@ -71,14 +69,14 @@ type wireLoadTotals struct {
 // drains jobs, streaming wireLoadCkpts checkpoints per job exactly the
 // way internal/dist's worker does — full image first (or after a
 // NeedFull), deltas against the last acknowledged base afterwards.
-func wireLoadClient(ctx context.Context, addr, name string, offer int, tot *wireLoadTotals) error {
+func wireLoadClient(ctx context.Context, addr, name string, tot *wireLoadTotals) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 
-	codec, err := wire.Open(conn, conn, wire.Session{Name: name, Version: offer, Delta: true, Comp: true})
+	codec, err := wire.Open(conn, conn, name, "")
 	if err != nil {
 		return err
 	}
@@ -165,9 +163,8 @@ func processCPU() time.Duration {
 }
 
 // runWireLoad executes one fleet-sized campaign and reports the
-// transport metrics. v1 selects the binary/delta/compressed transport
-// on both ends; otherwise everything speaks legacy JSON lines.
-func runWireLoad(b *testing.B, nWorkers int, v1 bool) {
+// transport metrics.
+func runWireLoad(b *testing.B, nWorkers int) {
 	// 20 κ × 10 v × 5 replicas = 1000 jobs: one per worker on average,
 	// so the poll/grant/heartbeat churn — not job compute, there is
 	// none — is the entire load.
@@ -189,16 +186,12 @@ func runWireLoad(b *testing.B, nWorkers int, v1 bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Production Defaults() with a long lease, no rate hedging (the
+	// Production Defaults() with a long lease and no rate hedging (the
 	// synthetic clients stream uneven progress; a hedge would duplicate
-	// load in one cell and not the other) and, in the baseline cell, the
-	// coordinator pinned to the v0 transport.
+	// load at random).
 	dcfg := dist.Defaults()
 	dcfg.LeaseTTL = 30 * time.Second
 	dcfg.HedgeFraction = 0
-	if !v1 {
-		dcfg.WireVersion, dcfg.Compression, dcfg.DeltaCheckpoints = wire.V0, false, false
-	}
 	co, err := dist.NewCoordinator(ln, json.RawMessage(`{"synthetic":true}`), dcfg)
 	if err != nil {
 		b.Fatal(err)
@@ -211,16 +204,12 @@ func runWireLoad(b *testing.B, nWorkers int, v1 bool) {
 		wg      sync.WaitGroup
 		cliErrs = make(chan error, nWorkers)
 	)
-	offer := 0
-	if v1 {
-		offer = wire.V1
-	}
 	cpu0 := processCPU()
 	for i := 0; i < nWorkers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := wireLoadClient(ctx, ln.Addr().String(), fmt.Sprintf("lb-%d", i), offer, &tot); err != nil {
+			if err := wireLoadClient(ctx, ln.Addr().String(), fmt.Sprintf("lb-%d", i), &tot); err != nil {
 				cliErrs <- err
 			}
 		}(i)
@@ -260,8 +249,8 @@ func runWireLoad(b *testing.B, nWorkers int, v1 bool) {
 	// efficiency above 95% (eff = T/(T+overhead)). Tasks shorter than
 	// this are better batched or run locally.
 	b.ReportMetric(cpuPerJob*19/1000, "breakeven_ms_95pct")
-	b.Logf("wire-load v1=%v: %d workers, %d jobs, %d ckpts in %v (%.0f B/job wire ckpt, %.1fx reduction, %d deltas folded, %d polls)",
-		v1, nWorkers, st.Jobs, tot.ckpts.Load(), wall.Round(time.Millisecond),
+	b.Logf("wire-load: %d workers, %d jobs, %d ckpts in %v (%.0f B/job wire ckpt, %.1fx reduction, %d deltas folded, %d polls)",
+		nWorkers, st.Jobs, tot.ckpts.Load(), wall.Round(time.Millisecond),
 		wired/jobs, raw/max64(wired, 1), st.DeltasFolded, st.WorkPolls)
 }
 
@@ -272,24 +261,17 @@ func max64(a, b float64) float64 {
 	return b
 }
 
-// BenchmarkAblation_WireLoad compares the two transport generations
-// under the same 1000-worker loopback fleet. The headline metric is
-// ckpt_reduction_x on the v1 cell: raw checkpoint bytes over bytes on
-// the wire, which is ≥10× on checkpoint streams with realistic
-// step-to-step overlap (scripts/ci.sh gates on it).
+// BenchmarkAblation_WireLoad runs the transport under a 1000-worker
+// loopback fleet. The headline metric is ckpt_reduction_x: raw
+// checkpoint bytes over bytes on the wire, which is ≥10× on checkpoint
+// streams with realistic step-to-step overlap (scripts/ci.sh gates on
+// it; BENCH_6.json keeps the full-image JSON-lines baseline it was
+// measured against).
 func BenchmarkAblation_WireLoad(b *testing.B) {
 	const nWorkers = 1000
-	for _, tc := range []struct {
-		name string
-		v1   bool
-	}{
-		{"v0-json-full", false},
-		{"v1-binary-delta", true},
-	} {
-		b.Run(fmt.Sprintf("%s/workers=%d", tc.name, nWorkers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runWireLoad(b, nWorkers, tc.v1)
-			}
-		})
-	}
+	b.Run(fmt.Sprintf("v1-binary-delta/workers=%d", nWorkers), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runWireLoad(b, nWorkers)
+		}
+	})
 }

@@ -61,10 +61,6 @@ func main() {
 		frames     = flag.Int("frames", 100, "IMD frames to serve")
 		coordAddr  = flag.String("coordinator", "", "distribute pulls: listen on this address for spiced workers (-workers then spawns in-process ones)")
 
-		// The negated wire toggles; -wire itself is bound in distFlags.
-		noDelta    = flag.Bool("no-delta", false, "disable incremental (delta) checkpoints on v1 connections; every progress message then carries a full checkpoint image")
-		noCompress = flag.Bool("no-compress", false, "disable block compression of bulk v1 payloads (checkpoints, resume images, work logs)")
-
 		// Observability.
 		obsAddr   = flag.String("obs-addr", "", "serve /metrics (Prometheus text), /healthz and /debug/pprof/ on this address (e.g. 127.0.0.1:9090)")
 		obsEvents = flag.String("obs-events", "", "append the structured JSON-lines scheduling event log to this file (- for stderr)")
@@ -138,8 +134,6 @@ func main() {
 		fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/, /debug/events)\n", srv.Addr())
 	}
 
-	dcfg.Compression = !*noCompress
-	dcfg.DeltaCheckpoints = !*noDelta
 	dcfg.Metrics, dcfg.Events = reg, events
 
 	var co *dist.Coordinator
@@ -242,11 +236,6 @@ func distFlags(fs *flag.FlagSet, c *dist.Config) {
 
 	// Overload protection.
 	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint (0 disables)")
-
-	// Wire protocol. Each connection settles on min(coordinator, worker),
-	// so old spiced daemons keep working against a v1 coordinator and
-	// vice versa.
-	fs.IntVar(&c.WireVersion, "wire", c.WireVersion, "maximum wire protocol version to grant workers: 0 = legacy JSON lines (netcat-debuggable), 1 = binary CRC-framed records with varint fields")
 }
 
 // startCoordinator opens the dist listener and spawns the in-process
@@ -273,15 +262,8 @@ func startCoordinator(addr string, sys *core.SystemConfig, workers int, dcfg dis
 		return nil, nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	// In-process workers inherit the coordinator's wire knobs so the
-	// loopback fleet exercises the same transport an external spiced
-	// would negotiate.
-	wcfg := dist.Defaults()
-	wcfg.WireVersion = dcfg.WireVersion
-	wcfg.Compression = dcfg.Compression
-	wcfg.DeltaCheckpoints = dcfg.DeltaCheckpoints
 	for i := 0; i < workers; i++ {
-		w, err := dist.NewWorker(fmt.Sprintf("local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, wcfg)
+		w, err := dist.NewWorker(fmt.Sprintf("local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, dist.Defaults())
 		if err != nil {
 			cancel()
 			_ = co.Close()

@@ -28,7 +28,6 @@ func TestDistFlagDefaults(t *testing.T) {
 		"hedge-stall":       d.HedgeStall,
 		"io-timeout":        d.IOTimeout,
 		"max-inflight":      d.MaxInflight,
-		"wire":              d.WireVersion,
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		w, ok := want[f.Name]

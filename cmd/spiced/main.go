@@ -30,16 +30,6 @@ import (
 	"spice/internal/obs"
 )
 
-// Wire-protocol knobs, shared by worker mode and -serve: the flag caps
-// what this process offers (worker) or grants (-serve's embedded
-// coordinator); each connection settles on the lower of the two sides,
-// so mixed-version fleets always interoperate.
-var (
-	wireVer    = flag.Int("wire", dist.Defaults().WireVersion, "maximum wire protocol version to negotiate: 0 = legacy JSON lines (netcat-debuggable), 1 = binary CRC-framed records with varint fields")
-	noDelta    = flag.Bool("no-delta", false, "disable incremental (delta) checkpoints on v1 connections; every progress message then carries a full checkpoint image")
-	noCompress = flag.Bool("no-compress", false, "disable block compression of bulk v1 payloads (checkpoints, resume images, work logs)")
-)
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spiced: ")
@@ -101,7 +91,6 @@ func main() {
 		fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/, /debug/events)\n", srv.Addr())
 	}
 
-	applyWireFlags(&wcfg)
 	w, err := dist.NewWorker(*name, *site, *coordinator, core.BuildFromJSON, wcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -126,12 +115,4 @@ func workerFlags(fs *flag.FlagSet, c *dist.Config) {
 	fs.DurationVar(&c.Throttle, "throttle", c.Throttle, "artificial sleep per checkpoint (testing/demo)")
 	fs.DurationVar(&c.ReconnectWindow, "reconnect-window", c.ReconnectWindow, "give up after failing to reach the coordinator for this long")
 	fs.DurationVar(&c.ReconnectBackoffMax, "reconnect-backoff", c.ReconnectBackoffMax, "cap on the exponential re-dial backoff while the coordinator is unreachable")
-}
-
-// applyWireFlags copies the parsed wire flags, shared by both modes,
-// into c (two of the three are negated, so they cannot bind directly).
-func applyWireFlags(c *dist.Config) {
-	c.WireVersion = *wireVer
-	c.Compression = !*noCompress
-	c.DeltaCheckpoints = !*noDelta
 }

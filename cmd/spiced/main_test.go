@@ -32,23 +32,18 @@ func TestDistFlagDefaults(t *testing.T) {
 		"storage-retries":   d.StorageRetries,
 		"max-inflight":      d.MaxInflight,
 	}
-	check := func(f *flag.Flag, w any) {
-		if f.DefValue != fmt.Sprint(w) {
-			t.Errorf("-%s defaults to %q, dist.Defaults() says %v", f.Name, f.DefValue, w)
-		}
-	}
 	fs.VisitAll(func(f *flag.Flag) {
 		w, ok := want[f.Name]
 		if !ok {
 			t.Errorf("-%s is bound by workerFlags/serveFlags but missing from this table", f.Name)
 			return
 		}
-		check(f, w)
+		if f.DefValue != fmt.Sprint(w) {
+			t.Errorf("-%s defaults to %q, dist.Defaults() says %v", f.Name, f.DefValue, w)
+		}
 		delete(want, f.Name)
 	})
 	for name := range want {
 		t.Errorf("-%s is not registered", name)
 	}
-	// -wire is shared by both modes and registered at package level.
-	check(flag.Lookup("wire"), d.WireVersion)
 }

@@ -128,7 +128,6 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	if err != nil {
 		return err
 	}
-	applyWireFlags(&dcfg)
 	dcfg.Metrics, dcfg.Events = reg, events
 	co, err := dist.NewCoordinator(ln, sysJSON, dcfg)
 	if err != nil {
@@ -167,12 +166,8 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// In-process workers inherit the wire knobs so the loopback fleet
-	// exercises the same transport an external spiced would negotiate.
-	wcfg := dist.Defaults()
-	applyWireFlags(&wcfg)
 	for i := 0; i < *serveWorkers; i++ {
-		w, err := dist.NewWorker(fmt.Sprintf("cp-local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, wcfg)
+		w, err := dist.NewWorker(fmt.Sprintf("cp-local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, dist.Defaults())
 		if err != nil {
 			return err
 		}

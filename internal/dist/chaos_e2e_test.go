@@ -12,6 +12,7 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net"
@@ -99,7 +100,7 @@ func journalDoneJobs(t *testing.T, path string) map[string]bool {
 }
 
 // dupConn injects a duplicate result delivery: while armed, after a
-// result line is written it waits for the coordinator's ack — proof
+// result frame is written it waits for the coordinator's ack — proof
 // the result was applied — swallows it, and kills the connection. The
 // worker never sees the ack, so its outbox retransmits a result the
 // coordinator has already merged. (Closing before the ack arrives
@@ -112,9 +113,27 @@ type dupConn struct {
 	swallow bool // set by Write, consumed by Read; same goroutine
 }
 
+// isResultFrame reports whether a worker write starts a v1 result
+// frame: [stream magic, first frame only][u32 length][u32 crc]
+// [kind 1 = request][uvarint field bitmap][uvarint type code 5 =
+// result]. A codec flushes each message from an empty buffer, so every
+// frame starts a write; the hello line never matches.
+func isResultFrame(p []byte) bool {
+	p = bytes.TrimPrefix(p, []byte("SPJNL1"))
+	if len(p) < 10 || p[8] != 1 {
+		return false
+	}
+	_, n := binary.Uvarint(p[9:])
+	if n <= 0 {
+		return false
+	}
+	code, m := binary.Uvarint(p[9+n:])
+	return m > 0 && code == 5
+}
+
 func (d *dupConn) Write(p []byte) (int, error) {
 	n, err := d.Conn.Write(p)
-	if err == nil && bytes.Contains(p, []byte(`"type":"result"`)) && d.armed.CompareAndSwap(true, false) {
+	if err == nil && isResultFrame(p) && d.armed.CompareAndSwap(true, false) {
 		d.swallow = true
 	}
 	return n, err
@@ -201,9 +220,6 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	defer cancel()
 	startChaosWorker := func(name string, dial func(string) (net.Conn, error)) {
 		w := dist.NewTestWorker(t, name, "", addr, core.BuildFromJSON, func(c *dist.Config) {
-			// dupConn recognises a result by its JSON line, so these
-			// workers offer v0 whatever the coordinators would grant.
-			c.WireVersion = 0
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 20 * time.Millisecond

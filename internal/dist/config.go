@@ -18,7 +18,6 @@ import (
 
 	"spice/internal/faultfs"
 	"spice/internal/obs"
-	"spice/internal/wire"
 )
 
 // Config carries every dist runtime knob. Semantics are uniform flag
@@ -99,23 +98,6 @@ type Config struct {
 
 	// --- Transport (both sides) ---
 
-	// WireVersion is the newest wire protocol version this side speaks:
-	// 0 pins the legacy JSON-lines transport, 1 enables binary framing.
-	// Each connection negotiates min(coordinator, worker) on hello, so a
-	// mixed-version fleet always interoperates; an unknown (future)
-	// version offered by a peer downgrades to 0 with a logged event.
-	WireVersion int
-	// Compression enables lz block compression on bulk payloads
-	// (checkpoints, resume images, specs and work logs) on v1+
-	// connections; the system config rides the grant line, always plain.
-	// Ignored on v0 — JSON lines have nowhere to carry the flags.
-	Compression bool
-	// DeltaCheckpoints makes workers send each progress checkpoint as a
-	// delta against the last acknowledged one on v1+ connections; the
-	// coordinator folds deltas back into complete images before any
-	// spool or farthest-wins decision, so resume, journal replay and
-	// hedged re-execution never see a partial state.
-	DeltaCheckpoints bool
 	// IOTimeout arms a fresh read/write deadline before every I/O on
 	// every dist connection (netutil.WithDeadlines): a peer that stops
 	// making byte progress for this long is treated as dead instead of
@@ -190,9 +172,6 @@ func Defaults() Config {
 		BreakerThreshold:    3,
 		HedgeFraction:       0.3,
 		MaxInflight:         256,
-		WireVersion:         wire.MaxVersion,
-		Compression:         true,
-		DeltaCheckpoints:    true,
 		IOTimeout:           30 * time.Second,
 		Slots:               1,
 		BeatInterval:        200 * time.Millisecond,
@@ -232,8 +211,6 @@ func (c Config) Validate() error {
 		return errors.New("dist: Config.HedgeAfter must be >= 0")
 	case c.MaxInflight < 0:
 		return errors.New("dist: Config.MaxInflight must be >= 0 (0 disables)")
-	case c.WireVersion < 0 || c.WireVersion > wire.MaxVersion:
-		return fmt.Errorf("dist: Config.WireVersion %d outside [0, %d]", c.WireVersion, wire.MaxVersion)
 	case c.IOTimeout < 0:
 		return errors.New("dist: Config.IOTimeout must be >= 0 (0 disables)")
 	case c.Slots < 1:
@@ -276,8 +253,7 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 	}
 	co := &Coordinator{
 		Listener: ln,
-		local: wire.Session{Version: cfg.WireVersion, Delta: cfg.DeltaCheckpoints,
-			Comp: cfg.Compression, System: system},
+		system:   system,
 		cfg:      cfg,
 		leases:   newLeaseTable(&cfg),
 		sites:    make(siteTable),

@@ -21,8 +21,8 @@ import (
 
 // connState tracks one worker connection.
 type connState struct {
-	// sess is the negotiated transport and the worker's name and site,
-	// written once at hello (before any other request is processed).
+	// sess is the codec and the worker's name and site, written once at
+	// hello (before any other request is processed).
 	sess wire.Session
 	// waits counts the hinted msgWait replies sent to this connection —
 	// the jitter key that keeps a shed or quarantined herd from re-polling
@@ -117,26 +117,13 @@ func (co *Coordinator) serveConn(conn net.Conn) {
 	co.conns.Add(1)
 	defer co.dropConn(cs)
 
-	sess, err := wire.Accept(cc, cc, co.local)
+	sess, err := wire.Accept(cc, cc, co.system)
 	if err != nil {
 		return
 	}
 	cs.sess = *sess
-	if cs.sess.Downgraded {
-		// Never silent: a future-versioned worker still gets served (on
-		// v0, the one version everything speaks) but the mismatch is on
-		// the record for the operator.
-		co.wireDowngrades.Add(1)
-		co.cfg.Events.Emit(obs.Event{Name: "wire_downgraded", Site: cs.sess.Site, Worker: cs.sess.Name,
-			Fields: map[string]any{"offered": cs.sess.Offered, "granted": cs.sess.Version}})
-	}
-	if cs.sess.Version >= wire.V1 {
-		co.wireV1.Add(1)
-	} else {
-		co.wireV0.Add(1)
-	}
-	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.sess.Site, Worker: cs.sess.Name,
-		Fields: map[string]any{"wire": cs.sess.Version, "delta": cs.sess.Delta, "compression": cs.sess.Comp}})
+	co.wireV1.Add(1)
+	co.cfg.Events.Emit(obs.Event{Name: "worker_connected", Site: cs.sess.Site, Worker: cs.sess.Name})
 
 	// The reader writes each reply itself. The protocol is lock-step — a
 	// worker sends its next request only after reading the last reply —

@@ -43,11 +43,10 @@ import (
 type Coordinator struct {
 	// Listener is where workers connect.
 	Listener net.Listener
-	// local is what every connection's hello is negotiated against, and
-	// the opaque system payload (typically a JSON core.SystemConfig) the
-	// grant forwards verbatim: dist never interprets it, which keeps the
-	// package free of the model layers above md/smd/campaign.
-	local wire.Session
+	// system is the opaque payload (typically a JSON core.SystemConfig)
+	// every grant forwards verbatim: dist never interprets it, which keeps
+	// the package free of the model layers above md/smd/campaign.
+	system json.RawMessage
 	// cfg is the validated Config this coordinator was built with — the
 	// only copy of every knob; BreakerCooldown and HedgeAfter carry their
 	// resolved values.
@@ -111,12 +110,10 @@ type Coordinator struct {
 	inflight atomic.Int64 // requests in processing (a parked poll is not)
 	shed     atomic.Int64 // msgNext polls answered without the scheduler
 
-	// Wire-protocol accounting, atomic because negotiation happens on
+	// Wire-protocol accounting, atomic because the hello is served on
 	// the accept path before any lock and the bench polls them hot.
-	wireV0         atomic.Int64 // connections negotiated to JSON-lines
-	wireV1         atomic.Int64 // connections negotiated to binary framing
-	wireDowngrades atomic.Int64 // hellos offering an unknown (future) version
-	polls          atomic.Int64 // msgNext requests received
+	wireV1 atomic.Int64 // connections granted v1: every accepted one
+	polls  atomic.Int64 // msgNext requests received
 }
 
 // campaignRun is the job table of one active campaign.
@@ -318,8 +315,9 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 			j.attempts = a
 		}
 		if ck := co.journal.loadSpool(j.id); ck != nil {
-			j.ckpt = ck
-			j.ckptSteps = ckptSteps(ck)
+			if steps, err := ckptSteps(ck); err == nil {
+				j.ckpt, j.ckptSteps = ck, steps
+			}
 		}
 	}
 	co.leases.add(camp)
@@ -827,13 +825,15 @@ func (co *Coordinator) armWakeLocked(d time.Duration) {
 }
 
 // ckptSteps extracts the engine step counter from an opaque checkpoint
-// payload (smd.PullCheckpoint's Steps field). 0 if absent.
-func ckptSteps(ckpt json.RawMessage) int {
+// payload (smd.PullCheckpoint's Steps field), 0 if absent. A payload
+// that is not a checkpoint document is an error: storing it would hand
+// every later resume of the job an image no worker can decode.
+func ckptSteps(ckpt json.RawMessage) (int, error) {
 	var prog struct {
 		Steps int `json:"Steps"`
 	}
-	_ = json.Unmarshal(ckpt, &prog)
-	return prog.Steps
+	err := json.Unmarshal(ckpt, &prog)
+	return prog.Steps, err
 }
 
 // heartbeat refreshes a lease and stores any checkpoint that came with
@@ -879,10 +879,15 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		// full image instead, so a crash between receipt and fold can at
 		// worst lose one checkpoint generation, never corrupt one.
 		raw, err := req.Ckpt.Resolve(l.base)
+		var steps int
+		if err == nil {
+			steps, err = ckptSteps(raw)
+		}
 		if err != nil {
-			// Base mismatch (coordinator restart, lost ack, adoption) or a
-			// corrupt payload that survived the frame CRC: either way the
-			// incremental lineage is broken. NeedFull restarts it.
+			// Base mismatch (coordinator restart, lost ack, adoption), a
+			// corrupt payload that survived the frame CRC, or bytes that are
+			// no checkpoint: either way nothing is stored and the incremental
+			// lineage is broken. NeedFull restarts it.
 			if errors.Is(err, wire.ErrBaseMismatch) {
 				co.stats.DeltaBaseMisses++
 			} else {
@@ -897,7 +902,6 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		if req.Ckpt.IsDelta() {
 			co.stats.DeltasFolded++
 		}
-		steps := ckptSteps(raw)
 		rate, farthest := j.progress(l, now, raw, steps)
 		if rate > 0 {
 			co.sites.get(l.site).rate.observe(rate)
@@ -1060,9 +1064,7 @@ func (co *Coordinator) statsLocked() Stats {
 	s.RequestsShed = int(co.shed.Load())
 	s.InflightRequests = int(co.inflight.Load())
 	s.ConnectedWorkers = int(co.conns.Load())
-	s.WireV0Conns = int(co.wireV0.Load())
 	s.WireV1Conns = int(co.wireV1.Load())
-	s.WireDowngrades = int(co.wireDowngrades.Load())
 	s.WorkPolls = co.polls.Load()
 	s.ParkedPolls = len(co.parked)
 	return s

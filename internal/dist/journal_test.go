@@ -226,7 +226,7 @@ func TestJournalTornTailSurfacedInStats(t *testing.T) {
 	}
 }
 
-// testClient is a hand-rolled v0 client for poking at the protocol: the
+// testClient is a hand-rolled client for poking at the protocol: the
 // real handshake, then one request and one reply at a time.
 type testClient struct {
 	t    *testing.T
@@ -247,7 +247,7 @@ func dialSiteClient(t *testing.T, addr, name, site string) *testClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	sess, err := wire.Open(conn, conn, wire.Session{Name: name, Site: site})
+	sess, err := wire.Open(conn, conn, name, site)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,7 @@ func RegisterMetrics(reg *obs.Registry, src StatsSource) {
 		e.Counter("spice_overload_requests_shed_total", "Work polls answered with a shed wait over the in-flight cap.", float64(s.RequestsShed))
 		e.Gauge("spice_overload_inflight", "Requests in processing (a parked poll is not).", float64(s.InflightRequests))
 		e.Gauge("spice_overload_connected_workers", "Live worker connections.", float64(s.ConnectedWorkers))
-		e.Counter("spice_wire_v0_conns_total", "Connections negotiated to the legacy JSON-lines transport.", float64(s.WireV0Conns))
-		e.Counter("spice_wire_v1_conns_total", "Connections negotiated to binary framing.", float64(s.WireV1Conns))
-		e.Counter("spice_wire_downgrades_total", "Hellos offering an unknown version, served on v0.", float64(s.WireDowngrades))
+		e.Counter("spice_wire_v1_conns_total", "Connections granted the v1 wire protocol (every accepted connection).", float64(s.WireV1Conns))
 		e.Counter("spice_wire_work_polls_total", "Work-poll requests received (shed or served).", float64(s.WorkPolls))
 		e.Counter("spice_dist_deltas_folded_total", "Delta checkpoints folded into complete images.", float64(s.DeltasFolded))
 		e.Counter("spice_dist_delta_base_misses_total", "Deltas rejected for an unknown base (answered NeedFull).", float64(s.DeltaBaseMisses))

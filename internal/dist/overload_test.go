@@ -175,7 +175,7 @@ func TestSlowConsumerEvictionAndLeaseReattach(t *testing.T) {
 		srv.Close()
 		close(served)
 	}()
-	c1, err := wire.Open(cli, cli, wire.Session{Name: "storm-w"})
+	c1, err := wire.Open(cli, cli, "storm-w", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestNonDrainingPeerDisconnects(t *testing.T) {
 		srv.Close()
 		close(served)
 	}()
-	stuck, err := wire.Open(cli, cli, wire.Session{Name: "stuck"})
+	stuck, err := wire.Open(cli, cli, "stuck", "")
 	if err != nil {
 		t.Fatal(err)
 	}

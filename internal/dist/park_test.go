@@ -24,7 +24,6 @@ import (
 	"spice/internal/faultfs"
 	"spice/internal/obs"
 	"spice/internal/trace"
-	"spice/internal/wire"
 )
 
 // runInBackground installs spec under tag and returns the channel its
@@ -414,36 +413,6 @@ func TestParkBoundedByIOTimeout(t *testing.T) {
 	}
 	if st := w.WorkerStats(); st.Reconnects != 0 || st.JobsDone != 1 {
 		t.Fatalf("worker stats %+v, want one job and no reconnect", st)
-	}
-}
-
-// TestV0WorkerParksAndWakes: the park is the coordinator's alone — the
-// poll and its eventual reply are the messages they always were — so a
-// JSON-lines worker gets the same wake-up as a framed one.
-func TestV0WorkerParksAndWakes(t *testing.T) {
-	events := obs.NewEventLog(nil, 256)
-	co := newCoordinator(t, func(c *Config) { c.Events = events })
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	startWorker(t, ctx, co, "old", func(c *Config) { c.WireVersion = wire.V0 })
-	waitParked(t, co, 1)
-	if _, err := co.Run(singleJobSpec()); err != nil {
-		t.Fatal(err)
-	}
-	var start, grant time.Time
-	for _, ev := range events.Recent(0) {
-		switch ev.Name {
-		case "campaign_start":
-			start = ev.Time
-		case "lease_granted":
-			grant = ev.Time
-		}
-	}
-	if wait := grant.Sub(start); grant.IsZero() || wait > 50*time.Millisecond {
-		t.Fatalf("v0 worker leased %v after campaign_start, want < 50 ms", wait)
-	}
-	if st := co.Stats(); st.WireV0Conns != 1 || st.WireV1Conns != 0 {
-		t.Fatalf("wire conns v0 %d v1 %d, want the one v0 worker", st.WireV0Conns, st.WireV1Conns)
 	}
 }
 

@@ -14,9 +14,8 @@
 // bit-identical to a single-process campaign.LocalRunner run no matter
 // how many workers ran it, in what order, or how many died.
 //
-// The transport — handshake, framing, payload forms — is internal/wire's,
-// versioned and negotiated per connection; DESIGN.md §15 has the
-// negotiation and fold invariants.
+// The transport — handshake, framing, payload forms — is internal/wire's;
+// DESIGN.md §15 has the hello and fold invariants.
 package dist
 
 import (

@@ -102,12 +102,10 @@ type Stats struct {
 	ConnectedWorkers int // gauge: live worker connections
 
 	// Wire-protocol counters (the spice_wire_* metric family).
-	WireV0Conns         int   // connections negotiated to the legacy JSON-lines transport
-	WireV1Conns         int   // connections negotiated to binary framing
-	WireDowngrades      int   // hellos offering an unknown (future) version, served on v0
+	WireV1Conns         int   // connections granted v1: every accepted connection
 	DeltasFolded        int   // delta checkpoints folded into complete images
 	DeltaBaseMisses     int   // deltas rejected for a base this coordinator no longer holds
-	CheckpointsRejected int   // checkpoint payloads that failed to decode (answered NeedFull)
+	CheckpointsRejected int   // checkpoint payloads that are no decodable checkpoint (answered NeedFull)
 	WorkPolls           int64 // msgNext requests received (shed or served)
 }
 

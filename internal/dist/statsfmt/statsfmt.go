@@ -37,11 +37,9 @@ func Summary(w io.Writer, s dist.Stats, prefix string) {
 	if s.RequestsShed > 0 {
 		fmt.Fprintf(w, "%soverload: %d poll(s) shed\n", prefix, s.RequestsShed)
 	}
-	// The wire line only appears once something beyond a pure-v0 fleet
-	// happened: a binary connection, a downgrade, or delta traffic.
-	if s.WireV1Conns > 0 || s.WireDowngrades > 0 || s.DeltasFolded > 0 || s.DeltaBaseMisses > 0 {
-		fmt.Fprintf(w, "%swire: %d v1 / %d v0 conn(s), %d downgrade(s), %d delta(s) folded, %d base miss(es)\n",
-			prefix, s.WireV1Conns, s.WireV0Conns, s.WireDowngrades, s.DeltasFolded, s.DeltaBaseMisses)
+	if s.WireV1Conns > 0 {
+		fmt.Fprintf(w, "%swire: %d conn(s), %d delta(s) folded, %d base miss(es)\n",
+			prefix, s.WireV1Conns, s.DeltasFolded, s.DeltaBaseMisses)
 	}
 }
 

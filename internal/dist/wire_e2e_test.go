@@ -1,19 +1,22 @@
 package dist
 
-// End-to-end tests for the versioned wire transport: every cell of the
-// version matrix (old↔new in both directions, mixed fleets) must merge
-// campaign output bit-identical to a single-process LocalRunner, the
-// delta-checkpoint fold must survive worker loss and coordinator
-// crashes, and a hand-rolled v1 client pins the NeedFull healing
-// protocol byte by byte.
+// End-to-end tests for the wire transport: the full v1 transport (binary
+// framing, compression, delta checkpoints) must merge campaign output
+// bit-identical to a single-process LocalRunner, the delta-checkpoint
+// fold must survive worker loss and coordinator crashes, a hand-rolled
+// client pins the NeedFull healing protocol byte by byte, and neither a
+// malformed checkpoint nor an undecodable resume image may take a
+// worker down.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,166 +26,83 @@ import (
 	"spice/internal/wire"
 )
 
-// v0Side pins one side of a connection to the legacy JSON-lines
-// transport, the way an un-upgraded binary offers or grants it.
-func v0Side(c *Config) {
-	c.WireVersion = wire.V0
-	c.Compression = false
-	c.DeltaCheckpoints = false
-}
-
-// v1Side is the full v1 transport: binary framing, compression, delta
-// checkpoints. Defaults() already says so; the version tests state it.
-func v1Side(c *Config) {
-	c.WireVersion = wire.V1
-	c.Compression = true
-	c.DeltaCheckpoints = true
-}
-
-// v1Worker makes a startWorkers-spawned worker a full v1 client with a
-// checkpoint per sample (throttled so several heartbeats fit inside one
-// job).
+// v1Worker makes a startWorkers-spawned worker stream a checkpoint per
+// sample (throttled so several heartbeats fit inside one job).
 func v1Worker(c *Config) {
-	v1Side(c)
 	c.CheckpointEvery = 1
 	c.Throttle = 10 * time.Millisecond
 }
 
-// TestWireMatrixBitIdentical runs the cross-version matrix. Whatever
-// the two sides negotiate — legacy JSON on either end, full v1 with
-// deltas and compression, or a mixed fleet speaking both at once — the
-// merged PMF inputs must be bit-identical to the LocalRunner baseline.
+// TestWireMatrixBitIdentical runs the transport every peer speaks —
+// binary framing, deltas and compression — and requires the merged PMF
+// inputs to be bit-identical to the LocalRunner baseline, with deltas
+// actually folding and the raw/wire byte ratio showing the transport
+// doing work. (Peers that offer no version are refused at the hello:
+// wire.TestHelloGolden and TestWireV1ClientFoldAndNeedFull.)
 func TestWireMatrixBitIdentical(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	cells := []struct {
-		name    string
-		coV1    bool // coordinator grants v1 + delta + compression
-		workers int
-		// late workers (the last ones) attach only once an earlier worker
-		// holds a lease, so a fast fleet cannot drain the campaign before a
-		// throttled one has been given anything.
-		late   int
-		mutate func(i int, c *Config)
-		check  func(t *testing.T, st Stats, ws []*Worker)
-	}{
-		{
-			// New coordinator, old fleet: every hello offers 0, every
-			// connection stays on JSON lines.
-			name: "v1-coordinator-v0-workers", coV1: true, workers: 3,
-			mutate: func(i int, c *Config) { v0Side(c) },
-			check: func(t *testing.T, st Stats, ws []*Worker) {
-				if st.WireV0Conns < 3 || st.WireV1Conns != 0 {
-					t.Fatalf("wire conns v0=%d v1=%d, want all v0", st.WireV0Conns, st.WireV1Conns)
-				}
-			},
-		},
-		{
-			// Old coordinator, new fleet: workers offer v1, the grant
-			// caps them at v0. No downgrade event — v0 is a known version.
-			name: "v0-coordinator-v1-workers", coV1: false, workers: 3,
-			mutate: func(i int, c *Config) { v1Worker(c) },
-			check: func(t *testing.T, st Stats, ws []*Worker) {
-				if st.WireV0Conns < 3 || st.WireV1Conns != 0 || st.WireDowngrades != 0 {
-					t.Fatalf("wire conns v0=%d v1=%d downgrades=%d, want all v0 without downgrades",
-						st.WireV0Conns, st.WireV1Conns, st.WireDowngrades)
-				}
-			},
-		},
-		{
-			// Full v1: deltas must actually fold, and the raw/wire byte
-			// ratio must show the transport doing work.
-			name: "v1-delta-compression", coV1: true, workers: 3,
-			mutate: func(i int, c *Config) { v1Worker(c) },
-			check: func(t *testing.T, st Stats, ws []*Worker) {
-				if st.WireV1Conns < 3 {
-					t.Fatalf("WireV1Conns = %d, want >= 3", st.WireV1Conns)
-				}
-				if st.DeltasFolded < 1 {
-					t.Fatalf("no deltas folded: %+v", st)
-				}
-				var raw, sent int64
-				for _, w := range ws {
-					ws := w.WorkerStats()
-					raw += ws.CheckpointRawBytes
-					sent += ws.CheckpointBytes
-				}
-				if raw == 0 || sent >= raw {
-					t.Fatalf("checkpoint bytes: %d on the wire for %d raw, want a reduction", sent, raw)
-				}
-			},
-		},
-		{
-			// Mixed fleet: v0 and v1 workers on one coordinator at once. The
-			// unthrottled v0 pair could run all four ~3 ms jobs before a v1
-			// worker is leased one, so it attaches late; and the v1 pulls are
-			// throttled to 13 checkpoints x 30 ms against a 20 ms beat, so
-			// each streams far more than the two checkpoints one delta needs.
-			name: "mixed-fleet", coV1: true, workers: 4, late: 2,
-			mutate: func(i int, c *Config) {
-				if i < 2 {
-					v1Worker(c)
-					c.Throttle = 30 * time.Millisecond
-				} else {
-					v0Side(c)
-				}
-			},
-			check: func(t *testing.T, st Stats, ws []*Worker) {
-				if st.WireV0Conns < 1 || st.WireV1Conns < 1 {
-					t.Fatalf("wire conns v0=%d v1=%d, want both present", st.WireV0Conns, st.WireV1Conns)
-				}
-				if st.DeltasFolded < 1 {
-					t.Fatalf("no deltas folded in the mixed fleet: %+v", st)
-				}
-			},
-		},
-	}
+	t.Run("v1-delta-compression", func(t *testing.T) {
+		const workers = 3
+		co := newCoordinator(t, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var ws []*Worker
+		for i := 0; i < workers; i++ {
+			ws = append(ws, startWorker(t, ctx, co, "w", v1Worker))
+		}
+		got, err := co.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, want, got)
+		// The spec is ~10 ms of work, so Run can return before the last
+		// worker's hello has been served; the server keeps accepting, and
+		// the connection count settles once it has.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if co.Stats().WireV1Conns >= workers {
+				break
+			}
+		}
+		st := co.Stats()
+		if st.WireV1Conns < workers {
+			t.Fatalf("WireV1Conns = %d, want >= %d", st.WireV1Conns, workers)
+		}
+		if st.DeltasFolded < 1 {
+			t.Fatalf("no deltas folded: %+v", st)
+		}
+		var raw, sent int64
+		for _, w := range ws {
+			ws := w.WorkerStats()
+			raw += ws.CheckpointRawBytes
+			sent += ws.CheckpointBytes
+		}
+		if raw == 0 || sent >= raw {
+			t.Fatalf("checkpoint bytes: %d on the wire for %d raw, want a reduction", sent, raw)
+		}
+	})
+}
 
-	for _, cell := range cells {
-		t.Run(cell.name, func(t *testing.T) {
-			side := v0Side
-			if cell.coV1 {
-				side = v1Side
-			}
-			co := newCoordinator(t, side)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			type result struct {
-				logs map[campaign.Combo][]*trace.WorkLog
-				err  error
-			}
-			resCh := make(chan result, 1)
-			go func() {
-				logs, err := co.Run(spec)
-				resCh <- result{logs, err}
-			}()
-			var ws []*Worker
-			for i := 0; i < cell.workers; i++ {
-				if i == cell.workers-cell.late {
-					for deadline := time.Now().Add(10 * time.Second); co.Stats().Assignments == 0; time.Sleep(time.Millisecond) {
-						if time.Now().After(deadline) {
-							t.Fatal("no early worker was ever leased a job")
-						}
-					}
-				}
-				ws = append(ws, startWorker(t, ctx, co, "w", func(c *Config) { cell.mutate(i, c) }))
-			}
-			res := <-resCh
-			if res.err != nil {
-				t.Fatal(res.err)
-			}
-			requireBitIdentical(t, want, res.logs)
-			// The spec is ~10 ms of work, so Run can return before the last
-			// worker's hello has been served; the server keeps accepting,
-			// and the connection counts the checks read settle once it has.
-			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				if st := co.Stats(); st.WireV0Conns+st.WireV1Conns >= cell.workers {
-					break
-				}
-			}
-			cell.check(t, co.Stats(), ws)
-		})
+// cancelCampaign cancels a campaign whose job ran on synthetic
+// checkpoints, so nothing is ever re-executed from them, and waits for
+// its Run to return.
+func cancelCampaign(t *testing.T, co *Coordinator, spec campaign.Spec, errCh <-chan error) {
+	t.Helper()
+	key, err := SpecKey(spec, CampaignTag{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !co.CancelCampaign(key) {
+		t.Fatal("CancelCampaign found no campaign")
+	}
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrCampaignCanceled) {
+			t.Fatalf("Run returned %v, want ErrCampaignCanceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("canceled campaign never returned")
 	}
 }
 
@@ -191,11 +111,11 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 // a base the coordinator does not hold is answered OK+NeedFull (never
 // an error), a full image re-seeds the base, and a well-formed delta is
 // folded so the coordinator's stored image equals the client's
-// post-delta document byte for byte. A second client offering an
-// unknown future version must be downgraded to v0 and still served.
+// post-delta document byte for byte. A client offering an unknown
+// future version is granted v1; one offering no version is refused.
 func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	spec := testSpec()
-	co := newCoordinator(t, v1Side)
+	co := newCoordinator(t, nil)
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -203,36 +123,9 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 		errCh <- err
 	}()
 	addr := co.Listener.Addr().String()
+	c := dialTestClient(t, addr, "hand-v1")
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	codec, err := wire.Open(conn, conn, wire.Session{Name: "hand-v1", Version: wire.V1, Delta: true, Comp: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec.Version != wire.V1 || !codec.Delta || !codec.Comp {
-		t.Fatalf("hello grant = %+v, want v1 with delta and compression", codec)
-	}
-	rt := func(req *request) *response {
-		t.Helper()
-		if err := codec.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := codec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return &resp
-	}
-
-	assign := rt(&request{Type: msgNext})
-	if assign.Type != msgAssign {
-		t.Fatalf("next got %q, want assign", assign.Type)
-	}
+	assign := c.next()
 	jobID, attempt := assign.Job.ID, assign.Job.Attempt
 
 	// Synthetic checkpoint documents with advancing step counters, so
@@ -242,7 +135,7 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	}
 	progress := func(p *wire.Payload) *response {
 		t.Helper()
-		return rt(&request{Type: msgProgress, JobID: jobID, Attempt: attempt, Ckpt: p})
+		return c.rt(&request{Type: msgProgress, JobID: jobID, Attempt: attempt, Ckpt: p})
 	}
 
 	// 1. First checkpoint travels complete (compressed): plain fold.
@@ -283,40 +176,170 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 		t.Fatalf("folded image %q, want %q", folded, ck3)
 	}
 
-	// A peer from the future: its hello offers a version this build does
-	// not know, so it is downgraded to v0 — served, logged, counted.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// A peer from the future offers a version this build does not know:
+	// it is granted v1 like every other and counted. A peer offering no
+	// version is refused with one error line and never counted.
+	for _, tc := range []struct{ hello, reply string }{
+		{`{"type":"hello","name":"futuristic","wire":99}`, `"wire":1,"delta":true,"comp":true}`},
+		{`{"type":"hello","name":"unversioned"}`, `{"type":"ok","err":"wire: hello offers no version; v1 is required"}`},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := fmt.Fprintln(conn, tc.hello); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := bufio.NewReader(conn).ReadString('\n'); err != nil || !strings.HasSuffix(line, tc.reply+"\n") {
+			t.Fatalf("hello %s answered %q (%v), want a line ending %s", tc.hello, line, err, tc.reply)
+		}
 	}
-	defer conn2.Close()
-	future, err := wire.Open(conn2, conn2, wire.Session{Name: "futuristic", Version: 99, Delta: true, Comp: true})
-	if err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); co.Stats().WireV1Conns < 2 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 	}
-	if future.Version != wire.V0 || future.Delta || future.Comp {
-		t.Fatalf("future hello grant = %+v, want plain v0", future)
+	if st := co.Stats(); st.WireV1Conns != 2 {
+		t.Fatalf("WireV1Conns = %d, want the hand client and the future peer", st.WireV1Conns)
 	}
-	if st := co.Stats(); st.WireDowngrades != 1 {
-		t.Fatalf("WireDowngrades = %d, want 1", st.WireDowngrades)
-	}
+	cancelCampaign(t, co, spec, errCh)
+}
 
-	// The checkpoints were synthetic, so the job must not be re-executed
-	// from them: cancel the campaign instead of letting it finish.
-	key, err := SpecKey(spec, CampaignTag{})
+// TestMalformedCheckpointRejected: a progress payload that resolves but
+// is no checkpoint document is refused like a broken delta — answered
+// NeedFull, counted, and never stored or spooled — so it can never
+// become the resume image that every later worker of the job fails on.
+func TestMalformedCheckpointRejected(t *testing.T) {
+	spec := testSpec()
+	stateDir := t.TempDir()
+	co := newCoordinator(t, func(c *Config) { c.StateDir = stateDir })
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := co.Run(spec)
+		errCh <- err
+	}()
+	c := dialTestClient(t, co.Listener.Addr().String(), "hand")
+	assign := c.next()
+	for i, p := range []*wire.Payload{
+		wire.Compress([]byte("garbage")),
+		wire.Compress([]byte(`{"Steps":"many"}`)),
+	} {
+		resp := c.rt(&request{Type: msgProgress, JobID: assign.Job.ID, Attempt: assign.Job.Attempt, Ckpt: p})
+		if resp.Type != msgOK || !resp.NeedFull {
+			t.Fatalf("malformed checkpoint %q answered %+v, want OK+NeedFull", p.Data, resp)
+		}
+		if st := co.Stats(); st.CheckpointsRejected != i+1 || st.Checkpoints != 0 {
+			t.Fatalf("after %q: CheckpointsRejected %d, Checkpoints %d", p.Data, st.CheckpointsRejected, st.Checkpoints)
+		}
+	}
+	co.mu.Lock()
+	stored := co.leases.jobsByID[assign.Job.ID].ckpt
+	co.mu.Unlock()
+	if len(stored) != 0 {
+		t.Fatalf("coordinator stored %q as the job's resume image", stored)
+	}
+	if spooled := spooledCheckpoints(t, stateDir); len(spooled) != 0 {
+		t.Fatalf("malformed checkpoints spooled for %v", spooled)
+	}
+	cancelCampaign(t, co, spec, errCh)
+}
+
+// TestUndecodableResumeFailsJob: a resume image the worker cannot
+// decode fails that attempt — reported as a fail for the job and
+// attempt it was granted — and the worker goes back to polling instead
+// of ending its session. The coordinator is a fake built on wire.Accept
+// so it can hand out an image no real coordinator would store.
+func TestUndecodableResumeFailsJob(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !co.CancelCampaign(key) {
-		t.Fatal("CancelCampaign found no campaign")
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := NewTestWorker(t, "w", "", ln.Addr().String(), testBuild, nil)
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(ctx) }()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
+	sess, err := wire.Accept(conn, conn, []byte(`{"beads":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answer reads the worker's next request, requires its type, and
+	// sends resp back.
+	answer := func(want string, resp *response) *request {
+		t.Helper()
+		var req request
+		if err := sess.Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		if req.Type != want {
+			t.Fatalf("worker sent %+v, want %q", req, want)
+		}
+		if err := sess.Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		return &req
+	}
+	spec := singleJobSpec()
+	job := &wireJob{ID: "j0", Combo: spec.Combos()[0], Seed: 5, Attempt: 3}
+	answer(msgNext, &response{Type: msgAssign, Job: job, Spec: &spec, Resume: wire.Compress([]byte("garbage"))})
+	fail := answer(msgFail, &response{Type: msgOK})
+	if fail.JobID != job.ID || fail.Attempt != job.Attempt || !strings.Contains(fail.Err, "resume checkpoint") {
+		t.Fatalf("worker failed %+v, want job %s attempt %d on its resume checkpoint", fail, job.ID, job.Attempt)
+	}
+	answer(msgNext, &response{Type: msgDrained})
 	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrCampaignCanceled) {
-			t.Fatalf("Run returned %v, want ErrCampaignCanceled", err)
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("worker ended with %v, want a clean drain", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("canceled campaign never returned")
+		t.Fatal("worker never drained")
+	}
+}
+
+// TestRefusedGrantNotRedialed: a hello refused for its protocol is
+// policy, not weather — the worker reports it without re-dialing, even
+// with Reconnect on.
+func TestRefusedGrantNotRedialed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	w := NewTestWorker(t, "w", "", ln.Addr().String(), testBuild, func(c *Config) { c.Reconnect = true })
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(context.Background()) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	// The grant of a coordinator that speaks no version.
+	if _, err := fmt.Fprintln(conn, `{"type":"ok","system":{"beads":3}}`); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if !errors.Is(err, wire.ErrRefused) {
+			t.Fatalf("worker ended with %v, want ErrRefused", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("refused worker kept running")
+	}
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := ln.Accept(); err == nil {
+		again.Close()
+		t.Fatal("refused worker re-dialed")
 	}
 }
 
@@ -329,10 +352,7 @@ func TestDeltaFoldResumeOnWorkerLoss(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t, func(c *Config) {
-		v1Side(c)
-		c.RetryBase = 5 * time.Millisecond
-	})
+	co := newCoordinator(t, func(c *Config) { c.RetryBase = 5 * time.Millisecond })
 
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -406,7 +426,6 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	addr := ln.Addr().String()
 	gate := netsim.NewGate()
 	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
-		v1Side(c)
 		c.LeaseTTL = 2 * time.Second
 		c.StateDir = stateDir
 		c.WrapConn = gate.Wrap
@@ -421,7 +440,6 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	defer cancel()
 	for i := 0; i < 2; i++ {
 		w := NewTestWorker(t, fmt.Sprintf("survivor-v1-%d", i), "", addr, testBuild, func(c *Config) {
-			v1Side(c)
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 20 * time.Millisecond
@@ -451,7 +469,6 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
-		v1Side(c)
 		c.LeaseTTL = 2 * time.Second
 		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir

@@ -145,13 +145,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// rtConn is one session's transport: a negotiated connection that
-// (with Reconnect) transparently re-dials and re-hellos after failures.
+// rtConn is one session's transport: a wire session that (with
+// Reconnect) transparently re-dials and re-hellos after failures.
 // Retrying a request across a reconnect may deliver it twice — once on
 // the dying conn, once on the fresh one — which is exactly the
 // duplicate-delivery case the coordinator's idempotency rules absorb.
-// Each hello renegotiates the wire version, so a reconnect may land on
-// a different (older) coordinator and downgrade the codec mid-session.
 type rtConn struct {
 	w    *Worker
 	name string
@@ -159,7 +157,7 @@ type rtConn struct {
 
 	conn      net.Conn
 	stopWatch func() bool   // disarms the ctx watcher of the current conn
-	sess      *wire.Session // what the last hello negotiated and the system payload it delivered; kept across drops
+	sess      *wire.Session // the last hello's codec and the system payload it delivered; kept across drops
 
 	failingSince time.Time // first failure of the current outage; zero when healthy
 }
@@ -188,8 +186,7 @@ func (c *rtConn) connect(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("dist: dial %s: %w", c.w.Addr, err)
 	}
-	sess, err := wire.Open(conn, conn, wire.Session{Name: c.name, Site: c.w.Site,
-		Version: c.w.cfg.WireVersion, Delta: c.w.cfg.DeltaCheckpoints, Comp: c.w.cfg.Compression})
+	sess, err := wire.Open(conn, conn, c.name, c.w.Site)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("dist: hello: %w", err)
@@ -251,15 +248,6 @@ func (c *rtConn) roundTrip(ctx context.Context, req *request) (*response, error)
 				}
 				continue
 			}
-		}
-		// A reconnect may have renegotiated down to a session that cannot
-		// carry the checkpoint this request was packed with. Degrade the
-		// progress to a plain beat — the checkpoint is an optimization, the
-		// heartbeat is the contract — and let the caller see the conversion
-		// via req.Type so it does not advance its base.
-		if req.Type == msgProgress && !c.sess.Carries(req.Ckpt) {
-			req.Type = msgBeat
-			req.Ckpt = nil
 		}
 		if err := c.sess.Encode(req); err != nil {
 			c.drop()
@@ -381,17 +369,19 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 	// first progress after a resume can already travel as a delta.
 	var ckptBase []byte
 	resume, err := assign.Resume.Resolve(nil)
-	if err != nil {
-		return nil, fmt.Errorf("dist: resume payload for %s: %w", jb.ID, err)
-	}
-	if len(resume) > 0 {
+	if err == nil && len(resume) > 0 {
 		var ck smd.PullCheckpoint
-		if err := json.Unmarshal(resume, &ck); err != nil {
-			return nil, fmt.Errorf("dist: decoding resume checkpoint for %s: %w", jb.ID, err)
+		if err = json.Unmarshal(resume, &ck); err == nil {
+			opts.Resume = &ck
+			prevSteps = ck.Steps
+			ckptBase = resume
 		}
-		opts.Resume = &ck
-		prevSteps = ck.Steps
-		ckptBase = resume
+	}
+	if err != nil {
+		// An image this worker cannot resume from fails the attempt, not
+		// the session: report it and go back to polling.
+		return &request{Type: msgFail, JobID: jb.ID, Attempt: jb.Attempt,
+			Err: fmt.Sprintf("dist: decoding resume checkpoint: %v", err)}, nil
 	}
 	w.m.jobsStarted.Add(1)
 	jobEvents := w.cfg.Events.Scope(obs.Event{Job: jb.ID, Attempt: jb.Attempt,
@@ -494,12 +484,11 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 				}
 				return nil, fmt.Errorf("dist: heartbeat %s: %w", jb.ID, err)
 			}
-			// Advance the delta base only for a checkpoint that actually
-			// traveled (roundTrip degrades a progress built for a richer
-			// connection back to a beat after a downgrading reconnect) and
-			// was cleanly accepted. NeedFull means the coordinator lost our
-			// base (restart, adoption, lost ack): the next one goes full.
-			if req.Type == msgProgress && raw != nil {
+			// Advance the delta base only for a checkpoint that was cleanly
+			// accepted. NeedFull means the coordinator lost our base
+			// (restart, adoption, lost ack) or refused the image: the next
+			// one goes full.
+			if raw != nil {
 				w.m.checkpointsSent.Add(1)
 				w.m.checkpointRawBytes.Add(int64(len(raw)))
 				w.m.checkpointBytes.Add(int64(req.Ckpt.WireLen()))

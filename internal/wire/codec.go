@@ -1,7 +1,7 @@
 package wire
 
-// Codec implementations: what Accept and Open hand every message after
-// the hello exchange to.
+// The codec: what Accept and Open hand every message after the hello
+// exchange to.
 //
 // v1 framing: every message is one CRC-checked internal/trace record.
 // Inside a record:
@@ -16,10 +16,10 @@ package wire
 // travels as a small code (bit 0, always set). Job and Spec and WorkLog
 // travel as JSON blobs — they are either tiny (Job) or bulk documents
 // whose JSON form is the bit-identity contract (WorkLog samples), with
-// lz compression applied to the bulk ones when the connection
-// negotiated it. Unknown kinds, type codes, or bitmap bits are decode
-// errors: v1 is strict, version skew belongs in the hello negotiation,
-// not in silently-ignored fields.
+// lz compression applied to the bulk ones when the codec compresses.
+// Unknown kinds, type codes, or bitmap bits are decode errors: v1 is
+// strict, version skew belongs in the hello, not in silently-ignored
+// fields.
 
 import (
 	"encoding/binary"
@@ -32,50 +32,29 @@ import (
 	"spice/internal/trace"
 )
 
-// Codec frames protocol messages on an established connection. msg is
-// *Request or *Response; each side encodes one and decodes the other.
-// A codec is safe for one concurrent encoder plus one concurrent
-// decoder.
-type Codec interface {
-	Encode(msg any) error
-	Decode(msg any) error
+// Codec frames protocol messages on an established connection, one
+// trace record per message. msg is *Request or *Response; each side
+// encodes one and decodes the other. A codec is safe for one concurrent
+// encoder plus one concurrent decoder.
+type Codec struct {
+	emu      sync.Mutex
+	rw       *trace.RecordWriter
+	buf      []byte
+	dmu      sync.Mutex
+	rr       *trace.RecordReader
+	compress bool
 }
 
-// NewCodec returns the codec for a negotiated version. r must be the
-// same buffered reader the hello line was read from — bytes it buffered
-// past the newline belong to the first framed message. compress enables
-// lz blocks on bulk payloads (v1 only; v0 ignores it — JSON lines have
-// nowhere to put a flags byte).
-func NewCodec(version int, r io.Reader, w io.Writer, compress bool) Codec {
-	if version >= V1 {
-		return &binaryCodec{
-			rr:       trace.NewRecordReader(r),
-			rw:       trace.NewRecordWriter(w, false),
-			compress: compress,
-		}
+// NewCodec returns a codec speaking version, which is V1: the one
+// framing there is. r must be the same buffered reader the hello line
+// was read from — bytes it buffered past the newline belong to the
+// first framed message. compress enables lz blocks on bulk payloads.
+func NewCodec(version int, r io.Reader, w io.Writer, compress bool) *Codec {
+	return &Codec{
+		rr:       trace.NewRecordReader(r),
+		rw:       trace.NewRecordWriter(w, false),
+		compress: compress,
 	}
-	return &jsonCodec{enc: json.NewEncoder(w), dec: json.NewDecoder(r)}
-}
-
-// jsonCodec is v0: one JSON object per line, exactly the bytes the dist
-// package spoke before this package existed.
-type jsonCodec struct {
-	emu sync.Mutex
-	enc *json.Encoder
-	dmu sync.Mutex
-	dec *json.Decoder
-}
-
-func (c *jsonCodec) Encode(msg any) error {
-	c.emu.Lock()
-	defer c.emu.Unlock()
-	return c.enc.Encode(msg)
-}
-
-func (c *jsonCodec) Decode(msg any) error {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	return c.dec.Decode(msg)
 }
 
 // Message type codes for v1 frames.
@@ -134,17 +113,7 @@ const (
 		respBitDelta | respBitComp | respBitNeedFull
 )
 
-// binaryCodec is v1: one trace record per message.
-type binaryCodec struct {
-	emu      sync.Mutex
-	rw       *trace.RecordWriter
-	buf      []byte
-	dmu      sync.Mutex
-	rr       *trace.RecordReader
-	compress bool
-}
-
-func (c *binaryCodec) Encode(msg any) error {
+func (c *Codec) Encode(msg any) error {
 	c.emu.Lock()
 	defer c.emu.Unlock()
 	var err error
@@ -165,7 +134,7 @@ func (c *binaryCodec) Encode(msg any) error {
 	return c.rw.Flush()
 }
 
-func (c *binaryCodec) Decode(msg any) error {
+func (c *Codec) Decode(msg any) error {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
 	rec, err := c.rr.Next()
@@ -402,7 +371,7 @@ func appendPayload(dst []byte, p *Payload) []byte {
 }
 
 // appendJSONBlob marshals v and writes it as a payload-framed blob,
-// compressed when the connection negotiated it and it pays.
+// compressed when the codec compresses and it pays.
 func appendJSONBlob(dst []byte, v any, present, compress bool) ([]byte, error) {
 	if !present {
 		return dst, nil

@@ -1,23 +1,14 @@
-// Package wire is the versioned coordinator↔worker transport: the
-// message vocabulary (Request/Response), the opaque bulk Payload type
-// with explicit compression/delta flags, and the Codec implementations
-// behind per-connection version negotiation.
+// Package wire is the coordinator↔worker transport: the message
+// vocabulary (Request/Response), the opaque bulk Payload type with
+// explicit compression/delta flags, the hello exchange and the Codec.
 //
-// Two versions exist. v0 is the original JSON-lines protocol — one
-// request and one response object per line, netcat-debuggable, byte
-// identical to what the dist package spoke before this package existed,
-// so old workers and coordinators interoperate without ceremony. v1
-// frames every message as a CRC-checked internal/trace record whose
-// payload is a field-bitmap + varint binary encoding, with lz block
-// compression on bulk payloads and delta encoding on checkpoints.
-//
-// Version discovery cannot require already knowing the version, so the
-// hello exchange (Accept, Open) always travels as one JSON line per
-// direction: the worker offers its maximum version, the coordinator
-// grants min(its own, offered), and both sides switch codecs at the byte
-// after the grant's newline. An absent version field is v0 — which is
-// precisely what an old peer sends, and what an unknown
-// (newer-than-known) offer downgrades to.
+// There is one protocol, v1: every message after the hello is a
+// CRC-checked internal/trace record whose payload is a field-bitmap +
+// varint binary encoding, with lz block compression on bulk payloads
+// and delta encoding on checkpoints. The hello exchange (Accept, Open)
+// travels as one JSON line per direction — the worker offers v1, the
+// coordinator grants it — and both sides switch to the codec at the
+// byte after the grant's newline.
 package wire
 
 import (
@@ -27,40 +18,9 @@ import (
 	"hash/crc32"
 )
 
-// Protocol versions. The hello exchange negotiates one per connection.
-const (
-	// V0 is the legacy JSON-lines transport.
-	V0 = 0
-	// V1 frames messages as CRC-checked trace records with varint
-	// fields and lz-compressed/delta-encoded bulk payloads.
-	V1 = 1
-	// MaxVersion is the newest version this build speaks.
-	MaxVersion = V1
-)
-
-// Negotiate picks the version a connection speaks from the local
-// maximum and the version the peer's hello offered. An offer newer
-// than MaxVersion is unknown — it downgrades to v0, the one version
-// every peer speaks, and downgraded reports it so the caller can log
-// the event (nothing is silently deprecated).
-func Negotiate(localMax, offered int) (version int, downgraded bool) {
-	if localMax > MaxVersion {
-		localMax = MaxVersion
-	}
-	if localMax < 0 {
-		localMax = 0
-	}
-	if offered <= 0 {
-		return V0, false
-	}
-	if offered > MaxVersion {
-		return V0, true
-	}
-	if offered < localMax {
-		return offered, false
-	}
-	return localMax, false
-}
+// V1 is the protocol version a hello offers and a grant carries: binary
+// framing with lz-compressed and delta-encoded bulk payloads.
+const V1 = 1
 
 // Payload encodings. EncodingJSON is the only one defined: every bulk
 // value dist ships (checkpoints, resume images, system configs) is a
@@ -203,15 +163,13 @@ func (p *Payload) Resolve(base []byte) ([]byte, error) {
 	return nil, fmt.Errorf("wire: unknown payload flags %#x: %w", p.Flags, ErrCorrupt)
 }
 
-// MarshalJSON emits a plain JSON payload verbatim, so on a v0
-// JSON-lines connection a checkpoint travels byte-for-byte as it did
-// before this package existed and old peers interoperate. A compressed
-// or delta payload on a JSON connection is a negotiation bug; it
-// refuses to marshal rather than feeding an old peer bytes it would
-// misread as a document.
+// MarshalJSON emits a plain JSON payload verbatim: the form the system
+// payload takes on the grant line. A compressed or delta payload has no
+// JSON form; it refuses to marshal rather than feeding a peer bytes it
+// would misread as a document.
 func (p Payload) MarshalJSON() ([]byte, error) {
 	if p.Encoding != EncodingJSON || p.Flags != 0 {
-		return nil, fmt.Errorf("wire: payload (encoding %d, flags %#x) cannot travel on a JSON connection", p.Encoding, p.Flags)
+		return nil, fmt.Errorf("wire: payload (encoding %d, flags %#x) has no JSON form", p.Encoding, p.Flags)
 	}
 	if len(p.Data) == 0 {
 		return []byte("null"), nil
@@ -219,7 +177,7 @@ func (p Payload) MarshalJSON() ([]byte, error) {
 	return p.Data, nil
 }
 
-// UnmarshalJSON captures the raw JSON value — the v0 read path.
+// UnmarshalJSON captures the raw JSON value — the grant line's read path.
 func (p *Payload) UnmarshalJSON(b []byte) error {
 	p.Encoding, p.Flags = EncodingJSON, 0
 	p.Data = append(p.Data[:0:0], b...)

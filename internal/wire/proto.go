@@ -2,11 +2,11 @@ package wire
 
 // The message vocabulary of the coordinator↔worker conversation. These
 // structs used to live in internal/dist; they moved here so the codec
-// layer owns the full wire contract — field set, JSON tags for v0, and
-// the binary field table for v1 — while dist aliases them under its
-// historical names. The conversation is strictly request/response,
-// worker-initiated: every worker message gets exactly one coordinator
-// message back, so framing never needs message IDs in either version.
+// layer owns the full wire contract — field set, JSON tags for the hello
+// lines, and the binary field table for v1 — while dist aliases them
+// under its historical names. The conversation is strictly
+// request/response, worker-initiated: every worker message gets exactly
+// one coordinator message back, so framing never needs message IDs.
 
 import (
 	"spice/internal/campaign"
@@ -16,7 +16,7 @@ import (
 // Message types.
 const (
 	// worker → coordinator
-	MsgHello    = "hello"    // register + negotiate; reply carries the system payload
+	MsgHello    = "hello"    // register + offer v1; reply carries the system payload
 	MsgNext     = "next"     // request a job; reply assign/wait/drained
 	MsgBeat     = "beat"     // lease heartbeat, no new checkpoint
 	MsgProgress = "progress" // heartbeat carrying a fresh checkpoint
@@ -53,10 +53,9 @@ type Request struct {
 	// lease the coordinator already retired is acked and dropped rather
 	// than applied twice. 0 (old workers) is treated as a wildcard.
 	Attempt int `json:"attempt,omitempty"`
-	// Ckpt is the smd.PullCheckpoint on progress messages — plain JSON
-	// on v0 connections, possibly compressed or delta-encoded against
-	// the last acknowledged base on v1. It stays opaque to the
-	// coordinator's scheduler; only the payload layer folds it.
+	// Ckpt is the smd.PullCheckpoint on progress messages, compressed or
+	// delta-encoded against the last acknowledged base. It stays opaque
+	// to the coordinator's scheduler; only the payload layer folds it.
 	Ckpt *Payload `json:"ckpt,omitempty"`
 	// Log is the result payload. Go's encoding/json prints float64
 	// values with enough digits to round-trip exactly, so shipping work
@@ -64,11 +63,9 @@ type Request struct {
 	Log *trace.WorkLog `json:"log,omitempty"`
 	Err string         `json:"err,omitempty"` // fail reason
 
-	// Negotiation fields, meaningful on hello only. Wire is the newest
-	// protocol version the worker speaks (absent = 0 = the legacy JSON
-	// transport, which is exactly what an old worker sends); NoDelta and
-	// NoComp opt out of incremental checkpoints and payload compression
-	// even when the negotiated version would support them.
+	// Hello fields. Wire is the newest protocol version the worker speaks;
+	// absent (0) is refused. NoDelta and NoComp are opt-outs older workers
+	// may still send; Accept ignores them.
 	Wire    int  `json:"wire,omitempty"`
 	NoDelta bool `json:"noDelta,omitempty"`
 	NoComp  bool `json:"noComp,omitempty"`
@@ -89,9 +86,8 @@ type Response struct {
 	System *Payload       `json:"system,omitempty"`
 	Err    string         `json:"err,omitempty"`
 
-	// Negotiation fields on the hello reply: the granted version
-	// (absent = 0 — what an old coordinator sends) and whether delta
-	// checkpoints / payload compression are on for this connection.
+	// Grant fields on the hello reply: the version (V1) and that delta
+	// checkpoints and payload compression are on; every grant says so.
 	Wire  int  `json:"wire,omitempty"`
 	Delta bool `json:"delta,omitempty"`
 	Comp  bool `json:"comp,omitempty"`

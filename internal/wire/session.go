@@ -8,38 +8,37 @@ import (
 	"io"
 )
 
-// ErrRefused reports a hello the peer answered with an error instead of
-// a grant: the ends disagree about the protocol, so re-dialing is futile.
+// ErrRefused reports a hello the peer answered with an error or a grant
+// this end cannot speak: the ends disagree about the protocol, so
+// re-dialing is futile.
 var ErrRefused = errors.New("wire: hello refused")
 
-// Session is one end of a negotiated connection. Going into Accept or
-// Open it states what this end will speak: the newest Version, whether
-// Delta checkpoints and Comp(ression) are allowed, and the worker's Name
-// and Site (Open) or the System payload to hand out (Accept). Coming
-// back it states what the ends agreed on, with the Codec (nil going in)
-// at the first framed byte. Delta and Comp are never set on a v0 session.
+// refusedUnversioned answers a hello that offers no version: a peer
+// still speaking the retired JSON-lines protocol.
+const refusedUnversioned = "wire: hello offers no version; v1 is required"
+
+// Session is one end of an established connection: the Codec positioned
+// at the first framed byte, the worker's Name and Site, and the System
+// payload the grant carried.
 type Session struct {
-	Codec
+	*Codec
 	// Name and Site identify the worker end. Accept defaults an empty Site
 	// to Name: an unconfigured worker is its own one-machine site.
-	Name, Site  string
-	Version     int
-	Delta, Comp bool
+	Name, Site string
 	// System is the coordinator's opaque payload, plain on the grant line.
 	System []byte
-	// Offered is the version the worker's hello asked for (Accept only);
-	// Downgraded marks one newer than MaxVersion, which is served on V0.
-	Offered    int
-	Downgraded bool
 }
 
 // Accept serves the coordinator half of the hello exchange: it reads the
-// worker's hello line from r, negotiates against local, and writes the
-// grant line carrying local.System to w. A first line that is not a
-// hello is answered with one JSON error line and returned as an error.
-// The hello is read as a raw line (a json.Decoder buffers past the
-// value), so the Codec starts at exactly the byte after its newline.
-func Accept(r io.Reader, w io.Writer, local Session) (*Session, error) {
+// worker's hello line from r and writes the grant line carrying system
+// to w. Every grant is the same — v1 with delta checkpoints and
+// compression — and goes to any hello offering v1 or newer (the offer
+// is the newest version the worker speaks). A first line that is not a
+// hello, or a hello offering no version, is answered with one JSON error
+// line and returned as an error. The hello is read as a raw line (a
+// json.Decoder buffers past the value), so the Codec starts at exactly
+// the byte after its newline.
+func Accept(r io.Reader, w io.Writer, system []byte) (*Session, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
 	if err != nil {
@@ -51,30 +50,26 @@ func Accept(r io.Reader, w io.Writer, local Session) (*Session, error) {
 		_ = writeLine(w, &Response{Type: MsgOK, Err: "dist: expected hello"})
 		return nil, errors.New("wire: first message is not a hello")
 	}
-	s := &Session{Name: hello.Name, Site: hello.Site, Offered: hello.Wire}
-	if s.Site == "" {
-		s.Site = s.Name
+	if hello.Wire < V1 {
+		_ = writeLine(w, &Response{Type: MsgOK, Err: refusedUnversioned})
+		return nil, errors.New(refusedUnversioned)
 	}
-	s.Version, s.Downgraded = Negotiate(local.Version, hello.Wire)
-	s.Delta = s.Version >= V1 && local.Delta && !hello.NoDelta
-	s.Comp = s.Version >= V1 && local.Comp && !hello.NoComp
-	grant := &Response{Type: MsgOK, System: JSONPayload(local.System),
-		Wire: s.Version, Delta: s.Delta, Comp: s.Comp}
+	grant := &Response{Type: MsgOK, System: JSONPayload(system), Wire: V1, Delta: true, Comp: true}
 	if err := writeLine(w, grant); err != nil {
 		return nil, err
 	}
-	s.Codec = NewCodec(s.Version, br, w, s.Comp)
+	s := &Session{Codec: NewCodec(V1, br, w, true), Name: hello.Name, Site: hello.Site}
+	if s.Site == "" {
+		s.Site = s.Name
+	}
 	return s, nil
 }
 
-// Open performs the worker half: it writes offer's hello line to w and
-// reads the grant from r. A grant this end never offered or cannot speak
-// is clamped to V0, the one version every peer speaks, rather than
-// failing the fleet. A refusal is returned wrapped in ErrRefused.
-func Open(r io.Reader, w io.Writer, offer Session) (*Session, error) {
-	hello := &Request{Type: MsgHello, Name: offer.Name, Site: offer.Site,
-		Wire: offer.Version, NoDelta: !offer.Delta, NoComp: !offer.Comp}
-	if err := writeLine(w, hello); err != nil {
+// Open performs the worker half: it writes a hello offering v1 to w and
+// reads the grant from r. A refusal, or any grant but v1 with delta
+// checkpoints and compression, is returned wrapped in ErrRefused.
+func Open(r io.Reader, w io.Writer, name, site string) (*Session, error) {
+	if err := writeLine(w, &Request{Type: MsgHello, Name: name, Site: site, Wire: V1}); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReader(r)
@@ -89,17 +84,15 @@ func Open(r io.Reader, w io.Writer, offer Session) (*Session, error) {
 	if grant.Err != "" {
 		return nil, fmt.Errorf("%w: %s", ErrRefused, grant.Err)
 	}
-	s := &Session{Name: offer.Name, Site: offer.Site, Version: grant.Wire}
-	if s.Version > offer.Version || s.Version > MaxVersion || s.Version < 0 {
-		s.Version = V0
+	if grant.Wire != V1 || !grant.Delta || !grant.Comp {
+		return nil, fmt.Errorf("%w: granted wire %d (delta %v, compression %v), want v1 with both",
+			ErrRefused, grant.Wire, grant.Delta, grant.Comp)
 	}
-	s.Delta = grant.Delta && s.Version >= V1
-	s.Comp = grant.Comp && s.Version >= V1
-	if s.System, err = grant.System.Resolve(nil); err != nil {
+	system, err := grant.System.Resolve(nil)
+	if err != nil {
 		return nil, fmt.Errorf("system payload: %w", err)
 	}
-	s.Codec = NewCodec(s.Version, br, w, s.Comp)
-	return s, nil
+	return &Session{Codec: NewCodec(V1, br, w, true), Name: name, Site: site, System: system}, nil
 }
 
 func writeLine(w io.Writer, msg any) error {
@@ -112,24 +105,7 @@ func writeLine(w io.Writer, msg any) error {
 }
 
 // Pack is the payload-form rule: raw travels as a delta against base
-// when deltas were granted and a base exists, else compressed when
-// compression was granted, else plain.
+// when a base exists, else compressed (plain when that does not pay).
 func (s *Session) Pack(base, raw []byte) *Payload {
-	switch {
-	case s.Delta && len(base) > 0:
-		return Delta(base, raw)
-	case s.Comp:
-		return Compress(raw)
-	}
-	return JSONPayload(raw)
-}
-
-// Carries reports whether p — possibly packed for an earlier session,
-// before a reconnect renegotiated — can travel on this one: a v0 JSON
-// line frames only plain payloads, and a delta needs the grant.
-func (s *Session) Carries(p *Payload) bool {
-	if p == nil || p.Flags == 0 {
-		return true
-	}
-	return s.Version >= V1 && (s.Delta || !p.IsDelta())
+	return Delta(base, raw)
 }

@@ -13,239 +13,222 @@ import (
 	"spice/internal/trace"
 )
 
-// The hello and grant lines of the three version pairings, captured
-// from the commit before Accept and Open existed (a dist.Worker named
-// "w" on slot 0 against a dist.Coordinator serving {"beads":3}), plus
-// the refusal line. Peers built from any commit since PR 10 send and
-// expect exactly these bytes.
+// The hello lines of a dist.Worker named "w" on slot 0 and the grant of
+// a dist.Coordinator serving {"beads":3}, captured before Accept and
+// Open existed. v1 peers built from any commit since send and expect
+// exactly these bytes.
+const (
+	offerGolden = `{"type":"hello","name":"w/0","site":"w","wire":1}` + "\n"
+	grantGolden = `{"type":"ok","system":{"beads":3},"wire":1,"delta":true,"comp":true}` + "\n"
+	// refusalGolden answers a first line that is not a hello;
+	// refusalV0Golden a hello that offers no version.
+	refusalGolden   = `{"type":"ok","err":"dist: expected hello"}` + "\n"
+	refusalV0Golden = `{"type":"ok","err":"wire: hello offers no version; v1 is required"}` + "\n"
+)
+
+// helloGolden pairs this build with itself and with a peer from before
+// v1 on either end: the captured unversioned offer, and the captured
+// grant that carried no version. This build plays only the v1 end of
+// the v0 rows, and those rows pin how it refuses.
 var helloGolden = []struct {
-	name           string
-	worker, coord  Session // what each end is willing to speak
-	offer, grant   string
-	version        int
-	delta, comp    bool
-	coordSeesOffer int
+	name          string
+	offer, reply  string
+	worker, coord bool // this build plays the worker / the coordinator end
+	served        bool
 }{
-	{
-		name:    "v1-worker-v1-coordinator",
-		worker:  Session{Name: "w/0", Site: "w", Version: V1, Delta: true, Comp: true},
-		coord:   Session{Version: V1, Delta: true, Comp: true},
-		offer:   `{"type":"hello","name":"w/0","site":"w","wire":1}` + "\n",
-		grant:   `{"type":"ok","system":{"beads":3},"wire":1,"delta":true,"comp":true}` + "\n",
-		version: V1, delta: true, comp: true, coordSeesOffer: V1,
-	},
-	{
-		name:   "v0-worker-v1-coordinator",
-		worker: Session{Name: "w/0", Site: "w"},
-		coord:  Session{Version: V1, Delta: true, Comp: true},
-		offer:  `{"type":"hello","name":"w/0","site":"w","noDelta":true,"noComp":true}` + "\n",
-		grant:  `{"type":"ok","system":{"beads":3}}` + "\n",
-	},
-	{
-		name:           "v1-worker-v0-coordinator",
-		worker:         Session{Name: "w/0", Site: "w", Version: V1, Delta: true, Comp: true},
-		coord:          Session{},
-		offer:          `{"type":"hello","name":"w/0","site":"w","wire":1}` + "\n",
-		grant:          `{"type":"ok","system":{"beads":3}}` + "\n",
-		coordSeesOffer: V1,
-	},
+	{"v1-worker-v1-coordinator", offerGolden, grantGolden, true, true, true},
+	{"v0-worker-v1-coordinator", `{"type":"hello","name":"w/0","site":"w","noDelta":true,"noComp":true}` + "\n",
+		refusalV0Golden, false, true, false},
+	{"v1-worker-v0-coordinator", offerGolden, `{"type":"ok","system":{"beads":3}}` + "\n", true, false, false},
 }
 
-// codecVersion names the framing a session actually installed.
-func codecVersion(c Codec) int {
-	if _, ok := c.(*binaryCodec); ok {
-		return V1
-	}
-	return V0
+// grantLine is the one grant Accept writes, for any system payload.
+func grantLine(system []byte) string {
+	b, _ := json.Marshal(&Response{Type: MsgOK, System: JSONPayload(system), Wire: V1, Delta: true, Comp: true})
+	return string(b) + "\n"
 }
-
-const refusalGolden = `{"type":"ok","err":"dist: expected hello"}` + "\n"
 
 // TestHelloGolden pins both halves of the exchange byte-for-byte: Open
-// must write the captured offer when fed the captured grant, Accept
-// must write the captured grant when fed the captured offer, and both
-// must come away with the same agreement.
+// must write the captured offer and Accept the captured reply, a served
+// pair must hand over at the first framed byte (the worker's first
+// frame decodes on the coordinator's codec), and a refused one must
+// fail on the side this build plays.
 func TestHelloGolden(t *testing.T) {
 	system := []byte(`{"beads":3}`)
+	if got := grantLine(system); got != grantGolden {
+		t.Fatalf("grant line:\n got %q\nwant %q", got, grantGolden)
+	}
 	for _, g := range helloGolden {
 		t.Run(g.name, func(t *testing.T) {
-			var offer bytes.Buffer
-			ws, err := Open(strings.NewReader(g.grant), &offer, g.worker)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			if offer.String() != g.offer {
-				t.Errorf("offer line:\n got %q\nwant %q", offer.String(), g.offer)
-			}
-			if !bytes.Equal(ws.System, system) {
-				t.Errorf("worker resolved system %q, want %q", ws.System, system)
-			}
-
-			g.coord.System = system
-			var grant bytes.Buffer
-			cs, err := Accept(strings.NewReader(g.offer), &grant, g.coord)
-			if err != nil {
-				t.Fatalf("Accept: %v", err)
-			}
-			if grant.String() != g.grant {
-				t.Errorf("grant line:\n got %q\nwant %q", grant.String(), g.grant)
-			}
-			if cs.Name != "w/0" || cs.Site != "w" || cs.Offered != g.coordSeesOffer || cs.Downgraded {
-				t.Errorf("coordinator saw %q at %q offering %d (downgraded %v)", cs.Name, cs.Site, cs.Offered, cs.Downgraded)
-			}
-			for side, s := range map[string]*Session{"worker": ws, "coordinator": cs} {
-				if s.Version != g.version || s.Delta != g.delta || s.Comp != g.comp || codecVersion(s.Codec) != g.version {
-					t.Errorf("%s agreed v%d delta=%v comp=%v (codec v%d), want v%d delta=%v comp=%v",
-						side, s.Version, s.Delta, s.Comp, codecVersion(s.Codec), g.version, g.delta, g.comp)
+			in := g.offer
+			var ws *Session
+			if g.worker {
+				var offer bytes.Buffer
+				var err error
+				ws, err = Open(strings.NewReader(g.reply), &offer, "w/0", "w")
+				if offer.String() != g.offer {
+					t.Errorf("offer line:\n got %q\nwant %q", offer.String(), g.offer)
 				}
+				switch {
+				case !g.served:
+					if !errors.Is(err, ErrRefused) {
+						t.Fatalf("Open on %q = %v, want ErrRefused", g.reply, err)
+					}
+				case err != nil:
+					t.Fatalf("Open: %v", err)
+				case !bytes.Equal(ws.System, system) || ws.Name != "w/0" || ws.Site != "w":
+					t.Errorf("worker session %q at %q with system %q", ws.Name, ws.Site, ws.System)
+				default:
+					if err := ws.Encode(&Request{Type: MsgNext}); err != nil {
+						t.Fatal(err)
+					}
+					in = offer.String()
+				}
+			}
+			if !g.coord {
+				return
+			}
+			var reply bytes.Buffer
+			cs, err := Accept(strings.NewReader(in), &reply, system)
+			if reply.String() != g.reply {
+				t.Errorf("reply line:\n got %q\nwant %q", reply.String(), g.reply)
+			}
+			if (err == nil) != g.served {
+				t.Fatalf("Accept: %v, want served=%v", err, g.served)
+			}
+			if err != nil {
+				return
+			}
+			if cs.Name != "w/0" || cs.Site != "w" {
+				t.Errorf("coordinator saw %q at %q", cs.Name, cs.Site)
+			}
+			var req Request
+			if err := cs.Decode(&req); err != nil || req.Type != MsgNext {
+				t.Errorf("first frame after the hello: %+v, %v", req, err)
 			}
 		})
 	}
 }
 
 func TestAcceptRefusesAndDowngrades(t *testing.T) {
-	local := Session{Version: V1, Delta: true, Comp: true}
-	for _, first := range []string{"not json\n", `{"type":"next"}` + "\n", "\n"} {
+	system := []byte(`{"beads":3}`)
+	for first, want := range map[string]string{
+		"not json\n":                           refusalGolden,
+		`{"type":"next"}` + "\n":               refusalGolden,
+		"\n":                                   refusalGolden,
+		`{"type":"hello","name":"old"}` + "\n": refusalV0Golden,
+		`{"type":"hello","wire":-1}` + "\n":    refusalV0Golden,
+	} {
 		var out bytes.Buffer
-		if s, err := Accept(strings.NewReader(first), &out, local); err == nil {
+		if s, err := Accept(strings.NewReader(first), &out, system); err == nil {
 			t.Errorf("Accept(%q) = %+v, want an error", first, s)
 		}
-		if out.String() != refusalGolden {
-			t.Errorf("Accept(%q) replied %q, want %q", first, out.String(), refusalGolden)
+		if out.String() != want {
+			t.Errorf("Accept(%q) replied %q, want %q", first, out.String(), want)
 		}
 	}
 	// No newline at all: nothing to answer.
 	var out bytes.Buffer
-	if _, err := Accept(strings.NewReader(`{"type":"hello"`), &out, local); err == nil || out.Len() != 0 {
+	if _, err := Accept(strings.NewReader(`{"type":"hello"`), &out, system); err == nil || out.Len() != 0 {
 		t.Errorf("unterminated hello: err %v, reply %q", err, out.String())
 	}
-	// A peer from the future is served on v0, defaults its site to its
-	// name, and the downgrade is reported.
+	// A peer from the future offers the newest version it speaks: it is
+	// granted v1 like every other, and its site defaults to its name.
 	out.Reset()
-	s, err := Accept(strings.NewReader(`{"type":"hello","name":"f","wire":99}`+"\n"), &out, local)
+	s, err := Accept(strings.NewReader(`{"type":"hello","name":"f","wire":99}`+"\n"), &out, system)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Version != V0 || !s.Downgraded || s.Offered != 99 || s.Delta || s.Comp || s.Site != "f" {
-		t.Errorf("future offer: %+v", s)
-	}
-	if out.String() != `{"type":"ok"}`+"\n" {
-		t.Errorf("future offer granted %q", out.String())
+	if s.Name != "f" || s.Site != "f" || out.String() != grantGolden {
+		t.Errorf("future offer: %q at %q granted %q", s.Name, s.Site, out.String())
 	}
 }
 
 func TestOpenClampsAndRefusal(t *testing.T) {
 	var sink bytes.Buffer
-	_, err := Open(strings.NewReader(refusalGolden), &sink, Session{Name: "w"})
+	_, err := Open(strings.NewReader(refusalGolden), &sink, "w", "w")
 	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "dist: expected hello") {
 		t.Errorf("refused hello: %v", err)
 	}
-	// A grant above the offer, above MaxVersion or negative falls back to
-	// v0, and v0 never carries delta or compression whatever the line says.
-	for _, tc := range []struct {
-		offer int
-		grant string
-	}{
-		{V0, `{"type":"ok","wire":1,"delta":true,"comp":true}`},
-		{99, `{"type":"ok","wire":7,"delta":true,"comp":true}`},
-		{V1, `{"type":"ok","wire":-3,"delta":true,"comp":true}`},
+	// Anything but the v1 grant with delta and compression is a protocol
+	// this end does not speak.
+	for _, grant := range []string{
+		`{"type":"ok","system":{"beads":3}}`,
+		`{"type":"ok","wire":7,"delta":true,"comp":true}`,
+		`{"type":"ok","wire":-3,"delta":true,"comp":true}`,
+		`{"type":"ok","wire":1,"comp":true}`,
+		`{"type":"ok","wire":1,"delta":true}`,
 	} {
-		s, err := Open(strings.NewReader(tc.grant+"\n"), &sink, Session{Version: tc.offer, Delta: true, Comp: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Version != V0 || s.Delta || s.Comp || codecVersion(s.Codec) != V0 {
-			t.Errorf("offer %d, grant %s: agreed %+v", tc.offer, tc.grant, s)
+		if s, err := Open(strings.NewReader(grant+"\n"), &sink, "w", "w"); !errors.Is(err, ErrRefused) {
+			t.Errorf("grant %s: session %+v, err %v, want ErrRefused", grant, s, err)
 		}
 	}
 }
 
 func TestSessionPackAndCarries(t *testing.T) {
 	base, raw := growingDoc(100), growingDoc(110)
-	plain, comp, delta := JSONPayload(raw), Compress(raw), Delta(base, raw)
-	for _, tc := range []struct {
-		name             string
-		s                Session
-		noBase, withBase byte // flags Pack chooses
-		carries          [3]bool
-	}{
-		{"v0", Session{}, 0, 0, [3]bool{true, false, false}},
-		{"v1-bare", Session{Version: V1}, 0, 0, [3]bool{true, true, false}},
-		{"v1-comp", Session{Version: V1, Comp: true}, FlagCompressed, FlagCompressed, [3]bool{true, true, false}},
-		{"v1-delta", Session{Version: V1, Delta: true}, 0, FlagDelta, [3]bool{true, true, true}},
-		{"v1-full", Session{Version: V1, Delta: true, Comp: true}, FlagCompressed, FlagDelta, [3]bool{true, true, true}},
-	} {
-		if got := tc.s.Pack(nil, raw).Flags; got != tc.noBase {
-			t.Errorf("%s: Pack without a base chose flags %#x, want %#x", tc.name, got, tc.noBase)
-		}
-		p := tc.s.Pack(base, raw)
-		if p.Flags != tc.withBase {
-			t.Errorf("%s: Pack with a base chose flags %#x, want %#x", tc.name, p.Flags, tc.withBase)
-		}
-		if got, err := p.Resolve(base); err != nil || !bytes.Equal(got, raw) {
-			t.Errorf("%s: packed payload does not resolve: %v", tc.name, err)
-		}
-		if !tc.s.Carries(p) {
-			t.Errorf("%s: session cannot carry what it packed", tc.name)
-		}
-		for i, q := range []*Payload{plain, comp, delta} {
-			if got := tc.s.Carries(q); got != tc.carries[i] {
-				t.Errorf("%s: Carries(flags %#x) = %v, want %v", tc.name, q.Flags, got, tc.carries[i])
-			}
-		}
-		if !tc.s.Carries(nil) || tc.s.Pack(base, nil) != nil {
-			t.Errorf("%s: nil payload mishandled", tc.name)
-		}
+	var s Session
+	if got := s.Pack(nil, raw).Flags; got != FlagCompressed {
+		t.Errorf("Pack without a base chose flags %#x, want compressed", got)
+	}
+	p := s.Pack(base, raw)
+	if p.Flags != FlagDelta {
+		t.Errorf("Pack with a base chose flags %#x, want a delta", p.Flags)
+	}
+	if got, err := p.Resolve(base); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("packed delta does not resolve: %v", err)
+	}
+	if got := s.Pack(nil, []byte(`{}`)).Flags; got != 0 {
+		t.Errorf("Pack of a document compression cannot shrink chose flags %#x, want plain", got)
+	}
+	if s.Pack(base, nil) != nil {
+		t.Errorf("nil payload mishandled")
 	}
 }
 
-// FuzzAccept feeds the coordinator's one pre-negotiation decoder an
-// arbitrary first line plus whatever follows it on the connection.
+// FuzzAccept feeds the coordinator's one pre-grant decoder an arbitrary
+// first line plus whatever follows it on the connection, with an
+// arbitrary system payload: every reply is one JSON line, and every
+// grant is the golden grant carrying that system.
 func FuzzAccept(f *testing.F) {
+	beads := []byte(`{"beads":3}`)
 	for _, g := range helloGolden {
-		f.Add([]byte(g.offer), 1)
+		f.Add([]byte(g.offer), beads)
 	}
 	frame, _ := appendRequest(nil, &Request{Type: MsgNext}, false)
 	var framed bytes.Buffer
 	rw := trace.NewRecordWriter(&framed, false)
 	_ = rw.Append(frame)
 	_ = rw.Flush()
-	f.Add(append([]byte(helloGolden[0].offer), framed.Bytes()...), 1)
-	f.Add([]byte(`{"type":"hello","name":"f","wire":99}`+"\n"+`{"type":"next"}`+"\n"), 1)
-	f.Add([]byte(`{"type":"hello","wire":-1,"noComp":true}`+"\n"), 0)
-	f.Add([]byte("not json\n"), 1)
-	f.Add([]byte(`{"type":"next"}`+"\n"), 1)
-	f.Add([]byte(`{"type":"hello"`), 7)
-	f.Fuzz(func(t *testing.T, in []byte, localMax int) {
+	f.Add(append([]byte(offerGolden), framed.Bytes()...), beads)
+	f.Add([]byte(`{"type":"hello","name":"f","wire":99}`+"\n"+`{"type":"next"}`+"\n"), []byte(`{"a": [1, 2]}`))
+	f.Add([]byte(`{"type":"hello","wire":-1,"noComp":true}`+"\n"), beads)
+	f.Add([]byte("not json\n"), beads)
+	f.Add([]byte(`{"type":"next"}`+"\n"), []byte("not json"))
+	f.Add([]byte(`{"type":"hello"`), []byte(nil))
+	f.Fuzz(func(t *testing.T, in, system []byte) {
 		var out bytes.Buffer
-		local := Session{Version: localMax, Delta: true, Comp: true, System: []byte(`{"beads":3}`)}
-		s, err := Accept(bytes.NewReader(in), &out, local)
+		s, err := Accept(bytes.NewReader(in), &out, system)
 		reply := out.Bytes()
 		if len(reply) > 0 && (bytes.Count(reply, []byte("\n")) != 1 || reply[len(reply)-1] != '\n') {
 			t.Fatalf("reply is not one line: %q", reply)
 		}
-		var grant Response
+		var resp Response
 		if len(reply) > 0 {
-			if err := json.Unmarshal(reply, &grant); err != nil {
+			if err := json.Unmarshal(reply, &resp); err != nil {
 				t.Fatalf("reply %q is not JSON: %v", reply, err)
 			}
 		}
 		if err != nil {
-			if len(reply) > 0 && grant.Err == "" {
+			if len(reply) > 0 && resp.Err == "" {
 				t.Fatalf("Accept failed (%v) but granted %q", err, reply)
 			}
 			return
 		}
-		if s.Version < V0 || s.Version > MaxVersion || s.Version > max(localMax, V0) {
-			t.Fatalf("granted v%d to local max %d", s.Version, localMax)
+		if want := grantLine(system); string(reply) != want {
+			t.Fatalf("grant %q, want %q", reply, want)
 		}
-		if grant.Err != "" || grant.Wire != s.Version || grant.Delta != s.Delta || grant.Comp != s.Comp {
-			t.Fatalf("grant line %q disagrees with session %+v", reply, s)
-		}
-		if (s.Delta || s.Comp) && s.Version < V1 {
-			t.Fatalf("v0 session with delta=%v comp=%v", s.Delta, s.Comp)
-		}
-		// Whatever followed the hello belongs to the negotiated codec.
+		// Whatever followed the hello belongs to the codec.
 		var req Request
 		_ = s.Decode(&req)
 	})

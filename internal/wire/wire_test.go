@@ -13,28 +13,6 @@ import (
 	"spice/internal/trace"
 )
 
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		localMax, offered int
-		want              int
-		downgraded        bool
-	}{
-		{MaxVersion, 0, V0, false},  // old worker: no offer
-		{MaxVersion, -1, V0, false}, // nonsense offer
-		{MaxVersion, V1, V1, false},
-		{V0, V1, V0, false},                    // coordinator pinned to v0
-		{MaxVersion, MaxVersion + 5, V0, true}, // future version: downgrade, log
-		{99, V1, V1, false},                    // misconfigured localMax clamps
-	}
-	for _, c := range cases {
-		got, down := Negotiate(c.localMax, c.offered)
-		if got != c.want || down != c.downgraded {
-			t.Errorf("Negotiate(%d, %d) = (%d, %v), want (%d, %v)",
-				c.localMax, c.offered, got, down, c.want, c.downgraded)
-		}
-	}
-}
-
 // growingDoc imitates a checkpoint whose sample log extends: the shape
 // delta encoding must exploit.
 func growingDoc(n int) []byte {
@@ -148,8 +126,8 @@ func TestPayloadCorruptionIsAnError(t *testing.T) {
 }
 
 func TestPayloadJSONCompat(t *testing.T) {
-	// Plain payloads travel verbatim inside a JSON message — the v0
-	// byte-compatibility contract.
+	// Plain payloads travel verbatim inside a JSON message — the form the
+	// system payload takes on the grant line.
 	req := Request{Type: MsgProgress, JobID: "j1", Ckpt: JSONPayload([]byte(`{"steps":42}`))}
 	b, err := json.Marshal(&req)
 	if err != nil {
@@ -157,7 +135,7 @@ func TestPayloadJSONCompat(t *testing.T) {
 	}
 	want := `{"type":"progress","jobId":"j1","ckpt":{"steps":42}}`
 	if string(b) != want {
-		t.Fatalf("v0 wire bytes:\n got %s\nwant %s", b, want)
+		t.Fatalf("JSON bytes:\n got %s\nwant %s", b, want)
 	}
 	var back Request
 	if err := json.Unmarshal(b, &back); err != nil {
@@ -167,14 +145,14 @@ func TestPayloadJSONCompat(t *testing.T) {
 	if err != nil || string(raw) != `{"steps":42}` {
 		t.Fatalf("round trip: %s, %v", raw, err)
 	}
-	// A non-plain payload on a JSON connection is a negotiation bug and
-	// must refuse loudly rather than corrupt the peer's stream.
+	// A non-plain payload has no JSON form and must refuse loudly rather
+	// than corrupt the peer's line.
 	bad := Request{Type: MsgProgress, Ckpt: Compress(growingDoc(200))}
 	if bad.Ckpt.Flags == 0 {
 		t.Fatalf("test doc did not compress")
 	}
 	if _, err := json.Marshal(&bad); err == nil {
-		t.Fatalf("compressed payload marshaled onto a JSON connection")
+		t.Fatalf("compressed payload marshaled as JSON")
 	}
 	// Absent and null fields decode to nil.
 	var r2 Request
@@ -196,11 +174,11 @@ func testSpec() *campaign.Spec {
 	}
 }
 
-func codecPair(t *testing.T, version int, compress bool) (client, server Codec) {
+func codecPair(t *testing.T, compress bool) (client, server *Codec) {
 	t.Helper()
 	c2s := &bytes.Buffer{}
 	s2c := &bytes.Buffer{}
-	return NewCodec(version, s2c, c2s, compress), NewCodec(version, c2s, s2c, compress)
+	return NewCodec(V1, s2c, c2s, compress), NewCodec(V1, c2s, s2c, compress)
 }
 
 func TestCodecRoundTrips(t *testing.T) {
@@ -223,49 +201,37 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgAbandon, Err: "lease revoked"},
 		{Type: MsgRetry, DelayMs: 500, Err: "storage degraded"},
 	}
-	for _, version := range []int{V0, V1} {
-		for _, compress := range []bool{false, true} {
-			client, server := codecPair(t, version, compress)
-			for _, req := range reqs {
-				if version == V0 && req.Ckpt.IsDelta() {
-					continue // deltas never travel on v0
-				}
-				if err := client.Encode(req); err != nil {
-					t.Fatalf("v%d encode %s: %v", version, req.Type, err)
-				}
-				var got Request
-				if err := server.Decode(&got); err != nil {
-					t.Fatalf("v%d decode %s: %v", version, req.Type, err)
-				}
-				normalizePayloads(&got.Ckpt, req.Ckpt)
-				if !reflect.DeepEqual(&got, req) {
-					t.Fatalf("v%d comp=%v request %s mismatch:\n got %+v\nwant %+v",
-						version, compress, req.Type, &got, req)
-				}
+	for _, compress := range []bool{false, true} {
+		client, server := codecPair(t, compress)
+		for _, req := range reqs {
+			if err := client.Encode(req); err != nil {
+				t.Fatalf("encode %s: %v", req.Type, err)
 			}
-			for _, resp := range resps {
-				if version == V0 && (payloadFlagged(resp.System) || payloadFlagged(resp.Resume)) {
-					continue
-				}
-				if err := server.Encode(resp); err != nil {
-					t.Fatalf("v%d encode %s: %v", version, resp.Type, err)
-				}
-				var got Response
-				if err := client.Decode(&got); err != nil {
-					t.Fatalf("v%d decode %s: %v", version, resp.Type, err)
-				}
-				normalizePayloads(&got.Resume, resp.Resume)
-				normalizePayloads(&got.System, resp.System)
-				if !reflect.DeepEqual(&got, resp) {
-					t.Fatalf("v%d comp=%v response %s mismatch:\n got %+v\nwant %+v",
-						version, compress, resp.Type, &got, resp)
-				}
+			var got Request
+			if err := server.Decode(&got); err != nil {
+				t.Fatalf("decode %s: %v", req.Type, err)
+			}
+			normalizePayloads(&got.Ckpt, req.Ckpt)
+			if !reflect.DeepEqual(&got, req) {
+				t.Fatalf("comp=%v request %s mismatch:\n got %+v\nwant %+v", compress, req.Type, &got, req)
+			}
+		}
+		for _, resp := range resps {
+			if err := server.Encode(resp); err != nil {
+				t.Fatalf("encode %s: %v", resp.Type, err)
+			}
+			var got Response
+			if err := client.Decode(&got); err != nil {
+				t.Fatalf("decode %s: %v", resp.Type, err)
+			}
+			normalizePayloads(&got.Resume, resp.Resume)
+			normalizePayloads(&got.System, resp.System)
+			if !reflect.DeepEqual(&got, resp) {
+				t.Fatalf("comp=%v response %s mismatch:\n got %+v\nwant %+v", compress, resp.Type, &got, resp)
 			}
 		}
 	}
 }
-
-func payloadFlagged(p *Payload) bool { return p != nil && p.Flags != 0 }
 
 // normalizePayloads smooths over representation differences that are
 // not semantic: a nil Data vs empty, and resolves both sides to compare
@@ -282,7 +248,7 @@ func normalizePayloads(got **Payload, want *Payload) {
 }
 
 func TestCodecStrictDecode(t *testing.T) {
-	_, server := codecPair(t, V1, false)
+	_, server := codecPair(t, false)
 	// Feed the server's reader hand-built garbage frames.
 	for _, rec := range [][]byte{
 		{},                 // empty frame
@@ -308,7 +274,7 @@ func TestCodecStrictDecode(t *testing.T) {
 }
 
 func TestCodecRejectsUnknownType(t *testing.T) {
-	client, _ := codecPair(t, V1, false)
+	client, _ := codecPair(t, false)
 	if err := client.Encode(&Request{Type: "nonsense"}); err == nil {
 		t.Fatalf("unknown message type encoded")
 	}

@@ -103,12 +103,24 @@ go test -race -count=20 \
 
 echo "== internal/wire owns the wire: one handshake, one payload-form rule =="
 # dist books the counters and events of a connection; reading or writing
-# a hello or grant line, negotiating a version, building a codec and
-# choosing between delta, compressed and plain are wire.Accept,
-# wire.Open and Session.Pack, and nowhere else.
-if grep -n -E -e 'wire\.(Negotiate|NewCodec|Delta|Compress|JSONPayload)\(' -e 'msgHello' -e "ReadBytes\('\\n'\)" \
+# a hello or grant line, building a codec and choosing between delta,
+# compressed and plain are wire.Accept, wire.Open and Session.Pack, and
+# nowhere else.
+if grep -n -E -e 'wire\.(NewCodec|Delta|Compress|JSONPayload)\(' -e 'msgHello' -e "ReadBytes\('\\n'\)" \
   $(ls internal/dist/*.go | grep -v '_test\.go$'); then
   echo "FAIL: internal/dist re-implements part of the wire protocol"
+  exit 1
+fi
+
+echo "== one wire protocol =="
+# Every peer speaks v1 with delta checkpoints and compression. The v0
+# JSON-lines codec, version negotiation, the session-downgrade path and
+# the three transport knobs that selected between them were set by no
+# workload, binary default or example and were deleted; they must not
+# come back.
+if grep -n -E 'WireVersion|DeltaCheckpoints|jsonCodec|Negotiate|Downgrad|Carries\(|wire\.V0|no-delta|no-compress' \
+  $(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/'); then
+  echo "FAIL: a second wire protocol or its knobs are back"
   exit 1
 fi
 
@@ -211,7 +223,7 @@ echo "== decoder fuzz smoke (10s each) =="
 # arbitrary records through each production fold (never panics, the
 # snapshot of the result replays to the result). And of everything a
 # peer can send: an arbitrary hello line plus trailing bytes through
-# wire.Accept (never grants above MaxVersion, replies one JSON line),
+# wire.Accept (replies one JSON line, and every grant is the one v1 grant),
 # arbitrary v1 frames (parse or fail, and re-encode to the same
 # message), arbitrary compressed/delta payloads with and without a base.
 # Minimization is capped: its 60 s default would spend the whole smoke
@@ -252,21 +264,22 @@ GOMAXPROCS=4 go test -run '^$' -bench 'Ablation_BatchStep/replicas=8' -benchtime
          print "batch gate OK: " sp "x vs sequential, " al " allocs/op" }'
 
 echo "== wire protocol gates (-race) =="
-# Versioned-transport gates. The cross-version matrix (v1 coordinator
-# with v0 workers, v0 coordinator with v1 workers, a mixed fleet) must
-# merge bit-identical to LocalRunner; a hand-rolled v1 client pins the
-# delta NeedFull healing handshake and the fold-before-spool image; and
-# delta folds must survive both worker loss and a SIGKILL-shaped
-# coordinator crash with journal recovery.
+# Transport gates. The full v1 transport must merge bit-identical to
+# LocalRunner; a hand-rolled v1 client pins the delta NeedFull healing
+# handshake, the fold-before-spool image and the refusal of an
+# unversioned hello; a malformed checkpoint is never stored and an
+# undecodable resume fails its attempt, not the worker; and delta folds
+# must survive both worker loss and a SIGKILL-shaped coordinator crash
+# with journal recovery.
 go test -race -count=1 \
-  -run 'TestWireMatrixBitIdentical|TestWireV1ClientFoldAndNeedFull|TestDeltaFoldResumeOnWorkerLoss|TestDeltaFoldCrashRestart' \
+  -run 'TestWireMatrixBitIdentical|TestWireV1ClientFoldAndNeedFull|TestMalformedCheckpointRejected|TestUndecodableResumeFailsJob|TestRefusedGrantNotRedialed|TestDeltaFoldResumeOnWorkerLoss|TestDeltaFoldCrashRestart' \
   -v ./internal/dist
 
 echo "== 1000-worker wire load gate (-race) =="
 # Transport acceptance: at 1000 loopback workers the v1 binary/delta
 # transport must move >=10x fewer checkpoint bytes per job than the raw
-# serialized documents — which is exactly what the v0 JSON baseline
-# cell ships 1:1. Full numbers live in BENCH_6.json.
+# serialized documents. Full numbers, with the retired JSON-lines
+# baseline that shipped them 1:1, live in BENCH_6.json.
 go test -race -run '^$' -bench 'Ablation_WireLoad' -benchtime 1x -timeout 20m . |
   awk '{ print }
        /v1-binary-delta/ { for (i = 1; i < NF; i++)
