@@ -69,9 +69,9 @@ func runClient(addr string, spec campaign.Spec, outDir string) error {
 			return err
 		}
 		fmt.Printf("%-12s %7s %8s %6s %7s %9s %9s\n",
-			"TENANT", "queued", "running", "done", "failed", "canceled", "usage")
+			"TENANT", "queued", "running", "done", "failed", "canceled", "usage_ns")
 		for _, q := range st.Queue {
-			fmt.Printf("%-12s %7d %8d %6d %7d %9d %9.1f\n",
+			fmt.Printf("%-12s %7d %8d %6d %7d %9d %9.4g\n",
 				q.Tenant, q.Queued, q.Running, q.Done, q.Failed, q.Canceled, q.Usage)
 		}
 		// The execution half renders through the same statsfmt tables a

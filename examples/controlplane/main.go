@@ -179,9 +179,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nper-tenant accounting (usage = finished job-hours, the fair-share ledger):\n")
+	fmt.Printf("\nper-tenant accounting (usage = simulated ns of finished pulls, the fair-share ledger):\n")
 	for _, q := range st.Queue {
-		fmt.Printf("  %-6s done=%d usage=%.0f\n", q.Tenant, q.Done, q.Usage)
+		fmt.Printf("  %-6s done=%d usage=%.4g ns\n", q.Tenant, q.Done, q.Usage)
 	}
 	fmt.Println()
 	statsfmt.Render(os.Stdout, st.Dist, "  dist: ")

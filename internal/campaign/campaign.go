@@ -125,8 +125,25 @@ func (s Spec) Combos() []Combo {
 	return out
 }
 
-// Jobs expands the spec into grid jobs using the cost model: each pull of
-// Distance Å at v Å/ns simulates Distance/v ns of physical time.
+// PullNs is the cost of one pull of combo c: the physical time it
+// simulates, Distance Å at v Å/ns. It is the one cost unit of a pull —
+// Jobs turns it into machine time, and the live fair-share ledger
+// charges it as is, so modelled and served charges differ only by
+// CostModel.CPUHoursPerNs.
+func (s Spec) PullNs(c Combo) float64 { return s.Distance / c.VAns }
+
+// WorkNs is the cost of the whole campaign: PullNs summed over every
+// pull of the task set.
+func (s Spec) WorkNs() float64 {
+	ns := 0.0
+	for _, c := range s.Combos() {
+		ns += float64(s.SamplesFor(c)) * s.PullNs(c)
+	}
+	return ns
+}
+
+// Jobs expands the spec into grid jobs using the cost model, one per
+// pull, each costing PullNs of simulated time.
 func (s Spec) Jobs(cm CostModel) []*grid.Job {
 	total := 0
 	for _, c := range s.Combos() {
@@ -134,8 +151,7 @@ func (s Spec) Jobs(cm CostModel) []*grid.Job {
 	}
 	jobs := make([]*grid.Job, 0, total)
 	for _, c := range s.Combos() {
-		ns := s.Distance / c.VAns
-		hours := cm.HoursFor(ns, s.ProcsPerJob)
+		hours := cm.HoursFor(s.PullNs(c), s.ProcsPerJob)
 		n := s.SamplesFor(c)
 		kappa := strconv.FormatFloat(c.KappaPN, 'g', -1, 64)
 		vel := strconv.FormatFloat(c.VAns, 'g', -1, 64)

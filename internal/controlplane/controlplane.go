@@ -295,12 +295,12 @@ func New(cfg Config) (*Server, error) {
 		// queued: dispatch re-runs it and the coordinator's journal replay
 		// makes the re-run resume (or complete instantly) rather than
 		// redo finished jobs. Fair-share usage for finished campaigns is
-		// re-charged so the ledger survives restarts too.
+		// re-charged from their specs so the ledger survives restarts too.
 		if e.State == StateRunning {
 			e.State = StateQueued
 		}
 		if e.State == StateDone {
-			s.charge(e.Tenant, jobHours(e.Spec))
+			s.charge(e.Tenant, e.Spec.WorkNs())
 		}
 		s.entries[e.ID] = e
 		s.order = append(s.order, e)
@@ -411,13 +411,6 @@ func (s *Server) quotaFor(tenant string) Quota {
 		return q
 	}
 	return s.cfg.DefaultQuota
-}
-
-// jobHours is the fair-share charge for a completed campaign: its job
-// count (every job is one pulling trajectory of the same length, so job
-// count is proportional to compute).
-func jobHours(spec campaign.Spec) float64 {
-	return float64(len(spec.Kappas) * len(spec.Velocities) * spec.Replicas)
 }
 
 // Submit accepts a campaign into the queue. It returns the campaign's
@@ -534,8 +527,8 @@ func (s *Server) dispatchLocked() {
 
 // nextQueuedLocked ranks the queued campaigns under the fair-share
 // policy and returns the winner (nil if none). Tenants currently
-// running campaigns carry their in-flight job counts as provisional
-// usage, so a busy tenant's next campaign ranks behind an idle one's.
+// running campaigns carry their work as provisional usage, so a busy
+// tenant's next campaign ranks behind an idle one's.
 func (s *Server) nextQueuedLocked() *entry {
 	var queued []*entry
 	for _, e := range s.order {
@@ -559,7 +552,7 @@ func (s *Server) nextQueuedLocked() *entry {
 	extra := make(map[string]float64)
 	for _, e := range s.order {
 		if e.State == StateRunning {
-			extra[e.Tenant] += jobHours(e.Spec)
+			extra[e.Tenant] += e.Spec.WorkNs()
 		}
 	}
 	return queued[s.pol.Rank(cands, extra)[0]]
@@ -595,7 +588,7 @@ func (s *Server) run(e *entry) {
 		e.State = StateDone
 		e.JobsDone = e.JobsTotal
 		e.result = logs
-		s.charge(e.Tenant, jobHours(e.Spec))
+		s.charge(e.Tenant, e.Spec.WorkNs())
 		rec = &qrec{T: qDone, ID: e.ID, Tenant: e.Tenant, At: now}
 	case errors.Is(err, dist.ErrCampaignCanceled):
 		e.State = StateCanceled
@@ -758,8 +751,8 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 
 // leaseScheduler builds the dist.Scheduler enforcing per-tenant
 // MaxRunning quotas with fair-share ordering on the live lease path:
-// priority band first, then the tenant with the least usage plus leases
-// held right now, so of two equal-priority campaigns the one whose
+// priority band first, then the tenant with the least usage plus work
+// leased right now, so of two equal-priority campaigns the one whose
 // tenant is idle gets the next free worker however recently it came.
 // It runs inside the coordinator's lock, so it must not take s.mu (see
 // usageMu); it reads only immutable config, atomic metric counters, and
@@ -767,8 +760,10 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 func (s *Server) leaseScheduler() dist.Scheduler {
 	return dist.SchedulerFunc(func(now time.Time, views []dist.CampaignView) []int {
 		leased := make(map[string]float64, len(views))
+		running := make(map[string]int, len(views))
 		for _, v := range views {
-			leased[v.Tenant] += float64(v.Leased)
+			leased[v.Tenant] += v.LeasedNs
+			running[v.Tenant] += v.Leased
 		}
 		cands := make([]grid.Candidate, len(views))
 		for i, v := range views {
@@ -783,7 +778,7 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 		out := make([]int, 0, len(order))
 		for _, i := range order {
 			v := views[i]
-			if q := s.quotaFor(v.Tenant); q.MaxRunning > 0 && v.Leased >= q.MaxRunning {
+			if q := s.quotaFor(v.Tenant); q.MaxRunning > 0 && running[v.Tenant] >= q.MaxRunning {
 				if s.mDefers != nil {
 					s.mDefers.With(v.Tenant).Inc()
 				}
@@ -799,7 +794,7 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 }
 
 // rankForLease ranks lease candidates under the fair-share ledger
-// snapshot plus the instantaneous leased-job load.
+// snapshot plus the instantaneous leased work.
 func (s *Server) rankForLease(cands []grid.Candidate, leased map[string]float64) []int {
 	extra := make(map[string]float64, len(leased))
 	s.usageMu.Lock()
@@ -833,7 +828,8 @@ type QueueStats struct {
 	Done     int    `json:"done"`
 	Failed   int    `json:"failed"`
 	Canceled int    `json:"canceled"`
-	// Usage is the tenant's accumulated fair-share charge (job-hours).
+	// Usage is the tenant's accumulated fair-share charge: the simulated
+	// nanoseconds of its finished campaigns' pulls (campaign.Spec.WorkNs).
 	Usage float64 `json:"usage"`
 }
 
@@ -901,32 +897,25 @@ func (s *Server) StorageHealth() StorageHealth {
 	}
 }
 
-// collect emits queue-depth gauges at scrape time.
+// collect emits the per-tenant rows of Stats — queue depths and the
+// fair-share ledger — as gauges at scrape time.
 func (s *Server) collect(e *obs.Emitter) {
+	rows := s.Stats()
 	s.mu.Lock()
-	depth := make(map[string]map[State]int) // tenant -> state -> n
-	for _, ent := range s.order {
-		if depth[ent.Tenant] == nil {
-			depth[ent.Tenant] = make(map[State]int)
-		}
-		depth[ent.Tenant][ent.State]++
-	}
 	sh := s.journal.Health()
 	s.mu.Unlock()
 	// Same families as the dist journal exports, told apart by label.
 	sh.Emit(e, "queue")
 	e.Counter("spice_cp_http_shed_total", "HTTP requests shed at the concurrency limiter.", float64(s.httpSheds.Load()))
-	tenants := make([]string, 0, len(depth))
-	for t := range depth {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-			e.Gauge("spice_cp_campaigns", "Campaigns by tenant and state.",
-				float64(depth[t][st]),
-				obs.Label{Name: "tenant", Value: t}, obs.Label{Name: "state", Value: string(st)})
+	for _, q := range rows {
+		tenant := obs.Label{Name: "tenant", Value: q.Tenant}
+		for _, d := range []struct {
+			st State
+			n  int
+		}{{StateQueued, q.Queued}, {StateRunning, q.Running}, {StateDone, q.Done}, {StateFailed, q.Failed}, {StateCanceled, q.Canceled}} {
+			e.Gauge("spice_cp_campaigns", "Campaigns by tenant and state.", float64(d.n), tenant, obs.Label{Name: "state", Value: string(d.st)})
 		}
+		e.Gauge("spice_cp_tenant_usage", "Fair-share ledger: simulated ns of the tenant's finished pulls.", q.Usage, tenant)
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"spice/internal/dist"
 	"spice/internal/faultfs"
 	"spice/internal/md"
+	"spice/internal/obs"
 	"spice/internal/trace"
 	"spice/internal/wal"
 )
@@ -280,23 +284,23 @@ func TestSubmitQuotaDuplicateAndReadiness(t *testing.T) {
 // TestLeaseSchedulerFairShareUnderDefaultAging: with the default aging
 // rate a campaign installed a second before another of equal priority
 // must not outrank it on that second alone — they share a priority band,
-// and within a band the tenant holding fewer leases (or charged less so
+// and within a band the tenant with less work leased (or charged less so
 // far) leads the offer. This is what lets a short probe take the next
 // free worker instead of waiting out a bulk tenant's whole pending list.
 func TestLeaseSchedulerFairShareUnderDefaultAging(t *testing.T) {
 	s, _ := newHarness(t, Config{Aging: 1}, 0)
 	now := time.Now()
 	views := []dist.CampaignView{
-		{Key: "bulk", Tenant: "bulk", Seq: 0, Submitted: now.Add(-time.Second), Pending: 10, Leased: 2, Total: 12},
+		{Key: "bulk", Tenant: "bulk", Seq: 0, Submitted: now.Add(-time.Second), Pending: 10, Leased: 2, LeasedNs: 0.9, Total: 12},
 		{Key: "probe", Tenant: "probe", Seq: 1, Submitted: now, Pending: 4, Total: 4},
 	}
 	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("offer = %v: the older campaign leads although its tenant holds every lease", got)
+		t.Fatalf("offer = %v: the older campaign leads although its tenant holds all the leased work", got)
 	}
 	// No live load on either side: the ledger decides the same way.
-	views[0].Leased, views[0].Pending = 0, 12
+	views[0].Leased, views[0].LeasedNs, views[0].Pending = 0, 0, 12
 	s.mu.Lock()
-	s.charge("bulk", 3)
+	s.charge("bulk", 4.5)
 	s.mu.Unlock()
 	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 1 {
 		t.Fatalf("offer = %v: the tenant charged for earlier campaigns still leads", got)
@@ -328,6 +332,138 @@ func TestLeaseSchedulerStopsAtQuotaBlocked(t *testing.T) {
 	views[1].Leased, views[1].Pending = 0, 4
 	if got := s.leaseScheduler().Offer(now, views); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("offer = %v, want [2 1 0]", got)
+	}
+}
+
+// TestLeaseSchedulerQuotaCountsTenantLeases: MaxRunning caps the
+// tenant's leases, not each campaign's — a tenant holding its one lease
+// through one campaign is offered nothing from its other campaign.
+func TestLeaseSchedulerQuotaCountsTenantLeases(t *testing.T) {
+	s, _ := newHarness(t, Config{Quotas: map[string]Quota{"alice": {MaxRunning: 1}}}, 0)
+	now := time.Now()
+	views := []dist.CampaignView{
+		{Key: "alice-2", Tenant: "alice", Seq: 0, Submitted: now, Pending: 4, Total: 4},
+		{Key: "alice-1", Tenant: "alice", Seq: 1, Submitted: now, Pending: 3, Leased: 1, LeasedNs: 0.1, Total: 4},
+		{Key: "bob", Tenant: "bob", Seq: 2, Submitted: now, Pending: 4, Total: 4},
+	}
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("offer = %v, want [2]: alice is at MaxRunning through alice-1, so alice-2 gets no lease either", got)
+	}
+}
+
+// replayedServer journals each tenant's spec as a finished campaign and
+// opens a server on that queue, so the fair-share ledger is charged the
+// way a restart charges it.
+func replayedServer(t *testing.T, cfg Config, done map[string]campaign.Spec) *Server {
+	t.Helper()
+	dir := t.TempDir()
+	j, _, _ := openQueue(t, nil, dir)
+	now := time.Now().UTC()
+	for tenant, spec := range done {
+		specJSON, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*qrec{{T: qSubmit, ID: tenant, Tenant: tenant, Spec: specJSON, At: now}, {T: qDone, ID: tenant, At: now}} {
+			if err := j.Append(r, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.StateDir = dir
+	s, _ := newHarness(t, cfg, 0)
+	return s
+}
+
+// usageByTenant reads the ledger the way /api/v1/stats serves it.
+func usageByTenant(s *Server) map[string]float64 {
+	usage := make(map[string]float64)
+	for _, q := range s.Stats() {
+		usage[q.Tenant] = q.Usage
+	}
+	return usage
+}
+
+// TestFairShareChargesPullWork: the ledger charges the simulated time of
+// a campaign's pulls, not its job count. A tenant that finished 12
+// pulls of 0.1 ns has used less than one that finished 4 of 0.8 ns and
+// leads the next offer, and a spec whose faster velocities get more
+// samples (EqualSamples false) is charged its whole task set.
+func TestFairShareChargesPullWork(t *testing.T) {
+	specs := map[string]campaign.Spec{
+		"probe":  {Kappas: []float64{100}, Velocities: []float64{100}, Replicas: 12, EqualSamples: true, Distance: 10, Seed: 1},
+		"bulk":   {Kappas: []float64{100}, Velocities: []float64{12.5}, Replicas: 4, EqualSamples: true, Distance: 10, Seed: 2},
+		"scaled": {Kappas: []float64{10, 100}, Velocities: []float64{12.5, 25, 50, 100}, Replicas: 1, Distance: 10, Seed: 3},
+	}
+	s := replayedServer(t, Config{Aging: 1}, specs)
+	usage := usageByTenant(s)
+	for tenant, spec := range specs {
+		want := 0.0
+		for _, task := range spec.Tasks() {
+			want += spec.PullNs(task.Combo)
+		}
+		if math.Abs(usage[tenant]-want) > 1e-9 {
+			t.Errorf("tenant %s charged %g, want %g: the work of all %d pulls", tenant, usage[tenant], want, len(spec.Tasks()))
+		}
+	}
+	now := time.Now()
+	views := []dist.CampaignView{
+		{Key: "bulk", Tenant: "bulk", Seq: 0, Submitted: now.Add(-time.Second), Pending: 4, Total: 4},
+		{Key: "probe", Tenant: "probe", Seq: 1, Submitted: now, Pending: 12, Total: 12},
+	}
+	if got := s.leaseScheduler().Offer(now, views); len(got) != 2 || got[0] != 1 {
+		t.Fatalf("offer = %v: the tenant with 1.2 ns of finished pulls ranks behind the one with 3.2 ns", got)
+	}
+}
+
+// TestLiveChargeMatchesSimulator: the served ledger and the simulator's
+// batch queue charge one quantity — a finished campaign's usage times
+// the cost model's CPU-hours per ns is the CPU-hours of its grid jobs.
+func TestLiveChargeMatchesSimulator(t *testing.T) {
+	scaled := campaign.PaperSpec()
+	scaled.EqualSamples = false
+	specs := map[string]campaign.Spec{"paper": campaign.PaperSpec(), "scaled": scaled}
+	s := replayedServer(t, Config{}, specs)
+	usage := usageByTenant(s)
+	cm := campaign.PaperCostModel()
+	for tenant, spec := range specs {
+		want := 0.0
+		for _, j := range spec.Jobs(cm) {
+			want += j.CPUHours()
+		}
+		if got := usage[tenant] * cm.CPUHoursPerNs; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("tenant %s: live charge %g CPU-h, simulator %g CPU-h", tenant, got, want)
+		}
+	}
+}
+
+// TestTenantUsageGauge: /metrics exports the fair-share ledger per
+// tenant, equal to the usage /api/v1/stats serves.
+func TestTenantUsageGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := replayedServer(t, Config{Metrics: reg}, map[string]campaign.Spec{"alice": specA(), "bob": specB()})
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	rows := s.Stats()
+	if len(rows) != 2 {
+		t.Fatalf("stats rows = %+v, want alice and bob", rows)
+	}
+	for _, q := range rows {
+		prefix := fmt.Sprintf("spice_cp_tenant_usage{tenant=%q} ", q.Tenant)
+		var got string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				got = v
+			}
+		}
+		if v, err := strconv.ParseFloat(got, 64); err != nil || v != q.Usage || v <= 0 {
+			t.Errorf("tenant %s: scraped usage %q, stats %g", q.Tenant, got, q.Usage)
+		}
 	}
 }
 

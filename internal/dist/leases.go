@@ -169,6 +169,7 @@ func (t *leaseTable) views() []CampaignView {
 				v.Pending++
 			case stateLeased:
 				v.Leased++
+				v.LeasedNs += c.spec.PullNs(j.task.Combo)
 			case stateDone:
 				v.Done++
 			}

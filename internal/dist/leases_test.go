@@ -319,7 +319,10 @@ func TestLeaseTablePickAndHedge(t *testing.T) {
 		}
 		return false
 	})
-	if v := tb.views(); len(v) != 2 || v[0].Key != "c" || v[0].Leased != 2 || v[0].Pending != 0 || v[1].Pending != 1 || v[1].Total != 1 {
+	// Leased work counts each leased job's pull once, hedged or not.
+	first.spec.Distance = 8
+	j0.task.Combo.VAns, j1.task.Combo.VAns = 16, 4
+	if v := tb.views(); len(v) != 2 || v[0].Key != "c" || v[0].Leased != 2 || v[0].LeasedNs != 2.5 || v[0].Pending != 0 || v[1].Pending != 1 || v[1].Total != 1 || v[1].LeasedNs != 0 {
 		t.Fatalf("views = %+v", v)
 	}
 }

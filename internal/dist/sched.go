@@ -57,6 +57,9 @@ type CampaignView struct {
 	Leased  int
 	Done    int
 	Total   int
+	// LeasedNs is the work of the Leased jobs: campaign.Spec.PullNs
+	// summed over them, the unit the control plane's fair share charges.
+	LeasedNs float64
 }
 
 // Scheduler orders the active campaigns each time a worker asks for

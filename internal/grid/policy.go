@@ -21,8 +21,9 @@ package grid
 //     has aged would always win and the next key would never be read.
 //  2. tenant fair-share usage, ascending — tenants that have consumed
 //     less service go first within a priority band. Usage is whatever
-//     the caller charges (CPU-hours in the simulator, completed jobs in
-//     the live scheduler); only the ordering matters.
+//     the caller charges — the simulator charges CPU-hours, the live
+//     control plane the simulated ns of the same pulls, which differ
+//     only by a constant factor; only the ordering matters.
 //  3. submission sequence, ascending — FCFS settles exact ties, which
 //     also makes the whole order deterministic for a given input.
 

@@ -81,6 +81,30 @@ if grep -n -E 'Backfill|backfill' \
   exit 1
 fi
 
+echo "== fair share charges pull work =="
+# The ledger, the replay re-charge, the dispatch extra and the lease-path
+# load all count the simulated ns of a campaign's pulls — the unit the
+# simulator charges — and the cost of a pull is defined once, in
+# campaign.Spec.PullNs. Counting jobs charged a 0.1 ns probe pull like a
+# 0.8 ns production pull, and a quota counted per campaign let a tenant
+# past MaxRunning through its second campaign.
+if grep -n -F 'len(spec.Kappas) * len(spec.Velocities)' \
+  $(find internal/controlplane -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: the control plane charges job counts again"
+  exit 1
+fi
+if grep -n -F 'float64(v.Leased)' $(find internal/controlplane -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: the lease scheduler ranks on lease counts again"
+  exit 1
+fi
+pull_cost=$(grep -n -F 'Distance / c.VAns' \
+  $(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/') || true)
+if [ "$(echo "$pull_cost" | grep -c 'PullNs')" -ne 1 ] || [ "$(echo "$pull_cost" | grep -c .)" -ne 1 ]; then
+  echo "$pull_cost"
+  echo "FAIL: the cost of a pull is computed outside campaign.Spec.PullNs"
+  exit 1
+fi
+
 echo "== lease table + site health: plain data, one grant =="
 # The lease table and site health take the time as an argument and touch
 # no clock, lock, socket, event log or journal — that is what lets a
@@ -236,9 +260,11 @@ done
 echo "== control plane quota + restart unit gates (-race) =="
 # Two tenants over the in-process HTTP API with quota rejection and
 # bit-identity, replay of every accepted campaign after a restart, one
-# shared result recovery for concurrent callers, and the conservative
-# lease walk that stops at a quota-blocked campaign.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked' -count=1 ./internal/controlplane
+# shared result recovery for concurrent callers, the conservative lease
+# walk that stops at a quota-blocked campaign, MaxRunning counted per
+# tenant, and the fair-share ledger in pull work: the simulator's charge
+# over CPUHoursPerNs, exported as spice_cp_tenant_usage.
+go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge' -count=1 ./internal/controlplane
 
 echo "== batch ensemble determinism (GOMAXPROCS=4, -race) =="
 # The ensemble batch engine must produce bit-identical trajectories and
@@ -321,6 +347,17 @@ for name in bad:
 if bad:
     sys.exit(1)
 print("benchmark gate OK: %d campaigns, %d failed" % (r["attempted"], r["failed"]))
+'
+# Two tenants on real processes: every probe and bulk PMF must be
+# bit-identical to LocalRunner whatever order fair share leased them in.
+mt_json=$(bash benchmark/run.sh --workload multitenant --trace 0 --seconds 5 -allow-oversubscribed | tail -n 1)
+echo "$mt_json" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+if r["correct"] is not True or r["failed"] != 0:
+    print("FAIL: multitenant benchmark: correct=%s failed=%s" % (r["correct"], r["failed"]))
+    sys.exit(1)
+print("multitenant gate OK: %d campaigns, %d failed" % (r["attempted"], r["failed"]))
 '
 
 echo "== non-test Go lines per package =="
