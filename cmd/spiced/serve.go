@@ -11,7 +11,7 @@ package main
 // Example — a control plane with two in-process workers and quotas:
 //
 //	spiced -serve -listen :9555 -http :9556 -state /var/lib/spice \
-//	       -workers 2 -max-active 2 -quotas 'alice=4:2,bob=2:1'
+//	       -workers 2 -quotas 'alice=4:2,bob=2:1'
 //	spice -server :9556 -submit -tenant alice -kappas 100 -wait
 //
 // External spiced workers join the embedded coordinator as usual:
@@ -42,8 +42,7 @@ var (
 	serveHTTP    = flag.String("http", "127.0.0.1:9556", "with -serve: HTTP address for the campaign API, /metrics, /healthz and /readyz")
 	serveWorkers = flag.Int("workers", 0, "with -serve: in-process workers to start alongside the coordinator")
 	serveSystem  = flag.String("system", "", "with -serve: JSON core.SystemConfig for the simulated system (default: the standard sweep system)")
-	maxActive    = flag.Int("max-active", 0, "with -serve: campaigns multiplexed on the coordinator at once (0 = unlimited)")
-	agingRate    = flag.Float64("aging", 1, "with -serve: fair-share aging in priority points per queued hour: every whole point lifts a waiting campaign one priority band, and within a band the tenant with less usage goes first (starvation-freedom knob; 0 disables aging)")
+	agingRate    = flag.Float64("aging", 1, "with -serve: fair-share aging in priority points per waiting hour: every whole point lifts a waiting campaign one priority band, and within a band the tenant with less usage goes first (starvation-freedom knob; 0 disables aging)")
 	quotasFlag   = flag.String("quotas", "", "with -serve: per-tenant quotas, 'tenant=maxQueued[:maxRunning],...' (0 = unlimited)")
 	defaultQuota = flag.String("default-quota", "", "with -serve: quota for tenants absent from -quotas, 'maxQueued[:maxRunning]'")
 )
@@ -149,7 +148,6 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	cp, err := controlplane.New(controlplane.Config{
 		Coordinator:    co,
 		StateDir:       dcfg.StateDir,
-		MaxActive:      *maxActive,
 		DefaultQuota:   defQ,
 		Quotas:         quotas,
 		Aging:          *agingRate,
@@ -175,8 +173,8 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	}
 
 	// One listener serves the campaign API and the obs endpoints;
-	// /readyz flips once the queue journal is replayed and dispatch is
-	// live.
+	// /readyz flips once the queue journal is replayed and the replayed
+	// campaigns are on the coordinator.
 	mux := obs.NewMux(reg, events, nil, cp.Ready)
 	cp.Mount(mux)
 	srv, err := obs.ServeHandler(*serveHTTP, mux)

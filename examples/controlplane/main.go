@@ -67,7 +67,6 @@ func startService(ctx context.Context, coState, cpState string, workers int) (*d
 	cp, err := controlplane.New(controlplane.Config{
 		Coordinator: co,
 		StateDir:    cpState,
-		MaxActive:   1, // one campaign on the coordinator at a time: the rest queue in policy order
 		Quotas: map[string]controlplane.Quota{
 			"alice": {MaxQueued: 2, MaxRunning: 2},
 			"bob":   {MaxQueued: 1, MaxRunning: 2},

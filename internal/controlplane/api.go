@@ -9,8 +9,8 @@ package controlplane
 //	GET    /api/v1/campaigns/{id}/result collated work logs (done only)
 //
 // Everything is JSON; errors come back as {"error": "..."} with the
-// status carrying the semantics (429 quota, 409 duplicate/not-done,
-// 404 unknown, 503 closed).
+// status carrying the semantics (400 unrunnable spec, 429 quota, 409
+// duplicate/not-done, 404 unknown, 503 closed).
 
 import (
 	"encoding/json"
@@ -128,6 +128,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrBadSpec):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrQuotaExceeded):
 		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrDuplicate), errors.Is(err, ErrNotDone):
@@ -154,18 +156,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	if len(sr.Spec.Kappas) == 0 || len(sr.Spec.Velocities) == 0 || sr.Spec.Replicas <= 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": "spec needs at least one kappa, one velocity, and replicas > 0"})
-		return
-	}
 	tag := dist.CampaignTag{Tenant: sr.Tenant, Priority: sr.Priority, Name: sr.Name}
 	id, err := s.Submit(sr.Spec, tag)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: StateQueued})
+	// Accepted campaigns are never removed, so Get cannot miss: it reports
+	// the state Submit left the campaign in (running once Start has run).
+	c, _ := s.Get(id)
+	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: c.State})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {

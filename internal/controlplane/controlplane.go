@@ -11,23 +11,23 @@
 //   - internal/grid contributes the priority + fair-share + aging
 //     ranking policy, promoted from the offline planner into the live
 //     lease path via dist.Scheduler;
-//   - internal/dist executes the campaigns; the control plane only
-//     decides WHEN a campaign starts and WHOSE jobs are offered to an
-//     idle worker next. Results therefore stay bit-identical to a
-//     single-tenant, single-process run — scheduling moves work in
-//     time, never in value.
+//   - internal/dist executes the campaigns; every accepted campaign goes
+//     to the coordinator at once, and the control plane only decides
+//     WHOSE jobs are offered to an idle worker next. Results therefore
+//     stay bit-identical to a single-tenant, single-process run —
+//     scheduling moves work in time, never in value.
 //
 // Two admission/throughput controls exist per tenant (Quota): MaxQueued
 // bounds how many campaigns a tenant may have in flight (enforced at
 // submission: HTTP 429), and MaxRunning bounds how many of its jobs may
-// hold worker leases at once (enforced on every lease offer). A global
-// MaxActive bounds how many campaigns the coordinator multiplexes.
+// hold worker leases at once (enforced on every lease offer).
 package controlplane
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,18 +76,14 @@ type Config struct {
 	Coordinator *dist.Coordinator
 	// StateDir holds queue.log, the durable campaign queue. Required.
 	StateDir string
-	// MaxActive caps campaigns running concurrently on the coordinator
-	// (0 = unlimited). Queued campaigns beyond it wait for a slot.
-	MaxActive int
 	// DefaultQuota applies to tenants absent from Quotas.
 	DefaultQuota Quota
 	// Quotas maps tenant -> per-tenant quota overrides.
 	Quotas map[string]Quota
 	// Aging is the fair-share aging rate in priority points per waiting
-	// hour (see grid.Policy) — the starvation-freedom knob for both the
-	// campaign dispatch order and the live lease path. Each whole point
-	// lifts a campaign one priority band; within a band tenant usage, not
-	// seniority, decides.
+	// hour (see grid.Policy) — the starvation-freedom knob of the live
+	// lease path. Each whole point lifts a campaign one priority band;
+	// within a band tenant usage, not seniority, decides.
 	Aging float64
 	// Metrics, if non-nil, receives spice_cp_* counters and gauges.
 	Metrics *obs.Registry
@@ -141,9 +137,7 @@ type Campaign struct {
 // entry is the server-side record of one campaign.
 type entry struct {
 	Campaign
-	specJSON json.RawMessage
-	seq      int // dispatch FCFS tiebreak (journal replay order, then arrival)
-	result   map[campaign.Combo][]*trace.WorkLog
+	result map[campaign.Combo][]*trace.WorkLog
 	// recovery is the in-flight re-run that rebuilds result after a
 	// restart (see Result); concurrent callers wait on it instead of
 	// starting a second one.
@@ -172,7 +166,6 @@ type Server struct {
 	journal *wal.Log[qrec, *qrec]
 	entries map[string]*entry
 	order   []*entry // submission order
-	seq     int
 	started bool
 	closed  bool
 
@@ -182,8 +175,6 @@ type Server struct {
 	mDefers   *obs.CounterVec // spice_cp_quota_skips_total{tenant}
 	mFinished *obs.CounterVec // spice_cp_campaigns_finished_total{tenant,state}
 
-	pol *grid.Policy // fair-share ledger for dispatch ordering (under mu)
-
 	// Overload protection. httpSem is the request-concurrency semaphore
 	// (nil when MaxConcurrent is 0); httpSheds counts requests refused at
 	// the semaphore — an atomic because the shed path must not touch mu
@@ -191,18 +182,19 @@ type Server struct {
 	httpSem   chan struct{}
 	httpSheds atomic.Int64
 
-	// usageMu guards usageSnap, a read-copy of the fair-share ledger for
-	// the lease scheduler. The scheduler runs inside the coordinator's
-	// lock and must not take s.mu (Get/List call into the coordinator
-	// while holding s.mu, so s.mu -> co.mu is the established order and
-	// co.mu -> s.mu would deadlock). usageMu is a leaf lock: nothing is
-	// acquired while holding it.
-	usageMu   sync.Mutex
-	usageSnap map[string]float64
+	// polMu guards pol, the one fair-share ledger. The lease scheduler
+	// ranks with it inside the coordinator's lock and must not take s.mu
+	// (Get/List call into the coordinator while holding s.mu, so s.mu ->
+	// co.mu is the established order and co.mu -> s.mu would deadlock).
+	// polMu is a leaf lock: nothing is acquired while holding it.
+	polMu sync.Mutex
+	pol   *grid.Policy
 }
 
 // Errors the HTTP layer maps to status codes.
 var (
+	// ErrBadSpec rejects a spec no pull of which can run (HTTP 400).
+	ErrBadSpec = errors.New("controlplane: spec cannot run")
 	// ErrQuotaExceeded rejects a submission over the tenant's MaxQueued.
 	ErrQuotaExceeded = errors.New("controlplane: tenant queue quota exceeded")
 	// ErrDuplicate rejects a submission whose (spec, tag) identity is
@@ -230,8 +222,8 @@ var (
 // fair-share scheduler on the coordinator, and registers metrics.
 // Campaigns recovered in non-terminal states are re-queued (a campaign
 // that was running re-runs through the coordinator's own journal
-// replay, so completed jobs are not re-executed). Call Start to begin
-// dispatching.
+// replay, so completed jobs are not re-executed). Call Start to hand
+// them to the coordinator.
 func New(cfg Config) (*Server, error) {
 	if cfg.Coordinator == nil {
 		return nil, errors.New("controlplane: Config.Coordinator is required")
@@ -276,7 +268,6 @@ func New(cfg Config) (*Server, error) {
 			journal.Close()
 			return nil, fmt.Errorf("controlplane: replaying campaign %s: %w", qr.rec.ID, err)
 		}
-		s.seq++
 		e := &entry{
 			Campaign: Campaign{
 				ID:        qr.rec.ID,
@@ -288,14 +279,14 @@ func New(cfg Config) (*Server, error) {
 				Spec:      spec,
 				Submitted: qr.rec.At,
 			},
-			specJSON: qr.rec.Spec,
-			seq:      s.seq,
 		}
-		// A campaign that was running when the process died goes back to
-		// queued: dispatch re-runs it and the coordinator's journal replay
-		// makes the re-run resume (or complete instantly) rather than
-		// redo finished jobs. Fair-share usage for finished campaigns is
-		// re-charged from their specs so the ledger survives restarts too.
+		// A campaign that was running when the process died replays as
+		// queued (its last record is its submit, or a start record in
+		// logs written before those were dropped) and Start re-runs it:
+		// the coordinator's journal replay makes the re-run resume (or
+		// complete instantly) rather than redo finished jobs. Fair-share
+		// usage for finished campaigns is re-charged from their specs so
+		// the ledger survives restarts too.
 		if e.State == StateRunning {
 			e.State = StateQueued
 		}
@@ -311,7 +302,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start begins dispatching queued campaigns and marks the server ready.
+// Start hands the campaigns left queued by replay (or submitted before
+// Start) to the coordinator, in submission order, and marks the server
+// ready. From then on Submit hands each campaign over itself.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,12 +312,17 @@ func (s *Server) Start() {
 		return
 	}
 	s.started = true
-	s.dispatchLocked()
+	for _, e := range s.order {
+		if e.State == StateQueued {
+			s.startLocked(e)
+		}
+	}
 }
 
 // Ready reports readiness: nil once the journal has been replayed and
-// dispatch is live. Wire it to obs /readyz — a control plane that is up
-// but still replaying must not take submissions.
+// the queued campaigns are on the coordinator. Wire it to obs /readyz —
+// a control plane that is up but still replaying must not take
+// submissions.
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,8 +368,8 @@ func (s *Server) probeInterval() time.Duration {
 }
 
 // probeStorage periodically appends (and fsyncs) a no-op record while
-// the server is degraded; the first success flips it back to ready and
-// resumes dispatch. One prober runs per degraded spell.
+// the server is degraded; the first success flips it back to ready. One
+// prober runs per degraded spell.
 func (s *Server) probeStorage() {
 	for {
 		time.Sleep(s.probeInterval())
@@ -380,13 +378,11 @@ func (s *Server) probeStorage() {
 			s.mu.Unlock()
 			return
 		}
-		if err := s.journal.Append(&qrec{T: qNoop, At: time.Now().UTC()}, true); err != nil {
-			s.mu.Unlock()
-			continue
-		}
-		s.dispatchLocked()
+		err := s.journal.Append(&qrec{T: qNoop, At: time.Now().UTC()}, true)
 		s.mu.Unlock()
-		return
+		if err == nil {
+			return
+		}
 	}
 }
 
@@ -413,11 +409,16 @@ func (s *Server) quotaFor(tenant string) Quota {
 	return s.cfg.DefaultQuota
 }
 
-// Submit accepts a campaign into the queue. It returns the campaign's
-// stable ID (dist.SpecKey of spec+tag), having journaled and fsynced
-// the submission first — once Submit returns, the campaign survives
-// SIGKILL. ErrQuotaExceeded and ErrDuplicate reject without journaling.
+// Submit accepts a campaign and, on a started server, hands it to the
+// coordinator. It returns the campaign's stable ID (dist.SpecKey of
+// spec+tag), having journaled and fsynced the submission first — once
+// Submit returns, the campaign survives SIGKILL. ErrBadSpec,
+// ErrQuotaExceeded and ErrDuplicate reject without journaling.
 func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error) {
+	if err := checkSpec(spec); err != nil {
+		s.reject(tag.Tenant, "spec")
+		return "", err
+	}
 	id, err := dist.SpecKey(spec, tag)
 	if err != nil {
 		return "", err
@@ -469,15 +470,10 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 		// first, apply second, always.
 		return "", fmt.Errorf("%w: journaling submission: %s", ErrStorageDegraded, err)
 	}
-	s.seq++
-	e := &entry{
-		Campaign: Campaign{
-			ID: id, Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
-			State: StateQueued, Spec: spec, Submitted: now,
-		},
-		specJSON: specJSON,
-		seq:      s.seq,
-	}
+	e := &entry{Campaign: Campaign{
+		ID: id, Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
+		State: StateQueued, Spec: spec, Submitted: now,
+	}}
 	s.entries[id] = e
 	s.order = append(s.order, e)
 	if s.mSubmits != nil {
@@ -485,7 +481,7 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 	}
 	s.event("cp_submitted", id, map[string]any{"tenant": tag.Tenant, "priority": tag.Priority})
 	if s.started {
-		s.dispatchLocked()
+		s.startLocked(e)
 	}
 	return id, nil
 }
@@ -497,78 +493,28 @@ func (s *Server) reject(tenant, reason string) {
 	s.event("cp_rejected", "", map[string]any{"tenant": tenant, "reason": reason})
 }
 
-// dispatchLocked promotes queued campaigns to running while MaxActive
-// slots are free, in fair-share policy order (priority band — the whole
-// points of the aged priority — then least accumulated tenant usage,
-// then FCFS). Requires s.mu.
-func (s *Server) dispatchLocked() {
-	if !s.started || s.closed {
-		return
+// checkSpec rejects, wrapping ErrBadSpec, a spec whose pulls would all
+// fail smd.Protocol.Validate on the workers — each failure a strike
+// against the worker's site breaker.
+func checkSpec(spec campaign.Spec) error {
+	if len(spec.Kappas) == 0 || len(spec.Velocities) == 0 || spec.Replicas <= 0 {
+		return fmt.Errorf("%w: need at least one kappa, one velocity, and replicas > 0", ErrBadSpec)
 	}
-	for {
-		if s.cfg.MaxActive > 0 {
-			running := 0
-			for _, e := range s.order {
-				if e.State == StateRunning {
-					running++
-				}
-			}
-			if running >= s.cfg.MaxActive {
-				return
-			}
+	for _, x := range append(append([]float64{spec.Distance}, spec.Kappas...), spec.Velocities...) {
+		if !(x > 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("%w: kappas, velocities and distance must be finite and > 0, got %g", ErrBadSpec, x)
 		}
-		e := s.nextQueuedLocked()
-		if e == nil {
-			return
-		}
-		s.startLocked(e)
 	}
+	return nil
 }
 
-// nextQueuedLocked ranks the queued campaigns under the fair-share
-// policy and returns the winner (nil if none). Tenants currently
-// running campaigns carry their work as provisional usage, so a busy
-// tenant's next campaign ranks behind an idle one's.
-func (s *Server) nextQueuedLocked() *entry {
-	var queued []*entry
-	for _, e := range s.order {
-		if e.State == StateQueued {
-			queued = append(queued, e)
-		}
-	}
-	if len(queued) == 0 {
-		return nil
-	}
-	now := time.Now().UTC()
-	cands := make([]grid.Candidate, len(queued))
-	for i, e := range queued {
-		cands[i] = grid.Candidate{
-			Tenant:    e.Tenant,
-			Priority:  e.Priority,
-			WaitHours: now.Sub(e.Submitted).Hours(),
-			Seq:       e.seq,
-		}
-	}
-	extra := make(map[string]float64)
-	for _, e := range s.order {
-		if e.State == StateRunning {
-			extra[e.Tenant] += e.Spec.WorkNs()
-		}
-	}
-	return queued[s.pol.Rank(cands, extra)[0]]
-}
-
-// startLocked journals the transition and hands e to the coordinator.
+// startLocked hands e to the coordinator, whose lease path decides from
+// then on when its jobs run. Nothing is journaled: replay turns a
+// running campaign back into a queued one anyway. Requires s.mu.
 func (s *Server) startLocked(e *entry) {
 	e.State = StateRunning
 	e.Started = time.Now().UTC()
 	e.JobsTotal = len(e.Spec.Tasks())
-	if err := s.journal.Append(&qrec{T: qStart, ID: e.ID, Tenant: e.Tenant, At: e.Started}, true); err != nil {
-		// The start record is an optimization (replay re-queues running
-		// campaigns anyway); losing it only costs a redundant re-dispatch.
-		// The journal still turns degraded so submissions stop overpromising.
-		s.event("cp_journal_error", e.ID, map[string]any{"err": err.Error()})
-	}
 	s.event("cp_started", e.ID, map[string]any{"tenant": e.Tenant})
 	go s.run(e)
 }
@@ -611,13 +557,13 @@ func (s *Server) run(e *entry) {
 		s.mFinished.With(e.Tenant, string(e.State)).Inc()
 	}
 	s.event("cp_finished", e.ID, map[string]any{"tenant": e.Tenant, "state": string(e.State)})
-	s.dispatchLocked()
 }
 
-// Cancel cancels a campaign by ID. Queued campaigns are simply marked;
-// running ones are canceled on the coordinator, which fails their
-// remaining jobs with ErrCampaignCanceled. Canceling a terminal
-// campaign is a no-op returning its current state.
+// Cancel cancels a campaign by ID. Queued campaigns (only possible
+// before Start) are simply marked; running ones are canceled on the
+// coordinator, which fails their remaining jobs with
+// ErrCampaignCanceled. Canceling a terminal campaign is a no-op
+// returning its current state.
 func (s *Server) Cancel(id string) (State, error) {
 	s.mu.Lock()
 	e, ok := s.entries[id]
@@ -655,9 +601,6 @@ func (s *Server) Cancel(id string) (State, error) {
 		s.cfg.Coordinator.CancelCampaign(id)
 		return StateRunning, nil
 	}
-	s.mu.Lock()
-	s.dispatchLocked()
-	s.mu.Unlock()
 	return StateCanceled, nil
 }
 
@@ -749,14 +692,15 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 	return r.logs, nil
 }
 
-// leaseScheduler builds the dist.Scheduler enforcing per-tenant
-// MaxRunning quotas with fair-share ordering on the live lease path:
-// priority band first, then the tenant with the least usage plus work
-// leased right now, so of two equal-priority campaigns the one whose
-// tenant is idle gets the next free worker however recently it came.
-// It runs inside the coordinator's lock, so it must not take s.mu (see
-// usageMu); it reads only immutable config, atomic metric counters, and
-// the usage snapshot.
+// leaseScheduler builds the dist.Scheduler — the control plane's one
+// scheduler — enforcing per-tenant MaxRunning quotas with fair-share
+// ordering on the live lease path: priority band first, then the tenant
+// with the least usage plus work leased right now, so of two
+// equal-priority campaigns the one whose tenant is idle gets the next
+// free worker however recently it came. It runs inside the
+// coordinator's lock, so it must not take s.mu (see polMu); it reads
+// only immutable config, atomic metric counters, and the ledger under
+// the leaf polMu.
 func (s *Server) leaseScheduler() dist.Scheduler {
 	return dist.SchedulerFunc(func(now time.Time, views []dist.CampaignView) []int {
 		leased := make(map[string]float64, len(views))
@@ -774,7 +718,9 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 				Seq:       v.Seq,
 			}
 		}
-		order := s.rankForLease(cands, leased)
+		s.polMu.Lock()
+		order := s.pol.Rank(cands, leased)
+		s.polMu.Unlock()
 		out := make([]int, 0, len(order))
 		for _, i := range order {
 			v := views[i]
@@ -793,31 +739,11 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 	})
 }
 
-// rankForLease ranks lease candidates under the fair-share ledger
-// snapshot plus the instantaneous leased work.
-func (s *Server) rankForLease(cands []grid.Candidate, leased map[string]float64) []int {
-	extra := make(map[string]float64, len(leased))
-	s.usageMu.Lock()
-	for t, u := range s.usageSnap {
-		extra[t] = u
-	}
-	s.usageMu.Unlock()
-	for t, n := range leased {
-		extra[t] += n
-	}
-	return grid.NewPolicy(s.cfg.Aging).Rank(cands, extra)
-}
-
-// charge adds to the fair-share ledger and refreshes the lease-path
-// snapshot. Requires s.mu (for pol); takes the leaf usageMu.
+// charge adds to the fair-share ledger under the leaf polMu.
 func (s *Server) charge(tenant string, amount float64) {
+	s.polMu.Lock()
 	s.pol.Charge(tenant, amount)
-	s.usageMu.Lock()
-	if s.usageSnap == nil {
-		s.usageSnap = make(map[string]float64)
-	}
-	s.usageSnap[tenant] = s.pol.Usage(tenant)
-	s.usageMu.Unlock()
+	s.polMu.Unlock()
 }
 
 // QueueStats is one tenant's queue-depth row.
@@ -839,6 +765,8 @@ type QueueStats struct {
 func (s *Server) Stats() []QueueStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.polMu.Lock()
+	defer s.polMu.Unlock()
 	byTenant := make(map[string]*QueueStats)
 	for _, e := range s.order {
 		qs := byTenant[e.Tenant]

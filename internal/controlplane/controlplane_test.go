@@ -281,6 +281,166 @@ func TestSubmitQuotaDuplicateAndReadiness(t *testing.T) {
 	}
 }
 
+// serveHTTP mounts s's API on a test server and returns its base URL.
+func serveHTTP(t *testing.T, s *Server) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	s.Mount(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// postJSON posts body to url and decodes the JSON reply into out.
+func postJSON(t *testing.T, url, body string, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+// queueRecords is a fold that keeps, per campaign ID, the type of every
+// record on disk in log order: what was written, not what it replays to.
+type queueRecords map[string][]string
+
+func (q queueRecords) Apply(r *qrec)        { q[r.ID] = append(q[r.ID], r.T) }
+func (q queueRecords) Snapshot(func(*qrec)) {}
+
+func scanQueueRecords(t *testing.T, dir string) queueRecords {
+	t.Helper()
+	recs := queueRecords{}
+	if _, err := wal.Scan[qrec](queueConfig(nil, dir), recs); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestSubmitRejectsUnrunnableSpec: a spec every pull of which would fail
+// smd.Protocol.Validate on a worker — each failure a strike against that
+// worker's site breaker — is refused with 400 before it is journaled.
+func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newHarness(t, Config{StateDir: dir}, 0)
+	s.Start()
+	url := serveHTTP(t, s) + "/api/v1/campaigns"
+	for _, tc := range []struct{ name, spec string }{
+		{"no distance", `{"Kappas":[100],"Velocities":[50],"Replicas":1}`},
+		{"negative distance", `{"Kappas":[100],"Velocities":[50],"Replicas":1,"Distance":-3}`},
+		{"zero velocity", `{"Kappas":[100],"Velocities":[50,0],"Replicas":1,"Distance":3}`},
+		{"negative velocity", `{"Kappas":[100],"Velocities":[-50],"Replicas":1,"Distance":3}`},
+		{"zero kappa", `{"Kappas":[0],"Velocities":[50],"Replicas":1,"Distance":3}`},
+		{"negative kappa", `{"Kappas":[100,-10],"Velocities":[50],"Replicas":1,"Distance":3}`},
+		{"no kappas", `{"Velocities":[50],"Replicas":1,"Distance":3}`},
+		{"no replicas", `{"Kappas":[100],"Velocities":[50],"Distance":3}`},
+	} {
+		var body map[string]string
+		code := postJSON(t, url, `{"tenant":"t","spec":`+tc.spec+`}`, &body)
+		if code != http.StatusBadRequest || !strings.HasPrefix(body["error"], ErrBadSpec.Error()) {
+			t.Errorf("%s: %d %q, want 400 %q", tc.name, code, body["error"], ErrBadSpec)
+		}
+	}
+	// JSON cannot carry an infinity; an in-process caller can.
+	spec := specA()
+	spec.Distance = math.Inf(1)
+	if _, err := s.Submit(spec, dist.CampaignTag{Tenant: "t"}); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("infinite distance: %v, want ErrBadSpec", err)
+	}
+	if recs := scanQueueRecords(t, dir); len(recs) != 0 {
+		t.Fatalf("rejected specs reached queue.log: %v", recs)
+	}
+	if n := len(s.List("")); n != 0 {
+		t.Fatalf("rejected specs reached the queue: %d campaigns", n)
+	}
+}
+
+// TestSubmitReportsRealState: the 202 body carries the state the
+// campaign is in, which on a started server is running — the state a GET
+// right after reports too.
+func TestSubmitReportsRealState(t *testing.T) {
+	s, _ := newHarness(t, Config{}, 0)
+	s.Start()
+	base := serveHTTP(t, s)
+	body, err := json.Marshal(SubmitRequest{Tenant: "alice", Spec: specA()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc SubmitResponse
+	if code := postJSON(t, base+"/api/v1/campaigns", string(body), &acc); code != http.StatusAccepted {
+		t.Fatalf("submit returned %d, want 202", code)
+	}
+	c, err := (&Client{Base: base}).Get(context.Background(), acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc.State != c.State || c.State != StateRunning {
+		t.Fatalf("202 said %q, GET says %q, want both running", acc.State, c.State)
+	}
+}
+
+// TestSubmitGoesStraightToCoordinator: on a started server Submit hands
+// every campaign to the coordinator whatever its priority — priority and
+// fair share are decided once, on the lease path — and queue.log gets no
+// start record: a drained campaign's log is exactly its submit and done.
+func TestSubmitGoesStraightToCoordinator(t *testing.T) {
+	dir := t.TempDir()
+	s, co := newHarness(t, Config{StateDir: dir}, 0)
+	s.Start()
+	var ids []string
+	for i, sub := range []struct {
+		spec campaign.Spec
+		tag  dist.CampaignTag
+	}{
+		{specA(), dist.CampaignTag{Tenant: "alice"}},
+		{specB(), dist.CampaignTag{Tenant: "bob", Priority: 1}},
+		{specA(), dist.CampaignTag{Tenant: "bob", Priority: 2}},
+	} {
+		id, err := s.Submit(sub.spec, sub.tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, _ := s.Get(id); c.State != StateRunning {
+			t.Fatalf("campaign %d is %s when Submit returns, want running", i, c.State)
+		}
+		ids = append(ids, id)
+	}
+	// RunTagged installs each campaign on the goroutine Submit started.
+	var views []dist.CampaignView
+	for deadline := time.Now().Add(5 * time.Second); len(views) < len(ids); views = co.Campaigns() {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator holds %d of %d submitted campaigns", len(views), len(ids))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	order := s.leaseScheduler().Offer(time.Now(), views)
+	for i, want := range []int{2, 1, 0} {
+		if i >= len(order) || views[order[i]].Priority != want {
+			t.Fatalf("lease offer %v over %+v: want priorities 2, 1, 0", order, views)
+		}
+	}
+	recs := scanQueueRecords(t, dir)
+	for _, id := range ids {
+		if got := strings.Join(recs[id], " "); got != qSubmit {
+			t.Fatalf("campaign %s: queue.log holds %q while running, want only its submit", id, got)
+		}
+	}
+	startTestWorkers(t, co, 2)
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
+	}
+	recs = scanQueueRecords(t, dir)
+	for _, id := range ids {
+		if got := strings.Join(recs[id], " "); got != qSubmit+" "+qDone {
+			t.Fatalf("campaign %s: queue.log holds %q, want submit then done", id, got)
+		}
+	}
+}
+
 // TestLeaseSchedulerFairShareUnderDefaultAging: with the default aging
 // rate a campaign installed a second before another of equal priority
 // must not outrank it on that second alone — they share a priority band,
@@ -468,8 +628,8 @@ func TestTenantUsageGauge(t *testing.T) {
 }
 
 func TestCancelQueuedCampaign(t *testing.T) {
-	s, _ := newHarness(t, Config{MaxActive: 1}, 0) // no workers: running never finishes
-	s.Start()
+	s, _ := newHarness(t, Config{}, 0) // no workers: running never finishes
+	// Before Start both campaigns are queued: the only time one is.
 	idA, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -478,12 +638,18 @@ func TestCancelQueuedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, idA, StateRunning)
 	if c, _ := s.Get(idB); c.State != StateQueued {
-		t.Fatalf("campaign B is %s, want queued behind MaxActive=1", c.State)
+		t.Fatalf("campaign B is %s before Start, want queued", c.State)
 	}
 	if st, err := s.Cancel(idB); err != nil || st != StateCanceled {
 		t.Fatalf("cancel queued: state=%s err=%v", st, err)
+	}
+	s.Start()
+	if c, _ := s.Get(idA); c.State != StateRunning {
+		t.Fatalf("campaign A is %s after Start, want running", c.State)
+	}
+	if c, _ := s.Get(idB); c.State != StateCanceled {
+		t.Fatalf("Start revived canceled campaign B: %s", c.State)
 	}
 	if _, err := s.Result(idB); !errors.Is(err, ErrNotDone) {
 		t.Fatalf("result of canceled campaign: %v, want ErrNotDone", err)
@@ -522,25 +688,19 @@ func TestCancelRightAfterSubmit(t *testing.T) {
 }
 
 // TestTwoTenantsOverHTTPBitIdentical is the package smoke test: two
-// tenants submit over the HTTP API, MaxActive=1 forces queueing, and
-// both merged results must be bit-identical to single-process
-// LocalRunner baselines.
+// tenants submit over the HTTP API, both campaigns share the fleet under
+// the lease path's quotas, and both merged results must be bit-identical
+// to single-process LocalRunner baselines.
 func TestTwoTenantsOverHTTPBitIdentical(t *testing.T) {
 	wantA, wantB := localBaseline(t, specA()), localBaseline(t, specB())
 
 	// No workers yet: submissions and the quota rejection are asserted
 	// while nothing can complete, so the quota state is deterministic.
 	s, co := newHarness(t, Config{
-		MaxActive: 1,
-		Quotas:    map[string]Quota{"alice": {MaxQueued: 1}, "bob": {MaxQueued: 1, MaxRunning: 1}},
+		Quotas: map[string]Quota{"alice": {MaxQueued: 1}, "bob": {MaxQueued: 1, MaxRunning: 1}},
 	}, 0)
 	s.Start()
-
-	mux := http.NewServeMux()
-	s.Mount(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	cl := &Client{Base: ts.URL}
+	cl := &Client{Base: serveHTTP(t, s)}
 	ctx := context.Background()
 
 	idA, err := cl.Submit(ctx, specA(), dist.CampaignTag{Tenant: "alice"})
