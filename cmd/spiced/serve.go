@@ -3,10 +3,11 @@ package main
 // spiced -serve: the control-plane mode. Instead of pulling jobs as a
 // worker, the daemon becomes the long-lived service the fleet gathers
 // around: it embeds a dist coordinator, wraps it in the multi-tenant
-// campaign control plane (persistent queue, quotas, fair-share
-// scheduling), and serves the HTTP API on one listener together with
-// /metrics, /healthz and /readyz. /readyz goes ready only after the
-// queue journal has been replayed.
+// campaign control plane (quotas, fair-share scheduling), and serves the
+// HTTP API on one listener together with /metrics, /healthz and /readyz.
+// The coordinator's journal is the one durable record of every accepted
+// campaign; /readyz goes ready only after its replayed campaigns are
+// back on the coordinator.
 //
 // Example — a control plane with two in-process workers and quotas:
 //
@@ -48,15 +49,16 @@ var (
 )
 
 // serveFlags binds the -serve flags that are dist knobs onto c. The
-// journal knobs apply to both journals and -max-inflight is the one "how
-// much at once" dial for the daemon: it caps worker requests in
-// processing at the embedded coordinator AND concurrent API requests at
-// the HTTP layer (excess of either is shed with a retry hint, never
-// queued) — runServe hands the same fields to the control plane.
+// journal knobs tune the coordinator's journal, the one log, and
+// -max-inflight is the one "how much at once" dial for the daemon: it
+// caps worker requests in processing at the embedded coordinator AND
+// concurrent API requests at the HTTP layer (excess of either is shed
+// with a retry hint, never queued) — runServe hands it to the control
+// plane too.
 func serveFlags(fs *flag.FlagSet, c *dist.Config) {
-	fs.StringVar(&c.StateDir, "state", c.StateDir, "with -serve: state directory for the campaign queue journal and the coordinator's job journal (required; survives SIGKILL)")
-	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "with -serve: compact a journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding the on-disk footprint and replay time; applies to both the campaign queue and the job journal (0 disables)")
-	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "with -serve: retries (short capped backoff) for a failed journal append before the service enters the degraded storage state — submissions get 503 + Retry-After, running campaigns keep draining, and a background probe restores service when the disk recovers")
+	fs.StringVar(&c.StateDir, "state", c.StateDir, "with -serve: state directory for the coordinator's journal, the durable record of every accepted campaign and its jobs (required; survives SIGKILL)")
+	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "with -serve: compact the journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding the on-disk footprint and replay time (0 disables)")
+	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "with -serve: retries (short capped backoff) for a failed journal append before the service enters the degraded storage state — submissions and cancels get 503 + Retry-After, running campaigns keep their leases, and the coordinator's storage probe restores service when the disk recovers")
 	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "with -serve: cap on requests processed at once — worker polls at the coordinator (shed with a jittered wait hint) and concurrent HTTP API requests (shed with 503 + Retry-After) (0 disables both)")
 }
 
@@ -103,7 +105,7 @@ func parseQuotas(s string) (map[string]controlplane.Quota, error) {
 // for.
 func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	if dcfg.StateDir == "" {
-		return fmt.Errorf("-serve requires -state (the queue must survive restarts)")
+		return fmt.Errorf("-serve requires -state (accepted campaigns must survive restarts)")
 	}
 
 	// The simulated system shipped to workers. Intra-engine parallelism
@@ -146,16 +148,14 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 		}
 	}
 	cp, err := controlplane.New(controlplane.Config{
-		Coordinator:    co,
-		StateDir:       dcfg.StateDir,
-		DefaultQuota:   defQ,
-		Quotas:         quotas,
-		Aging:          *agingRate,
-		CompactBytes:   dcfg.CompactBytes,
-		StorageRetries: dcfg.StorageRetries,
-		MaxConcurrent:  dcfg.MaxInflight,
-		Metrics:        reg,
-		Events:         events,
+		Coordinator:   co,
+		StateDir:      dcfg.StateDir, // where an older server's queue.log lies
+		DefaultQuota:  defQ,
+		Quotas:        quotas,
+		Aging:         *agingRate,
+		MaxConcurrent: dcfg.MaxInflight,
+		Metrics:       reg,
+		Events:        events,
 	})
 	if err != nil {
 		return err
@@ -173,8 +173,7 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	}
 
 	// One listener serves the campaign API and the obs endpoints;
-	// /readyz flips once the queue journal is replayed and the replayed
-	// campaigns are on the coordinator.
+	// /readyz flips once the replayed campaigns are on the coordinator.
 	mux := obs.NewMux(reg, events, nil, cp.Ready)
 	cp.Mount(mux)
 	srv, err := obs.ServeHandler(*serveHTTP, mux)

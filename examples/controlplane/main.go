@@ -217,7 +217,7 @@ func main() {
 	if !identical(recovered, baseline) {
 		log.Fatal("recovered result differs from baseline")
 	}
-	fmt.Printf("after a full restart (zero workers attached) the queue journal replays\n")
-	fmt.Printf("alice's campaign and her result is recovered byte-identical through the\n")
-	fmt.Printf("dist job journal — no simulation re-ran\n")
+	fmt.Printf("after a full restart (zero workers attached) the coordinator's journal\n")
+	fmt.Printf("replays alice's campaign and her result is recovered byte-identical\n")
+	fmt.Printf("through it — no simulation re-ran\n")
 }

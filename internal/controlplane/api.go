@@ -141,8 +141,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrStorageDegraded):
 		code = http.StatusServiceUnavailable
-		// Storage degradation is expected to be transient (the probe
-		// goroutine re-checks every StorageProbe); invite a retry.
+		// Storage degradation is expected to be transient (the
+		// coordinator re-probes its disk every LeaseTTL/2); invite a retry.
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable

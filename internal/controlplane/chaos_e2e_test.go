@@ -7,7 +7,7 @@ package controlplane
 // no accepted campaign lost, keep enforcing quotas, and finish both
 // campaigns with results bit-identical to in-process LocalRunner
 // baselines. SIGKILL (not SIGTERM) is the point: nothing gets to
-// flush, so only what the fsynced journals hold survives. The process
+// flush, so only what the fsynced journal holds survives. The process
 // is killed twice — once mid-queue and once mid-replay — because a
 // crash while recovering from a crash is the classic journal-corruption
 // window.

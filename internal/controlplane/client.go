@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -143,28 +144,28 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
 			msg = apiErr.Error
 		}
-		// The server's message already spells out the sentinel's own
-		// text, so strip it before re-wrapping to keep errors.Is working
-		// without doubling the prefix.
+		// The server's message usually starts with the sentinel's own
+		// text; re-wrap it without doubling that prefix.
 		wrap := func(sentinel error) error {
-			return fmt.Errorf("%w: %s", sentinel, strings.TrimPrefix(msg, sentinel.Error()+": "))
+			if rest, ok := strings.CutPrefix(msg, sentinel.Error()); ok {
+				return fmt.Errorf("%w%s", sentinel, rest)
+			}
+			return fmt.Errorf("%w: %s", sentinel, msg)
 		}
 		hint := retryAfter(resp)
+		// Where several conditions share a status, the body's sentinel
+		// prefix tells them apart so errors.Is keeps working.
+		for _, sentinel := range statusSentinels[resp.StatusCode] {
+			if strings.HasPrefix(msg, sentinel.Error()) {
+				return hint, wrap(sentinel)
+			}
+		}
 		switch resp.StatusCode {
 		case http.StatusTooManyRequests:
 			return -1, wrap(ErrQuotaExceeded)
 		case http.StatusNotFound:
 			return -1, wrap(ErrNotFound)
-		case http.StatusConflict:
-			return -1, fmt.Errorf("controlplane: %s", msg)
 		case http.StatusServiceUnavailable:
-			// Three conditions share the status; the body's sentinel
-			// prefix tells them apart so errors.Is keeps working.
-			for _, sentinel := range []error{ErrStorageDegraded, ErrOverloaded} {
-				if strings.HasPrefix(msg, sentinel.Error()) {
-					return hint, wrap(sentinel)
-				}
-			}
 			return hint, wrap(ErrClosed)
 		}
 		return -1, fmt.Errorf("controlplane: %s %s: %s", method, path, msg)
@@ -173,6 +174,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		return -1, nil
 	}
 	return -1, json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusSentinels lists the sentinels an error body of each status can
+// start with.
+var statusSentinels = map[int][]error{
+	http.StatusBadRequest:         {ErrBadSpec},
+	http.StatusConflict:           {ErrDuplicate, ErrNotDone},
+	http.StatusServiceUnavailable: {ErrStorageDegraded, ErrOverloaded},
 }
 
 // retryAfter parses the Retry-After header (delay-seconds form) into
@@ -203,7 +212,7 @@ func (c *Client) Submit(ctx context.Context, spec campaign.Spec, tag dist.Campai
 func (c *Client) List(ctx context.Context, tenant string) ([]Campaign, error) {
 	path := "/api/v1/campaigns"
 	if tenant != "" {
-		path += "?tenant=" + tenant
+		path += "?tenant=" + url.QueryEscape(tenant)
 	}
 	var out []Campaign
 	err := c.do(ctx, http.MethodGet, path, nil, &out)

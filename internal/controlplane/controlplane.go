@@ -1,13 +1,16 @@
 // Package controlplane is the multi-tenant campaign control plane: a
-// long-lived service that accepts SMD sweep campaigns over HTTP, queues
-// them durably, and feeds them to a dist.Coordinator under per-tenant
-// quotas and live fair-share scheduling.
+// long-lived service that accepts SMD sweep campaigns over HTTP and
+// feeds them to a dist.Coordinator under per-tenant quotas and live
+// fair-share scheduling.
 //
 // The package ties three earlier layers together without changing any
 // of their invariants:
 //
-//   - internal/trace gives the queue its crash-safe journal framing, so
-//     an accepted campaign survives SIGKILL and replays on restart;
+//   - the coordinator's journal is the one durable record of a campaign:
+//     Submit answers only once the campaign record is fsynced there, a
+//     cancel once its cancel record is, and New rebuilds every campaign
+//     from the journal's replay, so an accepted campaign survives
+//     SIGKILL;
 //   - internal/grid contributes the priority + fair-share + aging
 //     ranking policy, promoted from the offline planner into the live
 //     lease path via dist.Scheduler;
@@ -39,7 +42,6 @@ import (
 	"spice/internal/grid"
 	"spice/internal/obs"
 	"spice/internal/trace"
-	"spice/internal/wal"
 )
 
 // State is a campaign's lifecycle state in the queue.
@@ -71,10 +73,12 @@ type Quota struct {
 
 // Config parameterizes a control plane Server.
 type Config struct {
-	// Coordinator executes the campaigns. Required; its Scheduler slot
-	// must be free — New installs the fair-share/quota scheduler there.
+	// Coordinator executes the campaigns and its journal records them.
+	// Required; its Scheduler slot must be free — New installs the
+	// fair-share/quota scheduler there.
 	Coordinator *dist.Coordinator
-	// StateDir holds queue.log, the durable campaign queue. Required.
+	// StateDir, if set, holds the queue.log an older control plane
+	// wrote, which New imports read-only (see queue.go).
 	StateDir string
 	// DefaultQuota applies to tenants absent from Quotas.
 	DefaultQuota Quota
@@ -90,20 +94,12 @@ type Config struct {
 	// Events, if non-nil, receives campaign lifecycle events.
 	Events *obs.EventLog
 
-	// CompactBytes compacts queue.log (fold into queue.snapshot,
-	// truncate the log) when it grows past this size, keeping the
-	// on-disk footprint bounded on long-lived control planes. 0
-	// disables compaction.
-	CompactBytes int64
-	// StorageRetries is how many times a failed journal append is
-	// retried (short capped backoff) before the server enters the
-	// degraded storage state. 0 degrades on the first failure.
+	// CompactBytes and StorageRetries are ignored: the control plane
+	// writes no log of its own. The coordinator's dist.Config fields of
+	// the same names tune its journal.
+	CompactBytes   int64
 	StorageRetries int
-	// StorageProbe is how often a degraded server probes the journal
-	// with a no-op record to detect recovery (default 500ms).
-	StorageProbe time.Duration
-	// FS routes every queue journal operation through an injectable
-	// filesystem (faultfs.Injector — the disk-fault chaos hook). Nil
+	// FS reads the older queue.log through an injectable filesystem. Nil
 	// uses the real OS filesystem.
 	FS faultfs.FS
 
@@ -156,14 +152,7 @@ type recovery struct {
 type Server struct {
 	cfg Config
 
-	mu sync.Mutex
-	// journal owns the degraded storage state (set when an append fails
-	// past its retries, cleared when the prober's no-op record or any
-	// later append succeeds); the server owns the policy. While degraded,
-	// submissions and cancels are refused with ErrStorageDegraded (HTTP
-	// 503 + Retry-After) — the 202 contract cannot be honored — but
-	// campaigns already running keep draining and reads stay available.
-	journal *wal.Log[qrec, *qrec]
+	mu      sync.Mutex
 	entries map[string]*entry
 	order   []*entry // submission order
 	started bool
@@ -206,11 +195,10 @@ var (
 	ErrNotDone = errors.New("controlplane: campaign has not completed")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("controlplane: server is closed")
-	// ErrStorageDegraded refuses writes while the queue journal cannot
-	// take durable appends: a submission the journal did not record
+	// ErrStorageDegraded refuses submissions and cancels the
+	// coordinator's journal cannot make durable: what it did not record
 	// must not be acknowledged. The HTTP layer maps it to 503 with a
-	// Retry-After header; the prober clears the state when the disk
-	// recovers.
+	// Retry-After header; the coordinator's storage probe clears it.
 	ErrStorageDegraded = errors.New("controlplane: storage degraded, retry later")
 	// ErrOverloaded sheds load when the control plane is saturated
 	// (request concurrency over its cap). Maps to 503 + Retry-After.
@@ -218,18 +206,16 @@ var (
 	ErrOverloaded = errors.New("controlplane: overloaded, retry later")
 )
 
-// New builds a Server: opens and replays queue.log, installs the
-// fair-share scheduler on the coordinator, and registers metrics.
-// Campaigns recovered in non-terminal states are re-queued (a campaign
-// that was running re-runs through the coordinator's own journal
-// replay, so completed jobs are not re-executed). Call Start to hand
-// them to the coordinator.
+// New builds a Server: it rebuilds the campaigns from the coordinator's
+// journal replay (plus a queue.log an older server left in StateDir),
+// installs the fair-share scheduler on the coordinator, and registers
+// metrics. A campaign that was running when the process died comes back
+// queued, and Start re-installs it: the journal replay makes it resume
+// (or complete instantly) rather than redo finished jobs. Finished
+// campaigns are re-charged to the fair-share ledger from their specs.
 func New(cfg Config) (*Server, error) {
 	if cfg.Coordinator == nil {
 		return nil, errors.New("controlplane: Config.Coordinator is required")
-	}
-	if cfg.StateDir == "" {
-		return nil, errors.New("controlplane: Config.StateDir is required")
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -250,51 +236,45 @@ func New(cfg Config) (*Server, error) {
 			"Campaigns reaching a terminal state.", "tenant", "state")
 		reg.RegisterCollector(s.collect)
 	}
-	jcfg := queueConfig(cfg.FS, cfg.StateDir)
-	jcfg.CompactBytes = cfg.CompactBytes
-	jcfg.Retries = cfg.StorageRetries
-	jcfg.Notify = s.storageNotify
-	journal, replay, tail, err := wal.Open[qrec](jcfg, newQueueScan)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: %w", err)
+	legacy := newQueueScan()
+	if cfg.StateDir != "" {
+		var err error
+		if legacy, err = importQueue(cfg.FS, cfg.StateDir); err != nil {
+			return nil, err
+		}
 	}
-	s.journal = journal
-	if tail.TornBytes > 0 {
-		s.event("cp_journal_torn_tail", "", map[string]any{"bytes": tail.TornBytes})
+	// The older log goes first: a campaign the journal holds only a
+	// cancel for gets its spec from it.
+	for _, qr := range legacy.order {
+		tag := dist.CampaignTag{Tenant: qr.rec.Tenant, Priority: qr.rec.Priority, Name: qr.rec.Name}
+		e, err := s.restore(qr.rec.ID, tag, qr.rec.Spec, qr.rec.At)
+		if err != nil {
+			return nil, err
+		}
+		e.settle(qr.state, qr.err)
 	}
-	for _, qr := range replay.order {
-		var spec campaign.Spec
-		if err := json.Unmarshal(qr.rec.Spec, &spec); err != nil {
-			journal.Close()
-			return nil, fmt.Errorf("controlplane: replaying campaign %s: %w", qr.rec.ID, err)
+	for _, rc := range cfg.Coordinator.Replayed() {
+		e, err := s.restore(rc.Key, rc.Tag, rc.Spec, rc.At)
+		if err != nil {
+			return nil, err
 		}
-		e := &entry{
-			Campaign: Campaign{
-				ID:        qr.rec.ID,
-				Tenant:    qr.rec.Tenant,
-				Priority:  qr.rec.Priority,
-				Name:      qr.rec.Name,
-				State:     qr.state,
-				Error:     qr.err,
-				Spec:      spec,
-				Submitted: qr.rec.At,
-			},
+		switch {
+		case e == nil:
+		case rc.Canceled:
+			e.settle(StateCanceled, "")
+		case rc.Err != "":
+			e.settle(StateFailed, rc.Err)
+		case rc.Done == len(e.Spec.Tasks()):
+			e.settle(StateDone, "")
 		}
-		// A campaign that was running when the process died replays as
-		// queued (its last record is its submit, or a start record in
-		// logs written before those were dropped) and Start re-runs it:
-		// the coordinator's journal replay makes the re-run resume (or
-		// complete instantly) rather than redo finished jobs. Fair-share
-		// usage for finished campaigns is re-charged from their specs so
-		// the ledger survives restarts too.
-		if e.State == StateRunning {
-			e.State = StateQueued
-		}
+	}
+	// The journal re-emits campaigns in key order when it compacts, so
+	// submission order is the submission time.
+	sort.SliceStable(s.order, func(i, j int) bool { return s.order[i].Submitted.Before(s.order[j].Submitted) })
+	for _, e := range s.order {
 		if e.State == StateDone {
 			s.charge(e.Tenant, e.Spec.WorkNs())
 		}
-		s.entries[e.ID] = e
-		s.order = append(s.order, e)
 	}
 	// The live lease path consults the control plane's quotas on every
 	// offer.
@@ -302,9 +282,42 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start hands the campaigns left queued by replay (or submitted before
-// Start) to the coordinator, in submission order, and marks the server
-// ready. From then on Submit hands each campaign over itself.
+// restore returns the entry for a replayed campaign, creating it (queued)
+// the first time a spec comes with the id, and fills in a submission
+// time still unknown. Without an entry or a spec it returns nil.
+func (s *Server) restore(id string, tag dist.CampaignTag, specJSON json.RawMessage, at time.Time) (*entry, error) {
+	e := s.entries[id]
+	if e == nil {
+		if len(specJSON) == 0 {
+			return nil, nil
+		}
+		var spec campaign.Spec
+		if err := json.Unmarshal(specJSON, &spec); err != nil {
+			return nil, fmt.Errorf("controlplane: replaying campaign %s: %w", id, err)
+		}
+		e = &entry{Campaign: Campaign{ID: id, Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
+			State: StateQueued, Spec: spec}}
+		s.entries[id] = e
+		s.order = append(s.order, e)
+	}
+	if e.Submitted.IsZero() {
+		e.Submitted = at
+	}
+	return e, nil
+}
+
+// settle moves a replayed entry to st unless it already ended; a running
+// campaign replays as queued.
+func (e *entry) settle(st State, reason string) {
+	if !e.State.terminal() && st.terminal() {
+		e.State, e.Error = st, reason
+	}
+}
+
+// Start installs the campaigns left queued by replay on the coordinator,
+// in submission order, and marks the server ready. A campaign whose
+// install fails (its record could not be made durable) fails in memory
+// and replays queued again after the next restart.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,16 +326,19 @@ func (s *Server) Start() {
 	}
 	s.started = true
 	for _, e := range s.order {
-		if e.State == StateQueued {
-			s.startLocked(e)
+		if e.State != StateQueued {
+			continue
+		}
+		if err := s.startLocked(e); err != nil {
+			s.finishLocked(e, nil, err)
 		}
 	}
 }
 
-// Ready reports readiness: nil once the journal has been replayed and
-// the queued campaigns are on the coordinator. Wire it to obs /readyz —
-// a control plane that is up but still replaying must not take
-// submissions.
+// Ready reports readiness: nil once the replayed campaigns are on the
+// coordinator and while its journal takes durable appends. Wire it to
+// obs /readyz — a control plane that is up but still replaying, or
+// cannot record a submission, must not take one.
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,73 +348,27 @@ func (s *Server) Ready() error {
 	if !s.started {
 		return errors.New("controlplane: journal replay in progress")
 	}
-	return s.storageGateLocked()
+	return s.storageGate()
 }
 
-// storageGateLocked is the degraded-storage policy for anything that
-// promises durability: nil while the journal is healthy,
+// storageGate is the degraded-storage policy for anything that promises
+// durability: nil while the coordinator's journal is healthy,
 // ErrStorageDegraded (with the last storage error) while it is not.
-// Requires s.mu.
-func (s *Server) storageGateLocked() error {
-	if h := s.journal.Health(); h.Degraded {
-		return fmt.Errorf("%w (%s)", ErrStorageDegraded, h.LastError)
+func (s *Server) storageGate() error {
+	if st := s.cfg.Coordinator.Stats(); st.StorageDegraded {
+		return fmt.Errorf("%w (%s)", ErrStorageDegraded, st.LastStorageErr)
 	}
 	return nil
 }
 
-// storageNotify logs the journal's transitions into and out of the
-// degraded state and starts the recovery prober on the way in. It runs
-// inside a journal call, so s.mu is held.
-func (s *Server) storageNotify(degraded bool, fields map[string]any) {
-	if !degraded {
-		s.event("cp_storage_recovered", "", fields)
-		return
-	}
-	s.event("cp_storage_degraded", "", fields)
-	if !s.closed {
-		go s.probeStorage()
-	}
-}
-
-func (s *Server) probeInterval() time.Duration {
-	if s.cfg.StorageProbe > 0 {
-		return s.cfg.StorageProbe
-	}
-	return 500 * time.Millisecond
-}
-
-// probeStorage periodically appends (and fsyncs) a no-op record while
-// the server is degraded; the first success flips it back to ready. One
-// prober runs per degraded spell.
-func (s *Server) probeStorage() {
-	for {
-		time.Sleep(s.probeInterval())
-		s.mu.Lock()
-		if s.closed || !s.journal.Health().Degraded {
-			s.mu.Unlock()
-			return
-		}
-		err := s.journal.Append(&qrec{T: qNoop, At: time.Now().UTC()}, true)
-		s.mu.Unlock()
-		if err == nil {
-			return
-		}
-	}
-}
-
-// Close stops accepting work and closes the queue journal. Campaigns
-// already handed to the coordinator keep running until it shuts down;
-// their terminal records are lost for this process but re-derived on
-// the next restart's re-run (which replays instantly from the dist
-// journal).
+// Close stops accepting work. Campaigns already on the coordinator keep
+// running until it shuts down; the coordinator's journal holds all a
+// restart needs of them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	return s.journal.Close()
+	return nil
 }
 
 // quotaFor resolves tenant's quota.
@@ -409,11 +379,12 @@ func (s *Server) quotaFor(tenant string) Quota {
 	return s.cfg.DefaultQuota
 }
 
-// Submit accepts a campaign and, on a started server, hands it to the
-// coordinator. It returns the campaign's stable ID (dist.SpecKey of
-// spec+tag), having journaled and fsynced the submission first — once
-// Submit returns, the campaign survives SIGKILL. ErrBadSpec,
-// ErrQuotaExceeded and ErrDuplicate reject without journaling.
+// Submit accepts a campaign and installs it on the coordinator. It
+// returns the campaign's stable ID (dist.SpecKey of spec+tag) once the
+// install has fsynced the campaign record — once Submit returns, the
+// campaign survives SIGKILL. ErrBadSpec, ErrQuotaExceeded and
+// ErrDuplicate reject without a record; so does ErrStorageDegraded,
+// when the record cannot be made durable.
 func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error) {
 	if err := checkSpec(spec); err != nil {
 		s.reject(tag.Tenant, "spec")
@@ -423,20 +394,16 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 	if err != nil {
 		return "", err
 	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return "", ErrClosed
 	}
-	if err := s.storageGateLocked(); err != nil {
+	if err := s.storageGate(); err != nil {
 		// The 202 contract is "your campaign survives anything short of
 		// disk loss"; with the journal refusing writes that promise
-		// cannot be made. Refuse cheaply here — the prober re-opens the
-		// gate as soon as the disk takes a fsynced record again.
+		// cannot be made. Refuse cheaply here — the coordinator's probe
+		// re-opens the gate as soon as the disk takes a fsynced record.
 		s.reject(tag.Tenant, "storage")
 		return "", err
 	}
@@ -457,32 +424,24 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 				ErrQuotaExceeded, tag.Tenant, active, q.MaxQueued)
 		}
 	}
-	now := time.Now().UTC()
-	rec := &qrec{
-		T: qSubmit, ID: id,
-		Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
-		Spec: specJSON, At: now,
-	}
-	if err := s.journal.Append(rec, true); err != nil {
-		// Append already repaired the log back to its last clean record
-		// boundary, so the failed submission leaves nothing on disk. The
-		// in-memory queue is untouched for the same reason: journal
-		// first, apply second, always.
-		return "", fmt.Errorf("%w: journaling submission: %s", ErrStorageDegraded, err)
-	}
 	e := &entry{Campaign: Campaign{
 		ID: id, Tenant: tag.Tenant, Priority: tag.Priority, Name: tag.Name,
-		State: StateQueued, Spec: spec, Submitted: now,
+		State: StateQueued, Spec: spec, Submitted: time.Now().UTC(),
 	}}
+	if err := s.startLocked(e); err != nil {
+		// A refused install leaves nothing on disk (the journal repaired
+		// itself back to its last clean record) and nothing in memory.
+		if gate := s.storageGate(); gate != nil {
+			return "", gate
+		}
+		return "", err
+	}
 	s.entries[id] = e
 	s.order = append(s.order, e)
 	if s.mSubmits != nil {
 		s.mSubmits.With(tag.Tenant).Inc()
 	}
 	s.event("cp_submitted", id, map[string]any{"tenant": tag.Tenant, "priority": tag.Priority})
-	if s.started {
-		s.startLocked(e)
-	}
 	return id, nil
 }
 
@@ -508,50 +467,49 @@ func checkSpec(spec campaign.Spec) error {
 	return nil
 }
 
-// startLocked hands e to the coordinator, whose lease path decides from
-// then on when its jobs run. Nothing is journaled: replay turns a
-// running campaign back into a queued one anyway. Requires s.mu.
-func (s *Server) startLocked(e *entry) {
+// startLocked installs e on the coordinator, whose lease path decides
+// from then on when its jobs run, and waits for it on a goroutine. The
+// install returns once e's campaign record is durable, and refuses (the
+// error returned) when it cannot be made so. Requires s.mu.
+func (s *Server) startLocked(e *entry) error {
+	tag := dist.CampaignTag{Tenant: e.Tenant, Priority: e.Priority, Name: e.Name}
+	in, err := s.cfg.Coordinator.Install(e.Spec, tag, e.Submitted)
+	if err != nil {
+		return err
+	}
 	e.State = StateRunning
 	e.Started = time.Now().UTC()
 	e.JobsTotal = len(e.Spec.Tasks())
 	s.event("cp_started", e.ID, map[string]any{"tenant": e.Tenant})
-	go s.run(e)
+	go s.run(e, in)
+	return nil
 }
 
-// run executes one campaign on the coordinator and journals the result.
-func (s *Server) run(e *entry) {
-	tag := dist.CampaignTag{Tenant: e.Tenant, Priority: e.Priority, Name: e.Name}
-	logs, err := s.cfg.Coordinator.RunTagged(e.Spec, tag)
-
+// run waits for one installed campaign and records how it ended.
+func (s *Server) run(e *entry, in *dist.Installed) {
+	logs, err := in.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := time.Now().UTC()
-	e.Finished = now
-	var rec *qrec
+	s.finishLocked(e, logs, err)
+}
+
+// finishLocked moves e to its terminal state. Nothing is written: the
+// coordinator's journal already holds the done results, the cancel or
+// the failure, and a campaign ended by the coordinator's shutdown
+// resumes on the next restart. Requires s.mu.
+func (s *Server) finishLocked(e *entry, logs map[campaign.Combo][]*trace.WorkLog, err error) {
+	e.Finished = time.Now().UTC()
 	switch {
 	case err == nil:
 		e.State = StateDone
 		e.JobsDone = e.JobsTotal
 		e.result = logs
 		s.charge(e.Tenant, e.Spec.WorkNs())
-		rec = &qrec{T: qDone, ID: e.ID, Tenant: e.Tenant, At: now}
 	case errors.Is(err, dist.ErrCampaignCanceled):
 		e.State = StateCanceled
-		// Cancel already journaled the qCancel record before asking the
-		// coordinator to stop; nothing further to persist.
 	default:
 		e.State = StateFailed
 		e.Error = err.Error()
-		rec = &qrec{T: qFail, ID: e.ID, Tenant: e.Tenant, Err: e.Error, At: now}
-	}
-	if rec != nil && !s.closed {
-		// A lost terminal record is re-derived on the next restart (the
-		// re-run replays instantly from the dist journal), so the state
-		// change stands either way — but the failure flags degradation.
-		if jerr := s.journal.Append(rec, true); jerr != nil {
-			s.event("cp_journal_error", e.ID, map[string]any{"err": jerr.Error()})
-		}
 	}
 	if s.mFinished != nil {
 		s.mFinished.With(e.Tenant, string(e.State)).Inc()
@@ -559,48 +517,31 @@ func (s *Server) run(e *entry) {
 	s.event("cp_finished", e.ID, map[string]any{"tenant": e.Tenant, "state": string(e.State)})
 }
 
-// Cancel cancels a campaign by ID. Queued campaigns (only possible
-// before Start) are simply marked; running ones are canceled on the
-// coordinator, which fails their remaining jobs with
-// ErrCampaignCanceled. Canceling a terminal campaign is a no-op
-// returning its current state.
+// Cancel cancels a campaign by ID once the coordinator has fsynced its
+// cancel record. Queued campaigns (only possible between New and Start)
+// are simply marked; running ones are canceled on the coordinator, which
+// fails their remaining jobs with ErrCampaignCanceled. Canceling a
+// terminal campaign is a no-op returning its current state.
 func (s *Server) Cancel(id string) (State, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.entries[id]
 	if !ok {
-		s.mu.Unlock()
 		return "", ErrNotFound
 	}
 	if e.State.terminal() {
-		st := e.State
-		s.mu.Unlock()
-		return st, nil
+		return e.State, nil
 	}
-	if err := s.storageGateLocked(); err != nil {
-		s.mu.Unlock()
-		return "", err
+	if _, err := s.cfg.Coordinator.CancelCampaign(id); err != nil {
+		return "", fmt.Errorf("%w: %s", ErrStorageDegraded, err)
 	}
 	wasRunning := e.State == StateRunning
-	if err := s.journal.Append(&qrec{T: qCancel, ID: id, Tenant: e.Tenant, At: time.Now().UTC()}, true); err != nil {
-		s.mu.Unlock()
-		return "", fmt.Errorf("%w: journaling cancel: %s", ErrStorageDegraded, err)
-	}
-	if !wasRunning {
-		e.State = StateCanceled
-		e.Finished = time.Now().UTC()
-		if s.mFinished != nil {
-			s.mFinished.With(e.Tenant, string(StateCanceled)).Inc()
-		}
-	}
 	s.event("cp_canceled", id, map[string]any{"tenant": e.Tenant, "was_running": wasRunning})
-	s.mu.Unlock()
 	if wasRunning {
-		// The coordinator fails the campaign's jobs — or, when run() has
-		// not installed it yet, refuses the install — and run() observes
-		// ErrCampaignCanceled and finishes the state transition.
-		s.cfg.Coordinator.CancelCampaign(id)
+		// run() observes ErrCampaignCanceled and finishes the transition.
 		return StateRunning, nil
 	}
+	s.finishLocked(e, nil, dist.ErrCampaignCanceled)
 	return StateCanceled, nil
 }
 
@@ -648,8 +589,8 @@ func (s *Server) viewLocked(e *entry) Campaign {
 
 // Result returns a completed campaign's collated work logs. If the
 // campaign completed in a previous process (state recovered from the
-// journal but results not in memory), it is re-run through the
-// coordinator — the dist journal replays every finished job, so this
+// journal but results not in memory), it is re-installed on the
+// coordinator — the journal replays every finished job, so this
 // completes without re-executing work and yields bit-identical logs.
 // The replay can be consumed only once, so one re-run serves every
 // concurrent caller: the first starts it, the rest wait for its logs or
@@ -795,45 +736,10 @@ func (s *Server) Stats() []QueueStats {
 	return out
 }
 
-// StorageHealth is the queue journal's health snapshot.
-type StorageHealth struct {
-	Degraded       bool   `json:"degraded"`
-	LastError      string `json:"last_error,omitempty"`
-	Degradations   int    `json:"degradations"`
-	Recoveries     int    `json:"recoveries"`
-	Compactions    int    `json:"compactions"`
-	StorageErrors  int    `json:"storage_errors"`
-	StorageRetries int    `json:"storage_retries"`
-	JournalBytes   int64  `json:"journal_bytes"`
-}
-
-// StorageHealth reports the queue journal's current health — the same
-// numbers the spice_storage_*{journal="queue"} metrics export.
-func (s *Server) StorageHealth() StorageHealth {
-	s.mu.Lock()
-	h := s.journal.Health()
-	s.mu.Unlock()
-	return StorageHealth{
-		Degraded:       h.Degraded,
-		LastError:      h.LastError,
-		Degradations:   h.Degradations,
-		Recoveries:     h.Recoveries,
-		Compactions:    h.Compactions,
-		StorageErrors:  h.Errors,
-		StorageRetries: h.Retries,
-		JournalBytes:   h.Bytes,
-	}
-}
-
 // collect emits the per-tenant rows of Stats — queue depths and the
 // fair-share ledger — as gauges at scrape time.
 func (s *Server) collect(e *obs.Emitter) {
 	rows := s.Stats()
-	s.mu.Lock()
-	sh := s.journal.Health()
-	s.mu.Unlock()
-	// Same families as the dist journal exports, told apart by label.
-	sh.Emit(e, "queue")
 	e.Counter("spice_cp_http_shed_total", "HTTP requests shed at the concurrency limiter.", float64(s.httpSheds.Load()))
 	for _, q := range rows {
 		tenant := obs.Label{Name: "tenant", Value: q.Tenant}

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -88,21 +90,23 @@ func requireBitIdentical(t *testing.T, want, got map[campaign.Combo][]*trace.Wor
 	}
 }
 
-// newHarness builds a coordinator (with its own dist journal), n
-// workers, and a control plane server on a fresh state dir.
-func newHarness(t *testing.T, cfg Config, workers int) (*Server, *dist.Coordinator) {
+// newHarness builds a coordinator with its journal in cfg.StateDir (a
+// fresh directory when unset) — the one -state directory of spiced
+// -serve — n workers, and a control plane server over it. tune adjusts
+// the coordinator's dist.Config.
+func newHarness(t *testing.T, cfg Config, workers int, tune ...func(*dist.Config)) (*Server, *dist.Coordinator) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := newTestCoordinator(t, ln, t.TempDir())
-	t.Cleanup(func() { _ = co.Close() })
-	startTestWorkers(t, co, workers)
-	cfg.Coordinator = co
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
 	}
+	co := newTestCoordinator(t, ln, cfg.StateDir, tune...)
+	t.Cleanup(func() { _ = co.Close() })
+	startTestWorkers(t, co, workers)
+	cfg.Coordinator = co
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +132,13 @@ func testDistConfig() dist.Config {
 
 // newTestCoordinator builds the 3-bead test coordinator on ln with its
 // job journal under stateDir.
-func newTestCoordinator(t *testing.T, ln net.Listener, stateDir string) *dist.Coordinator {
+func newTestCoordinator(t *testing.T, ln net.Listener, stateDir string, tune ...func(*dist.Config)) *dist.Coordinator {
 	t.Helper()
 	cfg := testDistConfig()
 	cfg.StateDir = stateDir
+	for _, f := range tune {
+		f(&cfg)
+	}
 	co, err := dist.NewCoordinator(ln, json.RawMessage(`{"beads":3}`), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +179,10 @@ func waitState(t *testing.T, s *Server, id string, want State) Campaign {
 	return Campaign{}
 }
 
-// --- queue journal ---
+// --- journals ---
 
-// openQueue opens the queue journal under dir the way New does.
+// openQueue opens a queue journal under dir for writing, the way the
+// servers that kept one did.
 func openQueue(t *testing.T, fsys faultfs.FS, dir string) (*wal.Log[qrec, *qrec], *queueScan, wal.Replay) {
 	t.Helper()
 	j, qs, tail, err := wal.Open[qrec](queueConfig(fsys, dir), newQueueScan)
@@ -182,14 +190,6 @@ func openQueue(t *testing.T, fsys faultfs.FS, dir string) (*wal.Log[qrec, *qrec]
 		t.Fatal(err)
 	}
 	return j, qs, tail
-}
-
-// scanQueueState folds queue.snapshot + queue.log under dir without
-// opening them for writing.
-func scanQueueState(fsys faultfs.FS, dir string) (*queueScan, error) {
-	qs := newQueueScan()
-	_, err := wal.Scan[qrec](queueConfig(fsys, dir), qs)
-	return qs, err
 }
 
 func TestQueueJournalLifecycleReplay(t *testing.T) {
@@ -305,17 +305,38 @@ func postJSON(t *testing.T, url, body string, out any) int {
 	return resp.StatusCode
 }
 
-// queueRecords is a fold that keeps, per campaign ID, the type of every
-// record on disk in log order: what was written, not what it replays to.
-type queueRecords map[string][]string
+// jnlRec is the part of a coordinator journal record these tests read.
+type jnlRec struct {
+	T string `json:"t"`
+	wal.Stamp
+	Camp string `json:"camp"`
+	Job  string `json:"job"`
+}
 
-func (q queueRecords) Apply(r *qrec)        { q[r.ID] = append(q[r.ID], r.T) }
-func (q queueRecords) Snapshot(func(*qrec)) {}
+// journalRecords is a fold over the coordinator's journal.log that keeps
+// the type of every campaign-level record (one naming no job) in log
+// order: what was written, not what it replays to.
+type journalRecords struct {
+	order []string            // campaigns, in order of their first record
+	types map[string][]string // per campaign
+}
 
-func scanQueueRecords(t *testing.T, dir string) queueRecords {
+func (j *journalRecords) Apply(r *jnlRec) {
+	if r.Camp == "" || r.Job != "" {
+		return
+	}
+	if j.types[r.Camp] == nil {
+		j.order = append(j.order, r.Camp)
+	}
+	j.types[r.Camp] = append(j.types[r.Camp], r.T)
+}
+
+func (j *journalRecords) Snapshot(func(*jnlRec)) {}
+
+func scanJournalRecords(t *testing.T, dir string) *journalRecords {
 	t.Helper()
-	recs := queueRecords{}
-	if _, err := wal.Scan[qrec](queueConfig(nil, dir), recs); err != nil {
+	recs := &journalRecords{types: map[string][]string{}}
+	if _, err := wal.Scan[jnlRec](wal.Config{Dir: dir, LogName: "journal.log", SnapName: "snapshot"}, recs); err != nil {
 		t.Fatal(err)
 	}
 	return recs
@@ -351,8 +372,8 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 	if _, err := s.Submit(spec, dist.CampaignTag{Tenant: "t"}); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("infinite distance: %v, want ErrBadSpec", err)
 	}
-	if recs := scanQueueRecords(t, dir); len(recs) != 0 {
-		t.Fatalf("rejected specs reached queue.log: %v", recs)
+	if recs := scanJournalRecords(t, dir); len(recs.order) != 0 {
+		t.Fatalf("rejected specs reached journal.log: %v", recs.types)
 	}
 	if n := len(s.List("")); n != 0 {
 		t.Fatalf("rejected specs reached the queue: %d campaigns", n)
@@ -383,10 +404,51 @@ func TestSubmitReportsRealState(t *testing.T) {
 	}
 }
 
-// TestSubmitGoesStraightToCoordinator: on a started server Submit hands
-// every campaign to the coordinator whatever its priority — priority and
-// fair share are decided once, on the lease path — and queue.log gets no
-// start record: a drained campaign's log is exactly its submit and done.
+// TestClientKeepsServerSentinels: the client reconstructs the server's
+// sentinels, so errors.Is works on either side of the HTTP API — an
+// unrunnable spec (400), a duplicate submission and an early Result (two
+// sentinels behind one 409) — and a tenant name is a query value, not
+// query syntax.
+func TestClientKeepsServerSentinels(t *testing.T) {
+	s, _ := newHarness(t, Config{}, 0)
+	s.Start()
+	cl := &Client{Base: serveHTTP(t, s)}
+	ctx := context.Background()
+	bad := specA()
+	bad.Distance = 0
+	if _, err := cl.Submit(ctx, bad, dist.CampaignTag{Tenant: "t"}); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("unrunnable spec: %v, want ErrBadSpec", err)
+	}
+	tags := []dist.CampaignTag{{Tenant: "a"}, {Tenant: "a&b"}, {Tenant: "a b=c"}}
+	var id string
+	for _, tag := range tags {
+		var err error
+		if id, err = cl.Submit(ctx, specA(), tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Submit(ctx, specA(), tags[0]); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate submission: %v, want ErrDuplicate", err)
+	}
+	if _, err := cl.Result(ctx, id); !errors.Is(err, ErrNotDone) {
+		t.Errorf("early Result: %v, want ErrNotDone", err)
+	}
+	for _, tag := range tags[1:] {
+		list, err := cl.List(ctx, tag.Tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(list) != 1 || list[0].Tenant != tag.Tenant {
+			t.Errorf("List(%q) = %+v, want that tenant's one campaign", tag.Tenant, list)
+		}
+	}
+}
+
+// TestSubmitGoesStraightToCoordinator: on a started server Submit installs
+// every campaign on the coordinator whatever its priority — priority and
+// fair share are decided once, on the lease path — and the one durable
+// record of it is the journal's campaign record: there is no queue.log,
+// and a drained campaign has no campaign-level record besides it.
 func TestSubmitGoesStraightToCoordinator(t *testing.T) {
 	dir := t.TempDir()
 	s, co := newHarness(t, Config{StateDir: dir}, 0)
@@ -409,7 +471,6 @@ func TestSubmitGoesStraightToCoordinator(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// RunTagged installs each campaign on the goroutine Submit started.
 	var views []dist.CampaignView
 	for deadline := time.Now().Add(5 * time.Second); len(views) < len(ids); views = co.Campaigns() {
 		if time.Now().After(deadline) {
@@ -423,21 +484,24 @@ func TestSubmitGoesStraightToCoordinator(t *testing.T) {
 			t.Fatalf("lease offer %v over %+v: want priorities 2, 1, 0", order, views)
 		}
 	}
-	recs := scanQueueRecords(t, dir)
+	recs := scanJournalRecords(t, dir)
 	for _, id := range ids {
-		if got := strings.Join(recs[id], " "); got != qSubmit {
-			t.Fatalf("campaign %s: queue.log holds %q while running, want only its submit", id, got)
+		if got := strings.Join(recs.types[id], " "); got != "campaign" {
+			t.Fatalf("campaign %s: journal.log holds %q while running, want only its campaign record", id, got)
 		}
 	}
 	startTestWorkers(t, co, 2)
 	for _, id := range ids {
 		waitState(t, s, id, StateDone)
 	}
-	recs = scanQueueRecords(t, dir)
+	recs = scanJournalRecords(t, dir)
 	for _, id := range ids {
-		if got := strings.Join(recs[id], " "); got != qSubmit+" "+qDone {
-			t.Fatalf("campaign %s: queue.log holds %q, want submit then done", id, got)
+		if got := strings.Join(recs.types[id], " "); got != "campaign" {
+			t.Fatalf("campaign %s: journal.log holds %q once drained, want only its campaign record", id, got)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "queue.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("queue.log written beside the journal: %v", err)
 	}
 }
 
@@ -511,9 +575,9 @@ func TestLeaseSchedulerQuotaCountsTenantLeases(t *testing.T) {
 	}
 }
 
-// replayedServer journals each tenant's spec as a finished campaign and
-// opens a server on that queue, so the fair-share ledger is charged the
-// way a restart charges it.
+// replayedServer writes each tenant's spec as a finished campaign into
+// an older server's queue.log and opens a server over it, so the
+// fair-share ledger is charged the way a restart charges it.
 func replayedServer(t *testing.T, cfg Config, done map[string]campaign.Spec) *Server {
 	t.Helper()
 	dir := t.TempDir()
@@ -628,16 +692,23 @@ func TestTenantUsageGauge(t *testing.T) {
 }
 
 func TestCancelQueuedCampaign(t *testing.T) {
-	s, _ := newHarness(t, Config{}, 0) // no workers: running never finishes
-	// Before Start both campaigns are queued: the only time one is.
-	idA, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
+	// A campaign is queued only between a replay and Start: accept two
+	// with no workers (running never finishes), then restart.
+	dir := t.TempDir()
+	s1, co1 := newHarness(t, Config{StateDir: dir}, 0)
+	idA, err := s1.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, err := s.Submit(specB(), dist.CampaignTag{Tenant: "bob"})
+	idB, err := s1.Submit(specB(), dist.CampaignTag{Tenant: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.Close()
+	if err := co1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newHarness(t, Config{StateDir: dir}, 0)
 	if c, _ := s.Get(idB); c.State != StateQueued {
 		t.Fatalf("campaign B is %s before Start, want queued", c.State)
 	}
@@ -663,11 +734,10 @@ func TestCancelQueuedCampaign(t *testing.T) {
 	}
 }
 
-// TestCancelRightAfterSubmit: Submit dispatches a campaign to the
-// coordinator on a goroutine, so a Cancel issued right after it can reach
-// the coordinator before the campaign is installed. That cancel must not
-// be lost: with no workers, a lost one would leave its campaign running
-// forever.
+// TestCancelRightAfterSubmit: a Cancel issued right after Submit must
+// not be lost — with no workers, a lost one would leave its campaign
+// running forever. Submit installs the campaign before it returns, so
+// the cancel always finds it on the coordinator.
 func TestCancelRightAfterSubmit(t *testing.T) {
 	s, _ := newHarness(t, Config{}, 0)
 	s.Start()
@@ -754,17 +824,17 @@ func TestTwoTenantsOverHTTPBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRestartReplaysAcceptedCampaigns closes a control plane with
-// campaigns still queued (never started: no workers) and reopens it on
-// the same state dir — every accepted campaign must come back and then
-// run to completion with bit-identical results.
+// TestRestartReplaysAcceptedCampaigns closes a control plane and its
+// coordinator with campaigns accepted but unfinished (no workers) and
+// reopens both on the same state dir — every accepted campaign must come
+// back queued and then run to completion with bit-identical results.
 func TestRestartReplaysAcceptedCampaigns(t *testing.T) {
 	stateDir := t.TempDir()
 	wantA, wantB := localBaseline(t, specA()), localBaseline(t, specB())
 
-	s1, _ := newHarness(t, Config{StateDir: stateDir}, 0)
-	// Deliberately no Start: both campaigns are accepted-but-not-started,
-	// the pure queue-replay case.
+	s1, co1 := newHarness(t, Config{StateDir: stateDir}, 0)
+	// No workers: both campaigns are accepted but make no progress, the
+	// pure replay case.
 	idA, err := s1.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -774,6 +844,9 @@ func TestRestartReplaysAcceptedCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := co1.Close(); err != nil {
 		t.Fatal(err)
 	}
 

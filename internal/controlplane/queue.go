@@ -1,25 +1,16 @@
 package controlplane
 
-// The campaign queue's durable side: the queue transitions (submit /
-// start / done / fail / cancel) journaled in <state>/queue.log and
-// compacted into <state>/queue.snapshot — one internal/wal log, which
-// owns framing, sequence numbers, repair, compaction and torn-tail
-// replay. This file is its fold: the record type, how one record moves
-// a campaign through its lifecycle, and how the folded queue is
-// re-emitted as a snapshot. The two journals split the durability work
-// by blast radius: the queue remembers *which* campaigns were accepted
-// and where each stood in its lifecycle; the dist journal remembers the
-// per-job progress inside a running campaign.
-//
-// Durability policy: every record is fsynced before the state change it
-// describes is acknowledged. Submissions are the contract with the
-// tenant ("202 means your campaign survives anything short of disk
-// loss"), and the transition rate is human-scale, so the sync cost is
-// irrelevant. Nothing is ever applied in memory that the journal did
-// not accept first, and a refused append leaves no trace on disk.
+// The read-only import of <state>/queue.log (and queue.snapshot), the
+// campaign queue an older control plane journaled: its record type and
+// fold. That server fsynced a submit here before handing the campaign to
+// the coordinator, so a crash between the two left campaigns only this
+// log holds, and it recorded cancels and failures only here. Nothing
+// writes the log any more; New folds it once and merges it into the
+// coordinator's replay.
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"spice/internal/faultfs"
@@ -29,12 +20,11 @@ import (
 // queue record types.
 const (
 	qSubmit = "submit" // a campaign was accepted into the queue
-	qStart  = "start"  // the campaign was handed to the coordinator
+	qStart  = "start"  // the campaign was handed to the coordinator (old logs only)
 	qDone   = "done"   // the campaign completed
 	qFail   = "fail"   // the campaign failed (record carries the error)
 	qCancel = "cancel" // the campaign was canceled by the tenant
 	qSnap   = "snap"   // snapshot meta record: highest folded seq
-	qNoop   = "noop"   // storage probe; carries no state
 )
 
 // qrec is one queue journal record.
@@ -62,6 +52,16 @@ func queueConfig(fsys faultfs.FS, dir string) wal.Config {
 	return wal.Config{FS: fsys, Dir: dir, LogName: "queue.log", SnapName: "queue.snapshot"}
 }
 
+// importQueue folds the queue.snapshot + queue.log pair under dir,
+// read-only; a directory without them folds to an empty queue.
+func importQueue(fsys faultfs.FS, dir string) (*queueScan, error) {
+	qs := newQueueScan()
+	if _, err := wal.Scan[qrec](queueConfig(fsys, dir), qs); err != nil {
+		return nil, fmt.Errorf("controlplane: %w", err)
+	}
+	return qs, nil
+}
+
 // queueScan is the queue's fold: the campaigns recovered from snapshot
 // + log, in submission order.
 type queueScan struct {
@@ -79,8 +79,8 @@ var queueStates = map[string]State{
 	qStart: StateRunning, qDone: StateDone, qFail: StateFailed, qCancel: StateCanceled,
 }
 
-// Apply folds one record into qs. snap and noop records carry no queue
-// state, and unknown types from a newer writer are tolerated.
+// Apply folds one record into qs. snap and noop (storage probe) records
+// carry no queue state, and unknown types are tolerated.
 func (qs *queueScan) Apply(r *qrec) {
 	if r.T == qSubmit && qs.byID[r.ID] == nil {
 		qr := &queueReplay{rec: *r, state: StateQueued}

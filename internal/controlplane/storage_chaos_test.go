@@ -1,21 +1,22 @@
 package controlplane
 
-// Disk-fault chaos tests for the queue journal: the ack-ordering
-// regressions (a failed append must leave neither memory nor disk
-// changed, and must never be acknowledged), the ENOSPC degradation /
-// 503 / recovery drill over the real HTTP surface, the bounded-log
-// guarantee under a monotonic workload, the shared compaction
-// kill-point sweep run over the production fold, the on-disk format
-// freeze, and decoder fuzzing. The protocol itself — append repair, torn
-// tails, snapshot + log replay — is swept in internal/wal.
+// Disk-fault chaos tests for the one durable log of a served campaign,
+// the coordinator's journal: the ack-ordering regressions (a refused
+// install must leave neither memory nor disk changed, and must never be
+// acknowledged), the ENOSPC degradation / 503 / recovery drill over the
+// real HTTP surface, the frozen format of the queue.log an older server
+// wrote, now read through the import, and the import fold's fuzzing.
+// The protocol itself — append repair, torn tails, snapshot + log
+// replay — is swept in internal/wal, and the journal's own fold in
+// internal/dist.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -23,22 +24,22 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/dist"
 	"spice/internal/faultfs"
-	"spice/internal/wal"
-	"spice/internal/wal/waltest"
 )
 
-// TestQueueSubmitAckOrdering is the satellite regression for the
-// journal-first discipline: when the append fails mid-record, the
+// onDisk wires inj under the coordinator's journal with no in-line
+// retries, so an injected fault reaches the control plane at once.
+func onDisk(inj *faultfs.Injector) func(*dist.Config) {
+	return func(c *dist.Config) { c.FS, c.StorageRetries = inj, 0 }
+}
+
+// TestQueueSubmitAckOrdering is the regression for the journal-first
+// discipline: when the campaign record's append fails mid-record, the
 // submission is refused with ErrStorageDegraded, the in-memory queue is
-// untouched, and the log on disk replays without any trace of it.
+// untouched, and journal.log replays without any trace of it.
 func TestQueueSubmitAckOrdering(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	dir := t.TempDir()
-	s, _ := newHarness(t, Config{
-		StateDir:     dir,
-		FS:           inj,
-		StorageProbe: 20 * time.Millisecond,
-	}, 0)
+	s, co := newHarness(t, Config{StateDir: dir}, 0, onDisk(inj))
 
 	id1, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
@@ -54,21 +55,17 @@ func TestQueueSubmitAckOrdering(t *testing.T) {
 	if got := len(s.List("")); got != 1 {
 		t.Fatalf("rejected submission reached the in-memory queue: %d campaigns", got)
 	}
-	if !s.StorageHealth().Degraded {
+	if !co.Stats().StorageDegraded {
 		t.Fatal("server not degraded after append failure")
 	}
-	qs, err := scanQueueState(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs.order) != 1 || qs.order[0].rec.ID != id1 {
-		t.Fatalf("disk state after failed append: %d campaigns, want only %s", len(qs.order), id1)
+	if recs := scanJournalRecords(t, dir); len(recs.order) != 1 || recs.order[0] != id1 {
+		t.Fatalf("disk state after failed append: campaigns %v, want only %s", recs.order, id1)
 	}
 
-	// The prober recovers the moment faults clear, and the same
+	// The coordinator's probe recovers once faults clear, and the same
 	// submission then succeeds and is durably journaled.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.StorageHealth().Degraded {
+	for co.Stats().StorageDegraded {
 		if time.Now().After(deadline) {
 			t.Fatal("server never recovered after faults cleared")
 		}
@@ -78,16 +75,12 @@ func TestQueueSubmitAckOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resubmission after recovery: %v", err)
 	}
-	qs, err = scanQueueState(nil, dir)
-	if err != nil {
-		t.Fatal(err)
+	if recs := scanJournalRecords(t, dir); len(recs.order) != 2 || recs.order[1] != id2 {
+		t.Fatalf("recovered journal holds campaigns %v, want [%s %s]", recs.order, id1, id2)
 	}
-	if len(qs.order) != 2 || qs.order[1].rec.ID != id2 {
-		t.Fatalf("recovered journal holds %d campaigns, want [%s %s]", len(qs.order), id1, id2)
-	}
-	h := s.StorageHealth()
-	if h.Degradations != 1 || h.Recoveries != 1 || h.StorageErrors < 1 {
-		t.Fatalf("health counters after one fault cycle: %+v", h)
+	st := co.Stats()
+	if st.StorageDegradations != 1 || st.StorageRecoveries != 1 || st.StorageErrors < 1 {
+		t.Fatalf("health counters after one fault cycle: %+v", st)
 	}
 }
 
@@ -95,12 +88,13 @@ func TestQueueSubmitAckOrdering(t *testing.T) {
 // record is written and framed, and only its fsync fails. The tenant is
 // told 503, so the log must be clean again BEFORE Submit returns — not
 // whenever the next append gets around to repairing it — or a restart in
-// between replays a campaign that was refused. The prober is parked so
-// nothing else touches the log before the scan.
+// between replays a campaign that was refused. The coordinator's probe
+// is parked (a long lease TTL) so nothing else touches the log before
+// the scan.
 func TestRefusedSubmitLeavesNoTrace(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
 	dir := t.TempDir()
-	s, _ := newHarness(t, Config{StateDir: dir, FS: inj, StorageProbe: time.Hour}, 0)
+	s, _ := newHarness(t, Config{StateDir: dir}, 0, onDisk(inj), func(c *dist.Config) { c.LeaseTTL = time.Hour })
 	id1, err := s.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -109,27 +103,24 @@ func TestRefusedSubmitLeavesNoTrace(t *testing.T) {
 	if _, err := s.Submit(specB(), dist.CampaignTag{Tenant: "bob"}); !errors.Is(err, ErrStorageDegraded) {
 		t.Fatalf("fsync-failed submit returned %v, want ErrStorageDegraded", err)
 	}
-	qs, err := scanQueueState(nil, dir)
-	if err != nil {
-		t.Fatal(err)
+	if recs := scanJournalRecords(t, dir); len(recs.order) != 1 || recs.order[0] != id1 {
+		t.Fatalf("disk holds campaigns %v after a refused submit, want only %s", recs.order, id1)
 	}
-	if len(qs.order) != 1 || qs.order[0].rec.ID != id1 {
-		t.Fatalf("disk holds %d campaigns after a refused submit, want only %s", len(qs.order), id1)
+	if got := len(s.List("")); got != 1 {
+		t.Fatalf("refused submission reached the in-memory queue: %d campaigns", got)
 	}
 }
 
 // TestStorageDegradedHTTP503AndRecovery drives the acceptance drill
 // over the real HTTP API: persistent ENOSPC makes submissions return
 // 503 with Retry-After (never a dropped-but-acked campaign), /readyz
-// semantics (Ready) fail, campaigns already running keep draining to
-// completion, and service recovers once the faults clear.
+// semantics (Ready) fail, and service recovers once the faults clear.
+// The campaign accepted before the fault finishes after the disk
+// recovers: its results cannot become durable while the one disk under
+// the journal is stuck, so its worker is told to retry them.
 func TestStorageDegradedHTTP503AndRecovery(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
-	s, _ := newHarness(t, Config{
-		StateDir:     t.TempDir(),
-		FS:           inj,
-		StorageProbe: 20 * time.Millisecond,
-	}, 1)
+	s, _ := newHarness(t, Config{}, 1, func(c *dist.Config) { c.FS = inj })
 	s.Start()
 	mux := http.NewServeMux()
 	s.Mount(mux)
@@ -181,10 +172,6 @@ func TestStorageDegradedHTTP503AndRecovery(t *testing.T) {
 		t.Fatalf("rejected submission visible in queue: %d campaigns", got)
 	}
 
-	// Graceful degradation, not a stall: the campaign accepted before
-	// the disk died still runs to completion on its worker leases.
-	waitState(t, s, acc.ID, StateDone)
-
 	inj.Clear()
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Ready() != nil {
@@ -193,6 +180,9 @@ func TestStorageDegradedHTTP503AndRecovery(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Graceful degradation, not a loss: the campaign accepted before the
+	// disk died runs to completion once its results can be made durable.
+	waitState(t, s, acc.ID, StateDone)
 	resp = post(specB(), "bob", "after-recovery")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit after recovery returned %d, want 202", resp.StatusCode)
@@ -202,64 +192,6 @@ func TestStorageDegradedHTTP503AndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, acc2.ID, StateDone)
-}
-
-// TestQueueCompactionBoundsLog pins the tentpole's size guarantee on a
-// workload that grew the log monotonically before compaction existed:
-// many short-lived campaigns. The log must stay near the threshold
-// while every campaign's terminal state survives replay.
-func TestQueueCompactionBoundsLog(t *testing.T) {
-	dir := t.TempDir()
-	const threshold = 4096
-	cfg := queueConfig(nil, dir)
-	cfg.CompactBytes = threshold
-	j, _, _, err := wal.Open[qrec](cfg, newQueueScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := json.Marshal(specA())
-	now := time.Unix(1700000000, 0).UTC()
-	const n = 200
-	var maxLen int64
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("c-%03d", i)
-		for _, r := range []*qrec{
-			{T: qSubmit, ID: id, Tenant: "t", Spec: spec, At: now},
-			{T: qStart, ID: id, At: now},
-			{T: qDone, ID: id, At: now},
-		} {
-			if err := j.Append(r, true); err != nil {
-				t.Fatal(err)
-			}
-			if b := j.Health().Bytes; b > maxLen {
-				maxLen = b
-			}
-		}
-	}
-	if c := j.Health().Compactions; c < 2 {
-		t.Fatalf("compactions = %d, want several over %d campaigns", c, n)
-	}
-	// One record may overshoot the threshold before the next check; the
-	// whole history (n × 3 records) must not.
-	if maxLen > threshold+1024 {
-		t.Fatalf("queue.log peaked at %d bytes, not bounded near %d", maxLen, threshold)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j, qs, tail := openQueue(t, nil, dir)
-	defer j.Close()
-	if tail.TornBytes != 0 {
-		t.Fatalf("reopen: torn=%d", tail.TornBytes)
-	}
-	if len(qs.order) != n {
-		t.Fatalf("replayed %d campaigns, want %d", len(qs.order), n)
-	}
-	for i, qr := range qs.order {
-		if qr.rec.ID != fmt.Sprintf("c-%03d", i) || qr.state != StateDone {
-			t.Fatalf("campaign %d replayed as %s/%s", i, qr.rec.ID, qr.state)
-		}
-	}
 }
 
 // queueFingerprint serializes the folded queue state deterministically,
@@ -290,54 +222,23 @@ func queueFingerprint(qs *queueScan) string {
 	return string(b)
 }
 
-// seedQueue fills a queue journal with one campaign in every lifecycle
-// state and a mid-stream compaction, so the sweep replaces an existing
-// snapshot rather than creating the first one. The golden files under
-// testdata/ were written by this exact sequence at the commit before
-// internal/wal existed; do not change it.
-func seedQueue(t *testing.T, j *wal.Log[qrec, *qrec]) {
-	t.Helper()
-	spec := json.RawMessage(`{"kappas":[100],"velocities":[800],"replicas":2,"distance":3,"seed":21}`)
-	now := time.Unix(1700000000, 0).UTC()
-	for i, recs := range [][]*qrec{
-		{{T: qSubmit, ID: "a", Tenant: "alice", Priority: 2, Name: "first", Spec: spec, At: now},
-			{T: qStart, ID: "a", Tenant: "alice", At: now.Add(time.Second)},
-			{T: qDone, ID: "a", Tenant: "alice", At: now.Add(2 * time.Second)}},
-		{{T: qSubmit, ID: "b", Tenant: "bob", Spec: spec, At: now}, {T: qStart, ID: "b"}, {T: qFail, ID: "b", Err: "boom"}},
-		{{T: qSubmit, ID: "c", Tenant: "bob", Spec: spec, At: now}, {T: qCancel, ID: "c"}},
-		{{T: qSubmit, ID: "d", Tenant: "eve", Spec: spec, At: now}, {T: qStart, ID: "d"}},
-	} {
-		for _, r := range recs {
-			if err := j.Append(r, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i == 1 {
-			if err := j.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestQueueCompactionKillPointSweep passes the queue's real fold to the
-// shared harness: a fault at every mutating operation inside Compact
-// must leave the folded queue state identical and the journal
-// appendable.
-func TestQueueCompactionKillPointSweep(t *testing.T) {
-	waltest.CompactionSweep(t, queueConfig(nil, ""), newQueueScan,
-		func(j *wal.Log[qrec, *qrec]) { seedQueue(t, j) },
-		func() *qrec { return &qrec{T: qNoop} }, queueFingerprint)
-}
-
-// TestQueueFormatFrozen pins the on-disk contract against bytes recorded
-// from the commit before internal/wal: the files that commit wrote
-// replay to the fold it computed, and the same append + compact sequence
-// still writes the same bytes.
+// TestQueueFormatFrozen pins the import against bytes recorded from the
+// commit before internal/wal: a queue.snapshot + queue.log pair holding
+// a campaign in every lifecycle state, with start records, replays
+// through the import New uses to the fold that commit computed.
 func TestQueueFormatFrozen(t *testing.T) {
-	waltest.FormatFrozen(t, queueConfig(nil, ""), filepath.Join("testdata", "golden"), newQueueScan,
-		func(j *wal.Log[qrec, *qrec]) { seedQueue(t, j) },
-		func() *qrec { return &qrec{T: qNoop} }, queueFingerprint)
+	golden := filepath.Join("testdata", "golden")
+	want, err := os.ReadFile(filepath.Join(golden, "fold.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := importQueue(nil, golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := queueFingerprint(qs) + "\n"; got != string(want) {
+		t.Fatalf("golden files replay to\n%swant\n%s", got, want)
+	}
 }
 
 // FuzzApply feeds arbitrary bytes through the qrec decoder into the

@@ -40,7 +40,7 @@ type Config struct {
 	// MaxAttempts caps lease grants per job before the campaign fails.
 	MaxAttempts int
 	// StateDir, if non-empty, makes campaigns crash-safe: job-state
-	// transitions are journaled (and completed results fsynced) under
+	// transitions are written to a journal (results fsynced) under
 	// this directory, checkpoints are spooled to disk, and a coordinator
 	// started over the same directory replays the journal — completed
 	// jobs keep their results, in-flight jobs resume from their spooled
@@ -258,7 +258,6 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 		leases:   newLeaseTable(&cfg),
 		sites:    make(siteTable),
 		jobStats: make(map[string]*JobStats),
-		canceled: make(map[string]bool),
 	}
 	if cfg.StateDir != "" {
 		if err := co.replayJournal(); err != nil {

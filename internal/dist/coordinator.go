@@ -67,7 +67,7 @@ type Coordinator struct {
 	// durable write that succeeds); the coordinator owns the policy.
 	// While degraded, scheduling continues in memory (leases drain,
 	// results that fsync are still accepted) but non-critical records
-	// are not journaled and results that cannot fsync are answered with
+	// are not written and results that cannot fsync are answered with
 	// msgRetry instead of an ack, so nothing is ever acknowledged without
 	// its durability. lastProbe paces the janitor's recovery probe.
 	lastProbe time.Time
@@ -83,13 +83,6 @@ type Coordinator struct {
 	// firstLeaseWait observes campaign install → first grant, pollPark how
 	// long each parked poll was held.
 	firstLeaseWait, pollPark *obs.Histogram
-
-	// canceled holds the keys CancelCampaign was asked to cancel before
-	// their Run installed them: the control plane dispatches a campaign
-	// on a goroutine, so a cancel can overtake it. The matching RunTagged
-	// consumes the mark and returns ErrCampaignCanceled without
-	// installing.
-	canceled map[string]bool
 
 	campSeq     int
 	closed      bool
@@ -126,7 +119,6 @@ type campaignRun struct {
 	specJSON  json.RawMessage
 	jobs      []*job
 	remaining int
-	journaled bool // the jCampaign record reached the journal
 	granted   bool // a job of it has been leased by this process
 	failErr   error
 	done      chan struct{}
@@ -220,24 +212,39 @@ func (co *Coordinator) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.Work
 	return co.RunTagged(spec, CampaignTag{})
 }
 
-// RunTagged installs spec as an active campaign carrying tag — the
-// tenant/priority identity the Scheduler and the control plane's quota
-// policy read — and blocks until it completes. Any number of campaigns
-// may be active concurrently over one worker fleet; each Run/RunTagged
-// call owns one of them. Job IDs are scoped by the campaign key, so
-// concurrent campaigns (even over overlapping parameter combos) never
-// collide in the journal, the checkpoint spool, or the idempotency
-// tables. The merged output of each campaign is byte-identical to a
-// solo run of the same spec: scheduling decides placement and order,
-// never results.
+// RunTagged installs spec under tag and waits for it: Install, then
+// Installed.Wait.
 func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campaign.Combo][]*trace.WorkLog, error) {
+	in, err := co.Install(spec, tag, time.Time{})
+	if err != nil {
+		return nil, err
+	}
+	return in.Wait()
+}
+
+// Installed is a campaign Install put on the lease path.
+type Installed struct {
+	co    *Coordinator
+	camp  *campaignRun // nil for a spec without tasks
+	tasks []campaign.Task
+}
+
+// Install makes spec an active campaign carrying tag — the
+// tenant/priority identity the Scheduler and the control plane's quota
+// policy read — once its campaign record, stamped with the submission
+// time at (zero: none), is fsynced; a record that cannot be made durable
+// installs nothing and returns the storage error. Any number of
+// campaigns may be active over one fleet: job IDs are scoped by the
+// campaign key, so they never collide in the journal, the spool or the
+// idempotency tables, and each merges byte-identical to a solo run.
+func (co *Coordinator) Install(spec campaign.Spec, tag CampaignTag, at time.Time) (*Installed, error) {
 	tasks := spec.Tasks()
 	if len(tasks) == 0 {
-		return map[campaign.Combo][]*trace.WorkLog{}, nil
+		return &Installed{co: co}, nil
 	}
 	// The (tag, spec JSON) pair keys journal replay, so a restarted
 	// coordinator re-running the same submissions (possibly in a
-	// different order) matches each Run to its recovered state.
+	// different order) matches each install to its recovered state.
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding spec: %w", err)
@@ -245,22 +252,20 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	key := campaignKeyTagged(tag, specJSON)
 
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	now := time.Now()
 	if co.closed {
-		co.mu.Unlock()
 		return nil, errors.New("dist: coordinator is closed")
 	}
 	for _, c := range co.leases.camps {
 		if c.key == key {
-			co.mu.Unlock()
 			return nil, fmt.Errorf("dist: campaign %s is already running", key)
 		}
 	}
-	if co.canceled[key] {
-		delete(co.canceled, key)
-		co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
-		co.mu.Unlock()
-		return nil, ErrCampaignCanceled
+	// Record first: every later record of the campaign then has its
+	// campaign record ahead of it in the log.
+	if !co.journalLocked(&jrec{T: jCampaign, Camp: key, Spec: specJSON, Tag: &tag, At: at}, true) {
+		return nil, fmt.Errorf("dist: journaling campaign %s: %s", key, co.journal.log.Health().LastError)
 	}
 	camp := &campaignRun{
 		key:       key,
@@ -326,24 +331,27 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 		"jobs": len(tasks), "recovered_done": len(tasks) - camp.remaining,
 		"tenant": tag.Tenant, "priority": tag.Priority,
 	}})
-	// A failed campaign record no longer kills the campaign: the
-	// coordinator degrades to in-memory scheduling and journalLocked
-	// re-journals the campaign record before the first durable (fsynced)
-	// record that needs it, so the journal never holds orphan records.
-	co.journalLocked(camp, &jrec{T: jCampaign, Camp: key, Spec: specJSON, Tag: &tag}, true)
-	if camp.remaining == 0 && camp.failErr == nil {
+	if camp.remaining == 0 {
 		// Every job was recovered done — nothing left to schedule.
 		camp.finish(nil)
 	}
 	co.wakeLocked(now)
-	co.mu.Unlock()
+	return &Installed{co: co, camp: camp, tasks: tasks}, nil
+}
 
-	<-camp.done
-
+// Wait blocks until the campaign ends and returns its merged logs, or
+// the error that ended it: ErrCampaignCanceled, a job out of attempts,
+// or the coordinator's shutdown.
+func (in *Installed) Wait() (map[campaign.Combo][]*trace.WorkLog, error) {
+	if in.camp == nil {
+		return map[campaign.Combo][]*trace.WorkLog{}, nil
+	}
+	<-in.camp.done
+	co := in.co
 	co.mu.Lock()
-	co.leases.remove(camp)
-	err = camp.failErr
-	done := obs.Event{Name: "campaign_done", Campaign: key}
+	co.leases.remove(in.camp)
+	err := in.camp.failErr
+	done := obs.Event{Name: "campaign_done", Campaign: in.camp.key}
 	if err != nil {
 		done.Fields = map[string]any{"error": err.Error()}
 	}
@@ -352,38 +360,44 @@ func (co *Coordinator) RunTagged(spec campaign.Spec, tag CampaignTag) (map[campa
 	if err != nil {
 		return nil, err
 	}
-	logs := make([]*trace.WorkLog, len(camp.jobs))
-	for i, j := range camp.jobs {
+	logs := make([]*trace.WorkLog, len(in.camp.jobs))
+	for i, j := range in.camp.jobs {
 		logs[i] = j.log
 	}
-	return campaign.Collate(tasks, logs), nil
+	return campaign.Collate(in.tasks, logs), nil
 }
 
 // ErrCampaignCanceled is the failure error of a campaign killed by
-// CancelCampaign; the blocked Run/RunTagged call returns it.
+// CancelCampaign; its Wait returns it.
 var ErrCampaignCanceled = errors.New("dist: campaign canceled")
 
-// CancelCampaign aborts the campaign with the given key (see SpecKey).
-// The owning Run/RunTagged call returns ErrCampaignCanceled; in-flight
-// leases are abandoned on their next heartbeat. A key that is not
-// active is remembered, and the next Run of it returns
-// ErrCampaignCanceled without installing. It reports whether an active
-// campaign was canceled.
-func (co *Coordinator) CancelCampaign(key string) bool {
+// CancelCampaign fsyncs a cancel record for the campaign with the given
+// key (see SpecKey), active or not, then ends it if it is active: its
+// Wait returns ErrCampaignCanceled and in-flight leases are abandoned on
+// their next heartbeat. An active campaign already ended or with every
+// job done is left alone. It reports whether an active campaign was
+// canceled, or the storage error that left the record undurable.
+func (co *Coordinator) CancelCampaign(key string) (bool, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	var camp *campaignRun
 	for _, c := range co.leases.camps {
 		if c.key == key {
-			if c.failErr != nil {
-				return false
+			if c.failErr != nil || c.remaining == 0 {
+				return false, nil
 			}
-			c.finish(ErrCampaignCanceled)
-			co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
-			return true
+			camp = c
 		}
 	}
-	co.canceled[key] = true
-	return false
+	if !co.journalLocked(&jrec{T: jCancel, Camp: key}, true) {
+		return false, fmt.Errorf("dist: journaling cancel of %s: %s", key, co.journal.log.Health().LastError)
+	}
+	if camp == nil {
+		return false, nil
+	}
+	camp.finish(ErrCampaignCanceled)
+	co.cfg.Events.Emit(obs.Event{Name: "campaign_canceled", Campaign: key})
+	return true, nil
 }
 
 // Campaigns returns the scheduling view of every active campaign, in
@@ -584,38 +598,19 @@ func (co *Coordinator) stragglerScanLocked(camp *campaignRun, now time.Time) {
 // success. A failed append — after the journal's own retries — moves
 // the coordinator into the degraded storage state instead of killing
 // the campaign: scheduling continues in memory, and the callers of the
-// one record class whose durability is load-bearing (fsynced done
-// records) check the return value and refuse to acknowledge. While
-// degraded, non-critical records are skipped outright (the disk is
-// known sick; hammering it from under the mutex helps nobody) until a
-// successful durable write clears the state. Caller holds mu.
-func (co *Coordinator) journalLocked(camp *campaignRun, r *jrec, sync bool) bool {
+// records whose durability is load-bearing (the fsynced ones) check the
+// return value and refuse to acknowledge. While degraded, non-critical
+// records are skipped outright (the disk is known sick; hammering it
+// from under the mutex helps nobody) until a successful durable write
+// clears the state. Caller holds mu.
+func (co *Coordinator) journalLocked(r *jrec, sync bool) bool {
 	if co.journal == nil {
 		return true
 	}
-	lg := co.journal.log
-	if lg.Health().Degraded && !sync {
+	if co.journal.log.Health().Degraded && !sync {
 		return false
 	}
-	if camp != nil && !camp.journaled && r.T != jCampaign {
-		// The campaign record was lost to a degraded spell; nothing about
-		// the campaign may land before it or replay drops the records.
-		if !sync {
-			return false
-		}
-		rec := &jrec{T: jCampaign, Camp: camp.key, Spec: camp.specJSON, Tag: &camp.tag}
-		if lg.Append(rec, false) != nil {
-			return false
-		}
-		camp.journaled = true
-	}
-	if lg.Append(r, sync) != nil {
-		return false
-	}
-	if r.T == jCampaign && camp != nil {
-		camp.journaled = true
-	}
-	return true
+	return co.journal.log.Append(r, sync) == nil
 }
 
 // CompactJournal triggers a journal compaction immediately, regardless
@@ -631,9 +626,12 @@ func (co *Coordinator) CompactJournal() error {
 }
 
 // requeuedLocked announces a job that lost its last lease and is
-// pending again (an exhausted one has already failed its campaign).
-// Caller holds mu.
+// pending again, and journals the failure of the campaign of one that
+// ran out of attempts. Caller holds mu.
 func (co *Coordinator) requeuedLocked(rv revocation) {
+	if rv.exhausted != nil {
+		co.journalLocked(&jrec{T: jFail, Camp: rv.job.camp.key, Err: rv.exhausted.Error()}, true)
+	}
 	if rv.requeued {
 		co.cfg.Events.Emit(obs.Event{Name: "job_requeued", Job: rv.job.id, Attempt: rv.job.attempts,
 			Fields: map[string]any{"not_before": rv.job.notBefore.UTC().Format(time.RFC3339Nano)}})
@@ -704,7 +702,7 @@ func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, specula
 	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: l.attempt,
 		Site: cs.sess.Site, Worker: cs.sess.Name,
 		Fields: map[string]any{"hedge": speculative, "resumed": resumed}})
-	co.journalLocked(camp, &jrec{
+	co.journalLocked(&jrec{
 		T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 		Attempt: l.attempt, Resumed: resumed, Hedge: speculative,
 	}, false)
@@ -866,7 +864,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		js.Adoptions++
 		js.Assignments++
 		js.Workers = append(js.Workers, cs.sess.Name)
-		co.journalLocked(camp, &jrec{
+		co.journalLocked(&jrec{
 			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 			Attempt: l.attempt, Resumed: len(j.ckpt) > 0,
 		}, false)
@@ -917,7 +915,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 			if err := co.journal.spoolCheckpoint(j.id, raw); err != nil {
 				co.journal.log.Fault("checkpoint spool", err)
 			} else {
-				co.journalLocked(camp, &jrec{T: jCkpt, Camp: camp.key, Job: j.id, Attempt: l.attempt}, false)
+				co.journalLocked(&jrec{T: jCkpt, Camp: camp.key, Job: j.id, Attempt: l.attempt}, false)
 			}
 		}
 	}
@@ -971,7 +969,7 @@ func (co *Coordinator) finish(cs *connState, req *request, now time.Time) respon
 	if winner != nil {
 		attempt = winner.attempt
 	}
-	if !co.journalLocked(camp, &jrec{T: jDone, Camp: camp.key, Job: j.id, Attempt: attempt, Log: req.Log}, true) {
+	if !co.journalLocked(&jrec{T: jDone, Camp: camp.key, Job: j.id, Attempt: attempt, Log: req.Log}, true) {
 		// The result cannot be made durable right now. Acking would break
 		// the promise the fsync exists for; failing the campaign would
 		// throw away a computed result over a possibly transient disk
@@ -1035,7 +1033,7 @@ func (co *Coordinator) fail(cs *connState, req *request, now time.Time) response
 		co.stats.Failures++
 		co.cfg.Events.Emit(obs.Event{Name: "job_failed", Job: j.id, Attempt: l.attempt,
 			Site: l.site, Worker: l.worker, Fields: map[string]any{"error": req.Err}})
-		co.journalLocked(camp, &jrec{T: jFail, Camp: camp.key, Job: j.id, Attempt: l.attempt, Err: req.Err}, false)
+		co.journalLocked(&jrec{T: jFail, Camp: camp.key, Job: j.id, Attempt: l.attempt, Err: req.Err}, false)
 		sh := co.sites.get(l.site)
 		sh.Failures++
 		co.strikeLocked(sh, j.id, now)

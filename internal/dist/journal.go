@@ -10,10 +10,10 @@ package dist
 // Layout:
 //
 //	<state>/journal.log      append-only record stream: campaign / lease /
-//	<state>/snapshot         ckpt / done / fail transitions, and their
-//	                         compacted prefix — together one internal/wal
-//	                         log, which owns framing, sequence numbers,
-//	                         repair, compaction and torn-tail replay
+//	<state>/snapshot         ckpt / done / fail / cancel transitions, and
+//	                         their compacted prefix — together one
+//	                         internal/wal log, which owns framing, sequence
+//	                         numbers, repair, compaction and torn-tail replay
 //	<state>/spool/<job>.ckpt latest streamed checkpoint per in-flight
 //	                         job, always a complete CRC-framed image
 //
@@ -21,16 +21,20 @@ package dist
 // the recovered job tables, how those tables are re-emitted as a
 // snapshot — plus the spool, which shares the log's atomic file write.
 //
-// Durability policy: `done` records (which carry the full work log —
-// the campaign's irreplaceable output) are fsynced before the worker's
-// result is acknowledged; everything else is flushed but not synced,
-// because every other transition is reconstructible from retries.
+// Durability policy: the records of a campaign's acceptance, cancel and
+// failure are fsynced before they are acted on, and a `done` record
+// (which carries the full work log — the campaign's irreplaceable
+// output) before the worker's result is acknowledged; everything else is
+// flushed but not synced, because every other transition is
+// reconstructible from retries. The control plane rebuilds its
+// campaigns from Replayed: this is the only durable record of them.
 import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"spice/internal/faultfs"
 	"spice/internal/trace"
@@ -43,7 +47,8 @@ const (
 	jLease    = "lease"    // a job was leased (or adopted) by a worker
 	jCkpt     = "ckpt"     // a checkpoint was spooled for a job
 	jDone     = "done"     // a job finished; record carries the log
-	jFail     = "fail"     // a worker reported failure; job requeued
+	jFail     = "fail"     // a worker reported failure (job requeued); without a job, the campaign failed
+	jCancel   = "cancel"   // the campaign was canceled
 	jSnap     = "snap"     // snapshot meta record: highest folded seq
 	jNoop     = "noop"     // storage probe; carries no state
 )
@@ -56,6 +61,7 @@ type jrec struct {
 	Camp    string          `json:"camp,omitempty"`    // campaign key (SpecKey) the record belongs to
 	Spec    json.RawMessage `json:"spec,omitempty"`    // campaign: spec JSON
 	Tag     *CampaignTag    `json:"tag,omitempty"`     // campaign: submission tag
+	At      time.Time       `json:"at,omitzero"`       // campaign: submission time
 	Job     string          `json:"job,omitempty"`     // lease/ckpt/done/fail
 	Worker  string          `json:"worker,omitempty"`  // lease
 	Site    string          `json:"site,omitempty"`    // lease: worker's site identity
@@ -63,7 +69,7 @@ type jrec struct {
 	Resumed bool            `json:"resumed,omitempty"` // lease: assignment carried a checkpoint
 	Hedge   bool            `json:"hedge,omitempty"`   // lease: speculative second lease on a straggling job
 	Log     *trace.WorkLog  `json:"log,omitempty"`     // done
-	Err     string          `json:"err,omitempty"`     // fail reason
+	Err     string          `json:"err,omitempty"`     // fail: reason
 	N       int             `json:"n,omitempty"`       // fail (snapshot): condensed repeat count
 }
 
@@ -94,6 +100,9 @@ func newJournalReplay() *journalReplay {
 type replayCampaign struct {
 	specJSON json.RawMessage // campaign spec, kept for re-serialization
 	tag      *CampaignTag
+	at       time.Time
+	canceled bool
+	err      string // why the campaign failed
 	done     map[string]*trace.WorkLog
 	attempts map[string]int      // highest lease attempt per job
 	workers  map[string][]string // lease history per job, in order
@@ -139,6 +148,12 @@ func (rep *journalReplay) Apply(r *jrec) {
 	if r.Camp != "" {
 		c = rep.campaigns[r.Camp]
 	}
+	if c == nil && r.T == jCancel && r.Camp != "" {
+		// A cancel of a campaign only an older control plane's queue.log
+		// holds: keep the mark for Replayed.
+		c = newReplayCampaign()
+		rep.campaigns[r.Camp] = c
+	}
 	if c == nil && r.T != jCampaign {
 		return // a record for a campaign this journal never installed
 	}
@@ -161,6 +176,9 @@ func (rep *journalReplay) Apply(r *jrec) {
 		}
 		if r.Tag != nil {
 			c.tag = r.Tag
+		}
+		if !r.At.IsZero() {
+			c.at = r.At
 		}
 		rep.cur = c
 		rep.records++
@@ -188,7 +206,14 @@ func (rep *journalReplay) Apply(r *jrec) {
 		c.done[r.Job] = r.Log
 		rep.records++
 	case jFail:
-		c.fails[r.Job] += max(r.N, 1) // N is a snapshot's condensed repeat count
+		if r.Job == "" {
+			c.err = r.Err
+		} else {
+			c.fails[r.Job] += max(r.N, 1) // N is a snapshot's condensed repeat count
+		}
+		rep.records++
+	case jCancel:
+		c.canceled = true
 		rep.records++
 	case jSnap, jNoop:
 		// snap carries only its sequence, which is the log's business;
@@ -200,8 +225,8 @@ func (rep *journalReplay) Apply(r *jrec) {
 
 // Snapshot emits rep as a compacted record stream: the jSnap meta
 // record, then a minimal record sequence that replays to exactly rep —
-// one campaign record each, the condensed lease history, done logs, and
-// fail counts.
+// one campaign record each, the condensed lease history, done logs, fail
+// counts, and the campaign's cancel or failure.
 func (rep *journalReplay) Snapshot(emit func(*jrec)) {
 	emit(&jrec{T: jSnap})
 	keys := make([]string, 0, len(rep.campaigns))
@@ -211,7 +236,7 @@ func (rep *journalReplay) Snapshot(emit func(*jrec)) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		c := rep.campaigns[key]
-		emit(&jrec{T: jCampaign, Camp: key, Spec: c.specJSON, Tag: c.tag})
+		emit(&jrec{T: jCampaign, Camp: key, Spec: c.specJSON, Tag: c.tag, At: c.at})
 		jobs := make(map[string]bool)
 		for id := range c.done {
 			jobs[id] = true
@@ -249,7 +274,48 @@ func (rep *journalReplay) Snapshot(emit func(*jrec)) {
 				emit(&jrec{T: jFail, Camp: key, Job: id, N: n})
 			}
 		}
+		if c.canceled {
+			emit(&jrec{T: jCancel, Camp: key})
+		}
+		if c.err != "" {
+			emit(&jrec{T: jFail, Camp: key, Err: c.err})
+		}
 	}
+}
+
+// ReplayedCampaign is one campaign as the coordinator's journal held it
+// at construction — the read-only view the control plane rebuilds its
+// campaigns from.
+type ReplayedCampaign struct {
+	Key  string
+	Tag  CampaignTag
+	Spec json.RawMessage // nil when the journal holds only a cancel for Key
+	// At is the submission time the install recorded; zero in records
+	// written before installs carried one.
+	At       time.Time
+	Done     int // jobs whose result is durable
+	Canceled bool
+	Err      string // why the campaign failed; "" unless it did
+}
+
+// Replayed returns the campaigns the journal held when the coordinator
+// was built, in key order (nil without a StateDir).
+func (co *Coordinator) Replayed() []ReplayedCampaign {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.replay == nil {
+		return nil
+	}
+	out := make([]ReplayedCampaign, 0, len(co.replay.campaigns))
+	for key, c := range co.replay.campaigns {
+		rc := ReplayedCampaign{Key: key, Spec: c.specJSON, At: c.at, Done: len(c.done), Canceled: c.canceled, Err: c.err}
+		if c.tag != nil {
+			rc.Tag = *c.tag
+		}
+		out = append(out, rc)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 func (j *journal) close() error {
@@ -284,7 +350,7 @@ func (j *journal) spoolCheckpoint(jobID string, ckpt []byte) error {
 
 // loadSpool returns the job's spooled checkpoint, or nil if there is
 // none (or the file is unreadable/torn — the job then restarts from
-// its last journaled state instead, losing progress but not safety).
+// its last recorded state instead, losing progress but not safety).
 func (j *journal) loadSpool(jobID string) []byte {
 	scan, err := trace.ScanFileFS(j.fs, j.spoolPath(jobID))
 	if err != nil || scan.TailErr != nil || len(scan.Records) == 0 {

@@ -311,6 +311,9 @@ type revocation struct {
 	// requeued: no lease was left, so the job is pending again and backs
 	// off until job.notBefore.
 	requeued bool
+	// exhausted is the error that failed the job's campaign when this
+	// requeue used up its attempts.
+	exhausted error
 }
 
 // revoke removes the leases of j that match — the only loop that does.
@@ -336,8 +339,9 @@ func (t *leaseTable) revoke(j *job, now time.Time, match func(*lease) bool) revo
 	j.leases = nil
 	j.straggler = false
 	j.notBefore = now.Add(t.retry.Keyed(j.id, j.attempts))
-	if j.attempts >= t.maxAttempts {
-		j.camp.finish(fmt.Errorf("dist: job %s exhausted %d attempts", j.id, j.attempts))
+	if j.attempts >= t.maxAttempts && j.camp.failErr == nil {
+		rv.exhausted = fmt.Errorf("dist: job %s exhausted %d attempts", j.id, j.attempts)
+		j.camp.finish(rv.exhausted)
 	}
 	return rv
 }

@@ -40,8 +40,8 @@ func RegisterMetrics(reg *obs.Registry, src StatsSource) {
 		e.Counter("spice_dist_duplicate_results_dropped_total", "Retransmitted result/fail lines acked and dropped.", float64(s.DuplicateResultsDropped))
 		e.Counter("spice_dist_adoptions_total", "In-flight jobs re-leased to their live worker.", float64(s.Adoptions))
 		e.Gauge("spice_dist_journal_tail_condition", "Journal tail at last recovery: 0 clean, 1 torn, 2 corrupt.", float64(s.TornTail))
-		// The spice_storage_* family is shared with the control plane's
-		// queue journal; the journal label keeps the two apart.
+		// The journal label names the one log behind the spice_storage_*
+		// family.
 		s.storage().Emit(e, "dist")
 		e.Counter("spice_dist_stragglers_detected_total", "Leases flagged as stragglers (rate or stall).", float64(s.StragglersDetected))
 		e.Counter("spice_dist_speculations_launched_total", "Hedge leases granted on a second site.", float64(s.SpeculationsLaunched))

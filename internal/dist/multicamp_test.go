@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spice/internal/campaign"
+	"spice/internal/faultfs"
 	"spice/internal/trace"
 )
 
@@ -172,8 +173,8 @@ func TestCancelCampaign(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !co.CancelCampaign(key) {
-		t.Fatal("CancelCampaign found nothing to cancel")
+	if ok, err := co.CancelCampaign(key); !ok || err != nil {
+		t.Fatalf("CancelCampaign = %v, %v: found nothing to cancel", ok, err)
 	}
 	select {
 	case err := <-errCh:
@@ -183,54 +184,81 @@ func TestCancelCampaign(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunTagged did not return after cancel")
 	}
-	if co.CancelCampaign(key) {
+	if ok, _ := co.CancelCampaign(key); ok {
 		t.Fatal("second cancel reported success")
 	}
 }
 
-// TestCancelBeforeInstall: a cancel that reaches the coordinator before
-// the campaign's Run installs it is not lost — the control plane
-// dispatches a campaign on a goroutine, so a tenant's cancel can overtake
-// it. That Run returns ErrCampaignCanceled without installing, so no
-// lease goes out even to a worker already waiting; and the mark is used
-// up, so the next Run of the same key installs.
-func TestCancelBeforeInstall(t *testing.T) {
-	co := newCoordinator(t, nil)
-	spec, tag := testSpec(), CampaignTag{Tenant: "t", Name: "early"}
-	key, err := SpecKey(spec, tag)
+// TestCampaignRecordsReplay: the journal alone records a campaign's
+// acceptance, cancel and failure. Install returns only once the campaign
+// record (with its submission time) is durable and installs nothing when
+// it is not; a cancel is journaled even for a key that is not active; a
+// job out of attempts journals its campaign's failure; and a coordinator
+// opened over the directory replays all three.
+func TestCampaignRecordsReplay(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(nil)
+	co := newCoordinator(t, func(c *Config) {
+		c.StateDir, c.FS = dir, inj
+		c.StorageRetries = 0
+		c.MaxAttempts = 1
+	})
+	at := time.Unix(1700000000, 0).UTC()
+	canceled, failed := CampaignTag{Tenant: "a"}, CampaignTag{Tenant: "b"}
+	in, err := co.Install(testSpec(), canceled, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := dialTestClient(t, co.Listener.Addr().String(), "idle")
-	if err := idle.Encode(&request{Type: msgNext}); err != nil {
+	inj.FailAt(1, faultfs.EIO) // the campaign record's write
+	if _, err := co.Install(testSpec2(), CampaignTag{Tenant: "refused"}, at); err == nil {
+		t.Fatal("Install succeeded although its campaign record was refused")
+	}
+	if n := len(co.Campaigns()); n != 1 {
+		t.Fatalf("%d campaigns active after a refused install, want 1", n)
+	}
+	key, _ := SpecKey(testSpec(), canceled)
+	if ok, err := co.CancelCampaign(key); !ok || err != nil {
+		t.Fatalf("CancelCampaign = %v, %v", ok, err)
+	}
+	if _, err := in.Wait(); !errors.Is(err, ErrCampaignCanceled) {
+		t.Fatalf("Wait = %v, want ErrCampaignCanceled", err)
+	}
+	if ok, err := co.CancelCampaign("c-elsewhere"); ok || err != nil {
+		t.Fatalf("cancel of an inactive key = %v, %v, want false, nil", ok, err)
+	}
+
+	in, err = co.Install(singleJobSpec(), failed, time.Time{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitParked(t, co, 1)
-
-	if co.CancelCampaign(key) {
-		t.Fatal("CancelCampaign reported canceling a campaign that was not installed")
+	tc := dialTestClient(t, co.Listener.Addr().String(), "w")
+	job := tc.next().Job
+	tc.rt(&request{Type: msgFail, JobID: job.ID, Attempt: job.Attempt, Err: "boom"})
+	_, werr := in.Wait()
+	if werr == nil {
+		t.Fatal("a campaign whose only job ran out of attempts succeeded")
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := co.RunTagged(spec, tag)
-		errCh <- err
-	}()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrCampaignCanceled) {
-			t.Fatalf("RunTagged returned %v, want ErrCampaignCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the cancel was lost: RunTagged installed the campaign and kept running")
-	}
-	if st := co.Stats(); st.Assignments != 0 || len(co.Campaigns()) != 0 {
-		t.Fatalf("a canceled campaign was installed: %d assignments, %d active", st.Assignments, len(co.Campaigns()))
+	tc.conn.Close()
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	runInBackground(t, co, spec, tag)
-	var resp response
-	if err := idle.Decode(&resp); err != nil || resp.Type != msgAssign {
-		t.Fatalf("after the mark was used, the waiting poll got %+v (%v), want a job", resp, err)
+	got := map[string]ReplayedCampaign{}
+	for _, rc := range newCoordinator(t, func(c *Config) { c.StateDir = dir }).Replayed() {
+		got[rc.Key] = rc
+	}
+	failedKey, _ := SpecKey(singleJobSpec(), failed)
+	if rc := got[key]; !rc.Canceled || !rc.At.Equal(at) || rc.Err != "" || rc.Tag != canceled || len(rc.Spec) == 0 {
+		t.Errorf("canceled campaign replayed as %+v", rc)
+	}
+	if rc := got[failedKey]; rc.Canceled || rc.Err != werr.Error() || rc.Tag != failed {
+		t.Errorf("failed campaign replayed as %+v, want error %q", rc, werr)
+	}
+	if rc := got["c-elsewhere"]; !rc.Canceled || rc.Spec != nil {
+		t.Errorf("cancel of an inactive key replayed as %+v", rc)
+	}
+	if len(got) != 3 {
+		t.Errorf("replayed %d campaigns, want 3 (the refused install left a trace): %+v", len(got), got)
 	}
 }
 

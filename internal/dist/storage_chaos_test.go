@@ -79,11 +79,12 @@ func seedChaosJournal(t *testing.T, lg *wal.Log[jrec, *jrec]) {
 
 // foldFingerprint serializes the folded campaign state deterministically
 // (JSON maps marshal with sorted keys), so two state dirs with identical
-// logical state compare equal.
+// logical state compare equal. The submission time, cancel and failure
+// appear only when set, so the golden fold.json predating them holds.
 func foldFingerprint(rep *journalReplay) string {
 	out := make(map[string]any, len(rep.campaigns))
 	for key, c := range rep.campaigns {
-		out[key] = map[string]any{
+		fp := map[string]any{
 			"spec":     string(c.specJSON),
 			"tag":      c.tag,
 			"done":     c.done,
@@ -91,6 +92,16 @@ func foldFingerprint(rep *journalReplay) string {
 			"workers":  c.workers,
 			"fails":    c.fails,
 		}
+		if !c.at.IsZero() {
+			fp["at"] = c.at
+		}
+		if c.canceled {
+			fp["canceled"] = true
+		}
+		if c.err != "" {
+			fp["err"] = c.err
+		}
+		out[key] = fp
 	}
 	b, err := json.Marshal(out)
 	if err != nil {
@@ -164,6 +175,9 @@ func FuzzApply(f *testing.F) {
 	f.Add([]byte(`{"t":"lease","camp":"c","job":"j","worker":"w","attempt":2,"hedge":true}`))
 	f.Add([]byte(`{"t":"done","camp":"c","job":"j","log":{"Kappa":1,"Samples":[{"Work":1}]}}`))
 	f.Add([]byte(`{"t":"fail","job":"j","n":-3}`))
+	f.Add([]byte(`{"t":"campaign","camp":"c","at":"2023-11-14T22:13:20Z"}`))
+	f.Add([]byte(`{"t":"cancel","camp":"elsewhere"}`))
+	f.Add([]byte(`{"t":"fail","camp":"c","err":"exhausted"}`))
 	f.Add([]byte(`{"t":"campaign","spec":null}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -93,8 +93,8 @@ func cancelCampaign(t *testing.T, co *Coordinator, spec campaign.Spec, errCh <-c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !co.CancelCampaign(key) {
-		t.Fatal("CancelCampaign found no campaign")
+	if ok, err := co.CancelCampaign(key); !ok || err != nil {
+		t.Fatalf("CancelCampaign = %v, %v: found no campaign", ok, err)
 	}
 	select {
 	case err := <-errCh:

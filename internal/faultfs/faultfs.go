@@ -1,10 +1,10 @@
 // Package faultfs is the storage-side sibling of netsim.Gate: a small
 // injectable filesystem abstraction that every durable artifact in the
 // repo — the dist write-ahead journal, the checkpoint spool, the
-// control plane's queue journal — performs its I/O through, plus a
-// fault-injecting implementation that delivers deterministic EIO /
-// ENOSPC errors, torn (partial) writes, sync failures and rename
-// failures per operation.
+// control plane's read of an older queue.log — performs its I/O
+// through, plus a fault-injecting implementation that delivers
+// deterministic EIO / ENOSPC errors, torn (partial) writes, sync
+// failures and rename failures per operation.
 //
 // The paper's grid argument assumes campaigns survive the messy real
 // world. PRs 3-4 proved the network half (SIGKILL replay, partitions,

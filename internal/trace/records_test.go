@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func framedStream(t *testing.T, payloads ...[]byte) []byte {
+func framedStream(t testing.TB, payloads ...[]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	rw := NewRecordWriter(&buf, false)

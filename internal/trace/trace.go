@@ -376,12 +376,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if nfrc != 0 && nfrc != n {
 		return nil, ErrFormat
 	}
-	c.Pos = make([]vec.V, n)
-	c.Vel = make([]vec.V, n)
-	c.NeighborRef = make([]vec.V, nref)
-	c.Force = make([]vec.V, nfrc)
-	for _, set := range [][]vec.V{c.Pos, c.Vel, c.NeighborRef, c.Force} {
-		for i := range set {
+	// The counts come from the input, which may be a peer's: the blocks
+	// grow as their bytes arrive, so a header that claims 2^30 atoms costs
+	// what the input supplies, not gigabytes up front.
+	for _, blk := range []struct {
+		set *[]vec.V
+		n   int64
+	}{{&c.Pos, n}, {&c.Vel, n}, {&c.NeighborRef, nref}, {&c.Force, nfrc}} {
+		for i := int64(0); i < blk.n; i++ {
 			var p [3]float64
 			if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
 				return nil, truncated(err)
@@ -389,14 +391,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			if math.IsNaN(p[0]) || math.IsNaN(p[1]) || math.IsNaN(p[2]) {
 				return nil, fmt.Errorf("trace: checkpoint contains NaN: %w", ErrFormat)
 			}
-			set[i] = vec.V{X: p[0], Y: p[1], Z: p[2]}
+			*blk.set = append(*blk.set, vec.V{X: p[0], Y: p[1], Z: p[2]})
 		}
-	}
-	if nref == 0 {
-		c.NeighborRef = nil
-	}
-	if nfrc == 0 {
-		c.Force = nil
 	}
 	if nrng > 0 {
 		c.RNG = make([]uint64, nrng)

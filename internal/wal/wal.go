@@ -1,11 +1,12 @@
 // Package wal is the one crash-safe write-ahead log in the repo: the
-// dist job journal and the control plane's campaign queue are each a
-// wal.Log plus a Fold. A log is two files in trace's CRC record framing,
-// one JSON record per frame: an append-only stream of sequence-stamped
-// records, and a snapshot — the compacted prefix, opened by a meta
-// record carrying the highest sequence it folded. DESIGN.md §13 has the
-// protocol. Calls on one Log must be serialized by the owner (both
-// owners hold their own mutex around every call).
+// dist job journal is a wal.Log plus a Fold, and the control plane reads
+// an older server's campaign queue through Scan and a Fold of its own. A
+// log is two files in trace's CRC record framing, one JSON record per
+// frame: an append-only stream of sequence-stamped records, and a
+// snapshot — the compacted prefix, opened by a meta record carrying the
+// highest sequence it folded. DESIGN.md §13 has the protocol. Calls on
+// one Log must be serialized by the owner (the coordinator holds its
+// mutex around every call).
 package wal
 
 import (

@@ -1,7 +1,6 @@
 // Package waltest is the kill-point harness shared by wal's own tests
-// and by the tests of the packages that own a log (dist's job journal,
-// controlplane's campaign queue), so one sweep covers the protocol and
-// each production fold.
+// and by the tests of the package that owns a log (dist's job journal),
+// so one sweep covers the protocol and the production fold.
 package waltest
 
 import (

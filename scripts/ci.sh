@@ -127,6 +127,26 @@ if grep -n -E 'T: *qStart' $cp_src; then
   exit 1
 fi
 
+echo "== one durable log per served campaign =="
+# The coordinator's journal is the only durable record of a served
+# campaign: its campaign record is fsynced before the 202, its cancel
+# record before the cancel is acknowledged, and a job out of attempts
+# records the campaign's failure. The control plane's queue journal, its
+# no-op prober and its second degraded-storage policy were deleted (an
+# older server's queue.log is only imported, read-only), and with them
+# the dist workarounds the second log needed: the map of cancels that
+# overtook their install and the re-journaling of campaign records lost
+# to a degraded spell. They must not come back.
+if grep -n -E 'wal\.Open|\.Append\(|qNoop|probeStorage|StorageProbe' \
+  $(find internal/controlplane -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: the control plane writes a log of its own again"
+  exit 1
+fi
+if grep -n -E 'canceled +map|journaled' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: a second-log workaround is back in internal/dist"
+  exit 1
+fi
+
 echo "== lease table + site health: plain data, one grant =="
 # The lease table and site health take the time as an argument and touch
 # no clock, lock, socket, event log or journal — that is what lets a
@@ -221,7 +241,8 @@ echo "== overload shedding drills (-race) =="
 # jobs. Control plane: the
 # HTTP concurrency limiter sheds with 503 + Retry-After, the client
 # retries only refusals that carry the header and at most RetryMax
-# times, and a success restarts its backoff. (Admitted work draining while new work is refused is the
+# times, and a success restarts its backoff. (New work refused while the
+# disk is stuck, and admitted work finishing once it recovers, is the
 # disk-fault gate's TestStorageDegradedHTTP503AndRecovery.)
 go test -race -count=1 \
   -run 'TestInflightShedOverLimit|TestParkedPollsNotInflight|TestWakeAnswersOnlyRunnable|TestCoordinatorCloseMidCheckpointStream' \
@@ -236,30 +257,34 @@ echo "== control plane multi-tenant chaos (-race) =="
 # campaigns over HTTP (both running, no worker to lease them to),
 # rejects an over-quota submission, and is SIGKILLed twice — mid-queue
 # and mid-replay. The restarts must replay every accepted campaign from
-# the fsynced queue journal, keep enforcing quotas against the replayed
-# queue, and finish both campaigns bit-identical to in-process
-# LocalRunner baselines.
+# the coordinator's fsynced journal, keep enforcing quotas against the
+# replayed campaigns, and finish both campaigns bit-identical to
+# in-process LocalRunner baselines.
 go test -race -run 'TestChaosKillControlPlaneMidQueue' -count=1 -v ./internal/controlplane
 
-echo "== disk-fault chaos: one write-ahead log, two folds (-race) =="
-# Durable-storage gate. internal/wal is the single implementation both
-# journals run on, so its suite is the protocol's: a fault injected at
-# EVERY mutating filesystem operation of a compaction and of a mixed
+echo "== disk-fault chaos: one write-ahead log (-race) =="
+# Durable-storage gate. internal/wal is the log the coordinator's journal
+# runs on, so its suite is the protocol's: a fault injected at EVERY
+# mutating filesystem operation of a compaction and of a mixed
 # synced/unsynced append sequence that crosses the compaction threshold
 # (as a transient error and as a crash), a torn tail at every byte
 # offset, the refused-append-leaves-no-trace and stale-temp-file
-# regressions. dist and controlplane then run the same compaction sweep
-# over their production folds, pin their on-disk formats byte-for-byte
-# against files written before the extraction, and run the end-to-end
-# drills: the disk wedged with persistent ENOSPC mid-service must make
-# the coordinator answer finished workers with retry (never
-# ack-and-drop a result) and the control plane 503 with Retry-After
-# (never ack-and-drop a campaign), in-flight work must keep draining,
-# both must recover when the faults clear, and a workload that once grew
-# the journal monotonically must stay near -compact-bytes.
+# regressions. dist then runs the same compaction sweep over its
+# production fold and pins its on-disk format byte-for-byte against files
+# written before the extraction; the journal records a campaign's
+# acceptance, cancel and failure and installs nothing it could not make
+# durable; the control plane's import still reads the golden queue.log
+# of the servers that wrote one, and a state directory such a server
+# left mid-campaign replays to the same states and bit-identical
+# results. The end-to-end drills: the disk wedged with persistent ENOSPC
+# mid-service must make the coordinator answer finished workers with
+# retry (never ack-and-drop a result) and the control plane 503 with
+# Retry-After (never acknowledge a submission journal.log does not
+# hold), both must recover when the faults clear, and a workload that
+# once grew the journal monotonically must stay near -compact-bytes.
 go test -race -count=1 ./internal/wal
 go test -race -count=1 \
-  -run 'TestCompactionKillPointSweep|TestJournalFormatFrozen|TestStaleSpoolTmpSwept|TestCoordinatorCompactionBoundedLiveCampaign|TestStorageDegradedRecovery|TestQueueCompactionKillPointSweep|TestQueueFormatFrozen|TestQueueCompactionBoundsLog|TestQueueSubmitAckOrdering|TestRefusedSubmitLeavesNoTrace|TestStorageDegradedHTTP503AndRecovery' \
+  -run 'TestCompactionKillPointSweep|TestJournalFormatFrozen|TestStaleSpoolTmpSwept|TestCoordinatorCompactionBoundedLiveCampaign|TestStorageDegradedRecovery|TestCampaignRecordsReplay|TestQueueFormatFrozen|TestReplayOlderStateDir|TestQueueSubmitAckOrdering|TestRefusedSubmitLeavesNoTrace|TestStorageDegradedHTTP503AndRecovery' \
   -v ./internal/dist ./internal/controlplane
 
 echo "== decoder fuzz smoke (10s each) =="
@@ -271,11 +296,16 @@ echo "== decoder fuzz smoke (10s each) =="
 # peer can send: an arbitrary hello line plus trailing bytes through
 # wire.Accept (replies one JSON line, and every grant is the one v1 grant),
 # arbitrary v1 frames (parse or fail, and re-encode to the same
-# message), arbitrary compressed/delta payloads with and without a base.
+# message), arbitrary compressed/delta payloads with and without a base,
+# an arbitrary checkpoint through trace.ReadCheckpoint (a remote
+# steerer's; no allocation beyond the bytes supplied, and what decodes
+# re-encodes stably), and arbitrary framed streams through the record
+# scan and the streaming reader, which must agree on the clean prefix.
 # Minimization is capped: its 60 s default would spend the whole smoke
 # shrinking the first interesting input instead of generating new ones.
 for target in FuzzReplay:wal FuzzApply:dist FuzzApply:controlplane \
-  FuzzAccept:wire FuzzFrame:wire FuzzResolve:wire; do
+  FuzzAccept:wire FuzzFrame:wire FuzzResolve:wire \
+  FuzzReadCheckpoint:trace FuzzScanRecords:trace; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s -fuzzminimizetime 20x "./internal/${target##*:}"
 done
 
@@ -286,11 +316,13 @@ echo "== control plane quota + restart unit gates (-race) =="
 # walk that stops at a quota-blocked campaign, MaxRunning counted per
 # tenant, and the fair-share ledger in pull work: the simulator's charge
 # over CPUHoursPerNs, exported as spice_cp_tenant_usage. Submit hands
-# every campaign straight to the coordinator with no start record, the
-# 202 reports the real state, a campaign is queued (and cancelable as
-# such) only before Start, and an unrunnable spec is a 400 that never
-# reaches queue.log.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestCancelQueuedCampaign' -count=1 ./internal/controlplane
+# every campaign straight to the coordinator with its campaign record as
+# the one durable trace, the 202 reports the real state, a campaign is
+# queued (and cancelable as such) only between a replay and Start, a
+# cancel right after Submit is never lost, an unrunnable spec is a 400
+# that never reaches journal.log, and the client hands back the server's
+# sentinels (400, both 409s) and escapes the tenant it filters on.
+go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
 
 echo "== batch ensemble determinism (GOMAXPROCS=4, -race) =="
 # The ensemble batch engine must produce bit-identical trajectories and
@@ -362,7 +394,7 @@ checks = [
     ("correct", r["correct"] is True),
     ("failed == 0", r["failed"] == 0),
     ("dist.journal_fsyncs_per_pull within 1 +- 0.05", abs(m["dist.journal_fsyncs_per_pull"] - 1) <= 0.05),
-    ("controlplane.queue_fsyncs_per_campaign == 2", m["controlplane.queue_fsyncs_per_campaign"] == 2),
+    ("controlplane.queue_fsyncs_per_campaign == 0", m["controlplane.queue_fsyncs_per_campaign"] == 0),
     ("md.allocs_per_step == 0", m["md.allocs_per_step"] == 0),
     ("dist.requests_shed == 0", m["dist.requests_shed"] == 0),
     ("share partition sums to 1 +- 0.01", abs(sum(m.get(k, float("nan")) for k in shares) - 1) <= 0.01),
