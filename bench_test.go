@@ -778,83 +778,6 @@ func BenchmarkAblation_NeighborList(b *testing.B) {
 	b.Logf("Ablation/neighbor: see internal/neighbor BenchmarkCellList1000 vs BenchmarkBruteForce1000")
 }
 
-// batchBenchSpec is the wall-heavy substrate-eligible system the batch
-// engine targets: explicit pore walls plus a dense membrane bead lattice
-// (~3,400 fixed atoms) around a short mobile strand, fully periodic — the
-// regime where per-replica static work dominates a step.
-func batchBenchSpec(seed uint64) md.TranslocationSpec {
-	spec := md.DefaultTranslocation(4)
-	spec.NoWalls = false
-	spec.Seed = seed
-	spec.Workers = 1
-	spec.Membrane.BeadSpacing = 3
-	spec.Membrane.HalfWidth = 60
-	spec.Box = vecpkg.V{X: 160, Y: 160, Z: 170}
-	return spec
-}
-
-// BenchmarkAblation_BatchStep measures aggregate ensemble throughput
-// (DESIGN.md §11): N replicas stepped through one md.Batch — shared
-// static-substrate neighbor grid, SoA state arrays, one step-worker pool
-// — versus the same N identically seeded engines stepped sequentially on
-// the plain per-engine path. Run at GOMAXPROCS>1 via scripts/bench.sh
-// -cpu 1,4; the acceptance gate (scripts/ci.sh) is ≥2× aggregate
-// replica-steps/sec at 8 replicas with 0 steady-state allocs/op.
-func BenchmarkAblation_BatchStep(b *testing.B) {
-	for _, replicas := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			build := func() []*md.Engine {
-				engines := make([]*md.Engine, replicas)
-				for r := range engines {
-					ts, err := md.BuildTranslocation(batchBenchSpec(uint64(r) + 1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					ts.Engine.Run(30) // settle and warm the neighbor list
-					engines[r] = ts.Engine
-				}
-				return engines
-			}
-
-			// Sequential per-engine baseline, timed outside the benchmark
-			// clock so ns/op and allocs/op describe only the batch path.
-			seq := build()
-			const seqSweeps = 30
-			t0 := time.Now()
-			for s := 0; s < seqSweeps; s++ {
-				for _, e := range seq {
-					e.Step()
-				}
-			}
-			seqPerReplicaStep := time.Since(t0).Seconds() / float64(seqSweeps*replicas)
-
-			bt, err := md.NewBatch(build(), md.BatchConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bt.Close()
-			if !bt.SubstrateShared() {
-				b.Fatal("bench system must be substrate-eligible")
-			}
-			bt.StepN(seqSweeps) // steady state: wrap scratch, chunk buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bt.Step()
-			}
-			b.StopTimer()
-
-			batchPerReplicaStep := b.Elapsed().Seconds() / float64(b.N*replicas)
-			pairs := 0.0
-			for r := 0; r < bt.Len(); r++ {
-				pairs += bt.Engine(r).NeighborStats().AvgPairs
-			}
-			b.ReportMetric(float64(b.N*replicas)/b.Elapsed().Seconds(), "replica_steps/s")
-			b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-			b.ReportMetric(seqPerReplicaStep/batchPerReplicaStep, "speedup_vs_seq")
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Guard: the T2/T3 inputs stay pinned to the paper's numbers.
 

@@ -53,7 +53,6 @@ func main() {
 		distance   = flag.Float64("distance", 10, "sub-trajectory length, Å")
 		estimator  = flag.String("estimator", "cumulant2", "PMF estimator: exponential|cumulant1|cumulant2")
 		workers    = flag.Int("workers", 0, "parallel pull workers (0 = NumCPU)")
-		batchSize  = flag.Int("batch", 0, "run local pulls as ensemble batches of this many replicas sharing one static-substrate neighbor grid and step-worker pool (0 = one goroutine per pull)")
 		seed       = flag.Uint64("seed", 2005, "campaign seed")
 		production = flag.Bool("production", false, "run a production PMF at the sweep optimum")
 		outDir     = flag.String("out", "", "write per-pull work logs into this directory (for cmd/pmf)")
@@ -146,12 +145,6 @@ func main() {
 		defer cancel()
 		defer co.Close()
 		cfg.Runner = co
-	} else if *batchSize > 1 {
-		// Ensemble path: cfg.Runner stays nil, so core builds a
-		// campaign.LocalRunner with Batch set — replicas are adopted into
-		// md.Batch groups that share the static-substrate grid. Output is
-		// bit-identical to the per-pull path.
-		cfg.Batch = *batchSize
 	} else {
 		// Local runs go through dist.LocalRunner — the same execution
 		// path and the same stats/metrics surface as a federated run,
@@ -201,7 +194,6 @@ func main() {
 			Replicas:  4 * *replicas,
 			Distance:  *distance,
 			Workers:   *workers,
-			Batch:     cfg.Batch,
 			Seed:      *seed + 1,
 			Estimator: jarzynski.Exponential,
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"spice/internal/dist"
@@ -45,5 +47,25 @@ func TestDistFlagDefaults(t *testing.T) {
 	})
 	for name := range want {
 		t.Errorf("-%s is not registered", name)
+	}
+}
+
+// TestServeRefusesUnrunnableSystem: a -system no pull can run stops
+// spiced -serve before it listens or opens its journal, instead of
+// accepting campaigns whose every pull then fails on every worker.
+func TestServeRefusesUnrunnableSystem(t *testing.T) {
+	defer func(sys, listen string) { *serveSystem, *serveListen = sys, listen }(*serveSystem, *serveListen)
+	*serveListen = "127.0.0.1:0"
+	for _, sys := range []string{`{"Beads":0}`, `{"Beads":8,"DT":-1}`, `{"Beads":8,"EquilSteps":-5}`} {
+		*serveSystem = sys
+		dcfg := dist.Defaults()
+		dcfg.StateDir = t.TempDir()
+		err := runServe(dcfg, nil, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "-system: ") {
+			t.Fatalf("-system %s: runServe = %v, want a -system error", sys, err)
+		}
+		if ents, _ := os.ReadDir(dcfg.StateDir); len(ents) != 0 {
+			t.Fatalf("-system %s: refused serve left %d entries in -state", sys, len(ents))
+		}
 	}
 }

@@ -117,6 +117,9 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 			return fmt.Errorf("-system: %w", err)
 		}
 	}
+	if err := sys.Validate(); err != nil {
+		return fmt.Errorf("-system: %w", err)
+	}
 	if sys.EngineWorkers == 0 {
 		sys.EngineWorkers = 1
 	}

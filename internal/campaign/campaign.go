@@ -253,11 +253,6 @@ type LocalRunner struct {
 	Build BuildFunc
 	// Workers caps concurrency (default NumCPU).
 	Workers int
-	// Batch > 1 runs pulls through md.Batch ensembles of at most Batch
-	// replicas instead of one goroutine per pull: replicas share the
-	// static-substrate neighbor grid and a single step-worker pool (see
-	// ExecuteEnsemble). Output is bit-identical either way.
-	Batch int
 }
 
 var _ Runner = (*LocalRunner)(nil)
@@ -269,13 +264,6 @@ func (lr *LocalRunner) Run(spec Spec) (map[Combo][]*trace.WorkLog, error) {
 		return nil, fmt.Errorf("campaign: LocalRunner needs a Build function")
 	}
 	tasks := spec.Tasks()
-	if lr.Batch > 1 {
-		logs, err := lr.runBatched(spec, tasks)
-		if err != nil {
-			return nil, err
-		}
-		return Collate(tasks, logs), nil
-	}
 	logs, err := ExecuteTasks(tasks, lr.Workers, func(_ int, t Task) (*trace.WorkLog, error) {
 		return ExecutePull(spec, t, lr.Build, smd.RunOpts{})
 	})

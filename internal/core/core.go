@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"spice/internal/campaign"
 	"spice/internal/jarzynski"
@@ -61,12 +62,39 @@ func DefaultSystem() SystemConfig {
 	return SystemConfig{Beads: 8, StartZ: 5, EquilSteps: 1000, DT: 0.01, Temp: 300, PoreFriction: 1}
 }
 
+// Validate reports a system no pull can run. Its caps sit far above
+// anything shipped (8 and 24 beads, 1000 equilibration steps): Beads must
+// be in [1, 1000], EquilSteps in [0, 1e6] and EngineWorkers in [0, 256];
+// DT, Temp and PoreFriction must be finite and >= 0, StartZ finite.
+// Build runs it, so a worker refuses a bad payload before building, and
+// spiced -serve runs it on -system before it listens.
+func (sc SystemConfig) Validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case sc.Beads < 1 || sc.Beads > 1000:
+		return fmt.Errorf("core: system needs 1 to 1000 beads, got %d", sc.Beads)
+	case sc.EquilSteps < 0 || sc.EquilSteps > 1_000_000:
+		return fmt.Errorf("core: EquilSteps %d outside [0, 1e6]", sc.EquilSteps)
+	case sc.EngineWorkers < 0 || sc.EngineWorkers > 256:
+		return fmt.Errorf("core: EngineWorkers %d outside [0, 256]", sc.EngineWorkers)
+	case !finite(sc.StartZ):
+		return fmt.Errorf("core: StartZ %g is not finite", sc.StartZ)
+	case !finite(sc.DT) || sc.DT < 0:
+		return fmt.Errorf("core: DT %g must be finite and >= 0", sc.DT)
+	case !finite(sc.Temp) || sc.Temp < 0:
+		return fmt.Errorf("core: Temp %g must be finite and >= 0", sc.Temp)
+	case !finite(sc.PoreFriction) || sc.PoreFriction < 0:
+		return fmt.Errorf("core: PoreFriction %g must be finite and >= 0", sc.PoreFriction)
+	}
+	return nil
+}
+
 // Build constructs a fresh translocation engine for one pull. Exported
 // so dist workers can rebuild the identical system from a SystemConfig
 // shipped over the wire.
 func (sc SystemConfig) Build(seed uint64) (*md.Engine, []int, error) {
-	if sc.Beads < 1 {
-		return nil, nil, fmt.Errorf("core: system needs at least 1 bead, got %d", sc.Beads)
+	if err := sc.Validate(); err != nil {
+		return nil, nil, err
 	}
 	spec := md.DefaultTranslocation(sc.Beads)
 	spec.DNA.StartZ = sc.StartZ
@@ -84,9 +112,7 @@ func (sc SystemConfig) Build(seed uint64) (*md.Engine, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if sc.EquilSteps > 0 {
-		ts.Engine.Run(sc.EquilSteps)
-	}
+	ts.Engine.Run(sc.EquilSteps) // Validate rules out a negative count
 	return ts.Engine, ts.DNA[:1], nil
 }
 
@@ -127,11 +153,7 @@ type SweepConfig struct {
 	RefReplicas int
 
 	Workers int
-	// Batch > 1 runs local pulls through md.Batch ensembles of at most
-	// Batch replicas (shared substrate grid, one step-worker pool)
-	// instead of one goroutine per pull. Ignored when Runner is set.
-	Batch int
-	Seed  uint64
+	Seed    uint64
 	// Runner overrides how the campaign's pulls are executed (e.g. the
 	// dist coordinator fanning out to worker processes). nil runs
 	// in-process with a LocalRunner.
@@ -221,7 +243,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 				return cfg.System.Build(seed)
 			},
 			Workers: cfg.Workers,
-			Batch:   cfg.Batch,
 		}
 	}
 
@@ -331,9 +352,7 @@ type ProductionConfig struct {
 	Replicas int
 	Distance float64
 	Workers  int
-	// Batch mirrors SweepConfig.Batch for the production ensemble.
-	Batch int
-	Seed  uint64
+	Seed     uint64
 	// Estimator defaults to Exponential for production.
 	Estimator jarzynski.Estimator
 	// Runner overrides pull execution like SweepConfig.Runner.
@@ -366,7 +385,6 @@ func RunProduction(cfg ProductionConfig) (*ProductionResult, error) {
 				return cfg.System.Build(seed)
 			},
 			Workers: cfg.Workers,
-			Batch:   cfg.Batch,
 		}
 	}
 	spec := campaign.Spec{

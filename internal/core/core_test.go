@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
+	"spice/internal/campaign"
 	"spice/internal/jarzynski"
+	"spice/internal/vec"
 )
 
 // quickSweep is a fast configuration for tests: small system, short
@@ -224,4 +227,110 @@ func TestDefaultSystemBuilds(t *testing.T) {
 	if _, _, err := bad.Build(1); err == nil {
 		t.Fatal("zero-bead system accepted")
 	}
+}
+
+func TestSystemConfigValidate(t *testing.T) {
+	ok := DefaultSystem()
+	with := func(mut func(*SystemConfig)) SystemConfig {
+		sc := ok
+		mut(&sc)
+		return sc
+	}
+	for _, tc := range []struct {
+		name string
+		sc   SystemConfig
+		ok   bool
+	}{
+		{"default", ok, true},
+		{"benchmark system", with(func(sc *SystemConfig) { sc.Beads, sc.EngineWorkers = 24, 1 }), true},
+		{"zero optionals", SystemConfig{Beads: 1}, true},
+		{"caps", with(func(sc *SystemConfig) { sc.Beads, sc.EquilSteps, sc.EngineWorkers = 1000, 1_000_000, 256 }), true},
+		{"zero beads", with(func(sc *SystemConfig) { sc.Beads = 0 }), false},
+		{"negative beads", with(func(sc *SystemConfig) { sc.Beads = -3 }), false},
+		{"beads past cap", with(func(sc *SystemConfig) { sc.Beads = 1001 }), false},
+		{"negative equilibration", with(func(sc *SystemConfig) { sc.EquilSteps = -1 }), false},
+		{"equilibration past cap", with(func(sc *SystemConfig) { sc.EquilSteps = 1_000_001 }), false},
+		{"negative engine workers", with(func(sc *SystemConfig) { sc.EngineWorkers = -1 }), false},
+		{"engine workers past cap", with(func(sc *SystemConfig) { sc.EngineWorkers = 257 }), false},
+		{"negative dt", with(func(sc *SystemConfig) { sc.DT = -0.01 }), false},
+		{"nan dt", with(func(sc *SystemConfig) { sc.DT = math.NaN() }), false},
+		{"infinite temp", with(func(sc *SystemConfig) { sc.Temp = math.Inf(1) }), false},
+		{"negative temp", with(func(sc *SystemConfig) { sc.Temp = -300 }), false},
+		{"nan friction", with(func(sc *SystemConfig) { sc.PoreFriction = math.NaN() }), false},
+		{"negative friction", with(func(sc *SystemConfig) { sc.PoreFriction = -1 }), false},
+		{"infinite start", with(func(sc *SystemConfig) { sc.StartZ = math.Inf(-1) }), false},
+		{"negative start", with(func(sc *SystemConfig) { sc.StartZ = -40 }), true},
+	} {
+		err := tc.sc.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.sc, err, tc.ok)
+		}
+		if !tc.ok {
+			if _, _, err := tc.sc.Build(1); err == nil {
+				t.Errorf("%s: Build accepted a config Validate refuses", tc.name)
+			}
+		}
+	}
+	// The bytes a worker receives are checked before anything is built.
+	if _, _, err := BuildFromJSON([]byte(`{"Beads":0}`), campaign.Combo{}, 1); err == nil {
+		t.Error(`BuildFromJSON accepted {"Beads":0}`)
+	}
+}
+
+// TestShippedSystemsAreOpenAndWallFree pins the premise the repo's one
+// pull path rests on: every system spice, spiced and the benchmark run
+// comes from SystemConfig.Build, which has no explicit walls (no fixed
+// atoms) and an open box. Nothing in the tree shares work between
+// replicas' static atoms, because there are none; a SystemConfig that
+// grows walls or a periodic box should revisit that.
+func TestShippedSystemsAreOpenAndWallFree(t *testing.T) {
+	for name, sc := range map[string]SystemConfig{
+		"DefaultSystem":       DefaultSystem(),
+		"PaperSweep().System": PaperSweep().System,
+	} {
+		sc.EquilSteps = 0 // the layout is fixed at build; dynamics do not change it
+		eng, _, err := sc.Build(1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if top := eng.Topology(); top.MobileCount() != top.N() {
+			t.Errorf("%s: %d of %d atoms are fixed", name, top.N()-top.MobileCount(), top.N())
+		}
+		if box := eng.Box(); box != (vec.V{}) {
+			t.Errorf("%s: box %v, want open boundaries", name, box)
+		}
+		eng.Close()
+	}
+}
+
+// FuzzBuildFromJSON feeds arbitrary bytes to the decoder a worker runs on
+// the system payload its coordinator sends. Every input either fails to
+// decode, is refused by Validate, or is a config Build accepts; accepted
+// configs small enough to build quickly are built, and must build.
+func FuzzBuildFromJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"Beads":8,"StartZ":5,"EquilSteps":1000,"DT":0.01,"Temp":300,"PoreFriction":1}`,
+		`{"Beads":24,"StartZ":5,"EquilSteps":1000,"DT":0.01,"Temp":300,"PoreFriction":1,"EngineWorkers":1}`,
+		`{"Beads":0}`, `{"Beads":3,"DT":-1}`, `{"Beads":2,"EquilSteps":5,"Temp":1e308}`,
+		`{"Beads":1e3}`, `{"StartZ":"x"}`, `[]`, `null`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc SystemConfig
+		if json.Unmarshal(data, &sc) != nil {
+			if _, _, err := BuildFromJSON(data, campaign.Combo{}, 1); err == nil {
+				t.Fatalf("undecodable payload %q built", data)
+			}
+			return
+		}
+		if sc.Validate() != nil || sc.Beads > 8 || sc.EquilSteps > 50 || sc.EngineWorkers > 2 {
+			return
+		}
+		eng, _, err := BuildFromJSON(data, campaign.Combo{}, 1)
+		if err != nil {
+			t.Fatalf("valid config %+v did not build: %v", sc, err)
+		}
+		eng.Close()
+	})
 }

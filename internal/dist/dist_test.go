@@ -12,16 +12,12 @@ import (
 	"spice/internal/md"
 	"spice/internal/netsim"
 	"spice/internal/trace"
-	"spice/internal/vec"
 )
 
 // testSystem is the opaque payload shipped to workers; decoding it in
 // the BuildFunc exercises the full plumb-through.
 type testSystem struct {
 	Beads int `json:"beads"`
-	// Walled asks for explicit pore walls in a fully periodic box — the
-	// substrate-eligible layout the worker's grid sharing kicks in on.
-	Walled bool `json:"walled,omitempty"`
 }
 
 func testBuild(system json.RawMessage, c campaign.Combo, seed uint64) (*md.Engine, []int, error) {
@@ -33,10 +29,6 @@ func testBuild(system json.RawMessage, c campaign.Combo, seed uint64) (*md.Engin
 	spec.Seed = seed
 	spec.DT = 0.02
 	spec.Workers = 1
-	if sys.Walled {
-		spec.NoWalls = false
-		spec.Box = vec.V{X: 100, Y: 100, Z: 170}
-	}
 	ts, err := md.BuildTranslocation(spec)
 	if err != nil {
 		return nil, nil, err
@@ -275,36 +267,6 @@ func TestIdleWorkerServedBeforeFirstCampaign(t *testing.T) {
 	cancel()
 	if err := <-exited; err != nil {
 		t.Fatalf("idle worker did not exit cleanly: %v", err)
-	}
-}
-
-// TestWorkerSubstrateShareMatchesLocal runs a campaign on the walled
-// periodic (substrate-eligible) system: the worker's jobs must share one
-// static neighbor grid across builds, and the merged results must still
-// be bit-identical to an unshared LocalRunner baseline.
-func TestWorkerSubstrateShareMatchesLocal(t *testing.T) {
-	spec := testSpec()
-	payload := json.RawMessage(`{"beads":3,"walled":true}`)
-	lr := &campaign.LocalRunner{Build: func(c campaign.Combo, seed uint64) (*md.Engine, []int, error) {
-		return testBuild(payload, c, seed)
-	}, Workers: 1}
-	want, err := lr.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	co := newCoordinatorFor(t, payload, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	captured := startWorker(t, ctx, co, "w", nil)
-
-	got, err := co.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, want, got)
-	if !captured.substrates.Shared(string(payload)) {
-		t.Fatal("worker never shared a substrate grid for the walled system")
 	}
 }
 

@@ -8,7 +8,6 @@ package dist
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"spice/internal/md"
@@ -157,37 +156,5 @@ func InstrumentEngine(reg *obs.Registry, eng *md.Engine) {
 	eng.SetNeighborObserver(func(n int) {
 		rebuilds.Inc()
 		pairs.Set(float64(n))
-	})
-}
-
-// InstrumentBatch installs the md-layer observers on every replica of an
-// ensemble batch, labeling the per-replica series with a "replica" label
-// so obs coverage matches the per-engine path: sampled step latencies
-// share the spice_md_step_seconds histogram, while rebuild counts and
-// pair gauges fan out per replica through vecs. nil reg or b is a no-op.
-func InstrumentBatch(reg *obs.Registry, b *md.Batch) {
-	if reg == nil || b == nil {
-		return
-	}
-	hist := reg.Histogram("spice_md_step_seconds",
-		"Sampled MD step wall-clock latency (1-in-64 steps).",
-		obs.ExpBuckets(1e-6, 4, 12))
-	rebuilds := reg.CounterVec("spice_md_batch_neighbor_rebuilds_total",
-		"Neighbor-list rebuilds per batch replica.", "replica")
-	pairs := reg.GaugeVec("spice_md_batch_neighbor_pairs",
-		"Pair count from the most recent rebuild, per batch replica.", "replica")
-	// Resolve the labeled instruments up front: observer callbacks then
-	// touch only atomics, keeping the batch step loop allocation-free.
-	rc := make([]*obs.Counter, b.Len())
-	pg := make([]*obs.Gauge, b.Len())
-	for r := 0; r < b.Len(); r++ {
-		lbl := strconv.Itoa(r)
-		rc[r] = rebuilds.With(lbl)
-		pg[r] = pairs.With(lbl)
-	}
-	b.SetStepObserver(mdStepSampleEvery, func(_ int, d time.Duration) { hist.Observe(d.Seconds()) })
-	b.SetNeighborObserver(func(r, n int) {
-		rc[r].Inc()
-		pg[r].Set(float64(n))
 	})
 }

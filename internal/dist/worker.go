@@ -53,14 +53,6 @@ type Worker struct {
 	// Execution counters, always maintained (atomic, negligible cost);
 	// snapshot with WorkerStats, scrape via RegisterMetrics.
 	m workerMetrics
-	// substrates caches one static-substrate neighbor grid per system
-	// payload: when a worker leases many jobs of the same campaign (the
-	// common case — one coordinator, one system), every engine it builds
-	// shares the grid instead of re-binning the fixed pore/membrane beads
-	// per job. Ineligible systems (open boundaries, no fixed atoms) are
-	// negative-cached. Attachment never changes a trajectory, so results
-	// stay bit-identical to unshared execution.
-	substrates md.SubstrateShare
 	// reg is the registry handed to RegisterMetrics; when set, every
 	// engine this worker builds gets the sampled md-layer observers.
 	reg *obs.Registry
@@ -431,7 +423,6 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		log, err := campaign.ExecutePull(spec, task, func(c campaign.Combo, seed uint64) (*md.Engine, []int, error) {
 			eng, sel, err := w.Build(system, c, seed)
 			if err == nil {
-				w.substrates.Attach(string(system), eng)
 				InstrumentEngine(w.reg, eng)
 			}
 			return eng, sel, err

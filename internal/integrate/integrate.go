@@ -31,18 +31,6 @@ type State struct {
 	Time  float64 // ps
 	// Epot is the potential energy from the last force evaluation.
 	Epot float64
-
-	// Mobile, when non-nil, is the ascending list of non-fixed atom
-	// indices (see SetMobileIndex). Integrators then iterate it directly
-	// instead of branching on Fixed per atom — a large win for wall-heavy
-	// systems where most atoms are scaffold. The trajectory is unchanged:
-	// the iteration order over mobile atoms (and hence the RNG draw order)
-	// is identical, and fixed atoms are never touched either way. One
-	// deliberate exception: force evaluation then zeroes only mobile
-	// entries, so Force values on fixed atoms go stale between steps —
-	// nothing reads them (the B-kicks skip fixed atoms), but byte-level
-	// consumers should not interpret them.
-	Mobile []int32
 }
 
 // NewState allocates a state for n atoms.
@@ -58,18 +46,6 @@ func NewState(n int) *State {
 
 // N returns the atom count.
 func (s *State) N() int { return len(s.Pos) }
-
-// SetMobileIndex (re)builds the dense Mobile index list from Fixed. Call
-// it after Fixed is final; pass-through states that never call it keep
-// the branch-per-atom integrator loops.
-func (s *State) SetMobileIndex() {
-	s.Mobile = s.Mobile[:0]
-	for i, f := range s.Fixed {
-		if !f {
-			s.Mobile = append(s.Mobile, int32(i))
-		}
-	}
-}
 
 // KineticEnergy returns Σ ½mv² in kcal/mol.
 func (s *State) KineticEnergy() float64 {
@@ -213,36 +189,6 @@ func (l *Langevin) Step(st *State, ff ForceFunc) {
 	halfB := 0.5 * dt * units.AccelUnit
 	halfA := 0.5 * dt
 	c1 := l.c1
-	if mob := st.Mobile; mob != nil {
-		// Dense-index variant: same per-atom arithmetic and RNG order as
-		// the branch loops below, minus the Fixed checks.
-		for _, i := range mob {
-			st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
-			st.Pos[i].AddScaled(halfA, st.Vel[i])
-		}
-		for _, i := range mob {
-			ci := c1
-			if l.GammaFor != nil {
-				ci = math.Exp(-l.GammaFor(int(i), st.Pos[i]) * dt)
-			}
-			sd := math.Sqrt(l.kT / st.Mass[i] * units.AccelUnit * (1 - ci*ci))
-			st.Vel[i] = st.Vel[i].Scale(ci).Add(vec.V{
-				X: sd * l.RNG.NormFloat64(),
-				Y: sd * l.RNG.NormFloat64(),
-				Z: sd * l.RNG.NormFloat64(),
-			})
-		}
-		for _, i := range mob {
-			st.Pos[i].AddScaled(halfA, st.Vel[i])
-		}
-		st.Epot = evalForces(st, ff)
-		for _, i := range mob {
-			st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
-		}
-		st.Step++
-		st.Time += dt
-		return
-	}
 	// B + A halves.
 	for i := range st.Pos {
 		if st.Fixed[i] {
@@ -307,16 +253,8 @@ func (l *Langevin) Prime() {
 func (v *VelocityVerlet) Prime() { v.primed = true }
 
 func evalForces(st *State, ff ForceFunc) float64 {
-	if mob := st.Mobile; mob != nil {
-		// Fixed atoms accumulate stale force contributions (pair kernels
-		// write both sides) that nothing ever reads — see State.Mobile.
-		for _, i := range mob {
-			st.Force[i] = vec.Zero
-		}
-	} else {
-		for i := range st.Force {
-			st.Force[i] = vec.Zero
-		}
+	for i := range st.Force {
+		st.Force[i] = vec.Zero
 	}
 	return ff(st.Pos, st.Force)
 }

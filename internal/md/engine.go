@@ -83,12 +83,6 @@ type Engine struct {
 	// cell, refreshed once per nonbonded evaluation so the pair kernels
 	// can use the branch-based minimum image instead of math.Round.
 	wrapPos []vec.V
-	// nMobileWrap, when > 0, limits the per-evaluation wrap pass to the
-	// mobile prefix: a shared substrate grid guarantees atoms from
-	// nMobileWrap on never move, so their wrapped coordinates are filled
-	// once (wrapFilled) and reused — identical values, O(mobile) per step.
-	nMobileWrap int
-	wrapFilled  bool
 	// poolShared marks a pool owned by a Batch rather than this engine;
 	// Close/finalizer must then leave it running.
 	poolShared bool
@@ -333,6 +327,9 @@ func (e *Engine) Temperature() float64 { return e.cfg.Temp }
 // Timestep returns dt in ps.
 func (e *Engine) Timestep() float64 { return e.cfg.DT }
 
+// Box returns the periodic box; zero components are open boundaries.
+func (e *Engine) Box() vec.V { return e.cfg.Box }
+
 // AddTerm appends a force-field term at runtime (used by SMD and IMD).
 func (e *Engine) AddTerm(t forcefield.Term) { e.cfg.Terms = append(e.cfg.Terms, t) }
 
@@ -379,27 +376,15 @@ func (e *Engine) nonbonded(pos []vec.V, f []vec.V) float64 {
 		return 0
 	}
 	// Wrap positions once (O(N)) so every per-pair minimum image
-	// (O(pairs)) is a compare instead of a math.Round. With a substrate
-	// attached, the static suffix is wrapped once and reused.
+	// (O(pairs)) is a compare instead of a math.Round.
 	wp := pos
 	if e.cfg.Box != vec.Zero {
 		if cap(e.wrapPos) < len(pos) {
 			e.wrapPos = make([]vec.V, len(pos))
-			e.wrapFilled = false
 		}
 		wp = e.wrapPos[:len(pos)]
-		lim := len(pos)
-		if e.nMobileWrap > 0 {
-			if !e.wrapFilled {
-				for i := e.nMobileWrap; i < len(pos); i++ {
-					wp[i] = vec.Wrap(pos[i], e.cfg.Box)
-				}
-				e.wrapFilled = true
-			}
-			lim = e.nMobileWrap
-		}
-		for i := 0; i < lim; i++ {
-			wp[i] = vec.Wrap(pos[i], e.cfg.Box)
+		for i, p := range pos {
+			wp[i] = vec.Wrap(p, e.cfg.Box)
 		}
 	}
 	nw := e.workers

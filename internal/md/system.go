@@ -18,9 +18,7 @@ type TranslocationSpec struct {
 	Binding  []forcefield.BindingSite // nil = DefaultBindingSites
 	NoWalls  bool                     // analytic pore only (faster)
 	// Box, when fully set, runs the system under periodic boundaries
-	// instead of open ones. A walled periodic system is
-	// substrate-eligible: ensemble batches then share one static grid
-	// across replicas (see Batch).
+	// instead of open ones.
 	Box vec.V
 
 	DT      float64
@@ -81,8 +79,7 @@ func BuildTranslocation(spec TranslocationSpec) (*TranslocationSystem, error) {
 		wallIdx, wallPos = topology.BuildPoreWalls(top, p)
 		// Explicit lipid head beads on the slab faces (Fig. 1's membrane)
 		// when the spec asks for them; like the pore walls they are fixed
-		// and appended after the DNA, so the static atoms stay a
-		// contiguous suffix — the layout the shared substrate grid needs.
+		// and appended after the DNA.
 		if spec.Membrane.BeadSpacing > 0 {
 			mIdx, mPos := topology.BuildMembrane(top, spec.Membrane, spec.Pore)
 			wallIdx = append(wallIdx, mIdx...)

@@ -68,12 +68,6 @@ type List struct {
 	sorted  []Pair  // counting-sort double buffer
 	bufs    [][]Pair
 
-	// static, when attached, carries the shared pre-binned grid of fixed
-	// atoms; rebuilds then touch only the mobile prefix (see shared.go).
-	static       *StaticGrid
-	mobileHead   []int32 // linked-cell heads for the mobile prefix
-	staticFilled bool    // ref/wrapped static suffix already populated
-
 	nRebuilds   int
 	updates     int
 	lastRebuild int // updates count when the list was last rebuilt
@@ -139,15 +133,7 @@ func (l *List) Update(pos []vec.V) bool {
 	if l.ref != nil && len(l.ref) == len(pos) {
 		lim2 := (l.Skin / 2) * (l.Skin / 2)
 		moved := false
-		// Static atoms are bit-identical to their rebuild reference
-		// (they never move), so with a shared grid attached the check
-		// covers only the mobile prefix — same rebuild schedule, less
-		// work per step.
-		end := len(pos)
-		if l.static != nil {
-			end = l.static.nMobile
-		}
-		for i := 0; i < end; i++ {
+		for i := range pos {
 			d := vec.MinImage(pos[i].Sub(l.ref[i]), l.Box)
 			if d.Norm2() > lim2 {
 				moved = true
@@ -182,10 +168,6 @@ func (l *List) Ref() []vec.V {
 const parallelScanMinAtoms = 1024
 
 func (l *List) build(pos []vec.V) {
-	if l.static != nil {
-		l.buildStatic(pos)
-		return
-	}
 	l.nRebuilds++
 	l.intervalSum += l.updates - l.lastRebuild
 	l.lastRebuild = l.updates

@@ -243,35 +243,10 @@ func (pl *Puller) Run(eng *md.Engine, p Protocol, seed uint64) (*Result, error) 
 	return pl.RunWithOpts(eng, p, seed, RunOpts{})
 }
 
-// Drive is an in-flight pull whose MD stepping is owned by the caller.
-// RunWithOpts drives a solo engine through it; the ensemble executor in
-// package campaign interleaves many Drives through one md.Batch, calling
-// AfterStep for each replica behind every batch step. Both paths execute
-// the identical per-step bookkeeping, so a batched pull records the exact
-// samples and checkpoints a solo pull does.
-//
-// Protocol: StartDrive, then `for d.Active() { step the engine; d.AfterStep() }`,
-// then Finish.
-type Drive struct {
-	pl   *Puller
-	eng  *md.Engine
-	p    Protocol
-	opts RunOpts
-
-	dt         float64
-	sample     float64
-	totalSteps int
-	nSamples   int
-	log        *trace.WorkLog
-	next       int // next sample-grid index
-	steps      int
-	sinceCkpt  int
-	every      int
-}
-
-// StartDrive validates the pull, applies any resume checkpoint, records
-// the initial sample and returns the ready-to-step Drive.
-func (pl *Puller) StartDrive(eng *md.Engine, p Protocol, seed uint64, opts RunOpts) (*Drive, error) {
+// RunWithOpts is Run with periodic checkpoints and optional resumption.
+// The checkpointed run takes the exact same dynamical path as a plain Run:
+// checkpoints are pure snapshots between steps and consume no randomness.
+func (pl *Puller) RunWithOpts(eng *md.Engine, p Protocol, seed uint64, opts RunOpts) (*Result, error) {
 	sample := p.SampleEvery
 	if sample <= 0 {
 		sample = 0.25
@@ -284,22 +259,25 @@ func (pl *Puller) StartDrive(eng *md.Engine, p Protocol, seed uint64, opts RunOp
 	if every <= 0 {
 		every = 1
 	}
-	d := &Drive{
-		pl:         pl,
-		eng:        eng,
-		p:          p,
-		opts:       opts,
-		dt:         dt,
-		sample:     sample,
-		totalSteps: int(math.Ceil(p.Distance / (pl.vel * dt))),
-		// The sample grid is indexed by integer k so every replica of a
-		// protocol records the exact same Lambda values regardless of
-		// floating-point drift in the λ accumulation.
-		nSamples: int(math.Floor(p.Distance/sample + 1e-9)),
-		log:      &trace.WorkLog{Kappa: pl.kappa, Velocity: pl.vel, Seed: seed},
-		next:     1,
-		every:    every,
+	totalSteps := int(math.Ceil(p.Distance / (pl.vel * dt)))
+	// The sample grid is indexed by integer k so every replica of a
+	// protocol records the exact same Lambda values regardless of
+	// floating-point drift in the λ accumulation.
+	nSamples := int(math.Floor(p.Distance/sample + 1e-9))
+	gridAt := func(k int) float64 {
+		return math.Min(float64(k)*sample, p.Distance)
 	}
+	log := &trace.WorkLog{Kappa: pl.kappa, Velocity: pl.vel, Seed: seed}
+	st := eng.State()
+	record := func(lambda float64) {
+		log.Samples = append(log.Samples, trace.WorkSample{
+			Lambda: lambda,
+			Z:      pl.project(st.Pos) - pl.lambda0,
+			Work:   pl.work,
+		})
+	}
+
+	next, steps, sinceCkpt := 1, 0, 0 // next is the next sample-grid index
 	if r := opts.Resume; r != nil {
 		if r.Engine == nil || len(r.Samples) == 0 || r.Next < 1 {
 			return nil, fmt.Errorf("smd: malformed pull checkpoint")
@@ -308,94 +286,44 @@ func (pl *Puller) StartDrive(eng *md.Engine, p Protocol, seed uint64, opts RunOp
 			return nil, fmt.Errorf("smd: resuming pull: %w", err)
 		}
 		pl.RestoreState(r.Puller)
-		d.log.Samples = append(d.log.Samples, r.Samples...)
-		d.steps, d.next = r.Steps, r.Next
+		log.Samples = append(log.Samples, r.Samples...)
+		steps, next = r.Steps, r.Next
 	} else {
-		d.record(0)
+		record(0)
 	}
-	return d, nil
-}
 
-func (d *Drive) gridAt(k int) float64 {
-	g := float64(k) * d.sample
-	if g > d.p.Distance {
-		g = d.p.Distance
-	}
-	return g
-}
-
-func (d *Drive) record(lambda float64) {
-	st := d.eng.State()
-	d.log.Samples = append(d.log.Samples, trace.WorkSample{
-		Lambda: lambda,
-		Z:      d.pl.project(st.Pos) - d.pl.lambda0,
-		Work:   d.pl.work,
-	})
-}
-
-// Active reports whether the pull still needs MD steps.
-func (d *Drive) Active() bool {
-	return d.pl.Displacement() < d.p.Distance-1e-9 && d.steps < d.totalSteps+1
-}
-
-// AfterStep performs the per-step pull bookkeeping — spring advance,
-// sample recording, checkpoint emission — and must be called exactly once
-// after each engine step taken while Active. A non-nil error aborts the
-// pull (it is the OnCheckpoint callback's error, unwrapped).
-func (d *Drive) AfterStep() error {
-	d.pl.Advance(d.dt)
-	d.steps++
-	recorded := false
-	for d.next <= d.nSamples && d.pl.Displacement() >= d.gridAt(d.next)-1e-9 {
-		d.record(d.gridAt(d.next))
-		d.next++
-		recorded = true
-	}
-	if recorded && d.opts.OnCheckpoint != nil {
-		if d.sinceCkpt++; d.sinceCkpt >= d.every {
-			d.sinceCkpt = 0
-			ck := &PullCheckpoint{
-				Engine:  d.eng.Checkpoint(),
-				Puller:  d.pl.Snapshot(),
-				Samples: append([]trace.WorkSample(nil), d.log.Samples...),
-				Steps:   d.steps,
-				Next:    d.next,
-			}
-			if err := d.opts.OnCheckpoint(ck); err != nil {
-				return err
+	for pl.Displacement() < p.Distance-1e-9 && steps < totalSteps+1 {
+		eng.Step()
+		pl.Advance(dt)
+		steps++
+		recorded := false
+		for next <= nSamples && pl.Displacement() >= gridAt(next)-1e-9 {
+			record(gridAt(next))
+			next++
+			recorded = true
+		}
+		if recorded && opts.OnCheckpoint != nil {
+			if sinceCkpt++; sinceCkpt >= every {
+				sinceCkpt = 0
+				ck := &PullCheckpoint{
+					Engine:  eng.Checkpoint(),
+					Puller:  pl.Snapshot(),
+					Samples: append([]trace.WorkSample(nil), log.Samples...),
+					Steps:   steps,
+					Next:    next,
+				}
+				if err := opts.OnCheckpoint(ck); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return nil
-}
-
-// Finish records the guaranteed terminal sample and returns the Result.
-// Call once, after Active has gone false.
-func (d *Drive) Finish() (*Result, error) {
 	// Guarantee the terminal sample at Distance even if FP drift left the
 	// last grid point unreached.
-	if last := d.log.Samples[len(d.log.Samples)-1].Lambda; last < d.p.Distance-1e-9 {
-		d.record(d.p.Distance)
+	if last := log.Samples[len(log.Samples)-1].Lambda; last < p.Distance-1e-9 {
+		record(p.Distance)
 	}
-	st := d.eng.State()
-	return &Result{Log: d.log, Steps: d.steps, FinalS: d.pl.project(st.Pos)}, nil
-}
-
-// RunWithOpts is Run with periodic checkpoints and optional resumption.
-// The checkpointed run takes the exact same dynamical path as a plain Run:
-// checkpoints are pure snapshots between steps and consume no randomness.
-func (pl *Puller) RunWithOpts(eng *md.Engine, p Protocol, seed uint64, opts RunOpts) (*Result, error) {
-	d, err := pl.StartDrive(eng, p, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	for d.Active() {
-		eng.Step()
-		if err := d.AfterStep(); err != nil {
-			return nil, err
-		}
-	}
-	return d.Finish()
+	return &Result{Log: log, Steps: steps, FinalS: pl.project(st.Pos)}, nil
 }
 
 // Attach creates a puller, registers it with the engine and returns it.

@@ -72,8 +72,11 @@ var msgNames = func() map[uint64]string {
 	return m
 }()
 
-// Frame kinds and field bit assignments. Request and Response each own
-// an 11-bit table; bits above these are reserved and reject on decode.
+// Frame kinds and field bit assignments. Bits outside each table are
+// reserved and reject on decode. The hello and grant fields (Request.Wire,
+// Response.System/Wire/Delta/Comp) travel only on the JSON lines before
+// the first frame, so no frame carries them; the bits they once held
+// (request 8–10, response 5 and 7–9) stay unassigned.
 const (
 	kindRequest  byte = 1
 	kindResponse byte = 2
@@ -88,12 +91,8 @@ const (
 	reqBitCkpt
 	reqBitLog
 	reqBitErr
-	reqBitWire
-	reqBitNoDelta
-	reqBitNoComp
 	reqBitsKnown = reqBitType | reqBitName | reqBitSite | reqBitJobID |
-		reqBitAttempt | reqBitCkpt | reqBitLog | reqBitErr |
-		reqBitWire | reqBitNoDelta | reqBitNoComp
+		reqBitAttempt | reqBitCkpt | reqBitLog | reqBitErr
 )
 
 const (
@@ -102,15 +101,14 @@ const (
 	respBitResume
 	respBitDelayMs
 	respBitSpec
-	respBitSystem
+	_
 	respBitErr
-	respBitWire
-	respBitDelta
-	respBitComp
+	_
+	_
+	_
 	respBitNeedFull
 	respBitsKnown = respBitType | respBitJob | respBitResume | respBitDelayMs |
-		respBitSpec | respBitSystem | respBitErr | respBitWire |
-		respBitDelta | respBitComp | respBitNeedFull
+		respBitSpec | respBitErr | respBitNeedFull
 )
 
 func (c *Codec) Encode(msg any) error {
@@ -177,15 +175,6 @@ func appendRequest(dst []byte, m *Request, compress bool) ([]byte, error) {
 	if m.Err != "" {
 		bits |= reqBitErr
 	}
-	if m.Wire != 0 {
-		bits |= reqBitWire
-	}
-	if m.NoDelta {
-		bits |= reqBitNoDelta
-	}
-	if m.NoComp {
-		bits |= reqBitNoComp
-	}
 	dst = append(dst, kindRequest)
 	dst = binary.AppendUvarint(dst, bits)
 	dst = binary.AppendUvarint(dst, code)
@@ -200,11 +189,7 @@ func appendRequest(dst []byte, m *Request, compress bool) ([]byte, error) {
 	if dst, err = appendJSONBlob(dst, m.Log, m.Log != nil, compress); err != nil {
 		return nil, err
 	}
-	dst = appendString(dst, m.Err)
-	if m.Wire != 0 {
-		dst = binary.AppendUvarint(dst, uint64(m.Wire))
-	}
-	return dst, nil
+	return appendString(dst, m.Err), nil
 }
 
 func parseRequest(rec []byte, m *Request) error {
@@ -238,11 +223,6 @@ func parseRequest(rec []byte, m *Request) error {
 	if err == nil && bits&reqBitErr != 0 {
 		m.Err, err = d.str()
 	}
-	if err == nil && bits&reqBitWire != 0 {
-		m.Wire, err = d.uint()
-	}
-	m.NoDelta = bits&reqBitNoDelta != 0
-	m.NoComp = bits&reqBitNoComp != 0
 	if err != nil {
 		return err
 	}
@@ -267,20 +247,8 @@ func appendResponse(dst []byte, m *Response, compress bool) ([]byte, error) {
 	if m.Spec != nil {
 		bits |= respBitSpec
 	}
-	if m.System != nil {
-		bits |= respBitSystem
-	}
 	if m.Err != "" {
 		bits |= respBitErr
-	}
-	if m.Wire != 0 {
-		bits |= respBitWire
-	}
-	if m.Delta {
-		bits |= respBitDelta
-	}
-	if m.Comp {
-		bits |= respBitComp
 	}
 	if m.NeedFull {
 		bits |= respBitNeedFull
@@ -300,12 +268,7 @@ func appendResponse(dst []byte, m *Response, compress bool) ([]byte, error) {
 	if dst, err = appendJSONBlob(dst, m.Spec, m.Spec != nil, compress); err != nil {
 		return nil, err
 	}
-	dst = appendPayload(dst, m.System)
-	dst = appendString(dst, m.Err)
-	if m.Wire != 0 {
-		dst = binary.AppendUvarint(dst, uint64(m.Wire))
-	}
-	return dst, nil
+	return appendString(dst, m.Err), nil
 }
 
 func parseResponse(rec []byte, m *Response) error {
@@ -331,17 +294,9 @@ func parseResponse(rec []byte, m *Response) error {
 		m.Spec = &campaign.Spec{}
 		err = d.jsonBlob(m.Spec)
 	}
-	if err == nil && bits&respBitSystem != 0 {
-		m.System, err = d.payload()
-	}
 	if err == nil && bits&respBitErr != 0 {
 		m.Err, err = d.str()
 	}
-	if err == nil && bits&respBitWire != 0 {
-		m.Wire, err = d.uint()
-	}
-	m.Delta = bits&respBitDelta != 0
-	m.Comp = bits&respBitComp != 0
 	m.NeedFull = bits&respBitNeedFull != 0
 	if err != nil {
 		return err

@@ -63,12 +63,10 @@ type Request struct {
 	Log *trace.WorkLog `json:"log,omitempty"`
 	Err string         `json:"err,omitempty"` // fail reason
 
-	// Hello fields. Wire is the newest protocol version the worker speaks;
-	// absent (0) is refused. NoDelta and NoComp are opt-outs older workers
-	// may still send; Accept ignores them.
-	Wire    int  `json:"wire,omitempty"`
-	NoDelta bool `json:"noDelta,omitempty"`
-	NoComp  bool `json:"noComp,omitempty"`
+	// Wire, on the hello line only, is the newest protocol version the
+	// worker speaks; absent (0) is refused. Opt-out keys older workers may
+	// still send (noDelta, noComp) decode into nothing.
+	Wire int `json:"wire,omitempty"`
 }
 
 // Response is a coordinator → worker message.
@@ -81,12 +79,12 @@ type Response struct {
 	Resume  *Payload `json:"resume,omitempty"`
 	DelayMs int      `json:"delayMs,omitempty"` // wait
 	// Spec rides on assign messages (campaigns change between jobs on a
-	// long-lived coordinator); System rides on the hello reply.
+	// long-lived coordinator); System rides on the grant line only.
 	Spec   *campaign.Spec `json:"spec,omitempty"`
 	System *Payload       `json:"system,omitempty"`
 	Err    string         `json:"err,omitempty"`
 
-	// Grant fields on the hello reply: the version (V1) and that delta
+	// Grant-line fields, never framed: the version (V1) and that delta
 	// checkpoints and payload compression are on; every grant says so.
 	Wire  int  `json:"wire,omitempty"`
 	Delta bool `json:"delta,omitempty"`

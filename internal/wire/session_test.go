@@ -245,7 +245,7 @@ func FuzzFrame(f *testing.F) {
 	log := &trace.WorkLog{Kappa: 100, Velocity: 800, Seed: 3, Samples: []trace.WorkSample{{Lambda: 1, Z: 0.5, Work: 2.25}}}
 	for _, m := range []*Request{
 		{Type: MsgNext},
-		{Type: MsgHello, Name: "w1", Site: "site-a", Wire: V1, NoDelta: true, NoComp: true},
+		{Type: MsgHello, Name: "w1", Site: "site-a"},
 		{Type: MsgProgress, JobID: "j", Attempt: 2, Ckpt: Delta(growingDoc(20), growingDoc(24))},
 		{Type: MsgResult, JobID: "j", Attempt: 1, Log: log},
 		{Type: MsgFail, JobID: "j", Err: "boom"},
@@ -262,7 +262,7 @@ func FuzzFrame(f *testing.F) {
 		{Type: MsgOK, NeedFull: true},
 		{Type: MsgWait, DelayMs: 250},
 		{Type: MsgAssign, Job: &Job{ID: "j", Seed: 9, Index: 1, Attempt: 1}, Spec: spec, Resume: Compress(growingDoc(40))},
-		{Type: MsgOK, System: JSONPayload([]byte(`{"beads":3}`)), Wire: V1, Delta: true, Comp: true},
+		{Type: MsgOK},
 		{Type: MsgRetry, DelayMs: 50, Err: "degraded"},
 	} {
 		rec, err := appendResponse(nil, m, true)

@@ -183,7 +183,7 @@ func codecPair(t *testing.T, compress bool) (client, server *Codec) {
 
 func TestCodecRoundTrips(t *testing.T) {
 	reqs := []*Request{
-		{Type: MsgHello, Name: "w1", Site: "site-a", Wire: V1, NoDelta: true, NoComp: true},
+		{Type: MsgHello, Name: "w1", Site: "site-a"},
 		{Type: MsgNext, Name: "w1"},
 		{Type: MsgBeat, JobID: "j1", Attempt: 3},
 		{Type: MsgProgress, JobID: "j1", Attempt: 3, Ckpt: Delta(growingDoc(100), growingDoc(110))},
@@ -192,7 +192,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		{Type: MsgFail, JobID: "j2", Err: "boom"},
 	}
 	resps := []*Response{
-		{Type: MsgOK, System: Compress(growingDoc(300)), Wire: V1, Delta: true, Comp: true},
+		{Type: MsgOK},
 		{Type: MsgOK, NeedFull: true},
 		{Type: MsgWait, DelayMs: 250},
 		{Type: MsgAssign, Job: &Job{ID: "j1", Combo: campaign.Combo{KappaPN: 100, VAns: 800}, Seed: 9, Index: 2, Attempt: 3},
@@ -225,7 +225,6 @@ func TestCodecRoundTrips(t *testing.T) {
 				t.Fatalf("decode %s: %v", resp.Type, err)
 			}
 			normalizePayloads(&got.Resume, resp.Resume)
-			normalizePayloads(&got.System, resp.System)
 			if !reflect.DeepEqual(&got, resp) {
 				t.Fatalf("comp=%v response %s mismatch:\n got %+v\nwant %+v", compress, resp.Type, &got, resp)
 			}
