@@ -146,24 +146,7 @@ func main() {
 		defer co.Close()
 		cfg.Runner = co
 	} else {
-		// Local runs go through dist.LocalRunner — the same execution
-		// path and the same stats/metrics surface as a federated run,
-		// just without the network.
-		lr := &dist.LocalRunner{
-			Build: func(_ campaign.Combo, seed uint64) (*md.Engine, []int, error) {
-				eng, sel, err := cfg.System.Build(seed)
-				if err == nil {
-					dist.InstrumentEngine(reg, eng)
-				}
-				return eng, sel, err
-			},
-			Workers: cfg.Workers,
-			Events:  events,
-		}
-		if reg != nil {
-			dist.RegisterMetrics(reg, lr)
-		}
-		cfg.Runner = lr
+		cfg.Runner = localRunner(&cfg.System, cfg.Workers, reg, events)
 	}
 
 	fmt.Printf("SPICE priming sweep: %d κ × %d v, %g Å sub-trajectory, estimator %v\n\n",
@@ -266,6 +249,31 @@ func startCoordinator(addr string, sys *core.SystemConfig, workers int, dcfg dis
 	fmt.Printf("coordinating pulls on %s (%d in-process workers; join with: spiced -coordinator %s)\n",
 		ln.Addr(), workers, ln.Addr())
 	return co, cancel, nil
+}
+
+// localRunner runs the pulls in this process through dist.LocalRunner —
+// the same execution path and the same stats/metrics surface as a
+// federated run, just without the network. With reg set it exports the
+// runner's stats and the md-layer instruments of the engines it builds.
+func localRunner(sys *core.SystemConfig, workers int, reg *obs.Registry, events *obs.EventLog) *dist.LocalRunner {
+	var mdm *dist.EngineMetrics // nil without reg: Instrument is then a no-op
+	lr := &dist.LocalRunner{
+		Build: func(_ campaign.Combo, seed uint64) (*md.Engine, []int, error) {
+			eng, sel, err := sys.Build(seed)
+			if err == nil {
+				mdm.Instrument(eng)
+			}
+			return eng, sel, err
+		},
+		Workers: workers,
+		Events:  events,
+	}
+	if reg != nil {
+		mdm = dist.NewEngineMetrics()
+		dist.RegisterMetrics(reg, lr)
+		reg.RegisterCollector(mdm.Collect)
+	}
+	return lr
 }
 
 // printDistStats renders the unified stats snapshot — the same

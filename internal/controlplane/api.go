@@ -150,9 +150,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBytes bounds a submission body. An accepted tag is journaled
+// and replayed at every restart, so its size must be bounded before it
+// is decoded; real specs and tags are a few hundred bytes.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var sr SubmitRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes)).Decode(&sr); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}

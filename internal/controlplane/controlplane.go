@@ -89,7 +89,7 @@ type Config struct {
 	// lease path. Each whole point lifts a campaign one priority band;
 	// within a band tenant usage, not seniority, decides.
 	Aging float64
-	// Metrics, if non-nil, receives spice_cp_* counters and gauges.
+	// Metrics, if non-nil, gets the spice_cp_* collector registered.
 	Metrics *obs.Registry
 	// Events, if non-nil, receives campaign lifecycle events.
 	Events *obs.EventLog
@@ -157,12 +157,9 @@ type Server struct {
 	order   []*entry // submission order
 	started bool
 	closed  bool
-
-	// Metrics (nil-safe wrappers below when cfg.Metrics is nil).
-	mSubmits  *obs.CounterVec // spice_cp_submissions_total{tenant}
-	mRejects  *obs.CounterVec // spice_cp_rejections_total{tenant,reason}
-	mDefers   *obs.CounterVec // spice_cp_quota_skips_total{tenant}
-	mFinished *obs.CounterVec // spice_cp_campaigns_finished_total{tenant,state}
+	// The per-tenant counts collect exports: accepted submissions,
+	// rejections by reason and finishes by terminal state.
+	submits, rejects, finished map[countKey]int64
 
 	// Overload protection. httpSem is the request-concurrency semaphore
 	// (nil when MaxConcurrent is 0); httpSheds counts requests refused at
@@ -178,7 +175,14 @@ type Server struct {
 	// polMu is a leaf lock: nothing is acquired while holding it.
 	polMu sync.Mutex
 	pol   *grid.Policy
+	// skips counts lease offers withheld from a tenant at its MaxRunning
+	// quota; the lease scheduler counts them, so they sit under polMu.
+	skips map[countKey]int64
 }
+
+// countKey keys a per-tenant count; sub is the value of the count's
+// second label (reason, state), empty for tenant-only counts.
+type countKey struct{ tenant, sub string }
 
 // Errors the HTTP layer maps to status codes.
 var (
@@ -218,23 +222,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("controlplane: Config.Coordinator is required")
 	}
 	s := &Server{
-		cfg:     cfg,
-		entries: make(map[string]*entry),
-		pol:     grid.NewPolicy(cfg.Aging),
+		cfg:      cfg,
+		entries:  make(map[string]*entry),
+		submits:  make(map[countKey]int64),
+		rejects:  make(map[countKey]int64),
+		finished: make(map[countKey]int64),
+		pol:      grid.NewPolicy(cfg.Aging),
+		skips:    make(map[countKey]int64),
 	}
 	if cfg.MaxConcurrent > 0 {
 		s.httpSem = make(chan struct{}, cfg.MaxConcurrent)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		s.mSubmits = reg.CounterVec("spice_cp_submissions_total",
-			"Campaigns accepted into the control plane queue.", "tenant")
-		s.mRejects = reg.CounterVec("spice_cp_rejections_total",
-			"Campaign submissions rejected.", "tenant", "reason")
-		s.mDefers = reg.CounterVec("spice_cp_quota_skips_total",
-			"Lease offers withheld from a tenant at its MaxRunning quota.", "tenant")
-		s.mFinished = reg.CounterVec("spice_cp_campaigns_finished_total",
-			"Campaigns reaching a terminal state.", "tenant", "state")
-		reg.RegisterCollector(s.collect)
+	if cfg.Metrics != nil {
+		cfg.Metrics.RegisterCollector(s.collect)
 	}
 	legacy := newQueueScan()
 	if cfg.StateDir != "" {
@@ -386,6 +386,8 @@ func (s *Server) quotaFor(tenant string) Quota {
 // ErrDuplicate reject without a record; so does ErrStorageDegraded,
 // when the record cannot be made durable.
 func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := checkSpec(spec); err != nil {
 		s.reject(tag.Tenant, "spec")
 		return "", err
@@ -394,8 +396,6 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return "", ErrClosed
 	}
@@ -438,17 +438,14 @@ func (s *Server) Submit(spec campaign.Spec, tag dist.CampaignTag) (string, error
 	}
 	s.entries[id] = e
 	s.order = append(s.order, e)
-	if s.mSubmits != nil {
-		s.mSubmits.With(tag.Tenant).Inc()
-	}
+	s.submits[countKey{tenant: tag.Tenant}]++
 	s.event("cp_submitted", id, map[string]any{"tenant": tag.Tenant, "priority": tag.Priority})
 	return id, nil
 }
 
+// reject counts and logs a refused submission. Requires s.mu.
 func (s *Server) reject(tenant, reason string) {
-	if s.mRejects != nil {
-		s.mRejects.With(tenant, reason).Inc()
-	}
+	s.rejects[countKey{tenant, reason}]++
 	s.event("cp_rejected", "", map[string]any{"tenant": tenant, "reason": reason})
 }
 
@@ -511,9 +508,7 @@ func (s *Server) finishLocked(e *entry, logs map[campaign.Combo][]*trace.WorkLog
 		e.State = StateFailed
 		e.Error = err.Error()
 	}
-	if s.mFinished != nil {
-		s.mFinished.With(e.Tenant, string(e.State)).Inc()
-	}
+	s.finished[countKey{e.Tenant, string(e.State)}]++
 	s.event("cp_finished", e.ID, map[string]any{"tenant": e.Tenant, "state": string(e.State)})
 }
 
@@ -640,8 +635,8 @@ func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) 
 // equal-priority campaigns the one whose tenant is idle gets the next
 // free worker however recently it came. It runs inside the
 // coordinator's lock, so it must not take s.mu (see polMu); it reads
-// only immutable config, atomic metric counters, and the ledger under
-// the leaf polMu.
+// only immutable config, and touches the ledger and the quota-skip
+// counts under the leaf polMu.
 func (s *Server) leaseScheduler() dist.Scheduler {
 	return dist.SchedulerFunc(func(now time.Time, views []dist.CampaignView) []int {
 		leased := make(map[string]float64, len(views))
@@ -666,9 +661,9 @@ func (s *Server) leaseScheduler() dist.Scheduler {
 		for _, i := range order {
 			v := views[i]
 			if q := s.quotaFor(v.Tenant); q.MaxRunning > 0 && running[v.Tenant] >= q.MaxRunning {
-				if s.mDefers != nil {
-					s.mDefers.With(v.Tenant).Inc()
-				}
+				s.polMu.Lock()
+				s.skips[countKey{tenant: v.Tenant}]++
+				s.polMu.Unlock()
 				// Conservative: a quota-blocked campaign blocks everything
 				// ranked behind it, so strict policy order is never
 				// violated by opportunistic jumps.
@@ -737,7 +732,8 @@ func (s *Server) Stats() []QueueStats {
 }
 
 // collect emits the per-tenant rows of Stats — queue depths and the
-// fair-share ledger — as gauges at scrape time.
+// fair-share ledger — as gauges, and the per-tenant counts as counters,
+// at scrape time.
 func (s *Server) collect(e *obs.Emitter) {
 	rows := s.Stats()
 	e.Counter("spice_cp_http_shed_total", "HTTP requests shed at the concurrency limiter.", float64(s.httpSheds.Load()))
@@ -750,6 +746,36 @@ func (s *Server) collect(e *obs.Emitter) {
 			e.Gauge("spice_cp_campaigns", "Campaigns by tenant and state.", float64(d.n), tenant, obs.Label{Name: "state", Value: string(d.st)})
 		}
 		e.Gauge("spice_cp_tenant_usage", "Fair-share ledger: simulated ns of the tenant's finished pulls.", q.Usage, tenant)
+	}
+	s.mu.Lock()
+	emitCounts(e, "spice_cp_submissions_total", "Campaigns accepted into the control plane queue.", "", s.submits)
+	emitCounts(e, "spice_cp_rejections_total", "Campaign submissions rejected.", "reason", s.rejects)
+	emitCounts(e, "spice_cp_campaigns_finished_total", "Campaigns reaching a terminal state.", "state", s.finished)
+	s.mu.Unlock()
+	s.polMu.Lock()
+	emitCounts(e, "spice_cp_quota_skips_total", "Lease offers withheld from a tenant at its MaxRunning quota.", "", s.skips)
+	s.polMu.Unlock()
+}
+
+// emitCounts emits counts as one counter family labeled by tenant and,
+// when sub names it, the key's second label; series sorted by key.
+func emitCounts(e *obs.Emitter, name, help, sub string, counts map[countKey]int64) {
+	keys := make([]countKey, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].tenant != keys[j].tenant {
+			return keys[i].tenant < keys[j].tenant
+		}
+		return keys[i].sub < keys[j].sub
+	})
+	for _, k := range keys {
+		labels := []obs.Label{{Name: "tenant", Value: k.tenant}}
+		if sub != "" {
+			labels = append(labels, obs.Label{Name: sub, Value: k.sub})
+		}
+		e.Counter(name, help, float64(counts[k]), labels...)
 	}
 }
 

@@ -380,6 +380,27 @@ func TestSubmitRejectsUnrunnableSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounded: a valid spec whose tag is oversized (a 2 MiB
+// name) is refused with 400 before anything is journaled — an accepted
+// tag would be fsynced into every later replay.
+func TestSubmitBodyBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newHarness(t, Config{StateDir: dir}, 0)
+	s.Start()
+	body := `{"tenant":"t","name":"` + strings.Repeat("x", 2<<20) +
+		`","spec":{"Kappas":[100],"Velocities":[800],"Replicas":1,"Distance":3}}`
+	var reply map[string]string
+	if code := postJSON(t, serveHTTP(t, s)+"/api/v1/campaigns", body, &reply); code != http.StatusBadRequest {
+		t.Fatalf("2 MiB submission: %d %v, want 400", code, reply)
+	}
+	if recs := scanJournalRecords(t, dir); len(recs.order) != 0 {
+		t.Fatalf("oversized submission reached journal.log: %v", recs.order)
+	}
+	if n := len(s.List("")); n != 0 {
+		t.Fatalf("oversized submission reached the queue: %d campaigns", n)
+	}
+}
+
 // TestSubmitReportsRealState: the 202 body carries the state the
 // campaign is in, which on a started server is running — the state a GET
 // right after reports too.

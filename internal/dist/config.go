@@ -264,21 +264,13 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 			return nil, err
 		}
 	}
-	// The two latency histograms live on the registry (a private one when
-	// nobody scrapes), so observing them needs no nil check.
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	} else {
-		RegisterMetrics(reg, co)
-	}
 	// 1 ms … ~16 s in octaves: a wake is sub-millisecond, a park runs to
 	// its bound of seconds, a head under load to several of them.
 	seconds := obs.ExpBuckets(1e-3, 2, 15)
-	co.firstLeaseWait = reg.Histogram("spice_dist_first_lease_wait_seconds",
-		"Campaign install to its first lease grant.", seconds)
-	co.pollPark = reg.Histogram("spice_dist_poll_park_seconds",
-		"How long a work poll that found nothing runnable was held before its reply.", seconds)
+	co.firstLeaseWait, co.pollPark = obs.NewHistogram(seconds), obs.NewHistogram(seconds)
+	if cfg.Metrics != nil {
+		RegisterMetrics(cfg.Metrics, co)
+	}
 	co.start()
 	return co, nil
 }

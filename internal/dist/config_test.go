@@ -293,20 +293,15 @@ func TestNewWorkerRejects(t *testing.T) {
 	}
 }
 
-// TestNewWorkerWiresMetrics: the constructor must both register the
-// worker's collector and retain the registry so engines built later get
-// the md-layer observers.
+// TestNewWorkerWiresMetrics: the constructor must register the worker's
+// collector, and the engines the worker builds later must feed the
+// md-layer instruments it exports.
 func TestNewWorkerWiresMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := Defaults()
-	cfg.Metrics = reg
-	w, err := NewWorker("w0", "", "127.0.0.1:1", stubBuild, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.reg != reg {
-		t.Fatal("worker did not retain the metrics registry for engine instrumentation")
-	}
+	co := newCoordinator(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, co, "w0", func(c *Config) { c.Metrics = reg })
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -314,4 +309,29 @@ func TestNewWorkerWiresMetrics(t *testing.T) {
 	if !strings.Contains(sb.String(), `spice_worker_jobs_started_total{worker="w0"} 0`) {
 		t.Fatalf("worker collector not registered; scrape:\n%s", sb.String())
 	}
+	if _, err := co.Run(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrapeValue(t, reg, "spice_md_step_seconds_count"); got < 1 {
+		t.Fatalf("spice_md_step_seconds holds %v samples after a campaign on the worker", got)
+	}
+}
+
+// TestRegisterMetricsHistograms: a coordinator built without
+// Config.Metrics and registered afterwards exports its two latency
+// histograms like one built with it.
+func TestRegisterMetricsHistograms(t *testing.T) {
+	co := newCoordinator(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, co, "w0", nil)
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, co)
+	if _, err := co.Run(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrapeValue(t, reg, "spice_dist_first_lease_wait_seconds_count"); got != 1 {
+		t.Fatalf("first-lease histogram holds %v observations after one campaign", got)
+	}
+	scrapeValue(t, reg, "spice_dist_poll_park_seconds_count")
 }

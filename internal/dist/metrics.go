@@ -8,6 +8,7 @@ package dist
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"spice/internal/md"
@@ -16,11 +17,17 @@ import (
 
 // RegisterMetrics registers a scrape-time collector on reg that renders
 // src's full Snapshot: every campaign counter as spice_dist_*, and the
-// per-site health table as spice_dist_site_* gauges labeled by site.
-// Per-job stats are deliberately not exported (unbounded label
-// cardinality); scrape /debug/events or call JobStats for those.
+// per-site health table as spice_dist_site_* gauges labeled by site. A
+// Coordinator also contributes its two latency histograms. Per-job stats
+// are deliberately not exported (unbounded label cardinality); scrape
+// /debug/events or call JobStats for those.
 func RegisterMetrics(reg *obs.Registry, src StatsSource) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
+		if co, ok := src.(*Coordinator); ok {
+			e.Histogram("spice_dist_first_lease_wait_seconds", "Campaign install to its first lease grant.", co.firstLeaseWait)
+			e.Histogram("spice_dist_poll_park_seconds",
+				"How long a work poll that found nothing runnable was held before its reply.", co.pollPark)
+		}
 		snap := src.StatsSnapshot()
 		s := snap.Stats
 		e.Counter("spice_dist_jobs_total", "Jobs accepted into campaigns.", float64(s.Jobs))
@@ -104,12 +111,14 @@ type WorkerStats struct {
 
 // RegisterMetrics registers a scrape-time collector on reg rendering
 // the worker's execution counters as spice_worker_* metrics labeled by
-// worker name. Steps/sec is the derivative of spice_worker_steps_total
-// — scrapers compute it with rate(), so the worker exports only the
-// monotone counter.
+// worker name, plus the md-layer instruments of every engine the worker
+// builds from then on. Steps/sec is the derivative of
+// spice_worker_steps_total — scrapers compute it with rate(), so the
+// worker exports only the monotone counter.
 func (w *Worker) RegisterMetrics(reg *obs.Registry) {
-	w.reg = reg
+	w.md = NewEngineMetrics()
 	reg.RegisterCollector(func(e *obs.Emitter) {
+		w.md.Collect(e)
 		st := w.WorkerStats()
 		wl := obs.Label{Name: "worker", Value: w.Name}
 		e.Counter("spice_worker_jobs_started_total", "Job leases this worker began executing.", float64(st.JobsStarted), wl)
@@ -132,29 +141,43 @@ func (w *Worker) RegisterMetrics(reg *obs.Registry) {
 // to a force evaluation.
 const mdStepSampleEvery = 64
 
-// InstrumentEngine installs the sampled md-layer observers on eng:
-// every 64th Step is timed into the spice_md_step_seconds histogram,
-// and neighbor-list rebuilds feed spice_md_neighbor_rebuilds_total and
-// the spice_md_neighbor_pairs gauge. All observer work is atomics-only,
-// so the force loop stays allocation-free; engines are transient (one
-// per job), so the instruments aggregate across every engine wired to
-// the same registry. nil reg or eng is a no-op.
-func InstrumentEngine(reg *obs.Registry, eng *md.Engine) {
-	if reg == nil || eng == nil {
-		return
-	}
+// EngineMetrics is the md-layer instrumentation of the engines one owner
+// builds (a Worker, or spice's local runner): every 64th Step is timed
+// into the spice_md_step_seconds histogram, and neighbor-list rebuilds
+// feed spice_md_neighbor_rebuilds_total and the spice_md_neighbor_pairs
+// gauge. Engines are transient (one per job), so the instruments
+// aggregate across every engine the owner instruments. All observer work
+// is atomics-only, so the force loop stays allocation-free.
+type EngineMetrics struct {
+	step     *obs.Histogram
+	rebuilds atomic.Int64
+	pairs    atomic.Int64
+}
+
+// NewEngineMetrics returns empty md-layer instruments.
+func NewEngineMetrics() *EngineMetrics {
 	// 1 µs … ~4 s in ×4 decades: CG demo systems step in the tens of
 	// microseconds, production-scale ones in the tens of milliseconds.
-	hist := reg.Histogram("spice_md_step_seconds",
-		"Sampled MD step wall-clock latency (1-in-64 steps).",
-		obs.ExpBuckets(1e-6, 4, 12))
-	rebuilds := reg.Counter("spice_md_neighbor_rebuilds_total",
-		"Neighbor-list rebuilds across all engines on this process.")
-	pairs := reg.Gauge("spice_md_neighbor_pairs",
-		"Pair count emitted by the most recent neighbor-list rebuild.")
-	eng.SetStepObserver(mdStepSampleEvery, func(d time.Duration) { hist.Observe(d.Seconds()) })
+	return &EngineMetrics{step: obs.NewHistogram(obs.ExpBuckets(1e-6, 4, 12))}
+}
+
+// Instrument installs the sampled observers on eng. A nil m is a no-op,
+// so owners without a registry need no check.
+func (m *EngineMetrics) Instrument(eng *md.Engine) {
+	if m == nil {
+		return
+	}
+	eng.SetStepObserver(mdStepSampleEvery, func(d time.Duration) { m.step.Observe(d.Seconds()) })
 	eng.SetNeighborObserver(func(n int) {
-		rebuilds.Inc()
-		pairs.Set(float64(n))
+		m.rebuilds.Add(1)
+		m.pairs.Store(int64(n))
 	})
+}
+
+// Collect emits the md-layer families; register it on the owner's
+// registry.
+func (m *EngineMetrics) Collect(e *obs.Emitter) {
+	e.Histogram("spice_md_step_seconds", "Sampled MD step wall-clock latency (1-in-64 steps).", m.step)
+	e.Counter("spice_md_neighbor_rebuilds_total", "Neighbor-list rebuilds across all engines on this process.", float64(m.rebuilds.Load()))
+	e.Gauge("spice_md_neighbor_pairs", "Pair count emitted by the most recent neighbor-list rebuild.", float64(m.pairs.Load()))
 }

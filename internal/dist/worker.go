@@ -53,9 +53,9 @@ type Worker struct {
 	// Execution counters, always maintained (atomic, negligible cost);
 	// snapshot with WorkerStats, scrape via RegisterMetrics.
 	m workerMetrics
-	// reg is the registry handed to RegisterMetrics; when set, every
-	// engine this worker builds gets the sampled md-layer observers.
-	reg *obs.Registry
+	// md is set by RegisterMetrics; when set, every engine this worker
+	// builds gets the sampled md-layer observers.
+	md *EngineMetrics
 }
 
 // workerMetrics is the worker's always-on atomic counter set.
@@ -423,7 +423,7 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 		log, err := campaign.ExecutePull(spec, task, func(c campaign.Combo, seed uint64) (*md.Engine, []int, error) {
 			eng, sel, err := w.Build(system, c, seed)
 			if err == nil {
-				InstrumentEngine(w.reg, eng)
+				w.md.Instrument(eng)
 			}
 			return eng, sel, err
 		}, opts)

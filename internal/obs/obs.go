@@ -1,8 +1,8 @@
 // Package obs is the live-observability layer: a dependency-free
-// metrics registry (atomic counters, gauges and fixed-bucket
-// histograms) rendered in the Prometheus text exposition format, a
-// structured JSON-lines event log with campaign/job/site span scoping,
-// and an HTTP debug server exposing /metrics, /healthz and
+// metrics registry of scrape-time collectors (plus the fixed-bucket
+// histograms they may emit) rendered in the Prometheus text exposition
+// format, a structured JSON-lines event log with campaign/job/site span
+// scoping, and an HTTP debug server exposing /metrics, /healthz and
 // /debug/pprof/*.
 //
 // The paper's interactive and batch phases both hinge on watching the
@@ -18,12 +18,13 @@
 //
 //   - Standard library only, so every layer down to internal/md can
 //     depend on it without dragging model code upward.
-//   - Instruments are lock-free on the update path (atomics only, zero
-//     allocations), so the MD force loop can be sampled without
-//     perturbing the benchmarks the regression harness gates on.
-//   - Point-in-time values (the dist Stats snapshot, neighbor-list
-//     statistics) are exported through Collectors evaluated at scrape
-//     time, so /metrics and the programmatic snapshot can never drift.
+//   - A Registry is nothing but its collectors: every sample is emitted
+//     at scrape time from the same state the owner's snapshot, console
+//     tables and tests read, so /metrics can never drift from them.
+//   - Histograms are owned by their users and are lock-free on the
+//     update path (atomics only, zero allocations), so the MD force loop
+//     can be sampled without perturbing the benchmarks the regression
+//     harness gates on.
 package obs
 
 import (
@@ -55,53 +56,19 @@ func (t metricType) String() string {
 	}
 }
 
-// Counter is a monotonically increasing metric. The zero value is ready
-// to use; updates are a single atomic add.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for the value to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float64 metric that can go up and down. The zero value is
-// ready to use; Set is a single atomic store.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the value (CAS loop; fine off the hot path).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds in ascending order; an implicit +Inf bucket catches the rest.
 // Observe is atomics-only and allocation-free, so it is safe to call
-// from sampled hot paths like the MD step loop.
+// from sampled hot paths like the MD step loop. Its owner emits it from
+// a collector (Emitter.Histogram).
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1, cumulative at render time
-	sum    Gauge
-	count  atomic.Int64
+	bounds  []float64
+	counts  []atomic.Int64 // len(bounds)+1, cumulative at render time
+	sumBits atomic.Uint64  // float64 bits of the sum
+	count   atomic.Int64
 }
 
-// NewHistogram builds a standalone histogram (use Registry.Histogram to
-// register one for scraping). bounds must be ascending.
+// NewHistogram builds a histogram. bounds must be ascending.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -121,7 +88,12 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
 	h.count.Add(1)
 }
 
@@ -129,7 +101,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Buckets returns the upper bounds and the cumulative count at each
 // (the last entry is the +Inf bucket, equal to Count).
@@ -164,156 +136,23 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // Label is one name="value" pair on a metric sample.
 type Label struct{ Name, Value string }
 
-// family is one named metric family and its children keyed by label
-// values.
-type family struct {
-	name   string
-	help   string
-	typ    metricType
-	labels []string // label names, fixed per family
-
-	mu       sync.Mutex
-	children map[string]any // key: joined label values → *Counter/*Gauge/*Histogram
-	keys     []string       // sorted lazily at render
-	bounds   []float64      // histogram families share bounds
-}
-
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 func validName(s string) bool { return nameRE.MatchString(s) }
 
-// Registry holds registered instruments and scrape-time collectors.
-// All methods are safe for concurrent use.
+// Registry is the list of collectors one /metrics endpoint renders. All
+// methods are safe for concurrent use.
 type Registry struct {
 	mu         sync.Mutex
-	families   map[string]*family
-	order      []string
 	collectors []Collector
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-// family registers (or fetches) a family, enforcing name/type/label
-// consistency. Misregistration is a programming error → panic.
-func (r *Registry) family(name, help string, typ metricType, labels []string) *family {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	for _, l := range labels {
-		if !validName(l) {
-			panic(fmt.Sprintf("obs: invalid label name %q on %s", l, name))
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		if f.typ != typ || len(f.labels) != len(labels) {
-			panic(fmt.Sprintf("obs: metric %s re-registered with different type or labels", name))
-		}
-		return f
-	}
-	f := &family{name: name, help: help, typ: typ, labels: append([]string(nil), labels...),
-		children: make(map[string]any)}
-	r.families[name] = f
-	r.order = append(r.order, name)
-	return f
-}
-
-// child fetches or creates the instrument for one label-value tuple.
-func (f *family) child(values []string, mk func() any) any {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := labelKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
-		return c
-	}
-	c := mk()
-	f.children[key] = c
-	f.keys = append(f.keys, key)
-	return c
-}
-
-// labelKey joins label values with an unprintable separator so distinct
-// tuples can never collide.
-func labelKey(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	n := 0
-	for _, v := range values {
-		n += len(v) + 1
-	}
-	b := make([]byte, 0, n)
-	for i, v := range values {
-		if i > 0 {
-			b = append(b, '\xff')
-		}
-		b = append(b, v...)
-	}
-	return string(b)
-}
-
-// Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.family(name, help, typeCounter, nil)
-	return f.child(nil, func() any { return new(Counter) }).(*Counter)
-}
-
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, typeGauge, nil)
-	return f.child(nil, func() any { return new(Gauge) }).(*Gauge)
-}
-
-// Histogram registers (or returns) an unlabeled histogram with the
-// given ascending bucket upper bounds.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	f := r.family(name, help, typeHistogram, nil)
-	h := f.child(nil, func() any {
-		f.bounds = append([]float64(nil), bounds...)
-		return NewHistogram(bounds)
-	}).(*Histogram)
-	return h
-}
-
-// CounterVec is a counter family with labels.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.family(name, help, typeCounter, labelNames)}
-}
-
-// With returns the counter for one label-value tuple.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(values, func() any { return new(Counter) }).(*Counter)
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, typeGauge, labelNames)}
-}
-
-// With returns the gauge for one label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() any { return new(Gauge) }).(*Gauge)
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Collector emits point-in-time samples at scrape. Collectors run with
-// no registry lock held beyond registration order, so they may call
-// into arbitrary snapshot code (e.g. the dist coordinator's mutex).
+// no registry lock held, so they may call into arbitrary snapshot code
+// (e.g. the dist coordinator's mutex).
 type Collector func(e *Emitter)
 
 // RegisterCollector adds a scrape-time collector.
@@ -323,13 +162,14 @@ func (r *Registry) RegisterCollector(c Collector) {
 	r.collectors = append(r.collectors, c)
 }
 
-// sample is one collected (labels, value) point.
+// sample is one collected series: a value, or a histogram.
 type sample struct {
 	labels []Label
 	value  float64
+	hist   *Histogram
 }
 
-// snapFamily is a collector-produced family for one scrape.
+// snapFamily is one named metric family as emitted during one scrape.
 type snapFamily struct {
 	name    string
 	help    string
@@ -337,42 +177,52 @@ type snapFamily struct {
 	samples []sample
 }
 
-// Emitter accumulates collector output during one scrape.
+// Emitter accumulates collector output during one scrape. Invalid metric
+// or label names panic (a programming error); a family emitted with two
+// types is recorded and fails the scrape.
 type Emitter struct {
-	fams  map[string]*snapFamily
-	order []string
+	fams map[string]*snapFamily
+	err  error
 }
 
-func (e *Emitter) emit(name, help string, typ metricType, v float64, labels []Label) {
+func (e *Emitter) emit(name, help string, typ metricType, s sample) {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	for _, l := range s.labels {
+		if !validName(l.Name) {
+			panic(fmt.Sprintf("obs: invalid label name %q on %s", l.Name, name))
+		}
 	}
 	f := e.fams[name]
 	if f == nil {
 		f = &snapFamily{name: name, help: help, typ: typ}
 		e.fams[name] = f
-		e.order = append(e.order, name)
 	}
-	f.samples = append(f.samples, sample{labels: labels, value: v})
+	if f.typ != typ && e.err == nil {
+		e.err = fmt.Errorf("obs: metric %s emitted as both %s and %s", name, f.typ, typ)
+	}
+	f.samples = append(f.samples, s)
 }
 
 // Counter emits one counter sample.
 func (e *Emitter) Counter(name, help string, v float64, labels ...Label) {
-	e.emit(name, help, typeCounter, v, labels)
+	e.emit(name, help, typeCounter, sample{labels: labels, value: v})
 }
 
 // Gauge emits one gauge sample.
 func (e *Emitter) Gauge(name, help string, v float64, labels ...Label) {
-	e.emit(name, help, typeGauge, v, labels)
+	e.emit(name, help, typeGauge, sample{labels: labels, value: v})
 }
 
-// gather snapshots registered families and runs the collectors.
-func (r *Registry) gather() ([]*family, []*snapFamily) {
+// Histogram emits h as one histogram series.
+func (e *Emitter) Histogram(name, help string, h *Histogram, labels ...Label) {
+	e.emit(name, help, typeHistogram, sample{labels: labels, hist: h})
+}
+
+// gather runs the collectors and returns their families sorted by name.
+func (r *Registry) gather() ([]*snapFamily, error) {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.order))
-	for _, name := range r.order {
-		fams = append(fams, r.families[name])
-	}
 	collectors := append([]Collector(nil), r.collectors...)
 	r.mu.Unlock()
 
@@ -380,11 +230,10 @@ func (r *Registry) gather() ([]*family, []*snapFamily) {
 	for _, c := range collectors {
 		c(em)
 	}
-	snaps := make([]*snapFamily, 0, len(em.order))
-	for _, name := range em.order {
-		snaps = append(snaps, em.fams[name])
+	fams := make([]*snapFamily, 0, len(em.fams))
+	for _, f := range em.fams {
+		fams = append(fams, f)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
-	return fams, snaps
+	return fams, em.err
 }

@@ -2,54 +2,40 @@ package obs
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestCounterGaugeBasics exercises the scalar instruments.
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("spice_test_total", "help")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("spice_test_gauge", "help")
-	g.Set(2.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 2.0 {
-		t.Fatalf("gauge = %v, want 2", got)
-	}
-	// Re-registration with the same shape returns the same instrument.
-	if r.Counter("spice_test_total", "help") != c {
-		t.Fatal("re-registration returned a different counter")
-	}
-}
-
-// TestRegistryConcurrency hammers one counter, one gauge, one histogram
-// and one vec from many goroutines; run under -race this is the data
-// race check, and the final counter value checks no lost updates.
+// TestRegistryConcurrency hammers one histogram and a collector's
+// counters from many goroutines while scraping and registering; run
+// under -race this is the data race check, and the final counts check
+// no lost updates.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("conc_total", "")
-	g := r.Gauge("conc_gauge", "")
-	h := r.Histogram("conc_hist", "", []float64{1, 10, 100})
-	vec := r.CounterVec("conc_vec_total", "", "site")
+	h := NewHistogram([]float64{1, 10, 100})
+	var sites [3]atomic.Int64
+	r.RegisterCollector(func(e *Emitter) {
+		e.Histogram("conc_hist", "", h)
+		for i := range sites {
+			e.Counter("conc_vec_total", "", float64(sites[i].Load()), Label{"site", string(rune('a' + i))})
+		}
+	})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			site := string(rune('a' + w%3))
 			for i := 0; i < per; i++ {
-				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i % 200))
-				vec.With(site).Inc()
+				sites[w%3].Add(1)
 				if i%100 == 0 {
+					r.RegisterCollector(func(e *Emitter) {})
 					var sb strings.Builder
 					if err := r.WritePrometheus(&sb); err != nil {
 						t.Errorf("WritePrometheus: %v", err)
@@ -60,19 +46,36 @@ func TestRegistryConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
-	}
 	if got := h.Count(); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
-	var total int64
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
 	for _, s := range []string{"a", "b", "c"} {
-		total += vec.With(s).Value()
+		total += sampleValue(t, sb.String(), `conc_vec_total{site="`+s+`"}`)
 	}
 	if total != workers*per {
-		t.Fatalf("vec total = %d, want %d", total, workers*per)
+		t.Fatalf("vec total = %v, want %d", total, workers*per)
 	}
+}
+
+// sampleValue returns the value of the sample line for series in out.
+func sampleValue(t *testing.T, out, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s missing:\n%s", series, out)
+	return 0
 }
 
 // TestHistogramBucketBoundaries pins the le semantics: a value equal to
@@ -103,13 +106,20 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramRendering checks the _bucket/_sum/_count exposition.
+// TestHistogramRendering checks the _bucket/_sum/_count exposition of an
+// emitted histogram, unlabeled and labeled (le joins the series labels).
 func TestHistogramRendering(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "step latency", []float64{0.1, 1})
+	h := NewHistogram([]float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
+	layer := NewHistogram([]float64{0.1, 1})
+	layer.Observe(0.5)
+	r.RegisterCollector(func(e *Emitter) {
+		e.Histogram("lat_seconds", "step latency", h)
+		e.Histogram("layer_seconds", "", layer, Label{"layer", "md"})
+	})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -122,10 +132,19 @@ func TestHistogramRendering(t *testing.T) {
 		`lat_seconds_bucket{le="+Inf"} 3`,
 		"lat_seconds_sum 2.55",
 		"lat_seconds_count 3",
+		`layer_seconds_bucket{layer="md",le="0.1"} 0`,
+		`layer_seconds_bucket{layer="md",le="+Inf"} 1`,
+		`layer_seconds_sum{layer="md"} 0.5`,
+		`layer_seconds_count{layer="md"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	// One histogram series emitted twice is refused like any other.
+	r.RegisterCollector(func(e *Emitter) { e.Histogram("lat_seconds", "step latency", h) })
+	if err := r.WritePrometheus(new(strings.Builder)); err == nil {
+		t.Error("duplicate histogram series rendered")
 	}
 }
 
@@ -134,8 +153,9 @@ func TestHistogramRendering(t *testing.T) {
 // backslash and newline.
 func TestPrometheusEscaping(t *testing.T) {
 	r := NewRegistry()
-	vec := r.GaugeVec("esc_gauge", "help with \\ and\nnewline", "path")
-	vec.With("a\\b\"c\nd").Set(1)
+	r.RegisterCollector(func(e *Emitter) {
+		e.Gauge("esc_gauge", "help with \\ and\nnewline", 1, Label{"path", "a\\b\"c\nd"})
+	})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -149,8 +169,8 @@ func TestPrometheusEscaping(t *testing.T) {
 	}
 }
 
-// TestCollector checks scrape-time collectors merge into the output and
-// run fresh at every scrape.
+// TestCollector checks scrape-time collectors render and run fresh at
+// every scrape.
 func TestCollector(t *testing.T) {
 	r := NewRegistry()
 	n := 0.0
@@ -177,34 +197,66 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-// TestVecLabelKeying checks multi-label tuples can't collide and render
-// with sorted, stable ordering.
-func TestVecLabelKeying(t *testing.T) {
+// TestMultiLabelEmission checks two collectors may share a family, and
+// that multi-label series whose values concatenate alike stay distinct.
+func TestMultiLabelEmission(t *testing.T) {
 	r := NewRegistry()
-	vec := r.CounterVec("multi_total", "", "a", "b")
-	vec.With("x", "yz").Inc()
-	vec.With("xy", "z").Add(2)
-	if vec.With("x", "yz").Value() != 1 || vec.With("xy", "z").Value() != 2 {
-		t.Fatal("label tuples collided")
-	}
+	r.RegisterCollector(func(e *Emitter) { e.Counter("multi_total", "", 1, Label{"a", "x"}, Label{"b", "yz"}) })
+	r.RegisterCollector(func(e *Emitter) { e.Counter("multi_total", "", 2, Label{"a", "xy"}, Label{"b", "z"}) })
 	var sb strings.Builder
-	r.WritePrometheus(&sb)
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
-	if !strings.Contains(out, `multi_total{a="x",b="yz"} 1`) ||
+	if strings.Count(out, "# TYPE multi_total counter") != 1 ||
+		!strings.Contains(out, `multi_total{a="x",b="yz"} 1`) ||
 		!strings.Contains(out, `multi_total{a="xy",b="z"} 2`) {
-		t.Errorf("vec rendering wrong:\n%s", out)
+		t.Errorf("multi-label rendering wrong:\n%s", out)
 	}
 }
 
-// TestInvalidNamePanics pins that misregistration is loud.
+// TestInvalidExpositionRefused: a family emitted with two types, or one
+// series emitted twice, is not valid exposition. WritePrometheus returns
+// an error and writes nothing, and /metrics answers 500.
+func TestInvalidExpositionRefused(t *testing.T) {
+	for name, c := range map[string]Collector{
+		"type clash": func(e *Emitter) {
+			e.Counter("clash", "", 1)
+			e.Gauge("clash", "", 2, Label{"k", "v"})
+		},
+		"duplicate series": func(e *Emitter) {
+			e.Gauge("dup", "", 1, Label{"k", "v"})
+			e.Gauge("dup", "", 2, Label{"k", "v"})
+		},
+	} {
+		r := NewRegistry()
+		r.RegisterCollector(func(e *Emitter) { e.Counter("fine_total", "", 1) })
+		r.RegisterCollector(c)
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err == nil || sb.Len() != 0 {
+			t.Errorf("%s: err=%v, wrote %q", name, err, sb.String())
+		}
+		rec := httptest.NewRecorder()
+		NewMux(r, nil, nil, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != http.StatusInternalServerError || strings.Contains(rec.Body.String(), "fine_total") {
+			t.Errorf("%s: /metrics = %d %q, want 500 without samples", name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestInvalidNamePanics pins that invalid metric and label names, and
+// descending histogram bounds, are loud.
 func TestInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
-	mustPanic(t, func() { r.Counter("bad-name", "") })
-	r.Counter("ok_total", "")
-	mustPanic(t, func() { r.Gauge("ok_total", "") }) // type clash
+	for _, c := range []Collector{
+		func(e *Emitter) { e.Counter("bad-name", "", 1) },
+		func(e *Emitter) { e.Gauge("ok_gauge", "", 1, Label{"bad-label", "x"}) },
+		func(e *Emitter) { e.Counter("ok_total", "", 1, Label{"", "x"}) },
+	} {
+		r := NewRegistry()
+		r.RegisterCollector(c)
+		mustPanic(t, func() { r.WritePrometheus(new(strings.Builder)) })
+	}
 	mustPanic(t, func() { NewHistogram([]float64{5, 1}) })
-	vec := r.CounterVec("v_total", "", "a")
-	mustPanic(t, func() { vec.With("x", "y") }) // arity clash
 }
 
 func mustPanic(t *testing.T, f func()) {

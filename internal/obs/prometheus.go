@@ -1,15 +1,13 @@
 package obs
 
 // Prometheus text exposition format (version 0.0.4) rendering. Rendered
-// at scrape time from a point-in-time gather: registered instruments
-// first, then collector output, families sorted by name so the output
-// is deterministic and diffable in tests.
+// at scrape time from the collectors' output, families sorted by name so
+// the output is deterministic and diffable in tests.
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -69,11 +67,13 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writeLabels renders {a="x",b="y"} (empty string for no labels).
-func writeLabels(b *strings.Builder, labels []Label) {
+// labelString renders {a="x",b="y"} (empty string for no labels). It is
+// also the series' identity within its family.
+func labelString(labels []Label) string {
 	if len(labels) == 0 {
-		return
+		return ""
 	}
+	var b strings.Builder
 	b.WriteByte('{')
 	for i, l := range labels {
 		if i > 0 {
@@ -85,120 +85,67 @@ func writeLabels(b *strings.Builder, labels []Label) {
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
+	return b.String()
 }
 
-// WritePrometheus renders every registered instrument plus all
-// collector output in the Prometheus text exposition format.
+// WritePrometheus runs every collector and renders their output in the
+// Prometheus text exposition format. An invalid exposition — a family
+// emitted with two types, or one series emitted twice — is an error,
+// and then nothing is written.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	fams, snaps := r.gather()
+	fams, err := r.gather()
+	if err != nil {
+		return err
+	}
 	var b strings.Builder
 	for _, f := range fams {
-		writeFamily(&b, f)
+		if err := writeSnapFamily(&b, f); err != nil {
+			return err
+		}
 	}
-	for _, f := range snaps {
-		writeSnapFamily(&b, f)
-	}
-	_, err := io.WriteString(w, b.String())
+	_, err = io.WriteString(w, b.String())
 	return err
 }
 
-func writeHeader(b *strings.Builder, name, help string, typ metricType) {
-	if help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", name, escapeHelp(help))
+// writeSnapFamily renders one family, samples in emission order
+// (collectors iterate sorted maps themselves when order matters; tests
+// compare parsed values, not line order).
+func writeSnapFamily(b *strings.Builder, f *snapFamily) error {
+	if f.help != "" {
+		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
-}
-
-// writeFamily renders one registered family: every child, label tuples
-// sorted for stable output.
-func writeFamily(b *strings.Builder, f *family) {
-	f.mu.Lock()
-	keys := append([]string(nil), f.keys...)
-	children := make([]any, len(keys))
-	sort.Strings(keys)
-	for i, k := range keys {
-		children[i] = f.children[k]
-	}
-	f.mu.Unlock()
-	if len(children) == 0 {
-		return
-	}
-	writeHeader(b, f.name, f.help, f.typ)
-	for i, c := range children {
-		labels := splitKey(f.labels, keys[i])
-		switch inst := c.(type) {
-		case *Counter:
-			b.WriteString(f.name)
-			writeLabels(b, labels)
-			fmt.Fprintf(b, " %d\n", inst.Value())
-		case *Gauge:
-			b.WriteString(f.name)
-			writeLabels(b, labels)
-			fmt.Fprintf(b, " %s\n", formatValue(inst.Value()))
-		case *Histogram:
-			writeHistogram(b, f.name, labels, inst)
-		}
-	}
-}
-
-// writeHistogram renders _bucket/_sum/_count lines for one histogram.
-func writeHistogram(b *strings.Builder, name string, labels []Label, h *Histogram) {
-	bounds, cum := h.Buckets()
-	bl := make([]Label, len(labels)+1)
-	copy(bl, labels)
-	for i, bound := range bounds {
-		bl[len(labels)] = Label{"le", formatValue(bound)}
-		b.WriteString(name)
-		b.WriteString("_bucket")
-		writeLabels(b, bl)
-		fmt.Fprintf(b, " %d\n", cum[i])
-	}
-	bl[len(labels)] = Label{"le", "+Inf"}
-	b.WriteString(name)
-	b.WriteString("_bucket")
-	writeLabels(b, bl)
-	fmt.Fprintf(b, " %d\n", cum[len(cum)-1])
-
-	b.WriteString(name)
-	b.WriteString("_sum")
-	writeLabels(b, labels)
-	fmt.Fprintf(b, " %s\n", formatValue(h.Sum()))
-	b.WriteString(name)
-	b.WriteString("_count")
-	writeLabels(b, labels)
-	fmt.Fprintf(b, " %d\n", h.Count())
-}
-
-// writeSnapFamily renders one collector-produced family, samples in
-// emission order (collectors iterate sorted maps themselves when order
-// matters; tests compare parsed values, not line order).
-func writeSnapFamily(b *strings.Builder, f *snapFamily) {
-	writeHeader(b, f.name, f.help, f.typ)
+	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
+	seen := make(map[string]bool, len(f.samples))
 	for _, s := range f.samples {
-		b.WriteString(f.name)
-		writeLabels(b, s.labels)
-		fmt.Fprintf(b, " %s\n", formatValue(s.value))
+		ls := labelString(s.labels)
+		if seen[ls] {
+			return fmt.Errorf("obs: series %s%s emitted twice", f.name, ls)
+		}
+		seen[ls] = true
+		if s.hist != nil {
+			writeHistogram(b, f.name, ls, s.hist)
+		} else {
+			fmt.Fprintf(b, "%s%s %s\n", f.name, ls, formatValue(s.value))
+		}
 	}
+	return nil
 }
 
-// splitKey reconstructs the Label slice from a child key.
-func splitKey(names []string, key string) []Label {
-	if len(names) == 0 {
-		return nil
+// writeHistogram renders _bucket/_sum/_count lines for one histogram
+// series whose rendered labels are ls.
+func writeHistogram(b *strings.Builder, name, ls string, h *Histogram) {
+	bounds, cum := h.Buckets()
+	le := "{le="
+	if ls != "" {
+		le = ls[:len(ls)-1] + ",le="
 	}
-	var values []string
-	if len(names) == 1 {
-		values = []string{key}
-	} else {
-		values = strings.Split(key, "\xff")
-	}
-	labels := make([]Label, len(names))
-	for i, n := range names {
-		v := ""
-		if i < len(values) {
-			v = values[i]
+	for i, c := range cum {
+		bound := "+Inf"
+		if i < len(bounds) {
+			bound = formatValue(bounds[i])
 		}
-		labels[i] = Label{n, v}
+		fmt.Fprintf(b, "%s_bucket%s%q} %d\n", name, le, bound, c)
 	}
-	return labels
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, ls, formatValue(h.Sum()))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, ls, h.Count())
 }

@@ -13,6 +13,7 @@ package obs
 // queue that still has ghosts.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -48,10 +49,15 @@ func NewMux(reg *Registry, events *EventLog, healthy, ready func() error) *http.
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		var b bytes.Buffer
 		if reg != nil {
-			reg.WritePrometheus(w)
+			if err := reg.WritePrometheus(&b); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
 		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Write(b.Bytes())
 	})
 	mux.HandleFunc("/healthz", probe(healthy))
 	// Readiness implies liveness: a nil ready probe falls back to the

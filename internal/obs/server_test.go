@@ -12,7 +12,7 @@ import (
 // checks /metrics, /healthz, /debug/pprof/ and /debug/events.
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("up_total", "demo").Add(7)
+	reg.RegisterCollector(func(e *Emitter) { e.Counter("up_total", "demo", 7) })
 	log := NewEventLog(nil, 8)
 	log.Emit(Event{Name: "boot"})
 	healthyErr := error(nil)

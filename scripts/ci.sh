@@ -207,6 +207,34 @@ if grep -n -F '"batch"' $(ls cmd/spice/*.go | grep -v '_test\.go$'); then
   exit 1
 fi
 
+echo "== one way to export a metric =="
+# An obs.Registry is nothing but its collectors: every series on
+# /metrics is emitted at scrape time by its owner, histograms included.
+# The registered counters, gauges and labeled vecs beside the
+# collectors, with their own label-tuple keying, were deleted; they must
+# not come back.
+if grep -n -E 'CounterVec|GaugeVec|reg\.(Counter|Gauge|Histogram)\(' \
+  $(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/'); then
+  echo "FAIL: a registered instrument is back beside the collectors"
+  exit 1
+fi
+if grep -n -E 'labelKey|splitKey' $(ls internal/obs/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/obs keys label tuples again"
+  exit 1
+fi
+# The series set (family, type, label names) the binaries serve is
+# pinned: spiced -serve after a finished campaign, a rejection and a
+# quota skip; a worker after its jobs; spice's local runner after a
+# pull. A scrape that mixes types in one family or repeats a series is
+# an error (/metrics 500), never invalid exposition; a coordinator
+# registered after construction exports its histograms; the engines a
+# worker builds feed spice_md_step_seconds.
+go test -race -count=1 -run 'TestMetricsSeriesSet' ./cmd/spice
+go test -race -count=1 \
+  -run 'TestInvalidExpositionRefused|TestInvalidNamePanics|TestMultiLabelEmission|TestHistogramRendering|TestRegistryConcurrency' \
+  ./internal/obs
+go test -race -count=1 -run 'TestRegisterMetricsHistograms|TestNewWorkerWiresMetrics' ./internal/dist
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -339,10 +367,11 @@ echo "== control plane quota + restart unit gates (-race) =="
 # every campaign straight to the coordinator with its campaign record as
 # the one durable trace, the 202 reports the real state, a campaign is
 # queued (and cancelable as such) only between a replay and Start, a
-# cancel right after Submit is never lost, an unrunnable spec is a 400
-# that never reaches journal.log, and the client hands back the server's
-# sentinels (400, both 409s) and escapes the tenant it filters on.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
+# cancel right after Submit is never lost, an unrunnable spec and an
+# oversized body are 400s that never reach journal.log, and the client
+# hands back the server's sentinels (400, both 409s) and escapes the
+# tenant it filters on.
+go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestSubmitBodyBounded|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
 
 echo "== md.Batch determinism (GOMAXPROCS=4, -race) =="
 # What is left of the ensemble batch engine must step replicas
