@@ -1,11 +1,13 @@
 package main
 
-// spice -server: the control-plane client mode. Instead of running the
-// sweep in-process, the spec built from the usual flags is submitted to
-// a spiced -serve control plane, and campaign lifecycle is driven over
-// its HTTP API:
+// spice -server: the control-plane client. With no action flag, the
+// pipeline of main.go runs against a spiced -serve control plane: each
+// of its campaigns is submitted (or, when an identical submission
+// already exists, attached to), waited for and fetched. The action flags
+// drive one campaign's lifecycle over the HTTP API instead:
 //
-//	spice -server :9556 -submit -tenant alice -priority 2 -wait -out logs/
+//	spice -server :9556 -tenant alice -production -out logs/
+//	spice -server :9556 -submit -tenant alice -priority 2
 //	spice -server :9556 -status
 //	spice -server :9556 -status -id c-1a2b3c4d
 //	spice -server :9556 -result c-1a2b3c4d -out logs/
@@ -17,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"time"
 
@@ -30,43 +34,73 @@ import (
 )
 
 var (
-	serverAddr = flag.String("server", "", "control plane address (spiced -serve -http): enables client mode with -submit/-status/-cancel/-result")
+	serverAddr = flag.String("server", "", "control plane address (spiced -serve -http): run the pipeline there, or with -submit/-status/-cancel/-result/-stats drive one campaign")
 	submitFlag = flag.Bool("submit", false, "with -server: submit the campaign spec built from -kappas/-velocities/-replicas/-distance/-seed")
-	waitFlag   = flag.Bool("wait", false, "with -submit: block until the campaign finishes and fetch its result")
 	statusFlag = flag.Bool("status", false, "with -server: list campaigns (all tenants, or -tenant's)")
 	statusID   = flag.String("id", "", "with -status: inspect one campaign instead of listing")
 	cancelID   = flag.String("cancel", "", "with -server: cancel this campaign")
 	resultID   = flag.String("result", "", "with -server: fetch this campaign's work logs (write them with -out)")
 	statsFlag  = flag.Bool("stats", false, "with -server: print per-tenant queue depths and the coordinator's unified stats snapshot")
-	tenantFlag = flag.String("tenant", "", "with -submit: tenant the campaign is accounted to")
-	prioFlag   = flag.Int("priority", 0, "with -submit: base scheduling priority (higher first)")
-	nameFlag   = flag.String("campaign-name", "", "with -submit: name distinguishing otherwise-identical submissions")
+	tenantFlag = flag.String("tenant", "", "with -server: tenant the campaigns are accounted to")
+	prioFlag   = flag.Int("priority", 0, "with -server: base scheduling priority (higher first)")
+	nameFlag   = flag.String("campaign-name", "", "with -server: name distinguishing otherwise-identical submissions")
 	retryMax   = flag.Int("retry-max", 4, "with -server: retries for API calls refused with a Retry-After header (503 shed/degraded) before the error is surfaced; the wait is the larger of the server's hint and a decorrelated backoff (0 disables)")
 )
 
-// runClient dispatches one client-mode action.
-func runClient(addr string, spec campaign.Spec, outDir string) error {
-	cl := &controlplane.Client{Base: addr, RetryMax: *retryMax}
+// servedRunner is the campaign.Runner of spice -server: each campaign
+// runs on the control plane under one tag.
+type servedRunner struct {
+	cl  *controlplane.Client
+	tag dist.CampaignTag
+}
+
+// Run submits spec, or attaches to the campaign an identical earlier
+// submission created (a re-run after a lost reply or a killed spice),
+// waits for it and fetches its work logs.
+func (r servedRunner) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.WorkLog, error) {
+	ctx := context.Background()
+	id, err := r.cl.Submit(ctx, spec, r.tag)
+	switch {
+	case errors.Is(err, controlplane.ErrDuplicate) && id != "":
+		log.Printf("attached to %s", id)
+	case err != nil:
+		return nil, err
+	default:
+		log.Printf("submitted %s (%d jobs)", id, len(spec.Tasks()))
+	}
+	c, err := r.cl.WaitDone(ctx, id, 250*time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
+	if c.State != controlplane.StateDone {
+		return nil, fmt.Errorf("campaign %s ended %s: %s", id, c.State, c.Error)
+	}
+	return r.cl.Result(ctx, id)
+}
+
+// runAction runs the one action flag given, reporting false when there
+// is none.
+func runAction(cl *controlplane.Client, spec campaign.Spec, tag dist.CampaignTag, outDir string) (bool, error) {
 	ctx := context.Background()
 	switch {
 	case *cancelID != "":
 		if err := cl.Cancel(ctx, *cancelID); err != nil {
-			return err
+			return true, err
 		}
 		fmt.Printf("canceled %s\n", *cancelID)
-		return nil
+		return true, nil
 
 	case *resultID != "":
 		logs, err := cl.Result(ctx, *resultID)
 		if err != nil {
-			return err
+			return true, err
 		}
-		return emitLogs(logs, outDir)
+		return true, emitLogs(logs, outDir)
 
 	case *statsFlag:
 		st, err := cl.Stats(ctx)
 		if err != nil {
-			return err
+			return true, err
 		}
 		fmt.Printf("%-12s %7s %8s %6s %7s %9s %9s\n",
 			"TENANT", "queued", "running", "done", "failed", "canceled", "usage_ns")
@@ -74,55 +108,35 @@ func runClient(addr string, spec campaign.Spec, outDir string) error {
 			fmt.Printf("%-12s %7d %8d %6d %7d %9d %9.4g\n",
 				q.Tenant, q.Queued, q.Running, q.Done, q.Failed, q.Canceled, q.Usage)
 		}
-		// The execution half renders through the same statsfmt tables a
-		// local `spice -coordinator` run prints at exit.
 		fmt.Println()
 		statsfmt.Render(os.Stdout, st.Dist, "dist: ")
-		return nil
+		return true, nil
 
 	case *statusFlag:
 		if *statusID != "" {
 			c, err := cl.Get(ctx, *statusID)
 			if err != nil {
-				return err
+				return true, err
 			}
 			printCampaigns([]controlplane.Campaign{c})
-			return nil
+			return true, nil
 		}
 		list, err := cl.List(ctx, *tenantFlag)
 		if err != nil {
-			return err
+			return true, err
 		}
 		printCampaigns(list)
-		return nil
+		return true, nil
 
 	case *submitFlag:
-		tag := dist.CampaignTag{Tenant: *tenantFlag, Priority: *prioFlag, Name: *nameFlag}
 		id, err := cl.Submit(ctx, spec, tag)
 		if err != nil {
-			return err
+			return true, err
 		}
 		fmt.Printf("submitted %s (%d jobs)\n", id, len(spec.Tasks()))
-		if !*waitFlag {
-			return nil
-		}
-		c, err := cl.WaitDone(ctx, id, 250*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("campaign %s: %s\n", id, c.State)
-		if c.State != controlplane.StateDone {
-			return fmt.Errorf("campaign ended %s: %s", c.State, c.Error)
-		}
-		logs, err := cl.Result(ctx, id)
-		if err != nil {
-			return err
-		}
-		return emitLogs(logs, outDir)
-
-	default:
-		return fmt.Errorf("-server needs one of -submit, -status, -cancel <id>, -result <id>")
+		return true, nil
 	}
+	return false, nil
 }
 
 // emitLogs prints the per-combo sample summary and, with -out, writes

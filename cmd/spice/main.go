@@ -1,21 +1,20 @@
 // Command spice runs the SPICE SMD-JE pipeline: a (κ, v) priming sweep
 // with error analysis (the paper's Fig. 4), parameter selection, and an
-// optional production PMF at the chosen parameters. With -imd it instead
-// serves an interactive session a visualizer (cmd/imdview) can join.
-// With -coordinator it distributes the pulls over TCP to spiced worker
-// daemons (plus -workers in-process ones), with bit-identical results.
+// optional production PMF at the chosen parameters. The pulls run in
+// this process, or with -server on a spiced -serve control plane (see
+// client.go); either way spice prints the same tables and writes
+// byte-identical -out logs. With -imd it instead serves an interactive
+// session a visualizer (cmd/imdview) can join.
 //
 // Examples:
 //
 //	spice -beads 8 -replicas 2 -distance 10
 //	spice -production
+//	spice -server :9556 -production -out logs/
 //	spice -imd :9777 -frames 200
-//	spice -coordinator :9555 -workers 2   # spiced daemons may join too
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -25,9 +24,9 @@ import (
 	"strings"
 
 	"spice/internal/campaign"
+	"spice/internal/controlplane"
 	"spice/internal/core"
 	"spice/internal/dist"
-	"spice/internal/dist/statsfmt"
 	"spice/internal/imd"
 	"spice/internal/jarzynski"
 	"spice/internal/md"
@@ -39,12 +38,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spice: ")
 
-	// The dist runtime knobs: each -coordinator flag is bound straight
-	// onto a field of a Config seeded from dist.Defaults(). Flag
-	// semantics ("0 disables") are the Config semantics and Defaults() is
-	// the only place a default is written.
-	dcfg := dist.Defaults()
-	distFlags(flag.CommandLine, &dcfg)
 	var (
 		beads      = flag.Int("beads", 8, "ssDNA length in nucleotides")
 		kappas     = flag.String("kappas", "10,100,1000", "spring constants, pN/Å (comma separated)")
@@ -58,11 +51,7 @@ func main() {
 		outDir     = flag.String("out", "", "write per-pull work logs into this directory (for cmd/pmf)")
 		imdAddr    = flag.String("imd", "", "serve an interactive session on this address instead")
 		frames     = flag.Int("frames", 100, "IMD frames to serve")
-		coordAddr  = flag.String("coordinator", "", "distribute pulls: listen on this address for spiced workers (-workers then spawns in-process ones)")
-
-		// Observability.
-		obsAddr   = flag.String("obs-addr", "", "serve /metrics (Prometheus text), /healthz and /debug/pprof/ on this address (e.g. 127.0.0.1:9090)")
-		obsEvents = flag.String("obs-events", "", "append the structured JSON-lines scheduling event log to this file (- for stderr)")
+		obsAddr    = flag.String("obs-addr", "", "serve /metrics (Prometheus text), /healthz and /debug/pprof/ on this address (e.g. 127.0.0.1:9090)")
 	)
 	flag.Parse()
 
@@ -93,10 +82,10 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Seed = *seed
 
-	// Client mode: ship the spec to a control plane instead of running
-	// it here. The system is the server's; only the campaign spec and
-	// tenant identity travel.
 	if *serverAddr != "" {
+		// The system is the server's; only campaign specs and tenant
+		// identity travel.
+		cl := &controlplane.Client{Base: *serverAddr, RetryMax: *retryMax}
 		spec := campaign.Spec{
 			Kappas:     cfg.Kappas,
 			Velocities: cfg.Velocities,
@@ -104,49 +93,26 @@ func main() {
 			Distance:   cfg.Distance,
 			Seed:       cfg.Seed,
 		}
-		if err := runClient(*serverAddr, spec, *outDir); err != nil {
-			log.Fatal(err)
+		tag := dist.CampaignTag{Tenant: *tenantFlag, Priority: *prioFlag, Name: *nameFlag}
+		if acted, err := runAction(cl, spec, tag, *outDir); acted {
+			if err != nil {
+				log.Fatal(err)
+			}
+			return
 		}
-		return
-	}
-
-	// Observability plumbing: one registry + event log feed the debug
-	// server, the coordinator (or the local runner) and the event file.
-	var (
-		reg    *obs.Registry
-		events *obs.EventLog
-	)
-	if *obsAddr != "" || *obsEvents != "" {
-		var closeEvents func()
-		if events, closeEvents, err = obs.OpenEventLog(*obsEvents); err != nil {
-			log.Fatal(err)
-		}
-		defer closeEvents()
-		reg = obs.NewRegistry()
-	}
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, reg, events, nil, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/, /debug/events)\n", srv.Addr())
-	}
-
-	dcfg.Metrics, dcfg.Events = reg, events
-
-	var co *dist.Coordinator
-	if *coordAddr != "" {
-		var cancel context.CancelFunc
-		co, cancel, err = startCoordinator(*coordAddr, &cfg.System, *workers, dcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cancel()
-		defer co.Close()
-		cfg.Runner = co
+		cfg.Runner = servedRunner{cl: cl, tag: tag}
 	} else {
-		cfg.Runner = localRunner(&cfg.System, cfg.Workers, reg, events)
+		var reg *obs.Registry
+		if *obsAddr != "" {
+			reg = obs.NewRegistry()
+			srv, err := obs.Serve(*obsAddr, reg, nil, nil, nil)
+			if err != nil {
+				log.Fatal(err)
+			}
+			defer srv.Close()
+			fmt.Printf("observability: http://%s/metrics (also /healthz, /debug/pprof/)\n", srv.Addr())
+		}
+		cfg.Runner = localRunner(&cfg.System, cfg.Workers, reg)
 	}
 
 	fmt.Printf("SPICE priming sweep: %d κ × %d v, %g Å sub-trajectory, estimator %v\n\n",
@@ -156,9 +122,6 @@ func main() {
 		log.Fatal(err)
 	}
 	printSweep(res)
-	if co != nil {
-		printDistStats(co)
-	}
 
 	if *outDir != "" {
 		n, err := writeLogs(*outDir, res)
@@ -170,7 +133,7 @@ func main() {
 
 	if *production {
 		fmt.Printf("\nProduction PMF at κ=%g pN/Å, v=%g Å/ns\n", res.Best.KappaPaper, res.Best.VPaper)
-		prodCfg := core.ProductionConfig{
+		prod, err := core.RunProduction(core.ProductionConfig{
 			System:    cfg.System,
 			KappaPN:   res.Best.KappaPaper,
 			VAns:      res.Best.VPaper,
@@ -179,11 +142,8 @@ func main() {
 			Workers:   *workers,
 			Seed:      *seed + 1,
 			Estimator: jarzynski.Exponential,
-		}
-		if co != nil {
-			prodCfg.Runner = co
-		}
-		prod, err := core.RunProduction(prodCfg)
+			Runner:    cfg.Runner,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -194,70 +154,15 @@ func main() {
 	}
 }
 
-// distFlags binds the dist knobs (all scoped to -coordinator) onto c.
-func distFlags(fs *flag.FlagSet, c *dist.Config) {
-	fs.StringVar(&c.StateDir, "state", c.StateDir, "with -coordinator: journal job state under this directory so a killed coordinator can be restarted with the same -state and resume the campaign")
-
-	// Durable storage (scoped to -state).
-	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "compact the job journal (fold it into a snapshot and truncate the log) when it grows past this size, bounding disk footprint and replay time (0 disables)")
-	fs.IntVar(&c.StorageRetries, "storage-retries", c.StorageRetries, "retries (short capped backoff) for a failed journal append before the coordinator enters the degraded storage state instead of crashing")
-
-	// Federation resilience.
-	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", c.BreakerThreshold, "consecutive failure strikes (fails, lease expiries, disconnects) before a site's circuit breaker opens and it stops receiving work (0 disables)")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", c.BreakerCooldown, "quarantine before an open site is re-probed with a single job (0 = 2x the lease TTL)")
-	fs.Float64Var(&c.HedgeFraction, "hedge-fraction", c.HedgeFraction, "hedge a job speculatively onto a second site when its checkpoint rate falls below this fraction of the fleet median; first finished attempt wins (0 disables)")
-	fs.DurationVar(&c.HedgeStall, "hedge-stall", c.HedgeStall, "also hedge a job whose step counter has not advanced for this long while still heartbeating (0 disables)")
-	fs.DurationVar(&c.IOTimeout, "io-timeout", c.IOTimeout, "read/write deadline armed before every I/O on every worker connection, so a half-open peer times out instead of wedging a reader (0 disables)")
-
-	// Overload protection.
-	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "cap on worker requests processed at once; excess work polls are shed with an immediate jittered wait hint (0 disables)")
-}
-
-// startCoordinator opens the dist listener and spawns the in-process
-// workers. The engine's intra-simulation parallelism is pinned so every
-// process — local or remote — sums forces in the same chunk order;
-// that, plus bit-exact checkpoints, is what makes distributed results
-// byte-identical to local ones.
-func startCoordinator(addr string, sys *core.SystemConfig, workers int, dcfg dist.Config) (*dist.Coordinator, context.CancelFunc, error) {
-	if sys.EngineWorkers == 0 {
-		sys.EngineWorkers = 1
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	sysJSON, err := json.Marshal(sys)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	co, err := dist.NewCoordinator(ln, sysJSON, dcfg)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	for i := 0; i < workers; i++ {
-		w, err := dist.NewWorker(fmt.Sprintf("local-%d", i), "", ln.Addr().String(), core.BuildFromJSON, dist.Defaults())
-		if err != nil {
-			cancel()
-			_ = co.Close()
-			return nil, nil, err
-		}
-		go w.Run(ctx)
-	}
-	fmt.Printf("coordinating pulls on %s (%d in-process workers; join with: spiced -coordinator %s)\n",
-		ln.Addr(), workers, ln.Addr())
-	return co, cancel, nil
-}
-
-// localRunner runs the pulls in this process through dist.LocalRunner —
-// the same execution path and the same stats/metrics surface as a
-// federated run, just without the network. With reg set it exports the
-// runner's stats and the md-layer instruments of the engines it builds.
-func localRunner(sys *core.SystemConfig, workers int, reg *obs.Registry, events *obs.EventLog) *dist.LocalRunner {
+// localRunner runs the pulls in this process. With reg set, the engines
+// it builds feed the md-layer series (spice_md_*) on reg.
+func localRunner(sys *core.SystemConfig, workers int, reg *obs.Registry) *campaign.LocalRunner {
 	var mdm *dist.EngineMetrics // nil without reg: Instrument is then a no-op
-	lr := &dist.LocalRunner{
+	if reg != nil {
+		mdm = dist.NewEngineMetrics()
+		reg.RegisterCollector(mdm.Collect)
+	}
+	return &campaign.LocalRunner{
 		Build: func(_ campaign.Combo, seed uint64) (*md.Engine, []int, error) {
 			eng, sel, err := sys.Build(seed)
 			if err == nil {
@@ -266,21 +171,7 @@ func localRunner(sys *core.SystemConfig, workers int, reg *obs.Registry, events 
 			return eng, sel, err
 		},
 		Workers: workers,
-		Events:  events,
 	}
-	if reg != nil {
-		mdm = dist.NewEngineMetrics()
-		dist.RegisterMetrics(reg, lr)
-		reg.RegisterCollector(mdm.Collect)
-	}
-	return lr
-}
-
-// printDistStats renders the unified stats snapshot — the same
-// numbers /metrics scrapes, via the shared statsfmt renderer.
-func printDistStats(src dist.StatsSource) {
-	fmt.Println()
-	statsfmt.Render(os.Stdout, src.StatsSnapshot(), "dist: ")
 }
 
 func printSweep(res *core.SweepResult) {

@@ -25,7 +25,8 @@ func seriesSystem() core.SystemConfig {
 // label names, not values) of the three registries the binaries serve:
 // spiced -serve's coordinator plus control plane after one finished
 // campaign, one rejected submission and one quota skip; a spiced worker
-// after its jobs; and spice's local runner after one pull.
+// after its jobs; and spice's local runner after one pull, which exports
+// only the md-layer series of the engines it built.
 func TestMetricsSeriesSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a served campaign")
@@ -90,7 +91,7 @@ func TestMetricsSeriesSet(t *testing.T) {
 	local := obs.NewRegistry()
 	one := spec
 	one.Replicas = 1
-	if _, err := localRunner(&sys, 1, local, nil).Run(one); err != nil {
+	if _, err := localRunner(&sys, 1, local).Run(one); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,60 +269,9 @@ spice_worker_steps_total counter spice_worker_steps_total{worker}
 `
 
 const wantLocalSeries = `
-spice_dist_adoptions_total counter spice_dist_adoptions_total{}
-spice_dist_assignments_total counter spice_dist_assignments_total{}
-spice_dist_breaker_closes_total counter spice_dist_breaker_closes_total{}
-spice_dist_breaker_probes_total counter spice_dist_breaker_probes_total{}
-spice_dist_breaker_trips_total counter spice_dist_breaker_trips_total{}
-spice_dist_bytes_in_total counter spice_dist_bytes_in_total{}
-spice_dist_bytes_out_total counter spice_dist_bytes_out_total{}
-spice_dist_checkpoints_rejected_total counter spice_dist_checkpoints_rejected_total{}
-spice_dist_checkpoints_total counter spice_dist_checkpoints_total{}
-spice_dist_delta_base_misses_total counter spice_dist_delta_base_misses_total{}
-spice_dist_deltas_folded_total counter spice_dist_deltas_folded_total{}
-spice_dist_disconnects_total counter spice_dist_disconnects_total{}
-spice_dist_duplicate_results_dropped_total counter spice_dist_duplicate_results_dropped_total{}
-spice_dist_failures_total counter spice_dist_failures_total{}
-spice_dist_jobs_total counter spice_dist_jobs_total{}
-spice_dist_journal_tail_condition gauge spice_dist_journal_tail_condition{}
-spice_dist_lease_expiries_total counter spice_dist_lease_expiries_total{}
-spice_dist_parked_polls gauge spice_dist_parked_polls{}
-spice_dist_replayed_records_total counter spice_dist_replayed_records_total{}
-spice_dist_restarts_total counter spice_dist_restarts_total{}
-spice_dist_resumes_total counter spice_dist_resumes_total{}
-spice_dist_retries_total counter spice_dist_retries_total{}
-spice_dist_site_assignments gauge spice_dist_site_assignments{site}
-spice_dist_site_breaker_state gauge spice_dist_site_breaker_state{site,state}
-spice_dist_site_breaker_trips gauge spice_dist_site_breaker_trips{site}
-spice_dist_site_completions gauge spice_dist_site_completions{site}
-spice_dist_site_disconnects gauge spice_dist_site_disconnects{site}
-spice_dist_site_failures gauge spice_dist_site_failures{site}
-spice_dist_site_latency_seconds gauge spice_dist_site_latency_seconds{site}
-spice_dist_site_lease_expiries gauge spice_dist_site_lease_expiries{site}
-spice_dist_site_rate_steps_per_second gauge spice_dist_site_rate_steps_per_second{site}
-spice_dist_site_spec_lost gauge spice_dist_site_spec_lost{site}
-spice_dist_site_spec_won gauge spice_dist_site_spec_won{site}
-spice_dist_site_strikes gauge spice_dist_site_strikes{site}
-spice_dist_speculations_launched_total counter spice_dist_speculations_launched_total{}
-spice_dist_speculations_wasted_total counter spice_dist_speculations_wasted_total{}
-spice_dist_speculations_won_total counter spice_dist_speculations_won_total{}
-spice_dist_stragglers_detected_total counter spice_dist_stragglers_detected_total{}
-spice_dist_truncated_tail_bytes_total counter spice_dist_truncated_tail_bytes_total{}
 spice_md_neighbor_pairs gauge spice_md_neighbor_pairs{}
 spice_md_neighbor_rebuilds_total counter spice_md_neighbor_rebuilds_total{}
 spice_md_step_seconds histogram spice_md_step_seconds_bucket{le}
 spice_md_step_seconds histogram spice_md_step_seconds_count{}
 spice_md_step_seconds histogram spice_md_step_seconds_sum{}
-spice_overload_connected_workers gauge spice_overload_connected_workers{}
-spice_overload_inflight gauge spice_overload_inflight{}
-spice_overload_requests_shed_total counter spice_overload_requests_shed_total{}
-spice_storage_compactions_total counter spice_storage_compactions_total{journal}
-spice_storage_degradations_total counter spice_storage_degradations_total{journal}
-spice_storage_degraded gauge spice_storage_degraded{journal}
-spice_storage_errors_total counter spice_storage_errors_total{journal}
-spice_storage_journal_bytes gauge spice_storage_journal_bytes{journal}
-spice_storage_recoveries_total counter spice_storage_recoveries_total{journal}
-spice_storage_retries_total counter spice_storage_retries_total{journal}
-spice_wire_v1_conns_total counter spice_wire_v1_conns_total{}
-spice_wire_work_polls_total counter spice_wire_work_polls_total{}
 `

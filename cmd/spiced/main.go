@@ -1,19 +1,19 @@
-// Command spiced is the SPICE worker daemon: it connects to a spice
-// coordinator (spice -coordinator <addr>), pulls SMD jobs from its
+// Command spiced is the SPICE daemon. With -serve it is the one process
+// that hosts a coordinator: the campaign control plane, a persistent
+// multi-tenant queue with an HTTP API in front of an embedded
+// coordinator (see serve.go), which spice -server drives. Otherwise it
+// is a worker: it connects to that coordinator, pulls SMD jobs from its
 // queue, streams checkpoints back with every heartbeat, and exits when
-// the coordinator drains. Kill it mid-job and the coordinator reassigns
-// the job to another worker, which resumes from the last streamed
-// checkpoint with bit-identical results.
+// the coordinator drains. Kill a worker mid-job and the coordinator
+// reassigns the job to another worker, which resumes from the last
+// streamed checkpoint with bit-identical results.
 //
-// Example — a coordinator plus two external workers:
+// Example — a control plane plus two external workers:
 //
-//	spice -coordinator :9555 -workers 0 &
+//	spiced -serve -listen :9555 -http :9556 -state /var/lib/spice &
 //	spiced -coordinator localhost:9555 -name alpha
 //	spiced -coordinator localhost:9555 -name beta
-//
-// With -serve the daemon instead becomes the campaign control plane: a
-// persistent multi-tenant queue with an HTTP API in front of an
-// embedded coordinator (see serve.go).
+//	spice -server :9556 -production -out logs/
 package main
 
 import (

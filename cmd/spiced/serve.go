@@ -13,7 +13,7 @@ package main
 //
 //	spiced -serve -listen :9555 -http :9556 -state /var/lib/spice \
 //	       -workers 2 -quotas 'alice=4:2,bob=2:1'
-//	spice -server :9556 -submit -tenant alice -kappas 100 -wait
+//	spice -server :9556 -tenant alice -kappas 100 -out logs/
 //
 // External spiced workers join the embedded coordinator as usual:
 //

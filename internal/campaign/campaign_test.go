@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -306,6 +307,24 @@ func TestLocalRunnerRequiresBuild(t *testing.T) {
 	lr := &LocalRunner{}
 	if _, err := lr.Run(PaperSpec()); err == nil {
 		t.Fatal("nil Build accepted")
+	}
+}
+
+// TestLocalRunnerErrors: a failing pull fails the run with the first
+// failing task in task order named by combo and replica under the
+// campaign prefix, and errors.Is still finds the cause.
+func TestLocalRunnerErrors(t *testing.T) {
+	boom := errors.New("no such pore")
+	lr := &LocalRunner{Workers: 2, Build: func(c Combo, seed uint64) (*md.Engine, []int, error) {
+		if c.KappaPN == 1000 {
+			return nil, nil, boom
+		}
+		return smallBuild(c, seed)
+	}}
+	spec := Spec{Kappas: []float64{100, 1000}, Velocities: []float64{800}, Replicas: 2, Distance: 3, Seed: 7}
+	_, err := lr.Run(spec)
+	if !errors.Is(err, boom) || err.Error() != "campaign: pull k1000-v800 replica 0: no such pore" {
+		t.Fatalf("Run with a failing build: %v", err)
 	}
 }
 

@@ -10,7 +10,8 @@ package controlplane
 //
 // Everything is JSON; errors come back as {"error": "..."} with the
 // status carrying the semantics (400 unrunnable spec, 429 quota, 409
-// duplicate/not-done, 404 unknown, 503 closed).
+// duplicate/not-done, 404 unknown, 503 closed). A duplicate submission's
+// 409 also carries the existing campaign's "id".
 
 import (
 	"encoding/json"
@@ -112,9 +113,16 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		default:
 			s.httpSheds.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrOverloaded.Error()})
+			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: ErrOverloaded.Error()})
 		}
 	}
+}
+
+// apiError is every error body; ID names the existing campaign of a
+// duplicate submission.
+type apiError struct {
+	Error string `json:"error"`
+	ID    string `json:"id,omitempty"`
 }
 
 // writeJSON writes v with status code.
@@ -147,7 +155,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
 // maxSubmitBytes bounds a submission body. An accepted tag is journaled
@@ -158,11 +166,17 @@ const maxSubmitBytes = 1 << 20
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var sr SubmitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes)).Decode(&sr); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	tag := dist.CampaignTag{Tenant: sr.Tenant, Priority: sr.Priority, Name: sr.Name}
 	id, err := s.Submit(sr.Spec, tag)
+	if errors.Is(err, ErrDuplicate) {
+		// The ID lets a client whose 202 was lost find the campaign it
+		// created.
+		writeJSON(w, http.StatusConflict, apiError{Error: err.Error(), ID: id})
+		return
+	}
 	if err != nil {
 		writeErr(w, err)
 		return

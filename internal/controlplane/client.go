@@ -137,12 +137,16 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
+		var apiErr apiError
 		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
+		body, _ := io.ReadAll(resp.Body)
+		if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
 			msg = apiErr.Error
+		}
+		if apiErr.ID != "" && out != nil {
+			// A duplicate submission's body names the existing campaign;
+			// out gets it beside the error.
+			_ = json.Unmarshal(body, out)
 		}
 		// The server's message usually starts with the sentinel's own
 		// text; re-wrap it without doubling that prefix.
@@ -199,7 +203,9 @@ func retryAfter(resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Submit submits a campaign and returns its ID.
+// Submit submits a campaign and returns its ID. A duplicate submission
+// returns the existing campaign's ID together with ErrDuplicate, as
+// Server.Submit does.
 func (c *Client) Submit(ctx context.Context, spec campaign.Spec, tag dist.CampaignTag) (string, error) {
 	var resp SubmitResponse
 	err := c.do(ctx, http.MethodPost, "/api/v1/campaigns", SubmitRequest{

@@ -465,6 +465,28 @@ func TestClientKeepsServerSentinels(t *testing.T) {
 	}
 }
 
+// TestClientDuplicateSubmitReturnsID: over HTTP, as in process, a
+// duplicate submission returns the first submission's ID beside
+// ErrDuplicate, so a client whose 202 was lost can find its campaign.
+func TestClientDuplicateSubmitReturnsID(t *testing.T) {
+	s, _ := newHarness(t, Config{}, 0)
+	s.Start()
+	cl := &Client{Base: serveHTTP(t, s)}
+	ctx := context.Background()
+	tag := dist.CampaignTag{Tenant: "alice", Name: "retry"}
+	first, err := cl.Submit(ctx, specA(), tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := cl.Submit(ctx, specA(), tag)
+	if !errors.Is(err, ErrDuplicate) || again != first {
+		t.Fatalf("second submission: (%q, %v), want (%q, ErrDuplicate)", again, err, first)
+	}
+	if n := len(s.List("")); n != 1 {
+		t.Fatalf("%d campaigns after a duplicate submission, want 1", n)
+	}
+}
+
 // TestSubmitGoesStraightToCoordinator: on a started server Submit installs
 // every campaign on the coordinator whatever its priority — priority and
 // fair share are decided once, on the lease path — and the one durable

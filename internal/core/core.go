@@ -118,9 +118,9 @@ func (sc SystemConfig) Build(seed uint64) (*md.Engine, []int, error) {
 
 // BuildFromJSON decodes a JSON-encoded SystemConfig — the opaque system
 // payload a dist coordinator ships to its workers — and builds the pull
-// system. Its signature matches dist.BuildFunc, so cmd/spiced and the
-// in-process workers of cmd/spice plug it in directly; dist itself
-// never needs to know this package exists.
+// system. Its signature matches dist.BuildFunc, so cmd/spiced's workers,
+// external and in-process, plug it in directly; dist itself never needs
+// to know this package exists.
 func BuildFromJSON(system json.RawMessage, _ campaign.Combo, seed uint64) (*md.Engine, []int, error) {
 	var sc SystemConfig
 	if err := json.Unmarshal(system, &sc); err != nil {

@@ -1,7 +1,8 @@
 package dist_test
 
-// The chaos end-to-end test: a spice -coordinator -state process drives
-// a full priming sweep over two live in-test workers, gets SIGKILLed
+// The chaos end-to-end test: a spiced -serve -state process holds the
+// campaigns of a full priming sweep, submitted over its HTTP API, and
+// leases them to two live in-test workers. It gets SIGKILLed
 // mid-campaign, and an in-process coordinator restarted over the same
 // state directory finishes the sweep. While it recovers, one worker is
 // network-partitioned (netsim.Gate) and the other has a result ack cut
@@ -15,46 +16,96 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spice/internal/campaign"
+	"spice/internal/controlplane"
 	"spice/internal/core"
 	"spice/internal/dist"
+	"spice/internal/md"
 	"spice/internal/netsim"
 	"spice/internal/trace"
 )
 
-func buildSpice(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "spice")
-	cmd := exec.Command("go", "build", "-o", bin, "spice/cmd/spice")
-	cmd.Dir = "../.."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building spice: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// chaosSweepConfig mirrors the flags the test passes to the spice
-// subprocess, so the local baseline and the restarted coordinator run
-// the exact same pipeline — the campaign spec JSON doubles as the
-// journal's replay key, so it must match byte for byte.
+// chaosSweepConfig is the pipeline the local baseline and the restarted
+// coordinator run; its campaign specs are what spiced is given — the
+// spec JSON doubles as the journal's replay key, so it must match byte
+// for byte.
 func chaosSweepConfig() core.SweepConfig {
 	cfg := core.PaperSweep()
 	cfg.System.Beads = 3
-	cfg.System.EngineWorkers = 1 // spice -coordinator pins this
+	cfg.System.EngineWorkers = 1 // spiced -serve pins this
 	cfg.Kappas = []float64{100, 1000}
 	cfg.Velocities = []float64{800}
 	cfg.Replicas = 2
 	cfg.Distance = 3
 	cfg.Seed = 31
 	return cfg
+}
+
+// recordingRunner runs campaigns in process and keeps their specs, in
+// the order the pipeline asked for them.
+type recordingRunner struct {
+	campaign.LocalRunner
+	specs []campaign.Spec
+}
+
+func (r *recordingRunner) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.WorkLog, error) {
+	r.specs = append(r.specs, spec)
+	return r.LocalRunner.Run(spec)
+}
+
+// heldRunner answers each campaign the pipeline asks for from the
+// install that took it back after the restart, keyed by spec JSON.
+type heldRunner map[string]*dist.Installed
+
+func (h heldRunner) Run(spec campaign.Spec) (map[campaign.Combo][]*trace.WorkLog, error) {
+	key, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	in := h[string(key)]
+	if in == nil {
+		return nil, fmt.Errorf("campaign %s was not held", key)
+	}
+	return in.Wait()
+}
+
+// holdListener defers every Accept until open is called; dials meanwhile
+// wait in the kernel's backlog.
+type holdListener struct {
+	net.Listener
+	release chan struct{}
+	once    sync.Once
+}
+
+func (l *holdListener) open() { l.once.Do(func() { close(l.release) }) }
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	<-l.release
+	return l.Listener.Accept()
+}
+
+// freeAddr returns a loopback address nothing listens on, so a process
+// restarted on it can rebind the address its peers keep dialing.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // spoolIDs lists job IDs with a spooled checkpoint under stateDir.
@@ -162,41 +213,37 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Single-process baseline of the full sweep.
+	// Single-process baseline of the full sweep, which also records the
+	// campaigns the pipeline runs.
+	local := &recordingRunner{LocalRunner: campaign.LocalRunner{
+		Build: func(_ campaign.Combo, seed uint64) (*md.Engine, []int, error) {
+			return cfg.System.Build(seed)
+		},
+		Workers: 1,
+	}}
 	localCfg := cfg
-	localCfg.Workers = 1
+	localCfg.Runner = local
 	want, err := core.RunSweep(localCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	bin := buildSpice(t)
-	// Pre-pick the port so the restarted coordinator can rebind the
-	// address the workers keep dialing.
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln0.Addr().String()
-	ln0.Close()
-
+	bin := buildSpiced(t)
+	addr, httpAddr := freeAddr(t), freeAddr(t)
 	stateDir := t.TempDir()
-	logPath := filepath.Join(t.TempDir(), "spice.log")
+	logPath := filepath.Join(t.TempDir(), "spiced.log")
 	logFile, err := os.Create(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer logFile.Close()
 	cmd := exec.Command(bin,
-		"-coordinator", addr,
+		"-serve",
+		"-listen", addr,
+		"-http", httpAddr,
 		"-state", stateDir,
 		"-workers", "0",
-		"-beads", "3",
-		"-kappas", "100,1000",
-		"-velocities", "800",
-		"-replicas", "2",
-		"-distance", "3",
-		"-seed", "31",
+		"-system", string(sysJSON),
 	)
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
@@ -209,11 +256,33 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 			_, _ = cmd.Process.Wait()
 		}
 	})
+	// The sweep's campaigns are submitted once /readyz says spiced's
+	// replay is done.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if resp, err := http.Get("http://" + httpAddr + "/readyz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			out, _ := os.ReadFile(logPath)
+			t.Fatalf("spiced -serve never became ready; output:\n%s", out)
+		}
+	}
+	cl := &controlplane.Client{Base: httpAddr}
+	for _, spec := range local.specs {
+		if _, err := cl.Submit(context.Background(), spec, dist.CampaignTag{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Two live workers that outlive the coordinator. Both are slow
 	// enough (checkpoint every sample, throttled) to be mid-job when the
-	// kill lands; one dials through a partition gate, the other through
-	// the duplicate injector.
+	// kill lands, and a pull outlasts many beats: one that ended within a
+	// beat of the kill would report its result with no beat first, and
+	// so never be adopted. One dials through a partition gate, the other
+	// through the duplicate injector.
 	gate := netsim.NewGate()
 	var armDup atomic.Bool
 	ctx, cancel := context.WithCancel(context.Background())
@@ -222,7 +291,7 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 		w := dist.NewTestWorker(t, name, "", addr, core.BuildFromJSON, func(c *dist.Config) {
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
-			c.Throttle = 20 * time.Millisecond
+			c.Throttle = 60 * time.Millisecond
 			c.Reconnect = true
 			c.ReconnectWindow = 60 * time.Second
 			c.Dial = dial
@@ -243,10 +312,20 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	// the restored-result and the resumed-checkpoint paths.
 	journalPath := filepath.Join(stateDir, "journal.log")
 	deadline := time.Now().Add(120 * time.Second)
-	for len(spoolIDs(t, stateDir)) < 2 || len(journalDoneJobs(t, journalPath)) < 1 {
+	for {
+		done := journalDoneJobs(t, journalPath)
+		inFlight := 0
+		for _, id := range spoolIDs(t, stateDir) {
+			if !done[id] {
+				inFlight++
+			}
+		}
+		if inFlight >= 2 && len(done) >= 1 {
+			break
+		}
 		if time.Now().After(deadline) {
 			out, _ := os.ReadFile(logPath)
-			t.Fatalf("campaign never reached the kill point; spice output:\n%s", out)
+			t.Fatalf("campaign never reached the kill point; spiced output:\n%s", out)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -277,14 +356,30 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
+	hold := &holdListener{Listener: ln, release: make(chan struct{})}
+	co := dist.NewTestCoordinator(t, hold, sysJSON, func(c *dist.Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
 	})
 	t.Cleanup(func() { _ = co.Close() })
+	t.Cleanup(hold.open) // runs first: Close must not wait on a held Accept
+	// Every held campaign goes back on the coordinator before it takes a
+	// worker's hello, so the workers' in-flight pulls are adopted
+	// whichever campaign they belong to, never answered "abandon" for a
+	// job not installed yet.
+	held := heldRunner{}
+	for _, spec := range local.specs {
+		in, err := co.Install(spec, dist.CampaignTag{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := json.Marshal(spec)
+		held[string(key)] = in
+	}
+	hold.open()
 	restartCfg := cfg
-	restartCfg.Runner = co
+	restartCfg.Runner = held
 	got, err := core.RunSweep(restartCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,11 +3,14 @@ package dist
 // Config is the one knob surface for the dist runtime, and the one
 // convention: what you set is what runs, 0 disables the optional
 // machinery, and Defaults() is the single statement of production
-// defaults. cmd/spice and cmd/spiced bind each flag straight onto a
-// field of a Config seeded from Defaults() and hand it to
-// NewCoordinator / NewWorker — the only constructors — which validate
-// it and keep it: the Coordinator and Worker read these fields
-// directly, so a knob exists in exactly one place.
+// defaults. cmd/spiced — the one binary that hosts a coordinator
+// (-serve) or runs a worker — binds each of its flags straight onto a
+// field of a Config seeded from Defaults() and hands it to
+// NewCoordinator / NewWorker, the only constructors, which validate it
+// and keep it; the fields no flag sets (breakers, hedging, the
+// coordinator's I/O deadline) run at their defaults. The Coordinator
+// and Worker read these fields directly, so a knob exists in exactly
+// one place.
 
 import (
 	"encoding/json"

@@ -1082,7 +1082,7 @@ func (co *Coordinator) SiteStats() map[string]SiteStats {
 	return co.sites.snapshot()
 }
 
-// StatsSnapshot implements StatsSource: the campaign counters, per-job
+// StatsSnapshot returns the campaign counters, per-job
 // lease histories and per-site health table captured under one lock
 // acquisition, so the three views are mutually coherent — the snapshot
 // the statsfmt tables print and the obs /metrics collector scrapes.

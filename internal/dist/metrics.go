@@ -16,19 +16,17 @@ import (
 )
 
 // RegisterMetrics registers a scrape-time collector on reg that renders
-// src's full Snapshot: every campaign counter as spice_dist_*, and the
-// per-site health table as spice_dist_site_* gauges labeled by site. A
-// Coordinator also contributes its two latency histograms. Per-job stats
-// are deliberately not exported (unbounded label cardinality); scrape
+// co's two latency histograms and its full Snapshot: every campaign
+// counter as spice_dist_*, and the per-site health table as
+// spice_dist_site_* gauges labeled by site. Per-job stats are
+// deliberately not exported (unbounded label cardinality); scrape
 // /debug/events or call JobStats for those.
-func RegisterMetrics(reg *obs.Registry, src StatsSource) {
+func RegisterMetrics(reg *obs.Registry, co *Coordinator) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
-		if co, ok := src.(*Coordinator); ok {
-			e.Histogram("spice_dist_first_lease_wait_seconds", "Campaign install to its first lease grant.", co.firstLeaseWait)
-			e.Histogram("spice_dist_poll_park_seconds",
-				"How long a work poll that found nothing runnable was held before its reply.", co.pollPark)
-		}
-		snap := src.StatsSnapshot()
+		e.Histogram("spice_dist_first_lease_wait_seconds", "Campaign install to its first lease grant.", co.firstLeaseWait)
+		e.Histogram("spice_dist_poll_park_seconds",
+			"How long a work poll that found nothing runnable was held before its reply.", co.pollPark)
+		snap := co.StatsSnapshot()
 		s := snap.Stats
 		e.Counter("spice_dist_jobs_total", "Jobs accepted into campaigns.", float64(s.Jobs))
 		e.Counter("spice_dist_assignments_total", "Leases granted (first attempts + retries).", float64(s.Assignments))

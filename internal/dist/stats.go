@@ -185,10 +185,3 @@ type Snapshot struct {
 	Jobs  map[string]JobStats
 	Sites map[string]SiteStats
 }
-
-// StatsSource is anything that can produce a coherent stats snapshot:
-// the Coordinator (live campaign counters under one lock acquisition)
-// and LocalRunner (the single-process equivalent).
-type StatsSource interface {
-	StatsSnapshot() Snapshot
-}

@@ -207,6 +207,25 @@ if grep -n -F '"batch"' $(ls cmd/spice/*.go | grep -v '_test\.go$'); then
   exit 1
 fi
 
+echo "== one place hosts a coordinator =="
+# spiced -serve is the only process that hosts a dist.Coordinator; spice
+# runs pulls in process or drives a control plane. spice -coordinator,
+# its dist flags and dist.LocalRunner (which gave a local run a copy of
+# the coordinator's stats surface, almost all of it constant zero) were
+# deleted; they must not come back. A served pipeline prints the same
+# tables and writes byte-identical work logs as a local one, and a
+# re-run attaches to its campaigns through the 409's campaign ID.
+if grep -n -E 'dist\.NewCoordinator|dist\.NewWorker|distFlags|"coordinator"' \
+  $(ls cmd/spice/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: spice hosts a coordinator again"
+  exit 1
+fi
+if grep -n -E '(^|[^.])\bLocalRunner\b|StatsSource' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/dist has a second local runner or stats source again"
+  exit 1
+fi
+go test -race -count=1 -run 'TestServedPipelineMatchesLocal' ./cmd/spice
+
 echo "== one way to export a metric =="
 # An obs.Registry is nothing but its collectors: every series on
 # /metrics is emitted at scrape time by its owner, histograms included.
@@ -225,7 +244,7 @@ fi
 # The series set (family, type, label names) the binaries serve is
 # pinned: spiced -serve after a finished campaign, a rejection and a
 # quota skip; a worker after its jobs; spice's local runner after a
-# pull. A scrape that mixes types in one family or repeats a series is
+# pull (md series only). A scrape that mixes types in one family or repeats a series is
 # an error (/metrics 500), never invalid exposition; a coordinator
 # registered after construction exports its histograms; the engines a
 # worker builds feed spice_md_step_seconds.
@@ -249,11 +268,11 @@ echo "== dist multi-process integration + obs smoke (-race) =="
 go test -race -run 'TestEndToEndWorkerProcesses' -count=1 -v ./internal/dist
 
 echo "== dist chaos recovery (-race) =="
-# Crash-safety e2e: a spice -coordinator -state process is SIGKILLed
-# mid-campaign and restarted over the same state directory while one
-# worker is partitioned and another retransmits a duplicate result; the
-# recovered PMF must be bit-identical and no spooled job may restart
-# from step 0.
+# Crash-safety e2e: a spiced -serve -state process holding a priming
+# sweep's submitted campaigns is SIGKILLed mid-campaign and restarted in
+# process over the same state directory while one worker is partitioned
+# and another retransmits a duplicate result; the recovered PMF must be
+# bit-identical and no spooled job may restart from step 0.
 go test -race -run 'TestChaosCoordinatorKillRecovery' -count=1 -v ./internal/dist
 
 echo "== dist slow-site speculation (-race) =="
@@ -369,9 +388,9 @@ echo "== control plane quota + restart unit gates (-race) =="
 # queued (and cancelable as such) only between a replay and Start, a
 # cancel right after Submit is never lost, an unrunnable spec and an
 # oversized body are 400s that never reach journal.log, and the client
-# hands back the server's sentinels (400, both 409s) and escapes the
-# tenant it filters on.
-go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestSubmitBodyBounded|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
+# hands back the server's sentinels (400, both 409s), a duplicate's
+# campaign ID with its 409, and escapes the tenant it filters on.
+go test -race -run 'TestClientDuplicateSubmitReturnsID|TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestSubmitBodyBounded|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
 
 echo "== md.Batch determinism (GOMAXPROCS=4, -race) =="
 # What is left of the ensemble batch engine must step replicas
