@@ -152,10 +152,10 @@ func main() {
 			break
 		}
 	}
-	// One snapshot feeds the console tables, the Prometheus registry,
-	// and any assertion a test wants to make — no drift between views.
-	snap := co.StatsSnapshot()
-	statsfmt.Render(os.Stdout, snap, "  ")
+	// One snapshot of the counters and per-site health feeds the console
+	// tables, the Prometheus registry and any assertion a test wants to
+	// make; a job's lease history is the event log's (below).
+	statsfmt.Render(os.Stdout, co.StatsSnapshot(), "  ")
 	fmt.Printf("  distributed PMF bit-identical to local run: %v\n", identical)
 
 	// The same numbers as scraped from /metrics, plus the event stream's

@@ -34,8 +34,9 @@ import (
 )
 
 // clientRetryPolicy paces client retries between the server's
-// Retry-After hints: fast enough to catch a 1-second recovery, slow
-// enough that a refused fleet thins out instead of hammering.
+// Retry-After hints: fast enough to catch a server that is back within
+// a second, slow enough that a refused fleet thins out instead of
+// hammering.
 var clientRetryPolicy = backoff.Policy{Base: 100 * time.Millisecond, Max: 5 * time.Second}
 
 // Client talks to a control plane over HTTP.

@@ -133,19 +133,9 @@ type Campaign struct {
 // entry is the server-side record of one campaign.
 type entry struct {
 	Campaign
+	// result is the merged logs of a campaign that finished in this
+	// process; one that finished before a restart has none (see Result).
 	result map[campaign.Combo][]*trace.WorkLog
-	// recovery is the in-flight re-run that rebuilds result after a
-	// restart (see Result); concurrent callers wait on it instead of
-	// starting a second one.
-	recovery *recovery
-}
-
-// recovery is one re-run of a finished campaign through the coordinator;
-// logs and err are set before done is closed.
-type recovery struct {
-	done chan struct{}
-	logs map[campaign.Combo][]*trace.WorkLog
-	err  error
 }
 
 // Server is a running control plane.
@@ -582,50 +572,29 @@ func (s *Server) viewLocked(e *entry) Campaign {
 	return c
 }
 
-// Result returns a completed campaign's collated work logs. If the
-// campaign completed in a previous process (state recovered from the
-// journal but results not in memory), it is re-installed on the
-// coordinator — the journal replays every finished job, so this
-// completes without re-executing work and yields bit-identical logs.
-// The replay can be consumed only once, so one re-run serves every
-// concurrent caller: the first starts it, the rest wait for its logs or
-// its error. After a failed re-run the next call tries again.
+// Result returns a completed campaign's collated work logs. A campaign
+// that completed in a previous process has no logs in memory: they are
+// read from the coordinator's journal replay (dist.ReplayedResult),
+// which holds every finished job's log — bit-identical, with no work
+// re-executed and nothing installed, journaled or counted.
 func (s *Server) Result(id string) (map[campaign.Combo][]*trace.WorkLog, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.entries[id]
 	if !ok {
-		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
 	if e.State != StateDone {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: campaign %s is %s", ErrNotDone, id, e.State)
 	}
 	if e.result != nil {
-		r := e.result
-		s.mu.Unlock()
-		return r, nil
+		return e.result, nil
 	}
-	r := e.recovery
-	if r == nil {
-		r = &recovery{done: make(chan struct{})}
-		e.recovery = r
-		spec, tag := e.Spec, dist.CampaignTag{Tenant: e.Tenant, Priority: e.Priority, Name: e.Name}
-		s.mu.Unlock()
-		r.logs, r.err = s.cfg.Coordinator.RunTagged(spec, tag)
-		s.mu.Lock()
-		if r.err == nil {
-			e.result = r.logs
-		}
-		e.recovery = nil
-		close(r.done)
+	logs, err := s.cfg.Coordinator.ReplayedResult(id)
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: recovering results for %s: %w", id, err)
 	}
-	s.mu.Unlock()
-	<-r.done
-	if r.err != nil {
-		return nil, fmt.Errorf("controlplane: recovering results for %s: %w", id, r.err)
-	}
-	return r.logs, nil
+	return logs, nil
 }
 
 // leaseScheduler builds the dist.Scheduler — the control plane's one

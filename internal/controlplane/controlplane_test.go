@@ -924,32 +924,31 @@ func TestRestartReplaysAcceptedCampaigns(t *testing.T) {
 
 // TestResultRecoveredAfterRestart finishes a campaign, restarts the
 // control plane (results not in memory), and fetches the result again —
-// it must be recovered through the coordinator's journal replay without
-// re-executing work, and stay bit-identical. Many callers asking at once
-// must share the one recovery: the replay can be consumed only once, so
-// a second re-run would collide with the first ("already running") or,
-// started after it, install the campaign afresh and — with no workers —
-// never finish.
+// it must be read from the coordinator's journal replay without
+// re-executing work, and stay bit-identical. Reading it, however many
+// callers at once, changes nothing: the campaign is not installed again,
+// so no job is counted, no journal byte is written and no campaign_start
+// is emitted.
 func TestResultRecoveredAfterRestart(t *testing.T) {
 	stateDir := t.TempDir()
 	coStateDir := t.TempDir()
 	want := localBaseline(t, specA())
 
-	mk := func(workers int) (*Server, func() error) {
+	mk := func(workers int, events *obs.EventLog) (*Server, *dist.Coordinator, func() error) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		co := newTestCoordinator(t, ln, coStateDir)
+		co := newTestCoordinator(t, ln, coStateDir, func(c *dist.Config) { c.Events = events })
 		startTestWorkers(t, co, workers)
 		s, err := New(Config{Coordinator: co, StateDir: stateDir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, func() error { s.Close(); return co.Close() }
+		return s, co, func() error { s.Close(); return co.Close() }
 	}
 
-	s1, close1 := mk(2)
+	s1, _, close1 := mk(2, nil)
 	s1.Start()
 	id, err := s1.Submit(specA(), dist.CampaignTag{Tenant: "alice"})
 	if err != nil {
@@ -963,13 +962,15 @@ func TestResultRecoveredAfterRestart(t *testing.T) {
 	// Second process: campaign replays as done, result not in memory.
 	// Zero workers proves recovery replays the dist journal instead of
 	// re-running simulations.
-	s2, close2 := mk(0)
+	events := obs.NewEventLog(nil, 256)
+	s2, co2, close2 := mk(0, events)
 	defer close2()
 	s2.Start()
 	c, err := s2.Get(id)
 	if err != nil || c.State != StateDone {
 		t.Fatalf("done campaign after restart: state=%s err=%v", c.State, err)
 	}
+	before := co2.Stats()
 	type result struct {
 		logs map[campaign.Combo][]*trace.WorkLog
 		err  error
@@ -993,6 +994,16 @@ func TestResultRecoveredAfterRestart(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("%d of %d concurrent Result calls never returned", callers-i, callers)
 		}
+	}
+	after := co2.Stats()
+	if after.Jobs != 0 {
+		t.Fatalf("reading the result counted %d jobs, want 0", after.Jobs)
+	}
+	if after.JournalBytes != before.JournalBytes {
+		t.Fatalf("reading the result grew the journal %d → %d bytes", before.JournalBytes, after.JournalBytes)
+	}
+	if n := events.Count("campaign_start"); n != 0 {
+		t.Fatalf("reading the result emitted %d campaign_start events, want 0", n)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"spice/internal/dist"
 	"spice/internal/md"
 	"spice/internal/netsim"
+	"spice/internal/obs"
 	"spice/internal/trace"
 )
 
@@ -357,10 +358,12 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	hold := &holdListener{Listener: ln, release: make(chan struct{})}
+	events := obs.NewEventLog(nil, 1<<12)
 	co := dist.NewTestCoordinator(t, hold, sysJSON, func(c *dist.Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
+		c.Events = events
 	})
 	t.Cleanup(func() { _ = co.Close() })
 	t.Cleanup(hold.open) // runs first: Close must not wait on a held Accept
@@ -416,14 +419,5 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	if st.Adoptions < 1 {
 		t.Fatalf("no mid-pull worker was adopted across the restart: %+v", st)
 	}
-	js := co.JobStats()
-	for _, id := range spooledAtKill {
-		s, ok := js[id]
-		if !ok {
-			t.Fatalf("spooled job %s missing from job stats", id)
-		}
-		if s.Resumes+s.Adoptions < 1 {
-			t.Fatalf("job %s had a spooled checkpoint but restarted from step 0: %+v", id, s)
-		}
-	}
+	dist.RequireResumed(t, events, spooledAtKill)
 }

@@ -4,13 +4,9 @@ package dist
 // convention: what you set is what runs, 0 disables the optional
 // machinery, and Defaults() is the single statement of production
 // defaults. cmd/spiced — the one binary that hosts a coordinator
-// (-serve) or runs a worker — binds each of its flags straight onto a
-// field of a Config seeded from Defaults() and hands it to
-// NewCoordinator / NewWorker, the only constructors, which validate it
-// and keep it; the fields no flag sets (breakers, hedging, the
-// coordinator's I/O deadline) run at their defaults. The Coordinator
-// and Worker read these fields directly, so a knob exists in exactly
-// one place.
+// (-serve) or runs a worker — binds its flags onto a Config seeded from
+// Defaults(); NewCoordinator and NewWorker, the only constructors,
+// validate it and keep it, so a knob exists in exactly one place.
 
 import (
 	"encoding/json"
@@ -23,10 +19,8 @@ import (
 	"spice/internal/obs"
 )
 
-// Config carries every dist runtime knob. Semantics are uniform flag
-// semantics: the value set is the value used, and 0 disables optional
-// subsystems (breaker, hedging, io-timeout, reconnect window has no
-// disable — it bounds a retry loop). Start from Defaults() and override.
+// Config carries every dist runtime knob: the value set is the value
+// used, and 0 disables an optional subsystem. Start from Defaults().
 type Config struct {
 	// --- Scheduling (coordinator) ---
 
@@ -41,6 +35,8 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// MaxAttempts caps lease grants per job before the campaign fails.
+	// Production runs Defaults(); other values are a test seam
+	// (TestCampaignRecordsReplay, the TestLeaseTable* units).
 	MaxAttempts int
 	// StateDir, if non-empty, makes campaigns crash-safe: job-state
 	// transitions are written to a journal (results fsynced) under
@@ -65,29 +61,35 @@ type Config struct {
 	FS faultfs.FS
 
 	// --- Resilience (coordinator) ---
+	//
+	// No flag sets these: production runs Defaults(), and any other value
+	// is a test seam for the gates each field names.
 
-	// BreakerThreshold is the consecutive-failure strike count (explicit
-	// fails, lease expiries, disconnects with an active lease, lost
-	// speculations with streamed progress) that opens a site's circuit
-	// breaker. 0 disables the breakers.
+	// BreakerThreshold is the count of strikes in a row (explicit fails,
+	// lease expiries, disconnects with an active lease, lost speculations
+	// with streamed progress) that opens a site's circuit breaker; 0
+	// disables the breakers. Test seam: TestBreakerQuarantinesFailingSite,
+	// TestChaosSlowSiteSpeculation, TestConfigZeroDisables.
 	BreakerThreshold int
 	// BreakerCooldown is the quarantine before an open site is re-probed
-	// with a single half-open probe job. 0 means 2×LeaseTTL, resolved at
-	// construction.
+	// with one half-open probe job; 0 means 2×LeaseTTL. Test seam:
+	// TestBreakerQuarantinesFailingSite, TestDerivedWindowsPinned.
 	BreakerCooldown time.Duration
-	// HedgeFraction hedges a job speculatively onto a second site when
-	// its checkpoint-derived steps/sec falls below this fraction of the
-	// fleet-median site rate — first finished attempt wins, the loser is
-	// dropped through the (job, attempt) idempotency. 0 disables rate
-	// hedging.
+	// HedgeFraction hedges a job onto a second site when its steps/sec
+	// falls below this fraction of the fleet-median site rate; the first
+	// finished attempt wins. 0 disables rate hedging, as the suites' test
+	// configs do. Test seam: TestStragglerScanTriggers,
+	// TestStragglingPredicate, TestChaosSlowSiteSpeculation.
 	HedgeFraction float64
 	// HedgeStall also hedges a job whose step counter has not advanced
-	// for this long while still heartbeating — alive but stuck, e.g.
-	// behind a congested link. 0 disables stall hedging.
+	// for this long while it heartbeats (alive but stuck); 0 disables
+	// stall hedging. Test seam: TestSpeculativeHedgeRace,
+	// TestJournalReplaySpeculativeLeasePair, TestWakeOnStragglerFlag.
 	HedgeStall time.Duration
-	// HedgeAfter is the minimum lease age before either hedge trigger
-	// may fire, so short jobs never get duplicated. 0 means LeaseTTL/2,
-	// resolved at construction.
+	// HedgeAfter is the lease age before either hedge trigger may fire,
+	// so short jobs are never duplicated; 0 means LeaseTTL/2. Test seam:
+	// the HedgeStall and HedgeFraction gates; examples/federated sets it
+	// to show a hedge in a short demo.
 	HedgeAfter time.Duration
 
 	// --- Overload protection (coordinator) ---
@@ -260,7 +262,7 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 		cfg:      cfg,
 		leases:   newLeaseTable(&cfg),
 		sites:    make(siteTable),
-		jobStats: make(map[string]*JobStats),
+		replay:   newJournalReplay(),
 	}
 	if cfg.StateDir != "" {
 		if err := co.replayJournal(); err != nil {

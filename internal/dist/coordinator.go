@@ -58,9 +58,9 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	journal *journal
-	replay  *journalReplay
-	leases  *leaseTable // campaigns → jobs → leases (leases.go)
-	sites   siteTable   // per-site breakers and rates (site.go)
+	replay  *journalReplay // what the journal held at construction; empty without one
+	leases  *leaseTable    // campaigns → jobs → leases (leases.go)
+	sites   siteTable      // per-site breakers and rates (site.go)
 
 	// The journal's log owns the degraded storage state (set when an
 	// append or spool write fails past its retries, cleared by the next
@@ -87,7 +87,6 @@ type Coordinator struct {
 	campSeq     int
 	closed      bool
 	stats       Stats
-	jobStats    map[string]*JobStats
 	cancelServe context.CancelFunc
 	serveDone   chan error
 	closeOnce   sync.Once
@@ -137,7 +136,7 @@ func (co *Coordinator) hedgingEnabled() bool {
 }
 
 // replayJournal opens the journal under Config.StateDir and loads what it
-// replays; the campaigns themselves re-attach when RunTagged is called
+// replays; the campaigns themselves re-attach when Install is called
 // with a matching (tag, spec).
 func (co *Coordinator) replayJournal() error {
 	jcfg := journalConfig(co.cfg.FS, co.cfg.StateDir)
@@ -229,6 +228,13 @@ type Installed struct {
 	tasks []campaign.Task
 }
 
+// jobID names task t of the campaign with the given key. The key scopes
+// the ID: concurrent campaigns over overlapping combos stay distinct in
+// every per-job table, the journal, and the spool filenames.
+func jobID(key string, t campaign.Task) string {
+	return fmt.Sprintf("%s.smdje-%s-r%d", key, t.Combo, t.Index)
+}
+
 // Install makes spec an active campaign carrying tag — the
 // tenant/priority identity the Scheduler and the control plane's quota
 // policy read — once its campaign record, stamped with the submission
@@ -279,35 +285,19 @@ func (co *Coordinator) Install(spec campaign.Spec, tag CampaignTag, at time.Time
 		done:      make(chan struct{}),
 	}
 	co.campSeq++
-	var rc *replayCampaign
-	if co.journal != nil {
-		if c := co.replay.campaigns[key]; c != nil && !c.applied {
-			rc = c
-			// Replayed state is consumed once; if the same submission runs
-			// again in this process it starts fresh (and journals fresh
-			// records).
-			c.applied = true
-		}
+	// Replayed state is consumed once; if the same submission runs again
+	// in this process it starts fresh (and journals fresh records).
+	rc := co.replay.campaigns[key]
+	if rc == nil || rc.applied {
+		rc = nil
+	} else {
+		rc.applied = true
 	}
 	for i, t := range tasks {
-		// The campaign key scopes the job ID: concurrent campaigns over
-		// overlapping combos stay distinct in every per-job table, the
-		// journal, and the spool filenames.
-		j := &job{id: fmt.Sprintf("%s.smdje-%s-r%d", key, t.Combo, t.Index), camp: camp, task: t}
+		j := &job{id: jobID(key, t), camp: camp, task: t}
 		camp.jobs[i] = j
-		if co.jobStats[j.id] == nil {
-			co.jobStats[j.id] = &JobStats{ID: j.id}
-		}
 		if rc == nil {
 			continue
-		}
-		js := co.jobStats[j.id]
-		// Per-job lease history from before the restart; the live global
-		// counters are deliberately not inflated (see Stats doc).
-		if hist := rc.workers[j.id]; len(hist) > 0 {
-			js.Assignments += len(hist)
-			js.Retries += len(hist) - 1
-			js.Workers = append(js.Workers, hist...)
 		}
 		if wl, ok := rc.done[j.id]; ok {
 			j.state = stateDone
@@ -530,7 +520,6 @@ func (co *Coordinator) tick(now time.Time) {
 		for _, rv := range co.leases.expire(camp, now, co.cfg.LeaseTTL) {
 			for _, l := range rv.leases {
 				co.stats.LeaseExpiries++
-				co.jobStats[rv.job.id].LeaseExpiries++
 				co.cfg.Events.Emit(obs.Event{Name: "lease_expired", Job: rv.job.id,
 					Attempt: l.attempt, Site: l.site, Worker: l.worker})
 				sh := co.sites.get(l.site)
@@ -674,15 +663,10 @@ func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, specula
 		co.cfg.Events.Emit(obs.Event{Name: "breaker_probe", Job: j.id, Site: cs.sess.Site, Worker: cs.sess.Name})
 	}
 	co.stats.Assignments++
-	js := co.jobStats[j.id]
-	js.Assignments++
-	js.Workers = append(js.Workers, cs.sess.Name)
 	if speculative {
 		co.stats.SpeculationsLaunched++
-		js.Speculations++
 	} else if l.attempt > 1 {
 		co.stats.Retries++
-		js.Retries++
 	}
 	resp := response{Type: msgAssign, Spec: &camp.spec, Job: &wireJob{
 		ID:      j.id,
@@ -697,7 +681,6 @@ func (co *Coordinator) grantLocked(j *job, cs *connState, now time.Time, specula
 		// new lease holder has no base yet.
 		resp.Resume = cs.sess.Pack(nil, j.ckpt)
 		co.stats.Resumes++
-		js.Resumes++
 	}
 	co.cfg.Events.Emit(obs.Event{Name: "lease_granted", Job: j.id, Attempt: l.attempt,
 		Site: cs.sess.Site, Worker: cs.sess.Name,
@@ -860,10 +843,6 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		co.stats.Adoptions++
 		co.cfg.Events.Emit(obs.Event{Name: "lease_adopted", Job: j.id, Attempt: l.attempt,
 			Site: cs.sess.Site, Worker: cs.sess.Name})
-		js := co.jobStats[j.id]
-		js.Adoptions++
-		js.Assignments++
-		js.Workers = append(js.Workers, cs.sess.Name)
 		co.journalLocked(&jrec{
 			T: jLease, Camp: camp.key, Job: j.id, Worker: cs.sess.Name, Site: cs.sess.Site,
 			Attempt: l.attempt, Resumed: len(j.ckpt) > 0,
@@ -1068,13 +1047,6 @@ func (co *Coordinator) statsLocked() Stats {
 	return s
 }
 
-// JobStats returns the per-job counters keyed by job ID.
-func (co *Coordinator) JobStats() map[string]JobStats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return copyJobStats(co.jobStats)
-}
-
 // SiteStats returns the per-site health table keyed by site name.
 func (co *Coordinator) SiteStats() map[string]SiteStats {
 	co.mu.Lock()
@@ -1082,16 +1054,15 @@ func (co *Coordinator) SiteStats() map[string]SiteStats {
 	return co.sites.snapshot()
 }
 
-// StatsSnapshot returns the campaign counters, per-job
-// lease histories and per-site health table captured under one lock
-// acquisition, so the three views are mutually coherent — the snapshot
-// the statsfmt tables print and the obs /metrics collector scrapes.
+// StatsSnapshot returns the campaign counters and the per-site health
+// table captured under one lock acquisition, so the two views are
+// mutually coherent — the snapshot the statsfmt tables print and the
+// obs /metrics collector scrapes.
 func (co *Coordinator) StatsSnapshot() Snapshot {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return Snapshot{
 		Stats: co.statsLocked(),
-		Jobs:  copyJobStats(co.jobStats),
 		Sites: co.sites.snapshot(),
 	}
 }

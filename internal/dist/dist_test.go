@@ -11,6 +11,7 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/md"
 	"spice/internal/netsim"
+	"spice/internal/obs"
 	"spice/internal/trace"
 )
 
@@ -130,6 +131,43 @@ func NewTestCoordinator(t testing.TB, ln net.Listener, system json.RawMessage, o
 	return co
 }
 
+// LeaseEvents returns the lease_granted and lease_adopted events in
+// events, oldest first: every job's lease history as the coordinator
+// emitted it. It fails t if the ring has already dropped an event.
+// Exported so the external (package dist_test) suites share it.
+func LeaseEvents(t testing.TB, events *obs.EventLog) []obs.Event {
+	t.Helper()
+	all := events.Recent(0)
+	if n := events.Seq(); int64(len(all)) < n {
+		t.Fatalf("event ring holds %d of %d events: too small for this test", len(all), n)
+	}
+	var out []obs.Event
+	for _, ev := range all {
+		if ev.Name == "lease_granted" || ev.Name == "lease_adopted" {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// RequireResumed fails t unless each job in ids was leased with its
+// checkpoint (a lease_granted event with resumed set) or adopted by the
+// worker still running it: none restarted from step 0.
+func RequireResumed(t testing.TB, events *obs.EventLog, ids []string) {
+	t.Helper()
+	resumed := map[string]bool{}
+	for _, ev := range LeaseEvents(t, events) {
+		if r, _ := ev.Fields["resumed"].(bool); r || ev.Name == "lease_adopted" {
+			resumed[ev.Job] = true
+		}
+	}
+	for _, id := range ids {
+		if !resumed[id] {
+			t.Fatalf("job %s had a spooled checkpoint but restarted from step 0", id)
+		}
+	}
+}
+
 // NewTestWorker is NewWorker over testConfig.
 func NewTestWorker(t testing.TB, name, site, addr string, build BuildFunc, override func(*Config)) *Worker {
 	t.Helper()
@@ -199,7 +237,8 @@ func TestCoordinatorMatchesLocalRunner(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t, nil)
+	events := obs.NewEventLog(nil, 1<<10)
+	co := newCoordinator(t, func(c *Config) { c.Events = events })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startWorkers(t, ctx, co, 3, nil)
@@ -220,14 +259,19 @@ func TestCoordinatorMatchesLocalRunner(t *testing.T) {
 	if st.BytesIn == 0 || st.BytesOut == 0 {
 		t.Fatalf("byte counters not moving: %+v", st)
 	}
-	js := co.JobStats()
-	if len(js) != st.Jobs {
-		t.Fatalf("per-job stats = %d entries, want %d", len(js), st.Jobs)
-	}
-	for id, j := range js {
-		if j.Assignments < 1 || len(j.Workers) != j.Assignments {
-			t.Fatalf("job %s stats inconsistent: %+v", id, j)
+	leases := LeaseEvents(t, events)
+	jobs := map[string]bool{}
+	for _, ev := range leases {
+		if ev.Job == "" || ev.Worker == "" || ev.Attempt < 1 {
+			t.Fatalf("lease event %d does not name its job, worker and attempt: %+v", ev.Seq, ev)
 		}
+		jobs[ev.Job] = true
+	}
+	if len(jobs) != st.Jobs {
+		t.Fatalf("lease events name %d jobs, want %d", len(jobs), st.Jobs)
+	}
+	if n := events.Count("lease_granted"); n != int64(st.Assignments) {
+		t.Fatalf("event log saw %d lease_granted, stats say %d assignments", n, st.Assignments)
 	}
 }
 

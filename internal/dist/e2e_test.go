@@ -252,10 +252,8 @@ func TestEndToEndWorkerProcesses(t *testing.T) {
 	// At least two distinct processes must have completed work: the
 	// frozen job's history alone names two workers.
 	names := map[string]bool{}
-	for _, js := range co.JobStats() {
-		for _, w := range js.Workers {
-			names[w] = true
-		}
+	for _, ev := range dist.LeaseEvents(t, events) {
+		names[ev.Worker] = true
 	}
 	if len(names) < 2 {
 		t.Fatalf("expected >= 2 worker processes to participate, saw %v", names)

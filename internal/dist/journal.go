@@ -27,7 +27,8 @@ package dist
 // output) before the worker's result is acknowledged; everything else is
 // flushed but not synced, because every other transition is
 // reconstructible from retries. The control plane rebuilds its
-// campaigns from Replayed: this is the only durable record of them.
+// campaigns from Replayed, and reads a result finished before the
+// restart from ReplayedResult: this is the only durable record of them.
 import (
 	"encoding/json"
 	"fmt"
@@ -36,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"spice/internal/campaign"
 	"spice/internal/faultfs"
 	"spice/internal/trace"
 	"spice/internal/wal"
@@ -104,10 +106,11 @@ type replayCampaign struct {
 	canceled bool
 	err      string // why the campaign failed
 	done     map[string]*trace.WorkLog
-	attempts map[string]int      // highest lease attempt per job
-	workers  map[string][]string // lease history per job, in order
-	fails    map[string]int
-	applied  bool // replayed state consumed by a Run already
+	attempts map[string]int // highest lease attempt per job
+	applied  bool           // replayed state consumed by a Run already
+	// Only compaction reads these: it re-emits them unchanged.
+	workers map[string][]string // lease history per job, in order
+	fails   map[string]int      // fail records per job
 }
 
 func newReplayCampaign() *replayCampaign {
@@ -299,13 +302,10 @@ type ReplayedCampaign struct {
 }
 
 // Replayed returns the campaigns the journal held when the coordinator
-// was built, in key order (nil without a StateDir).
+// was built, in key order (none without a StateDir).
 func (co *Coordinator) Replayed() []ReplayedCampaign {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.replay == nil {
-		return nil
-	}
 	out := make([]ReplayedCampaign, 0, len(co.replay.campaigns))
 	for key, c := range co.replay.campaigns {
 		rc := ReplayedCampaign{Key: key, Spec: c.specJSON, At: c.at, Done: len(c.done), Canceled: c.canceled, Err: c.err}
@@ -316,6 +316,28 @@ func (co *Coordinator) Replayed() []ReplayedCampaign {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// ReplayedResult reads the merged logs of the campaign with the given
+// key from the journal replay the coordinator was built with, and writes,
+// installs, counts and emits nothing. Without the campaign's spec and
+// every job's done record in that replay it returns an error.
+func (co *Coordinator) ReplayedResult(key string) (map[campaign.Combo][]*trace.WorkLog, error) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	c := co.replay.campaigns[key]
+	var spec campaign.Spec
+	if c == nil || json.Unmarshal(c.specJSON, &spec) != nil {
+		return nil, fmt.Errorf("dist: journal replay holds no campaign spec for %s", key)
+	}
+	tasks := spec.Tasks()
+	logs := make([]*trace.WorkLog, len(tasks))
+	for i, t := range tasks {
+		if logs[i] = c.done[jobID(key, t)]; logs[i] == nil {
+			return nil, fmt.Errorf("dist: journal replay holds no result for job %s", jobID(key, t))
+		}
+	}
+	return campaign.Collate(tasks, logs), nil
 }
 
 func (j *journal) close() error {

@@ -16,6 +16,7 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/md"
 	"spice/internal/netsim"
+	"spice/internal/obs"
 	"spice/internal/smd"
 	"spice/internal/trace"
 	"spice/internal/wire"
@@ -98,10 +99,12 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := obs.NewEventLog(nil, 1<<12)
 	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
+		c.Events = events
 	})
 	t.Cleanup(func() { _ = co2.Close() })
 
@@ -121,16 +124,7 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	if st.Adoptions < 1 {
 		t.Fatalf("no surviving worker was adopted, stats = %+v", st)
 	}
-	js := co2.JobStats()
-	for _, id := range spooled {
-		s, ok := js[id]
-		if !ok {
-			t.Fatalf("spooled job %s missing from job stats", id)
-		}
-		if s.Resumes+s.Adoptions < 1 {
-			t.Fatalf("job %s had a spooled checkpoint but restarted from step 0: %+v", id, s)
-		}
-	}
+	RequireResumed(t, events, spooled)
 }
 
 // completedJournal runs a one-job campaign to completion under a state
@@ -297,10 +291,20 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 	}
 	want := localBaseline(t, spec)
 
+	events := obs.NewEventLog(nil, 1<<12)
 	co := newCoordinator(t, func(c *Config) {
 		c.LeaseTTL, c.BeatInterval = 150*time.Millisecond, 20*time.Millisecond
 		c.RetryBase = 10 * time.Millisecond
+		c.Events = events
 	})
+	leasesOf := func(id string) (n int) {
+		for _, ev := range LeaseEvents(t, events) {
+			if ev.Job == id {
+				n++
+			}
+		}
+		return n
+	}
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -357,7 +361,7 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 		c.CheckpointEvery = 1
 		c.Throttle = 20 * time.Millisecond
 	})
-	for co.JobStats()[j2].Assignments < 2 {
+	for leasesOf(j2) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("revoked job never reassigned")
 		}
@@ -390,8 +394,68 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 	if st.Failures != 0 {
 		t.Fatalf("stale fail was counted as a failure: %+v", st)
 	}
-	js := co.JobStats()
-	if js[j2].Assignments != 2 {
-		t.Fatalf("job %s assignments = %d, want 2 (stale lines must not reassign)", j2, js[j2].Assignments)
+	if n := leasesOf(j2); n != 2 {
+		t.Fatalf("job %s leased %d times, want 2 (stale lines must not reassign)", j2, n)
+	}
+}
+
+// TestReplayedResultNeedsEveryJob pins ReplayedResult as an
+// all-or-nothing read of the journal replay: a campaign whose journal
+// holds only one of its two done records yields an error and no logs,
+// the same journal with both collates them in task order, and a
+// coordinator without a state dir has nothing to read.
+func TestReplayedResultNeedsEveryJob(t *testing.T) {
+	spec := campaign.Spec{Kappas: []float64{100}, Velocities: []float64{800}, Replicas: 2, Distance: 3, Seed: 21}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := campaignKeyTagged(CampaignTag{}, specJSON)
+	tasks := spec.Tasks()
+	dir := t.TempDir()
+	appendRecs := func(recs ...*jrec) {
+		t.Helper()
+		jn, _, _, err := openJournal(journalConfig(nil, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := jn.log.Append(r, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := jn.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logOf := func(i int) *trace.WorkLog {
+		return &trace.WorkLog{Kappa: 100, Velocity: 800, Seed: tasks[i].Seed}
+	}
+	done := func(i int) *jrec {
+		return &jrec{T: jDone, Camp: key, Job: jobID(key, tasks[i]), Attempt: 1, Log: logOf(i)}
+	}
+	read := func() (map[campaign.Combo][]*trace.WorkLog, error) {
+		co := newCoordinator(t, func(c *Config) { c.StateDir = dir })
+		defer co.Close()
+		return co.ReplayedResult(key)
+	}
+
+	appendRecs(&jrec{T: jCampaign, Camp: key, Spec: specJSON, Tag: &CampaignTag{}}, done(0))
+	if logs, err := read(); err == nil || logs != nil {
+		t.Fatalf("one of two done records: ReplayedResult = %v, %v; want an error and no logs", logs, err)
+	}
+
+	appendRecs(done(1))
+	logs, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := logs[tasks[0].Combo]
+	if len(logs) != 1 || len(got) != 2 || got[0].Seed != tasks[0].Seed || got[1].Seed != tasks[1].Seed {
+		t.Fatalf("ReplayedResult = %+v, want both replicas in task order", logs)
+	}
+
+	if logs, err := newCoordinator(t, nil).ReplayedResult(key); err == nil || logs != nil {
+		t.Fatalf("no state dir: ReplayedResult = %v, %v; want an error and no logs", logs, err)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // RegisterMetrics registers a scrape-time collector on reg that renders
 // co's two latency histograms and its full Snapshot: every campaign
 // counter as spice_dist_*, and the per-site health table as
-// spice_dist_site_* gauges labeled by site. Per-job stats are
-// deliberately not exported (unbounded label cardinality); scrape
-// /debug/events or call JobStats for those.
+// spice_dist_site_* gauges labeled by site. A job's history is
+// deliberately not exported (unbounded label cardinality): its lease_*
+// events on /debug/events and the -obs-events file tell it.
 func RegisterMetrics(reg *obs.Registry, co *Coordinator) {
 	reg.RegisterCollector(func(e *obs.Emitter) {
 		e.Histogram("spice_dist_first_lease_wait_seconds", "Campaign install to its first lease grant.", co.firstLeaseWait)

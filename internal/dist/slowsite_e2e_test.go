@@ -224,10 +224,15 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 	}
 	hedges := int64(0)
 	jobIDs := map[string]bool{}
-	for _, js := range co.JobStats() {
-		jobIDs[js.ID] = true
+	for _, ev := range events.Recent(0) {
+		if ev.Name == "result_accepted" {
+			jobIDs[ev.Job] = true
+		}
 	}
-	for _, ev := range events.Recent(4096) {
+	if len(jobIDs) != st.Jobs {
+		t.Fatalf("event log accepted results for %d jobs, stats say %d", len(jobIDs), st.Jobs)
+	}
+	for _, ev := range dist.LeaseEvents(t, events) {
 		if ev.Name == "lease_granted" {
 			if h, _ := ev.Fields["hedge"].(bool); h {
 				hedges++

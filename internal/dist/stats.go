@@ -54,10 +54,10 @@ type Stats struct {
 	BytesOut      int64
 
 	// Crash-safety counters. All are live events observed by *this*
-	// coordinator process; the journal replay restores job state and
-	// per-job lease history but never inflates the live counters, so
-	// after a restart Resumes/Adoptions measure exactly the recovery
-	// work this process did.
+	// coordinator process; the journal replay restores job state but
+	// never inflates the live counters, so after a restart
+	// Resumes/Adoptions measure exactly the recovery work this process
+	// did.
 	Restarts                int   // journal opens that replayed prior state
 	ReplayedRecords         int   // journal records replayed at open
 	TruncatedTailBytes      int64 // torn journal tail dropped at open
@@ -150,38 +150,12 @@ func (s Stats) storage() wal.Health {
 	}
 }
 
-// JobStats is the per-job slice of the same counters. After a journal
-// recovery, Assignments/Retries/Workers include the replayed lease
-// history; Resumes and Adoptions count live events only.
-type JobStats struct {
-	ID            string
-	Assignments   int
-	Retries       int
-	Resumes       int
-	Adoptions     int
-	LeaseExpiries int
-	Speculations  int      // hedge leases granted for this job
-	Workers       []string // every worker the job was leased to, in order
-}
-
-// copyJobStats deep-copies a live per-job table for a snapshot.
-func copyJobStats(live map[string]*JobStats) map[string]JobStats {
-	out := make(map[string]JobStats, len(live))
-	for id, js := range live {
-		cp := *js
-		cp.Workers = append([]string(nil), js.Workers...)
-		out[id] = cp
-	}
-	return out
-}
-
 // Snapshot is the unified stats surface: one coherent point-in-time
-// capture of the campaign counters, the per-job lease histories, and
-// the per-site health table. Every consumer — the statsfmt table
-// renderer, the obs /metrics collector, test assertions — reads this
-// one struct, so the printed, scraped and asserted views cannot drift.
+// capture of the campaign counters and the per-site health table. Every
+// consumer — the statsfmt table renderer, the obs /metrics collector,
+// test assertions — reads this one struct, so the printed, scraped and
+// asserted views cannot drift. A job's history is the event log's.
 type Snapshot struct {
 	Stats Stats
-	Jobs  map[string]JobStats
 	Sites map[string]SiteStats
 }

@@ -1,15 +1,14 @@
 // Package statsfmt renders dist stats snapshots as human-readable
-// tables. It replaces the three hand-rolled printers that had grown in
-// cmd/spice and examples/federated — one renderer over the one
-// Snapshot struct, so the console view, the /metrics view and test
-// assertions all read the same numbers.
+// tables: one renderer over the one Snapshot struct, so the console
+// view, the /metrics view and test assertions all read the same
+// numbers. A job's lease history is not a table here; the coordinator's
+// event log tells it.
 package statsfmt
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"spice/internal/dist"
 )
@@ -65,35 +64,9 @@ func Sites(w io.Writer, sites map[string]dist.SiteStats, prefix string) {
 	}
 }
 
-// Jobs writes the per-job lease history table, sorted by job ID —
-// mostly a debugging view, so it only lists jobs that needed more than
-// one lease (retries, hedges, adoptions); a clean campaign prints
-// nothing. prefix indents each row.
-func Jobs(w io.Writer, jobs map[string]dist.JobStats, prefix string) {
-	ids := make([]string, 0, len(jobs))
-	for id, js := range jobs {
-		if js.Assignments > 1 {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
-	sort.Strings(ids)
-	fmt.Fprintf(w, "\n%s%-28s %7s %7s %7s %6s %9s  %s\n", prefix,
-		"job", "leases", "retries", "resumes", "adopt", "hedges", "workers")
-	for _, id := range ids {
-		js := jobs[id]
-		fmt.Fprintf(w, "%s%-28s %7d %7d %7d %6d %9d  %s\n", prefix,
-			js.ID, js.Assignments, js.Retries, js.Resumes, js.Adoptions,
-			js.Speculations, strings.Join(js.Workers, ","))
-	}
-}
-
-// Render writes the full snapshot: summary, contested-jobs table, and
-// the per-site health table.
+// Render writes the full snapshot: summary, then the per-site health
+// table.
 func Render(w io.Writer, snap dist.Snapshot, prefix string) {
 	Summary(w, snap.Stats, prefix)
-	Jobs(w, snap.Jobs, prefix)
 	Sites(w, snap.Sites, prefix)
 }

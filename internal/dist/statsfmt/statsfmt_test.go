@@ -56,28 +56,6 @@ func TestSitesSkipsSingleSite(t *testing.T) {
 	}
 }
 
-func TestJobsOnlyContested(t *testing.T) {
-	var sb strings.Builder
-	jobs := map[string]dist.JobStats{
-		"smdje-clean-r0": {ID: "smdje-clean-r0", Assignments: 1, Workers: []string{"w0"}},
-	}
-	Jobs(&sb, jobs, "")
-	if sb.Len() != 0 {
-		t.Fatalf("clean campaign should print no job table, got:\n%s", sb.String())
-	}
-	jobs["smdje-hot-r1"] = dist.JobStats{
-		ID: "smdje-hot-r1", Assignments: 2, Retries: 1, Workers: []string{"w0", "w1"},
-	}
-	Jobs(&sb, jobs, "")
-	out := sb.String()
-	if !strings.Contains(out, "smdje-hot-r1") || !strings.Contains(out, "w0,w1") {
-		t.Fatalf("contested job missing:\n%s", out)
-	}
-	if strings.Contains(out, "smdje-clean-r0") {
-		t.Fatalf("uncontested job listed:\n%s", out)
-	}
-}
-
 func TestRenderComposes(t *testing.T) {
 	snap := dist.Snapshot{
 		Stats: dist.Stats{Jobs: 1, Assignments: 1},

@@ -2,9 +2,11 @@ package imd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +74,131 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty read err = %v", err)
+	}
+	// A bare 21-byte frame header claiming the largest coordinate count
+	// Read accepts (3·2²⁴, 201 MB of float32s) and nothing after it: the
+	// decoder may allocate only what bytes arrive, not what the header
+	// claims.
+	hdr := make([]byte, FrameBytes(0))
+	hdr[0] = byte(MsgFrame)
+	binary.LittleEndian.PutUint32(hdr[17:], 3*maxAtoms)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header-only frame err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("header-only frame allocated %d bytes", grew)
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read, as a peer could: every input
+// either decodes or errors, never panics, and a message that decodes
+// re-encodes to exactly the bytes it was read from.
+func FuzzRead(f *testing.F) {
+	for _, m := range []*Message{
+		{Type: MsgHandshake, NAtoms: 2},
+		{Type: MsgFrame, Step: 7, Time: 0.5, Coords: []float32{1, 2, 3, 4, 5, 6}},
+		{Type: MsgForce, Atom: 1, FX: 0.5, FY: math.NaN(), FZ: math.Inf(1)},
+		{Type: MsgEnergy, Time: 1, FX: -3},
+		{Type: MsgDetach},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{byte(MsgFrame), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		m, err := Read(r)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("decoded %v does not re-encode: %v", m.Type, err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("%v re-encodes to %x, was read from %x", m.Type, buf.Bytes(), read)
+		}
+	})
+}
+
+// TestClientRejectsMisSizedFrame: a frame whose coordinate count is not
+// 3·NAtoms ends the client's session with an error before OnFrame sees
+// it.
+func TestClientRejectsMisSizedFrame(t *testing.T) {
+	simConn, visConn := net.Pipe()
+	defer simConn.Close()
+	defer visConn.Close()
+	go func() {
+		defer simConn.Close()
+		_ = Write(simConn, &Message{Type: MsgHandshake, NAtoms: 2})
+		_ = Write(simConn, &Message{Type: MsgFrame, Coords: []float32{1, 2, 3}})
+		_, _ = Read(simConn) // the reply of a client that took the frame
+	}()
+	client, err := Connect(visConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.OnFrame = func(int64, float64, []float32) *Message {
+		t.Error("OnFrame saw a mis-sized frame")
+		return nil
+	}
+	if err := client.Run(); err == nil {
+		t.Fatal("a 3-coordinate frame for 2 atoms was accepted")
+	}
+	if client.FramesSeen != 0 {
+		t.Fatalf("FramesSeen = %d, want 0", client.FramesSeen)
+	}
+}
+
+// TestServeRejectsBadForce: a force on an atom outside [0, N) or with a
+// component that is not finite ends the session with an error, and
+// reaches neither the engine's external forces nor the session stats.
+func TestServeRejectsBadForce(t *testing.T) {
+	for name, force := range map[string]*Message{
+		"negative atom": {Type: MsgForce, Atom: -1, FX: 1},
+		"atom past N":   {Type: MsgForce, Atom: 1 << 20, FX: 1},
+		"NaN component": {Type: MsgForce, Atom: 0, FY: math.NaN()},
+		"Inf component": {Type: MsgForce, Atom: 0, FZ: math.Inf(-1)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := testEngine(t, 23)
+			simConn, visConn := net.Pipe()
+			defer simConn.Close()
+			defer visConn.Close()
+			type served struct {
+				st  *Stats
+				err error
+			}
+			done := make(chan served, 1)
+			go func() {
+				st, err := Serve(eng, simConn, SessionConfig{Stride: 1, Frames: 5, Sync: true})
+				done <- served{st, err}
+			}()
+			client, err := Connect(visConn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.OnFrame = func(int64, float64, []float32) *Message { return force }
+			go func() { _ = client.Run() }()
+			select {
+			case r := <-done:
+				if r.err == nil {
+					t.Fatalf("force %+v accepted", force)
+				}
+				if r.st.ForcesReceived != 0 || len(eng.External.F) != 0 {
+					t.Fatalf("rejected force applied: %d received, external %v", r.st.ForcesReceived, eng.External.F)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not end on a bad force")
+			}
+		})
 	}
 }
 

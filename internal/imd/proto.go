@@ -156,9 +156,15 @@ func Read(r io.Reader) (*Message, error) {
 		if n < 0 || n > 3*maxAtoms {
 			return nil, fmt.Errorf("imd: implausible coord count %d", n)
 		}
-		m.Coords = make([]float32, n)
-		if err := binary.Read(r, binary.LittleEndian, m.Coords); err != nil {
-			return nil, unexpected(err)
+		// Decoded in chunks, a frame costs the memory its bytes fill, not its claim.
+		const coordChunk = 4096
+		m.Coords = make([]float32, 0, min(int(n), coordChunk))
+		for len(m.Coords) < int(n) {
+			chunk := make([]float32, min(int(n)-len(m.Coords), coordChunk))
+			if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+				return nil, unexpected(err)
+			}
+			m.Coords = append(m.Coords, chunk...)
 		}
 		return m, nil
 	case MsgForce:

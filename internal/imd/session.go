@@ -88,19 +88,25 @@ func Serve(eng *md.Engine, conn net.Conn, cfg SessionConfig) (*Stats, error) {
 
 	st := &Stats{}
 	paused := false
-	applyMsg := func(m *Message) bool {
+	// applyMsg applies one client message; false ends the session: a
+	// detach, or (with an error) a force not finite or off atoms [0, n).
+	applyMsg := func(m *Message) (bool, error) {
 		switch m.Type {
 		case MsgForce:
-			eng.External.Set(int(m.Atom), vec.V{X: m.FX, Y: m.FY, Z: m.FZ})
+			f := vec.V{X: m.FX, Y: m.FY, Z: m.FZ}
+			if m.Atom < 0 || int(m.Atom) >= n || !f.IsFinite() {
+				return false, fmt.Errorf("imd: refused force %v on atom %d of %d", f, m.Atom, n)
+			}
+			eng.External.Set(int(m.Atom), f)
 			st.ForcesReceived++
 		case MsgPause:
 			paused = true
 		case MsgResume:
 			paused = false
 		case MsgDetach:
-			return false
+			return false, nil
 		}
-		return true
+		return true, nil
 	}
 
 	// clientLost reports the reader goroutine's error, if any, when the
@@ -123,8 +129,8 @@ func Serve(eng *md.Engine, conn net.Conn, cfg SessionConfig) (*Stats, error) {
 				if !ok {
 					return st, clientLost()
 				}
-				if !applyMsg(m) {
-					return st, nil
+				if more, err := applyMsg(m); !more {
+					return st, err
 				}
 			default:
 				break drain
@@ -155,8 +161,8 @@ func Serve(eng *md.Engine, conn net.Conn, cfg SessionConfig) (*Stats, error) {
 			if !ok {
 				return st, clientLost()
 			}
-			if !applyMsg(m) {
-				return st, nil
+			if more, err := applyMsg(m); !more {
+				return st, err
 			}
 		} else {
 			st.Stall += time.Since(t1) // send cost only
@@ -191,8 +197,9 @@ func Connect(conn net.Conn) (*Client, error) {
 	return &Client{conn: conn, NAtoms: int(m.NAtoms)}, nil
 }
 
-// Run processes frames until detach or error. In sync sessions it must
-// respond to every frame (it does).
+// Run processes frames until detach or error; a frame of other than
+// 3·NAtoms coordinates is an error. It answers every frame, as sync
+// sessions need.
 func (c *Client) Run() error {
 	for {
 		m, err := Read(c.conn)
@@ -201,6 +208,9 @@ func (c *Client) Run() error {
 		}
 		switch m.Type {
 		case MsgFrame:
+			if len(m.Coords) != 3*c.NAtoms {
+				return fmt.Errorf("imd: frame of %d coordinates, want %d for %d atoms", len(m.Coords), 3*c.NAtoms, c.NAtoms)
+			}
 			c.FramesSeen++
 			var reply *Message
 			if c.OnFrame != nil {

@@ -254,6 +254,30 @@ go test -race -count=1 \
   ./internal/obs
 go test -race -count=1 -run 'TestRegisterMetricsHistograms|TestNewWorkerWiresMetrics' ./internal/dist
 
+echo "== one job history =="
+# A job's history is the journal's lease records and the event log's
+# lease_* events. The coordinator's per-job JobStats ledger (never
+# pruned, deep-copied by every /metrics scrape) and the statsfmt table
+# over it were deleted; a result finished before a restart is read from
+# the journal replay (dist.ReplayedResult), never re-installed through
+# RunTagged with a singleflight recovery around it. They must not come
+# back. Reading such a result installs, journals, counts and emits
+# nothing; a replay short of one done record yields an error.
+if grep -n -E 'JobStats|jobStats' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/dist keeps a per-job stats ledger again"
+  exit 1
+fi
+if grep -n -E 'func Jobs' internal/dist/statsfmt/*.go; then
+  echo "FAIL: statsfmt renders a per-job table again"
+  exit 1
+fi
+if grep -n -E 'RunTagged\(|recovery' $(ls internal/controlplane/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: the control plane re-runs a finished campaign to read its result again"
+  exit 1
+fi
+go test -race -count=1 -run 'TestResultRecoveredAfterRestart|TestReplayOlderStateDir' ./internal/controlplane
+go test -race -count=1 -run 'TestReplayedResultNeedsEveryJob' ./internal/dist
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -367,19 +391,23 @@ echo "== decoder fuzz smoke (10s each) =="
 # scan and the streaming reader, which must agree on the clean prefix.
 # And of the system payload a worker receives from its coordinator:
 # arbitrary bytes through core.BuildFromJSON (decode, Validate, and the
-# small accepted configs must build).
+# small accepted configs must build). And of what an IMD peer can send:
+# arbitrary bytes through imd.Read (decode or error, never panic; what
+# decodes re-encodes to the bytes it came from).
 # Minimization is capped: its 60 s default would spend the whole smoke
 # shrinking the first interesting input instead of generating new ones.
 for target in FuzzReplay:wal FuzzApply:dist FuzzApply:controlplane \
   FuzzAccept:wire FuzzFrame:wire FuzzResolve:wire \
-  FuzzReadCheckpoint:trace FuzzScanRecords:trace FuzzBuildFromJSON:core; do
+  FuzzReadCheckpoint:trace FuzzScanRecords:trace FuzzBuildFromJSON:core \
+  FuzzRead:imd; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 10s -fuzzminimizetime 20x "./internal/${target##*:}"
 done
 
 echo "== control plane quota + restart unit gates (-race) =="
 # Two tenants over the in-process HTTP API with quota rejection and
-# bit-identity, replay of every accepted campaign after a restart, one
-# shared result recovery for concurrent callers, the conservative lease
+# bit-identity, replay of every accepted campaign after a restart, a
+# pre-restart result read from the journal replay by concurrent callers
+# without installing, journaling or counting anything, the conservative lease
 # walk that stops at a quota-blocked campaign, MaxRunning counted per
 # tenant, and the fair-share ledger in pull work: the simulator's charge
 # over CPUHoursPerNs, exported as spice_cp_tenant_usage. Submit hands
