@@ -12,7 +12,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -663,39 +662,31 @@ func truePMF(z float64) float64 {
 	return 2*math.Sin(z/6) - 1.5*math.Exp(-(z-20)*(z-20)/18)
 }
 
-// BenchmarkAblation_ParallelForces sweeps the force-evaluation worker
-// count on a dense periodic melt — the nonbonded-dominated regime the
-// worker pool targets (the translocation systems are too small for the
-// parallel path to pay; the engine's pair-count threshold keeps them on
-// the serial path).
-func BenchmarkAblation_ParallelForces(b *testing.B) {
-	b.Logf("Ablation/parallel: GOMAXPROCS=%d — on a single-core host the sweep is flat by construction; "+
-		"worker-pool correctness is asserted in internal/md TestParallelForcesMatchSerial", runtime.GOMAXPROCS(0))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, err := denseMelt(14, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.Run(20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step()
-			}
-			b.StopTimer()
-			// Pair-evaluation throughput: the worker pool's figure of
-			// merit (each step evaluates every listed pair once).
-			st := eng.NeighborStats()
-			b.ReportMetric(st.AvgPairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
+// BenchmarkAblation_PairThroughput steps a dense periodic melt — the
+// nonbonded-dominated regime, about 10⁵ pairs — and reports the serial
+// pair loop's throughput. The translocation systems list far fewer
+// pairs; this is the figure a force-loop change should move.
+func BenchmarkAblation_PairThroughput(b *testing.B) {
+	eng, err := denseMelt(14)
+	if err != nil {
+		b.Fatal(err)
 	}
+	eng.Run(20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	// Each step evaluates every listed pair once.
+	st := eng.NeighborStats()
+	b.ReportMetric(st.AvgPairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 // denseMelt builds side³ charged beads on a cubic lattice in a periodic
 // box at liquid-like density (~60 neighbors per bead within the
 // electrostatic cutoff, ~10⁵ pairs), so the pair evaluation dominates the
-// step and the worker pool has something to chew on.
-func denseMelt(side, workers int) (*md.Engine, error) {
+// step.
+func denseMelt(side int) (*md.Engine, error) {
 	top := topology.New()
 	spacing := 4.3
 	box := spacing * float64(side)
@@ -719,9 +710,8 @@ func denseMelt(side, workers int) (*md.Engine, error) {
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 10},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 10},
 		},
-		Box:     vecpkg.V{X: box, Y: box, Z: box},
-		Seed:    9,
-		Workers: workers,
+		Box:  vecpkg.V{X: box, Y: box, Z: box},
+		Seed: 9,
 	})
 }
 

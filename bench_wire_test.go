@@ -38,10 +38,14 @@ const wireLoadCkpts = 8
 // JSON pull-state lookalike (~4 KiB of positions) where consecutive
 // steps differ in a handful of entries — the shape a real SMD
 // checkpoint has, where one heartbeat advances a few coordinates and
-// counters while the bulk of the document is unchanged.
+// counters while the bulk of the document is unchanged. Its header
+// carries what smd.PullCheckpoint.Validate asks of a resumable image
+// (an engine image, a sample, a next sample index), since the
+// coordinator refuses to store anything less.
 func syntheticCkpt(seed uint64, step int) []byte {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"steps":%d,"seed":%d,"positions":[`, step*100, seed)
+	fmt.Fprintf(&buf, `{"Engine":{"Step":%d,"Seed":%d},"Samples":[{"Lambda":0}],"Steps":%d,"Next":1,"positions":[`,
+		step*100, seed, step*100)
 	for i := 0; i < 400; i++ {
 		v := float64(i%97) * 0.25
 		for _, stride := range []int{1, 7, 13} {

@@ -18,7 +18,7 @@ import (
 
 // seriesSystem is a 3-bead system that pulls in milliseconds.
 func seriesSystem() core.SystemConfig {
-	return core.SystemConfig{Beads: 3, StartZ: 5, EquilSteps: 50, DT: 0.02, Temp: 300, PoreFriction: 1, EngineWorkers: 1}
+	return core.SystemConfig{Beads: 3, StartZ: 5, EquilSteps: 50, DT: 0.02, Temp: 300, PoreFriction: 1}
 }
 
 // TestMetricsSeriesSet pins the /metrics series set (family, type and

@@ -38,7 +38,6 @@ func TestServedPipelineMatchesLocal(t *testing.T) {
 	// run builds from -beads 3.
 	sys := core.PaperSweep().System
 	sys.Beads = 3
-	sys.EngineWorkers = 1
 	sysJSON, err := json.Marshal(sys)
 	if err != nil {
 		t.Fatal(err)

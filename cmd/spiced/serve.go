@@ -108,9 +108,7 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 		return fmt.Errorf("-serve requires -state (accepted campaigns must survive restarts)")
 	}
 
-	// The simulated system shipped to workers. Intra-engine parallelism
-	// is pinned so every process sums forces in the same chunk order —
-	// the precondition for bit-identical distributed results.
+	// The simulated system shipped to workers.
 	sys := core.DefaultSystem()
 	if *serveSystem != "" {
 		if err := json.Unmarshal([]byte(*serveSystem), &sys); err != nil {
@@ -119,9 +117,6 @@ func runServe(dcfg dist.Config, reg *obs.Registry, events *obs.EventLog) error {
 	}
 	if err := sys.Validate(); err != nil {
 		return fmt.Errorf("-system: %w", err)
-	}
-	if sys.EngineWorkers == 0 {
-		sys.EngineWorkers = 1
 	}
 	sysJSON, err := json.Marshal(sys)
 	if err != nil {

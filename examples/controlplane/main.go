@@ -31,11 +31,9 @@ import (
 	"spice/internal/trace"
 )
 
-// A tiny system so the demo finishes in seconds. EngineWorkers is
-// pinned to 1 — the precondition for bit-identical force sums across
-// processes and schedules.
+// A tiny system so the demo finishes in seconds.
 func system() core.SystemConfig {
-	return core.SystemConfig{Beads: 3, StartZ: 5, EquilSteps: 50, DT: 0.02, Temp: 300, PoreFriction: 1, EngineWorkers: 1}
+	return core.SystemConfig{Beads: 3, StartZ: 5, EquilSteps: 50, DT: 0.02, Temp: 300, PoreFriction: 1}
 }
 
 func specFor(tenant string) campaign.Spec {

@@ -61,7 +61,6 @@ func main() {
 	fmt.Println("executing the sweep at coarse-grained scale on the local worker pool...")
 	cfg := core.PaperSweep()
 	cfg.System.Beads = 6
-	cfg.System.EngineWorkers = 1                  // pin force-sum order so dist can match bit-for-bit
 	cfg.Velocities = []float64{50, 100, 200, 400} // scaled up to keep the demo short
 	cfg.RefVelocity = 25
 	cfg.Distance = 6

@@ -35,13 +35,12 @@ import (
 // on the serve process and the in-process baseline.
 func chaosSystem() core.SystemConfig {
 	return core.SystemConfig{
-		Beads:         3,
-		StartZ:        5,
-		EquilSteps:    50,
-		DT:            0.02,
-		Temp:          300,
-		PoreFriction:  1,
-		EngineWorkers: 1,
+		Beads:        3,
+		StartZ:       5,
+		EquilSteps:   50,
+		DT:           0.02,
+		Temp:         300,
+		PoreFriction: 1,
 	}
 }
 

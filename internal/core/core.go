@@ -49,10 +49,10 @@ type SystemConfig struct {
 	// full translocation runs would drown the slow-pull ensembles in
 	// dissipation noise at these replica counts.
 	PoreFriction float64
-	// EngineWorkers pins the engine's intra-simulation force
-	// parallelism. Floating-point force sums are chunk-order sensitive,
-	// so distributed runs must use the same value on every process for
-	// results to be bit-identical; 0 keeps the engine default.
+	// EngineWorkers is ignored: an engine sums its forces serially, so
+	// a trajectory no longer depends on it. It is kept, and still
+	// range-checked by Validate, so that existing -system documents
+	// decode unchanged and benchmark/workload.go still compiles.
 	EngineWorkers int
 }
 
@@ -101,7 +101,6 @@ func (sc SystemConfig) Build(seed uint64) (*md.Engine, []int, error) {
 	spec.DNA.Backbone.Z = 1 // chain extends upward; lead bead enters first
 	spec.Seed = seed
 	spec.PoreFriction = sc.PoreFriction
-	spec.Workers = sc.EngineWorkers
 	if sc.DT > 0 {
 		spec.DT = sc.DT
 	}

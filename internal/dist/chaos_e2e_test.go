@@ -45,7 +45,6 @@ import (
 func chaosSweepConfig() core.SweepConfig {
 	cfg := core.PaperSweep()
 	cfg.System.Beads = 3
-	cfg.System.EngineWorkers = 1 // spiced -serve pins this
 	cfg.Kappas = []float64{100, 1000}
 	cfg.Velocities = []float64{800}
 	cfg.Replicas = 2

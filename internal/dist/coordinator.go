@@ -13,6 +13,7 @@ import (
 	"spice/internal/campaign"
 	"spice/internal/netutil"
 	"spice/internal/obs"
+	"spice/internal/smd"
 	"spice/internal/trace"
 	"spice/internal/wire"
 )
@@ -805,16 +806,16 @@ func (co *Coordinator) armWakeLocked(d time.Duration) {
 	})
 }
 
-// ckptSteps extracts the engine step counter from an opaque checkpoint
-// payload (smd.PullCheckpoint's Steps field), 0 if absent. A payload
-// that is not a checkpoint document is an error: storing it would hand
-// every later resume of the job an image no worker can decode.
+// ckptSteps decodes an opaque checkpoint payload as the
+// smd.PullCheckpoint a worker resumes from and returns its step counter.
+// A payload no pull could resume from is an error: storing it would hand
+// every later resume of the job an image that fails the attempt.
 func ckptSteps(ckpt json.RawMessage) (int, error) {
-	var prog struct {
-		Steps int `json:"Steps"`
+	var ck smd.PullCheckpoint
+	if err := json.Unmarshal(ckpt, &ck); err != nil {
+		return 0, err
 	}
-	err := json.Unmarshal(ckpt, &prog)
-	return prog.Steps, err
+	return ck.Steps, ck.Validate()
 }
 
 // heartbeat refreshes a lease and stores any checkpoint that came with
@@ -863,7 +864,7 @@ func (co *Coordinator) heartbeat(cs *connState, req *request, now time.Time) res
 		if err != nil {
 			// Base mismatch (coordinator restart, lost ack, adoption), a
 			// corrupt payload that survived the frame CRC, or bytes that are
-			// no checkpoint: either way nothing is stored and the incremental
+			// no resumable checkpoint: either way nothing is stored and the incremental
 			// lineage is broken. NeedFull restarts it.
 			if errors.Is(err, wire.ErrBaseMismatch) {
 				co.stats.DeltaBaseMisses++

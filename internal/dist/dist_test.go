@@ -29,7 +29,6 @@ func testBuild(system json.RawMessage, c campaign.Combo, seed uint64) (*md.Engin
 	spec := md.DefaultTranslocation(sys.Beads)
 	spec.Seed = seed
 	spec.DT = 0.02
-	spec.Workers = 1
 	ts, err := md.BuildTranslocation(spec)
 	if err != nil {
 		return nil, nil, err

@@ -26,17 +26,14 @@ import (
 )
 
 // e2eSystem is the model system shipped to the worker processes.
-// EngineWorkers is pinned: force sums are chunk-order sensitive, so
-// every process must use the same intra-engine parallelism.
 func e2eSystem() core.SystemConfig {
 	return core.SystemConfig{
-		Beads:         3,
-		StartZ:        5,
-		EquilSteps:    50,
-		DT:            0.02,
-		Temp:          300,
-		PoreFriction:  1,
-		EngineWorkers: 1,
+		Beads:        3,
+		StartZ:       5,
+		EquilSteps:   50,
+		DT:           0.02,
+		Temp:         300,
+		PoreFriction: 1,
 	}
 }
 

@@ -129,9 +129,11 @@ func TestWireV1ClientFoldAndNeedFull(t *testing.T) {
 	jobID, attempt := assign.Job.ID, assign.Job.Attempt
 
 	// Synthetic checkpoint documents with advancing step counters, so
-	// every fold passes the coordinator's farthest-wins gate.
+	// every fold passes the coordinator's farthest-wins gate. Each holds
+	// the least a resume needs (smd.PullCheckpoint.Validate): an engine
+	// image, one sample and a next sample index.
 	ck := func(steps int) []byte {
-		return []byte(fmt.Sprintf(`{"steps":%d,"positions":[1.5,2.5,3.5,%d.0]}`, steps, steps))
+		return []byte(fmt.Sprintf(`{"Engine":{"Step":%d,"Pos":[{"X":1.5,"Y":2.5,"Z":%d}]},"Samples":[{"Lambda":0}],"Steps":%d,"Next":1}`, steps, steps, steps))
 	}
 	progress := func(p *wire.Payload) *response {
 		t.Helper()
@@ -221,6 +223,9 @@ func TestMalformedCheckpointRejected(t *testing.T) {
 	for i, p := range []*wire.Payload{
 		wire.Compress([]byte("garbage")),
 		wire.Compress([]byte(`{"Steps":"many"}`)),
+		wire.Compress([]byte(`null`)),
+		wire.Compress([]byte(`{}`)),
+		wire.Compress([]byte(`{"Steps":3}`)),
 	} {
 		resp := c.rt(&request{Type: msgProgress, JobID: assign.Job.ID, Attempt: assign.Job.Attempt, Ckpt: p})
 		if resp.Type != msgOK || !resp.NeedFull {

@@ -2,12 +2,11 @@
 // topology and box and steps them as one ensemble. Replica state is
 // re-backed into flat replica-strided SoA arrays (positions, velocities,
 // forces), identical per-atom pair-parameter tables are shared, and Step
-// schedules one work item per replica onto a persistent pool into which
-// the engines' own force pools are funneled, so a replica's nonbonded
-// chunks and other replicas' steps interleave on one worker set.
+// schedules one work item per replica onto a persistent worker pool; each
+// replica's forces are summed on the worker that steps it.
 //
 // None of this changes any trajectory: each replica keeps its own RNG
-// streams and its own serial-or-chunked force summation order, so batched
+// streams and its own serial force summation order, so batched
 // and per-engine execution of the same replica produce byte-identical
 // positions and velocities — the determinism tests pin this at 1, 8 and
 // 32 replicas. No campaign path steps a Batch; it is kept as the engine a
@@ -25,10 +24,9 @@ import (
 
 // BatchConfig tunes a Batch.
 type BatchConfig struct {
-	// Workers sizes the replica-step pool and the shared force pool
-	// (default GOMAXPROCS). Replica-level parallelism dominates when
-	// replicas >= Workers; engines built with Workers > 1 additionally
-	// split their pair lists into chunks on the shared force pool.
+	// Workers sizes the replica-step pool (default GOMAXPROCS): up to
+	// Workers replicas step at once, each on one goroutine. This is the
+	// only parallelism in md; a single engine never splits its step.
 	Workers int
 }
 
@@ -44,7 +42,6 @@ type Batch struct {
 	wg    sync.WaitGroup
 	quit  chan struct{}
 	once  sync.Once
-	fpool *forcePool // shared chunk pool; nil when no engine needs one
 }
 
 // NewBatch adopts engines into an ensemble batch. The engines must be
@@ -118,29 +115,6 @@ func NewBatch(engines []*Engine, bc BatchConfig) (*Batch, error) {
 		}
 	}
 
-	// Funnel per-engine force pools into one shared pool so nonbonded
-	// chunks from every replica land on the same workers as the replica
-	// step items.
-	needPool := false
-	for _, e := range engines {
-		if e.pool != nil {
-			needPool = true
-			break
-		}
-	}
-	if needPool {
-		b.fpool = newForcePool(bc.Workers)
-		for _, e := range engines {
-			if e.pool == nil {
-				continue
-			}
-			e.pool.close()
-			runtime.SetFinalizer(e, nil)
-			e.pool = b.fpool
-			e.poolShared = true
-		}
-	}
-
 	for w := 0; w < bc.Workers; w++ {
 		go b.runStepWorker()
 	}
@@ -194,15 +168,10 @@ func (b *Batch) runStepWorker() {
 }
 
 func (b *Batch) shutdown() {
-	b.once.Do(func() {
-		close(b.quit)
-		if b.fpool != nil {
-			b.fpool.close()
-		}
-	})
+	b.once.Do(func() { close(b.quit) })
 }
 
-// Close stops the batch's worker pools. The batch and its engines must
+// Close stops the batch's worker pool. The batch and its engines must
 // not step afterwards. Optional — a collected Batch is shut down by a
 // finalizer.
 func (b *Batch) Close() {

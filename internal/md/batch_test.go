@@ -13,7 +13,6 @@ func walledPeriodicSpec(n int, seed uint64) TranslocationSpec {
 	spec := DefaultTranslocation(n)
 	spec.NoWalls = false
 	spec.Seed = seed
-	spec.Workers = 1
 	spec.Box = vec.V{X: 100, Y: 100, Z: 170}
 	return spec
 }
@@ -92,7 +91,6 @@ func TestBatchOpenBoxFallback(t *testing.T) {
 		spec := DefaultTranslocation(n)
 		spec.NoWalls = false
 		spec.Seed = seed
-		spec.Workers = 1
 		return spec
 	}
 	solo := buildReplicas(t, 4, 4, 300, openSpec)
@@ -157,7 +155,7 @@ func TestBatchStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	b.StepN(30) // warm up: neighbor buffers, wrap scratch, force chunks
+	b.StepN(30) // warm up: neighbor buffers, wrap scratch
 	allocs := testing.AllocsPerRun(50, func() { b.Step() })
 	if allocs != 0 {
 		t.Fatalf("steady-state batch step allocates %.1f/op", allocs)

@@ -1,14 +1,14 @@
 // Package md is the molecular-dynamics engine at the bottom of the SPICE
 // stack — the stand-in for NAMD in the paper's architecture. It combines a
 // topology, force-field terms, a neighbor-listed nonbonded potential and a
-// Langevin (or NVE) integrator, evaluates nonbonded forces in parallel
-// across a goroutine worker pool, and supports the checkpoint/clone
-// operations the RealityGrid steering layer relies on.
+// Langevin (or NVE) integrator, sums every force on the goroutine that
+// steps the engine, and supports the checkpoint/clone operations the
+// RealityGrid steering layer relies on. Parallelism lives one level up:
+// independent pulls, replicas and windows run on their own engines.
 package md
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -20,10 +20,6 @@ import (
 	"spice/internal/vec"
 	"spice/internal/xrand"
 )
-
-// parallelPairThreshold is the pair count below which the serial
-// nonbonded path is always faster than dispatching to the pool.
-const parallelPairThreshold = 256
 
 // Config assembles an Engine.
 type Config struct {
@@ -48,8 +44,7 @@ type Config struct {
 	// water is effectively more viscous). Ignored under NVE.
 	GammaFor func(i int, p vec.V) float64
 
-	Seed    uint64 // RNG seed (default 1)
-	Workers int    // parallel force workers (default NumCPU)
+	Seed uint64 // RNG seed (default 1)
 }
 
 // Engine is a runnable simulation.
@@ -71,10 +66,6 @@ type Engine struct {
 	// External receives steering forces from the IMD/steering layer.
 	External *forcefield.ExternalForces
 
-	workers int
-	pool    *forcePool
-	eval    nbEval
-
 	// charges/radii are the per-atom pair-potential parameters, kept as
 	// flat slices so the pair loop never loads whole Atom structs.
 	charges []float64
@@ -83,9 +74,6 @@ type Engine struct {
 	// cell, refreshed once per nonbonded evaluation so the pair kernels
 	// can use the branch-based minimum image instead of math.Round.
 	wrapPos []vec.V
-	// poolShared marks a pool owned by a Batch rather than this engine;
-	// Close/finalizer must then leave it running.
-	poolShared bool
 	// adopted guards against an engine joining two Batches.
 	adopted bool
 
@@ -98,109 +86,6 @@ type Engine struct {
 	obsEvery int
 	obsLeft  int
 	obsFn    func(d time.Duration)
-}
-
-// forcePool is the persistent nonbonded worker pool: long-lived goroutines
-// started once in New and reused by every Step. Workers reference only the
-// pool, never the Engine, so an abandoned Engine stays collectable; its
-// finalizer (or an explicit Close) shuts the goroutines down.
-type forcePool struct {
-	tasks chan poolTask
-	quit  chan struct{}
-	once  sync.Once
-}
-
-type poolTask struct {
-	ev *nbEval
-	w  int
-}
-
-func newForcePool(workers int) *forcePool {
-	p := &forcePool{
-		tasks: make(chan poolTask, workers),
-		quit:  make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		go p.run()
-	}
-	return p
-}
-
-func (p *forcePool) run() {
-	for {
-		select {
-		case t := <-p.tasks:
-			t.ev.runChunk(t.w)
-			t.ev.wg.Done()
-		case <-p.quit:
-			return
-		}
-	}
-}
-
-func (p *forcePool) close() { p.once.Do(func() { close(p.quit) }) }
-
-// nbEval is the state of one parallel nonbonded evaluation. It lives in
-// the Engine and is reused every step; only the pos/pairs slices change.
-type nbEval struct {
-	e        *Engine
-	pos      []vec.V
-	pairs    []neighbor.Pair
-	chunk    int
-	energies []float64
-	bufs     []workerBuf
-	wg       sync.WaitGroup
-}
-
-// workerBuf is a sparsely-zeroed per-worker force accumulator: instead of
-// clearing all N entries per evaluation (O(N·workers) per step), each
-// entry is lazily reset the first time the current epoch touches it, and
-// only touched entries are merged back.
-type workerBuf struct {
-	f       []vec.V
-	stamp   []uint32
-	epoch   uint32
-	touched []int32
-}
-
-func (b *workerBuf) reset(n int) {
-	if cap(b.f) < n {
-		b.f = make([]vec.V, n)
-		b.stamp = make([]uint32, n)
-		b.epoch = 0
-	}
-	b.f = b.f[:n]
-	b.stamp = b.stamp[:n]
-	b.touched = b.touched[:0]
-	b.epoch++
-	if b.epoch == 0 { // wrapped: stamps are stale, clear them once
-		for i := range b.stamp {
-			b.stamp[i] = 0
-		}
-		b.epoch = 1
-	}
-}
-
-// add accumulates df into slot i, zeroing the slot on first touch.
-func (b *workerBuf) add(i int32, s float64, d vec.V) {
-	if b.stamp[i] != b.epoch {
-		b.stamp[i] = b.epoch
-		b.f[i] = vec.Zero
-		b.touched = append(b.touched, i)
-	}
-	b.f[i].AddScaled(s, d)
-}
-
-// runChunk evaluates the w-th contiguous slice of the pair list into the
-// w-th worker buffer. Chunk 0 is always run by the caller directly into
-// the shared force array, so worker buffers exist only for chunks >= 1.
-func (ev *nbEval) runChunk(w int) {
-	lo := w * ev.chunk
-	hi := lo + ev.chunk
-	if hi > len(ev.pairs) {
-		hi = len(ev.pairs)
-	}
-	ev.energies[w] = ev.e.pairRangeSparse(ev.pos, &ev.bufs[w], ev.pairs[lo:hi])
 }
 
 // New validates cfg and builds an Engine.
@@ -232,9 +117,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 	// The Terms slice is configuration shared with the caller (and, via
 	// Clone, with a parent engine); copy it so a later AddTerm on either
 	// side cannot overwrite a slot in a shared backing array.
@@ -245,7 +127,6 @@ func New(cfg Config) (*Engine, error) {
 		top:      cfg.Top,
 		rng:      xrand.New(cfg.Seed),
 		External: forcefield.NewExternalForces(),
-		workers:  cfg.Workers,
 		energies: make(map[string]float64),
 	}
 
@@ -260,7 +141,6 @@ func New(cfg Config) (*Engine, error) {
 
 	if cfg.Pair != nil {
 		e.nlist = neighbor.NewList(cfg.Pair.Cutoff(), cfg.Skin, cfg.Box)
-		e.nlist.Workers = e.workers
 		// Bake exclusions into the list: bonded 1-2/1-3 partners from
 		// the topology, plus wall-wall pairs (both atoms fixed), which
 		// never matter.
@@ -288,32 +168,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e.ff = e.forces
-	if cfg.Pair != nil && e.workers > 1 {
-		// Persistent worker pool, started once and reused by every
-		// Step. Chunk 0 runs on the calling goroutine, so only
-		// workers-1 pool goroutines and buffers are needed.
-		e.pool = newForcePool(e.workers - 1)
-		e.eval.e = e
-		e.eval.energies = make([]float64, e.workers)
-		e.eval.bufs = make([]workerBuf, e.workers)
-		// Engines are routinely created in bulk (sweeps, campaigns,
-		// clones) and rarely Closed explicitly; tie pool shutdown to
-		// collection. Workers hold no reference back to the Engine, so
-		// the finalizer can run.
-		runtime.SetFinalizer(e, func(e *Engine) { e.pool.close() })
-	}
 	return e, nil
 }
 
-// Close stops the engine's worker pool. Optional: an unreachable Engine's
-// pool is also shut down by a finalizer. The engine must not Step after
-// Close.
-func (e *Engine) Close() {
-	if e.pool != nil && !e.poolShared {
-		e.pool.close()
-		runtime.SetFinalizer(e, nil)
-	}
-}
+// Close is a no-op: an Engine holds no goroutines or other resources
+// beyond memory. It is kept for benchmark/micro.go, which still calls it.
+func (e *Engine) Close() {}
 
 // State exposes the dynamical state (read it between steps only).
 func (e *Engine) State() *integrate.State { return e.state }
@@ -343,8 +203,9 @@ func (e *Engine) Energies() map[string]float64 {
 	return out
 }
 
-// forces is the integrate.ForceFunc: bonded/field terms serially (cheap),
-// nonbonded pairs across the worker pool, external steering forces last.
+// forces is the integrate.ForceFunc: bonded/field terms, then external
+// steering forces, then the nonbonded pair loop, all on the calling
+// goroutine.
 func (e *Engine) forces(pos []vec.V, f []vec.V) float64 {
 	total := 0.0
 	for _, t := range e.cfg.Terms {
@@ -364,12 +225,9 @@ func (e *Engine) forces(pos []vec.V, f []vec.V) float64 {
 	return total
 }
 
-// nonbonded evaluates the pair potential over the neighbor list. Large
-// lists are split into contiguous chunks: chunk 0 runs on the calling
-// goroutine straight into f, the rest are dispatched to the persistent
-// worker pool with sparsely-zeroed per-worker buffers that are merged
-// (touched indices only) afterwards. Chunk boundaries depend only on the
-// pair count and worker count, so trajectories stay deterministic.
+// nonbonded evaluates the pair potential over the neighbor list in list
+// order, straight into f. The summation order is fixed by the pair list
+// alone, so a trajectory depends only on its inputs and seed.
 func (e *Engine) nonbonded(pos []vec.V, f []vec.V) float64 {
 	pairs := e.nlist.Pairs
 	if len(pairs) == 0 {
@@ -387,54 +245,13 @@ func (e *Engine) nonbonded(pos []vec.V, f []vec.V) float64 {
 			wp[i] = vec.Wrap(p, e.cfg.Box)
 		}
 	}
-	nw := e.workers
-	if nw == 1 || e.pool == nil || len(pairs) < parallelPairThreshold {
-		return e.pairRange(wp, f, pairs)
-	}
-
-	ev := &e.eval
-	ev.pos, ev.pairs = wp, pairs
-	ev.chunk = (len(pairs) + nw - 1) / nw
-	nchunks := (len(pairs) + ev.chunk - 1) / ev.chunk
-	n := len(pos)
-	for w := 1; w < nchunks; w++ {
-		ev.bufs[w].reset(n)
-	}
-	ev.wg.Add(nchunks - 1)
-	for w := 1; w < nchunks; w++ {
-		e.pool.tasks <- poolTask{ev, w}
-	}
-	total := e.pairRange(wp, f, pairs[:ev.chunk])
-	ev.wg.Wait()
-	ev.pos, ev.pairs = nil, nil
-
-	for w := 1; w < nchunks; w++ {
-		total += ev.energies[w]
-		buf := &ev.bufs[w]
-		for _, i := range buf.touched {
-			f[i].AddInPlace(buf.f[i])
-		}
-	}
-	return total
-}
-
-// pairRange evaluates pairs into f. pos must be wrapped into the primary
-// cell (see nonbonded). The standard Combined potential is dispatched as
-// a concrete type so the per-pair EnergyForce call is static and
-// inlinable; anything else goes through the interface.
-func (e *Engine) pairRange(pos []vec.V, f []vec.V, pairs []neighbor.Pair) float64 {
+	// The standard Combined potential is dispatched as a concrete type so
+	// the per-pair EnergyForce call is static and inlinable; anything
+	// else goes through the interface.
 	if pot, ok := e.cfg.Pair.(forcefield.Combined); ok {
-		return pairKernel(pot, e.charges, e.radii, e.cfg.Box, pos, f, pairs)
+		return pairKernel(pot, e.charges, e.radii, e.cfg.Box, wp, f, pairs)
 	}
-	return pairKernel(e.cfg.Pair, e.charges, e.radii, e.cfg.Box, pos, f, pairs)
-}
-
-// pairRangeSparse is pairRange accumulating into a sparse worker buffer.
-func (e *Engine) pairRangeSparse(pos []vec.V, buf *workerBuf, pairs []neighbor.Pair) float64 {
-	if pot, ok := e.cfg.Pair.(forcefield.Combined); ok {
-		return pairKernelSparse(pot, e.charges, e.radii, e.cfg.Box, pos, buf, pairs)
-	}
-	return pairKernelSparse(e.cfg.Pair, e.charges, e.radii, e.cfg.Box, pos, buf, pairs)
+	return pairKernel(e.cfg.Pair, e.charges, e.radii, e.cfg.Box, wp, f, pairs)
 }
 
 func pairKernel[P forcefield.PairPotential](pot P, q, s []float64, box vec.V, pos []vec.V, f []vec.V, pairs []neighbor.Pair) float64 {
@@ -450,23 +267,6 @@ func pairKernel[P forcefield.PairPotential](pot P, q, s []float64, box vec.V, po
 		total += en
 		f[i].AddScaled(g, d)
 		f[j].AddScaled(-g, d)
-	}
-	return total
-}
-
-func pairKernelSparse[P forcefield.PairPotential](pot P, q, s []float64, box vec.V, pos []vec.V, buf *workerBuf, pairs []neighbor.Pair) float64 {
-	total := 0.0
-	for _, p := range pairs {
-		i, j := int(p.I), int(p.J)
-		d := vec.MinImageWrapped(pos[i].Sub(pos[j]), box)
-		r2 := d.Norm2()
-		en, g := pot.EnergyForce(r2, q[i], q[j], s[i], s[j])
-		if en == 0 && g == 0 {
-			continue
-		}
-		total += en
-		buf.add(p.I, g, d)
-		buf.add(p.J, -g, d)
 	}
 	return total
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // smallChain builds a free 8-bead chain with bonds and nonbonded terms.
-func smallChain(t *testing.T, workers int, seed uint64) *Engine {
+func smallChain(t *testing.T, seed uint64) *Engine {
 	t.Helper()
 	top := topology.New()
 	p := topology.DefaultDNA(8)
@@ -31,8 +31,7 @@ func smallChain(t *testing.T, workers int, seed uint64) *Engine {
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 		},
-		Seed:    seed,
-		Workers: workers,
+		Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEngineRunAdvances(t *testing.T) {
-	eng := smallChain(t, 1, 1)
+	eng := smallChain(t, 1)
 	eng.Run(50)
 	st := eng.State()
 	if st.Step != 50 {
@@ -72,8 +71,8 @@ func TestEngineRunAdvances(t *testing.T) {
 }
 
 func TestEngineDeterminism(t *testing.T) {
-	a := smallChain(t, 1, 42)
-	b := smallChain(t, 1, 42)
+	a := smallChain(t, 42)
+	b := smallChain(t, 42)
 	a.Run(200)
 	b.Run(200)
 	for i := range a.State().Pos {
@@ -81,7 +80,7 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatalf("same-seed runs diverged at atom %d", i)
 		}
 	}
-	c := smallChain(t, 1, 43)
+	c := smallChain(t, 43)
 	c.Run(200)
 	same := true
 	for i := range a.State().Pos {
@@ -95,94 +94,10 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-func TestParallelForcesMatchSerial(t *testing.T) {
-	// Build a big enough cluster to cross the parallel threshold.
-	top := topology.New()
-	p := topology.DefaultDNA(200)
-	p.AngleK = 0
-	_, pos, err := topology.BuildDNA(top, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(workers int) *Engine {
-		eng, err := New(Config{
-			Top:   top,
-			Init:  pos,
-			Terms: []forcefield.Term{forcefield.Bonds{Top: top}},
-			Pair: forcefield.Combined{
-				Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
-				Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
-			},
-			Seed:    7,
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	serial, parallel := mk(1), mk(8)
-	fs := make([]vec.V, top.N())
-	fp := make([]vec.V, top.N())
-	es := serial.forces(pos, fs)
-	ep := parallel.forces(pos, fp)
-	if math.Abs(es-ep) > 1e-9*math.Abs(es) {
-		t.Fatalf("energies differ: %v vs %v", es, ep)
-	}
-	for i := range fs {
-		if vec.Dist(fs[i], fp[i]) > 1e-9*(1+fs[i].Norm()) {
-			t.Fatalf("forces differ at %d: %v vs %v", i, fs[i], fp[i])
-		}
-	}
-}
-
-// TestParallelForcesMatchSerialTranslocation pins pooled-parallel vs
-// serial agreement on the realistic system: a ~500-atom translocation
-// build (200 DNA beads + fixed pore walls) with baked exclusions and the
-// wall-wall inactive mask in play.
-func TestParallelForcesMatchSerialTranslocation(t *testing.T) {
-	mk := func(workers int) *Engine {
-		spec := DefaultTranslocation(200)
-		spec.NoWalls = false
-		spec.Seed = 5
-		spec.Workers = workers
-		ts, err := BuildTranslocation(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ts.Engine
-	}
-	serial := mk(1)
-	n := serial.Topology().N()
-	if n < 450 {
-		t.Fatalf("system too small to be representative: %d atoms", n)
-	}
-	pos := serial.State().Pos
-	fs := make([]vec.V, n)
-	es := serial.forces(pos, fs)
-	serial.nlist.Update(pos)
-	if len(serial.nlist.Pairs) < parallelPairThreshold {
-		t.Fatalf("only %d pairs; parallel path never engages", len(serial.nlist.Pairs))
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par := mk(workers)
-		fp := make([]vec.V, n)
-		ep := par.forces(pos, fp)
-		if math.Abs(es-ep) > 1e-9*math.Max(1, math.Abs(es)) {
-			t.Fatalf("workers=%d: energies differ: %v vs %v", workers, es, ep)
-		}
-		for i := range fs {
-			if vec.Dist(fs[i], fp[i]) > 1e-9*(1+fs[i].Norm()) {
-				t.Fatalf("workers=%d: forces differ at %d: %v vs %v", workers, i, fs[i], fp[i])
-			}
-		}
-	}
-}
-
 // TestConcurrentStepCheckpointFrame stresses the public concurrency
-// contract (Step vs Checkpoint vs Frame from other goroutines) with the
-// worker pool active; run under -race it pins the pooled nonbonded path
-// data-race free.
+// contract (Step vs Checkpoint vs Frame from other goroutines, as the IMD
+// layer drives them); run under -race it pins that contract data-race
+// free.
 func TestConcurrentStepCheckpointFrame(t *testing.T) {
 	top := topology.New()
 	p := topology.DefaultDNA(200)
@@ -199,13 +114,11 @@ func TestConcurrentStepCheckpointFrame(t *testing.T) {
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 		},
-		Seed:    3,
-		Workers: 4,
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -232,7 +145,7 @@ func TestConcurrentStepCheckpointFrame(t *testing.T) {
 // bug: parent and clone appending terms concurrently used to write the
 // same backing-array slot.
 func TestCloneTermsNotAliased(t *testing.T) {
-	a := smallChain(t, 1, 77)
+	a := smallChain(t, 77)
 	a.Run(10)
 	clone, err := a.Clone(78)
 	if err != nil {
@@ -254,7 +167,7 @@ func TestCloneTermsNotAliased(t *testing.T) {
 }
 
 func TestMomentumConservationOfInternalForces(t *testing.T) {
-	eng := smallChain(t, 4, 5)
+	eng := smallChain(t, 5)
 	f := make([]vec.V, eng.Topology().N())
 	eng.forces(eng.State().Pos, f)
 	sum := vec.Sum(f)
@@ -264,7 +177,7 @@ func TestMomentumConservationOfInternalForces(t *testing.T) {
 }
 
 func TestCheckpointRestoreResumesIdentically(t *testing.T) {
-	a := smallChain(t, 1, 11)
+	a := smallChain(t, 11)
 	a.Run(100)
 	ck := a.Checkpoint()
 
@@ -274,11 +187,11 @@ func TestCheckpointRestoreResumesIdentically(t *testing.T) {
 	// Restore into a fresh engine with the same seed: the integrator RNG
 	// stream differs (it has advanced in a), so compare restart-vs-
 	// restart instead.
-	b := smallChain(t, 1, 11)
+	b := smallChain(t, 11)
 	if err := b.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	c := smallChain(t, 1, 11)
+	c := smallChain(t, 11)
 	if err := c.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +208,7 @@ func TestCheckpointRestoreResumesIdentically(t *testing.T) {
 }
 
 func TestRestoreRejectsWrongSize(t *testing.T) {
-	a := smallChain(t, 1, 1)
+	a := smallChain(t, 1)
 	ck := a.Checkpoint()
 	ck.Pos = ck.Pos[:3]
 	ck.Vel = ck.Vel[:3]
@@ -305,7 +218,7 @@ func TestRestoreRejectsWrongSize(t *testing.T) {
 }
 
 func TestCloneDoesNotPerturbOriginal(t *testing.T) {
-	a := smallChain(t, 1, 21)
+	a := smallChain(t, 21)
 	a.Run(50)
 	ref := a.Checkpoint()
 
@@ -342,7 +255,7 @@ func TestCloneDoesNotPerturbOriginal(t *testing.T) {
 }
 
 func TestRunWithEarlyStop(t *testing.T) {
-	eng := smallChain(t, 1, 1)
+	eng := smallChain(t, 1)
 	calls := 0
 	eng.RunWith(100, func(step int) bool {
 		calls++
@@ -357,7 +270,7 @@ func TestRunWithEarlyStop(t *testing.T) {
 }
 
 func TestEnergiesBreakdown(t *testing.T) {
-	eng := smallChain(t, 1, 1)
+	eng := smallChain(t, 1)
 	eng.Step()
 	en := eng.Energies()
 	for _, key := range []string{"bond", "angle", "nonbonded"} {
@@ -368,8 +281,8 @@ func TestEnergiesBreakdown(t *testing.T) {
 }
 
 func TestExternalForceAffectsDynamics(t *testing.T) {
-	a := smallChain(t, 1, 31)
-	b := smallChain(t, 1, 31)
+	a := smallChain(t, 31)
+	b := smallChain(t, 31)
 	b.External.Set(0, vec.V{Z: 50})
 	a.Run(200)
 	b.Run(200)
@@ -481,15 +394,13 @@ func TestPoreFrictionIncreasesDrag(t *testing.T) {
 	}
 }
 
-// buildResumeEngine builds the small translocation engine used by the
-// checkpoint-resume tests (fixed worker count: chunk boundaries are part of
-// the floating-point accumulation order).
+// buildResumeEngine builds the small translocation engine used by
+// the checkpoint-resume tests.
 func buildResumeEngine(t *testing.T) *Engine {
 	t.Helper()
 	spec := DefaultTranslocation(6)
 	spec.Seed = 11
 	spec.DT = 0.02
-	spec.Workers = 2
 	ts, err := BuildTranslocation(spec)
 	if err != nil {
 		t.Fatal(err)

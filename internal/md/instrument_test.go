@@ -6,8 +6,7 @@ import (
 )
 
 func TestStepObserverSampling(t *testing.T) {
-	eng := smallChain(t, 1, 7)
-	defer eng.Close()
+	eng := smallChain(t, 7)
 
 	var n int
 	var total time.Duration
@@ -37,9 +36,9 @@ func TestStepObserverSampling(t *testing.T) {
 // TestStepObserverDeterminism: instrumentation may never perturb the
 // trajectory — the whole dist layer's bit-identical story rides on it.
 func TestStepObserverDeterminism(t *testing.T) {
-	plain := smallChain(t, 1, 11)
+	plain := smallChain(t, 11)
 	defer plain.Close()
-	sampled := smallChain(t, 1, 11)
+	sampled := smallChain(t, 11)
 	defer sampled.Close()
 	sampled.SetStepObserver(2, func(time.Duration) {})
 
@@ -54,8 +53,7 @@ func TestStepObserverDeterminism(t *testing.T) {
 }
 
 func TestNeighborObserver(t *testing.T) {
-	eng := smallChain(t, 1, 13)
-	defer eng.Close()
+	eng := smallChain(t, 13)
 
 	rebuilds, lastPairs := 0, -1
 	eng.SetNeighborObserver(func(pairs int) {

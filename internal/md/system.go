@@ -21,11 +21,10 @@ type TranslocationSpec struct {
 	// instead of open ones.
 	Box vec.V
 
-	DT      float64
-	Gamma   float64
-	Temp    float64
-	Seed    uint64
-	Workers int
+	DT    float64
+	Gamma float64
+	Temp  float64
+	Seed  uint64
 	// PoreFriction multiplies the Langevin friction for beads inside
 	// the pore lumen — the coarse-grained stand-in for the high
 	// effective viscosity of single-file water in the barrel, which is
@@ -139,7 +138,6 @@ func BuildTranslocation(spec TranslocationSpec) (*TranslocationSystem, error) {
 		Gamma:    spec.Gamma,
 		Temp:     spec.Temp,
 		Seed:     spec.Seed,
-		Workers:  spec.Workers,
 		GammaFor: gammaFor,
 	})
 	if err != nil {

@@ -18,7 +18,6 @@ package neighbor
 
 import (
 	"math"
-	"sync"
 
 	"spice/internal/vec"
 )
@@ -43,12 +42,6 @@ type List struct {
 	Skin   float64 // extra margin, Å
 	Box    vec.V   // periodic box (zero components = open)
 
-	// Workers bounds the parallelism of the cell-pair scan; 0 or 1
-	// keeps the scan serial. Parallelism only engages above
-	// parallelScanMinAtoms atoms (per-worker buffers are merged in
-	// worker order, so the result is deterministic either way).
-	Workers int
-
 	// OnRebuild, when set, is invoked with the new pair count after
 	// every rebuild, on the goroutine driving Update/ForceRebuild. The
 	// call itself allocates nothing, so observers that only touch atomic
@@ -66,7 +59,6 @@ type List struct {
 	next    []int32 // linked-cell chains, one per atom
 	offs    []int32 // counting-sort offsets, one per atom
 	sorted  []Pair  // counting-sort double buffer
-	bufs    [][]Pair
 
 	nRebuilds   int
 	updates     int
@@ -163,10 +155,6 @@ func (l *List) Ref() []vec.V {
 	return append([]vec.V(nil), l.ref...)
 }
 
-// parallelScanMinAtoms gates the parallel cell scan: below this the
-// fan-out overhead exceeds the scan itself.
-const parallelScanMinAtoms = 1024
-
 func (l *List) build(pos []vec.V) {
 	l.nRebuilds++
 	l.intervalSum += l.updates - l.lastRebuild
@@ -245,11 +233,7 @@ func (l *List) build(pos []vec.V) {
 		l.head[c] = int32(i)
 	}
 
-	if l.Workers > 1 && n >= parallelScanMinAtoms {
-		l.scanParallel(g, ncell, r2)
-	} else {
-		l.Pairs = l.scanCellRange(g, 0, ncell, r2, l.Pairs)
-	}
+	l.scanGrid(g, r2)
 	l.sortByI(n)
 }
 
@@ -267,12 +251,13 @@ func (g *gridDesc) cellOf(p vec.V) int {
 	return (cz*g.ny+cy)*g.nx + cx
 }
 
-// scanCellRange scans cells [c0, c1) against their half-neighborhoods,
-// appending in-range pairs to out. Each cell pair is visited exactly once
+// scanGrid scans every cell against its half-neighborhood, appending
+// in-range pairs to l.Pairs. Each cell pair is visited exactly once
 // because a cell only scans neighbours nc >= c.
-func (l *List) scanCellRange(g gridDesc, c0, c1 int, r2 float64, out []Pair) []Pair {
+func (l *List) scanGrid(g gridDesc, r2 float64) {
+	out := l.Pairs
 	nxy := g.nx * g.ny
-	for c := c0; c < c1; c++ {
+	for c := range l.head {
 		if l.head[c] < 0 {
 			continue
 		}
@@ -303,38 +288,7 @@ func (l *List) scanCellRange(g gridDesc, c0, c1 int, r2 float64, out []Pair) []P
 			}
 		}
 	}
-	return out
-}
-
-// scanParallel partitions the cell range across workers, each appending
-// into its own retained buffer, then concatenates the buffers in worker
-// order — deterministic regardless of scheduling.
-func (l *List) scanParallel(g gridDesc, ncell int, r2 float64) {
-	nw := l.Workers
-	if nw > ncell {
-		nw = ncell
-	}
-	if len(l.bufs) < nw {
-		l.bufs = append(l.bufs, make([][]Pair, nw-len(l.bufs))...)
-	}
-	var wg sync.WaitGroup
-	chunk := (ncell + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		c0 := w * chunk
-		c1 := c0 + chunk
-		if c1 > ncell {
-			c1 = ncell
-		}
-		wg.Add(1)
-		go func(w, c0, c1 int) {
-			defer wg.Done()
-			l.bufs[w] = l.scanCellRange(g, c0, c1, r2, l.bufs[w][:0])
-		}(w, c0, c1)
-	}
-	wg.Wait()
-	for _, b := range l.bufs[:nw] {
-		l.Pairs = append(l.Pairs, b...)
-	}
+	l.Pairs = out
 }
 
 // scanCells appends in-range pairs between cells a and b (a == b allowed).

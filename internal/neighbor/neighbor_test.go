@@ -191,28 +191,6 @@ func TestPairsSortedByI(t *testing.T) {
 	}
 }
 
-func TestParallelScanMatchesSerial(t *testing.T) {
-	rng := xrand.New(13)
-	box := vec.V{X: 40, Y: 40, Z: 40}
-	pos := randomPositions(rng, 2000, 40) // above parallelScanMinAtoms
-	serial := NewList(4, 0.5, box)
-	serial.ForceRebuild(pos)
-	for _, workers := range []int{2, 3, 8} {
-		par := NewList(4, 0.5, box)
-		par.Workers = workers
-		par.ForceRebuild(pos)
-		if len(par.Pairs) != len(serial.Pairs) {
-			t.Fatalf("workers=%d: %d pairs vs serial %d", workers, len(par.Pairs), len(serial.Pairs))
-		}
-		for k := range par.Pairs {
-			if par.Pairs[k] != serial.Pairs[k] {
-				t.Fatalf("workers=%d: pair %d = %v, serial %v (order must be deterministic)",
-					workers, k, par.Pairs[k], serial.Pairs[k])
-			}
-		}
-	}
-}
-
 func TestRebuildAllocFreeInSteadyState(t *testing.T) {
 	rng := xrand.New(14)
 	box := vec.V{X: 35, Y: 35, Z: 35}

@@ -219,6 +219,16 @@ type PullCheckpoint struct {
 	Next    int // next sample-grid index
 }
 
+// Validate reports a checkpoint no pull can resume from: one with no
+// engine image, no samples or no next sample index. RunWithOpts refuses
+// such a Resume, and the dist coordinator refuses to store one.
+func (c *PullCheckpoint) Validate() error {
+	if c.Engine == nil || len(c.Samples) == 0 || c.Next < 1 {
+		return fmt.Errorf("smd: malformed pull checkpoint")
+	}
+	return nil
+}
+
 // RunOpts controls checkpointing and resumption of a pull.
 type RunOpts struct {
 	// Resume continues a pull from a checkpoint instead of starting at
@@ -279,8 +289,8 @@ func (pl *Puller) RunWithOpts(eng *md.Engine, p Protocol, seed uint64, opts RunO
 
 	next, steps, sinceCkpt := 1, 0, 0 // next is the next sample-grid index
 	if r := opts.Resume; r != nil {
-		if r.Engine == nil || len(r.Samples) == 0 || r.Next < 1 {
-			return nil, fmt.Errorf("smd: malformed pull checkpoint")
+		if err := r.Validate(); err != nil {
+			return nil, err
 		}
 		if err := eng.Restore(r.Engine); err != nil {
 			return nil, fmt.Errorf("smd: resuming pull: %w", err)

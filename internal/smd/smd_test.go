@@ -270,7 +270,6 @@ func buildPullSystem(t *testing.T, seed uint64) (*md.Engine, []int) {
 	spec := md.DefaultTranslocation(3)
 	spec.Seed = seed
 	spec.DT = 0.02
-	spec.Workers = 1
 	ts, err := md.BuildTranslocation(spec)
 	if err != nil {
 		t.Fatal(err)

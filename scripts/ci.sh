@@ -278,6 +278,23 @@ fi
 go test -race -count=1 -run 'TestResultRecoveredAfterRestart|TestReplayOlderStateDir' ./internal/controlplane
 go test -race -count=1 -run 'TestReplayedResultNeedsEveryJob' ./internal/dist
 
+echo "== one force loop =="
+# An engine sums its forces on the goroutine that steps it; pulls,
+# replicas and windows are what run in parallel. The intra-engine force
+# pool, its sparse per-worker buffers, the parallel neighbor scan and the
+# EngineWorkers pin spiced -serve needed to make a served trajectory
+# match a local one were reached by no shipped system and were deleted;
+# they must not come back.
+if grep -n -E 'forcePool|workerBuf|pairKernelSparse|scanParallel|parallelPairThreshold|parallelScanMinAtoms|poolShared' \
+  $(find internal/md internal/neighbor -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: a parallel force path is back in internal/md or internal/neighbor"
+  exit 1
+fi
+if grep -n 'EngineWorkers' $(find cmd/spiced -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: spiced pins EngineWorkers again"
+  exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -420,15 +437,17 @@ echo "== control plane quota + restart unit gates (-race) =="
 # campaign ID with its 409, and escapes the tenant it filters on.
 go test -race -run 'TestClientDuplicateSubmitReturnsID|TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestSubmitBodyBounded|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
 
-echo "== md.Batch determinism (GOMAXPROCS=4, -race) =="
-# What is left of the ensemble batch engine must step replicas
-# bit-identically to solo engines under real parallel stepping: SoA
-# adoption (walled periodic and open box), clone-into-batch restore,
-# zero steady-state allocs and refusal of a double adoption, at
-# GOMAXPROCS>1 with the race detector on.
+echo "== md determinism (GOMAXPROCS=4, -race) =="
+# With real parallelism and the race detector on: what is left of the
+# ensemble batch engine must step replicas bit-identically to solo
+# engines (SoA adoption in a walled periodic and an open box,
+# clone-into-batch restore, zero steady-state allocs, refusal of a double
+# adoption); Step must run safely against Checkpoint and Frame from
+# other goroutines, as IMD drives them; and a trajectory must not depend
+# on EngineWorkers.
 GOMAXPROCS=4 go test -race -count=1 \
-  -run 'TestBatchBitIdenticalTrajectories|TestBatchOpenBoxFallback|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption' \
-  ./internal/md
+  -run 'TestBatchBitIdenticalTrajectories|TestBatchOpenBoxFallback|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers' \
+  ./internal/md ./internal/core
 
 echo "== wire protocol gates (-race) =="
 # Transport gates. The full v1 transport must merge bit-identical to
