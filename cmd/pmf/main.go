@@ -34,7 +34,7 @@ func main() {
 	if flag.NArg() == 0 {
 		log.Fatal("no work logs given")
 	}
-	est, err := parseEstimator(*estimator)
+	est, err := jarzynski.ParseEstimator(*estimator)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,18 +95,5 @@ func main() {
 			}
 		}
 		fmt.Println()
-	}
-}
-
-func parseEstimator(s string) (jarzynski.Estimator, error) {
-	switch s {
-	case "exponential":
-		return jarzynski.Exponential, nil
-	case "cumulant1":
-		return jarzynski.Cumulant1, nil
-	case "cumulant2":
-		return jarzynski.Cumulant2, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator %q", s)
 	}
 }

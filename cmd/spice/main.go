@@ -62,7 +62,7 @@ func main() {
 		return
 	}
 
-	est, err := parseEstimator(*estimator)
+	est, err := jarzynski.ParseEstimator(*estimator)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -264,17 +264,4 @@ func parseFloats(s string) ([]float64, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
-}
-
-func parseEstimator(s string) (jarzynski.Estimator, error) {
-	switch s {
-	case "exponential":
-		return jarzynski.Exponential, nil
-	case "cumulant1":
-		return jarzynski.Cumulant1, nil
-	case "cumulant2":
-		return jarzynski.Cumulant2, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator %q", s)
-	}
 }

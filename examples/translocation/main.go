@@ -15,8 +15,8 @@ import (
 	"os"
 	"strings"
 
+	"spice/internal/analysis"
 	"spice/internal/md"
-	"spice/internal/polymer"
 	"spice/internal/smd"
 	"spice/internal/trace"
 	"spice/internal/vec"
@@ -52,10 +52,8 @@ func main() {
 	}
 	defer f.Close()
 	tw := trace.NewTrajectoryWriter(f)
-	stretch, err := polymer.NewStretchProfile(-40, 40, 8, spec.DNA.BondR0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Per-bond strain (length/b0 - 1) binned by the bond midpoint's height.
+	stretch := analysis.NewHistogram(-40, 40, 8)
 
 	fmt.Printf("%8s %10s %12s %12s   %s\n", "λ (Å)", "lead z (Å)", "extension", "work", "strand profile")
 	dt := ts.Engine.Timestep()
@@ -70,12 +68,11 @@ func main() {
 			ts.Engine.Step()
 			pl.Advance(dt)
 			if s%50 == 0 {
-				st := ts.Engine.State()
-				conf := make([]vec.V, len(ts.DNA))
-				for k, id := range ts.DNA {
-					conf[k] = st.Pos[id]
+				pos := ts.Engine.State().Pos
+				for k := 1; k < len(ts.DNA); k++ {
+					a, b := pos[ts.DNA[k-1]], pos[ts.DNA[k]]
+					stretch.AddWeighted((a.Z+b.Z)/2, 1, vec.Dist(a, b)/spec.DNA.BondR0-1)
 				}
-				stretch.Add(conf)
 			}
 		}
 	}
@@ -83,8 +80,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nbackbone strain by height (constriction at z=0):")
-	for b := stretch.Bins - 1; b >= 0; b-- {
-		if s, ok := stretch.Strain(b); ok {
+	for b := len(stretch.Counts) - 1; b >= 0; b-- {
+		if s, ok := stretch.MeanIn(b); ok {
 			fmt.Printf("  z %6.1f Å  strain %+6.2f%%\n", stretch.BinCenter(b), 100*s)
 		}
 	}

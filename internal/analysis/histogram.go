@@ -1,20 +1,14 @@
 package analysis
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Histogram accumulates weighted samples into uniform bins over [Lo, Hi).
-// It is used to bin SMD work samples along the reaction coordinate and to
-// summarize grid-simulation latency distributions.
+// Histogram accumulates weighted samples into uniform bins over [Lo, Hi),
+// each carrying a weighted sum of an auxiliary value — the Fig. 3 strain
+// profile bins bond strain by the bond's height along the pore axis.
 type Histogram struct {
 	Lo, Hi float64
 	Counts []float64
 	Sum    []float64 // per-bin weighted sum of an auxiliary value
-	under  float64
-	over   float64
 }
 
 // NewHistogram returns a histogram with nbins uniform bins spanning
@@ -32,15 +26,13 @@ func NewHistogram(lo, hi float64, nbins int) *Histogram {
 	}
 }
 
-// NBins returns the number of bins.
-func (h *Histogram) NBins() int { return len(h.Counts) }
-
 // BinWidth returns the uniform bin width.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
 
-// BinIndex returns the bin index for x and whether x lies inside the range.
+// BinIndex returns the bin index for x and whether x lies inside the
+// range; NaN lies outside every range.
 func (h *Histogram) BinIndex(x float64) (int, bool) {
-	if x < h.Lo || x >= h.Hi {
+	if !(x >= h.Lo && x < h.Hi) {
 		return 0, false
 	}
 	i := int((x - h.Lo) / h.BinWidth())
@@ -59,15 +51,11 @@ func (h *Histogram) BinCenter(i int) float64 {
 func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1, 0) }
 
 // AddWeighted records sample x with weight w and auxiliary value v
-// (accumulated into Sum, weighted).
+// (accumulated into Sum, weighted). A sample outside [Lo, Hi), or NaN,
+// is dropped.
 func (h *Histogram) AddWeighted(x, w, v float64) {
 	i, ok := h.BinIndex(x)
 	if !ok {
-		if x < h.Lo {
-			h.under += w
-		} else {
-			h.over += w
-		}
 		return
 	}
 	h.Counts[i] += w
@@ -83,9 +71,6 @@ func (h *Histogram) Total() float64 {
 	return t
 }
 
-// Outliers returns the weight that fell below Lo and at-or-above Hi.
-func (h *Histogram) Outliers() (under, over float64) { return h.under, h.over }
-
 // MeanIn returns the weighted mean of the auxiliary value in bin i, and
 // false if the bin is empty.
 func (h *Histogram) MeanIn(i int) (float64, bool) {
@@ -93,34 +78,4 @@ func (h *Histogram) MeanIn(i int) (float64, bool) {
 		return 0, false
 	}
 	return h.Sum[i] / h.Counts[i], true
-}
-
-// Normalize returns the probability density per bin (counts / (total·width)).
-func (h *Histogram) Normalize() ([]float64, error) {
-	t := h.Total()
-	if t == 0 {
-		return nil, errors.New("analysis: normalizing empty histogram")
-	}
-	w := h.BinWidth()
-	out := make([]float64, len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = c / (t * w)
-	}
-	return out, nil
-}
-
-// Entropy returns the Shannon entropy (nats) of the normalized histogram.
-func (h *Histogram) Entropy() float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	e := 0.0
-	for _, c := range h.Counts {
-		if c > 0 {
-			p := c / t
-			e -= p * math.Log(p)
-		}
-	}
-	return e
 }

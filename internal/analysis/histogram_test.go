@@ -4,26 +4,26 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"spice/internal/xrand"
 )
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
-	if h.NBins() != 10 || h.BinWidth() != 1 {
-		t.Fatalf("NBins=%d width=%v", h.NBins(), h.BinWidth())
+	if len(h.Counts) != 10 || h.BinWidth() != 1 {
+		t.Fatalf("bins=%d width=%v", len(h.Counts), h.BinWidth())
 	}
 	h.Add(0.5)
 	h.Add(9.999)
-	h.Add(-1)  // under
-	h.Add(10)  // over (Hi is exclusive)
+	h.Add(-1)  // below Lo: dropped
+	h.Add(10)  // at Hi (exclusive): dropped
 	h.Add(5.0) // bin 5
+	// Non-finite samples are dropped too. NaN compares false against
+	// both ends of the range, so a check written as x < Lo || x >= Hi
+	// would index Counts[int(NaN)].
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		h.Add(x)
+	}
 	if h.Counts[0] != 1 || h.Counts[9] != 1 || h.Counts[5] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Fatalf("outliers = %v, %v", under, over)
 	}
 	if h.Total() != 3 {
 		t.Fatalf("total = %v", h.Total())
@@ -75,40 +75,6 @@ func TestHistogramWeightedMean(t *testing.T) {
 	}
 	if _, ok := h.MeanIn(0); ok {
 		t.Fatal("empty bin should report !ok")
-	}
-}
-
-func TestHistogramNormalize(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%4)/4 + 0.1)
-	}
-	dens, err := h.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	integral := 0.0
-	for _, d := range dens {
-		integral += d * h.BinWidth()
-	}
-	if math.Abs(integral-1) > 1e-12 {
-		t.Fatalf("density integrates to %v", integral)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if _, err := empty.Normalize(); err == nil {
-		t.Fatal("normalizing empty histogram should error")
-	}
-}
-
-func TestHistogramUniformEntropy(t *testing.T) {
-	h := NewHistogram(0, 1, 8)
-	rng := xrand.New(8)
-	for i := 0; i < 100000; i++ {
-		h.Add(rng.Float64())
-	}
-	// Uniform over 8 bins: entropy ~ ln 8.
-	if got, want := h.Entropy(), math.Log(8); math.Abs(got-want) > 0.01 {
-		t.Fatalf("entropy = %v, want ~%v", got, want)
 	}
 }
 

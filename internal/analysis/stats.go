@@ -1,20 +1,21 @@
-// Package analysis provides the statistical machinery used by the SMD-JE
-// free-energy pipeline: moments, block averaging, bootstrap and jackknife
-// resampling, histograms and simple regression.
+// Package analysis holds the small statistics the rest of the repo
+// shares: moments and quantiles, block averaging, RMSD, a least-squares
+// line fit, the paper's cost normalization of statistical errors, and a
+// uniform histogram.
 //
-// The paper's Fig. 4 analysis hinges on comparing statistical errors
-// (σ_stat, estimated by resampling the work ensemble) against systematic
-// errors (σ_sys, deviation from a slow-pulling reference), with σ_stat
-// normalized for computational cost across pulling velocities. The
-// cost-normalization helper lives here too.
+// The paper's Fig. 4 analysis compares statistical errors (σ_stat,
+// which internal/jarzynski estimates by resampling whole trajectories)
+// against systematic errors (σ_sys, the RMSD from a slow-pulling
+// reference), with σ_stat normalized for computational cost across
+// pulling velocities. The Fig. 3 strain profile is a Histogram; the
+// Langevin substrate's diffusion check is a LinearFit. The package
+// imports nothing else from this module.
 package analysis
 
 import (
 	"errors"
 	"math"
 	"sort"
-
-	"spice/internal/xrand"
 )
 
 // ErrEmpty is returned by estimators that require at least one sample.
@@ -56,23 +57,6 @@ func StdErr(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// MinMax returns the extrema of xs. It returns (0, 0) for empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
@@ -123,47 +107,6 @@ func BlockAverage(xs []float64, nblocks int) []float64 {
 		out = append(out, Mean(xs[lo:hi]))
 	}
 	return out
-}
-
-// Bootstrap computes the bootstrap standard error of statistic f over xs
-// using resamples drawn with rng. It returns the standard deviation of the
-// resampled statistic.
-func Bootstrap(xs []float64, resamples int, rng *xrand.Source, f func([]float64) float64) float64 {
-	if len(xs) == 0 || resamples <= 1 {
-		return 0
-	}
-	stats := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		stats[r] = f(buf)
-	}
-	return StdDev(stats)
-}
-
-// Jackknife returns the jackknife standard error of statistic f over xs.
-func Jackknife(xs []float64, f func([]float64) float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	loo := make([]float64, n)
-	buf := make([]float64, 0, n-1)
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		buf = append(buf, xs[:i]...)
-		buf = append(buf, xs[i+1:]...)
-		loo[i] = f(buf)
-	}
-	m := Mean(loo)
-	s := 0.0
-	for _, v := range loo {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(float64(n-1) / float64(n) * s)
 }
 
 // CostNormalizedError rescales a statistical error measured with n samples
@@ -221,39 +164,4 @@ func LinearFit(x, y []float64) (a, b float64, err error) {
 	b = sxy / sxx
 	a = my - b*mx
 	return a, b, nil
-}
-
-// AutoCorrTime estimates the integrated autocorrelation time of xs in units
-// of the sampling interval, by summing the normalized autocorrelation
-// function until it first drops below zero (initial positive sequence).
-// Returns 0.5 (uncorrelated) as the floor.
-func AutoCorrTime(xs []float64) float64 {
-	n := len(xs)
-	if n < 4 {
-		return 0.5
-	}
-	m := Mean(xs)
-	var c0 float64
-	for _, x := range xs {
-		d := x - m
-		c0 += d * d
-	}
-	c0 /= float64(n)
-	if c0 == 0 {
-		return 0.5
-	}
-	tau := 0.5
-	for lag := 1; lag < n/2; lag++ {
-		var c float64
-		for i := 0; i+lag < n; i++ {
-			c += (xs[i] - m) * (xs[i+lag] - m)
-		}
-		c /= float64(n - lag)
-		rho := c / c0
-		if rho <= 0 {
-			break
-		}
-		tau += rho
-	}
-	return tau
 }

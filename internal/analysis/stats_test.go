@@ -77,13 +77,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-}
-
 func TestBlockAverage(t *testing.T) {
 	xs := []float64{1, 1, 2, 2, 3, 3}
 	blocks := BlockAverage(xs, 3)
@@ -118,33 +111,6 @@ func TestBlockAveragePreservesMean(t *testing.T) {
 		if math.Abs(Mean(blocks)-Mean(xs)) > 1e-10 {
 			t.Fatalf("nb=%d: block mean %v != sample mean %v", nb, Mean(blocks), Mean(xs))
 		}
-	}
-}
-
-func TestBootstrapMatchesStdErr(t *testing.T) {
-	// For the sample mean, bootstrap SE should approximate StdErr.
-	rng := xrand.New(2)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 3
-	}
-	se := StdErr(xs)
-	boot := Bootstrap(xs, 500, xrand.New(3), Mean)
-	if math.Abs(boot-se)/se > 0.2 {
-		t.Fatalf("bootstrap SE %v vs analytic %v", boot, se)
-	}
-}
-
-func TestJackknifeMatchesStdErr(t *testing.T) {
-	rng := xrand.New(4)
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = 5 + 2*rng.NormFloat64()
-	}
-	se := StdErr(xs)
-	jk := Jackknife(xs, Mean)
-	if math.Abs(jk-se)/se > 0.05 {
-		t.Fatalf("jackknife SE %v vs analytic %v", jk, se)
 	}
 }
 
@@ -196,30 +162,5 @@ func TestLinearFit(t *testing.T) {
 	}
 	if _, _, err := LinearFit([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Fatal("degenerate x should error")
-	}
-}
-
-func TestAutoCorrTime(t *testing.T) {
-	// White noise: tau ~ 0.5.
-	rng := xrand.New(6)
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	tau := AutoCorrTime(xs)
-	if tau < 0.3 || tau > 1.5 {
-		t.Fatalf("white-noise tau = %v, want ~0.5", tau)
-	}
-	// AR(1) with phi=0.9: tau ≈ 0.5·(1+phi)/(1-phi) = 9.5.
-	ar := make([]float64, 65536)
-	for i := 1; i < len(ar); i++ {
-		ar[i] = 0.9*ar[i-1] + rng.NormFloat64()
-	}
-	tauAR := AutoCorrTime(ar)
-	if tauAR < 5 || tauAR > 20 {
-		t.Fatalf("AR(1) tau = %v, want ~9.5", tauAR)
-	}
-	if tauAR < 2*tau {
-		t.Fatalf("correlated series should have much larger tau (%v vs %v)", tauAR, tau)
 	}
 }

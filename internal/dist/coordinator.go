@@ -603,18 +603,6 @@ func (co *Coordinator) journalLocked(r *jrec, sync bool) bool {
 	return co.journal.log.Append(r, sync) == nil
 }
 
-// CompactJournal triggers a journal compaction immediately, regardless
-// of the size threshold — the explicit operator trigger. A no-op
-// without a journal.
-func (co *Coordinator) CompactJournal() error {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.journal == nil {
-		return nil
-	}
-	return co.journal.log.Compact()
-}
-
 // requeuedLocked announces a job that lost its last lease and is
 // pending again, and journals the failure of the campaign of one that
 // ran out of attempts. Caller holds mu.

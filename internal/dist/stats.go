@@ -1,16 +1,10 @@
 package dist
 
-import (
-	"fmt"
-
-	"spice/internal/trace"
-	"spice/internal/wal"
-)
+import "spice/internal/wal"
 
 // TailCondition classifies the journal tail found at the last recovery.
 // A plain enum plus a message string serializes and compares cleanly
-// (Stats is a value snapshot); TornTailErr restores the errors.Is
-// semantics callers matching trace.ErrTruncated/ErrFormat rely on.
+// (Stats is a value snapshot).
 type TailCondition int
 
 const (
@@ -18,12 +12,10 @@ const (
 	// journal). The zero value, so a fresh Stats means "clean".
 	TailClean TailCondition = iota
 	// TailTorn: the tail was cut mid-record — the signature of a crash
-	// during an append. The torn bytes were dropped; errors.Is matches
-	// trace.ErrTruncated.
+	// during an append. The torn bytes were dropped.
 	TailTorn
 	// TailCorrupt: a record failed its checksum or framing — bit rot or
-	// outside interference, not a crash. errors.Is matches
-	// trace.ErrFormat.
+	// outside interference, not a crash.
 	TailCorrupt
 )
 
@@ -64,8 +56,7 @@ type Stats struct {
 	DuplicateResultsDropped int   // retransmitted result/fail lines acked and dropped
 	Adoptions               int   // in-flight jobs re-leased to their live worker after restart/revocation
 	// TornTail classifies the journal tail dropped at the last recovery
-	// (TailClean if none); TornTailMsg carries the detail text. Use
-	// TornTailErr for errors.Is matching.
+	// (TailClean if none); TornTailMsg carries the detail text.
 	TornTail    TailCondition
 	TornTailMsg string
 
@@ -107,21 +98,6 @@ type Stats struct {
 	DeltaBaseMisses     int   // deltas rejected for a base this coordinator no longer holds
 	CheckpointsRejected int   // checkpoint payloads that are no decodable checkpoint (answered NeedFull)
 	WorkPolls           int64 // msgNext requests received (shed or served)
-}
-
-// TornTailErr reconstructs the typed error for the recorded tail
-// condition: errors.Is(err, trace.ErrTruncated) for a torn tail,
-// errors.Is(err, trace.ErrFormat) for a corrupted record, nil when
-// clean.
-func (s Stats) TornTailErr() error {
-	switch s.TornTail {
-	case TailTorn:
-		return fmt.Errorf("%s: %w", s.TornTailMsg, trace.ErrTruncated)
-	case TailCorrupt:
-		return fmt.Errorf("%s: %w", s.TornTailMsg, trace.ErrFormat)
-	default:
-		return nil
-	}
 }
 
 // setStorage copies the journal's health into the Storage* fields, and

@@ -23,11 +23,6 @@ type Job struct {
 	Hours float64
 	// Submit is the queue entry time.
 	Submit float64
-	// Tenant is the fair-share accounting identity (empty: one shared
-	// anonymous tenant). Only consulted by policy-ordered scheduling.
-	Tenant string
-	// Priority is the base scheduling priority (higher first; 0 default).
-	Priority int
 	// Tags carry application metadata (e.g. the SMD parameters).
 	Tags map[string]string
 }
@@ -181,10 +176,6 @@ type Queue struct {
 	// Without it, starts are forced to be monotone in submit order
 	// (strict FCFS).
 	Backfill bool
-	// Policy, if set, orders ScheduleBatch submissions by priority,
-	// fair share and age instead of arrival order. One-at-a-time Submit
-	// ignores it (arrival order IS the policy there).
-	Policy *Policy
 
 	lastStart float64
 	placed    []Placement
@@ -212,71 +203,6 @@ func (q *Queue) Submit(j *Job) (Placement, error) {
 	}
 	q.placed = append(q.placed, p)
 	return p, nil
-}
-
-// ScheduleBatch schedules a set of competing jobs through the queue's
-// Policy: at each step the policy ranks the not-yet-placed jobs (aged
-// priority, then tenant fair share, then submit sequence), the winner
-// is placed with Submit, and its CPU-hours are charged to its tenant —
-// so a tenant burning through the machine sinks in the order as the
-// batch drains, which is what makes the share "fair" rather than a
-// static quota. With a nil Policy the batch degrades to submit order
-// (the historical FCFS behavior). Placements are returned in the order
-// jobs were placed.
-func (q *Queue) ScheduleBatch(jobs []*Job) ([]Placement, error) {
-	pol := q.Policy
-	if pol == nil {
-		// No policy: plain arrival order, exactly as repeated Submit calls.
-		placed := make([]Placement, 0, len(jobs))
-		for _, j := range jobs {
-			p, err := q.Submit(j)
-			if err != nil {
-				return placed, err
-			}
-			placed = append(placed, p)
-		}
-		return placed, nil
-	}
-	// The decision clock: the batch is scheduled once the whole batch is
-	// known, so every job's wait is measured to the latest submission.
-	clock := 0.0
-	for _, j := range jobs {
-		if j.Submit > clock {
-			clock = j.Submit
-		}
-	}
-	cands := make([]Candidate, len(jobs))
-	for i, j := range jobs {
-		cands[i] = Candidate{Tenant: j.Tenant, Priority: j.Priority, WaitHours: clock - j.Submit, Seq: i}
-	}
-	placed := make([]Placement, 0, len(jobs))
-	remaining := make([]int, len(jobs))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for len(remaining) > 0 {
-		sub := make([]Candidate, len(remaining))
-		for k, i := range remaining {
-			sub[k] = cands[i]
-		}
-		// Re-rank every round: the previous placement charged usage, and
-		// fair share is exactly the property that the order reacts to it.
-		next := remaining[pol.Rank(sub, nil)[0]]
-		p, err := q.Submit(jobs[next])
-		if err != nil {
-			return placed, err
-		}
-		placed = append(placed, p)
-		pol.Charge(jobs[next].Tenant, jobs[next].CPUHours())
-		keep := remaining[:0]
-		for _, i := range remaining {
-			if i != next {
-				keep = append(keep, i)
-			}
-		}
-		remaining = keep
-	}
-	return placed, nil
 }
 
 // Placements returns all jobs scheduled through this queue.

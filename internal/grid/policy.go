@@ -1,12 +1,15 @@
 package grid
 
-// Priority + fair-share ordering, factored out of any one queue so the
-// discrete-event simulator (Queue.ScheduleBatch) and the live control
-// plane's lease-path scheduler (internal/controlplane) run the *same*
-// policy implementation — the SPICE federation-scheduling story
-// (paper §IV) needs the modeled policies and the served ones to agree,
-// or capacity planning done against the simulator lies about the
-// service.
+// Priority + fair-share ordering for the live control plane's lease path
+// (internal/controlplane): each time a worker asks for work, the
+// campaigns with pending jobs are ranked here and offered in that order,
+// up to the first whose tenant is at its quota. The simulated batch
+// queues (Queue.Submit, driven by internal/federation) stay FCFS with
+// optional backfill. What the two share is the charge, not the order:
+// the control plane charges a finished campaign the simulated ns of its
+// pulls (campaign.Spec.PullNs), and that times
+// campaign.CostModel.CPUHoursPerNs is the CPU-hours of its simulated
+// jobs.
 //
 // The policy is three-keyed and deterministic:
 //
@@ -21,9 +24,7 @@ package grid
 //     has aged would always win and the next key would never be read.
 //  2. tenant fair-share usage, ascending — tenants that have consumed
 //     less service go first within a priority band. Usage is whatever
-//     the caller charges — the simulator charges CPU-hours, the live
-//     control plane the simulated ns of the same pulls, which differ
-//     only by a constant factor; only the ordering matters.
+//     the caller charges; only the ordering matters.
 //  3. submission sequence, ascending — FCFS settles exact ties, which
 //     also makes the whole order deterministic for a given input.
 
@@ -32,8 +33,8 @@ import (
 	"sort"
 )
 
-// Candidate is one schedulable item competing under a Policy: a batch
-// job in the simulator, a campaign in the live control plane.
+// Candidate is one schedulable item competing under a Policy: a
+// campaign on the live control plane's lease path.
 type Candidate struct {
 	// Tenant is the fair-share accounting identity.
 	Tenant string

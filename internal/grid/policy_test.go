@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -105,104 +104,4 @@ func TestStarvationFreedom(t *testing.T) {
 		}
 	}
 	t.Fatal("aged job never scheduled: starvation")
-}
-
-func TestScheduleBatchFairShareInterleaves(t *testing.T) {
-	m := NewMachine("hpcx", 128)
-	q := NewQueue(m, true)
-	q.Policy = NewPolicy(0)
-	var jobs []*Job
-	for i := 0; i < 3; i++ {
-		jobs = append(jobs, &Job{ID: fmt.Sprintf("a%d", i), Tenant: "alice", Procs: 128, Hours: 1})
-		jobs = append(jobs, &Job{ID: fmt.Sprintf("b%d", i), Tenant: "bob", Procs: 128, Hours: 1})
-	}
-	ps, err := q.ScheduleBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equal priority, equal cost: fair share alternates tenants — each
-	// placement charges its tenant, pushing it behind the other.
-	wantOrder := []string{"a0", "b0", "a1", "b1", "a2", "b2"}
-	for i, p := range ps {
-		if p.Job.ID != wantOrder[i] {
-			t.Fatalf("placement %d = %s, want %s (full order %v)", i, p.Job.ID, wantOrder[i], ids(ps))
-		}
-	}
-	if u := q.Policy.Usage("alice"); u != 3*128 {
-		t.Fatalf("alice usage = %v, want %v", u, 3*128)
-	}
-}
-
-func TestScheduleBatchPriorityBeatsArrival(t *testing.T) {
-	m := NewMachine("hpcx", 128)
-	q := NewQueue(m, true)
-	q.Policy = NewPolicy(0)
-	jobs := []*Job{
-		{ID: "routine", Tenant: "a", Procs: 128, Hours: 2, Priority: 0},
-		{ID: "urgent", Tenant: "b", Procs: 128, Hours: 1, Priority: 9},
-	}
-	ps, err := q.ScheduleBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps[0].Job.ID != "urgent" || ps[0].Start != 0 {
-		t.Fatalf("urgent not scheduled first: %v", ids(ps))
-	}
-	if ps[1].Start != 1 {
-		t.Fatalf("routine start = %v, want 1 (after urgent)", ps[1].Start)
-	}
-}
-
-// TestScheduleBatchNilPolicyIsFCFS pins the compatibility contract: no
-// policy means the historical arrival-order behavior.
-func TestScheduleBatchNilPolicyIsFCFS(t *testing.T) {
-	m := NewMachine("hpcx", 128)
-	q := NewQueue(m, false)
-	jobs := []*Job{
-		{ID: "first", Procs: 128, Hours: 1, Priority: 0},
-		{ID: "second", Procs: 128, Hours: 1, Priority: 99},
-	}
-	ps, err := q.ScheduleBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps[0].Job.ID != "first" {
-		t.Fatalf("nil policy reordered the batch: %v", ids(ps))
-	}
-}
-
-func TestScheduleBatchDeterministic(t *testing.T) {
-	run := func() []string {
-		m := NewMachine("hpcx", 256)
-		q := NewQueue(m, true)
-		q.Policy = NewPolicy(0.5)
-		var jobs []*Job
-		for i := 0; i < 12; i++ {
-			jobs = append(jobs, &Job{
-				ID:       fmt.Sprintf("j%d", i),
-				Tenant:   []string{"a", "b", "c"}[i%3],
-				Priority: i % 2,
-				Procs:    128,
-				Hours:    float64(1 + i%4),
-				Submit:   float64(i) * 0.25,
-			})
-		}
-		ps, err := q.ScheduleBatch(jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ids(ps)
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("non-deterministic batch order: %v vs %v", a, b)
-	}
-}
-
-func ids(ps []Placement) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Job.ID
-	}
-	return out
 }

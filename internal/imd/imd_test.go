@@ -211,23 +211,6 @@ func TestFrameBytes(t *testing.T) {
 	}
 }
 
-func TestPackCoords(t *testing.T) {
-	cs := PackCoords([]float64{1, 4}, []float64{2, 5}, []float64{3, 6})
-	want := []float32{1, 2, 3, 4, 5, 6}
-	for i := range want {
-		if cs[i] != want[i] {
-			t.Fatalf("packed = %v", cs)
-		}
-	}
-	if !CoordsFinite(cs) {
-		t.Fatal("finite coords reported non-finite")
-	}
-	inf := float32(math.Inf(1))
-	if CoordsFinite([]float32{inf}) {
-		t.Fatal("inf coords reported finite")
-	}
-}
-
 // testEngine builds a tiny chain engine for session tests.
 func testEngine(t *testing.T, seed uint64) *md.Engine {
 	t.Helper()

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // MsgType discriminates protocol messages.
@@ -205,23 +204,3 @@ func FrameBytes(natoms int) int { return 1 + 8 + 8 + 4 + 12*natoms }
 
 // ForceBytes is the wire size of a force message.
 const ForceBytes = 1 + 4 + 24
-
-// PackCoords converts float64 xyz positions to the float32 wire layout.
-func PackCoords(xs, ys, zs []float64) []float32 {
-	out := make([]float32, 0, 3*len(xs))
-	for i := range xs {
-		out = append(out, float32(xs[i]), float32(ys[i]), float32(zs[i]))
-	}
-	return out
-}
-
-// CoordsFinite reports whether all packed coordinates are finite.
-func CoordsFinite(cs []float32) bool {
-	for _, c := range cs {
-		f := float64(c)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
-}

@@ -53,6 +53,16 @@ func (e Estimator) String() string {
 	}
 }
 
+// ParseEstimator is the inverse of String over the three estimators.
+func ParseEstimator(name string) (Estimator, error) {
+	for _, e := range []Estimator{Exponential, Cumulant1, Cumulant2} {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown estimator %q", name)
+}
+
 // Ensemble is a set of work profiles from repeated pulls with identical
 // protocol parameters, interpolated onto a common displacement grid.
 type Ensemble struct {

@@ -321,4 +321,15 @@ func TestEstimatorString(t *testing.T) {
 	if Exponential.String() != "exponential" || Cumulant1.String() != "cumulant1" || Cumulant2.String() != "cumulant2" {
 		t.Fatal("estimator labels wrong")
 	}
+	// ParseEstimator inverts String and refuses every other name.
+	for _, e := range []Estimator{Exponential, Cumulant1, Cumulant2} {
+		if got, err := ParseEstimator(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEstimator(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, name := range []string{"", "Cumulant2", "estimator(3)", "jarzynski"} {
+		if _, err := ParseEstimator(name); err == nil {
+			t.Fatalf("ParseEstimator(%q) accepted an unknown name", name)
+		}
+	}
 }

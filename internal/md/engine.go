@@ -333,17 +333,6 @@ func (e *Engine) Run(n int) {
 	}
 }
 
-// RunWith advances n timesteps, invoking cb after every step; cb may
-// inspect state and mutate External forces. Returning false stops early.
-func (e *Engine) RunWith(n int, cb func(step int) bool) {
-	for i := 0; i < n; i++ {
-		e.Step()
-		if cb != nil && !cb(i) {
-			return
-		}
-	}
-}
-
 // PotentialEnergy returns the potential energy from the last step.
 func (e *Engine) PotentialEnergy() float64 { return e.state.Epot }
 

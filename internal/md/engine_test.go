@@ -254,21 +254,6 @@ func TestCloneDoesNotPerturbOriginal(t *testing.T) {
 	}
 }
 
-func TestRunWithEarlyStop(t *testing.T) {
-	eng := smallChain(t, 1)
-	calls := 0
-	eng.RunWith(100, func(step int) bool {
-		calls++
-		return step < 9
-	})
-	if calls != 10 {
-		t.Fatalf("callback ran %d times, want 10", calls)
-	}
-	if eng.State().Step != 10 {
-		t.Fatalf("step = %d, want 10", eng.State().Step)
-	}
-}
-
 func TestEnergiesBreakdown(t *testing.T) {
 	eng := smallChain(t, 1)
 	eng.Step()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"spice/internal/analysis"
 	"spice/internal/units"
 	"spice/internal/vec"
 )
@@ -45,7 +46,7 @@ func NewRecorder(eng *Engine, every int, atoms []int) *Recorder {
 }
 
 // Sample records the current state if the step lines up with Every.
-// Call it after each engine step (or drive it via Engine.RunWith).
+// Call it after each engine step (or drive it via Run).
 func (r *Recorder) Sample() {
 	st := r.eng.State()
 	if !r.refSet {
@@ -86,16 +87,7 @@ func (r *Recorder) PotentialEnergies() []float64 { return r.epots }
 func (r *Recorder) MSDs() []float64              { return r.msds }
 
 // MeanTemperature averages the recorded kinetic temperature.
-func (r *Recorder) MeanTemperature() float64 {
-	if len(r.temps) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, t := range r.temps {
-		s += t
-	}
-	return s / float64(len(r.temps))
-}
+func (r *Recorder) MeanTemperature() float64 { return analysis.Mean(r.temps) }
 
 // DiffusionCoefficient fits MSD(t) = 6·D·t over the second half of the
 // recorded series (the ballistic-to-diffusive crossover is excluded) and
@@ -105,30 +97,14 @@ func (r *Recorder) DiffusionCoefficient() (float64, error) {
 	if n < 8 {
 		return 0, fmt.Errorf("md: need >= 8 samples for a diffusion fit, have %d", n)
 	}
-	lo := n / 2
-	var sxx, sxy float64
-	t0, m0 := meanOf(r.times[lo:]), meanOf(r.msds[lo:])
-	for i := lo; i < n; i++ {
-		dt := r.times[i] - t0
-		sxx += dt * dt
-		sxy += dt * (r.msds[i] - m0)
+	_, slope, err := analysis.LinearFit(r.times[n/2:], r.msds[n/2:])
+	if err != nil {
+		return 0, fmt.Errorf("md: diffusion fit: %w", err)
 	}
-	if sxx == 0 {
-		return 0, fmt.Errorf("md: degenerate time axis")
-	}
-	slope := sxy / sxx
 	if slope <= 0 || math.IsNaN(slope) {
 		return 0, fmt.Errorf("md: non-diffusive MSD (slope %g)", slope)
 	}
 	return slope / 6, nil
-}
-
-func meanOf(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // EinsteinD returns the Langevin prediction D = kT/(m·γ) in Å²/ps for a

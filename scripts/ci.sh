@@ -295,6 +295,32 @@ if grep -n 'EngineWorkers' $(find cmd/spiced -name '*.go' ! -name '*_test.go'); 
   exit 1
 fi
 
+echo "== one analysis toolkit =="
+# Each analysis computation has one implementation, the one something
+# runs: the Fig. 3 strain profile is an analysis.Histogram, md's MSD fit
+# is analysis.LinearFit, the fair-share grid.Policy ranks only the
+# control plane's lease path, and estimator names are parsed where
+# Estimator.String names them. internal/polymer, grid's batch scheduler,
+# md's own least-squares loop, the analysis exports and the dist, md and
+# imd API nothing called were deleted; they must not come back.
+src=$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/')
+if grep -n -F '"spice/internal/polymer"' $src; then
+  echo "FAIL: something imports internal/polymer again"
+  exit 1
+fi
+if grep -n -w -E 'ScheduleBatch|StretchProfile|CompactJournal|TornTailErr|RunWith|PackCoords|CoordsFinite|parseEstimator' $src; then
+  echo "FAIL: a deleted second implementation or uncalled API is back"
+  exit 1
+fi
+if grep -n -F '"spice/internal/' $(ls internal/analysis/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/analysis imports another package of this module"
+  exit 1
+fi
+if grep -n -w 'sxx' $(ls internal/md/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: internal/md fits its own least squares again"
+  exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
