@@ -10,8 +10,10 @@
 package spice
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -66,19 +68,38 @@ func BenchmarkFig1_SystemBuild(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Fig. 2 — RealityGrid steering architecture round trip.
 
+// BenchmarkFig2_SteeringRoundTrip follows Fig. 2a: the simulation
+// registers its steering address, the steerer finds it through the
+// registry, dials it, and each op is one status round trip over TCP.
 func BenchmarkFig2_SteeringRoundTrip(b *testing.B) {
 	spec := md.DefaultTranslocation(6)
 	ts, err := md.BuildTranslocation(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
 	reg := steering.NewRegistry()
-	_ = reg.Register(steering.ServiceInfo{Name: "sim", Kind: steering.KindSimulation})
+	_ = reg.Register(steering.ServiceInfo{Name: "sim", Kind: steering.KindSimulation, Addr: ln.Addr().String()})
 	_ = reg.Register(steering.ServiceInfo{Name: "viz", Kind: steering.KindVisualizer})
 	s := steering.NewSteered("sim", ts.Engine)
-	st := steering.NewSteerer(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- steering.NewControlServer(s, reg).ServeContext(ctx, ln) }()
 	done := make(chan int, 1)
 	go func() { done <- s.Run(1 << 30) }()
+
+	info, ok := reg.Lookup("sim")
+	if !ok {
+		b.Fatal("simulation not registered")
+	}
+	st, err := steering.Dial(info.Addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Status(); err != nil {
@@ -88,6 +109,8 @@ func BenchmarkFig2_SteeringRoundTrip(b *testing.B) {
 	b.StopTimer()
 	_ = st.Stop()
 	<-done
+	cancel()
+	<-served
 }
 
 // ---------------------------------------------------------------------------

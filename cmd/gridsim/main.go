@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
 
 	"spice/internal/campaign"
 	"spice/internal/federation"
@@ -68,8 +69,13 @@ func campaignScenarios(load float64, seed uint64) {
 	}
 	fed := results["federated US-UK grid"]
 	fmt.Printf("\nfederation job distribution:\n")
-	for m, n := range fed.PerSite {
-		fmt.Printf("  %-12s %d jobs\n", m, n)
+	machines := make([]string, 0, len(fed.PerSite))
+	for m := range fed.PerSite {
+		machines = append(machines, m)
+	}
+	sort.Strings(machines)
+	for _, m := range machines {
+		fmt.Printf("  %-12s %d jobs\n", m, fed.PerSite[m])
 	}
 	fmt.Printf("\npaper claim: 72 sims, ~75,000 CPU-hours, < 1 week on the federation → %.2f days here\n", fed.Days())
 }

@@ -18,6 +18,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"sort"
 	"time"
 
 	"spice/internal/campaign"
@@ -46,8 +47,13 @@ func main() {
 	fmt.Printf("production campaign on the federated US-UK grid (Fig. 5):\n")
 	fmt.Printf("  %d jobs, %.0f CPU-hours, makespan %.2f days (paper: 72 jobs, ~75,000 CPU-h, < 1 week)\n",
 		len(sched.Placements), sched.TotalCPUHours, sched.Days())
-	for m, n := range sched.PerSite {
-		fmt.Printf("    %-12s %2d jobs\n", m, n)
+	machines := make([]string, 0, len(sched.PerSite))
+	for m := range sched.PerSite {
+		machines = append(machines, m)
+	}
+	sort.Strings(machines)
+	for _, m := range machines {
+		fmt.Printf("    %-12s %2d jobs\n", m, sched.PerSite[m])
 	}
 
 	single, err := campaign.Simulate(campaign.SingleSite("local-512", 512), spec, cm, true, federation.JobConstraint{})

@@ -30,16 +30,24 @@ type FailureResult struct {
 	WastedCPUHours float64
 }
 
-// SimulateWithFailures schedules the campaign like Simulate, then rolls
-// failures: a failed job is resubmitted at its failure time (and its
-// wasted partial allocation stays booked — the machine really did burn
-// those cycles). Retries may fail again; the loop runs to completion.
+// SimulateWithFailures schedules the campaign like Simulate with
+// backfill, then rolls failures: a failed job is resubmitted at its
+// failure time (and its wasted partial allocation stays booked — the
+// machine really did burn those cycles). Retries may fail again; the
+// loop runs to completion.
 func SimulateWithFailures(fed *federation.Federation, spec Spec, cm CostModel, fm FailureModel, constraint federation.JobConstraint) (*FailureResult, error) {
 	if fm.PFail < 0 || fm.PFail >= 1 {
 		return nil, fmt.Errorf("campaign: failure probability %g out of [0,1)", fm.PFail)
 	}
+	return simulate(fed, spec, cm, true, fm, constraint)
+}
+
+// simulate places spec.Jobs(cm) in order through one federation
+// scheduler, resubmitting the attempts fm fails. The zero FailureModel
+// fails nothing and draws no random numbers.
+func simulate(fed *federation.Federation, spec Spec, cm CostModel, backfill bool, fm FailureModel, constraint federation.JobConstraint) (*FailureResult, error) {
 	rng := xrand.New(fm.Seed)
-	sched := federation.NewScheduler(fed, true)
+	sched := federation.NewScheduler(fed, backfill)
 
 	type attempt struct {
 		job     *grid.Job
@@ -47,7 +55,7 @@ func SimulateWithFailures(fed *federation.Federation, spec Spec, cm CostModel, f
 	}
 	queue := make([]attempt, 0, 128)
 	for _, j := range spec.Jobs(cm) {
-		queue = append(queue, attempt{job: j})
+		queue = append(queue, attempt{job: j, exclude: constraint.Exclude})
 	}
 
 	res := &FailureResult{}
@@ -61,7 +69,8 @@ func SimulateWithFailures(fed *federation.Federation, spec Spec, cm CostModel, f
 		queue = queue[1:]
 
 		c := constraint
-		p, site, err := submitExcluding(sched, fed, at.job, c, at.exclude)
+		c.Exclude = at.exclude
+		p, site, err := sched.Submit(at.job, c)
 		if err != nil {
 			return nil, err
 		}
@@ -82,15 +91,10 @@ func SimulateWithFailures(fed *federation.Federation, spec Spec, cm CostModel, f
 			}
 			excl := at.exclude
 			if fm.ExcludeFailedMachine {
-				if excl == nil {
-					excl = make(map[string]bool)
-				} else {
-					// Copy so sibling attempts are unaffected.
-					cp := make(map[string]bool, len(excl)+1)
-					for k := range excl {
-						cp[k] = true
-					}
-					excl = cp
+				// Copy so sibling attempts are unaffected.
+				excl = make(map[string]bool, len(at.exclude)+1)
+				for k := range at.exclude {
+					excl[k] = true
 				}
 				excl[site.Name] = true
 			}
@@ -106,39 +110,4 @@ func SimulateWithFailures(fed *federation.Federation, spec Spec, cm CostModel, f
 	res.MakespanHours = grid.Makespan(res.Placements)
 	res.TotalCPUHours = grid.TotalCPUHours(res.Placements)
 	return res, nil
-}
-
-// submitExcluding places a job on the best eligible site not in excl.
-func submitExcluding(sched *federation.Scheduler, fed *federation.Federation, j *grid.Job, c federation.JobConstraint, excl map[string]bool) (grid.Placement, *federation.Site, error) {
-	if len(excl) == 0 {
-		return sched.Submit(j, c)
-	}
-	// Rebuild eligibility with the exclusion: the scheduler API takes a
-	// constraint, so express the exclusion as a site filter by trying
-	// the scheduler on a federation view without the excluded sites.
-	var best *federation.Site
-	bestEnd := 0.0
-	for _, site := range fed.Sites() {
-		if excl[site.Name] || !c.Eligible(site) {
-			continue
-		}
-		start, err := site.Machine.EarliestStart(j.Submit, j.Hours, j.Procs)
-		if err != nil {
-			continue
-		}
-		if end := start + j.Hours; best == nil || end < bestEnd {
-			best, bestEnd = site, end
-		}
-	}
-	if best == nil {
-		return grid.Placement{}, nil, fmt.Errorf("campaign: no eligible site for %s after exclusions", j.ID)
-	}
-	start, err := best.Machine.EarliestStart(j.Submit, j.Hours, j.Procs)
-	if err != nil {
-		return grid.Placement{}, nil, err
-	}
-	if err := best.Machine.Reserve(start, j.Hours, j.Procs); err != nil {
-		return grid.Placement{}, nil, err
-	}
-	return grid.Placement{Job: j, Machine: best.Machine, Start: start}, best, nil
 }

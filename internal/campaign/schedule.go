@@ -25,29 +25,16 @@ type ScheduleResult struct {
 func (r ScheduleResult) Days() float64 { return r.MakespanHours / 24 }
 
 // Simulate schedules the campaign's job set on the federation (or any
-// subset of it) and returns the schedule summary. Constraint applies to
-// every job; the production batch needs cross-site steering connectivity
-// but not lightpaths.
+// subset of it) and returns the schedule summary: the failure-free
+// schedule of SimulateWithFailures. Constraint applies to every job; the
+// production batch needs cross-site steering connectivity but not
+// lightpaths.
 func Simulate(fed *federation.Federation, spec Spec, cm CostModel, backfill bool, constraint federation.JobConstraint) (*ScheduleResult, error) {
-	jobs := spec.Jobs(cm)
-	sched := federation.NewScheduler(fed, backfill)
-	placements, err := sched.SubmitAll(jobs, constraint)
+	res, err := simulate(fed, spec, cm, backfill, FailureModel{}, constraint)
 	if err != nil {
 		return nil, err
 	}
-	res := &ScheduleResult{
-		Placements:    placements,
-		MakespanHours: grid.Makespan(placements),
-		TotalCPUHours: grid.TotalCPUHours(placements),
-		PerSite:       make(map[string]int),
-	}
-	for _, p := range placements {
-		res.PerSite[p.Machine.Name]++
-		if w := p.WaitTime(); w > res.MaxWaitHours {
-			res.MaxWaitHours = w
-		}
-	}
-	return res, nil
+	return &res.ScheduleResult, nil
 }
 
 // SingleSite builds a one-site federation around the given machine —

@@ -9,7 +9,6 @@ package federation
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"spice/internal/grid"
 )
@@ -90,22 +89,6 @@ func (f *Federation) TotalProcs() int {
 	return n
 }
 
-// Dialects returns the distinct middleware stacks in the federation — each
-// one is an adaptation cost for the application (§V.C.6: "a bespoke
-// solution is required for every different grid used").
-func (f *Federation) Dialects() []Middleware {
-	seen := make(map[Middleware]bool)
-	var out []Middleware
-	for _, g := range f.Grids {
-		if !seen[g.Middleware] {
-			seen[g.Middleware] = true
-			out = append(out, g.Middleware)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SPICEFederation builds the Fig. 5 topology: the TeraGrid subset SPICE
 // used (NCSA, SDSC, PSC) plus the UK NGS high-end nodes. Processor counts
 // follow the 2005-era allocations (order-of-magnitude faithful); PSC runs
@@ -153,6 +136,9 @@ type JobConstraint struct {
 	// NeedsUDP excludes gateway-relayed sites: the PSC relay "does not
 	// support UDP-based traffic".
 	NeedsUDP bool
+	// Exclude names sites the job must avoid — the machines that killed
+	// its earlier attempts.
+	Exclude map[string]bool
 }
 
 // Eligible reports whether site s satisfies the constraint.
@@ -166,7 +152,7 @@ func (c JobConstraint) Eligible(s *Site) bool {
 	if c.NeedsUDP && s.HiddenIP {
 		return false
 	}
-	return true
+	return !c.Exclude[s.Name]
 }
 
 // Scheduler places jobs across the federation, greedily choosing the site
@@ -214,19 +200,6 @@ func (s *Scheduler) Submit(j *grid.Job, c JobConstraint) (grid.Placement, *Site,
 	return p, bestSite, nil
 }
 
-// SubmitAll places a job set in order and returns the placements.
-func (s *Scheduler) SubmitAll(jobs []*grid.Job, c JobConstraint) ([]grid.Placement, error) {
-	out := make([]grid.Placement, 0, len(jobs))
-	for _, j := range jobs {
-		p, _, err := s.Submit(j, c)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // CoAllocate finds the earliest common start at which every listed site
 // can simultaneously reserve procs[i] processors for hours, then books all
 // reservations. This is the cross-site reservation primitive the paper
@@ -235,25 +208,36 @@ func CoAllocate(sites []*Site, procs []int, hours, after float64) (float64, erro
 	if len(sites) == 0 || len(sites) != len(procs) {
 		return 0, errors.New("federation: co-allocation input mismatch")
 	}
+	ms := make([]*grid.Machine, len(sites))
+	for i, s := range sites {
+		ms[i] = s.Machine
+	}
+	t, err := coReserve(ms, procs, hours, after)
+	if err != nil {
+		return 0, fmt.Errorf("federation: co-allocation: %w", err)
+	}
+	return t, nil
+}
+
+// coReserve finds the earliest common start at or after `after` at which
+// every machine can hold procs[i] processors for hours, and books them
+// all: each machine is asked for its earliest start at or after the
+// candidate, and the candidate moves to the latest answer until none
+// moves it.
+func coReserve(ms []*grid.Machine, procs []int, hours, after float64) (float64, error) {
 	t := after
 	for iter := 0; iter < 10000; iter++ {
-		// Ask each site for its earliest start at or after t; converge
-		// on the max.
 		next := t
-		feasible := true
-		for i, s := range sites {
-			st, err := s.Machine.EarliestStart(t, hours, procs[i])
+		for i, m := range ms {
+			st, err := m.EarliestStart(t, hours, procs[i])
 			if err != nil {
-				return 0, fmt.Errorf("federation: co-allocation at %s: %w", s.Name, err)
+				return 0, err
 			}
-			if st > next {
-				next = st
-				feasible = false
-			}
+			next = max(next, st)
 		}
-		if feasible {
-			for i, s := range sites {
-				if err := s.Machine.Reserve(t, hours, procs[i]); err != nil {
+		if next == t {
+			for i, m := range ms {
+				if err := m.Reserve(t, hours, procs[i]); err != nil {
 					return 0, err
 				}
 			}
@@ -261,5 +245,5 @@ func CoAllocate(sites []*Site, procs []int, hours, after float64) (float64, erro
 		}
 		t = next
 	}
-	return 0, errors.New("federation: co-allocation did not converge")
+	return 0, errors.New("federation: co-reservation did not converge")
 }

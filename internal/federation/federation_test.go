@@ -42,18 +42,6 @@ func TestSPICEFederationTopology(t *testing.T) {
 	}
 }
 
-func TestDialects(t *testing.T) {
-	f := SPICEFederation()
-	d := f.Dialects()
-	if len(d) != 1 || d[0] != GT2 {
-		t.Fatalf("dialects = %v (GT2 was the common ground)", d)
-	}
-	f.Grids[1].Middleware = Unicore
-	if len(f.Dialects()) != 2 {
-		t.Fatal("second dialect not reported")
-	}
-}
-
 func TestJobConstraintEligibility(t *testing.T) {
 	f := SPICEFederation()
 	byName := make(map[string]*Site)
@@ -78,21 +66,21 @@ func TestJobConstraintEligibility(t *testing.T) {
 	if !light.Eligible(byName["Manchester"]) {
 		t.Fatal("Manchester had the lightpath")
 	}
+	light.Exclude = map[string]bool{"Manchester": true}
+	if light.Eligible(byName["Manchester"]) || !light.Eligible(byName["NCSA"]) {
+		t.Fatal("Exclude must rule out exactly the named sites")
+	}
 }
 
 func TestSchedulerSpreadsLoad(t *testing.T) {
 	f := SPICEFederation()
 	s := NewScheduler(f, true)
-	var jobs []*grid.Job
-	for i := 0; i < 24; i++ {
-		jobs = append(jobs, &grid.Job{ID: "j", Procs: 128, Hours: 8})
-	}
-	ps, err := s.SubmitAll(jobs, JobConstraint{NeedsCrossSite: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	machines := make(map[string]int)
-	for _, p := range ps {
+	for i := 0; i < 24; i++ {
+		p, _, err := s.Submit(&grid.Job{ID: "j", Procs: 128, Hours: 8}, JobConstraint{NeedsCrossSite: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		machines[p.Machine.Name]++
 	}
 	if len(machines) < 3 {

@@ -92,39 +92,14 @@ func CoScheduleInteractive(fabric *LightpathFabric, sim *Site, vizSite string, p
 	if !ok {
 		return nil, fmt.Errorf("federation: no circuit provisioned between %s and %s", sim.Name, vizSite)
 	}
-	t := after
-	for iter := 0; iter < 10000; iter++ {
-		next := t
-		converged := true
-		cs, err := sim.Machine.EarliestStart(t, hours, procs)
-		if err != nil {
-			return nil, err
-		}
-		if cs > next {
-			next, converged = cs, false
-		}
-		ls, err := link.calendar.EarliestStart(t, hours, 1)
-		if err != nil {
-			return nil, err
-		}
-		if ls > next {
-			next, converged = ls, false
-		}
-		if converged {
-			if err := sim.Machine.Reserve(t, hours, procs); err != nil {
-				return nil, err
-			}
-			if err := link.calendar.Reserve(t, hours, 1); err != nil {
-				return nil, err
-			}
-			return &InteractiveSession{
-				SimSite: sim, VizSite: vizSite, Procs: procs,
-				Hours: hours, Start: t, Link: link,
-			}, nil
-		}
-		t = next
+	start, err := coReserve([]*grid.Machine{sim.Machine, link.calendar}, []int{procs, 1}, hours, after)
+	if err != nil {
+		return nil, err
 	}
-	return nil, errors.New("federation: lightpath co-scheduling did not converge")
+	return &InteractiveSession{
+		SimSite: sim, VizSite: vizSite, Procs: procs,
+		Hours: hours, Start: start, Link: link,
+	}, nil
 }
 
 // CircuitUtilization reports the booked fraction of a circuit over the

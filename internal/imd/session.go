@@ -230,6 +230,3 @@ func (c *Client) Run() error {
 		}
 	}
 }
-
-// Detach asks the simulation to end the session.
-func (c *Client) Detach() error { return Write(c.conn, &Message{Type: MsgDetach}) }

@@ -96,11 +96,6 @@ func (p Profile) MeanDelay(rng *xrand.Source, bytes, n int) time.Duration {
 	return total / time.Duration(n)
 }
 
-// SupportsUDP reports whether the path forwards UDP traffic. Gateway-
-// relayed paths (the PSC qsocket/Access Gateway solution to hidden IP
-// addresses) do not — §V.C.1 of the paper.
-func (p Profile) SupportsUDP() bool { return true }
-
 // Shim wraps a net.Conn, delaying every Write by the profile's sampled
 // one-way delay multiplied by Scale (use Scale << 1 in tests to keep
 // wall-clock time down while preserving delay ratios between profiles).

@@ -161,12 +161,6 @@ func TestPipeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSupportsUDP(t *testing.T) {
-	if !Lightpath.SupportsUDP() {
-		t.Fatal("direct paths forward UDP")
-	}
-}
-
 func TestTCPThroughputMathis(t *testing.T) {
 	// Loss-free paths run at line rate.
 	if got := Lightpath.TCPThroughputMbps(1460); got != Lightpath.BandwidthMbps {

@@ -14,14 +14,10 @@ func TestSteerCmdEvents(t *testing.T) {
 	ev := obs.NewEventLog(nil, 64)
 	s.Events = ev
 
-	runDone := make(chan struct{})
-	go func() {
-		// Effectively unbounded: CmdStop is the only way out, so the
-		// control loop is guaranteed alive for every command below.
-		s.Run(1 << 40)
-		close(runDone)
-	}()
-	st := NewSteerer(s)
+	cs, st := bridge(t, s, nil)
+	// Effectively unbounded: CmdStop is the only way out, so the
+	// control loop is guaranteed alive for every command below.
+	runDone := runSteered(s, 1<<40)
 	if err := st.Pause(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +27,10 @@ func TestSteerCmdEvents(t *testing.T) {
 	if err := st.SetParam("no-such-param", "1"); err == nil {
 		t.Fatal("unknown parameter accepted")
 	}
-	clone, err := st.Clone("sim0-c", 99)
-	if err != nil {
+	if _, err := st.Clone("sim0-c", 99); err != nil {
 		t.Fatal(err)
 	}
-	if clone.Events != ev {
+	if cs.Clones()[0].Events != ev {
 		t.Fatal("clone did not inherit the event log")
 	}
 	if err := st.Resume(); err != nil {

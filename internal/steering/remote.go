@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"spice/internal/netutil"
@@ -37,17 +38,6 @@ type wireResponse struct {
 	CloneName  string            `json:"cloneName,omitempty"`
 }
 
-// commandNames maps wire command strings to CommandTypes.
-var commandNames = map[string]CommandType{
-	"pause":      CmdPause,
-	"resume":     CmdResume,
-	"stop":       CmdStop,
-	"set-param":  CmdSetParam,
-	"status":     CmdStatus,
-	"checkpoint": CmdCheckpoint,
-	"clone":      CmdClone,
-}
-
 // ControlServer bridges a listener to a steered simulation. Clones
 // created through the bridge are registered in the registry (if given)
 // and retained so they are not garbage collected mid-experiment.
@@ -71,18 +61,12 @@ func (cs *ControlServer) Clones() []*Steered {
 	return append([]*Steered(nil), cs.clones...)
 }
 
-// Serve accepts steering connections until the listener closes. Each
-// connection is served on its own goroutine; commands from concurrent
-// steerers interleave at step boundaries like local ones.
-func (cs *ControlServer) Serve(ln net.Listener) error {
-	return cs.ServeContext(context.Background(), ln)
-}
-
-// ServeContext is Serve with graceful shutdown: when ctx is cancelled
-// the listener and every live steering connection are closed, and the
-// call waits for all connection handlers to return before reporting
-// netutil.ErrServerClosed. Tests and daemons use it to stop the bridge
-// without leaking goroutines.
+// ServeContext accepts steering connections until ctx is cancelled.
+// Each connection is served on its own goroutine; commands from
+// concurrent steerers interleave at step boundaries. On cancel the
+// listener and every live steering connection are closed, and the call
+// waits for all connection handlers to return before reporting
+// netutil.ErrServerClosed.
 func (cs *ControlServer) ServeContext(ctx context.Context, ln net.Listener) error {
 	return netutil.Serve(ctx, ln, func(conn net.Conn) {
 		_ = cs.serveConn(conn)
@@ -112,21 +96,21 @@ func (cs *ControlServer) serveConn(conn net.Conn) error {
 }
 
 func (cs *ControlServer) handle(req wireRequest) wireResponse {
-	ct, ok := commandNames[req.Cmd]
-	if !ok {
+	ct := slices.Index(commandNames[:], req.Cmd)
+	if ct < 0 {
 		return wireResponse{Err: fmt.Sprintf("unknown command %q", req.Cmd)}
 	}
-	r := cs.Target.send(Command{Type: ct, Key: req.Key, Value: req.Value, Seed: req.Seed})
+	r := cs.Target.send(Command{Type: CommandType(ct), Key: req.Key, Value: req.Value, Seed: req.Seed})
 	if r.Err != "" {
 		return wireResponse{Err: r.Err}
 	}
 	out := wireResponse{OK: true, Status: r.Status}
 	if r.Checkpoint != nil {
-		var buf jsonBuffer
+		var buf bytes.Buffer
 		if err := trace.WriteCheckpoint(&buf, r.Checkpoint); err != nil {
 			return wireResponse{Err: "checkpoint encode: " + err.Error()}
 		}
-		out.Checkpoint = buf.data
+		out.Checkpoint = buf.Bytes()
 	}
 	if r.Clone != nil {
 		cs.mu.Lock()
@@ -138,14 +122,6 @@ func (cs *ControlServer) handle(req wireRequest) wireResponse {
 		out.CloneName = r.Clone.Name
 	}
 	return out
-}
-
-// jsonBuffer is a minimal io.Writer over a byte slice.
-type jsonBuffer struct{ data []byte }
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }
 
 // RemoteSteerer is the client side of the bridge.

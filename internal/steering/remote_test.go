@@ -11,8 +11,20 @@ import (
 	"spice/internal/netutil"
 )
 
-// remotePair wires a ControlServer to a RemoteSteerer over an in-memory
-// duplex connection and starts the steered simulation.
+// bridge serves s through a ControlServer over an in-memory duplex
+// connection and returns the server and the client end of the wire.
+func bridge(t *testing.T, s *Steered, reg *Registry) (*ControlServer, *RemoteSteerer) {
+	t.Helper()
+	cs := NewControlServer(s, reg)
+	clientConn, serverConn := net.Pipe()
+	go func() { _ = cs.ServeConn(serverConn) }()
+	rs := NewRemoteSteerer(clientConn)
+	t.Cleanup(func() { rs.Close(); serverConn.Close() })
+	return cs, rs
+}
+
+// remotePair bridges a steered simulation with one "bias" parameter and
+// starts it.
 func remotePair(t *testing.T, seed uint64) (*ControlServer, *RemoteSteerer, *Registry, chan int) {
 	t.Helper()
 	reg := NewRegistry()
@@ -21,14 +33,8 @@ func remotePair(t *testing.T, seed uint64) (*ControlServer, *RemoteSteerer, *Reg
 		_, err := strconv.ParseFloat(v, 64)
 		return err
 	})
-	cs := NewControlServer(s, reg)
-	clientConn, serverConn := net.Pipe()
-	go func() { _ = cs.ServeConn(serverConn) }()
-	done := make(chan int, 1)
-	go func() { done <- s.Run(1 << 30) }()
-	rs := NewRemoteSteerer(clientConn)
-	t.Cleanup(func() { rs.Close(); serverConn.Close() })
-	return cs, rs, reg, done
+	cs, rs := bridge(t, s, reg)
+	return cs, rs, reg, runSteered(s, 1<<30)
 }
 
 func TestRemotePauseStatusResumeStop(t *testing.T) {

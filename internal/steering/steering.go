@@ -14,7 +14,6 @@ package steering
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -79,40 +78,12 @@ func (r *Registry) Register(info ServiceInfo) error {
 	return nil
 }
 
-// Deregister removes a service.
-func (r *Registry) Deregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.services, name)
-}
-
 // Lookup finds a service by name.
 func (r *Registry) Lookup(name string) (ServiceInfo, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	info, ok := r.services[name]
 	return info, ok
-}
-
-// ByKind lists services of one kind, sorted by name.
-func (r *Registry) ByKind(k Kind) []ServiceInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []ServiceInfo
-	for _, s := range r.services {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Len returns the number of registered services.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.services)
 }
 
 // CommandType enumerates steering commands.
@@ -129,26 +100,16 @@ const (
 	CmdClone
 )
 
+// commandNames are the commands' wire and event names, indexed by
+// CommandType.
+var commandNames = [...]string{"pause", "resume", "stop", "set-param", "status", "checkpoint", "clone"}
+
 // String implements fmt.Stringer.
 func (c CommandType) String() string {
-	switch c {
-	case CmdPause:
-		return "pause"
-	case CmdResume:
-		return "resume"
-	case CmdStop:
-		return "stop"
-	case CmdSetParam:
-		return "set-param"
-	case CmdStatus:
-		return "status"
-	case CmdCheckpoint:
-		return "checkpoint"
-	case CmdClone:
-		return "clone"
-	default:
-		return fmt.Sprintf("cmd(%d)", int(c))
+	if c >= 0 && int(c) < len(commandNames) {
+		return commandNames[c]
 	}
+	return fmt.Sprintf("cmd(%d)", int(c))
 }
 
 // Command is one steering request. Reply must be buffered (capacity >= 1).
@@ -206,10 +167,8 @@ func NewSteered(name string, eng *md.Engine) *Steered {
 // OnParam registers a steerable parameter.
 func (s *Steered) OnParam(name string, h ParamHandler) { s.params[name] = h }
 
-// Control returns the channel steerers send commands on.
-func (s *Steered) Control() chan<- Command { return s.cmds }
-
-// send issues a command and waits for the response (helper for Steerer).
+// send issues a command and waits for the response; the control
+// server calls it once per wire request.
 func (s *Steered) send(c Command) Response {
 	c.Reply = make(chan Response, 1)
 	s.cmds <- c
@@ -223,8 +182,9 @@ func (s *Steered) send(c Command) Response {
 func (s *Steered) Run(maxSteps int) int {
 	ran := 0
 	for ran < maxSteps && !s.stop {
-		// Service everything pending; block while paused.
-		for {
+		// Service everything pending; block while paused. A stop ends
+		// the run even while paused.
+		for !s.stop {
 			if s.paused {
 				cmd, ok := <-s.cmds
 				if !ok {
@@ -319,63 +279,4 @@ func (s *Steered) handle(c Command) {
 	if c.Reply != nil {
 		c.Reply <- resp
 	}
-}
-
-// Steerer is the client-side handle used by the scientist's workstation.
-type Steerer struct{ target *Steered }
-
-// NewSteerer connects to a simulation through the registry-resolved
-// target. (In-process transport: the registry stores the *Steered
-// directly via Attach.)
-func NewSteerer(target *Steered) *Steerer { return &Steerer{target: target} }
-
-// Pause suspends the simulation at the next step boundary.
-func (st *Steerer) Pause() error { return st.call(Command{Type: CmdPause}) }
-
-// Resume continues a paused simulation.
-func (st *Steerer) Resume() error { return st.call(Command{Type: CmdResume}) }
-
-// Stop ends the run loop.
-func (st *Steerer) Stop() error { return st.call(Command{Type: CmdStop}) }
-
-// SetParam changes a registered steerable parameter.
-func (st *Steerer) SetParam(key, value string) error {
-	return st.call(Command{Type: CmdSetParam, Key: key, Value: value})
-}
-
-// Status fetches the live status readout.
-func (st *Steerer) Status() (map[string]string, error) {
-	r := st.target.send(Command{Type: CmdStatus})
-	if r.Err != "" {
-		return nil, errors.New(r.Err)
-	}
-	return r.Status, nil
-}
-
-// Checkpoint snapshots the simulation state.
-func (st *Steerer) Checkpoint() (*trace.Checkpoint, error) {
-	r := st.target.send(Command{Type: CmdCheckpoint})
-	if r.Err != "" {
-		return nil, errors.New(r.Err)
-	}
-	return r.Checkpoint, nil
-}
-
-// Clone duplicates the running simulation with a new RNG stream — the
-// paper's "checkpoint and cloning ... for verification and validation
-// tests without perturbing the original simulation".
-func (st *Steerer) Clone(name string, seed uint64) (*Steered, error) {
-	r := st.target.send(Command{Type: CmdClone, Key: name, Seed: seed})
-	if r.Err != "" {
-		return nil, errors.New(r.Err)
-	}
-	return r.Clone, nil
-}
-
-func (st *Steerer) call(c Command) error {
-	r := st.target.send(c)
-	if r.Err != "" {
-		return errors.New(r.Err)
-	}
-	return nil
 }

@@ -174,26 +174,6 @@ func (t *Topology) ExclusionLists() [][]int32 {
 	return lists
 }
 
-// Masses returns a slice of atom masses.
-func (t *Topology) Masses() []float64 {
-	m := make([]float64, len(t.Atoms))
-	for i, a := range t.Atoms {
-		m[i] = a.Mass
-	}
-	return m
-}
-
-// AtomsOfKind returns the indices of all atoms with kind k.
-func (t *Topology) AtomsOfKind(k Kind) []int {
-	var out []int
-	for i, a := range t.Atoms {
-		if a.Kind == k {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MobileCount returns the number of non-fixed atoms.
 func (t *Topology) MobileCount() int {
 	n := 0
@@ -358,10 +338,6 @@ func (p PoreParams) AxialRadius(z float64) float64 {
 		return p.ConstrictionRadius + (p.BarrelRadius-p.ConstrictionRadius)*s
 	}
 }
-
-// SevenFold reports the rotational symmetry order of the pore (hemolysin
-// is a heptamer; Fig. 1b of the paper shows the seven-fold symmetry).
-func (p PoreParams) SevenFold() int { return 7 }
 
 // BuildPoreWalls appends fixed wall beads tracing the pore surface and
 // returns their indices and positions. Beads are placed on rings spaced

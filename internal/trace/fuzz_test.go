@@ -75,9 +75,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzScanRecords: no input panics either record reader, and the
-// defensive scan and the streaming reader agree on the clean prefix —
-// the records before the first torn, corrupt or oversized frame.
+// FuzzScanRecords: no input panics the scan, it keeps the records the
+// streaming reader reads before the first torn, corrupt or oversized
+// frame, and its clean prefix and torn tail cover the input exactly.
 func FuzzScanRecords(f *testing.F) {
 	stream := framedStream(f, []byte("alpha"), nil, []byte(`{"t":"done"}`))
 	f.Add(stream)
@@ -103,6 +103,9 @@ func FuzzScanRecords(f *testing.F) {
 				t.Fatalf("scan refused the stream (%v), reader read %d records", err, len(read))
 			}
 			return
+		}
+		if scan.CleanLen+scan.TornBytes != int64(len(data)) {
+			t.Fatalf("CleanLen %d + TornBytes %d != %d input bytes", scan.CleanLen, scan.TornBytes, len(data))
 		}
 		if len(read) != len(scan.Records) {
 			t.Fatalf("reader read %d records, scan kept %d", len(read), len(scan.Records))

@@ -166,95 +166,62 @@ type RecordScan struct {
 	TornBytes int64
 }
 
-// ScanRecords reads a record stream to its end, tolerating a torn tail.
-// A completely empty input is a fresh stream: zero records, CleanLen 0,
-// no error. A stream that does not start with the record magic is
-// foreign and yields ErrFormat as a hard error (not a RecordScan), so
-// callers never truncate a file they do not own.
+// ScanRecords reads a record stream to its end through a RecordReader,
+// tolerating a torn tail. A completely empty input is a fresh stream:
+// zero records, CleanLen 0, no error. A stream that does not start with
+// the record magic is foreign and yields ErrFormat as a hard error (not
+// a RecordScan), so callers never truncate a file they do not own.
 func ScanRecords(r io.Reader) (*RecordScan, error) {
-	br := bufio.NewReader(r)
+	cr := &countingReader{r: r}
+	rr := NewRecordReader(cr)
 	scan := &RecordScan{}
-	magic := make([]byte, len(recordMagic))
-	n, err := io.ReadFull(br, magic)
-	if err == io.EOF && n == 0 {
-		return scan, nil // fresh stream
+	for {
+		p, err := rr.Next()
+		if err == nil {
+			scan.Records = append(scan.Records, p)
+			scan.CleanLen += FramedLen(len(p))
+			continue
+		}
+		switch {
+		case err == io.EOF:
+		case err == io.ErrUnexpectedEOF:
+			scan.TailErr = ErrTruncated
+		case errors.Is(err, ErrFormat) && !rr.first:
+			scan.TailErr = err // a corrupt frame: everything from here on is suspect
+		default:
+			return nil, err // a foreign magic or a read error
+		}
+		break
 	}
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		// A few bytes of magic then nothing: torn before the first record.
-		scan.TailErr = ErrTruncated
-		scan.TornBytes = int64(n)
-		return scan, nil
+	if !rr.first {
+		scan.CleanLen += MagicLen
 	}
-	if err != nil {
+	if _, err := io.Copy(io.Discard, cr); err != nil {
 		return nil, err
 	}
-	if string(magic) != recordMagic {
-		return nil, fmt.Errorf("trace: not a record stream: %w", ErrFormat)
-	}
-	offset := int64(len(recordMagic))
-	scan.CleanLen = offset
-	for {
-		var hdr [8]byte
-		n, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF && n == 0 {
-			return scan, nil // clean end at a record boundary
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			scan.TailErr = ErrTruncated
-			scan.TornBytes = int64(n)
-			return scan, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			// A corrupt length field: everything from here on is suspect.
-			scan.TailErr = fmt.Errorf("trace: record length %d exceeds limit: %w", length, ErrFormat)
-			scan.TornBytes = countRemaining(br, int64(len(hdr)))
-			return scan, nil
-		}
-		payload := make([]byte, length)
-		pn, err := io.ReadFull(br, payload)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			scan.TailErr = ErrTruncated
-			scan.TornBytes = int64(len(hdr) + pn)
-			return scan, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			scan.TailErr = fmt.Errorf("trace: record checksum mismatch: %w", ErrFormat)
-			scan.TornBytes = countRemaining(br, int64(len(hdr))+int64(length))
-			return scan, nil
-		}
-		scan.Records = append(scan.Records, payload)
-		offset += int64(len(hdr)) + int64(length)
-		scan.CleanLen = offset
-	}
+	scan.TornBytes = cr.n - scan.CleanLen
+	return scan, nil
 }
 
-// countRemaining drains br and returns consumed + whatever was left,
-// sizing the torn region behind a corrupt record header.
-func countRemaining(br *bufio.Reader, consumed int64) int64 {
-	n, _ := io.Copy(io.Discard, br)
-	return consumed + n
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
 }
 
-// ScanFile reads the record stream at path with ScanRecords. A missing
-// file is a fresh stream (zero records, no error), so openers of
-// durable logs — the dist journal, the control plane's campaign queue —
-// share one code path for first start and recovery.
-func ScanFile(path string) (*RecordScan, error) {
-	return ScanFileFS(faultfs.OS, path)
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
-// ScanFileFS is ScanFile through an injectable filesystem — the form
-// the journals use so disk-fault chaos tests can interpose faultfs.
-// Reads are never fault-injected, but routing them through the same FS
-// keeps every durable-path syscall on one auditable surface.
+// ScanFileFS reads the record stream at path with ScanRecords through
+// an injectable filesystem (nil means the OS). A missing file is a
+// fresh stream (zero records, no error), so openers of durable logs —
+// the dist journal, the write-ahead log — share one code path for first
+// start and recovery. Reads are never fault-injected, but routing them
+// through the same FS keeps every durable-path syscall on one auditable
+// surface.
 func ScanFileFS(fsys faultfs.FS, path string) (*RecordScan, error) {
 	data, err := faultfs.Or(fsys).ReadFile(path)
 	if err != nil {

@@ -158,7 +158,7 @@ func TestScanFile(t *testing.T) {
 	dir := t.TempDir()
 
 	// A missing file is a fresh stream, not an error.
-	scan, err := ScanFile(dir + "/absent.log")
+	scan, err := ScanFileFS(nil, dir+"/absent.log")
 	if err != nil {
 		t.Fatalf("missing file: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestScanFile(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scan, err = ScanFile(path)
+	scan, err = ScanFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestScanFile(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("not a record stream"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScanFile(foreign); !errors.Is(err, ErrFormat) {
+	if _, err := ScanFileFS(nil, foreign); !errors.Is(err, ErrFormat) {
 		t.Fatalf("foreign file err = %v, want ErrFormat", err)
 	}
 }

@@ -83,7 +83,3 @@ func Beta(t float64) float64 { return 1 / KT(t) }
 func ThermalVelocity(t, m float64) float64 {
 	return math.Sqrt(Boltzmann * t / m * AccelUnit)
 }
-
-// Degrees and radians.
-func Radians(deg float64) float64 { return deg * math.Pi / 180 }
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }

@@ -72,15 +72,3 @@ func TestThermalVelocityCarbon(t *testing.T) {
 		t.Fatalf("ThermalVelocity(300, 12) = %v Å/ps, want ~4.56", v)
 	}
 }
-
-func TestDegreesRadiansRoundTrip(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-			return true
-		}
-		return close(Degrees(Radians(x)), x, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

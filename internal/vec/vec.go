@@ -73,9 +73,6 @@ func (a *V) AddInPlace(b V) { a.X += b.X; a.Y += b.Y; a.Z += b.Z }
 // SubInPlace sets a -= b.
 func (a *V) SubInPlace(b V) { a.X -= b.X; a.Y -= b.Y; a.Z -= b.Z }
 
-// ScaleInPlace sets a *= s.
-func (a *V) ScaleInPlace(s float64) { a.X *= s; a.Y *= s; a.Z *= s }
-
 // AddScaled sets a += s·b. This is the hot-path FMA shape used by the
 // integrators and force accumulation.
 func (a *V) AddScaled(s float64, b V) {

@@ -110,11 +110,6 @@ func TestInPlaceOpsMatchValueOps(t *testing.T) {
 		t.Fatal("SubInPlace mismatch")
 	}
 	c = a
-	c.ScaleInPlace(3)
-	if c != a.Scale(3) {
-		t.Fatal("ScaleInPlace mismatch")
-	}
-	c = a
 	c.AddScaled(2, b)
 	if c != a.Add(b.Scale(2)) {
 		t.Fatal("AddScaled mismatch")

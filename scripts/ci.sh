@@ -321,6 +321,39 @@ if grep -n -w 'sxx' $(ls internal/md/*.go | grep -v '_test\.go$'); then
   exit 1
 fi
 
+echo "== one implementation per paper-model idea =="
+# Fig. 2 steers over the TCP bridge after a registry lookup, so
+# RemoteSteerer is the one steering client; campaign.Simulate is the
+# zero-failure run of the one schedule loop, and a retry that avoids the
+# machines that killed it is placed through the site queue like every
+# other job (JobConstraint.Exclude); CoAllocate and the lightpath
+# co-scheduler share one fixed-point co-reservation loop; ScanRecords
+# decodes through RecordReader. The second copies and the leaf API
+# nothing reached were deleted; they must not come back.
+src=$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/')
+if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians' $src ||
+  grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach' $src; then
+  echo "FAIL: a deleted second implementation or unreached API is back"
+  exit 1
+fi
+fed_src=$(ls internal/federation/*.go | grep -v '_test\.go$')
+loops=$(cat $fed_src | grep -c 'iter := 0; iter <' || true)
+books=$(cat $fed_src | grep -c '\.Reserve(' || true)
+if [ "$loops" != 1 ] || [ "$books" != 1 ]; then
+  echo "FAIL: internal/federation has $loops co-reservation loops booking machines in $books places, want one of each"
+  exit 1
+fi
+# gridsim prints the same bytes on every run with the same seed (its
+# per-site table once followed map order).
+gs_dir=$(mktemp -d)
+go build -o "$gs_dir/gridsim" ./cmd/gridsim
+distinct=$(for i in 1 2 3 4 5 6 7 8 9 10; do "$gs_dir/gridsim" | cksum; done | sort -u | wc -l)
+rm -rf "$gs_dir"
+if [ "$distinct" != 1 ]; then
+  echo "FAIL: 10 gridsim runs printed $distinct distinct outputs, want 1"
+  exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -431,7 +464,8 @@ echo "== decoder fuzz smoke (10s each) =="
 # an arbitrary checkpoint through trace.ReadCheckpoint (a remote
 # steerer's; no allocation beyond the bytes supplied, and what decodes
 # re-encodes stably), and arbitrary framed streams through the record
-# scan and the streaming reader, which must agree on the clean prefix.
+# scan, which keeps what the streaming reader reads before the first bad
+# frame and splits the input into clean prefix and torn tail.
 # And of the system payload a worker receives from its coordinator:
 # arbitrary bytes through core.BuildFromJSON (decode, Validate, and the
 # small accepted configs must build). And of what an IMD peer can send:
