@@ -71,6 +71,9 @@ func BenchmarkFig1_SystemBuild(b *testing.B) {
 // BenchmarkFig2_SteeringRoundTrip follows Fig. 2a: the simulation
 // registers its steering address, the steerer finds it through the
 // registry, dials it, and each op is one status round trip over TCP.
+// The simulation is paused first, so an op times the steering path
+// alone: a running one services commands between MD steps, and each
+// round trip would also wait out the step in progress.
 func BenchmarkFig2_SteeringRoundTrip(b *testing.B) {
 	spec := md.DefaultTranslocation(6)
 	ts, err := md.BuildTranslocation(spec)
@@ -100,6 +103,9 @@ func BenchmarkFig2_SteeringRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
+	if err := st.Pause(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Status(); err != nil {

@@ -64,7 +64,7 @@ func TestMetricsSeriesSet(t *testing.T) {
 	// the other's poll meets her MaxRunning quota.
 	wcfg := dist.Defaults()
 	wcfg.Slots = 2
-	wcfg.Reconnect = false
+	wcfg.ReconnectWindow = 100 * time.Millisecond
 	wcfg.Metrics = workerReg
 	w, err := dist.NewWorker("w0", "", ln.Addr().String(), core.BuildFromJSON, wcfg)
 	if err != nil {

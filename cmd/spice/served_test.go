@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"spice/internal/controlplane"
 	"spice/internal/core"
@@ -66,7 +67,7 @@ func TestServedPipelineMatchesLocal(t *testing.T) {
 	t.Cleanup(cancel)
 	for _, name := range []string{"w0", "w1"} {
 		wcfg := dist.Defaults()
-		wcfg.Reconnect = false
+		wcfg.ReconnectWindow = 100 * time.Millisecond
 		w, err := dist.NewWorker(name, "", ln.Addr().String(), core.BuildFromJSON, wcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -65,6 +65,9 @@ func main() {
 	if *coordinator == "" {
 		log.Fatal("-coordinator is required (or -serve for control-plane mode)")
 	}
+	if err := checkIOTimeout(wcfg); err != nil {
+		log.Fatal(err)
+	}
 	if *name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -104,6 +107,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("coordinator drained, exiting")
+}
+
+// checkIOTimeout refuses a worker read deadline under the lease TTL. The
+// coordinator holds an idle poll unanswered for up to half a TTL; a
+// worker that times out first drops the connection and re-dials on every
+// idle poll, while its abandoned poll stays parked and can still be
+// granted a job.
+func checkIOTimeout(c dist.Config) error {
+	if c.IOTimeout > 0 && c.IOTimeout < c.LeaseTTL {
+		return fmt.Errorf("-io-timeout %v is under the %v lease TTL: the coordinator holds an idle poll for up to %v (0 disables the deadlines)",
+			c.IOTimeout, c.LeaseTTL, c.LeaseTTL/2)
+	}
+	return nil
 }
 
 // workerFlags binds the worker-mode knobs onto c.

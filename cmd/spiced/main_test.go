@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"spice/internal/dist"
 )
@@ -13,7 +15,10 @@ import (
 // TestDistFlagDefaults walks every dist flag of both modes and requires
 // its printed default to be the dist.Defaults() field it configures — a
 // default edited in one place and not the other fails here instead of
-// surfacing as flag help that lies.
+// surfacing as flag help that lies. It then requires every exported
+// dist.Config field to be what a deployment sets (bound by one of those
+// flags), a hook, or one of the four named test seams: a knob that only
+// tests set is a constant, not a field.
 func TestDistFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("spiced", flag.ContinueOnError)
 	wcfg, scfg := dist.Defaults(), dist.Defaults()
@@ -47,6 +52,39 @@ func TestDistFlagDefaults(t *testing.T) {
 	})
 	for name := range want {
 		t.Errorf("-%s is not registered", name)
+	}
+
+	bound := map[uintptr]bool{} // the Config fields the flags write to
+	fs.VisitAll(func(f *flag.Flag) { bound[reflect.ValueOf(f.Value).Pointer()] = true })
+	hooksAndSeams := map[string]bool{
+		"FS": true, "Dial": true, "Metrics": true, "Events": true,
+		"LeaseTTL": true, "HedgeFraction": true, "HedgeStall": true, "HedgeAfter": true,
+	}
+	wv, sv := reflect.ValueOf(&wcfg).Elem(), reflect.ValueOf(&scfg).Elem()
+	for i := 0; i < wv.NumField(); i++ {
+		field := wv.Type().Field(i)
+		if !field.IsExported() || hooksAndSeams[field.Name] ||
+			bound[wv.Field(i).Addr().Pointer()] || bound[sv.Field(i).Addr().Pointer()] {
+			continue
+		}
+		t.Errorf("dist.Config.%s is bound by no spiced flag and is neither a hook nor a named test seam", field.Name)
+	}
+}
+
+// TestWorkerRefusesShortIOTimeout: a worker -io-timeout under the lease
+// TTL would time out on every idle poll the coordinator parks, so
+// spiced refuses it at startup; 0 (no deadlines) and the 30 s default
+// run.
+func TestWorkerRefusesShortIOTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		timeout time.Duration
+		ok      bool
+	}{{time.Second, false}, {0, true}, {30 * time.Second, true}} {
+		cfg := dist.Defaults()
+		cfg.IOTimeout = tc.timeout
+		if err := checkIOTimeout(cfg); (err == nil) != tc.ok {
+			t.Errorf("-io-timeout %v: checkIOTimeout = %v, want accepted %v", tc.timeout, err, tc.ok)
+		}
 	}
 }
 

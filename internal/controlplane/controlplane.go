@@ -538,7 +538,11 @@ func (s *Server) Get(id string) (Campaign, error) {
 	if !ok {
 		return Campaign{}, ErrNotFound
 	}
-	return s.viewLocked(e), nil
+	var live map[string]dist.CampaignView
+	if e.State == StateRunning {
+		live = s.liveViews()
+	}
+	return e.view(live), nil
 }
 
 // List returns all campaigns in submission order, optionally filtered
@@ -546,28 +550,33 @@ func (s *Server) Get(id string) (Campaign, error) {
 func (s *Server) List(tenant string) []Campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	live := s.liveViews()
 	out := make([]Campaign, 0, len(s.order))
 	for _, e := range s.order {
 		if tenant != "" && e.Tenant != tenant {
 			continue
 		}
-		out = append(out, s.viewLocked(e))
+		out = append(out, e.view(live))
 	}
 	return out
 }
 
-// viewLocked snapshots e, refreshing live job counts from the
-// coordinator for running campaigns. Requires s.mu.
-func (s *Server) viewLocked(e *entry) Campaign {
+// liveViews asks the coordinator once for its active campaigns, keyed
+// by campaign key.
+func (s *Server) liveViews() map[string]dist.CampaignView {
+	views := s.cfg.Coordinator.Campaigns()
+	live := make(map[string]dist.CampaignView, len(views))
+	for _, v := range views {
+		live[v.Key] = v
+	}
+	return live
+}
+
+// view snapshots e, with the live job counts of a running campaign.
+func (e *entry) view(live map[string]dist.CampaignView) Campaign {
 	c := e.Campaign
-	if e.State == StateRunning {
-		for _, v := range s.cfg.Coordinator.Campaigns() {
-			if v.Key == e.ID {
-				c.JobsTotal = v.Total
-				c.JobsDone = v.Done
-				break
-			}
-		}
+	if v, ok := live[e.ID]; ok && e.State == StateRunning {
+		c.JobsTotal, c.JobsDone = v.Total, v.Done
 	}
 	return c
 }

@@ -117,15 +117,15 @@ func newHarness(t *testing.T, cfg Config, workers int, tune ...func(*dist.Config
 // testDistConfig is this package's one dist.Config for tests:
 // production Defaults() at test scale, minus rate hedging (a hedge fired
 // by CI jitter would skew the per-campaign job counts the suites assert)
-// and worker reconnects (a test worker whose coordinator closed must
-// exit, not re-dial).
+// and with a short reconnect window (a test worker whose coordinator
+// closed must exit soon, not re-dial for ten seconds).
 func testDistConfig() dist.Config {
 	cfg := dist.Defaults()
 	cfg.LeaseTTL = 2 * time.Second
 	cfg.BeatInterval = 20 * time.Millisecond
 	cfg.CheckpointEvery = 2
 	cfg.HedgeFraction = 0
-	cfg.Reconnect = false
+	cfg.ReconnectWindow = 100 * time.Millisecond
 	return cfg
 }
 

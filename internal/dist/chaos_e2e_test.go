@@ -292,7 +292,6 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 60 * time.Millisecond
-			c.Reconnect = true
 			c.ReconnectWindow = 60 * time.Second
 			c.Dial = dial
 		})
@@ -360,7 +359,6 @@ func TestChaosCoordinatorKillRecovery(t *testing.T) {
 	events := obs.NewEventLog(nil, 1<<12)
 	co := dist.NewTestCoordinator(t, hold, sysJSON, func(c *dist.Config) {
 		c.LeaseTTL = 2 * time.Second
-		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
 		c.Events = events
 	})

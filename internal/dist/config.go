@@ -6,7 +6,11 @@ package dist
 // defaults. cmd/spiced — the one binary that hosts a coordinator
 // (-serve) or runs a worker — binds its flags onto a Config seeded from
 // Defaults(); NewCoordinator and NewWorker, the only constructors,
-// validate it and keep it, so a knob exists in exactly one place.
+// validate it and keep it, so a knob exists in exactly one place. A
+// field is what a deployment sets (a spiced flag), a hook (FS, Dial,
+// Metrics, Events), or one of four test seams: LeaseTTL, the time scale
+// every other coordinator window is a fraction of, and the three hedge
+// knobs. Everything else is a constant.
 
 import (
 	"encoding/json"
@@ -25,19 +29,13 @@ type Config struct {
 	// --- Scheduling (coordinator) ---
 
 	// LeaseTTL is how long a job survives without a heartbeat before it
-	// is revoked and requeued.
+	// is revoked and requeued. It is the coordinator's one time scale:
+	// every other coordinator window is a fixed fraction of it (requeue
+	// backoff LeaseTTL/100 doubling to 2·LeaseTTL/5, breaker cooldown
+	// 2·LeaseTTL, park bound and hedge window LeaseTTL/2, janitor period
+	// LeaseTTL/4), so a test that wants the runtime faster shortens
+	// LeaseTTL alone.
 	LeaseTTL time.Duration
-	// RetryBase and RetryMax bound the exponential backoff before a
-	// revoked or failed job is re-leased. The delay carries deterministic
-	// per-(job, attempt) jitter so a mass lease-expiry event — every job
-	// revoked at once when a coordinator restarts — does not retry in
-	// lockstep.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// MaxAttempts caps lease grants per job before the campaign fails.
-	// Production runs Defaults(); other values are a test seam
-	// (TestCampaignRecordsReplay, the TestLeaseTable* units).
-	MaxAttempts int
 	// StateDir, if non-empty, makes campaigns crash-safe: job-state
 	// transitions are written to a journal (results fsynced) under
 	// this directory, checkpoints are spooled to disk, and a coordinator
@@ -63,18 +61,13 @@ type Config struct {
 	// --- Resilience (coordinator) ---
 	//
 	// No flag sets these: production runs Defaults(), and any other value
-	// is a test seam for the gates each field names.
+	// is a test seam for the gates each field names. They stay settable
+	// because those gates need a hedge window far inside the lease TTL
+	// (TestChaosSlowSiteSpeculation hedges at 150 ms against a 10 s TTL),
+	// which no fraction of LeaseTTL expresses; an injected clock would.
+	// The site breaker has no knob: it opens at 3 strikes in a row and
+	// re-probes after 2·LeaseTTL.
 
-	// BreakerThreshold is the count of strikes in a row (explicit fails,
-	// lease expiries, disconnects with an active lease, lost speculations
-	// with streamed progress) that opens a site's circuit breaker; 0
-	// disables the breakers. Test seam: TestBreakerQuarantinesFailingSite,
-	// TestChaosSlowSiteSpeculation, TestConfigZeroDisables.
-	BreakerThreshold int
-	// BreakerCooldown is the quarantine before an open site is re-probed
-	// with one half-open probe job; 0 means 2×LeaseTTL. Test seam:
-	// TestBreakerQuarantinesFailingSite, TestDerivedWindowsPinned.
-	BreakerCooldown time.Duration
 	// HedgeFraction hedges a job onto a second site when its steps/sec
 	// falls below this fraction of the fleet-median site rate; the first
 	// finished attempt wins. 0 disables rate hedging, as the suites' test
@@ -107,14 +100,14 @@ type Config struct {
 	// every dist connection (netutil.WithDeadlines): a peer that stops
 	// making byte progress for this long is treated as dead instead of
 	// wedging its reader, and on the worker side a half-open coordinator
-	// surfaces as a timeout the Reconnect machinery can heal. 0 disables
+	// surfaces as a timeout the worker's re-dial can heal. 0 disables
 	// the deadlines. The coordinator holds an idle worker's poll for at
 	// most half of its own value (and half a LeaseTTL), so one fleet, one
-	// value: a worker with a much shorter one times out on idle polls.
+	// value: a worker with a much shorter one times out on idle polls
+	// (spiced refuses a worker -io-timeout under the lease TTL). A
+	// coordinator-side QoS shim wraps the listener handed to
+	// NewCoordinator, so it sits inside these deadlines.
 	IOTimeout time.Duration
-	// WrapConn, if set, wraps every connection the coordinator accepts
-	// (test QoS shims).
-	WrapConn func(net.Conn) net.Conn
 	// Dial overrides the worker's transport (test QoS shims). Default
 	// net.Dial("tcp", addr).
 	Dial func(addr string) (net.Conn, error)
@@ -132,16 +125,13 @@ type Config struct {
 	// Throttle sleeps this long at every checkpoint — a test and demo
 	// hook that makes jobs slow enough to observe mid-flight.
 	Throttle time.Duration
-	// Reconnect makes the worker transport self-healing (daemon
-	// semantics): every request, including an unacknowledged result held
-	// in the session's outbox, is retried across re-dials with backoff;
-	// the coordinator's (job, attempt) idempotency makes the retransmits
-	// safe. Off, the first transport error ends the session with that
-	// error.
-	Reconnect bool
 	// ReconnectWindow bounds consecutive reconnect failures without a
 	// successful hello before a worker session gives up, so workers don't
-	// spin forever after their coordinator is gone for good.
+	// spin forever after their coordinator is gone for good. Within it the
+	// worker transport heals itself: every request, including an
+	// unacknowledged result, is retried across re-dials with backoff, and
+	// the coordinator's (job, attempt) idempotency makes the retransmits
+	// safe.
 	ReconnectWindow time.Duration
 	// ReconnectBackoffMax caps the exponential re-dial backoff (the
 	// first retry waits half a BeatInterval).
@@ -163,25 +153,19 @@ type Config struct {
 	Events *obs.EventLog
 }
 
-// Defaults returns the production default Config, resilience layer
-// (breaker + rate hedging) switched on — the only place a production
-// default is written.
+// Defaults returns the production default Config, rate hedging switched
+// on — the only place a production default is written.
 func Defaults() Config {
 	return Config{
 		LeaseTTL:            5 * time.Second,
-		RetryBase:           50 * time.Millisecond,
-		RetryMax:            2 * time.Second,
-		MaxAttempts:         8,
 		CompactBytes:        8 << 20,
 		StorageRetries:      2,
-		BreakerThreshold:    3,
 		HedgeFraction:       0.3,
 		MaxInflight:         256,
 		IOTimeout:           30 * time.Second,
 		Slots:               1,
 		BeatInterval:        200 * time.Millisecond,
 		CheckpointEvery:     8,
-		Reconnect:           true,
 		ReconnectWindow:     10 * time.Second,
 		ReconnectBackoffMax: time.Second,
 	}
@@ -194,20 +178,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.LeaseTTL <= 0:
 		return errors.New("dist: Config.LeaseTTL must be positive")
-	case c.RetryBase <= 0:
-		return errors.New("dist: Config.RetryBase must be positive")
-	case c.RetryMax < c.RetryBase:
-		return fmt.Errorf("dist: Config.RetryMax (%v) below RetryBase (%v)", c.RetryMax, c.RetryBase)
-	case c.MaxAttempts < 1:
-		return errors.New("dist: Config.MaxAttempts must be at least 1")
 	case c.CompactBytes < 0:
 		return errors.New("dist: Config.CompactBytes must be >= 0 (0 disables)")
 	case c.StorageRetries < 0:
 		return errors.New("dist: Config.StorageRetries must be >= 0")
-	case c.BreakerThreshold < 0:
-		return errors.New("dist: Config.BreakerThreshold must be >= 0 (0 disables)")
-	case c.BreakerCooldown < 0:
-		return errors.New("dist: Config.BreakerCooldown must be >= 0")
 	case c.HedgeFraction < 0 || c.HedgeFraction >= 1:
 		return fmt.Errorf("dist: Config.HedgeFraction %g outside [0, 1)", c.HedgeFraction)
 	case c.HedgeStall < 0:
@@ -250,9 +224,6 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = 2 * cfg.LeaseTTL
-	}
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = cfg.LeaseTTL / 2
 	}
@@ -260,7 +231,7 @@ func NewCoordinator(ln net.Listener, system json.RawMessage, cfg Config) (*Coord
 		Listener: ln,
 		system:   system,
 		cfg:      cfg,
-		leases:   newLeaseTable(&cfg),
+		leases:   newLeaseTable(cfg.LeaseTTL),
 		sites:    make(siteTable),
 		replay:   newJournalReplay(),
 	}

@@ -32,11 +32,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"zero lease TTL", func(c *Config) { c.LeaseTTL = 0 }, "LeaseTTL"},
-		{"zero retry base", func(c *Config) { c.RetryBase = 0 }, "RetryBase"},
-		{"retry max below base", func(c *Config) { c.RetryMax = c.RetryBase / 2 }, "RetryMax"},
-		{"zero max attempts", func(c *Config) { c.MaxAttempts = 0 }, "MaxAttempts"},
-		{"negative breaker threshold", func(c *Config) { c.BreakerThreshold = -1 }, "BreakerThreshold"},
-		{"negative breaker cooldown", func(c *Config) { c.BreakerCooldown = -time.Second }, "BreakerCooldown"},
 		{"hedge fraction one", func(c *Config) { c.HedgeFraction = 1 }, "HedgeFraction"},
 		{"negative hedge fraction", func(c *Config) { c.HedgeFraction = -0.1 }, "HedgeFraction"},
 		{"negative hedge stall", func(c *Config) { c.HedgeStall = -time.Second }, "HedgeStall"},
@@ -67,32 +62,21 @@ func TestConfigValidateRejects(t *testing.T) {
 // optional subsystem set to 0 is observably off — not that some private
 // field holds some value.
 func TestConfigZeroDisables(t *testing.T) {
-	t.Run("BreakerThreshold", func(t *testing.T) {
-		co := newCoordinator(t, func(c *Config) { c.BreakerThreshold = 0 })
-		now := time.Now()
-		for i := 0; i < 100; i++ {
-			co.strikeLocked(co.sites.get("flaky"), "j", now)
-		}
-		if co.stats.BreakerTrips != 0 || !co.sites.get("flaky").admissible(now, co.cfg.BreakerCooldown) {
-			t.Fatalf("100 strikes tripped a disabled breaker: trips=%d", co.stats.BreakerTrips)
-		}
-	})
-
 	t.Run("IOTimeout", func(t *testing.T) {
-		// The coordinator hands WrapConn what it is about to serve: the
-		// accepted socket itself, or the deadline wrapper around it.
+		// A shim on the coordinator's listener sits inside its deadline
+		// wrapper, so it sees a read deadline armed for the hello exactly
+		// when the coordinator has an IOTimeout.
 		for _, tc := range []struct {
 			timeout time.Duration
 			raw     bool
 		}{{0, true}, {time.Minute, false}} {
-			served := make(chan net.Conn, 1)
-			co := newCoordinator(t, func(c *Config) {
-				c.IOTimeout = tc.timeout
-				c.WrapConn = func(conn net.Conn) net.Conn { served <- conn; return conn }
-			})
+			var armed atomic.Bool
+			co := newCoordinatorWrapped(t, func(conn net.Conn) net.Conn {
+				return &deadlineSpy{Conn: conn, armed: &armed}
+			}, func(c *Config) { c.IOTimeout = tc.timeout })
 			dialTestClient(t, co.Listener.Addr().String(), "probe")
-			if _, raw := (<-served).(*net.TCPConn); raw != tc.raw {
-				t.Fatalf("coordinator IOTimeout %v: serving the raw socket = %v, want %v", tc.timeout, raw, tc.raw)
+			if raw := !armed.Load(); raw != tc.raw {
+				t.Fatalf("coordinator IOTimeout %v: serving without deadlines = %v, want %v", tc.timeout, raw, tc.raw)
 			}
 
 			ours, theirs := net.Pipe()
@@ -117,15 +101,14 @@ func TestConfigZeroDisables(t *testing.T) {
 		// only reply path: a peer that stops reading while it pipelines
 		// three polls finds the reader parked inside the first reply's
 		// write — it decodes nothing more, and drops nobody. The shim sits
-		// outside the deadlines; the IOTimeout only bounds each park.
+		// inside the deadlines, so the release comes well within the
+		// 200 ms write deadline the first reply arms at the end of its
+		// 100 ms park.
 		var blocked atomic.Bool
 		release := make(chan struct{})
-		co := newCoordinator(t, func(c *Config) {
-			c.IOTimeout = 200 * time.Millisecond
-			c.WrapConn = func(conn net.Conn) net.Conn {
-				return &blockWrites{Conn: conn, blocked: &blocked, release: release}
-			}
-		})
+		co := newCoordinatorWrapped(t, func(conn net.Conn) net.Conn {
+			return &blockWrites{Conn: conn, blocked: &blocked, release: release}
+		}, func(c *Config) { c.IOTimeout = 200 * time.Millisecond })
 		c := dialTestClient(t, co.Listener.Addr().String(), "probe")
 		blocked.Store(true)
 		for i := 0; i < 3; i++ {
@@ -205,7 +188,19 @@ func TestConfigZeroDisables(t *testing.T) {
 	})
 }
 
-// blockWrites is a WrapConn shim that parks coordinator→worker writes
+// deadlineSpy is a listener shim that records whether the coordinator
+// armed a read deadline on the connection it serves.
+type deadlineSpy struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (d *deadlineSpy) SetReadDeadline(t time.Time) error {
+	d.armed.Store(true)
+	return d.Conn.SetReadDeadline(t)
+}
+
+// blockWrites is a listener shim that parks coordinator→worker writes
 // while blocked is set, releasing them when release is closed — the
 // deterministic stand-in for a worker whose receive path stopped
 // draining while its send path still delivers requests.
@@ -223,10 +218,11 @@ func (b *blockWrites) Write(p []byte) (int, error) {
 }
 
 // TestDerivedWindowsPinned pins every window the runtime derives from a
-// Config — the two defaults resolved at construction, the janitor
-// period, the park bound and the shed hint (jitter
-// included: it is keyed by worker name and poll count) — to the values
-// the pre-Config sentinel accessors computed from the same inputs.
+// Config — the breaker cooldown, the hedge window resolved at
+// construction, the janitor period, the park bound and the shed hint
+// (jitter included: it is keyed by worker name and poll count) — to the
+// values the pre-Config sentinel accessors computed from the same
+// inputs.
 func TestDerivedWindowsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name                                string
@@ -236,25 +232,23 @@ func TestDerivedWindowsPinned(t *testing.T) {
 	}{
 		{"defaults", func(c *Config) { *c = Defaults() },
 			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 2500 * time.Millisecond, 843},
-		{"stall hedging, explicit cooldown, short io-timeout", func(c *Config) {
+		{"stall hedging, short io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL, c.BeatInterval = 800*time.Millisecond, 50*time.Millisecond
 			c.HedgeFraction, c.HedgeStall = 0, 120*time.Millisecond
-			c.BreakerCooldown = 3 * time.Second
 			c.IOTimeout = 500 * time.Millisecond
-		}, 3 * time.Second, 400 * time.Millisecond, 30 * time.Millisecond, 250 * time.Millisecond, 135},
+		}, 1600 * time.Millisecond, 400 * time.Millisecond, 30 * time.Millisecond, 250 * time.Millisecond, 135},
 		{"no hedging, explicit hedge-after, no io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL = 12 * time.Second
 			c.HedgeFraction, c.HedgeStall, c.HedgeAfter = 0, 0, 7*time.Second
-			c.BreakerThreshold = 0
 			c.IOTimeout = 0
 		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 6 * time.Second, 2025},
 	} {
 		co := newCoordinator(t, tc.override)
-		if co.cfg.BreakerCooldown != tc.cooldown || co.cfg.HedgeAfter != tc.hedgeAfter {
+		if co.breakerCooldown() != tc.cooldown || co.cfg.HedgeAfter != tc.hedgeAfter {
 			t.Errorf("%s: cooldown %v, hedge-after %v; want %v, %v", tc.name,
-				co.cfg.BreakerCooldown, co.cfg.HedgeAfter, tc.cooldown, tc.hedgeAfter)
+				co.breakerCooldown(), co.cfg.HedgeAfter, tc.cooldown, tc.hedgeAfter)
 		}
 		if got := co.janitorPeriod(); got != tc.janitor {
 			t.Errorf("%s: janitor period %v, want %v", tc.name, got, tc.janitor)

@@ -103,14 +103,10 @@ func (co *Coordinator) awaitWake(cs *connState) response {
 
 // serveConn handles one worker connection. hello must come first.
 func (co *Coordinator) serveConn(conn net.Conn) {
-	// Deadlines wrap the raw transport, inside any WrapConn shims, so
-	// injected test delays model the network without eating the
-	// watchdog budget of the real socket.
+	// Deadlines wrap outermost — a shim on the listener sits inside, as a
+	// Dial shim does on the worker side.
 	if to := co.cfg.IOTimeout; to > 0 {
 		conn = netutil.WithDeadlines(conn, to, to)
-	}
-	if co.cfg.WrapConn != nil {
-		conn = co.cfg.WrapConn(conn)
 	}
 	cc := &countConn{Conn: conn, in: &co.bytesIn, out: &co.bytesOut}
 	cs := newConnState()

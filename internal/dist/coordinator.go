@@ -49,8 +49,7 @@ type Coordinator struct {
 	// the package free of the model layers above md/smd/campaign.
 	system json.RawMessage
 	// cfg is the validated Config this coordinator was built with — the
-	// only copy of every knob; BreakerCooldown and HedgeAfter carry their
-	// resolved values.
+	// only copy of every knob; HedgeAfter carries its resolved value.
 	cfg Config
 	// sched orders the active campaigns each time a worker asks for work
 	// — the multi-tenant priority/fair-share/quota hook, installed by
@@ -475,6 +474,10 @@ func (co *Coordinator) doClose() error {
 	return err
 }
 
+// breakerCooldown is the quarantine before an open site is re-probed
+// with one half-open probe job.
+func (co *Coordinator) breakerCooldown() time.Duration { return 2 * co.cfg.LeaseTTL }
+
 // janitorPeriod tracks the finer of the lease TTL and the hedge windows
 // so both state machines advance promptly.
 func (co *Coordinator) janitorPeriod() time.Duration {
@@ -555,7 +558,7 @@ func (co *Coordinator) storageProbeLocked(now time.Time) {
 // the caller has bumped the per-category counter. Caller holds mu.
 func (co *Coordinator) strikeLocked(sh *siteHealth, jobID string, now time.Time) {
 	sh.clearProbe(jobID)
-	if sh.strike(now, co.cfg.BreakerThreshold) {
+	if sh.strike(now) {
 		co.stats.BreakerTrips++
 		co.cfg.Events.Emit(obs.Event{Name: "breaker_open", Job: jobID, Site: sh.Site,
 			Fields: map[string]any{"strikes": sh.Strikes}})
@@ -706,7 +709,7 @@ func (co *Coordinator) assignLocked(cs *connState, now time.Time) (resp response
 	if co.closed {
 		return response{Type: msgDrained}, true, false
 	}
-	if !co.sites.get(cs.sess.Site).admissible(now, co.cfg.BreakerCooldown) {
+	if !co.sites.get(cs.sess.Site).admissible(now, co.breakerCooldown()) {
 		// Quarantined site (or a probe already in flight): no work until
 		// the breaker relents. The paper's §V.C.4 outage as a scheduling
 		// decision rather than an operator post-mortem. A hint, not a park:

@@ -103,21 +103,24 @@ func localBaseline(t *testing.T, spec campaign.Spec) map[campaign.Combo][]*trace
 }
 
 // testConfig is the one place this package's tests get a Config:
-// production Defaults() minus the two behaviours the suites predate —
-// rate hedging (tests assert exact assignment and speculation counters,
-// which a hedge fired by CI jitter would break) and worker reconnects (a
-// test worker whose coordinator is gone must exit, not re-dial for the
-// reconnect window) — then the test's own overrides. Tests that want
-// either switch it back on.
+// production Defaults() minus rate hedging (tests assert exact
+// assignment and speculation counters, which a hedge fired by CI jitter
+// would break) and with a short reconnect window (a test worker whose
+// coordinator is gone must exit soon, not re-dial for ten seconds) —
+// then the test's own overrides. Tests that ride out a coordinator
+// restart set a long window.
 func testConfig(override func(*Config)) Config {
 	cfg := Defaults()
 	cfg.HedgeFraction = 0
-	cfg.Reconnect = false
+	cfg.ReconnectWindow = testReconnectWindow
 	if override != nil {
 		override(&cfg)
 	}
 	return cfg
 }
+
+// testReconnectWindow is testConfig's ReconnectWindow.
+const testReconnectWindow = 100 * time.Millisecond
 
 // NewTestCoordinator is NewCoordinator over testConfig. Exported so the
 // external (package dist_test) suites share it.
@@ -181,17 +184,22 @@ func NewTestWorker(t testing.TB, name, site, addr string, build BuildFunc, overr
 // 3-bead system and a 2s lease TTL, closed with the test.
 func newCoordinator(t *testing.T, override func(*Config)) *Coordinator {
 	t.Helper()
-	return newCoordinatorFor(t, json.RawMessage(`{"beads":3}`), override)
+	return newCoordinatorWrapped(t, nil, override)
 }
 
-// newCoordinatorFor is newCoordinator serving another system payload.
-func newCoordinatorFor(t *testing.T, system json.RawMessage, override func(*Config)) *Coordinator {
+// newCoordinatorWrapped is newCoordinator with a QoS shim on its
+// listener: every accepted connection passes through wrap, inside the
+// coordinator's own I/O deadlines. A nil wrap serves the socket itself.
+func newCoordinatorWrapped(t *testing.T, wrap func(net.Conn) net.Conn, override func(*Config)) *Coordinator {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := NewTestCoordinator(t, ln, system, func(c *Config) {
+	if wrap != nil {
+		ln = shimListener{ln, wrap}
+	}
+	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
 		if override != nil {
 			override(c)
@@ -201,6 +209,21 @@ func newCoordinatorFor(t *testing.T, system json.RawMessage, override func(*Conf
 	// are cancelled, so Close sees the connections drain quickly.
 	t.Cleanup(func() { _ = co.Close() })
 	return co
+}
+
+// shimListener passes every connection it accepts through wrap — the
+// seat of a coordinator-side QoS shim.
+type shimListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l shimListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(c), nil
 }
 
 // startWorker runs one test-scale worker (20ms beats, a checkpoint
@@ -286,7 +309,6 @@ func TestIdleWorkerServedBeforeFirstCampaign(t *testing.T) {
 	w := NewTestWorker(t, "early", "", co.Listener.Addr().String(), testBuild, func(c *Config) {
 		c.BeatInterval = 20 * time.Millisecond
 		c.IOTimeout = ioTimeout
-		c.Reconnect = true
 		c.ReconnectWindow = window
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -322,7 +344,6 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 
 	co := newCoordinator(t, func(c *Config) {
 		c.LeaseTTL, c.BeatInterval = 100*time.Millisecond, 20*time.Millisecond
-		c.RetryBase = 10 * time.Millisecond
 	})
 
 	done := make(chan struct{})
@@ -387,7 +408,7 @@ func TestCheckpointResumeOnWorkerLoss(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t, func(c *Config) { c.RetryBase = 5 * time.Millisecond })
+	co := newCoordinator(t, nil)
 
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -449,11 +470,9 @@ func TestQoSShimTransport(t *testing.T) {
 	want := localBaseline(t, spec)
 
 	var shimSeed atomic.Uint64
-	co := newCoordinator(t, func(cfg *Config) {
-		cfg.WrapConn = func(c net.Conn) net.Conn {
-			return netsim.NewShim(c, netsim.SharedWAN, 0.01, shimSeed.Add(1))
-		}
-	})
+	co := newCoordinatorWrapped(t, func(c net.Conn) net.Conn {
+		return netsim.NewShim(c, netsim.SharedWAN, 0.01, shimSeed.Add(1))
+	}, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

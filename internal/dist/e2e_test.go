@@ -156,7 +156,6 @@ func TestEndToEndWorkerProcesses(t *testing.T) {
 	events := obs.NewEventLog(nil, 2048)
 	co := dist.NewTestCoordinator(t, ln, sysJSON, func(c *dist.Config) {
 		c.LeaseTTL = 500 * time.Millisecond
-		c.RetryBase = 10 * time.Millisecond
 		c.Events = events
 	})
 	t.Cleanup(func() { _ = co.Close() })

@@ -52,10 +52,9 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	gate := netsim.NewGate()
-	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+	co1 := NewTestCoordinator(t, shimListener{ln, gate.Wrap}, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.StateDir = stateDir
-		c.WrapConn = gate.Wrap
 	})
 	go func() {
 		// This Run dies with the simulated crash; only the journal it
@@ -70,7 +69,6 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 20 * time.Millisecond
-			c.Reconnect = true
 			c.ReconnectWindow = 30 * time.Second
 		})
 		go w.Run(ctx)
@@ -101,7 +99,6 @@ func TestJournalRecoveryResumesCampaign(t *testing.T) {
 	events := obs.NewEventLog(nil, 1<<12)
 	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
-		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
 		c.Events = events
 	})
@@ -290,7 +287,6 @@ func TestRetransmittedResultsDropped(t *testing.T) {
 	events := obs.NewEventLog(nil, 1<<12)
 	co := newCoordinator(t, func(c *Config) {
 		c.LeaseTTL, c.BeatInterval = 150*time.Millisecond, 20*time.Millisecond
-		c.RetryBase = 10 * time.Millisecond
 		c.Events = events
 	})
 	leasesOf := func(id string) (n int) {

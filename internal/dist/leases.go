@@ -112,16 +112,20 @@ type leaseTable struct {
 	// interval instead of hammering the queue in lockstep, and the same
 	// schedule replays identically across runs — no shared RNG state, no
 	// scheduling nondeterminism.
-	retry       backoff.Policy
-	maxAttempts int // grants after which a requeue fails the campaign
+	// It runs from LeaseTTL/100 doubling to a cap of 2·LeaseTTL/5 (50 ms
+	// and 2 s at the default TTL).
+	retry backoff.Policy
 }
 
-func newLeaseTable(cfg *Config) *leaseTable {
+// maxAttempts is the count of lease grants after which a requeue fails
+// the campaign.
+const maxAttempts = 8
+
+func newLeaseTable(leaseTTL time.Duration) *leaseTable {
 	return &leaseTable{
-		jobsByID:    make(map[string]*job),
-		doneJobs:    make(map[string]bool),
-		retry:       backoff.Policy{Base: cfg.RetryBase, Max: cfg.RetryMax},
-		maxAttempts: cfg.MaxAttempts,
+		jobsByID: make(map[string]*job),
+		doneJobs: make(map[string]bool),
+		retry:    backoff.Policy{Base: leaseTTL / 100, Max: 2 * leaseTTL / 5},
 	}
 }
 
@@ -339,7 +343,7 @@ func (t *leaseTable) revoke(j *job, now time.Time, match func(*lease) bool) revo
 	j.leases = nil
 	j.straggler = false
 	j.notBefore = now.Add(t.retry.Keyed(j.id, j.attempts))
-	if j.attempts >= t.maxAttempts && j.camp.failErr == nil {
+	if j.attempts >= maxAttempts && j.camp.failErr == nil {
 		rv.exhausted = fmt.Errorf("dist: job %s exhausted %d attempts", j.id, j.attempts)
 		j.camp.finish(rv.exhausted)
 	}

@@ -18,9 +18,9 @@ var t0 = time.Unix(1_000_000, 0)
 const testTTL = 10 * time.Second
 
 // newTestTable builds a table holding one campaign of n pending jobs
-// named c.j0 … (3 attempts, 100 ms–2 s retry backoff).
+// named c.j0 … (a testTTL table: 100 ms–4 s retry backoff).
 func newTestTable(n int) (*leaseTable, *campaignRun) {
-	tb := newLeaseTable(&Config{RetryBase: 100 * time.Millisecond, RetryMax: 2 * time.Second, MaxAttempts: 3})
+	tb := newLeaseTable(testTTL)
 	camp := &campaignRun{key: "c", remaining: n, done: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		camp.jobs = append(camp.jobs, &job{id: fmt.Sprintf("c.j%d", i), camp: camp})
@@ -69,8 +69,7 @@ func TestLeaseTableExpiryBoundary(t *testing.T) {
 
 // TestLeaseTableRevokeRequeue: revoking a job's last lease sends it back to
 // pending behind the keyed backoff; revoking one of two leaves it leased
-// and untouched; the attempt that exhausts MaxAttempts fails the
-// campaign.
+// and untouched; the eighth attempt's loss fails the campaign.
 func TestLeaseTableRevokeRequeue(t *testing.T) {
 	tb, camp := newTestTable(2)
 	j, other := camp.jobs[0], camp.jobs[1]
@@ -115,14 +114,15 @@ func TestLeaseTableRevokeRequeue(t *testing.T) {
 		t.Fatalf("dropping a's connection: %+v", rvs)
 	}
 
-	// Third grant, third loss: out of attempts.
-	l3 := mustGrant(t, tb, j, a, j.notBefore, false)
-	if l3.attempt != 3 {
-		t.Fatalf("third grant carries attempt %d", l3.attempt)
-	}
-	rv = tb.revoke(j, j.notBefore, func(*lease) bool { return true })
-	if !rv.requeued || camp.failErr == nil {
-		t.Fatalf("exhausted job: requeued %v, campaign error %v", rv.requeued, camp.failErr)
+	// Grants three to eight: the eighth loss is out of attempts.
+	for attempt := 3; attempt <= 8; attempt++ {
+		if l := mustGrant(t, tb, j, a, j.notBefore, false); l.attempt != attempt {
+			t.Fatalf("grant %d carries attempt %d", attempt, l.attempt)
+		}
+		rv = tb.revoke(j, j.notBefore, func(*lease) bool { return true })
+		if exhausted := camp.failErr != nil; !rv.requeued || exhausted != (attempt == 8) {
+			t.Fatalf("loss of attempt %d: requeued %v, campaign error %v", attempt, rv.requeued, camp.failErr)
+		}
 	}
 	select {
 	case <-camp.done:
@@ -139,7 +139,6 @@ func TestLeaseTableRevokeRequeue(t *testing.T) {
 // revoked.
 func TestLeaseTableAdoptionAndReattach(t *testing.T) {
 	tb, camp := newTestTable(2)
-	tb.maxAttempts = 8 // the drop below must requeue, not exhaust, attempt 5
 	j := camp.jobs[0]
 	j.attempts = 2 // replayed history: two grants before the restart
 	w := testConn("w", "s")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -201,7 +202,9 @@ func TestCampaignRecordsReplay(t *testing.T) {
 	co := newCoordinator(t, func(c *Config) {
 		c.StateDir, c.FS = dir, inj
 		c.StorageRetries = 0
-		c.MaxAttempts = 1
+		// A short TTL keeps the backoff between the job's eight failures
+		// short.
+		c.LeaseTTL, c.BeatInterval = 200*time.Millisecond, 20*time.Millisecond
 	})
 	at := time.Unix(1700000000, 0).UTC()
 	canceled, failed := CampaignTag{Tenant: "a"}, CampaignTag{Tenant: "b"}
@@ -231,14 +234,25 @@ func TestCampaignRecordsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := dialTestClient(t, co.Listener.Addr().String(), "w")
-	job := tc.next().Job
-	tc.rt(&request{Type: msgFail, JobID: job.ID, Attempt: job.Attempt, Err: "boom"})
+	// Eight failures run the job out of attempts. They rotate over three
+	// sites, so no site reaches its third strike, which quarantines it,
+	// while it still has a failure to report.
+	var clients []*testClient
+	for i := 0; i < 3; i++ {
+		clients = append(clients, dialSiteClient(t, co.Listener.Addr().String(), fmt.Sprintf("w%d", i), fmt.Sprintf("s%d", i)))
+	}
+	for i := 0; i < 8; i++ {
+		tc := clients[i%3]
+		job := tc.next().Job
+		tc.rt(&request{Type: msgFail, JobID: job.ID, Attempt: job.Attempt, Err: "boom"})
+	}
 	_, werr := in.Wait()
 	if werr == nil {
 		t.Fatal("a campaign whose only job ran out of attempts succeeded")
 	}
-	tc.conn.Close()
+	for _, tc := range clients {
+		tc.conn.Close()
+	}
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
 	}

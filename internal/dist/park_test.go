@@ -258,10 +258,9 @@ func TestWakeAnswersOnlyRunnable(t *testing.T) {
 // timer, not by the next poll or janitor tick, which are half a lease
 // TTL and a quarter of one away.
 func TestWakeOnRequeueAfterBackoff(t *testing.T) {
-	co := newCoordinator(t, func(c *Config) {
-		c.LeaseTTL = time.Minute
-		c.RetryBase, c.RetryMax = 80*time.Millisecond, 80*time.Millisecond
-	})
+	// A 4 s TTL: the second attempt's backoff is jittered into
+	// [40, 80) ms, the park bound is 2 s and the janitor period 1 s.
+	co := newCoordinator(t, func(c *Config) { c.LeaseTTL = 4 * time.Second })
 	runInBackground(t, co, singleJobSpec(), CampaignTag{})
 	now := time.Now()
 	a, b := testConn("a", "a"), testConn("b", "b")
@@ -278,8 +277,8 @@ func TestWakeOnRequeueAfterBackoff(t *testing.T) {
 	if resp := woken(t, b, 5*time.Second); resp.Type != msgAssign || resp.Job.ID != jb.ID || resp.Job.Attempt != 2 {
 		t.Fatalf("parked poll answered %+v, want attempt 2 of %s", resp, jb.ID)
 	}
-	if waited := time.Since(now); waited > 2*time.Second {
-		t.Fatalf("requeued job reached the parked poll after %v; the backoff was 80 ms", waited)
+	if waited := time.Since(now); waited > 500*time.Millisecond {
+		t.Fatalf("requeued job reached the parked poll after %v; the backoff was under 80 ms", waited)
 	}
 }
 

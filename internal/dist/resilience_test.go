@@ -23,20 +23,23 @@ import (
 	"spice/internal/trace"
 )
 
-// TestBackoffDeterministicJitter pins the requeue delay contract: the
-// jittered delay stays inside [d/2, d) of the exponential base, is a
-// pure function of (job, attempt), and decorrelates different jobs.
+// TestBackoffDeterministicJitter pins the requeue delay contract at the
+// default lease TTL: the exponential base runs from 50 ms doubling to a
+// 2 s cap, the jittered delay stays inside [d/2, d) of it, is a pure
+// function of (job, attempt) — the schedule of all eight attempts is
+// pinned by value — and decorrelates different jobs.
 func TestBackoffDeterministicJitter(t *testing.T) {
-	co := newCoordinator(t, func(c *Config) {
-		c.RetryBase, c.RetryMax = 100*time.Millisecond, 2*time.Second
-	})
+	co := newCoordinator(t, func(c *Config) { c.LeaseTTL = Defaults().LeaseTTL })
+	const retryBase, retryMax = 50 * time.Millisecond, 2 * time.Second
+	pinned := []time.Duration{32397460, 80725097, 150830078, 395458984,
+		748437500, 951757812, 1083496093, 1251708984}
 
 	base := func(attempts int) time.Duration {
-		d := co.cfg.RetryBase
+		d := retryBase
 		for i := 1; i < attempts; i++ {
 			d *= 2
-			if d >= co.cfg.RetryMax {
-				return co.cfg.RetryMax
+			if d >= retryMax {
+				return retryMax
 			}
 		}
 		return d
@@ -49,6 +52,9 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 		}
 		if again := co.leases.retry.Keyed("smdje-k100v800-r0", attempts); again != got {
 			t.Fatalf("attempt %d: backoff not deterministic: %v then %v", attempts, got, again)
+		}
+		if attempts <= len(pinned) && got != pinned[attempts-1] {
+			t.Fatalf("attempt %d: backoff %v, want %v", attempts, got, pinned[attempts-1])
 		}
 	}
 
@@ -248,10 +254,11 @@ func TestSpeculativeHedgeRace(t *testing.T) {
 }
 
 // TestBreakerQuarantinesFailingSite drives the breaker through the wire
-// protocol: consecutive failures from one site open its breaker (next
-// gets wait, not work, while the queue is non-empty), the cooldown
-// admits a single probe, and the probe's success closes the breaker and
-// lets the campaign finish bit-identically.
+// protocol: three consecutive failures from one site, and not two, open
+// its breaker (next gets wait, not work, while the queue is non-empty),
+// the cooldown of two lease TTLs admits a single probe, and the probe's
+// success closes the breaker and lets the campaign finish
+// bit-identically.
 func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	spec := campaign.Spec{
 		Kappas:     []float64{100},
@@ -262,9 +269,9 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	}
 	want := localBaseline(t, spec)
 
+	// A 200 ms TTL: a 400 ms cooldown and requeue backoffs of a few ms.
 	co := newCoordinator(t, func(c *Config) {
-		c.BreakerThreshold, c.BreakerCooldown = 2, 60*time.Millisecond
-		c.RetryBase, c.RetryMax = time.Millisecond, 2*time.Millisecond
+		c.LeaseTTL, c.BeatInterval = 200*time.Millisecond, 20*time.Millisecond
 	})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -278,20 +285,31 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 	}()
 
 	flaky := dialSiteClient(t, co.Listener.Addr().String(), "flaky-0", "flaky")
-	for i := 0; i < 2; i++ {
+	var log *trace.WorkLog
+	for i := 0; i < 3; i++ {
+		if i == 2 {
+			if s := co.SiteStats()["flaky"]; s.Breaker != "closed" || s.BreakerTrips != 0 {
+				t.Fatalf("breaker not closed after 2 failures: %+v", s)
+			}
+		}
 		assign := flaky.next()
 		if resp := flaky.rt(&request{Type: msgFail, JobID: assign.Job.ID, Attempt: assign.Job.Attempt, Err: "induced"}); resp.Type != msgOK {
 			t.Fatalf("fail %d not acked: %+v", i, resp)
 		}
+		if log == nil {
+			// Computed while no lease is out, so the probe below reports
+			// well inside its TTL.
+			log = pullLog(t, assign)
+		}
 	}
 	st := co.Stats()
 	if st.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d after 2 failures at threshold 2, want 1", st.BreakerTrips)
+		t.Fatalf("BreakerTrips = %d after 3 failures, want 1", st.BreakerTrips)
 	}
-	if s := co.SiteStats()["flaky"]; s.Breaker != "open" || s.Failures != 2 {
+	if s := co.SiteStats()["flaky"]; s.Breaker != "open" || s.Failures != 3 {
 		t.Fatalf("site not quarantined: %+v", s)
 	}
-	// Quarantined: the job is pending (its 2ms backoff long past) but
+	// Quarantined: the job is pending (its few-ms backoff long past) but
 	// the site gets wait, not work.
 	time.Sleep(10 * time.Millisecond)
 	if resp := flaky.rt(&request{Type: msgNext}); resp.Type != msgWait {
@@ -310,7 +328,7 @@ func TestBreakerQuarantinesFailingSite(t *testing.T) {
 
 	// The probe succeeds: breaker closes, campaign completes, output
 	// still bit-identical despite the failures.
-	if resp := flaky.rt(&request{Type: msgResult, JobID: probe.Job.ID, Attempt: probe.Job.Attempt, Log: pullLog(t, probe)}); resp.Type != msgOK || resp.Err != "" {
+	if resp := flaky.rt(&request{Type: msgResult, JobID: probe.Job.ID, Attempt: probe.Job.Attempt, Log: log}); resp.Type != msgOK || resp.Err != "" {
 		t.Fatalf("probe result rejected: %+v", resp)
 	}
 	select {
@@ -422,7 +440,6 @@ func TestJournalReplaySpeculativeLeasePair(t *testing.T) {
 	}
 	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
-		c.RetryBase = 5 * time.Millisecond
 		c.StateDir = stateDir
 	})
 	t.Cleanup(func() { _ = co2.Close() })

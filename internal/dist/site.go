@@ -36,6 +36,11 @@ func (b breakerState) String() string {
 	}
 }
 
+// breakerThreshold is the count of strikes in a row (explicit fails,
+// lease expiries, disconnects with an active lease, lost speculations
+// with streamed progress) that opens a site's circuit breaker.
+const breakerThreshold = 3
+
 // ewmaAlpha weights new latency/rate observations; ~the last four
 // observations dominate.
 const ewmaAlpha = 0.25
@@ -96,13 +101,13 @@ func (sh *siteHealth) admissible(now time.Time, cooldown time.Duration) bool {
 
 // strike records one failure signal (explicit fail, lease expiry,
 // disconnect with an active lease, or a demonstrably-crawling lease
-// losing a speculation race). Threshold consecutive strikes open the
-// breaker; any strike while half-open re-opens it — the probe failed.
-func (sh *siteHealth) strike(now time.Time, threshold int) (tripped bool) {
+// losing a speculation race). breakerThreshold consecutive strikes open
+// the breaker; any strike while half-open re-opens it — the probe failed.
+func (sh *siteHealth) strike(now time.Time) (tripped bool) {
 	sh.Strikes++
 	switch sh.state {
 	case breakerClosed:
-		if threshold > 0 && sh.Strikes >= threshold {
+		if sh.Strikes >= breakerThreshold {
 			sh.state = breakerOpen
 			sh.openedAt = now
 			sh.BreakerTrips++

@@ -18,10 +18,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	sh := &siteHealth{SiteStats: SiteStats{Site: "s"}}
 
 	// Closed: strikes below threshold neither trip nor quarantine.
-	if sh.strike(now, 3) {
+	if sh.strike(now) {
 		t.Fatal("first strike tripped a threshold-3 breaker")
 	}
-	if sh.strike(now, 3) {
+	if sh.strike(now) {
 		t.Fatal("second strike tripped a threshold-3 breaker")
 	}
 	if !sh.admissible(now, cooldown) {
@@ -37,9 +37,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Threshold consecutive strikes open it.
-	sh.strike(now, 3)
-	sh.strike(now, 3)
-	if !sh.strike(now, 3) {
+	sh.strike(now)
+	sh.strike(now)
+	if !sh.strike(now) {
 		t.Fatal("third consecutive strike did not trip")
 	}
 	if sh.state != breakerOpen || sh.BreakerTrips != 1 {
@@ -65,7 +65,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Probe failure re-opens immediately, at any strike count.
-	if !sh.strike(later, 3) {
+	if !sh.strike(later) {
 		t.Fatal("strike during half-open did not re-open")
 	}
 	if sh.state != breakerOpen || sh.BreakerTrips != 2 || sh.probeJob != "" {
@@ -125,8 +125,8 @@ func TestSiteBreakerSingleProbe(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	cooldown := time.Minute
 	sh := make(siteTable).get("s")
-	for i := 0; i < 2; i++ {
-		sh.strike(t0, 2)
+	for i := 0; i < 3; i++ {
+		sh.strike(t0)
 	}
 	if sh.state != breakerOpen || sh.admissible(t0.Add(cooldown-1), cooldown) {
 		t.Fatalf("state %v one tick before the cooldown ends: want open and closed to work", sh.state)
@@ -162,12 +162,14 @@ func TestSiteSnapshot(t *testing.T) {
 		t.Fatalf("fresh unnamed site = %+v", st)
 	}
 	sh.Completions, sh.SpecLost = 3, 1
-	sh.strike(time.Unix(5, 0), 1)
+	for i := 0; i < 3; i++ {
+		sh.strike(time.Unix(5, 0))
+	}
 	sh.rate.observe(100)
 	sh.rate.observe(200)
 	sh.latency.observe(4 * time.Second)
 	sh.latency.observe(8 * time.Second)
-	want := SiteStats{Site: "?", Completions: 3, SpecLost: 1, Strikes: 1, BreakerTrips: 1,
+	want := SiteStats{Site: "?", Completions: 3, SpecLost: 1, Strikes: 3, BreakerTrips: 1,
 		Breaker: "open", RateEWMA: 125, LatencyEWMA: 5 * time.Second}
 	if st := sites.snapshot()["?"]; st != want {
 		t.Fatalf("snapshot = %+v, want %+v", st, want)

@@ -83,10 +83,8 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 		// the slow site beats faithfully, and if the job comes back it
 		// must be because speculation raced it home.
 		c.LeaseTTL = 10 * time.Second
-		c.RetryBase = 10 * time.Millisecond
 		c.HedgeFraction = 0.3
 		c.HedgeAfter = 150 * time.Millisecond
-		c.BreakerThreshold = 1
 		c.IOTimeout = 10 * time.Second
 		c.Events = events
 	})
@@ -109,12 +107,15 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 	)
 	// Both sites nap at every checkpoint so both stream measurable
 	// progress rates; the tarpit naps ~60× longer — degraded but alive.
-	stopWorkers := startSiteWorkers(t, addr, []siteWorker{
-		{name: "tarpit-0", site: "tarpit", throttle: 300 * time.Millisecond, dial: slowLink.Dial(nil)},
-		{name: "quick-0", site: "quick", throttle: 5 * time.Millisecond},
-		{name: "quick-1", site: "quick", throttle: 5 * time.Millisecond},
-	})
-	defer stopWorkers()
+	// Three tarpit workers take three of the sweep's four jobs before the
+	// healthy site joins, so the tarpit can lose three races in a row:
+	// the strikes that open a breaker.
+	var tarpit []siteWorker
+	for _, name := range []string{"tarpit-0", "tarpit-1", "tarpit-2"} {
+		tarpit = append(tarpit, siteWorker{name: name, site: "tarpit", throttle: 300 * time.Millisecond, dial: slowLink.Dial(nil)})
+	}
+	stopTarpit := startSiteWorkers(t, addr, tarpit)
+	defer stopTarpit()
 
 	distCfg := cfg
 	distCfg.Runner = co
@@ -127,6 +128,16 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 		res, err := core.RunSweep(distCfg)
 		resCh <- sweepOut{res, err}
 	}()
+	for deadline := time.Now().Add(30 * time.Second); co.SiteStats()["tarpit"].Assignments < 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the tarpit workers never took three jobs: %+v", co.SiteStats()["tarpit"])
+		}
+	}
+	stopQuick := startSiteWorkers(t, addr, []siteWorker{
+		{name: "quick-0", site: "quick", throttle: 5 * time.Millisecond},
+		{name: "quick-1", site: "quick", throttle: 5 * time.Millisecond},
+	})
+	defer stopQuick()
 
 	// The hard timeout doubles as the connection-hygiene assertion: with
 	// per-I/O deadlines armed everywhere, a shaped, saturated link can
@@ -177,8 +188,8 @@ func TestChaosSlowSiteSpeculation(t *testing.T) {
 	if slow.SpecLost < 1 {
 		t.Fatalf("slow site never lost a speculation race: %+v", slow)
 	}
-	// Losing while demonstrably crawling is a strike, and at threshold 1
-	// a strike is a quarantine: the breaker must have recorded the trip.
+	// Losing while demonstrably crawling is a strike, and three in a row
+	// are a quarantine: the breaker must have recorded the trip.
 	if slow.BreakerTrips < 1 {
 		t.Fatalf("slow site's breaker never tripped: %+v", slow)
 	}

@@ -281,7 +281,6 @@ func TestStorageDegradedRecovery(t *testing.T) {
 	}
 	co := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = time.Second
-		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = t.TempDir()
 		c.FS = inj
 		c.StorageRetries = 0 // degrade on the first failure; no in-line retries

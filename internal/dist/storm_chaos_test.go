@@ -95,7 +95,6 @@ func TestChaosWorkerStorm(t *testing.T) {
 			c.BeatInterval = 50 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 5 * time.Millisecond
-			c.Reconnect = true
 			c.ReconnectWindow = 60 * time.Second
 			c.Dial = recordingDial
 		})

@@ -309,14 +309,14 @@ func TestUndecodableResumeFailsJob(t *testing.T) {
 
 // TestRefusedGrantNotRedialed: a hello refused for its protocol is
 // policy, not weather — the worker reports it without re-dialing, even
-// with Reconnect on.
+// with a long reconnect window.
 func TestRefusedGrantNotRedialed(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	w := NewTestWorker(t, "w", "", ln.Addr().String(), testBuild, func(c *Config) { c.Reconnect = true })
+	w := NewTestWorker(t, "w", "", ln.Addr().String(), testBuild, func(c *Config) { c.ReconnectWindow = 10 * time.Second })
 	runErr := make(chan error, 1)
 	go func() { runErr <- w.Run(context.Background()) }()
 	conn, err := ln.Accept()
@@ -357,7 +357,7 @@ func TestDeltaFoldResumeOnWorkerLoss(t *testing.T) {
 	spec := testSpec()
 	want := localBaseline(t, spec)
 
-	co := newCoordinator(t, func(c *Config) { c.RetryBase = 5 * time.Millisecond })
+	co := newCoordinator(t, nil)
 
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
 	errCh := make(chan error, 1)
@@ -430,10 +430,9 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	gate := netsim.NewGate()
-	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
+	co1 := NewTestCoordinator(t, shimListener{ln, gate.Wrap}, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
 		c.StateDir = stateDir
-		c.WrapConn = gate.Wrap
 	})
 	go func() {
 		// Dies with the simulated crash; only its journal and spool
@@ -448,7 +447,6 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 			c.BeatInterval = 20 * time.Millisecond
 			c.CheckpointEvery = 1
 			c.Throttle = 20 * time.Millisecond
-			c.Reconnect = true
 			c.ReconnectWindow = 30 * time.Second
 		})
 		go w.Run(ctx)
@@ -475,7 +473,6 @@ func TestDeltaFoldCrashRestart(t *testing.T) {
 	}
 	co2 := NewTestCoordinator(t, ln2, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
-		c.RetryBase = 10 * time.Millisecond
 		c.StateDir = stateDir
 	})
 	t.Cleanup(func() { _ = co2.Close() })

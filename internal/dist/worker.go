@@ -137,8 +137,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// rtConn is one session's transport: a wire session that (with
-// Reconnect) transparently re-dials and re-hellos after failures.
+// rtConn is one session's transport: a wire session that transparently
+// re-dials and re-hellos after failures, for up to ReconnectWindow.
 // Retrying a request across a reconnect may deliver it twice — once on
 // the dying conn, once on the fresh one — which is exactly the
 // duplicate-delivery case the coordinator's idempotency rules absorb.
@@ -209,7 +209,7 @@ func (c *rtConn) drop() {
 // own seed, so a fleet severed by one event re-dials spread out instead
 // of in lockstep.
 func (c *rtConn) retry(ctx context.Context) bool {
-	if !c.w.cfg.Reconnect || ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return false
 	}
 	if c.failingSince.IsZero() {
@@ -226,7 +226,7 @@ func (c *rtConn) retry(ctx context.Context) bool {
 }
 
 // roundTrip sends one request and reads its reply, reconnecting and
-// retransmitting as allowed by the worker's Reconnect policy.
+// retransmitting within the worker's ReconnectWindow.
 func (c *rtConn) roundTrip(ctx context.Context, req *request) (*response, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -460,10 +460,9 @@ func (w *Worker) runJob(ctx context.Context, spec campaign.Spec, c *rtConn, assi
 					Ckpt: c.sess.Pack(ckptBase, b)}
 			default:
 			}
-			// With Reconnect on, this round-trip rides out coordinator
-			// downtime internally (re-dial + retransmit) while the pull
-			// keeps computing; a restarted coordinator adopts the lease
-			// when the beat lands.
+			// This round-trip rides out coordinator downtime internally
+			// (re-dial + retransmit) while the pull keeps computing; a
+			// restarted coordinator adopts the lease when the beat lands.
 			resp, err := c.roundTrip(ctx, req)
 			if err != nil {
 				// Transport gone for good: stop the pull before

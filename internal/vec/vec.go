@@ -64,9 +64,6 @@ func Dist(a, b V) float64 { return a.Sub(b).Norm() }
 // Dist2 returns |a-b|².
 func Dist2(a, b V) float64 { return a.Sub(b).Norm2() }
 
-// Lerp returns a + t·(b-a).
-func Lerp(a, b V, t float64) V { return a.Add(b.Sub(a).Scale(t)) }
-
 // AddInPlace sets a += b without allocating.
 func (a *V) AddInPlace(b V) { a.X += b.X; a.Y += b.Y; a.Z += b.Z }
 

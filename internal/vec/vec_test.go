@@ -86,17 +86,6 @@ func TestUnitNorm(t *testing.T) {
 	}
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	a, b := New(1, -1, 2), New(3, 4, -5)
-	if !vecApprox(Lerp(a, b, 0), a, 1e-12) || !vecApprox(Lerp(a, b, 1), b, 1e-12) {
-		t.Fatal("Lerp endpoints wrong")
-	}
-	mid := Lerp(a, b, 0.5)
-	if !vecApprox(mid, New(2, 1.5, -1.5), 1e-12) {
-		t.Fatalf("midpoint = %v", mid)
-	}
-}
-
 func TestInPlaceOpsMatchValueOps(t *testing.T) {
 	a, b := New(1, 2, 3), New(0.5, -0.25, 8)
 	c := a

@@ -81,15 +81,6 @@ func (s *Source) Split() *Source {
 	return child
 }
 
-// SplitN returns n independent child sources (convenience for worker pools).
-func (s *Source) SplitN(n int) []*Source {
-	out := make([]*Source, n)
-	for i := range out {
-		out[i] = s.Split()
-	}
-	return out
-}
-
 // SnapshotLen is the number of words in a Source snapshot.
 const SnapshotLen = 6
 
@@ -174,16 +165,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Gamma returns a Gamma(shape k, scale θ=1) deviate using the
 // Marsaglia–Tsang method; used by the grid workload generators.
 func (s *Source) Gamma(k float64) float64 {
@@ -208,9 +189,4 @@ func (s *Source) Gamma(k float64) float64 {
 			return d * v
 		}
 	}
-}
-
-// LogNormal returns exp(mu + sigma·Z); used for job runtime jitter models.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
 }

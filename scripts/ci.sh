@@ -32,6 +32,10 @@ if grep -n -e 'disabledOr' -e 'negative disables' $(ls internal/dist/*.go | grep
   echo "FAIL: the second Config convention is back in internal/dist"
   exit 1
 fi
+# Every exported dist.Config field is a spiced flag, a hook (FS, Dial,
+# Metrics, Events) or one of four named test seams (LeaseTTL and the
+# three hedge knobs); a knob only tests set is a constant.
+go test -count=1 -run '^TestDistFlagDefaults$' ./cmd/spiced
 
 echo "== one way for an idle worker to learn about work =="
 # Idle polls are parked and woken (conn.go, coordinator.go); the poll
@@ -331,7 +335,7 @@ echo "== one implementation per paper-model idea =="
 # decodes through RecordReader. The second copies and the leaf API
 # nothing reached were deleted; they must not come back.
 src=$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/')
-if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians' $src ||
+if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians|SplitN|ExpFloat64|LogNormal|Lerp' $src ||
   grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach' $src; then
   echo "FAIL: a deleted second implementation or unreached API is back"
   exit 1
