@@ -538,11 +538,12 @@ func (s *Server) Get(id string) (Campaign, error) {
 	if !ok {
 		return Campaign{}, ErrNotFound
 	}
-	var live map[string]dist.CampaignView
+	var live dist.CampaignView
+	running := false
 	if e.State == StateRunning {
-		live = s.liveViews()
+		live, running = s.cfg.Coordinator.Campaign(id)
 	}
-	return e.view(live), nil
+	return e.view(live, running), nil
 }
 
 // List returns all campaigns in submission order, optionally filtered
@@ -550,33 +551,29 @@ func (s *Server) Get(id string) (Campaign, error) {
 func (s *Server) List(tenant string) []Campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.liveViews()
-	out := make([]Campaign, 0, len(s.order))
-	for _, e := range s.order {
-		if tenant != "" && e.Tenant != tenant {
-			continue
-		}
-		out = append(out, e.view(live))
-	}
-	return out
-}
-
-// liveViews asks the coordinator once for its active campaigns, keyed
-// by campaign key.
-func (s *Server) liveViews() map[string]dist.CampaignView {
+	// One coordinator call covers every running campaign listed.
 	views := s.cfg.Coordinator.Campaigns()
 	live := make(map[string]dist.CampaignView, len(views))
 	for _, v := range views {
 		live[v.Key] = v
 	}
-	return live
+	out := make([]Campaign, 0, len(s.order))
+	for _, e := range s.order {
+		if tenant != "" && e.Tenant != tenant {
+			continue
+		}
+		v, ok := live[e.ID]
+		out = append(out, e.view(v, ok))
+	}
+	return out
 }
 
-// view snapshots e, with the live job counts of a running campaign.
-func (e *entry) view(live map[string]dist.CampaignView) Campaign {
+// view snapshots e, with the live job counts of a running campaign when
+// the coordinator has its view (ok).
+func (e *entry) view(live dist.CampaignView, ok bool) Campaign {
 	c := e.Campaign
-	if v, ok := live[e.ID]; ok && e.State == StateRunning {
-		c.JobsTotal, c.JobsDone = v.Total, v.Done
+	if ok && e.State == StateRunning {
+		c.JobsTotal, c.JobsDone = live.Total, live.Done
 	}
 	return c
 }

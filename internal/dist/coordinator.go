@@ -398,6 +398,20 @@ func (co *Coordinator) Campaigns() []CampaignView {
 	return co.leases.views()
 }
 
+// Campaign returns the scheduling view of the active campaign with the
+// given key, counting that campaign's jobs alone; false if no active
+// campaign has it.
+func (co *Coordinator) Campaign(key string) (CampaignView, bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, c := range co.leases.camps {
+		if c.key == key {
+			return c.view(), true
+		}
+	}
+	return CampaignView{}, false
+}
+
 // SetScheduler installs the campaign-ordering policy, the only way to
 // set one: the control plane's quota policy needs the coordinator it
 // schedules for, so it is installed after construction rather than

@@ -159,28 +159,33 @@ func (t *leaseTable) remove(camp *campaignRun) {
 func (t *leaseTable) views() []CampaignView {
 	views := make([]CampaignView, len(t.camps))
 	for i, c := range t.camps {
-		v := CampaignView{
-			Key:       c.key,
-			Tenant:    c.tag.Tenant,
-			Priority:  c.tag.Priority,
-			Seq:       c.seq,
-			Submitted: c.submitted,
-			Total:     len(c.jobs),
-		}
-		for _, j := range c.jobs {
-			switch j.state {
-			case statePending:
-				v.Pending++
-			case stateLeased:
-				v.Leased++
-				v.LeasedNs += c.spec.PullNs(j.task.Combo)
-			case stateDone:
-				v.Done++
-			}
-		}
-		views[i] = v
+		views[i] = c.view()
 	}
 	return views
+}
+
+// view counts one campaign's jobs by state.
+func (c *campaignRun) view() CampaignView {
+	v := CampaignView{
+		Key:       c.key,
+		Tenant:    c.tag.Tenant,
+		Priority:  c.tag.Priority,
+		Seq:       c.seq,
+		Submitted: c.submitted,
+		Total:     len(c.jobs),
+	}
+	for _, j := range c.jobs {
+		switch j.state {
+		case statePending:
+			v.Pending++
+		case stateLeased:
+			v.Leased++
+			v.LeasedNs += c.spec.PullNs(j.task.Combo)
+		case stateDone:
+			v.Done++
+		}
+	}
+	return v
 }
 
 // pick chooses the job a work poll from site gets: scanning the

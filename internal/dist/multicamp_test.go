@@ -373,3 +373,32 @@ func TestJournalInterleavedCampaignsReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignMatchesCampaigns: the one-campaign view a status poll reads
+// is the entry Campaigns returns for the same key, for every active
+// campaign (one with a job in flight), and an unknown key has none.
+func TestCampaignMatchesCampaigns(t *testing.T) {
+	co := newCoordinator(t, nil)
+	at := time.Unix(1700000000, 0).UTC()
+	for _, tag := range []CampaignTag{{Tenant: "a"}, {Tenant: "b", Priority: 2}} {
+		if _, err := co.Install(testSpec(), tag, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	co.mu.Lock()
+	mustGrant(t, co.leases, co.leases.camps[1].jobs[0], testConn("w", "s"), at, false)
+	co.mu.Unlock()
+
+	views := co.Campaigns()
+	if len(views) != 2 || views[1].Leased != 1 {
+		t.Fatalf("Campaigns = %+v, want two campaigns, the second with one lease", views)
+	}
+	for _, want := range views {
+		if got, ok := co.Campaign(want.Key); !ok || got != want {
+			t.Fatalf("Campaign(%s) = %+v, %v; Campaigns has %+v", want.Key, got, ok, want)
+		}
+	}
+	if v, ok := co.Campaign("c-unknown"); ok {
+		t.Fatalf("Campaign of an unknown key = %+v, true", v)
+	}
+}

@@ -66,7 +66,6 @@ func (pf *PoreField) AddForces(pos []vec.V, f []vec.V) float64 {
 // atomEnergy accumulates the force on one atom and returns its energy.
 func (pf *PoreField) atomEnergy(i int, p vec.V, fi *vec.V) float64 {
 	r := math.Hypot(p.X, p.Y)
-	theta := math.Atan2(p.Y, p.X)
 	si := 0.0
 	if i < len(pf.Radii) {
 		si = pf.Radii[i]
@@ -75,6 +74,7 @@ func (pf *PoreField) atomEnergy(i int, p vec.V, fi *vec.V) float64 {
 
 	inPore := p.Z >= -pf.Pore.BarrelLength && p.Z <= pf.Pore.VestibuleLength
 	if inPore {
+		theta := math.Atan2(p.Y, p.X)
 		R := pf.Pore.Radius(p.Z, theta)
 		allowed := R - si
 		d := r - allowed

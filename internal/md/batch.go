@@ -46,8 +46,8 @@ type Batch struct {
 
 // NewBatch adopts engines into an ensemble batch. The engines must be
 // freshly built or otherwise exclusively owned by the caller (the batch
-// re-backs their state arrays), share an atom count and box, and not
-// already belong to another batch. Engines keep working through their
+// re-backs their state arrays), share an atom count, and not already
+// belong to another batch. Engines keep working through their
 // own methods (Step, Checkpoint, Restore, Clone) after adoption.
 func NewBatch(engines []*Engine, bc BatchConfig) (*Batch, error) {
 	if len(engines) == 0 {
@@ -64,9 +64,6 @@ func NewBatch(engines []*Engine, bc BatchConfig) (*Batch, error) {
 		}
 		if e.top.N() != n {
 			return nil, fmt.Errorf("md: replica %d has %d atoms, replica 0 has %d", r, e.top.N(), n)
-		}
-		if e.cfg.Box != e0.cfg.Box {
-			return nil, fmt.Errorf("md: replica %d box %v differs from replica 0 box %v", r, e.cfg.Box, e0.cfg.Box)
 		}
 	}
 	if bc.Workers <= 0 {

@@ -1,19 +1,13 @@
 package md
 
-import (
-	"testing"
+import "testing"
 
-	"spice/internal/vec"
-)
-
-// walledPeriodicSpec is the system most batch tests run on: explicit
-// pore walls in a fully periodic box, sized so no periodic image comes
-// within the cutoff of the real geometry.
-func walledPeriodicSpec(n int, seed uint64) TranslocationSpec {
+// walledSpec is the system most batch tests run on: explicit pore walls,
+// fixed atoms appended after the strand.
+func walledSpec(n int, seed uint64) TranslocationSpec {
 	spec := DefaultTranslocation(n)
 	spec.NoWalls = false
 	spec.Seed = seed
-	spec.Box = vec.V{X: 100, Y: 100, Z: 170}
 	return spec
 }
 
@@ -54,8 +48,8 @@ func requireStatesEqual(t *testing.T, label string, r int, a, b *Engine) {
 // — including when the batch adopts engines mid-trajectory.
 func TestBatchBitIdenticalTrajectories(t *testing.T) {
 	for _, replicas := range []int{1, 8, 32} {
-		solo := buildReplicas(t, 4, replicas, 100, walledPeriodicSpec)
-		batched := buildReplicas(t, 4, replicas, 100, walledPeriodicSpec)
+		solo := buildReplicas(t, 4, replicas, 100, walledSpec)
+		batched := buildReplicas(t, 4, replicas, 100, walledSpec)
 
 		// Adoption happens mid-trajectory: both sides step solo first.
 		const preSteps, postSteps = 25, 120
@@ -83,38 +77,12 @@ func TestBatchBitIdenticalTrajectories(t *testing.T) {
 	}
 }
 
-// TestBatchOpenBoxFallback: batching an open-boundary system — the box
-// every shipped system and the benchmark's batch metric use — must
-// still match per-engine stepping exactly.
-func TestBatchOpenBoxFallback(t *testing.T) {
-	openSpec := func(n int, seed uint64) TranslocationSpec {
-		spec := DefaultTranslocation(n)
-		spec.NoWalls = false
-		spec.Seed = seed
-		return spec
-	}
-	solo := buildReplicas(t, 4, 4, 300, openSpec)
-	batched := buildReplicas(t, 4, 4, 300, openSpec)
-	b, err := NewBatch(batched, BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	b.StepN(80)
-	for _, e := range solo {
-		e.Run(80)
-	}
-	for r := range solo {
-		requireStatesEqual(t, "open", r, solo[r], b.Engine(r))
-	}
-}
-
 // TestCloneIntoBatchRestore covers the checkpoint path on a batch
 // member: a mid-run checkpoint from a solo engine is restored onto a
 // cloned engine after that clone was adopted into a batch. Continuing
 // the batch member must reproduce the solo continuation bit-exactly.
 func TestCloneIntoBatchRestore(t *testing.T) {
-	sys, err := BuildTranslocation(walledPeriodicSpec(4, 7))
+	sys, err := BuildTranslocation(walledSpec(4, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +94,7 @@ func TestCloneIntoBatchRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := BuildTranslocation(walledPeriodicSpec(4, 992))
+	other, err := BuildTranslocation(walledSpec(4, 992))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +117,7 @@ func TestCloneIntoBatchRestore(t *testing.T) {
 // TestBatchStepZeroAllocs pins the 0 allocs/op acceptance criterion for
 // steady-state ensemble stepping.
 func TestBatchStepZeroAllocs(t *testing.T) {
-	engines := buildReplicas(t, 4, 4, 500, walledPeriodicSpec)
+	engines := buildReplicas(t, 4, 4, 500, walledSpec)
 	b, err := NewBatch(engines, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +132,7 @@ func TestBatchStepZeroAllocs(t *testing.T) {
 
 // TestBatchRejectsDoubleAdoption: an engine cannot join two batches.
 func TestBatchRejectsDoubleAdoption(t *testing.T) {
-	engines := buildReplicas(t, 4, 2, 1100, walledPeriodicSpec)
+	engines := buildReplicas(t, 4, 2, 1100, walledSpec)
 	b, err := NewBatch(engines, BatchConfig{})
 	if err != nil {
 		t.Fatal(err)

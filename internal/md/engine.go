@@ -32,9 +32,6 @@ type Config struct {
 	// Pair is the nonbonded potential; nil disables nonbonded forces.
 	Pair forcefield.PairPotential
 
-	Box  vec.V   // periodic box; zero components = open boundaries
-	Skin float64 // neighbor-list skin, Å (default 2)
-
 	DT    float64 // timestep, ps (default 0.01 = 10 fs)
 	Gamma float64 // Langevin friction, 1/ps (default 1)
 	Temp  float64 // K (default 300)
@@ -46,6 +43,10 @@ type Config struct {
 
 	Seed uint64 // RNG seed (default 1)
 }
+
+// skin is the neighbor-list margin beyond the pair cutoff, Å: a list is
+// rebuilt once any atom has moved skin/2 since the last rebuild.
+const skin = 2
 
 // Engine is a runnable simulation.
 type Engine struct {
@@ -70,10 +71,6 @@ type Engine struct {
 	// flat slices so the pair loop never loads whole Atom structs.
 	charges []float64
 	radii   []float64
-	// wrapPos is the scratch for positions wrapped into the primary
-	// cell, refreshed once per nonbonded evaluation so the pair kernels
-	// can use the branch-based minimum image instead of math.Round.
-	wrapPos []vec.V
 	// adopted guards against an engine joining two Batches.
 	adopted bool
 
@@ -111,9 +108,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Temp == 0 {
 		cfg.Temp = 300
 	}
-	if cfg.Skin == 0 {
-		cfg.Skin = 2
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -140,7 +134,7 @@ func New(cfg Config) (*Engine, error) {
 	e.state.InitVelocities(cfg.Temp, e.rng)
 
 	if cfg.Pair != nil {
-		e.nlist = neighbor.NewList(cfg.Pair.Cutoff(), cfg.Skin, cfg.Box)
+		e.nlist = neighbor.NewList(cfg.Pair.Cutoff(), skin)
 		// Bake exclusions into the list: bonded 1-2/1-3 partners from
 		// the topology, plus wall-wall pairs (both atoms fixed), which
 		// never matter.
@@ -187,9 +181,6 @@ func (e *Engine) Temperature() float64 { return e.cfg.Temp }
 // Timestep returns dt in ps.
 func (e *Engine) Timestep() float64 { return e.cfg.DT }
 
-// Box returns the periodic box; zero components are open boundaries.
-func (e *Engine) Box() vec.V { return e.cfg.Box }
-
 // AddTerm appends a force-field term at runtime (used by SMD and IMD).
 func (e *Engine) AddTerm(t forcefield.Term) { e.cfg.Terms = append(e.cfg.Terms, t) }
 
@@ -233,32 +224,20 @@ func (e *Engine) nonbonded(pos []vec.V, f []vec.V) float64 {
 	if len(pairs) == 0 {
 		return 0
 	}
-	// Wrap positions once (O(N)) so every per-pair minimum image
-	// (O(pairs)) is a compare instead of a math.Round.
-	wp := pos
-	if e.cfg.Box != vec.Zero {
-		if cap(e.wrapPos) < len(pos) {
-			e.wrapPos = make([]vec.V, len(pos))
-		}
-		wp = e.wrapPos[:len(pos)]
-		for i, p := range pos {
-			wp[i] = vec.Wrap(p, e.cfg.Box)
-		}
-	}
 	// The standard Combined potential is dispatched as a concrete type so
 	// the per-pair EnergyForce call is static and inlinable; anything
 	// else goes through the interface.
 	if pot, ok := e.cfg.Pair.(forcefield.Combined); ok {
-		return pairKernel(pot, e.charges, e.radii, e.cfg.Box, wp, f, pairs)
+		return pairKernel(pot, e.charges, e.radii, pos, f, pairs)
 	}
-	return pairKernel(e.cfg.Pair, e.charges, e.radii, e.cfg.Box, wp, f, pairs)
+	return pairKernel(e.cfg.Pair, e.charges, e.radii, pos, f, pairs)
 }
 
-func pairKernel[P forcefield.PairPotential](pot P, q, s []float64, box vec.V, pos []vec.V, f []vec.V, pairs []neighbor.Pair) float64 {
+func pairKernel[P forcefield.PairPotential](pot P, q, s []float64, pos []vec.V, f []vec.V, pairs []neighbor.Pair) float64 {
 	total := 0.0
 	for _, p := range pairs {
 		i, j := int(p.I), int(p.J)
-		d := vec.MinImageWrapped(pos[i].Sub(pos[j]), box)
+		d := pos[i].Sub(pos[j])
 		r2 := d.Norm2()
 		en, g := pot.EnergyForce(r2, q[i], q[j], s[i], s[j])
 		if en == 0 && g == 0 {

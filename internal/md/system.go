@@ -17,9 +17,6 @@ type TranslocationSpec struct {
 	Membrane topology.MembraneParams
 	Binding  []forcefield.BindingSite // nil = DefaultBindingSites
 	NoWalls  bool                     // analytic pore only (faster)
-	// Box, when fully set, runs the system under periodic boundaries
-	// instead of open ones.
-	Box vec.V
 
 	DT    float64
 	Gamma float64
@@ -133,7 +130,6 @@ func BuildTranslocation(spec TranslocationSpec) (*TranslocationSystem, error) {
 			bindTerm,
 		},
 		Pair:     pair,
-		Box:      spec.Box,
 		DT:       spec.DT,
 		Gamma:    spec.Gamma,
 		Temp:     spec.Temp,

@@ -1,35 +1,12 @@
 package neighbor
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"spice/internal/vec"
 	"spice/internal/xrand"
 )
-
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].I != ps[j].I {
-			return ps[i].I < ps[j].I
-		}
-		return ps[i].J < ps[j].J
-	})
-}
-
-func pairsEqual(a, b []Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	sortPairs(a)
-	sortPairs(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func randomPositions(rng *xrand.Source, n int, span float64) []vec.V {
 	pos := make([]vec.V, n)
@@ -43,57 +20,60 @@ func TestCellListMatchesBruteForceOpen(t *testing.T) {
 	rng := xrand.New(1)
 	for _, n := range []int{3, 30, 64, 65, 200, 500} {
 		pos := randomPositions(rng, n, 40)
-		l := NewList(5, 0, vec.Zero)
+		l := NewList(5, 0)
 		l.ForceRebuild(pos)
-		want := BruteForcePairs(pos, 5, vec.Zero, nil)
-		got := append([]Pair(nil), l.Pairs...)
-		if !pairsEqual(got, want) {
-			t.Fatalf("n=%d: cell list %d pairs, brute force %d", n, len(got), len(want))
+		if want := BruteForcePairs(pos, 5, nil); !slices.Equal(l.Pairs, want) {
+			t.Fatalf("n=%d: list %d pairs, brute force %d (or a different order)", n, len(l.Pairs), len(want))
 		}
 	}
 }
 
-func TestCellListMatchesBruteForcePeriodic(t *testing.T) {
-	rng := xrand.New(2)
-	box := vec.V{X: 30, Y: 30, Z: 30}
-	for _, n := range []int{10, 100, 400} {
+// TestPairsMatchBruteForceInOrder pins the order contract pulls rely on:
+// the force loop sums pairs in list order, so a trajectory, a checkpoint
+// and a resume from List.Ref are reproducible only while the list is
+// exactly the i-major, j-ascending reference — order included, above 64
+// atoms too — with inactive (fixed) atoms trailing the mobile ones, as
+// walls are appended after the strand, and interleaved with them.
+func TestPairsMatchBruteForceInOrder(t *testing.T) {
+	rng := xrand.New(16)
+	const n = 300
+	for _, tc := range []struct {
+		name     string
+		inactive func(i int) bool
+	}{
+		{"suffix", func(i int) bool { return i >= 40 }},
+		{"interleaved", func(i int) bool { return i%3 != 0 }},
+	} {
 		pos := randomPositions(rng, n, 30)
-		l := NewList(4, 0, box)
-		l.ForceRebuild(pos)
-		want := BruteForcePairs(pos, 4, box, nil)
-		got := append([]Pair(nil), l.Pairs...)
-		if !pairsEqual(got, want) {
-			t.Fatalf("n=%d periodic: cell list %d pairs, brute force %d", n, len(got), len(want))
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = tc.inactive(i)
 		}
-	}
-}
-
-func TestCellListPartialPeriodic(t *testing.T) {
-	rng := xrand.New(3)
-	box := vec.V{X: 25, Y: 25, Z: 0} // slab geometry: open in z
-	pos := randomPositions(rng, 300, 25)
-	for i := range pos {
-		pos[i].Z = rng.NormFloat64() * 20
-	}
-	l := NewList(4, 0, box)
-	l.ForceRebuild(pos)
-	want := BruteForcePairs(pos, 4, box, nil)
-	got := append([]Pair(nil), l.Pairs...)
-	if !pairsEqual(got, want) {
-		t.Fatalf("slab: cell list %d pairs, brute force %d", len(got), len(want))
+		l := NewList(5, 1)
+		l.SetInactive(mask)
+		l.ForceRebuild(pos)
+		want := BruteForcePairs(pos, 6, func(i, j int) bool { return mask[i] && mask[j] })
+		if len(l.Pairs) != len(want) {
+			t.Fatalf("%s: %d pairs, reference %d", tc.name, len(l.Pairs), len(want))
+		}
+		for k := range want {
+			if l.Pairs[k] != want[k] {
+				t.Fatalf("%s: pair %d is %v, reference %v", tc.name, k, l.Pairs[k], want[k])
+			}
+		}
 	}
 }
 
 func TestSkinIncludesNearMisses(t *testing.T) {
 	// With skin, pairs slightly beyond the cutoff must be listed.
 	pos := []vec.V{{}, {X: 5.5}}
-	l := NewList(5, 1, vec.Zero)
+	l := NewList(5, 1)
 	l.ForceRebuild(pos)
 	if len(l.Pairs) != 1 {
 		t.Fatalf("skin miss: %d pairs", len(l.Pairs))
 	}
 	// Without skin it must not be.
-	l2 := NewList(5, 0, vec.Zero)
+	l2 := NewList(5, 0)
 	l2.ForceRebuild(pos)
 	if len(l2.Pairs) != 0 {
 		t.Fatalf("no-skin: %d pairs", len(l2.Pairs))
@@ -103,7 +83,7 @@ func TestSkinIncludesNearMisses(t *testing.T) {
 func TestUpdateRebuildPolicy(t *testing.T) {
 	rng := xrand.New(4)
 	pos := randomPositions(rng, 100, 20)
-	l := NewList(4, 2, vec.Zero)
+	l := NewList(4, 2)
 	if !l.Update(pos) {
 		t.Fatal("first Update must rebuild")
 	}
@@ -122,7 +102,7 @@ func TestUpdateRebuildPolicy(t *testing.T) {
 
 func TestExclusions(t *testing.T) {
 	pos := []vec.V{{}, {X: 1}, {X: 2}}
-	l := NewList(5, 0, vec.Zero)
+	l := NewList(5, 0)
 	l.SetExclusions([][]int32{{1}, {0}, nil})
 	l.ForceRebuild(pos)
 	for _, p := range l.Pairs {
@@ -137,8 +117,7 @@ func TestExclusions(t *testing.T) {
 
 func TestBakedExclusionsMatchClosureReference(t *testing.T) {
 	// The baked sorted-list check must agree with the closure-driven
-	// brute-force reference on a chain-like exclusion pattern, above and
-	// below the grid threshold.
+	// brute-force reference on a chain-like exclusion pattern.
 	rng := xrand.New(11)
 	for _, n := range []int{40, 300} {
 		pos := randomPositions(rng, n, 25)
@@ -151,20 +130,18 @@ func TestBakedExclusionsMatchClosureReference(t *testing.T) {
 				}
 			}
 		}
-		l := NewList(5, 0.5, vec.Zero)
+		l := NewList(5, 0.5)
 		l.SetExclusions(excl)
 		l.ForceRebuild(pos)
-		want := BruteForcePairs(pos, 5.5, vec.Zero, isExcl)
-		got := append([]Pair(nil), l.Pairs...)
-		if !pairsEqual(got, want) {
-			t.Fatalf("n=%d: baked %d pairs, closure reference %d", n, len(got), len(want))
+		if want := BruteForcePairs(pos, 5.5, isExcl); !slices.Equal(l.Pairs, want) {
+			t.Fatalf("n=%d: baked %d pairs, closure reference %d (or a different order)", n, len(l.Pairs), len(want))
 		}
 	}
 }
 
 func TestInactivePairsSkipped(t *testing.T) {
 	pos := []vec.V{{}, {X: 1}, {X: 2}}
-	l := NewList(5, 0, vec.Zero)
+	l := NewList(5, 0)
 	l.SetInactive([]bool{true, true, false})
 	l.ForceRebuild(pos)
 	if len(l.Pairs) != 2 { // (0,1) dropped; (0,2), (1,2) kept
@@ -181,7 +158,7 @@ func TestPairsSortedByI(t *testing.T) {
 	rng := xrand.New(12)
 	for _, n := range []int{50, 400} {
 		pos := randomPositions(rng, n, 30)
-		l := NewList(5, 1, vec.Zero)
+		l := NewList(5, 1)
 		l.ForceRebuild(pos)
 		for k := 1; k < len(l.Pairs); k++ {
 			if l.Pairs[k].I < l.Pairs[k-1].I {
@@ -193,9 +170,8 @@ func TestPairsSortedByI(t *testing.T) {
 
 func TestRebuildAllocFreeInSteadyState(t *testing.T) {
 	rng := xrand.New(14)
-	box := vec.V{X: 35, Y: 35, Z: 35}
 	pos := randomPositions(rng, 800, 35)
-	l := NewList(4, 1, box)
+	l := NewList(4, 1)
 	l.ForceRebuild(pos) // warm-up sizes every retained buffer
 	l.ForceRebuild(pos)
 	allocs := testing.AllocsPerRun(10, func() { l.ForceRebuild(pos) })
@@ -207,7 +183,7 @@ func TestRebuildAllocFreeInSteadyState(t *testing.T) {
 func TestStatistics(t *testing.T) {
 	rng := xrand.New(15)
 	pos := randomPositions(rng, 100, 20)
-	l := NewList(4, 2, vec.Zero)
+	l := NewList(4, 2)
 	for i := 0; i < 5; i++ {
 		l.Update(pos) // only the first call rebuilds
 	}
@@ -235,7 +211,7 @@ func TestStatistics(t *testing.T) {
 func TestPairOrderingInvariant(t *testing.T) {
 	rng := xrand.New(5)
 	pos := randomPositions(rng, 300, 30)
-	l := NewList(5, 1, vec.Zero)
+	l := NewList(5, 1)
 	l.ForceRebuild(pos)
 	for _, p := range l.Pairs {
 		if p.I >= p.J {
@@ -246,9 +222,8 @@ func TestPairOrderingInvariant(t *testing.T) {
 
 func TestNoDuplicatePairs(t *testing.T) {
 	rng := xrand.New(6)
-	box := vec.V{X: 12, Y: 12, Z: 12} // small box stresses cell wrapping
-	pos := randomPositions(rng, 200, 12)
-	l := NewList(4, 0.5, box)
+	pos := randomPositions(rng, 200, 12) // dense: most pairs in range
+	l := NewList(4, 0.5)
 	l.ForceRebuild(pos)
 	seen := make(map[Pair]bool)
 	for _, p := range l.Pairs {
@@ -259,23 +234,8 @@ func TestNoDuplicatePairs(t *testing.T) {
 	}
 }
 
-func TestSmallBoxPeriodicCorrectness(t *testing.T) {
-	// Box barely larger than cutoff: n=1..2 cells per axis, the wrap
-	// suppression path.
-	rng := xrand.New(7)
-	box := vec.V{X: 9, Y: 9, Z: 9}
-	pos := randomPositions(rng, 150, 9)
-	l := NewList(4, 0, box)
-	l.ForceRebuild(pos)
-	want := BruteForcePairs(pos, 4, box, nil)
-	got := append([]Pair(nil), l.Pairs...)
-	if !pairsEqual(got, want) {
-		t.Fatalf("small box: %d vs %d pairs", len(got), len(want))
-	}
-}
-
 func TestEmptyAndSingle(t *testing.T) {
-	l := NewList(5, 1, vec.Zero)
+	l := NewList(5, 1)
 	l.ForceRebuild(nil)
 	if len(l.Pairs) != 0 {
 		t.Fatal("pairs from empty input")
@@ -283,24 +243,5 @@ func TestEmptyAndSingle(t *testing.T) {
 	l.ForceRebuild([]vec.V{{X: 1}})
 	if len(l.Pairs) != 0 {
 		t.Fatal("pairs from single atom")
-	}
-}
-
-func BenchmarkCellList1000(b *testing.B) {
-	rng := xrand.New(8)
-	pos := randomPositions(rng, 1000, 50)
-	l := NewList(5, 1, vec.Zero)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.ForceRebuild(pos)
-	}
-}
-
-func BenchmarkBruteForce1000(b *testing.B) {
-	rng := xrand.New(8)
-	pos := randomPositions(rng, 1000, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BruteForcePairs(pos, 5, vec.Zero, nil)
 	}
 }

@@ -104,63 +104,3 @@ func Mean(vs []V) V {
 	}
 	return Sum(vs).Scale(1 / float64(len(vs)))
 }
-
-// MinImage applies the minimum-image convention to displacement d for an
-// orthorhombic box with edge lengths box (zero components mean
-// non-periodic in that direction).
-func MinImage(d V, box V) V {
-	if box.X > 0 {
-		d.X -= box.X * math.Round(d.X/box.X)
-	}
-	if box.Y > 0 {
-		d.Y -= box.Y * math.Round(d.Y/box.Y)
-	}
-	if box.Z > 0 {
-		d.Z -= box.Z * math.Round(d.Z/box.Z)
-	}
-	return d
-}
-
-// MinImageWrapped is MinImage for displacements between positions already
-// wrapped into the primary cell, i.e. |d| < box componentwise. The single
-// compare-and-correct per axis replaces MinImage's math.Round — worth it
-// in the per-pair force loop, where the branch is almost never taken.
-func MinImageWrapped(d V, box V) V {
-	if box.X > 0 {
-		if h := 0.5 * box.X; d.X > h {
-			d.X -= box.X
-		} else if d.X < -h {
-			d.X += box.X
-		}
-	}
-	if box.Y > 0 {
-		if h := 0.5 * box.Y; d.Y > h {
-			d.Y -= box.Y
-		} else if d.Y < -h {
-			d.Y += box.Y
-		}
-	}
-	if box.Z > 0 {
-		if h := 0.5 * box.Z; d.Z > h {
-			d.Z -= box.Z
-		} else if d.Z < -h {
-			d.Z += box.Z
-		}
-	}
-	return d
-}
-
-// Wrap maps position p into the primary cell [0, box) for periodic
-// directions (box component > 0); non-periodic components pass through.
-func Wrap(p V, box V) V {
-	if box.X > 0 {
-		p.X -= box.X * math.Floor(p.X/box.X)
-	}
-	if box.Y > 0 {
-		p.Y -= box.Y * math.Floor(p.Y/box.Y)
-	}
-	if box.Z > 0 {
-		p.Z -= box.Z * math.Floor(p.Z/box.Z)
-	}
-	return p
-}

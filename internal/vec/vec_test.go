@@ -118,43 +118,6 @@ func TestSumMean(t *testing.T) {
 	}
 }
 
-func TestMinImage(t *testing.T) {
-	box := New(10, 10, 0) // periodic in x,y only
-	d := MinImage(New(9, -9, 42), box)
-	if !vecApprox(d, New(-1, 1, 42), 1e-12) {
-		t.Fatalf("MinImage = %v", d)
-	}
-	// Property: result components lie within [-L/2, L/2] for periodic dims.
-	f := func(a V) bool {
-		if !genOK(a) || a.Norm() > 1e9 {
-			return true
-		}
-		d := MinImage(a, box)
-		return d.X >= -5-1e-9 && d.X <= 5+1e-9 && d.Y >= -5-1e-9 && d.Y <= 5+1e-9 && d.Z == a.Z
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWrap(t *testing.T) {
-	box := New(10, 10, 10)
-	f := func(a V) bool {
-		if !genOK(a) || a.Norm() > 1e9 {
-			return true
-		}
-		p := Wrap(a, box)
-		return p.X >= 0 && p.X < 10+1e-9 && p.Y >= 0 && p.Y < 10+1e-9 && p.Z >= 0 && p.Z < 10+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Non-periodic passthrough.
-	if got := Wrap(New(-3, 42, 7), New(0, 0, 10)); got.X != -3 || got.Y != 42 {
-		t.Fatalf("non-periodic Wrap = %v", got)
-	}
-}
-
 func TestDist(t *testing.T) {
 	if got := Dist(New(0, 0, 0), New(3, 4, 0)); !approx(got, 5, 1e-12) {
 		t.Fatalf("Dist = %v", got)

@@ -332,11 +332,13 @@ echo "== one implementation per paper-model idea =="
 # machines that killed it is placed through the site queue like every
 # other job (JobConstraint.Exclude); CoAllocate and the lightpath
 # co-scheduler share one fixed-point co-reservation loop; ScanRecords
-# decodes through RecordReader. The second copies and the leaf API
-# nothing reached were deleted; they must not come back.
+# decodes through RecordReader; neighbor.List has one pair-list builder,
+# the i-major Verlet scan over open boundaries (no cell grid, no periodic
+# box, no minimum image). The second copies and the leaf API nothing
+# reached were deleted; they must not come back.
 src=$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/')
-if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians|SplitN|ExpFloat64|LogNormal|Lerp' $src ||
-  grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach' $src; then
+if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians|SplitN|ExpFloat64|LogNormal|Lerp|MinImage|MinImageWrapped|cellOf|scanGrid|wrapCell' $src ||
+  grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach|\bvec\.Wrap\(' $src; then
   echo "FAIL: a deleted second implementation or unreached API is back"
   exit 1
 fi
@@ -504,13 +506,13 @@ go test -race -run 'TestClientDuplicateSubmitReturnsID|TestTwoTenantsOverHTTPBit
 echo "== md determinism (GOMAXPROCS=4, -race) =="
 # With real parallelism and the race detector on: what is left of the
 # ensemble batch engine must step replicas bit-identically to solo
-# engines (SoA adoption in a walled periodic and an open box,
+# engines (SoA adoption of a walled system mid-trajectory,
 # clone-into-batch restore, zero steady-state allocs, refusal of a double
 # adoption); Step must run safely against Checkpoint and Frame from
 # other goroutines, as IMD drives them; and a trajectory must not depend
 # on EngineWorkers.
 GOMAXPROCS=4 go test -race -count=1 \
-  -run 'TestBatchBitIdenticalTrajectories|TestBatchOpenBoxFallback|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers' \
+  -run 'TestBatchBitIdenticalTrajectories|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers' \
   ./internal/md ./internal/core
 
 echo "== wire protocol gates (-race) =="
