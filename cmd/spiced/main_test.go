@@ -58,7 +58,7 @@ func TestDistFlagDefaults(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { bound[reflect.ValueOf(f.Value).Pointer()] = true })
 	hooksAndSeams := map[string]bool{
 		"FS": true, "Dial": true, "Metrics": true, "Events": true,
-		"LeaseTTL": true, "HedgeFraction": true, "HedgeStall": true, "HedgeAfter": true,
+		"LeaseTTL": true, "HedgeFraction": true, "HedgeAfter": true,
 	}
 	wv, sv := reflect.ValueOf(&wcfg).Elem(), reflect.ValueOf(&scfg).Elem()
 	for i := 0; i < wv.NumField(); i++ {

@@ -166,8 +166,8 @@ func main() {
 	// The same numbers as scraped from /metrics, plus the event stream's
 	// view of the scheduling decisions the coordinator made along the way.
 	fmt.Printf("\n  obs: %d events recorded", events.Seq())
-	if n := events.Count("speculation_launched") + events.Count("lease_granted"); n > 0 {
-		fmt.Printf(" (%d lease grants", events.Count("lease_granted"))
+	if n := events.Count("lease_granted"); n > 0 {
+		fmt.Printf(" (%d lease grants", n)
 		if h := events.Count("straggler_flagged"); h > 0 {
 			fmt.Printf(", %d straggler(s) flagged", h)
 		}

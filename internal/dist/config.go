@@ -8,8 +8,8 @@ package dist
 // Defaults(); NewCoordinator and NewWorker, the only constructors,
 // validate it and keep it, so a knob exists in exactly one place. A
 // field is what a deployment sets (a spiced flag), a hook (FS, Dial,
-// Metrics, Events), or one of four test seams: LeaseTTL, the time scale
-// every other coordinator window is a fraction of, and the three hedge
+// Metrics, Events), or one of three test seams: LeaseTTL, the time scale
+// every other coordinator window is a fraction of, and the two hedge
 // knobs. Everything else is a constant.
 
 import (
@@ -72,17 +72,14 @@ type Config struct {
 	// falls below this fraction of the fleet-median site rate; the first
 	// finished attempt wins. 0 disables rate hedging, as the suites' test
 	// configs do. Test seam: TestStragglerScanTriggers,
-	// TestStragglingPredicate, TestChaosSlowSiteSpeculation.
+	// TestStragglingPredicate, TestChaosSlowSiteSpeculation,
+	// TestSpeculativeHedgeRace, TestJournalReplaySpeculativeLeasePair,
+	// TestWakeOnStragglerFlag.
 	HedgeFraction float64
-	// HedgeStall also hedges a job whose step counter has not advanced
-	// for this long while it heartbeats (alive but stuck); 0 disables
-	// stall hedging. Test seam: TestSpeculativeHedgeRace,
-	// TestJournalReplaySpeculativeLeasePair, TestWakeOnStragglerFlag.
-	HedgeStall time.Duration
-	// HedgeAfter is the lease age before either hedge trigger may fire,
-	// so short jobs are never duplicated; 0 means LeaseTTL/2. Test seam:
-	// the HedgeStall and HedgeFraction gates; examples/federated sets it
-	// to show a hedge in a short demo.
+	// HedgeAfter is the lease age before the rate trigger may fire, so
+	// short jobs are never duplicated; 0 means LeaseTTL/2. Test seam:
+	// the HedgeFraction gates; examples/federated sets it to show a
+	// hedge in a short demo.
 	HedgeAfter time.Duration
 
 	// --- Overload protection (coordinator) ---
@@ -184,8 +181,6 @@ func (c Config) Validate() error {
 		return errors.New("dist: Config.StorageRetries must be >= 0")
 	case c.HedgeFraction < 0 || c.HedgeFraction >= 1:
 		return fmt.Errorf("dist: Config.HedgeFraction %g outside [0, 1)", c.HedgeFraction)
-	case c.HedgeStall < 0:
-		return errors.New("dist: Config.HedgeStall must be >= 0")
 	case c.HedgeAfter < 0:
 		return errors.New("dist: Config.HedgeAfter must be >= 0")
 	case c.MaxInflight < 0:

@@ -34,7 +34,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"zero lease TTL", func(c *Config) { c.LeaseTTL = 0 }, "LeaseTTL"},
 		{"hedge fraction one", func(c *Config) { c.HedgeFraction = 1 }, "HedgeFraction"},
 		{"negative hedge fraction", func(c *Config) { c.HedgeFraction = -0.1 }, "HedgeFraction"},
-		{"negative hedge stall", func(c *Config) { c.HedgeStall = -time.Second }, "HedgeStall"},
 		{"negative io timeout", func(c *Config) { c.IOTimeout = -1 }, "IOTimeout"},
 		{"zero slots", func(c *Config) { c.Slots = 0 }, "Slots"},
 		{"zero beat", func(c *Config) { c.BeatInterval = 0 }, "BeatInterval"},
@@ -232,16 +231,16 @@ func TestDerivedWindowsPinned(t *testing.T) {
 	}{
 		{"defaults", func(c *Config) { *c = Defaults() },
 			10 * time.Second, 2500 * time.Millisecond, 1250 * time.Millisecond, 2500 * time.Millisecond, 843},
-		{"stall hedging, short io-timeout", func(c *Config) {
+		{"rate hedging, short hedge-after and io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL, c.BeatInterval = 800*time.Millisecond, 50*time.Millisecond
-			c.HedgeFraction, c.HedgeStall = 0, 120*time.Millisecond
+			c.HedgeAfter = 120 * time.Millisecond
 			c.IOTimeout = 500 * time.Millisecond
-		}, 1600 * time.Millisecond, 400 * time.Millisecond, 30 * time.Millisecond, 250 * time.Millisecond, 135},
+		}, 1600 * time.Millisecond, 120 * time.Millisecond, 60 * time.Millisecond, 250 * time.Millisecond, 135},
 		{"no hedging, explicit hedge-after, no io-timeout", func(c *Config) {
 			*c = Defaults()
 			c.LeaseTTL = 12 * time.Second
-			c.HedgeFraction, c.HedgeStall, c.HedgeAfter = 0, 0, 7*time.Second
+			c.HedgeFraction, c.HedgeAfter = 0, 7*time.Second
 			c.IOTimeout = 0
 		}, 24 * time.Second, 7 * time.Second, 3 * time.Second, 6 * time.Second, 2025},
 	} {

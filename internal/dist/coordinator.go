@@ -132,7 +132,7 @@ func (cr *campaignRun) finish(err error) {
 }
 
 func (co *Coordinator) hedgingEnabled() bool {
-	return co.cfg.HedgeFraction > 0 || co.cfg.HedgeStall > 0
+	return co.cfg.HedgeFraction > 0
 }
 
 // replayJournal opens the journal under Config.StateDir and loads what it
@@ -492,16 +492,13 @@ func (co *Coordinator) doClose() error {
 // with one half-open probe job.
 func (co *Coordinator) breakerCooldown() time.Duration { return 2 * co.cfg.LeaseTTL }
 
-// janitorPeriod tracks the finer of the lease TTL and the hedge windows
+// janitorPeriod tracks the finer of the lease TTL and the hedge window
 // so both state machines advance promptly.
 func (co *Coordinator) janitorPeriod() time.Duration {
 	period := co.cfg.LeaseTTL / 4
 	if co.hedgingEnabled() {
 		if p := co.cfg.HedgeAfter / 2; p < period {
 			period = p
-		}
-		if s := co.cfg.HedgeStall; s > 0 && s/4 < period {
-			period = s / 4
 		}
 	}
 	if period < 5*time.Millisecond {
@@ -589,14 +586,13 @@ func (co *Coordinator) stragglerScanLocked(camp *campaignRun, now time.Time) {
 	}
 	median, haveMedian := co.sites.medianRate()
 	co.leases.flagStragglers(camp, func(j *job, l *lease) bool {
-		slow, stalled := straggling(&co.cfg, l, now, median, haveMedian)
-		if !slow && !stalled {
+		if !straggling(&co.cfg, l, now, median, haveMedian) {
 			return false
 		}
 		co.stats.StragglersDetected++
 		co.cfg.Events.Emit(obs.Event{Name: "straggler_flagged", Job: j.id,
 			Attempt: l.attempt, Site: l.site, Worker: l.worker,
-			Fields: map[string]any{"slow": slow, "stalled": stalled, "rate": l.rate.v}})
+			Fields: map[string]any{"rate": l.rate.v}})
 		return true
 	})
 }

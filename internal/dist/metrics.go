@@ -47,7 +47,7 @@ func RegisterMetrics(reg *obs.Registry, co *Coordinator) {
 		// The journal label names the one log behind the spice_storage_*
 		// family.
 		s.storage().Emit(e, "dist")
-		e.Counter("spice_dist_stragglers_detected_total", "Leases flagged as stragglers (rate or stall).", float64(s.StragglersDetected))
+		e.Counter("spice_dist_stragglers_detected_total", "Leases flagged as stragglers (progress rate below HedgeFraction of the fleet median).", float64(s.StragglersDetected))
 		e.Counter("spice_dist_speculations_launched_total", "Hedge leases granted on a second site.", float64(s.SpeculationsLaunched))
 		e.Counter("spice_dist_speculations_won_total", "Jobs whose accepted result came from a hedge lease.", float64(s.SpeculationsWon))
 		e.Counter("spice_dist_speculations_wasted_total", "Concurrent leases dropped when the other attempt won.", float64(s.SpeculationsWasted))

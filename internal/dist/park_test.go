@@ -283,24 +283,25 @@ func TestWakeOnRequeueAfterBackoff(t *testing.T) {
 }
 
 // TestWakeOnStragglerFlag: idle workers are the hedge pool. The janitor
-// pass that flags a stalled lease hands the hedge to a poll parked on
+// pass that flags a crawling lease hands the hedge to a poll parked on
 // another site in that same pass; a poll parked on the straggler's own
 // site is passed over and stays parked.
 func TestWakeOnStragglerFlag(t *testing.T) {
 	co := newCoordinator(t, func(c *Config) {
 		c.LeaseTTL = time.Minute
-		c.HedgeStall, c.HedgeAfter = time.Second, time.Second
+		c.HedgeFraction, c.HedgeAfter = 0.3, time.Second
 	})
 	runInBackground(t, co, singleJobSpec(), CampaignTag{})
 	now := time.Now()
 	slow, other := testConn("slow-0", "tarpit"), testConn("quick-0", "quick")
 	jb := mustAssign(t, co, slow, now)
+	seedCrawl(t, co, jb.ID, "quick")
 	mustPark(t, co, other, now)
 	same := testConn("slow-1", "tarpit")
 	mustPark(t, co, same, now) // parked last, so the wake pass tries it first
 	co.tick(now.Add(500 * time.Millisecond))
 	if st := co.Stats(); st.StragglersDetected != 0 || st.ParkedPolls != 2 {
-		t.Fatalf("before the stall window: %d stragglers, %d parked", st.StragglersDetected, st.ParkedPolls)
+		t.Fatalf("before HedgeAfter: %d stragglers, %d parked", st.StragglersDetected, st.ParkedPolls)
 	}
 	co.tick(now.Add(1500 * time.Millisecond))
 	resp := woken(t, other, 0)

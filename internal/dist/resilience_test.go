@@ -68,9 +68,9 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
-// TestStragglerScanTriggers exercises both hedge triggers against a
+// TestStragglerScanTriggers exercises the hedge trigger against a
 // synthetic job table: a lease crawling below the fleet-median fraction
-// and a lease whose steps stalled outright.
+// is flagged once it is HedgeAfter old, and never with HedgeFraction 0.
 func TestStragglerScanTriggers(t *testing.T) {
 	now := time.Now()
 	mkCamp := func(l *lease) (*campaignRun, *job) {
@@ -99,21 +99,38 @@ func TestStragglerScanTriggers(t *testing.T) {
 		t.Fatal("lease younger than HedgeAfter was flagged")
 	}
 
-	// Stall trigger: steps frozen longer than HedgeStall, no rates at all.
-	co3 := newCoordinator(t, func(c *Config) { c.HedgeStall, c.HedgeAfter = 100*time.Millisecond, 10*time.Millisecond })
-	camp3, j3 := mkCamp(&lease{site: "s", granted: now.Add(-time.Second), stepsAt: now.Add(-200 * time.Millisecond)})
+	// HedgeFraction 0: hedging disabled, nothing flagged.
+	co3 := newCoordinator(t, nil)
+	co3.sites.get("fast1").rate.observe(100)
+	co3.sites.get("fast2").rate.observe(100)
+	camp3, j3 := mkCamp(&lease{site: "s", granted: now.Add(-time.Hour), stepsAt: now.Add(-time.Hour), rate: ewma[float64]{v: 1, ok: true}})
 	co3.stragglerScanLocked(camp3, now)
-	if !j3.straggler {
-		t.Fatal("stall trigger did not flag")
-	}
-
-	// Both triggers at 0: hedging disabled, nothing flagged.
-	co4 := newCoordinator(t, nil)
-	camp4, j4 := mkCamp(&lease{site: "s", granted: now.Add(-time.Hour), stepsAt: now.Add(-time.Hour)})
-	co4.stragglerScanLocked(camp4, now)
-	if j4.straggler || co4.stats.StragglersDetected != 0 {
+	if j3.straggler || co3.stats.StragglersDetected != 0 {
 		t.Fatal("coordinator with hedging disabled hedged a job")
 	}
+}
+
+// seedCrawl stands in for streamed progress, the rate trigger's input:
+// under co.mu it gives jobID's sole lease and that lease's site a rate
+// EWMA of 1 step/s and site fast one of 100, so the fleet median is 100
+// and the lease is flagged once it is HedgeAfter old. The lease keeps
+// steps at 0: it streamed nothing its breaker could be struck for.
+func seedCrawl(t *testing.T, co *Coordinator, jobID, fast string) {
+	t.Helper()
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, camp := range co.leases.camps {
+		for _, j := range camp.jobs {
+			if j.id == jobID && len(j.leases) == 1 {
+				l := j.leases[0]
+				l.rate.observe(1)
+				co.sites.get(l.site).rate.observe(1)
+				co.sites.get(fast).rate.observe(100)
+				return
+			}
+		}
+	}
+	t.Fatalf("job %s has no sole lease to seed", jobID)
 }
 
 // pullLog computes the bit-exact result for an assignment the way a
@@ -131,12 +148,12 @@ func pullLog(t *testing.T, assign *response) *trace.WorkLog {
 }
 
 // TestSpeculativeHedgeRace pins the hedge protocol end to end with
-// hand-rolled clients: a lease that heartbeats but never progresses is
-// flagged as a straggler, a second site is granted a speculative lease
-// on the same job, the hedge's result wins, the original's late result
-// is dropped as a duplicate, and the merged campaign output is
-// bit-identical to a LocalRunner run — duplicated execution is
-// invisible in the science.
+// hand-rolled clients: a lease whose progress rate crawls against the
+// fleet median is flagged as a straggler, a second site is granted a
+// speculative lease on the same job, the hedge's result wins, the
+// original's late result is dropped as a duplicate, and the merged
+// campaign output is bit-identical to a LocalRunner run — duplicated
+// execution is invisible in the science.
 func TestSpeculativeHedgeRace(t *testing.T) {
 	spec := campaign.Spec{
 		Kappas:     []float64{100},
@@ -149,7 +166,7 @@ func TestSpeculativeHedgeRace(t *testing.T) {
 
 	events := obs.NewEventLog(nil, 1<<10)
 	co := newCoordinator(t, func(c *Config) {
-		c.HedgeStall, c.HedgeAfter = 40*time.Millisecond, 20*time.Millisecond
+		c.HedgeFraction, c.HedgeAfter = 0.3, 20*time.Millisecond
 		c.Events = events
 	})
 	resCh := make(chan map[campaign.Combo][]*trace.WorkLog, 1)
@@ -164,16 +181,18 @@ func TestSpeculativeHedgeRace(t *testing.T) {
 	}()
 	addr := co.Listener.Addr().String()
 
-	// The straggler: holds the only job, beats dutifully, advances
-	// nothing — alive but stuck, the shape a congested site has.
+	// The straggler: holds the only job and beats dutifully, but its
+	// progress crawls at a hundredth of the fleet median — alive but
+	// degraded, the shape a congested site has.
 	stuck := dialSiteClient(t, addr, "stuck-0", "congested")
 	assign1 := stuck.next()
 	jobID, attempt1 := assign1.Job.ID, assign1.Job.Attempt
+	seedCrawl(t, co, jobID, "healthy")
 
 	deadline := time.Now().Add(10 * time.Second)
 	for co.Stats().StragglersDetected == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("stalled lease never flagged as straggler")
+			t.Fatal("crawling lease never flagged as straggler")
 		}
 		if resp := stuck.rt(&request{Type: msgBeat, JobID: jobID, Attempt: attempt1}); resp.Type != msgOK {
 			t.Fatalf("beat got %q", resp.Type)
@@ -371,7 +390,7 @@ func TestJournalReplaySpeculativeLeasePair(t *testing.T) {
 	}
 	co1 := NewTestCoordinator(t, ln, json.RawMessage(`{"beads":3}`), func(c *Config) {
 		c.LeaseTTL = 2 * time.Second
-		c.HedgeStall, c.HedgeAfter = 40*time.Millisecond, 20*time.Millisecond
+		c.HedgeFraction, c.HedgeAfter = 0.3, 20*time.Millisecond
 		c.StateDir = stateDir
 	})
 	go func() {
@@ -380,14 +399,15 @@ func TestJournalReplaySpeculativeLeasePair(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 
-	// Original lease stalls until a hedge is granted on a second site.
+	// Original lease crawls until a hedge is granted on a second site.
 	stuck := dialSiteClient(t, addr, "stuck-0", "congested")
 	assign1 := stuck.next()
 	jobID := assign1.Job.ID
+	seedCrawl(t, co1, jobID, "healthy")
 	deadline := time.Now().Add(10 * time.Second)
 	for co1.Stats().StragglersDetected == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("stalled lease never flagged")
+			t.Fatal("crawling lease never flagged")
 		}
 		stuck.rt(&request{Type: msgBeat, JobID: jobID, Attempt: assign1.Job.Attempt})
 		time.Sleep(5 * time.Millisecond)

@@ -229,14 +229,10 @@ func (st siteTable) medianRate() (float64, bool) {
 
 // straggling judges a job's sole lease, once it is older than
 // HedgeAfter (short jobs are never hedged): its checkpoint-derived
-// progress crawls either relative to the fleet (slow: rate below
-// HedgeFraction of the median site rate) or in absolute terms (stalled:
-// steps frozen for HedgeStall while the lease still heartbeats).
-func straggling(cfg *Config, l *lease, now time.Time, median float64, haveMedian bool) (slow, stalled bool) {
-	if now.Sub(l.granted) < cfg.HedgeAfter {
-		return false, false
-	}
-	slow = cfg.HedgeFraction > 0 && haveMedian && l.rate.ok && l.rate.v < cfg.HedgeFraction*median
-	stalled = cfg.HedgeStall > 0 && now.Sub(l.stepsAt) > cfg.HedgeStall
-	return slow, stalled
+// progress rate is below HedgeFraction of the median site rate. A lease
+// that heartbeats but never streams a checkpoint has no rate, so it is
+// never hedged.
+func straggling(cfg *Config, l *lease, now time.Time, median float64, haveMedian bool) bool {
+	return cfg.HedgeFraction > 0 && now.Sub(l.granted) >= cfg.HedgeAfter &&
+		haveMedian && l.rate.ok && l.rate.v < cfg.HedgeFraction*median
 }

@@ -176,43 +176,36 @@ func TestSiteSnapshot(t *testing.T) {
 	}
 }
 
-// TestStragglingPredicate: slow is relative to the fleet median and
-// needs one, stalled is absolute; neither applies to a lease younger
-// than HedgeAfter or with its trigger at 0.
+// TestStragglingPredicate: a lease straggles when its rate is below
+// HedgeFraction of the fleet median, which it needs; the verdict never
+// applies to a lease younger than HedgeAfter or with the trigger at 0.
 func TestStragglingPredicate(t *testing.T) {
 	now := time.Unix(1000, 0)
 	old, young := now.Add(-10*time.Second), now.Add(-time.Second)
 	crawl := ewma[float64]{v: 10, ok: true}
 	for _, tc := range []struct {
-		name          string
-		cfg           Config
-		l             lease
-		median        float64
-		haveMedian    bool
-		slow, stalled bool
+		name       string
+		cfg        Config
+		l          lease
+		median     float64
+		haveMedian bool
+		want       bool
 	}{
 		{"slow against the median", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3},
-			lease{granted: old, stepsAt: now, rate: crawl}, 100, true, true, false},
+			lease{granted: old, stepsAt: now, rate: crawl}, 100, true, true},
 		{"at the fraction is not below it", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.1},
-			lease{granted: old, stepsAt: now, rate: crawl}, 100, true, false, false},
+			lease{granted: old, stepsAt: now, rate: crawl}, 100, true, false},
 		{"no median, no slow verdict", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3},
-			lease{granted: old, stepsAt: now, rate: crawl}, 0, false, false, false},
+			lease{granted: old, stepsAt: now, rate: crawl}, 0, false, false},
 		{"no rate yet, no slow verdict", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3},
-			lease{granted: old, stepsAt: now}, 100, true, false, false},
-		{"stalled past HedgeStall", Config{HedgeAfter: 5 * time.Second, HedgeStall: 2 * time.Second},
-			lease{granted: old, stepsAt: now.Add(-2*time.Second - 1)}, 0, false, false, true},
-		{"stalled exactly HedgeStall is not yet", Config{HedgeAfter: 5 * time.Second, HedgeStall: 2 * time.Second},
-			lease{granted: old, stepsAt: now.Add(-2 * time.Second)}, 0, false, false, false},
-		{"slow and stalled", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3, HedgeStall: 2 * time.Second},
-			lease{granted: old, stepsAt: old, rate: crawl}, 100, true, true, true},
-		{"younger than HedgeAfter", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3, HedgeStall: 500 * time.Millisecond},
-			lease{granted: young, stepsAt: young, rate: crawl}, 100, true, false, false},
-		{"both triggers off", Config{HedgeAfter: 5 * time.Second},
-			lease{granted: old, stepsAt: old, rate: crawl}, 100, true, false, false},
+			lease{granted: old, stepsAt: now}, 100, true, false},
+		{"younger than HedgeAfter", Config{HedgeAfter: 5 * time.Second, HedgeFraction: 0.3},
+			lease{granted: young, stepsAt: young, rate: crawl}, 100, true, false},
+		{"HedgeFraction 0", Config{HedgeAfter: 5 * time.Second},
+			lease{granted: old, stepsAt: old, rate: crawl}, 100, true, false},
 	} {
-		slow, stalled := straggling(&tc.cfg, &tc.l, now, tc.median, tc.haveMedian)
-		if slow != tc.slow || stalled != tc.stalled {
-			t.Errorf("%s: slow %v stalled %v, want %v %v", tc.name, slow, stalled, tc.slow, tc.stalled)
+		if got := straggling(&tc.cfg, &tc.l, now, tc.median, tc.haveMedian); got != tc.want {
+			t.Errorf("%s: straggling %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -73,7 +73,7 @@ type Stats struct {
 
 	// Federation-resilience counters: straggler hedging and per-site
 	// circuit breakers (the per-site breakdown is in SiteStats).
-	StragglersDetected   int // leases flagged as stragglers (rate or stall)
+	StragglersDetected   int // leases flagged as stragglers by the rate trigger
 	SpeculationsLaunched int // hedge leases granted on a second site
 	SpeculationsWon      int // jobs whose accepted result came from a hedge lease
 	SpeculationsWasted   int // concurrent leases dropped when the other attempt won

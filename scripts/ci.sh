@@ -33,9 +33,17 @@ if grep -n -e 'disabledOr' -e 'negative disables' $(ls internal/dist/*.go | grep
   exit 1
 fi
 # Every exported dist.Config field is a spiced flag, a hook (FS, Dial,
-# Metrics, Events) or one of four named test seams (LeaseTTL and the
-# three hedge knobs); a knob only tests set is a constant.
+# Metrics, Events) or one of three named test seams (LeaseTTL and the
+# two hedge knobs); a knob only tests set is a constant.
 go test -count=1 -run '^TestDistFlagDefaults$' ./cmd/spiced
+# One hedge trigger: a lease's progress rate against the fleet median.
+# Stall hedging and its HedgeStall knob ran only under tests and were
+# deleted; they must not come back. -w, because "stalled" is inside
+# "installed".
+if grep -n -w -e 'HedgeStall' -e 'stalled' $(ls internal/dist/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: stall hedging is back in internal/dist"
+  exit 1
+fi
 
 echo "== one way for an idle worker to learn about work =="
 # Idle polls are parked and woken (conn.go, coordinator.go); the poll
