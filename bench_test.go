@@ -735,7 +735,7 @@ func denseMelt(side int) (*md.Engine, error) {
 	return md.New(md.Config{
 		Top:  top,
 		Init: pos,
-		Pair: forcefield.Combined{
+		Pair: &forcefield.Combined{
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 10},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 10},
 		},

@@ -5,14 +5,15 @@
 // field of the hemolysin-like pore embedded in a membrane slab.
 //
 // Every term satisfies the Term interface: it accumulates forces into a
-// caller-provided slice and returns its potential energy. Pair potentials
-// additionally satisfy PairPotential so the engine can drive them through
-// its neighbor list.
+// caller-provided slice and returns its potential energy. The nonbonded
+// potential, Combined, is evaluated over the engine's neighbor list
+// instead (AddPairForces).
 package forcefield
 
 import (
 	"math"
 
+	"spice/internal/neighbor"
 	"spice/internal/topology"
 	"spice/internal/vec"
 )
@@ -24,16 +25,6 @@ type Term interface {
 	// AddForces adds -∇E to f (which has one entry per atom) and
 	// returns the term's potential energy, both in internal units.
 	AddForces(pos []vec.V, f []vec.V) float64
-}
-
-// PairPotential evaluates an isotropic nonbonded interaction.
-type PairPotential interface {
-	// EnergyForce returns the pair energy and the magnitude factor g
-	// such that the force on atom i is g·(ri - rj): g = -(dE/dr)/r.
-	// r2 is the squared distance; qi, qj the charges; si, sj the radii.
-	EnergyForce(r2, qi, qj, si, sj float64) (e, g float64)
-	// Cutoff returns the interaction range in Å.
-	Cutoff() float64
 }
 
 // --- Bonded terms ----------------------------------------------------------
@@ -80,7 +71,13 @@ func (a Angles) AddForces(pos []vec.V, f []vec.V) float64 {
 			continue
 		}
 		cos := rij.Dot(rkj) / (nij * nkj)
-		cos = math.Max(-1, math.Min(1, cos))
+		// Clamp to [-1, 1]; NaN and ±0 pass through, as with
+		// math.Max(-1, math.Min(1, cos)).
+		if cos > 1 {
+			cos = 1
+		} else if cos < -1 {
+			cos = -1
+		}
 		theta := math.Acos(cos)
 		dth := theta - an.Theta0
 		e += an.KTheta * dth * dth
@@ -102,7 +99,7 @@ func (a Angles) AddForces(pos []vec.V, f []vec.V) float64 {
 	return e
 }
 
-// --- Nonbonded pair potentials ---------------------------------------------
+// --- Nonbonded pair potential ---------------------------------------------
 
 // WCA is the Weeks–Chandler–Andersen purely repulsive Lennard-Jones core.
 // Sigma is derived per pair from the bead radii: σ = si + sj.
@@ -111,31 +108,9 @@ type WCA struct {
 	MaxCut  float64 // Å; pair cutoff used for neighbor listing
 }
 
-// Name implements Term-like labeling for diagnostics.
-func (WCA) Name() string { return "wca" }
-
-// Cutoff implements PairPotential.
-func (w WCA) Cutoff() float64 { return w.MaxCut }
-
 // cbrt2 is 2^{1/3}, precomputed: math.Cbrt is a function call the
-// compiler does not fold, and EnergyForce runs once per pair per step.
+// compiler does not fold.
 const cbrt2 = 1.2599210498948731648
-
-// EnergyForce implements PairPotential.
-func (w WCA) EnergyForce(r2, _, _, si, sj float64) (float64, float64) {
-	sigma := si + sj
-	rc2 := sigma * sigma * cbrt2 // (2^{1/6}σ)² = σ²·2^{1/3}
-	if r2 >= rc2 || r2 == 0 {
-		return 0, 0
-	}
-	s2 := sigma * sigma / r2
-	s6 := s2 * s2 * s2
-	s12 := s6 * s6
-	e := 4*w.Epsilon*(s12-s6) + w.Epsilon
-	// -dE/dr / r = 24ε(2·s12 - s6)/r²
-	g := 24 * w.Epsilon * (2*s12 - s6) / r2
-	return e, g
-}
 
 // DebyeHuckel is screened Coulomb electrostatics:
 // E = C·qi·qj/(εr·r)·exp(-r/λD), truncated at Cut.
@@ -152,47 +127,69 @@ type DebyeHuckel struct {
 // CoulombConst is e²/(4πε0) in kcal/mol·Å: 332.0637.
 const CoulombConst = 332.0637
 
-// Name labels the potential.
-func (DebyeHuckel) Name() string { return "debye-huckel" }
-
-// Cutoff implements PairPotential.
-func (d DebyeHuckel) Cutoff() float64 { return d.Cut }
-
-// EnergyForce implements PairPotential.
-func (d DebyeHuckel) EnergyForce(r2, qi, qj, _, _ float64) (float64, float64) {
-	if qi == 0 || qj == 0 || r2 == 0 {
-		return 0, 0
-	}
-	if r2 >= d.Cut*d.Cut {
-		return 0, 0
-	}
-	// Three divides (invR, invL, EpsR) instead of the naive five — this
-	// runs once per in-range charged pair per step.
-	r := math.Sqrt(r2)
-	invR := 1 / r
-	invL := 1 / d.Lambda
-	e := CoulombConst * qi * qj / d.EpsR * invR * math.Exp(-r*invL)
-	// dE/dr = -e·(1/r + 1/λ); g = -(dE/dr)/r
-	g := e * (invR + invL) * invR
-	return e, g
-}
-
 // Combined sums a WCA core and Debye–Hückel tail; the usual nonbonded
-// potential for CG polyelectrolytes.
+// potential for CG polyelectrolytes, and the only one the engine runs.
 type Combined struct {
 	Core WCA
 	Elec DebyeHuckel
 }
 
-// Name labels the potential.
-func (Combined) Name() string { return "wca+dh" }
+// Cutoff returns the interaction range in Å: the larger of the two.
+func (c *Combined) Cutoff() float64 { return math.Max(c.Core.MaxCut, c.Elec.Cut) }
 
-// Cutoff implements PairPotential.
-func (c Combined) Cutoff() float64 { return math.Max(c.Core.Cutoff(), c.Elec.Cutoff()) }
+// AddPairForces evaluates the potential over pairs in list order and
+// returns its energy. For each pair it adds g·d to f[i] and -g·d to f[j],
+// where d = pos[i] - pos[j] and g = -(dE/dr)/r; q and s are the per-atom
+// charges and radii. Pairs beyond a cutoff, coincident pairs and
+// uncharged pairs contribute nothing to that part; a NaN distance
+// propagates into the energy and forces.
+func (c *Combined) AddPairForces(pairs []neighbor.Pair, q, s []float64, pos, f []vec.V) float64 {
+	// Constants of the whole loop, computed exactly as the per-pair
+	// expressions would compute them (4ε and 24ε are the leftmost
+	// products of their expressions), so every float is unchanged.
+	eps := c.Core.Epsilon
+	eps4, eps24 := 4*eps, 24*eps
+	epsR := c.Elec.EpsR
+	invL := 1 / c.Elec.Lambda
+	cut2 := c.Elec.Cut * c.Elec.Cut
+	total := 0.0
+	for _, p := range pairs {
+		i, j := int(p.I), int(p.J)
+		d := pos[i].Sub(pos[j])
+		r2 := d.Norm2()
+		qi, qj := q[i], q[j]
 
-// EnergyForce implements PairPotential.
-func (c Combined) EnergyForce(r2, qi, qj, si, sj float64) (float64, float64) {
-	e1, g1 := c.Core.EnergyForce(r2, qi, qj, si, sj)
-	e2, g2 := c.Elec.EnergyForce(r2, qi, qj, si, sj)
-	return e1 + e2, g1 + g2
+		// WCA core, cut at the potential minimum 2^{1/6}σ:
+		// (2^{1/6}σ)² = σ²·2^{1/3}. The compares are negated so a NaN
+		// r2 is evaluated, not skipped.
+		var e1, g1 float64
+		sigma := s[i] + s[j]
+		if !(r2 >= sigma*sigma*cbrt2 || r2 == 0) {
+			s2 := sigma * sigma / r2
+			s6 := s2 * s2 * s2
+			s12 := s6 * s6
+			e1 = eps4*(s12-s6) + eps
+			// -dE/dr / r = 24ε(2·s12 - s6)/r²
+			g1 = eps24 * (2*s12 - s6) / r2
+		}
+
+		// Debye–Hückel tail.
+		var e2, g2 float64
+		if !(qi == 0 || qj == 0 || r2 == 0 || r2 >= cut2) {
+			r := math.Sqrt(r2)
+			invR := 1 / r
+			e2 = CoulombConst * qi * qj / epsR * invR * math.Exp(-r*invL)
+			// dE/dr = -e·(1/r + 1/λ); g = -(dE/dr)/r
+			g2 = e2 * (invR + invL) * invR
+		}
+
+		en, g := e1+e2, g1+g2
+		if en == 0 && g == 0 {
+			continue
+		}
+		total += en
+		f[i].AddScaled(g, d)
+		f[j].AddScaled(-g, d)
+	}
+	return total
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spice/internal/neighbor"
 	"spice/internal/topology"
 	"spice/internal/vec"
 	"spice/internal/xrand"
@@ -135,17 +136,25 @@ func TestAngleForcesSumToZero(t *testing.T) {
 	}
 }
 
+// pairAt evaluates c on one pair at distance r (along x) through
+// AddPairForces: the pair energy and g = F_x/r on the first atom.
+func pairAt(c *Combined, r, qi, qj, si, sj float64) (e, g float64) {
+	f := make([]vec.V, 2)
+	e = c.AddPairForces([]neighbor.Pair{{I: 0, J: 1}}, []float64{qi, qj}, []float64{si, sj}, []vec.V{{X: r}, {}}, f)
+	return e, f[0].X / r
+}
+
 func TestWCAProperties(t *testing.T) {
-	w := WCA{Epsilon: 0.5, MaxCut: 10}
+	w := &Combined{Core: WCA{Epsilon: 0.5, MaxCut: 10}}
 	// Zero beyond the 2^{1/6}σ minimum.
 	sigma := 2.0 // si+sj with si=sj=1
 	rc := sigma * math.Pow(2, 1.0/6)
-	e, g := w.EnergyForce((rc+0.01)*(rc+0.01), 0, 0, 1, 1)
+	e, g := pairAt(w, rc+0.01, 0, 0, 1, 1)
 	if e != 0 || g != 0 {
 		t.Fatalf("WCA nonzero beyond cutoff: e=%v g=%v", e, g)
 	}
 	// Repulsive (positive g) inside, with E continuous at the cutoff.
-	e1, g1 := w.EnergyForce((rc-1e-6)*(rc-1e-6), 0, 0, 1, 1)
+	e1, g1 := pairAt(w, rc-1e-6, 0, 0, 1, 1)
 	if g1 <= 0 {
 		t.Fatalf("WCA attractive inside: g=%v", g1)
 	}
@@ -153,14 +162,14 @@ func TestWCAProperties(t *testing.T) {
 		t.Fatalf("WCA discontinuous at cutoff: e=%v", e1)
 	}
 	// Energy at r=σ is ε.
-	eSigma, _ := w.EnergyForce(sigma*sigma, 0, 0, 1, 1)
-	if math.Abs(eSigma-w.Epsilon) > 1e-9 {
-		t.Fatalf("WCA at σ = %v, want ε=%v", eSigma, w.Epsilon)
+	eSigma, _ := pairAt(w, sigma, 0, 0, 1, 1)
+	if math.Abs(eSigma-w.Core.Epsilon) > 1e-9 {
+		t.Fatalf("WCA at σ = %v, want ε=%v", eSigma, w.Core.Epsilon)
 	}
 	// Monotone decreasing energy with r.
 	prev := math.Inf(1)
 	for r := 0.5; r < rc; r += 0.05 {
-		e, _ := w.EnergyForce(r*r, 0, 0, 1, 1)
+		e, _ := pairAt(w, r, 0, 0, 1, 1)
 		if e > prev+1e-12 {
 			t.Fatalf("WCA not monotone at r=%v", r)
 		}
@@ -169,36 +178,36 @@ func TestWCAProperties(t *testing.T) {
 }
 
 func TestDebyeHuckelProperties(t *testing.T) {
-	d := DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24}
+	d := &Combined{Elec: DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24}}
 	// Like charges repel: positive energy, positive g.
-	e, g := d.EnergyForce(25, -1, -1, 0, 0)
+	e, g := pairAt(d, 5, -1, -1, 0, 0)
 	if e <= 0 || g <= 0 {
 		t.Fatalf("like charges: e=%v g=%v", e, g)
 	}
 	// Opposite charges attract.
-	e2, g2 := d.EnergyForce(25, 1, -1, 0, 0)
+	e2, g2 := pairAt(d, 5, 1, -1, 0, 0)
 	if e2 >= 0 || g2 >= 0 {
 		t.Fatalf("opposite charges: e=%v g=%v", e2, g2)
 	}
 	// Screening: energy decays faster than bare Coulomb.
-	e5, _ := d.EnergyForce(5*5, -1, -1, 0, 0)
-	e10, _ := d.EnergyForce(10*10, -1, -1, 0, 0)
+	e5, _ := pairAt(d, 5, -1, -1, 0, 0)
+	e10, _ := pairAt(d, 10, -1, -1, 0, 0)
 	if e10/e5 >= 0.5 {
 		t.Fatalf("insufficient screening: %v / %v", e10, e5)
 	}
 	// Zero beyond cutoff or with zero charge.
-	if e, g := d.EnergyForce(25*25, -1, -1, 0, 0); e != 0 || g != 0 {
+	if e, g := pairAt(d, 25, -1, -1, 0, 0); e != 0 || g != 0 {
 		t.Fatal("nonzero beyond cutoff")
 	}
-	if e, g := d.EnergyForce(25, 0, -1, 0, 0); e != 0 || g != 0 {
+	if e, g := pairAt(d, 5, 0, -1, 0, 0); e != 0 || g != 0 {
 		t.Fatal("nonzero with zero charge")
 	}
 }
 
-// pairTerm adapts a PairPotential on two atoms to the Term interface so
-// the numerical-gradient checker can drive it.
+// pairTerm adapts Combined on two atoms to the Term interface so the
+// numerical-gradient checker can drive it.
 type pairTerm struct {
-	pot    PairPotential
+	pot    *Combined
 	qi, qj float64
 	si, sj float64
 }
@@ -206,11 +215,7 @@ type pairTerm struct {
 func (pairTerm) Name() string { return "pair" }
 
 func (p pairTerm) AddForces(pos []vec.V, f []vec.V) float64 {
-	d := pos[0].Sub(pos[1])
-	e, g := p.pot.EnergyForce(d.Norm2(), p.qi, p.qj, p.si, p.sj)
-	f[0].AddScaled(g, d)
-	f[1].AddScaled(-g, d)
-	return e
+	return p.pot.AddPairForces([]neighbor.Pair{{I: 0, J: 1}}, []float64{p.qi, p.qj}, []float64{p.si, p.sj}, pos, f)
 }
 
 func TestPairForceMatchesGradient(t *testing.T) {
@@ -218,9 +223,9 @@ func TestPairForceMatchesGradient(t *testing.T) {
 		name string
 		pt   pairTerm
 	}{
-		{"wca", pairTerm{pot: WCA{Epsilon: 0.3, MaxCut: 12}, si: 1.5, sj: 1.2}},
-		{"dh", pairTerm{pot: DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24}, qi: -1, qj: -1}},
-		{"combined", pairTerm{pot: Combined{
+		{"wca", pairTerm{pot: &Combined{Core: WCA{Epsilon: 0.3, MaxCut: 12}}, si: 1.5, sj: 1.2}},
+		{"dh", pairTerm{pot: &Combined{Elec: DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24}}, qi: -1, qj: -1}},
+		{"combined", pairTerm{pot: &Combined{
 			Core: WCA{Epsilon: 0.3, MaxCut: 12},
 			Elec: DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 		}, qi: -1, qj: -1, si: 1.5, sj: 1.2}},
@@ -239,11 +244,11 @@ func TestPairForceMatchesGradient(t *testing.T) {
 func TestCombinedIsSum(t *testing.T) {
 	core := WCA{Epsilon: 0.3, MaxCut: 12}
 	elec := DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24}
-	c := Combined{Core: core, Elec: elec}
-	r2 := 9.0
-	e1, g1 := core.EnergyForce(r2, -1, -1, 1.5, 1.5)
-	e2, g2 := elec.EnergyForce(r2, -1, -1, 1.5, 1.5)
-	e, g := c.EnergyForce(r2, -1, -1, 1.5, 1.5)
+	c := &Combined{Core: core, Elec: elec}
+	r := 3.0
+	e1, g1 := pairAt(&Combined{Core: core}, r, -1, -1, 1.5, 1.5)
+	e2, g2 := pairAt(&Combined{Elec: elec}, r, -1, -1, 1.5, 1.5)
+	e, g := pairAt(c, r, -1, -1, 1.5, 1.5)
 	if math.Abs(e-(e1+e2)) > 1e-12 || math.Abs(g-(g1+g2)) > 1e-12 {
 		t.Fatal("Combined != sum of parts")
 	}

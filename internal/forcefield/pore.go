@@ -55,63 +55,55 @@ func (*PoreField) Name() string { return "pore" }
 
 // AddForces implements Term.
 func (pf *PoreField) AddForces(pos []vec.V, f []vec.V) float64 {
-	idx := pf.Mobile
+	// Below this squared axial distance hypot(x, y) <= BulkRadius holds
+	// even after rounding (2^-30 of margin against a few ulps of error),
+	// so the bulk cylinder cannot act. +Inf when the cylinder is off; 0
+	// (never skip) when BulkRadius is too small for the bound.
+	inside := math.Inf(1)
+	if pf.BulkRadius > 0 {
+		inside = pf.BulkRadius * pf.BulkRadius * (1 - 0x1p-30)
+		if inside < 0x1p-1000 {
+			inside = 0
+		}
+	}
 	e := 0.0
-	for _, i := range idx {
-		e += pf.atomEnergy(i, pos[i], &f[i])
+	for _, i := range pf.Mobile {
+		e += pf.atomEnergy(i, pos[i], &f[i], inside)
 	}
 	return e
 }
 
 // atomEnergy accumulates the force on one atom and returns its energy.
-func (pf *PoreField) atomEnergy(i int, p vec.V, fi *vec.V) float64 {
-	r := math.Hypot(p.X, p.Y)
-	si := 0.0
-	if i < len(pf.Radii) {
-		si = pf.Radii[i]
-	}
+// Outside the pore's axial extent only the bulk cylinder reads the axial
+// distance r, so a bead with x²+y² < inside skips its hypot.
+func (pf *PoreField) atomEnergy(i int, p vec.V, fi *vec.V, inside float64) float64 {
 	e := 0.0
-
-	inPore := p.Z >= -pf.Pore.BarrelLength && p.Z <= pf.Pore.VestibuleLength
-	if inPore {
-		theta := math.Atan2(p.Y, p.X)
-		R := pf.Pore.Radius(p.Z, theta)
-		allowed := R - si
-		d := r - allowed
-		if d > 0 {
-			// Harmonic wall: E = ½·K·d².
-			e += 0.5 * pf.KWall * d * d
-			dEdr := pf.KWall * d
-			// R depends on θ and z; chain rule.
-			dRdtheta := -7 * pf.Pore.Corrugation * math.Sin(7*theta)
-			dRdz := pf.axialSlope(p.Z)
-			dEdtheta := -dEdr * dRdtheta
-			dEdz := -dEdr * dRdz
-
-			// Convert cylindrical gradient to Cartesian force.
-			var er, et vec.V
-			if r > 1e-12 {
-				er = vec.V{X: p.X / r, Y: p.Y / r}
-				et = vec.V{X: -p.Y / r, Y: p.X / r}
-			}
-			fi.AddScaled(-dEdr, er)
-			if r > 1e-12 {
-				fi.AddScaled(-dEdtheta/r, et)
-			}
-			fi.Z -= dEdz
+	var r float64
+	if p.Z >= -pf.Pore.BarrelLength && p.Z <= pf.Pore.VestibuleLength {
+		r = math.Hypot(p.X, p.Y)
+		si := 0.0
+		if i < len(pf.Radii) {
+			si = pf.Radii[i]
 		}
-	} else if pf.Membrane.Contains(p.Z) {
-		// Inside the slab but outside the pore extent: expel along z
-		// through the nearest face.
-		dLow := p.Z - pf.Membrane.ZMin
-		dHigh := pf.Membrane.ZMax - p.Z
-		d := math.Min(dLow, dHigh)
-		e += 0.5 * pf.KSlab * d * d
-		if dLow < dHigh {
-			fi.Z -= pf.KSlab * d // push down and out
-		} else {
-			fi.Z += pf.KSlab * d // push up and out
+		e += pf.wall(p, r, si, fi)
+	} else {
+		if pf.Membrane.Contains(p.Z) {
+			// Inside the slab but outside the pore extent: expel along z
+			// through the nearest face.
+			dLow := p.Z - pf.Membrane.ZMin
+			dHigh := pf.Membrane.ZMax - p.Z
+			d := math.Min(dLow, dHigh)
+			e += 0.5 * pf.KSlab * d * d
+			if dLow < dHigh {
+				fi.Z -= pf.KSlab * d // push down and out
+			} else {
+				fi.Z += pf.KSlab * d // push up and out
+			}
 		}
+		if p.X*p.X+p.Y*p.Y < inside {
+			return e
+		}
+		r = math.Hypot(p.X, p.Y)
 	}
 
 	// Wide soft cylinder standing in for the bulk water box.
@@ -125,6 +117,41 @@ func (pf *PoreField) atomEnergy(i int, p vec.V, fi *vec.V) float64 {
 		}
 	}
 	return e
+}
+
+// wall adds the harmonic wall force on a bead at p, within the pore's
+// axial extent, at axial distance r and of radius si, and returns its
+// energy ½·K·d², where d = r - (R(z, θ) - si) > 0.
+func (pf *PoreField) wall(p vec.V, r, si float64, fi *vec.V) float64 {
+	// R >= AxialRadius - |Corrugation| for every θ, so a bead inside that
+	// by 2^-40 of the radius (far beyond rounding) has d < 0: skip the
+	// atan2 and cos(7θ).
+	if si >= 0 && r+si+math.Abs(pf.Pore.Corrugation) < pf.Pore.AxialRadius(p.Z)*(1-0x1p-40) {
+		return 0
+	}
+	theta := math.Atan2(p.Y, p.X)
+	d := r - (pf.Pore.Radius(p.Z, theta) - si)
+	if !(d > 0) {
+		return 0
+	}
+	dEdr := pf.KWall * d
+	// R depends on θ and z; chain rule.
+	dRdtheta := -7 * pf.Pore.Corrugation * math.Sin(7*theta)
+	dEdtheta := -dEdr * dRdtheta
+	dEdz := -dEdr * pf.axialSlope(p.Z)
+
+	// Convert cylindrical gradient to Cartesian force.
+	var er, et vec.V
+	if r > 1e-12 {
+		er = vec.V{X: p.X / r, Y: p.Y / r}
+		et = vec.V{X: -p.Y / r, Y: p.X / r}
+	}
+	fi.AddScaled(-dEdr, er)
+	if r > 1e-12 {
+		fi.AddScaled(-dEdtheta/r, et)
+	}
+	fi.Z -= dEdz
+	return 0.5 * pf.KWall * d * d
 }
 
 // axialSlope returns dR/dz of the axisymmetric profile by central
@@ -176,18 +203,70 @@ func DefaultBindingSites(atoms []int) *BindingSites {
 // Name implements Term.
 func (*BindingSites) Name() string { return "binding-sites" }
 
+// Exact skips of far binding-site terms. A site's term is skipped only
+// where adding it provably leaves e and f[i].Z unchanged, bit for bit: a
+// normal x lies more than |x|·2^-54 from its neighbours, so adding y with
+// |y| <= |x|·2^-55 rounds back to x. When dz² > 90·w²,
+// exp(-dz²/2w²) < exp(-45) ≈ 2.86e-20, so the energy term is below
+// |Depth|·gaussMax and, since g·|dz| falls for |dz| > w, the force term
+// below |Depth|·gaussMax·√90/w; gaussMax leaves 1.8x for rounding. For
+// the default sites that lets |e| above 0.012 and |f.Z| above 0.043
+// skip; smaller values are computed.
+const (
+	bindingCut2 = 90
+	gaussMax    = 5.2e-20
+	sqrtCut     = 9.486832980505138 // √bindingCut2
+)
+
+// siteBound is a binding site with its per-call constants: the squared
+// width, the skip distance, and the magnitudes |e| and |f.Z| must exceed
+// (at least the smallest normal, so 0, subnormals and NaN never skip).
+type siteBound struct {
+	z, depth, w2, cut2, eMin, fMin float64
+}
+
 // AddForces implements Term.
 func (b *BindingSites) AddForces(pos []vec.V, f []vec.V) float64 {
+	var buf [4]siteBound
+	sites := buf[:0]
+	// [lo, hi] covers every site's skip band with room to spare (91·w²
+	// against 90·w²), so a bead outside it skips each site; eAll and
+	// fAll are the largest per-site minimums. NaN propagates through
+	// math.Min/Max and turns the bead-level skip off.
+	lo, hi := math.Inf(1), math.Inf(-1)
+	eAll, fAll := 0.0, 0.0
+	for _, s := range b.Sites {
+		w2 := s.Width * s.Width
+		d := math.Abs(s.Depth) * gaussMax * 0x1p55
+		sb := siteBound{z: s.Z, depth: s.Depth, w2: w2, cut2: bindingCut2 * w2,
+			eMin: math.Max(d, 0x1p-1022), fMin: math.Max(d*sqrtCut/math.Sqrt(w2), 0x1p-1022)}
+		r := math.Sqrt((bindingCut2 + 1) * w2)
+		lo, hi = math.Min(lo, s.Z-r), math.Max(hi, s.Z+r)
+		eAll, fAll = math.Max(eAll, sb.eMin), math.Max(fAll, sb.fMin)
+		sites = append(sites, sb)
+	}
+	if !(-0x1p1000 <= lo && hi <= 0x1p1000) {
+		lo, hi = math.Inf(-1), math.Inf(1) // no sites, or one too far out to bound z - Z
+	}
 	e := 0.0
 	for _, i := range b.Atoms {
 		z := pos[i].Z
-		for _, s := range b.Sites {
-			dz := z - s.Z
-			w2 := s.Width * s.Width
-			g := math.Exp(-dz * dz / (2 * w2))
-			e -= s.Depth * g
+		fz := &f[i].Z
+		if (z < lo || z > hi) && math.Abs(z) <= 0x1p1000 && math.Abs(e) > eAll && math.Abs(*fz) > fAll {
+			continue
+		}
+		for k := range sites {
+			s := &sites[k]
+			dz := z - s.z
+			dz2 := dz * dz
+			if dz2 > s.cut2 && dz2 <= math.MaxFloat64 && math.Abs(e) > s.eMin && math.Abs(*fz) > s.fMin {
+				continue
+			}
+			g := math.Exp(-dz2 / (2 * s.w2))
+			dg := s.depth * g
+			e -= dg
 			// F_z = -dE/dz = -Depth·g·dz/w².
-			f[i].Z -= s.Depth * g * dz / w2
+			*fz -= dg * dz / s.w2
 		}
 	}
 	return e

@@ -161,12 +161,19 @@ type Langevin struct {
 	// current position — used to model the higher effective viscosity
 	// of confined water inside the pore lumen. It must return a
 	// positive value; the O-step is solved exactly for whatever it
-	// returns, so detailed balance holds pointwise.
+	// returns, so detailed balance holds pointwise. It must read only
+	// its arguments (i, p), never other atoms' state: Step runs the
+	// B, A, O and A parts of one atom before moving to the next.
 	GammaFor func(i int, p vec.V) float64
 
 	primed bool
 	c1     float64
 	kT     float64
+	// Per-atom constants of a primed integrator: the B kick ½·dt·A/m
+	// and the O-step noise amplitude sqrt(kT/m·A·(1-c1²)) (unused with
+	// GammaFor). Prime, which a Reprime runs on the next step, drops
+	// them, so a change of DT, Gamma, Temp or masses takes effect there.
+	kick, sd []float64
 }
 
 // NewLangevin returns a BAOAB integrator at temperature t.
@@ -181,54 +188,56 @@ func (l *Langevin) Timestep() float64 { return l.DT }
 func (l *Langevin) Step(st *State, ff ForceFunc) {
 	if !l.primed {
 		st.Epot = evalForces(st, ff)
-		l.c1 = math.Exp(-l.Gamma * l.DT)
-		l.kT = units.KT(l.Temp)
-		l.primed = true
+		l.Prime()
+	}
+	if len(l.kick) != st.N() {
+		l.cache(st)
 	}
 	dt := l.DT
-	halfB := 0.5 * dt * units.AccelUnit
 	halfA := 0.5 * dt
 	c1 := l.c1
-	// B + A halves.
+	// B, A, O (Ornstein-Uhlenbeck exact solve), A, one atom at a time:
+	// the same arithmetic and RNG order as four passes over all atoms.
 	for i := range st.Pos {
 		if st.Fixed[i] {
 			continue
 		}
-		st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
-		st.Pos[i].AddScaled(halfA, st.Vel[i])
-	}
-	// O: Ornstein-Uhlenbeck exact solve.
-	for i := range st.Pos {
-		if st.Fixed[i] {
-			continue
-		}
+		v, p := &st.Vel[i], &st.Pos[i]
+		v.AddScaled(l.kick[i], st.Force[i])
+		p.AddScaled(halfA, *v)
+		sd := l.sd[i]
 		ci := c1
 		if l.GammaFor != nil {
-			ci = math.Exp(-l.GammaFor(i, st.Pos[i]) * dt)
+			ci = math.Exp(-l.GammaFor(i, *p) * dt)
+			sd = math.Sqrt(l.kT / st.Mass[i] * units.AccelUnit * (1 - ci*ci))
 		}
-		sd := math.Sqrt(l.kT / st.Mass[i] * units.AccelUnit * (1 - ci*ci))
-		st.Vel[i] = st.Vel[i].Scale(ci).Add(vec.V{
+		*v = v.Scale(ci).Add(vec.V{
 			X: sd * l.RNG.NormFloat64(),
 			Y: sd * l.RNG.NormFloat64(),
 			Z: sd * l.RNG.NormFloat64(),
 		})
+		p.AddScaled(halfA, *v)
 	}
-	// A half, force refresh, B half.
-	for i := range st.Pos {
-		if st.Fixed[i] {
-			continue
-		}
-		st.Pos[i].AddScaled(halfA, st.Vel[i])
-	}
+	// Force refresh, B half.
 	st.Epot = evalForces(st, ff)
 	for i := range st.Pos {
 		if st.Fixed[i] {
 			continue
 		}
-		st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
+		st.Vel[i].AddScaled(l.kick[i], st.Force[i])
 	}
 	st.Step++
 	st.Time += dt
+}
+
+// cache fills the per-atom constants for st's masses.
+func (l *Langevin) cache(st *State) {
+	l.kick, l.sd = make([]float64, st.N()), make([]float64, st.N())
+	halfB := 0.5 * l.DT * units.AccelUnit
+	for i, m := range st.Mass {
+		l.kick[i] = halfB / m
+		l.sd[i] = math.Sqrt(l.kT / m * units.AccelUnit * (1 - l.c1*l.c1))
+	}
 }
 
 // Reprime forces the integrator to re-evaluate forces on the next step
@@ -246,7 +255,7 @@ func (v *VelocityVerlet) Reprime() { v.primed = false }
 func (l *Langevin) Prime() {
 	l.c1 = math.Exp(-l.Gamma * l.DT)
 	l.kT = units.KT(l.Temp)
-	l.primed = true
+	l.primed, l.kick = true, nil
 }
 
 // Prime for VelocityVerlet.

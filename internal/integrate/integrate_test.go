@@ -278,3 +278,134 @@ func TestHighFrictionSlowsDrift(t *testing.T) {
 		t.Fatalf("10x friction should slow drift: gamma=0.5 -> %v, gamma=5 -> %v", lo, hi)
 	}
 }
+
+// refLangevin is Langevin as it stepped before its per-atom constants
+// were cached and its B, A, O, A passes fused: four passes over all atoms,
+// every constant recomputed where it is used.
+type refLangevin struct {
+	DT, Gamma, Temp float64
+	RNG             *xrand.Source
+	GammaFor        func(i int, p vec.V) float64
+	primed          bool
+	c1, kT          float64
+}
+
+func (l *refLangevin) Prime() {
+	l.c1 = math.Exp(-l.Gamma * l.DT)
+	l.kT = units.KT(l.Temp)
+	l.primed = true
+}
+
+func (l *refLangevin) Step(st *State, ff ForceFunc) {
+	if !l.primed {
+		st.Epot = evalForces(st, ff)
+		l.Prime()
+	}
+	dt := l.DT
+	halfB := 0.5 * dt * units.AccelUnit
+	halfA := 0.5 * dt
+	for i := range st.Pos {
+		if st.Fixed[i] {
+			continue
+		}
+		st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
+		st.Pos[i].AddScaled(halfA, st.Vel[i])
+	}
+	for i := range st.Pos {
+		if st.Fixed[i] {
+			continue
+		}
+		ci := l.c1
+		if l.GammaFor != nil {
+			ci = math.Exp(-l.GammaFor(i, st.Pos[i]) * dt)
+		}
+		sd := math.Sqrt(l.kT / st.Mass[i] * units.AccelUnit * (1 - ci*ci))
+		st.Vel[i] = st.Vel[i].Scale(ci).Add(vec.V{
+			X: sd * l.RNG.NormFloat64(),
+			Y: sd * l.RNG.NormFloat64(),
+			Z: sd * l.RNG.NormFloat64(),
+		})
+	}
+	for i := range st.Pos {
+		if st.Fixed[i] {
+			continue
+		}
+		st.Pos[i].AddScaled(halfA, st.Vel[i])
+	}
+	st.Epot = evalForces(st, ff)
+	for i := range st.Pos {
+		if st.Fixed[i] {
+			continue
+		}
+		st.Vel[i].AddScaled(halfB/st.Mass[i], st.Force[i])
+	}
+	st.Step++
+	st.Time += dt
+}
+
+// TestLangevinMatchesReferenceAcrossReprime pins the fused, cached
+// Langevin step to the four-pass reference bit for bit, and pins the
+// cache's invalidation: a Temp, Gamma or DT changed before Prime or
+// Reprime must reach the very next step's kick and noise amplitude.
+func TestLangevinMatchesReferenceAcrossReprime(t *testing.T) {
+	newPair := func() (*State, *State) {
+		a, b := NewState(7), NewState(7)
+		for i := range a.Pos {
+			for _, st := range []*State{a, b} {
+				st.Mass[i] = 10 + 40*float64(i)
+				st.Fixed[i] = i == 3
+				st.Pos[i] = vec.V{X: float64(i), Y: -0.5 * float64(i), Z: 1}
+			}
+		}
+		return a, b
+	}
+	gammaFor := func(_ int, p vec.V) float64 {
+		if p.X < 0 {
+			return 6
+		}
+		return 0.5
+	}
+	ff := harmonicWell(3)
+	for _, withGammaFor := range []bool{false, true} {
+		got, want := newPair()
+		lg := NewLangevin(0.01, 1, 300, xrand.New(5))
+		ref := &refLangevin{DT: 0.01, Gamma: 1, Temp: 300, RNG: xrand.New(5)}
+		if withGammaFor {
+			lg.GammaFor, ref.GammaFor = gammaFor, gammaFor
+		}
+		compare := func(stage string) {
+			t.Helper()
+			for i := range got.Pos {
+				if got.Pos[i] != want.Pos[i] || got.Vel[i] != want.Vel[i] {
+					t.Fatalf("GammaFor %v, %s: atom %d at %v / %v, reference %v / %v",
+						withGammaFor, stage, i, got.Pos[i], got.Vel[i], want.Pos[i], want.Vel[i])
+				}
+			}
+		}
+		run := func(stage string) {
+			t.Helper()
+			for k := 0; k < 40; k++ {
+				lg.Step(got, ff)
+				ref.Step(want, ff)
+			}
+			compare(stage)
+		}
+		run("start")
+		lg.Temp, ref.Temp = 450, 450
+		lg.Reprime()
+		ref.primed = false
+		run("Temp changed, Reprime")
+		lg.Gamma, ref.Gamma = 4, 4
+		lg.Prime()
+		ref.Prime()
+		run("Gamma changed, Prime")
+		lg.DT, ref.DT = 0.02, 0.02
+		lg.Reprime()
+		ref.primed = false
+		run("DT changed, Reprime")
+		got.Mass[0], want.Mass[0] = 5, 5
+		lg.Prime()
+		ref.Prime()
+		run("mass changed, Prime")
+	}
+}

@@ -30,7 +30,7 @@ type Config struct {
 	// field, binding sites...). The engine adds nonbonded itself.
 	Terms []forcefield.Term
 	// Pair is the nonbonded potential; nil disables nonbonded forces.
-	Pair forcefield.PairPotential
+	Pair *forcefield.Combined
 
 	DT    float64 // timestep, ps (default 0.01 = 10 fs)
 	Gamma float64 // Langevin friction, 1/ps (default 1)
@@ -38,7 +38,8 @@ type Config struct {
 	NVE   bool    // use velocity Verlet instead of Langevin
 	// GammaFor optionally makes the Langevin friction position-
 	// dependent (e.g. higher inside the pore lumen, where confined
-	// water is effectively more viscous). Ignored under NVE.
+	// water is effectively more viscous). Ignored under NVE. It must
+	// read nothing but its arguments (see integrate.Langevin.GammaFor).
 	GammaFor func(i int, p vec.V) float64
 
 	Seed uint64 // RNG seed (default 1)
@@ -74,8 +75,13 @@ type Engine struct {
 	// adopted guards against an engine joining two Batches.
 	adopted bool
 
-	energies map[string]float64
-	mu       sync.Mutex // guards checkpoint vs step from other goroutines
+	// termE holds each term's energy from the last force evaluation
+	// (Terms order; pairE is the nonbonded one), so a step writes no
+	// map; Energies names them on demand.
+	termE     []float64
+	pairE     float64
+	evaluated bool
+	mu        sync.Mutex // guards checkpoint vs step from other goroutines
 
 	// Sampled step-latency observer (SetStepObserver). The counter is a
 	// plain int because Step is only ever driven from one goroutine; the
@@ -121,7 +127,6 @@ func New(cfg Config) (*Engine, error) {
 		top:      cfg.Top,
 		rng:      xrand.New(cfg.Seed),
 		External: forcefield.NewExternalForces(),
-		energies: make(map[string]float64),
 	}
 
 	n := cfg.Top.N()
@@ -185,23 +190,31 @@ func (e *Engine) Timestep() float64 { return e.cfg.DT }
 func (e *Engine) AddTerm(t forcefield.Term) { e.cfg.Terms = append(e.cfg.Terms, t) }
 
 // Energies returns the per-term potential-energy breakdown from the most
-// recent force evaluation (term name -> kcal/mol).
+// recent force evaluation (term name -> kcal/mol; of two terms with one
+// name the later wins). It is empty before the first evaluation.
 func (e *Engine) Energies() map[string]float64 {
-	out := make(map[string]float64, len(e.energies))
-	for k, v := range e.energies {
-		out[k] = v
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make(map[string]float64, len(e.termE)+1)
+	for k, v := range e.termE {
+		out[e.cfg.Terms[k].Name()] = v
+	}
+	if e.evaluated && e.nlist != nil {
+		out["nonbonded"] = e.pairE
 	}
 	return out
 }
 
 // forces is the integrate.ForceFunc: bonded/field terms, then external
-// steering forces, then the nonbonded pair loop, all on the calling
-// goroutine.
+// steering forces, then the nonbonded pair loop in list order, all on the
+// calling goroutine. The summation order is fixed by the pair list alone,
+// so a trajectory depends only on its inputs and seed.
 func (e *Engine) forces(pos []vec.V, f []vec.V) float64 {
 	total := 0.0
+	e.termE = e.termE[:0]
 	for _, t := range e.cfg.Terms {
 		en := t.AddForces(pos, f)
-		e.energies[t.Name()] = en
+		e.termE = append(e.termE, en)
 		total += en
 	}
 	if en := e.External.AddForces(pos, f); en != 0 {
@@ -209,44 +222,10 @@ func (e *Engine) forces(pos []vec.V, f []vec.V) float64 {
 	}
 	if e.nlist != nil {
 		e.nlist.Update(pos)
-		en := e.nonbonded(pos, f)
-		e.energies["nonbonded"] = en
-		total += en
+		e.pairE = e.cfg.Pair.AddPairForces(e.nlist.Pairs, e.charges, e.radii, pos, f)
+		total += e.pairE
 	}
-	return total
-}
-
-// nonbonded evaluates the pair potential over the neighbor list in list
-// order, straight into f. The summation order is fixed by the pair list
-// alone, so a trajectory depends only on its inputs and seed.
-func (e *Engine) nonbonded(pos []vec.V, f []vec.V) float64 {
-	pairs := e.nlist.Pairs
-	if len(pairs) == 0 {
-		return 0
-	}
-	// The standard Combined potential is dispatched as a concrete type so
-	// the per-pair EnergyForce call is static and inlinable; anything
-	// else goes through the interface.
-	if pot, ok := e.cfg.Pair.(forcefield.Combined); ok {
-		return pairKernel(pot, e.charges, e.radii, pos, f, pairs)
-	}
-	return pairKernel(e.cfg.Pair, e.charges, e.radii, pos, f, pairs)
-}
-
-func pairKernel[P forcefield.PairPotential](pot P, q, s []float64, pos []vec.V, f []vec.V, pairs []neighbor.Pair) float64 {
-	total := 0.0
-	for _, p := range pairs {
-		i, j := int(p.I), int(p.J)
-		d := pos[i].Sub(pos[j])
-		r2 := d.Norm2()
-		en, g := pot.EnergyForce(r2, q[i], q[j], s[i], s[j])
-		if en == 0 && g == 0 {
-			continue
-		}
-		total += en
-		f[i].AddScaled(g, d)
-		f[j].AddScaled(-g, d)
-	}
+	e.evaluated = true
 	return total
 }
 

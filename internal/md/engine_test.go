@@ -27,7 +27,7 @@ func smallChain(t *testing.T, seed uint64) *Engine {
 			forcefield.Bonds{Top: top},
 			forcefield.Angles{Top: top},
 		},
-		Pair: forcefield.Combined{
+		Pair: &forcefield.Combined{
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 		},
@@ -110,7 +110,7 @@ func TestConcurrentStepCheckpointFrame(t *testing.T) {
 		Top:   top,
 		Init:  pos,
 		Terms: []forcefield.Term{forcefield.Bonds{Top: top}},
-		Pair: forcefield.Combined{
+		Pair: &forcefield.Combined{
 			Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
 			Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 		},

@@ -95,7 +95,7 @@ func BuildTranslocation(spec TranslocationSpec) (*TranslocationSystem, error) {
 		bindTerm = &forcefield.BindingSites{Sites: binding, Atoms: dnaIdx}
 	}
 
-	pair := forcefield.Combined{
+	pair := &forcefield.Combined{
 		Core: forcefield.WCA{Epsilon: 0.3, MaxCut: 12},
 		Elec: forcefield.DebyeHuckel{Lambda: 7.9, EpsR: 78.5, Cut: 24},
 	}

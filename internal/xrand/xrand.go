@@ -145,12 +145,19 @@ func (s *Source) Perm(n int) []int {
 }
 
 // NormFloat64 returns a standard normal deviate (mean 0, stddev 1) using
-// the Marsaglia polar method with a cached spare.
+// the Marsaglia polar method with a cached spare. The spare path is small
+// enough to inline; the polar draw is out of line in normPair.
 func (s *Source) NormFloat64() float64 {
 	if s.hasSpare {
 		s.hasSpare = false
 		return s.spare
 	}
+	return s.normPair()
+}
+
+// normPair draws a pair of normal deviates, returns one and caches the
+// other as the spare.
+func (s *Source) normPair() float64 {
 	for {
 		u := 2*s.Float64() - 1
 		v := 2*s.Float64() - 1

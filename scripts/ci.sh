@@ -306,6 +306,16 @@ if grep -n 'EngineWorkers' $(find cmd/spiced -name '*.go' ! -name '*_test.go'); 
   echo "FAIL: spiced pins EngineWorkers again"
   exit 1
 fi
+# The nonbonded potential is the concrete forcefield.Combined, evaluated
+# by one written-out loop (Combined.AddPairForces) with its constants
+# hoisted. The PairPotential interface and the generic pair kernel that
+# dispatched through it, which kept the per-pair call from inlining, were
+# deleted; they must not come back.
+if grep -n -E 'PairPotential|pairKernel\[' \
+  $(find internal/md internal/forcefield -name '*.go' ! -name '*_test.go'); then
+  echo "FAIL: the generic pair dispatch is back in internal/md or internal/forcefield"
+  exit 1
+fi
 
 echo "== one analysis toolkit =="
 # Each analysis computation has one implementation, the one something
@@ -517,10 +527,12 @@ echo "== md determinism (GOMAXPROCS=4, -race) =="
 # engines (SoA adoption of a walled system mid-trajectory,
 # clone-into-batch restore, zero steady-state allocs, refusal of a double
 # adoption); Step must run safely against Checkpoint and Frame from
-# other goroutines, as IMD drives them; and a trajectory must not depend
-# on EngineWorkers.
+# other goroutines, as IMD drives them; a trajectory must not depend
+# on EngineWorkers; and the golden digests pin the trajectories of the
+# shipped systems across commits (the step kernel's skips and hoists
+# must leave every float unchanged).
 GOMAXPROCS=4 go test -race -count=1 \
-  -run 'TestBatchBitIdenticalTrajectories|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers' \
+  -run 'TestBatchBitIdenticalTrajectories|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers|TestGoldenTrajectories' \
   ./internal/md ./internal/core
 
 echo "== wire protocol gates (-race) =="
