@@ -72,8 +72,6 @@ type Engine struct {
 	// flat slices so the pair loop never loads whole Atom structs.
 	charges []float64
 	radii   []float64
-	// adopted guards against an engine joining two Batches.
-	adopted bool
 
 	// termE holds each term's energy from the last force evaluation
 	// (Terms order; pairE is the nonbonded one), so a step writes no

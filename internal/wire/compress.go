@@ -28,15 +28,18 @@ const (
 	// minMatch is the shortest back-reference worth encoding: a match
 	// costs a tag varint plus a distance varint, at least 2-3 bytes.
 	minMatch = 4
-	// tableBits sizes the match-candidate hash table (one candidate per
-	// bucket, newest wins — the usual fast-LZ compromise).
-	tableBits = 15
+	// The match-candidate hash table (one candidate per bucket, newest
+	// wins) has the match window's size rounded up to a power of two,
+	// clamped to [2^minTableBits, 2^maxTableBits] buckets; a smaller
+	// table masks hash4 to its size.
+	minTableBits = 8
+	maxTableBits = 15
 	// maxRaw bounds a decoded document so a corrupt length field cannot
 	// drive an unbounded allocation (mirrors trace's record limit).
 	maxRaw = 64 << 20
 )
 
-func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - tableBits) }
+func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - maxTableBits) }
 
 // lzEncode appends to dst an op stream reproducing src, with dict
 // prepended to the match window. Each op starts with a uvarint tag:
@@ -44,17 +47,20 @@ func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - tableBits) }
 // matches of length minMatch+tag>>1 followed by a uvarint distance
 // back from the current position, which may reach into dict.
 func lzEncode(dst, dict, src []byte) []byte {
-	hist := make([]byte, 0, len(dict)+len(src))
-	hist = append(hist, dict...)
-	hist = append(hist, src...)
-	table := make([]int32, 1<<tableBits)
+	hist := append(dict[:len(dict):len(dict)], src...)
+	bits := minTableBits
+	for bits < maxTableBits && 1<<bits < len(hist) {
+		bits++
+	}
+	table := make([]int32, 1<<bits)
+	mask := uint32(len(table) - 1)
 	for i := range table {
 		table[i] = -1
 	}
 	// Seed the table with dictionary positions so the first bytes of
 	// src can match into the dictionary immediately.
 	for i := 0; i+minMatch <= len(dict); i++ {
-		table[hash4(binary.LittleEndian.Uint32(hist[i:]))] = int32(i)
+		table[hash4(binary.LittleEndian.Uint32(hist[i:]))&mask] = int32(i)
 	}
 	litStart := len(dict)
 	pos := len(dict)
@@ -65,7 +71,7 @@ func lzEncode(dst, dict, src []byte) []byte {
 		}
 	}
 	for pos+minMatch <= len(hist) {
-		h := hash4(binary.LittleEndian.Uint32(hist[pos:]))
+		h := hash4(binary.LittleEndian.Uint32(hist[pos:])) & mask
 		cand := table[h]
 		table[h] = int32(pos)
 		if cand < 0 || binary.LittleEndian.Uint32(hist[cand:]) != binary.LittleEndian.Uint32(hist[pos:]) {
@@ -84,7 +90,7 @@ func lzEncode(dst, dict, src []byte) []byte {
 		// costs more than it recovers.
 		end := pos + length
 		for i := pos + 1; i < end && i+minMatch <= len(hist); i += 7 {
-			table[hash4(binary.LittleEndian.Uint32(hist[i:]))] = int32(i)
+			table[hash4(binary.LittleEndian.Uint32(hist[i:]))&mask] = int32(i)
 		}
 		pos = end
 		litStart = pos

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spice/internal/campaign"
@@ -29,6 +30,11 @@ func growingDoc(n int) []byte {
 	return buf.Bytes()
 }
 
+// windowSizes straddle the encoder's hash-table sizes: its smallest
+// table (256 buckets) and its largest (32768), which every larger
+// window shares.
+var windowSizes = []int{255, 256, 257, 32767, 32768}
+
 func TestPayloadRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	random := make([]byte, 4096)
@@ -39,6 +45,9 @@ func TestPayloadRoundTrips(t *testing.T) {
 		growingDoc(500),
 		random,                              // incompressible
 		bytes.Repeat([]byte("spice"), 2000), // highly repetitive
+	}
+	for _, w := range windowSizes {
+		docs = append(docs, growingDoc(2000)[:w])
 	}
 	for i, doc := range docs {
 		for _, mk := range []struct {
@@ -77,6 +86,35 @@ func TestDeltaRoundTripAndRatio(t *testing.T) {
 	if ratio := float64(len(next)) / float64(d.WireLen()); ratio < 10 {
 		t.Fatalf("delta ratio %.1fx on growing doc, want >= 10x (wire %d raw %d)",
 			ratio, d.WireLen(), len(next))
+	}
+	// Base plus document fill each window size exactly.
+	doc := growingDoc(2000)
+	for _, w := range windowSizes {
+		base, next := doc[:w/3], doc[:w-w/3]
+		got, err := Delta(base, next).Resolve(base)
+		if err != nil || !bytes.Equal(got, next) {
+			t.Fatalf("window %d: delta round trip mismatch (err %v)", w, err)
+		}
+	}
+}
+
+// TestCompressSmallDocAllocBytes bounds what compressing a 200-byte
+// document allocates: the encoder's hash table is sized to the match
+// window, not to the largest window it supports.
+func TestCompressSmallDocAllocBytes(t *testing.T) {
+	doc := growingDoc(20)[:200]
+	Compress(doc)
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if Compress(doc) == nil {
+			t.Fatal("nil payload")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("compressing 200 bytes allocates %d B/op, want < 4096", per)
 	}
 }
 

@@ -207,11 +207,19 @@ echo "== one pull path =="
 # -batch ensemble mode and the static-substrate neighbor grid under it
 # (and under the worker's grid cache) were reachable from no shipped
 # system, since every SystemConfig builds an open box with no fixed
-# atoms, and were deleted; they must not come back. md.Batch itself
-# stays for the benchmark's batch metric.
+# atoms, and were deleted; they must not come back. md.Batch is now N
+# engines run side by side, each engine's own Run on its own goroutine,
+# kept only for the benchmark's batch metric: its replica-strided
+# re-backing, shared pair-parameter tables, adoption guard and per-step
+# worker pool were deleted and must not come back either.
 if grep -n -E 'StaticGrid|SubstrateShare|AttachSubstrate|SetMobileIndex|ExecuteEnsemble|runBatched|InstrumentBatch' \
   $(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/'); then
   echo "FAIL: the batched-ensemble pull path or its static substrate is back"
+  exit 1
+fi
+if grep -n -E 'posBase|velBase|forceBase|runStepWorker|float64sEqual|\badopted\b' \
+  $(git ls-files -co --exclude-standard -- 'internal/md/*.go' | grep -v '_test\.go$'); then
+  echo "FAIL: md.Batch's SoA re-backing, table sharing, adoption guard or step pool is back"
   exit 1
 fi
 if grep -n -F '"batch"' $(ls cmd/spice/*.go | grep -v '_test\.go$'); then
@@ -522,17 +530,18 @@ echo "== control plane quota + restart unit gates (-race) =="
 go test -race -run 'TestClientDuplicateSubmitReturnsID|TestTwoTenantsOverHTTPBitIdentical|TestQueueJournalLifecycleReplay|TestRestartReplaysAcceptedCampaigns|TestResultRecoveredAfterRestart|TestLeaseSchedulerStopsAtQuotaBlocked|TestLeaseSchedulerQuotaCountsTenantLeases|TestFairShareChargesPullWork|TestLiveChargeMatchesSimulator|TestTenantUsageGauge|TestSubmitGoesStraightToCoordinator|TestSubmitReportsRealState|TestSubmitRejectsUnrunnableSpec|TestSubmitBodyBounded|TestCancelQueuedCampaign|TestCancelRightAfterSubmit|TestClientKeepsServerSentinels' -count=1 ./internal/controlplane
 
 echo "== md determinism (GOMAXPROCS=4, -race) =="
-# With real parallelism and the race detector on: what is left of the
-# ensemble batch engine must step replicas bit-identically to solo
-# engines (SoA adoption of a walled system mid-trajectory,
-# clone-into-batch restore, zero steady-state allocs, refusal of a double
-# adoption); Step must run safely against Checkpoint and Frame from
-# other goroutines, as IMD drives them; a trajectory must not depend
-# on EngineWorkers; and the golden digests pin the trajectories of the
-# shipped systems across commits (the step kernel's skips and hoists
-# must leave every float unchanged).
+# With real parallelism and the race detector on: md.Batch, N engines
+# run side by side, must step replicas bit-identically to solo engines
+# (a walled system joining the batch mid-trajectory, clone-into-batch
+# restore, StepN allocations that do not grow with the step count,
+# refusal of an empty batch, a nil engine, a mismatched atom count and
+# an engine listed twice); Step must run safely against Checkpoint and
+# Frame from other goroutines, as IMD drives them; a trajectory must not
+# depend on EngineWorkers; and the golden digests pin the trajectories
+# of the shipped systems across commits (the step kernel's skips and
+# hoists must leave every float unchanged).
 GOMAXPROCS=4 go test -race -count=1 \
-  -run 'TestBatchBitIdenticalTrajectories|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestBatchRejectsDoubleAdoption|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers|TestGoldenTrajectories' \
+  -run 'TestBatchBitIdenticalTrajectories|TestCloneIntoBatchRestore|TestBatchStepZeroAllocs|TestNewBatchRejects|TestConcurrentStepCheckpointFrame|TestTrajectoryIndependentOfEngineWorkers|TestGoldenTrajectories' \
   ./internal/md ./internal/core
 
 echo "== wire protocol gates (-race) =="
