@@ -1,11 +1,11 @@
-// Package integrate implements the time integrators of the MD engine:
-// velocity Verlet for microcanonical (NVE) dynamics and the BAOAB-split
-// Langevin integrator for the canonical (NVT) implicit-solvent dynamics
-// the SPICE translocation runs use.
+// Package integrate implements the MD engine's one time integrator: the
+// BAOAB-split Langevin integrator for the canonical (NVT) implicit-solvent
+// dynamics the SPICE translocation runs use. At zero friction it is
+// velocity Verlet up to rounding.
 //
-// Integrators operate on a State through a caller-provided ForceFunc so
-// they stay decoupled from the force engine; fixed atoms (mass/pore
-// scaffold) are never moved.
+// It operates on a State through a caller-provided ForceFunc so it stays
+// decoupled from the force engine; fixed atoms (mass/pore scaffold) are
+// never moved.
 package integrate
 
 import (
@@ -20,7 +20,7 @@ import (
 // and returns the potential energy (kcal/mol).
 type ForceFunc func(pos []vec.V, f []vec.V) float64
 
-// State is the dynamical state advanced by an integrator.
+// State is the dynamical state the integrator advances.
 type State struct {
 	Pos   []vec.V // Å
 	Vel   []vec.V // Å/ps
@@ -105,49 +105,6 @@ func (s *State) InitVelocities(t float64, rng *xrand.Source) {
 	}
 }
 
-// Integrator advances a State by one timestep.
-type Integrator interface {
-	// Step advances st by one timestep using forces from ff.
-	Step(st *State, ff ForceFunc)
-	// Timestep returns dt in ps.
-	Timestep() float64
-}
-
-// VelocityVerlet is the standard NVE integrator.
-type VelocityVerlet struct {
-	DT     float64 // ps
-	primed bool
-}
-
-// Timestep implements Integrator.
-func (v *VelocityVerlet) Timestep() float64 { return v.DT }
-
-// Step implements Integrator.
-func (v *VelocityVerlet) Step(st *State, ff ForceFunc) {
-	if !v.primed {
-		st.Epot = evalForces(st, ff)
-		v.primed = true
-	}
-	dt := v.DT
-	half := 0.5 * dt * units.AccelUnit
-	for i := range st.Pos {
-		if st.Fixed[i] {
-			continue
-		}
-		st.Vel[i].AddScaled(half/st.Mass[i], st.Force[i])
-		st.Pos[i].AddScaled(dt, st.Vel[i])
-	}
-	st.Epot = evalForces(st, ff)
-	for i := range st.Pos {
-		if st.Fixed[i] {
-			continue
-		}
-		st.Vel[i].AddScaled(half/st.Mass[i], st.Force[i])
-	}
-	st.Step++
-	st.Time += dt
-}
-
 // Langevin is the BAOAB-split Langevin (NVT) integrator: the workhorse for
 // the implicit-solvent CG runs. BAOAB gives accurate configurational
 // sampling even at the large (10 fs) CG timestep.
@@ -160,10 +117,11 @@ type Langevin struct {
 	// GammaFor, if set, returns a per-atom friction given the atom's
 	// current position — used to model the higher effective viscosity
 	// of confined water inside the pore lumen. It must return a
-	// positive value; the O-step is solved exactly for whatever it
-	// returns, so detailed balance holds pointwise. It must read only
-	// its arguments (i, p), never other atoms' state: Step runs the
-	// B, A, O and A parts of one atom before moving to the next.
+	// non-negative value; 0 is frictionless. The O-step is solved
+	// exactly for whatever it returns, so detailed balance holds
+	// pointwise. It must read only its arguments (i, p), never other
+	// atoms' state: Step runs the B, A, O and A parts of one atom
+	// before moving to the next.
 	GammaFor func(i int, p vec.V) float64
 
 	primed bool
@@ -181,10 +139,7 @@ func NewLangevin(dt, gamma, t float64, rng *xrand.Source) *Langevin {
 	return &Langevin{DT: dt, Gamma: gamma, Temp: t, RNG: rng}
 }
 
-// Timestep implements Integrator.
-func (l *Langevin) Timestep() float64 { return l.DT }
-
-// Step implements Integrator.
+// Step advances st by one timestep using forces from ff.
 func (l *Langevin) Step(st *State, ff ForceFunc) {
 	if !l.primed {
 		st.Epot = evalForces(st, ff)
@@ -244,9 +199,6 @@ func (l *Langevin) cache(st *State) {
 // (call after externally mutating positions, e.g. restoring a checkpoint).
 func (l *Langevin) Reprime() { l.primed = false }
 
-// Reprime for VelocityVerlet.
-func (v *VelocityVerlet) Reprime() { v.primed = false }
-
 // Prime marks the integrator primed without a force evaluation. Use when
 // the State's Force array was itself restored from a checkpoint: steering
 // terms (the SMD spring's λ) may have advanced since that evaluation, so
@@ -257,9 +209,6 @@ func (l *Langevin) Prime() {
 	l.kT = units.KT(l.Temp)
 	l.primed, l.kick = true, nil
 }
-
-// Prime for VelocityVerlet.
-func (v *VelocityVerlet) Prime() { v.primed = true }
 
 func evalForces(st *State, ff ForceFunc) float64 {
 	for i := range st.Force {

@@ -29,14 +29,16 @@ func newTestState(n int, mass float64) *State {
 	return st
 }
 
-func TestVelocityVerletConservesEnergy(t *testing.T) {
+// At zero friction the O-step is the identity (c1 = 1, no noise), so BAOAB
+// is velocity Verlet up to rounding and conserves energy.
+func TestFrictionlessLangevinConservesEnergy(t *testing.T) {
 	st := newTestState(10, 12)
 	rng := xrand.New(1)
 	for i := range st.Pos {
 		st.Pos[i] = vec.V{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
 	}
 	st.InitVelocities(300, rng)
-	integ := &VelocityVerlet{DT: 0.001}
+	integ := NewLangevin(0.001, 0, 300, rng)
 	ff := harmonicWell(5)
 
 	integ.Step(st, ff)
@@ -47,17 +49,17 @@ func TestVelocityVerletConservesEnergy(t *testing.T) {
 	e1 := st.Epot + st.KineticEnergy()
 	drift := math.Abs(e1-e0) / math.Abs(e0)
 	if drift > 1e-3 {
-		t.Fatalf("NVE energy drift %.3g (E0=%v E1=%v)", drift, e0, e1)
+		t.Fatalf("frictionless energy drift %.3g (E0=%v E1=%v)", drift, e0, e1)
 	}
 }
 
-func TestVelocityVerletHarmonicPeriod(t *testing.T) {
+func TestFrictionlessLangevinHarmonicPeriod(t *testing.T) {
 	// Single particle in a well: x(t) = x0·cos(ωt), ω = sqrt(k·AccelUnit/m).
 	st := newTestState(1, 10)
 	st.Pos[0] = vec.V{X: 1}
 	k := 3.0
 	omega := math.Sqrt(k / 10 * units.AccelUnit)
-	integ := &VelocityVerlet{DT: 0.0005}
+	integ := NewLangevin(0.0005, 0, 300, xrand.New(6))
 	ff := harmonicWell(k)
 	quarter := (math.Pi / 2) / omega
 	steps := int(quarter / integ.DT)
@@ -139,13 +141,13 @@ func TestFixedAtomsDoNotMove(t *testing.T) {
 	if st.Pos[1] != (vec.V{X: 5, Y: 5, Z: 5}) {
 		t.Fatalf("fixed atom moved to %v", st.Pos[1])
 	}
-	// NVE too.
-	vv := &VelocityVerlet{DT: 0.01}
+	// Frictionless too.
+	integ = NewLangevin(0.01, 0, 300, rng)
 	for i := 0; i < 100; i++ {
-		vv.Step(st, ff)
+		integ.Step(st, ff)
 	}
 	if st.Pos[1] != (vec.V{X: 5, Y: 5, Z: 5}) {
-		t.Fatalf("fixed atom moved under NVE to %v", st.Pos[1])
+		t.Fatalf("fixed atom moved without friction to %v", st.Pos[1])
 	}
 }
 
@@ -203,7 +205,7 @@ func TestCOM(t *testing.T) {
 
 func TestStepAndTimeAdvance(t *testing.T) {
 	st := newTestState(1, 1)
-	integ := &VelocityVerlet{DT: 0.002}
+	integ := NewLangevin(0.002, 0, 300, xrand.New(10))
 	ff := harmonicWell(1)
 	for i := 0; i < 10; i++ {
 		integ.Step(st, ff)

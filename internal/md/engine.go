@@ -1,7 +1,7 @@
 // Package md is the molecular-dynamics engine at the bottom of the SPICE
 // stack — the stand-in for NAMD in the paper's architecture. It combines a
-// topology, force-field terms, a neighbor-listed nonbonded potential and a
-// Langevin (or NVE) integrator, sums every force on the goroutine that
+// topology, force-field terms, a neighbor-listed nonbonded potential and
+// the BAOAB Langevin integrator, sums every force on the goroutine that
 // steps the engine, and supports the checkpoint/clone operations the
 // RealityGrid steering layer relies on. Parallelism lives one level up:
 // independent pulls, replicas and windows run on their own engines.
@@ -35,11 +35,10 @@ type Config struct {
 	DT    float64 // timestep, ps (default 0.01 = 10 fs)
 	Gamma float64 // Langevin friction, 1/ps (default 1)
 	Temp  float64 // K (default 300)
-	NVE   bool    // use velocity Verlet instead of Langevin
 	// GammaFor optionally makes the Langevin friction position-
 	// dependent (e.g. higher inside the pore lumen, where confined
-	// water is effectively more viscous). Ignored under NVE. It must
-	// read nothing but its arguments (see integrate.Langevin.GammaFor).
+	// water is effectively more viscous). It must read nothing but its
+	// arguments (see integrate.Langevin.GammaFor).
 	GammaFor func(i int, p vec.V) float64
 
 	Seed uint64 // RNG seed (default 1)
@@ -54,11 +53,7 @@ type Engine struct {
 	cfg   Config
 	top   *topology.Topology
 	state *integrate.State
-	integ interface {
-		integrate.Integrator
-		Reprime()
-		Prime()
-	}
+	integ *integrate.Langevin
 	nlist *neighbor.List
 	rng   *xrand.Source
 	// ff is e.forces bound once: a method value allocates at every
@@ -156,13 +151,8 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	if cfg.NVE {
-		e.integ = &integrate.VelocityVerlet{DT: cfg.DT}
-	} else {
-		lg := integrate.NewLangevin(cfg.DT, cfg.Gamma, cfg.Temp, e.rng.Split())
-		lg.GammaFor = cfg.GammaFor
-		e.integ = lg
-	}
+	e.integ = integrate.NewLangevin(cfg.DT, cfg.Gamma, cfg.Temp, e.rng.Split())
+	e.integ.GammaFor = cfg.GammaFor
 
 	e.ff = e.forces
 	return e, nil
@@ -314,10 +304,7 @@ func (e *Engine) Checkpoint() *trace.Checkpoint {
 		Vel:  append([]vec.V(nil), e.state.Vel...),
 		Seed: e.cfg.Seed,
 	}
-	c.RNG = e.rng.Snapshot()
-	if lg, ok := e.integ.(*integrate.Langevin); ok {
-		c.RNG = append(c.RNG, lg.RNG.Snapshot()...)
-	}
+	c.RNG = append(e.rng.Snapshot(), e.integ.RNG.Snapshot()...)
 	if e.nlist != nil {
 		c.NeighborRef = e.nlist.Ref()
 	}
@@ -326,14 +313,19 @@ func (e *Engine) Checkpoint() *trace.Checkpoint {
 }
 
 // Restore loads a checkpoint into the engine. When the checkpoint carries
-// RNG state (trace SPCKP2) the engine's random streams are restored too —
-// exact-resume semantics; otherwise the current streams continue (clone
-// semantics). When it carries neighbor-list reference positions, the pair
-// list is rebuilt from those instead of the restored positions, so the
-// rebuild schedule and pair ordering match the run that wrote it.
+// RNG state (the engine and thermostat streams Checkpoint writes) both
+// random streams are restored too — exact-resume semantics; otherwise the
+// current streams continue (clone semantics). An RNG block that lacks the
+// thermostat stream is refused before anything is loaded. When the
+// checkpoint carries neighbor-list reference positions, the pair list is
+// rebuilt from those instead of the restored positions, so the rebuild
+// schedule and pair ordering match the run that wrote it.
 func (e *Engine) Restore(c *trace.Checkpoint) error {
 	if len(c.Pos) != e.top.N() || len(c.Vel) != e.top.N() {
 		return fmt.Errorf("md: checkpoint has %d atoms, engine has %d", len(c.Pos), e.top.N())
+	}
+	if n := len(c.RNG); n > 0 && (n%xrand.SnapshotLen != 0 || n < 2*xrand.SnapshotLen) {
+		return fmt.Errorf("md: checkpoint RNG block has %d words, want the engine and thermostat streams (a multiple of %d, at least two)", n, xrand.SnapshotLen)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -342,19 +334,11 @@ func (e *Engine) Restore(c *trace.Checkpoint) error {
 	e.state.Step = c.Step
 	e.state.Time = c.Time
 	if len(c.RNG) > 0 {
-		if len(c.RNG)%xrand.SnapshotLen != 0 {
-			return fmt.Errorf("md: checkpoint RNG block has %d words, want a multiple of %d", len(c.RNG), xrand.SnapshotLen)
-		}
 		if err := e.rng.RestoreSnapshot(c.RNG[:xrand.SnapshotLen]); err != nil {
 			return fmt.Errorf("md: restoring engine RNG: %w", err)
 		}
-		if lg, ok := e.integ.(*integrate.Langevin); ok {
-			if len(c.RNG) < 2*xrand.SnapshotLen {
-				return fmt.Errorf("md: checkpoint RNG block lacks the thermostat stream")
-			}
-			if err := lg.RNG.RestoreSnapshot(c.RNG[xrand.SnapshotLen : 2*xrand.SnapshotLen]); err != nil {
-				return fmt.Errorf("md: restoring thermostat RNG: %w", err)
-			}
+		if err := e.integ.RNG.RestoreSnapshot(c.RNG[xrand.SnapshotLen : 2*xrand.SnapshotLen]); err != nil {
+			return fmt.Errorf("md: restoring thermostat RNG: %w", err)
 		}
 	}
 	if len(c.Force) == e.top.N() {

@@ -3,12 +3,14 @@ package md
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"spice/internal/forcefield"
 	"spice/internal/topology"
 	"spice/internal/trace"
 	"spice/internal/vec"
+	"spice/internal/xrand"
 )
 
 // smallChain builds a free 8-bead chain with bonds and nonbonded terms.
@@ -217,6 +219,32 @@ func TestRestoreRejectsWrongSize(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsShortRNG: an RNG block must carry both the engine
+// and the thermostat stream in whole snapshots; anything else is refused
+// before the engine's state is touched.
+func TestRestoreRejectsShortRNG(t *testing.T) {
+	a := smallChain(t, 3)
+	a.Run(10)
+	ck := a.Checkpoint()
+	a.Run(10)
+	want := a.Checkpoint()
+	for _, rng := range [][]uint64{
+		ck.RNG[:xrand.SnapshotLen],      // the engine stream alone
+		ck.RNG[:xrand.SnapshotLen+1],    // ragged, one stream and a word
+		append(slices.Clone(ck.RNG), 0), // ragged, both streams and a word
+	} {
+		bad := *ck
+		bad.RNG = rng
+		if err := a.Restore(&bad); err == nil {
+			t.Fatalf("RNG block of %d words accepted", len(bad.RNG))
+		}
+		got := a.Checkpoint()
+		if got.Step != want.Step || got.Pos[0] != want.Pos[0] || !slices.Equal(got.RNG, want.RNG) {
+			t.Fatalf("refused %d-word RNG block still changed the engine", len(bad.RNG))
+		}
+	}
+}
+
 func TestCloneDoesNotPerturbOriginal(t *testing.T) {
 	a := smallChain(t, 21)
 	a.Run(50)
@@ -324,7 +352,10 @@ func TestBuildTranslocationWithWalls(t *testing.T) {
 	}
 }
 
-func TestNVEEngineConservesEnergy(t *testing.T) {
+// TestFrictionlessEngineConservesEnergy: with zero friction everywhere the
+// engine's BAOAB step is velocity Verlet up to rounding, so total energy
+// is conserved.
+func TestFrictionlessEngineConservesEnergy(t *testing.T) {
 	top := topology.New()
 	p := topology.DefaultDNA(6)
 	p.AngleK = 0
@@ -333,12 +364,12 @@ func TestNVEEngineConservesEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := New(Config{
-		Top:   top,
-		Init:  pos,
-		Terms: []forcefield.Term{forcefield.Bonds{Top: top}},
-		DT:    0.001,
-		NVE:   true,
-		Seed:  13,
+		Top:      top,
+		Init:     pos,
+		Terms:    []forcefield.Term{forcefield.Bonds{Top: top}},
+		DT:       0.001,
+		GammaFor: func(int, vec.V) float64 { return 0 },
+		Seed:     13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +379,7 @@ func TestNVEEngineConservesEnergy(t *testing.T) {
 	eng.Run(5000)
 	e1 := eng.TotalEnergy()
 	if math.Abs(e1-e0) > 1e-3*math.Max(1, math.Abs(e0)) {
-		t.Fatalf("NVE drift: %v -> %v", e0, e1)
+		t.Fatalf("frictionless drift: %v -> %v", e0, e1)
 	}
 }
 

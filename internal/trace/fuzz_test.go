@@ -55,7 +55,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(headerOnly(1 << 30))
-	f.Add([]byte(ckptMagicV1))
+	f.Add([]byte("SPCKP1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {

@@ -285,7 +285,7 @@ type Checkpoint struct {
 	// across a resume.
 	NeighborRef []vec.V
 	// Force holds the integrator's cached force array (len 0 or
-	// len(Pos)). BAOAB/velocity-Verlet carry f(t) across the step
+	// len(Pos)). The BAOAB step carries f(t) across the step
 	// boundary, and steering layers (the SMD spring's λ) may have
 	// advanced since that evaluation — so the cached values cannot be
 	// reproduced by re-evaluating at restore time. Carrying them makes
@@ -294,8 +294,7 @@ type Checkpoint struct {
 }
 
 const (
-	ckptMagicV1 = "SPCKP1"
-	ckptMagic   = "SPCKP2"
+	ckptMagic = "SPCKP2"
 	// maxCkptRNG bounds the RNG block a reader will accept.
 	maxCkptRNG = 1 << 10
 )
@@ -339,27 +338,21 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	return bw.Flush()
 }
 
-// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint. It
-// accepts both the current SPCKP2 format and the legacy SPCKP1 layout
-// (which carries no RNG or neighbor-ref blocks). Truncated input yields
-// ErrTruncated; foreign or internally inconsistent input yields ErrFormat.
+// ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint (the
+// SPCKP2 format, the only one). Truncated input yields ErrTruncated;
+// foreign or internally inconsistent input yields ErrFormat.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	buf := make([]byte, len(ckptMagic))
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, truncated(err)
 	}
-	v2 := string(buf) == ckptMagic
-	if !v2 && string(buf) != ckptMagicV1 {
+	if string(buf) != ckptMagic {
 		return nil, ErrFormat
 	}
 	var c Checkpoint
 	var n, nrng, nref, nfrc int64
-	ints := []any{&c.Step, &c.Time, &c.Seed, &n}
-	if v2 {
-		ints = append(ints, &nrng, &nref, &nfrc)
-	}
-	for _, p := range ints {
+	for _, p := range []any{&c.Step, &c.Time, &c.Seed, &n, &nrng, &nref, &nfrc} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
 			return nil, truncated(err)
 		}

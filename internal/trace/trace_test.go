@@ -315,7 +315,9 @@ func TestCheckpointRNGAndRefRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointReadsLegacyV1(t *testing.T) {
+// TestCheckpointRejectsLegacyV1: SPCKP1, the layout before the RNG,
+// neighbor-ref and force blocks, is no longer read.
+func TestCheckpointRejectsLegacyV1(t *testing.T) {
 	// Hand-build a SPCKP1 stream: magic, step, time, seed, n, pos, vel.
 	var buf bytes.Buffer
 	buf.WriteString("SPCKP1")
@@ -325,15 +327,8 @@ func TestCheckpointReadsLegacyV1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != 5 || got.Seed != 77 || len(got.Pos) != 1 || got.Pos[0] != (vec.V{X: 1, Y: 2, Z: 3}) {
-		t.Fatalf("legacy checkpoint misread: %+v", got)
-	}
-	if got.RNG != nil || got.NeighborRef != nil {
-		t.Fatal("legacy checkpoint should carry no RNG/ref blocks")
+	if got, err := ReadCheckpoint(&buf); !errors.Is(err, ErrFormat) {
+		t.Fatalf("SPCKP1 stream read as %+v, err %v; want ErrFormat", got, err)
 	}
 }
 

@@ -29,8 +29,8 @@ const (
 	KTRoom = Boltzmann * RoomTemperature
 
 	// TimeFactor is the "natural" AKMA time unit expressed in ps:
-	// sqrt(amu·Å²/(kcal/mol)) = 48.8882 fs. The integrators in this
-	// repository work directly in ps via AccelUnit; the factor is kept
+	// sqrt(amu·Å²/(kcal/mol)) = 48.8882 fs. The integrator in this
+	// repository works directly in ps via AccelUnit; the factor is kept
 	// for reference and tests.
 	TimeFactor = 0.0488882
 

@@ -71,7 +71,7 @@ func (a *V) AddInPlace(b V) { a.X += b.X; a.Y += b.Y; a.Z += b.Z }
 func (a *V) SubInPlace(b V) { a.X -= b.X; a.Y -= b.Y; a.Z -= b.Z }
 
 // AddScaled sets a += s·b. This is the hot-path FMA shape used by the
-// integrators and force accumulation.
+// integrator and force accumulation.
 func (a *V) AddScaled(s float64, b V) {
 	a.X += s * b.X
 	a.Y += s * b.Y

@@ -22,6 +22,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -41,6 +42,13 @@ const (
 
 func hash4(v uint32) uint32 { return (v * 2654435761) >> (32 - maxTableBits) }
 
+// tables recycles lzEncode's hash tables at their largest size, 128 KB:
+// every delta checkpoint of a 24-bead pull has a window over 16 KB, and a
+// table per call would be most of what Delta allocates. A window that
+// fits the smallest table (most message blobs) uses one on the stack, so
+// a pool drained by a GC never costs a small document 128 KB.
+var tables = sync.Pool{New: func() any { return new([1 << maxTableBits]int32) }}
+
 // lzEncode appends to dst an op stream reproducing src, with dict
 // prepended to the match window. Each op starts with a uvarint tag:
 // even tags are literal runs (tag>>1 raw bytes follow), odd tags are
@@ -52,7 +60,13 @@ func lzEncode(dst, dict, src []byte) []byte {
 	for bits < maxTableBits && 1<<bits < len(hist) {
 		bits++
 	}
-	table := make([]int32, 1<<bits)
+	var small [1 << minTableBits]int32
+	table := small[:]
+	if bits > minTableBits {
+		pooled := tables.Get().(*[1 << maxTableBits]int32)
+		defer tables.Put(pooled)
+		table = pooled[:1<<bits]
+	}
 	mask := uint32(len(table) - 1)
 	for i := range table {
 		table[i] = -1

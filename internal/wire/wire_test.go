@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"spice/internal/campaign"
@@ -116,6 +117,59 @@ func TestCompressSmallDocAllocBytes(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
 		t.Fatalf("compressing 200 bytes allocates %d B/op, want < 4096", per)
 	}
+}
+
+// TestDeltaLargeWindowAllocBytes bounds what a delta over a window of
+// more than 16 KB allocates, the size of every checkpoint delta of a
+// 24-bead pull: the encoder reuses its largest (128 KB) hash table
+// across calls instead of allocating one per call.
+func TestDeltaLargeWindowAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled tables at random under the race detector")
+	}
+	base, next := growingDoc(340), growingDoc(360)
+	if w := len(base) + len(next); w < 16<<10 {
+		t.Fatalf("window %d bytes, want >= 16 KB", w)
+	}
+	Delta(base, next)
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if !Delta(base, next).IsDelta() {
+			t.Fatal("not a delta payload")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("a delta over a %d-byte window allocates %d B/op, want < 65536", len(base)+len(next), per)
+	}
+}
+
+// TestDeltaConcurrentEncodes: encoders running at once each take their
+// own pooled hash table, so every payload matches a sequential encode.
+func TestDeltaConcurrentEncodes(t *testing.T) {
+	docs := make([][]byte, 8)
+	want := make([][]byte, len(docs))
+	for i := range docs {
+		docs[i] = growingDoc(200 + 60*i)
+		want[i] = Delta(docs[0], docs[i]).Data
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				i := (g + k) % len(docs)
+				if got := Delta(docs[0], docs[i]).Data; !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: doc %d encoded differently", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestDeltaBaseMismatch(t *testing.T) {

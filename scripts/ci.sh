@@ -360,11 +360,15 @@ echo "== one implementation per paper-model idea =="
 # co-scheduler share one fixed-point co-reservation loop; ScanRecords
 # decodes through RecordReader; neighbor.List has one pair-list builder,
 # the i-major Verlet scan over open boundaries (no cell grid, no periodic
-# box, no minimum image). The second copies and the leaf API nothing
-# reached were deleted; they must not come back.
+# box, no minimum image); md steps one integrator, BAOAB Langevin (zero
+# friction stands in for velocity Verlet, so there is no Integrator
+# interface and no NVE switch); trace reads one engine-image layout,
+# SPCKP2. The second copies and the leaf API nothing reached were
+# deleted; they must not come back.
 src=$(git ls-files -co --exclude-standard -- '*.go' | grep -v -e '_test\.go$' -e '^benchmark/')
 if grep -n -w -E 'NewSteerer|submitExcluding|SubmitAll|Deregister|ByKind|Dialects|ScaleInPlace|Masses|AtomsOfKind|SevenFold|SupportsUDP|Degrees|Radians|SplitN|ExpFloat64|LogNormal|Lerp|MinImage|MinImageWrapped|cellOf|scanGrid|wrapCell' $src ||
-  grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach|\bvec\.Wrap\(' $src; then
+  grep -n -E 'type Steerer\b|\bScanFile\(|func \(c \*Client\) Detach|\bvec\.Wrap\(' $src ||
+  grep -n -E 'VelocityVerlet|integrate\.Integrator\b|type Integrator interface|NVE\s+bool|SPCKP1' $src; then
   echo "FAIL: a deleted second implementation or unreached API is back"
   exit 1
 fi
